@@ -16,8 +16,9 @@
 //!    forces the per-candidate default path over the same problem. Both are
 //!    bit-identical; only the traversal count differs.
 //! 3. **Tail stealing beats fixed chunks on skewed batches.** A real ODE
-//!    leaf batch where a run of candidates costs ~13x the rest (they never
-//!    settle; the rest warm-start from a frozen parent library) starves
+//!    leaf batch where a run of candidates costs far more than the rest
+//!    (they solve from a distant parent; the rest restart from their own
+//!    steady states in a frozen parent library) starves
 //!    fixed chunking — one lane grinds while the other idles. The
 //!    executor's index-stealing splitter rebalances the tail and stays
 //!    bit-identical to serial (`tests/determinism.rs` proves the slot
@@ -148,18 +149,28 @@ fn bench_oracle_amortization(c: &mut Criterion) {
     group.finish();
 }
 
-/// A batch whose expensive candidates (a 0.7x-scaled pathway that relaxes
-/// too slowly to settle within the fast integrator's 800 s horizon, ~29 ms)
-/// sit in the middle of lane 0's fixed-chunk half, surrounded by cheap
-/// designs that warm-start off the committed parent library (~2 ms). The
-/// placement spans the later claim blocks of lane 0's range, which is
-/// exactly the work a tail thief can take over.
+/// The expensive design of [`skewed_leaf_batch`]: a 0.02x-scaled pathway,
+/// far from every committed parent.
+fn expensive_leaf_design() -> Vec<f64> {
+    EnzymePartition::natural()
+        .scaled(0.02)
+        .capacities()
+        .to_vec()
+}
+
+/// A batch whose expensive candidates ([`expensive_leaf_design`], kept out
+/// of the parent library, so each solves from the natural leaf's steady
+/// state in ~56 steps) sit in the middle of lane 0's fixed-chunk half,
+/// surrounded by cheap designs that warm-start from their own committed
+/// steady states (no step at all). The placement spans the later claim
+/// blocks of lane 0's range, which is exactly the work a tail thief can
+/// take over.
 fn skewed_leaf_batch(batch_len: usize) -> Vec<Vec<f64>> {
     let natural = EnzymePartition::natural();
     (0..batch_len)
         .map(|i| {
             if (batch_len / 8..3 * batch_len / 8).contains(&i) {
-                natural.scaled(0.7).capacities().to_vec()
+                expensive_leaf_design()
             } else {
                 natural.scaled(1.0 + 0.02 * i as f64).capacities().to_vec()
             }
@@ -167,15 +178,17 @@ fn skewed_leaf_batch(batch_len: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Settles the batch once cold, commits the settling designs as the parent
-/// library, then freezes it: every timed iteration sees the same
-/// warm-vs-never-settling cost split, because the frozen library neither
+/// Settles the cheap designs of the batch once cold, commits them as the
+/// parent library, then freezes it: every timed iteration sees the same
+/// cheap-vs-expensive cost split, because the frozen library neither
 /// absorbs the expensive designs nor drifts between samples.
 fn warmed_leaf_problem(batch: &[Vec<f64>]) -> OdeLeafRedesignProblem {
+    let expensive = expensive_leaf_design();
+    let cheap: Vec<Vec<f64>> = batch.iter().filter(|x| **x != expensive).cloned().collect();
     let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    problem.prepare_batch(batch);
-    problem.evaluate_batch(batch);
-    problem.prepare_batch(batch);
+    problem.prepare_batch(&cheap);
+    problem.evaluate_batch(&cheap);
+    problem.prepare_batch(&cheap);
     problem.freeze_warm_start_pool();
     problem
 }

@@ -1,5 +1,5 @@
 //! Cost of one photosynthesis uptake evaluation: the fast analytic
-//! steady-state model versus the full ODE integration (fast preset).
+//! steady-state model versus the full ODE steady-state solve (fast preset).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pathway_photosynthesis::{EnzymePartition, OdeUptakeEvaluator, Scenario, UptakeModel};

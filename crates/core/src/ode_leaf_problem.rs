@@ -5,13 +5,13 @@
 //! uptake model; this module scores it with the full
 //! [`pathway_photosynthesis::CalvinCycleOde`] driven to steady state — the
 //! oracle the paper actually describes, and orders of magnitude more
-//! expensive. The batch-level amortization that makes it affordable inside
-//! an optimization loop: each candidate's integration is **warm-started**
-//! from the steady state of the nearest already-evaluated design in a
-//! bounded library spanning *all* previous generations, so consecutive
-//! generations (whose offspring cluster around their parents) pay for
-//! tracking the difference between designs instead of re-spooling the whole
-//! autocatalytic transient from the cold-start state every time. The
+//! expensive. The batch-level amortization that makes it cheaper inside
+//! an optimization loop: each candidate's steady-state solve is
+//! **warm-started** from the steady state of the nearest already-evaluated
+//! design in a bounded library spanning *all* previous generations, so
+//! consecutive generations (whose offspring cluster around their parents)
+//! start a few Newton steps from their root instead of at the cold-start
+//! state (about 3 steps against 65 for the natural leaf). The
 //! library is indexed by a static k-d tree over capacity space, rebuilt
 //! once per commit, so each lookup costs `O(log n)` expected instead of a
 //! linear scan over every design ever settled.
@@ -23,7 +23,13 @@ use std::sync::RwLock;
 use pathway_linalg::Vector;
 use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::MultiObjectiveProblem;
-use pathway_photosynthesis::{EnzymePartition, OdeUptakeEvaluator, Scenario};
+use pathway_photosynthesis::{
+    EnzymePartition, IntegrationStats, OdeError, OdeUptakeEvaluator, Scenario,
+};
+
+/// Constraint violation of a design whose steady-state solve never
+/// settles: infeasible, so it never dominates a design that settled.
+const UNSETTLED_VIOLATION: f64 = 1.0;
 
 /// Upper bound on the warm-start library. Generous enough to hold several
 /// generations of a typical population (60–200 designs) while keeping the
@@ -233,7 +239,7 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// Objectives (both minimized): `-uptake` (net CO₂ uptake of the ODE steady
 /// state, µmol m⁻² s⁻¹) and `nitrogen` (total protein nitrogen, mg/l) — the
 /// same trade-off as [`crate::LeafRedesignProblem`], with the analytic
-/// steady state replaced by an integrated one.
+/// steady state replaced by the ODE model's.
 ///
 /// # Warm starts and determinism
 ///
@@ -264,9 +270,10 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// `prepare_batch` commits against one shared pool would be
 /// scheduling-dependent — the problem detects a commit landing mid-batch
 /// and **panics** with a diagnostic rather than letting the run silently
-/// diverge. MOEA/D is *correct* but gains nothing: it evaluates its
-/// children one at a time through [`MultiObjectiveProblem::evaluate`],
-/// which reads the committed pool without ever refreshing it, so after the
+/// diverge. MOEA/D is *correct* but slower: it evaluates its children one
+/// at a time through [`MultiObjectiveProblem::evaluate`] and
+/// [`MultiObjectiveProblem::constraint_violation`], one solve each, which
+/// read the committed pool without ever refreshing it, so after the
 /// initial batch every candidate cold-starts.
 ///
 /// # Example
@@ -287,47 +294,79 @@ pub struct OdeLeafRedesignProblem {
     evaluator: OdeUptakeEvaluator,
     bounds: Vec<(f64, f64)>,
     pool: RwLock<WarmStartPool>,
-    /// Integrations that started from a parent steady state.
+    counters: OracleCounters,
+}
+
+/// Cumulative oracle work, summed over every evaluated design (the repeated
+/// solve in [`MultiObjectiveProblem::constraint_violation`] is not counted).
+/// Each counter is a pure sum, so the totals do not depend on the order
+/// lanes finish in.
+#[derive(Debug, Default)]
+struct OracleCounters {
+    /// Designs whose solve started from a parent steady state.
     warm_starts: AtomicU64,
-    /// Integrations that spooled up from the cold-start state.
+    /// Designs whose solve started from the cold-start state.
     cold_starts: AtomicU64,
+    /// Designs whose solve never settled.
+    unsettled: AtomicU64,
+    steps: AtomicU64,
+    rhs_evals: AtomicU64,
+    jacobians: AtomicU64,
+    newton_iters: AtomicU64,
+}
+
+impl OracleCounters {
+    fn add_work(&self, stats: &IntegrationStats) {
+        let add = |counter: &AtomicU64, n: usize| {
+            counter.fetch_add(n as u64, AtomicOrdering::Relaxed);
+        };
+        add(&self.steps, stats.steps_attempted());
+        add(&self.rhs_evals, stats.rhs_evaluations);
+        add(&self.jacobians, stats.jacobian_evaluations);
+        add(&self.newton_iters, stats.newton_iterations);
+    }
 }
 
 impl OdeLeafRedesignProblem {
     /// Creates the problem for a scenario with the default search box
     /// (0.02×–4× the natural capacities, matching
-    /// [`crate::LeafRedesignProblem`]) and the coarse
-    /// [`OdeUptakeEvaluator::fast`] integrator — the right trade-off inside
-    /// an optimization loop; use
-    /// [`OdeLeafRedesignProblem::with_evaluator`] for publication-grade
-    /// tolerances.
+    /// [`crate::LeafRedesignProblem`]) and the
+    /// [`OdeUptakeEvaluator::fast`] solver settings (tolerance `1e-8`, 400
+    /// steps) — the right trade-off inside an optimization loop; use
+    /// [`OdeLeafRedesignProblem::with_evaluator`] for tighter tolerances.
     pub fn new(scenario: Scenario) -> Self {
         OdeLeafRedesignProblem {
             scenario,
             evaluator: OdeUptakeEvaluator::fast(),
             bounds: EnzymePartition::bounds(0.02, 4.0),
             pool: RwLock::new(WarmStartPool::default()),
-            warm_starts: AtomicU64::new(0),
-            cold_starts: AtomicU64::new(0),
+            counters: OracleCounters::default(),
         }
     }
 
-    /// Dumps the cumulative warm-start counters into `registry` as
-    /// `oracle.ode.warm_starts` and `oracle.ode.cold_starts`. Call once
-    /// when an invocation finishes; the hit rate (`warm / (warm + cold)`)
-    /// is the amortization the module docs describe.
+    /// Dumps the cumulative oracle counters into `registry`: the start
+    /// split `oracle.ode.warm_starts` and `oracle.ode.cold_starts` (the hit
+    /// rate `warm / (warm + cold)` is the amortization the module docs
+    /// describe), and the solver work summed over every design, settled or
+    /// not: `ode.steps`, `ode.rhs_evals`, `ode.jacobians`,
+    /// `ode.newton_iters`, plus `ode.unsettled`, the designs that never
+    /// settled. Call once when an invocation finishes.
     pub fn record_oracle_metrics(&self, registry: &MetricsRegistry) {
-        registry.add(
-            "oracle.ode.warm_starts",
-            self.warm_starts.load(AtomicOrdering::Relaxed),
-        );
-        registry.add(
-            "oracle.ode.cold_starts",
-            self.cold_starts.load(AtomicOrdering::Relaxed),
-        );
+        let c = &self.counters;
+        for (name, counter) in [
+            ("oracle.ode.warm_starts", &c.warm_starts),
+            ("oracle.ode.cold_starts", &c.cold_starts),
+            ("ode.steps", &c.steps),
+            ("ode.rhs_evals", &c.rhs_evals),
+            ("ode.jacobians", &c.jacobians),
+            ("ode.newton_iters", &c.newton_iters),
+            ("ode.unsettled", &c.unsettled),
+        ] {
+            registry.add(name, counter.load(AtomicOrdering::Relaxed));
+        }
     }
 
-    /// Overrides the steady-state evaluator (tolerances, horizon, step).
+    /// Overrides the steady-state evaluator (step, tolerance, budget).
     #[must_use]
     pub fn with_evaluator(mut self, evaluator: OdeUptakeEvaluator) -> Self {
         self.evaluator = evaluator;
@@ -378,29 +417,47 @@ impl OdeLeafRedesignProblem {
         pool.nearest(x).map(|entry| entry.state.clone())
     }
 
-    /// Evaluates one candidate against the frozen pool: objectives plus the
-    /// settled steady state (`None` when the integration failed to settle —
-    /// such candidates score zero uptake and never enter the pool).
-    fn evaluate_one(&self, x: &[f64]) -> (Vec<f64>, Option<Vector>) {
+    /// Evaluates one candidate against the frozen pool: objectives,
+    /// constraint violation and the settled steady state.
+    ///
+    /// A design whose solve never settles within the step budget scores
+    /// `[0.0, nitrogen]` with violation [`UNSETTLED_VIOLATION`], so it is
+    /// infeasible and never enters the pool: a pathway that does not settle
+    /// fixes no carbon worth reporting, and scoring it as a feasible
+    /// zero-uptake design would let it crowd the low-nitrogen end of the
+    /// front.
+    ///
+    /// The solve's work goes into `counters`.
+    fn evaluate_one(
+        &self,
+        x: &[f64],
+        counters: &OracleCounters,
+    ) -> (Vec<f64>, f64, Option<Vector>) {
         let partition = EnzymePartition::new(x.to_vec());
         let nitrogen = partition.total_nitrogen();
         let solved = match self.warm_start(x) {
             Some(y0) => {
-                self.warm_starts.fetch_add(1, AtomicOrdering::Relaxed);
+                counters.warm_starts.fetch_add(1, AtomicOrdering::Relaxed);
                 self.evaluator
                     .steady_state_from(&partition, &self.scenario, y0)
             }
             None => {
-                self.cold_starts.fetch_add(1, AtomicOrdering::Relaxed);
+                counters.cold_starts.fetch_add(1, AtomicOrdering::Relaxed);
                 self.evaluator.steady_state(&partition, &self.scenario)
             }
         };
         match solved {
-            Ok((steady, uptake)) => (vec![-uptake, nitrogen], Some(steady.state)),
-            // A pathway that never settles fixes no carbon worth reporting;
-            // score it as zero uptake instead of poisoning the front with
-            // non-finite objectives.
-            Err(_) => (vec![0.0, nitrogen], None),
+            Ok((steady, uptake)) => {
+                counters.add_work(&steady.stats);
+                (vec![-uptake, nitrogen], 0.0, Some(steady.state))
+            }
+            Err(error) => {
+                if let OdeError::SteadyStateNotReached { stats, .. } = &error {
+                    counters.add_work(stats);
+                }
+                counters.unsettled.fetch_add(1, AtomicOrdering::Relaxed);
+                (vec![0.0, nitrogen], UNSETTLED_VIOLATION, None)
+            }
         }
     }
 }
@@ -431,7 +488,15 @@ impl MultiObjectiveProblem for OdeLeafRedesignProblem {
     }
 
     fn evaluate(&self, x: &[f64]) -> Vec<f64> {
-        self.evaluate_one(x).0
+        self.evaluate_one(x, &self.counters).0
+    }
+
+    /// Solves the candidate again for its violation: a per-candidate caller
+    /// (MOEA/D's children) pays two solves, a batch caller one. The repeated
+    /// solve counts into a throwaway set, so the oracle counters count
+    /// each design once.
+    fn constraint_violation(&self, x: &[f64]) -> f64 {
+        self.evaluate_one(x, &OracleCounters::default()).1
     }
 
     /// Evaluates the batch against the frozen parent pool and collects the
@@ -448,11 +513,11 @@ impl MultiObjectiveProblem for OdeLeafRedesignProblem {
         let mut results = Vec::with_capacity(xs.len());
         let mut settled: Vec<(Vec<f64>, Vector)> = Vec::with_capacity(xs.len());
         for x in xs {
-            let (objectives, steady) = self.evaluate_one(x);
+            let (objectives, violation, steady) = self.evaluate_one(x, &self.counters);
             if let Some(state) = steady {
                 settled.push((x.clone(), state));
             }
-            results.push((objectives, 0.0));
+            results.push((objectives, violation));
         }
         let mut pool = self.pool.write().expect("warm-start pool lock poisoned");
         assert_eq!(
@@ -495,8 +560,8 @@ mod tests {
     use pathway_moo::EvalBackend;
 
     fn small_batch() -> Vec<Vec<f64>> {
-        // All three designs settle under the fast integrator (down-scaled
-        // partitions relax too slowly for its 800 s horizon).
+        // Three designs that settle, on both sides of the model's bistable
+        // range (1.2x-1.3x natural).
         let natural = EnzymePartition::natural();
         vec![
             natural.capacities().to_vec(),
@@ -601,6 +666,85 @@ mod tests {
             snapshot.counter("oracle.ode.warm_starts"),
             Some(xs.len() as u64)
         );
+    }
+
+    #[test]
+    fn a_design_that_never_settles_is_infeasible_and_never_dominates_a_feasible_one() {
+        use pathway_moo::{constrained_dominates, Individual};
+        use pathway_photosynthesis::EnzymeKind;
+
+        let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+        let natural = EnzymePartition::natural();
+        let to_individuals = |xs: &[Vec<f64>], scored: Vec<(Vec<f64>, f64)>| -> Vec<Individual> {
+            xs.iter()
+                .zip(scored)
+                .map(|(x, (objectives, violation))| {
+                    Individual::from_evaluated(x.clone(), objectives, violation)
+                })
+                .collect()
+        };
+        // Cold starts: all three settle and enter the warm-start library.
+        let settling = small_batch();
+        let feasible = to_individuals(&settling, problem.evaluate_batch(&settling));
+        problem.prepare_batch(&settling);
+        assert_eq!(problem.warm_start_pool_size(), 3);
+
+        // FBP aldolase at 2% of natural, warm-started from the natural
+        // leaf's steady state, stalls at scaled residual 5.2e-3 and exhausts
+        // the 400-step budget of `OdeUptakeEvaluator::fast`. (Its cold start
+        // settles.)
+        let starved = natural.with_scaled(EnzymeKind::FbpAldolase, 0.02);
+        let xs = vec![starved.capacities().to_vec()];
+        let unsettled = to_individuals(&xs, problem.evaluate_batch(&xs)).remove(0);
+        assert_eq!(unsettled.objectives, vec![0.0, starved.total_nitrogen()]);
+        assert_eq!(unsettled.violation, UNSETTLED_VIOLATION);
+        assert!(!unsettled.is_feasible());
+        assert_eq!(problem.constraint_violation(&xs[0]), UNSETTLED_VIOLATION);
+        for feasible in &feasible {
+            assert!(feasible.is_feasible());
+            assert!(!constrained_dominates(&unsettled, feasible));
+            assert!(constrained_dominates(feasible, &unsettled));
+        }
+        // The unsettled design never enters the warm-start library.
+        problem.prepare_batch(&xs);
+        assert_eq!(problem.warm_start_pool_size(), 3);
+
+        // The counters count designs: the re-solve in `constraint_violation`
+        // is not counted.
+        let registry = MetricsRegistry::new();
+        problem.record_oracle_metrics(&registry);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("ode.unsettled"), Some(1));
+        assert_eq!(snapshot.counter("oracle.ode.warm_starts"), Some(1));
+        assert_eq!(snapshot.counter("oracle.ode.cold_starts"), Some(3));
+    }
+
+    #[test]
+    fn oracle_work_counters_are_identical_under_serial_and_pooled_executors() {
+        let counts = |executor: Executor| {
+            let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+            let xs = small_batch();
+            for _ in 0..3 {
+                executor.evaluate_batch(&problem, &xs);
+            }
+            let registry = MetricsRegistry::new();
+            problem.record_oracle_metrics(&registry);
+            let snapshot = registry.snapshot();
+            [
+                "oracle.ode.warm_starts",
+                "oracle.ode.cold_starts",
+                "ode.steps",
+                "ode.rhs_evals",
+                "ode.jacobians",
+                "ode.newton_iters",
+                "ode.unsettled",
+            ]
+            .map(|name| snapshot.counter(name))
+        };
+        let serial = counts(Executor::serial());
+        let pooled = counts(Executor::new(EvalBackend::Threads(2)));
+        assert_eq!(serial, pooled);
+        assert!(serial[2].is_some_and(|steps| steps > 0), "{serial:?}");
     }
 
     #[test]

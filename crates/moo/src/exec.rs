@@ -550,11 +550,12 @@ impl WorkerPool {
                                     );
                                 }
                                 let started = Instant::now();
+                                // The job leaves the `active` gauge itself,
+                                // before it releases the submitting caller.
                                 let _ = panic::catch_unwind(AssertUnwindSafe(job.run));
                                 if let Some(registry) = metrics.get() {
                                     registry.add(&lane_busy, duration_us(started.elapsed()));
                                 }
-                                gauges.active.fetch_sub(1, Ordering::Relaxed);
                             }
                             Err(mpsc::RecvError) => break,
                         }
@@ -648,12 +649,17 @@ impl WorkerPool {
             .sender
             .as_ref()
             .expect("the pool is only shut down on drop");
+        let gauges = &self.gauges;
         for lane in 1..lanes {
             let work_lane = &work_lane;
             let latch = &latch;
-            let job = move || match panic::catch_unwind(AssertUnwindSafe(|| work_lane(lane))) {
-                Ok(()) => latch.complete(None),
-                Err(payload) => latch.complete(Some(payload)),
+            // The worker entered `active` when it picked the job up; leave it
+            // before counting the latch down, so the pool reads idle as soon
+            // as the batch returns.
+            let job = move || {
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| work_lane(lane)));
+                gauges.active.fetch_sub(1, Ordering::Relaxed);
+                latch.complete(outcome.err());
             };
             let boxed: Box<dyn FnOnce() + Send + '_> = Box::new(job);
             // SAFETY: the job borrows `work_lane` (which itself borrows
@@ -679,6 +685,7 @@ impl WorkerPool {
                 // Unreachable while `self` is alive, but losing a job would
                 // deadlock the latch — run it here instead.
                 self.gauges.queued.fetch_sub(1, Ordering::Relaxed);
+                self.gauges.active.fetch_add(1, Ordering::Relaxed);
                 (job.run)();
             }
         }

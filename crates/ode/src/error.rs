@@ -1,5 +1,7 @@
 use std::fmt;
 
+use crate::IntegrationStats;
+
 /// Error type for ODE integration failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OdeError {
@@ -33,12 +35,12 @@ pub enum OdeError {
         /// Number of Newton iterations attempted.
         iterations: usize,
     },
-    /// The steady-state driver exhausted its horizon without converging.
+    /// The steady-state solver exhausted its step budget without converging.
     SteadyStateNotReached {
-        /// Total simulated time at give-up.
-        simulated_time: f64,
-        /// The residual norm at give-up.
+        /// The scaled residual at give-up.
         residual: f64,
+        /// The work done before giving up.
+        stats: IntegrationStats,
     },
     /// The initial state had a different dimension from the system.
     DimensionMismatch {
@@ -68,12 +70,10 @@ impl fmt::Display for OdeError {
                     "newton corrector diverged at t = {time} after {iterations} iterations"
                 )
             }
-            OdeError::SteadyStateNotReached {
-                simulated_time,
-                residual,
-            } => write!(
+            OdeError::SteadyStateNotReached { residual, stats } => write!(
                 f,
-                "steady state not reached after {simulated_time} time units (residual {residual:e})"
+                "steady state not reached after {} steps (residual {residual:e})",
+                stats.steps_attempted()
             ),
             OdeError::DimensionMismatch { expected, found } => {
                 write!(

@@ -48,7 +48,6 @@ pub struct BackwardEuler {
     step: f64,
     newton_tol: f64,
     max_newton_iterations: usize,
-    jacobian_epsilon: f64,
 }
 
 impl BackwardEuler {
@@ -67,7 +66,6 @@ impl BackwardEuler {
             step,
             newton_tol: 1e-10,
             max_newton_iterations: 25,
-            jacobian_epsilon: 1e-7,
         }
     }
 
@@ -89,51 +87,28 @@ impl BackwardEuler {
     pub fn step(&self) -> f64 {
         self.step
     }
-
-    /// Finite-difference Jacobian of the right-hand side at `(t, y)`,
-    /// written into the workspace's `jac` (no allocation).
-    fn numerical_jacobian_into<S: OdeSystem>(
-        &self,
-        system: &S,
-        t: f64,
-        y: &Vector,
-        f0: &Vector,
-        ws: &mut NewtonWorkspace,
-        stats: &mut IntegrationStats,
-    ) {
-        let dim = system.dim();
-        ws.perturbed.as_mut_slice().copy_from_slice(y.as_slice());
-        for j in 0..dim {
-            let h = self.jacobian_epsilon * (1.0 + y[j].abs());
-            ws.perturbed[j] = y[j] + h;
-            system.rhs(t, &ws.perturbed, &mut ws.f1);
-            stats.rhs_evaluations += 1;
-            let jac = ws.jac.as_mut_slice();
-            for i in 0..dim {
-                jac[i * dim + j] = (ws.f1[i] - f0[i]) / h;
-            }
-            ws.perturbed[j] = y[j];
-        }
-        stats.jacobian_evaluations += 1;
-    }
 }
 
-/// Buffers reused across every Newton iteration of every step.
-struct NewtonWorkspace {
+/// Relative perturbation of the forward-difference Jacobian.
+const JACOBIAN_EPSILON: f64 = 1e-7;
+
+/// Buffers reused across every Newton iteration of every step, shared by
+/// [`BackwardEuler`] and [`crate::PseudoTransient`].
+pub(crate) struct NewtonWorkspace {
     jac: Matrix,
     newton_matrix: Matrix,
-    residual: Vector,
-    delta: Vector,
-    candidate: Vector,
+    pub(crate) residual: Vector,
+    pub(crate) delta: Vector,
+    pub(crate) candidate: Vector,
     perturbed: Vector,
-    f1: Vector,
+    pub(crate) f1: Vector,
     /// The LU storage (and, within a step, the pivot order) carried from
     /// solve to solve; `None` until the first factorization.
     lu: Option<LuDecomposition>,
 }
 
 impl NewtonWorkspace {
-    fn new(dim: usize) -> Self {
+    pub(crate) fn new(dim: usize) -> Self {
         NewtonWorkspace {
             jac: Matrix::zeros(dim, dim),
             newton_matrix: Matrix::zeros(dim, dim),
@@ -144,6 +119,65 @@ impl NewtonWorkspace {
             f1: Vector::zeros(dim),
             lu: None,
         }
+    }
+
+    /// Forward-difference Jacobian of the right-hand side at `(t, y)`, whose
+    /// value there is `f0`, written into `jac` (no allocation).
+    pub(crate) fn jacobian<S: OdeSystem>(
+        &mut self,
+        system: &S,
+        t: f64,
+        y: &Vector,
+        f0: &Vector,
+        stats: &mut IntegrationStats,
+    ) {
+        let dim = system.dim();
+        self.perturbed.as_mut_slice().copy_from_slice(y.as_slice());
+        for j in 0..dim {
+            let h = JACOBIAN_EPSILON * (1.0 + y[j].abs());
+            self.perturbed[j] = y[j] + h;
+            system.rhs(t, &self.perturbed, &mut self.f1);
+            stats.rhs_evaluations += 1;
+            let jac = self.jac.as_mut_slice();
+            for i in 0..dim {
+                jac[i * dim + j] = (self.f1[i] - f0[i]) / h;
+            }
+            self.perturbed[j] = y[j];
+        }
+        stats.jacobian_evaluations += 1;
+    }
+
+    /// Writes `diagonal · I − scale · J` into `newton_matrix`.
+    pub(crate) fn assemble(&mut self, diagonal: f64, scale: f64) {
+        let dim = self.jac.rows();
+        let nm = self.newton_matrix.as_mut_slice();
+        for (dst, &src) in nm.iter_mut().zip(self.jac.as_slice()) {
+            *dst = -scale * src;
+        }
+        for i in 0..dim {
+            nm[i * dim + i] += diagonal;
+        }
+    }
+
+    /// Factors `newton_matrix` with a full partial-pivoting LU into the
+    /// carried storage, or, with `reuse_pivots`, under the previous pivot
+    /// order first (falling back to a full refactorization).
+    pub(crate) fn factor(&mut self, reuse_pivots: bool) -> pathway_linalg::Result<()> {
+        match &mut self.lu {
+            None => LuDecomposition::new(&self.newton_matrix).map(|lu| self.lu = Some(lu)),
+            Some(lu) if !reuse_pivots => lu.refactor(&self.newton_matrix),
+            Some(lu) => lu
+                .refactor_reusing_pivots(&self.newton_matrix)
+                .or_else(|_| lu.refactor(&self.newton_matrix)),
+        }
+    }
+
+    /// Solves the last factored system for `residual` into `delta`.
+    pub(crate) fn solve(&mut self) -> pathway_linalg::Result<()> {
+        self.lu
+            .as_ref()
+            .expect("factorization success stores the decomposition")
+            .solve_into(&self.residual, &mut self.delta)
     }
 }
 
@@ -192,30 +226,12 @@ impl Integrator for BackwardEuler {
                 }
 
                 // Jacobian of G: I - h J, built in place.
-                self.numerical_jacobian_into(system, t_new, &y_new, &f, &mut ws, &mut stats);
-                let nm = ws.newton_matrix.as_mut_slice();
-                for (dst, &src) in nm.iter_mut().zip(ws.jac.as_slice()) {
-                    *dst = -h * src;
-                }
-                for i in 0..dim {
-                    nm[i * dim + i] += 1.0;
-                }
+                ws.jacobian(system, t_new, &y_new, &f, &mut stats);
+                ws.assemble(1.0, h);
                 // Factor: full pivoting on the first iteration of the step,
                 // pivot reuse afterwards (the Newton matrix drifts slowly
                 // within a step), full refactorization as the fallback.
-                let factored = match &mut ws.lu {
-                    None => LuDecomposition::new(&ws.newton_matrix).map(|lu| ws.lu = Some(lu)),
-                    Some(lu) if iteration == 0 => lu.refactor(&ws.newton_matrix),
-                    Some(lu) => lu
-                        .refactor_reusing_pivots(&ws.newton_matrix)
-                        .or_else(|_| lu.refactor(&ws.newton_matrix)),
-                };
-                let solved = factored.and_then(|()| {
-                    ws.lu
-                        .as_ref()
-                        .expect("factorization success stores the decomposition")
-                        .solve_into(&ws.residual, &mut ws.delta)
-                });
+                let solved = ws.factor(iteration > 0).and_then(|()| ws.solve());
                 if solved.is_err() {
                     return Err(OdeError::NewtonDivergence {
                         time: t_new,

@@ -1,18 +1,20 @@
 //! Ordinary differential equation solvers for metabolic pathway simulation.
 //!
 //! The C3 photosynthesis model in `pathway-photosynthesis` is a set of coupled,
-//! moderately stiff ODEs that must be integrated to steady state before its
-//! CO₂ uptake rate can be read off. The Rust ODE ecosystem is thin, so this
-//! crate hand-rolls the integrators the workspace needs:
+//! moderately stiff ODEs whose CO₂ uptake rate is read off at a steady state.
+//! The Rust ODE ecosystem is thin, so this crate hand-rolls the solvers the
+//! workspace needs:
 //!
-//! * [`Rk4`] — fixed-step classical Runge–Kutta, the workhorse for smooth
-//!   systems with a known safe step size.
+//! * [`PseudoTransient`] — finds a steady state `f(y) = 0` by
+//!   pseudo-transient continuation: backward-Euler steps in pseudo-time whose
+//!   step grows until they are Newton steps. This is how uptake rates are
+//!   evaluated.
+//! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
+//!   Newton corrector and finite-difference Jacobian, for stiff transients.
+//! * [`Rk4`] — fixed-step classical Runge–Kutta, for smooth systems with a
+//!   known safe step size.
 //! * [`Rkf45`] — adaptive Runge–Kutta–Fehlberg 4(5) with step-size control.
 //! * [`CashKarp`] — adaptive Cash–Karp 4(5), an alternative embedded pair.
-//! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
-//!   Newton corrector and finite-difference Jacobian, for stiff regions.
-//! * [`SteadyStateDriver`] — repeatedly integrates until the state stops
-//!   changing, which is how uptake rates are evaluated.
 //!
 //! # Example
 //!
@@ -53,7 +55,7 @@ pub use implicit::BackwardEuler;
 pub use rk4::Rk4;
 pub use rkf45::{AdaptiveOptions, CashKarp, Rkf45};
 pub use stats::IntegrationStats;
-pub use steady_state::{SteadyState, SteadyStateDriver, SteadyStateOptions};
+pub use steady_state::{PseudoTransient, SteadyState};
 pub use system::{IntegrationResult, Integrator, OdeSystem};
 
 /// Convenience alias for results produced by this crate.
@@ -63,10 +65,4 @@ pub type Result<T> = std::result::Result<T, OdeError>;
 /// rejects NaN inputs.
 pub(crate) fn is_strictly_positive(x: f64) -> bool {
     x > 0.0
-}
-
-/// `true` when `a >= b`; false when either side is NaN, so option validation
-/// rejects NaN inputs.
-pub(crate) fn is_at_least(a: f64, b: f64) -> bool {
-    a >= b
 }

@@ -70,8 +70,8 @@ pub struct IntegrationResult {
 
 /// A time integrator for [`OdeSystem`]s.
 ///
-/// All solvers in this crate implement this trait so callers (notably the
-/// [`crate::SteadyStateDriver`]) can be generic over the stepping scheme.
+/// All time integrators in this crate implement this trait so callers can
+/// be generic over the stepping scheme.
 pub trait Integrator {
     /// Integrates `system` from `t0` with initial state `y0` until `t_end`.
     ///

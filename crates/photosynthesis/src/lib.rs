@@ -47,5 +47,7 @@ mod uptake;
 pub use enzymes::{enzyme_table, EnzymeKind, ENZYME_COUNT};
 pub use model::{CalvinCycleOde, MetabolitePool, OdeUptakeEvaluator, POOL_COUNT};
 pub use partition::EnzymePartition;
+/// The solver types [`OdeUptakeEvaluator`] returns.
+pub use pathway_ode::{IntegrationStats, OdeError};
 pub use scenario::{CarbonDioxideEra, Scenario, TriosePhosphateExport};
 pub use uptake::{LimitingFactor, UptakeModel, UptakeResult};
