@@ -16,6 +16,9 @@ struct OracleStats {
     /// Full FBA (simplex) solves — two at construction for the reference
     /// distribution, none on the evaluation path.
     fba_solves: AtomicU64,
+    /// Simplex pivots of those solves: their shared phase 1 once, plus each
+    /// objective's phase 2.
+    fba_pivots: AtomicU64,
     /// Batched steady-state kernels (one sparse × dense product per batch).
     batch_kernels: AtomicU64,
     /// Candidates scored through the steady-state oracle.
@@ -88,8 +91,9 @@ impl GeobacterFluxProblem {
     ) -> Result<Self, pathway_fba::FbaError> {
         let model = geobacter.model().clone();
         let fba = FluxBalanceAnalysis::new(&model);
-        let max_biomass = fba.maximize_reaction(geobacter.biomass_reaction())?;
-        let max_electron = fba.maximize_reaction(geobacter.electron_reaction())?;
+        let optima =
+            fba.maximize_reactions(&[geobacter.biomass_reaction(), geobacter.electron_reaction()])?;
+        let (max_biomass, max_electron) = (&optima[0], &optima[1]);
         let reference: Vec<f64> = max_biomass
             .fluxes
             .iter()
@@ -112,6 +116,12 @@ impl GeobacterFluxProblem {
             .collect();
         let oracle = Arc::new(OracleStats::default());
         oracle.fba_solves.fetch_add(2, Ordering::Relaxed);
+        // The two optima share one phase 1: count its pivots once.
+        let pivots =
+            max_biomass.iterations + max_electron.iterations - max_biomass.phase1_iterations;
+        oracle
+            .fba_pivots
+            .fetch_add(pivots as u64, Ordering::Relaxed);
         Ok(GeobacterFluxProblem {
             biomass_reaction: geobacter.biomass_reaction(),
             electron_reaction: geobacter.electron_reaction(),
@@ -124,14 +134,18 @@ impl GeobacterFluxProblem {
     }
 
     /// Dumps the cumulative oracle counters into `registry` as
-    /// `oracle.fba.solves`, `oracle.fba.batch_kernels` and
-    /// `oracle.fba.candidates`. Call once when an invocation finishes —
+    /// `oracle.fba.solves`, `oracle.fba.pivots`, `oracle.fba.batch_kernels`
+    /// and `oracle.fba.candidates`. Call once when an invocation finishes —
     /// the counts are totals since construction, shared by every clone of
     /// this problem.
     pub fn record_oracle_metrics(&self, registry: &MetricsRegistry) {
         registry.add(
             "oracle.fba.solves",
             self.oracle.fba_solves.load(Ordering::Relaxed),
+        );
+        registry.add(
+            "oracle.fba.pivots",
+            self.oracle.fba_pivots.load(Ordering::Relaxed),
         );
         registry.add(
             "oracle.fba.batch_kernels",
@@ -315,13 +329,23 @@ mod tests {
         problem.record_oracle_metrics(&registry);
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("oracle.fba.solves"), Some(2));
+        // One shared phase 1 plus the phase 2 of each objective.
+        let model = GeobacterModel::builder().reactions(64).build();
+        let optima = FluxBalanceAnalysis::new(model.model())
+            .maximize_reactions(&[model.biomass_reaction(), model.electron_reaction()])
+            .unwrap();
+        let phase1 = optima[0].phase1_iterations;
+        let pivots = optima[0].iterations + optima[1].iterations - phase1;
+        assert!(pivots > phase1);
+        assert_eq!(snapshot.counter("oracle.fba.pivots"), Some(pivots as u64));
         assert_eq!(snapshot.counter("oracle.fba.batch_kernels"), Some(1));
         assert_eq!(snapshot.counter("oracle.fba.candidates"), Some(3));
     }
 
     /// The full 608-reaction problem of Figure 4. The workspace builds
-    /// `pathway-linalg`/`pathway-fba` with `opt-level = 2` even in dev, so
-    /// the simplex solve finishes in a few seconds under `cargo test`.
+    /// `pathway-linalg`/`pathway-fba` with `opt-level = 2` even in dev, and
+    /// the two set-up solves share one simplex phase 1, so construction
+    /// takes under two seconds under `cargo test` (2-vCPU host).
     #[test]
     fn paper_scale_problem_has_608_variables() {
         let model = GeobacterModel::builder().reactions(608).build();

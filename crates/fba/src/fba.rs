@@ -9,8 +9,11 @@ pub struct FbaSolution {
     pub objective_value: f64,
     /// The full flux vector (one entry per reaction, model order).
     pub fluxes: Vec<f64>,
-    /// Number of simplex pivots used.
+    /// Number of simplex pivots used, phase 1 included.
     pub iterations: usize,
+    /// The phase-1 (feasibility) pivots within `iterations`, shared by every
+    /// solution of one [`FluxBalanceAnalysis::maximize_reactions`] call.
+    pub phase1_iterations: usize,
 }
 
 /// Flux variability range of one reaction at a fixed objective level.
@@ -51,11 +54,10 @@ impl<'a> FluxBalanceAnalysis<'a> {
         FluxBalanceAnalysis { model }
     }
 
-    fn build_program(&self, objective_reaction: usize, sense: Objective) -> LinearProgram {
+    /// The steady-state program, without an objective.
+    fn build_program(&self, sense: Objective) -> LinearProgram {
         let n = self.model.num_reactions();
         let mut lp = LinearProgram::new(n, sense);
-        lp.set_objective_coefficient(objective_reaction, 1.0)
-            .expect("objective reaction index is validated by the caller");
         for (i, bound) in self.model.flux_bounds().into_iter().enumerate() {
             lp.set_bound(i, bound).expect("model bounds are valid");
         }
@@ -70,20 +72,40 @@ impl<'a> FluxBalanceAnalysis<'a> {
         lp
     }
 
-    fn solve(&self, objective_reaction: usize, sense: Objective) -> Result<FbaSolution, FbaError> {
-        if objective_reaction >= self.model.num_reactions() {
+    /// The objective `coefficient · v[reaction]`.
+    fn flux_objective(&self, reaction: usize, coefficient: f64) -> Result<Vec<f64>, FbaError> {
+        let n = self.model.num_reactions();
+        if reaction >= n {
             return Err(FbaError::DimensionMismatch {
-                expected: self.model.num_reactions(),
-                found: objective_reaction,
+                expected: n,
+                found: reaction,
             });
         }
-        let lp = self.build_program(objective_reaction, sense);
-        let solution = simplex::solve(&lp)?;
-        Ok(FbaSolution {
-            objective_value: solution.objective_value,
-            fluxes: solution.variables,
-            iterations: solution.iterations,
-        })
+        let mut objective = vec![0.0; n];
+        objective[reaction] = coefficient;
+        Ok(objective)
+    }
+
+    /// Optimizes each objective in `sense` over the steady-state program,
+    /// sharing one phase 1.
+    fn optimize(
+        &self,
+        sense: Objective,
+        objectives: &[Vec<f64>],
+    ) -> Result<Vec<FbaSolution>, FbaError> {
+        let lp = self.build_program(sense);
+        simplex::solve_many(&lp, objectives)?
+            .into_iter()
+            .map(|solution| {
+                let solution = solution?;
+                Ok(FbaSolution {
+                    objective_value: solution.objective_value,
+                    fluxes: solution.variables,
+                    iterations: solution.iterations,
+                    phase1_iterations: solution.phase1_iterations,
+                })
+            })
+            .collect()
     }
 
     /// Maximizes the flux through `objective_reaction`.
@@ -93,7 +115,29 @@ impl<'a> FluxBalanceAnalysis<'a> {
     /// Returns an error if the reaction index is out of range or the LP is
     /// infeasible/unbounded.
     pub fn maximize_reaction(&self, objective_reaction: usize) -> Result<FbaSolution, FbaError> {
-        self.solve(objective_reaction, Objective::Maximize)
+        let mut solutions = self.maximize_reactions(&[objective_reaction])?;
+        Ok(solutions.remove(0))
+    }
+
+    /// Maximizes the flux through each reaction of `objective_reactions` in
+    /// turn, building the program once and sharing one simplex phase 1. Each
+    /// solution is bit-identical to
+    /// [`maximize_reaction`](FluxBalanceAnalysis::maximize_reaction) of the
+    /// same reaction.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FluxBalanceAnalysis::maximize_reaction`], for any of the
+    /// reactions.
+    pub fn maximize_reactions(
+        &self,
+        objective_reactions: &[usize],
+    ) -> Result<Vec<FbaSolution>, FbaError> {
+        let objectives = objective_reactions
+            .iter()
+            .map(|&reaction| self.flux_objective(reaction, 1.0))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.optimize(Objective::Maximize, &objectives)
     }
 
     /// Minimizes the flux through `objective_reaction`.
@@ -102,19 +146,29 @@ impl<'a> FluxBalanceAnalysis<'a> {
     ///
     /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
     pub fn minimize_reaction(&self, objective_reaction: usize) -> Result<FbaSolution, FbaError> {
-        self.solve(objective_reaction, Objective::Minimize)
+        let objective = self.flux_objective(objective_reaction, 1.0)?;
+        let mut solutions = self.optimize(Objective::Minimize, &[objective])?;
+        Ok(solutions.remove(0))
     }
 
     /// Flux variability analysis of one reaction: its attainable flux range
     /// over the steady-state polytope (without constraining the objective).
+    /// Both ends come from one shared phase 1: the maximum is the negated
+    /// minimum of `-v[reaction]`.
     ///
     /// # Errors
     ///
     /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
     pub fn variability(&self, reaction: usize) -> Result<FluxVariability, FbaError> {
-        let minimum = self.minimize_reaction(reaction)?.objective_value;
-        let maximum = self.maximize_reaction(reaction)?.objective_value;
-        Ok(FluxVariability { minimum, maximum })
+        let objectives = [
+            self.flux_objective(reaction, 1.0)?,
+            self.flux_objective(reaction, -1.0)?,
+        ];
+        let solutions = self.optimize(Objective::Minimize, &objectives)?;
+        Ok(FluxVariability {
+            minimum: solutions[0].objective_value,
+            maximum: -solutions[1].objective_value,
+        })
     }
 }
 
@@ -172,6 +226,30 @@ mod tests {
         let range = fba.variability(biomass).unwrap();
         assert!(range.minimum.abs() < 1e-6);
         assert!((range.maximum - 10.0).abs() < 1e-6);
+        // The shared phase 1 reproduces the two separate solves exactly.
+        let max = fba.maximize_reaction(biomass).unwrap();
+        assert_eq!(range.minimum, min.objective_value);
+        assert_eq!(range.maximum, max.objective_value);
+    }
+
+    #[test]
+    fn maximizing_several_reactions_matches_separate_solves() {
+        let model = toy_model();
+        let fba = FluxBalanceAnalysis::new(&model);
+        let reactions = [
+            model.reaction_index("biomass").unwrap(),
+            model.reaction_index("leak").unwrap(),
+        ];
+        let together = fba.maximize_reactions(&reactions).unwrap();
+        assert_eq!(together.len(), 2);
+        for (solution, &reaction) in together.iter().zip(&reactions) {
+            assert_eq!(*solution, fba.maximize_reaction(reaction).unwrap());
+            assert_eq!(solution.phase1_iterations, together[0].phase1_iterations);
+        }
+        assert!(matches!(
+            fba.maximize_reactions(&[reactions[0], 99]),
+            Err(FbaError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`CsrMatrix`] — compressed sparse row matrices for genome-scale
 //!   stoichiometric matrices (hundreds of reactions).
 //! * [`LinearProgram`] / [`simplex::solve`] — a bounded-variable two-phase
-//!   primal simplex solver used by flux balance analysis.
+//!   primal simplex solver used by flux balance analysis;
+//!   [`simplex::solve_many`] shares one phase 1 among several objectives.
 //!
 //! # Example
 //!

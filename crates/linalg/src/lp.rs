@@ -288,8 +288,12 @@ pub struct LpSolution {
     pub objective_value: f64,
     /// Optimal values of the decision variables.
     pub variables: Vec<f64>,
-    /// Number of simplex pivots performed.
+    /// Number of simplex pivots performed, phase 1 included.
     pub iterations: usize,
+    /// The pivots of phase 1 (the search for a feasible basis) within
+    /// `iterations`. Every solution of one [`crate::simplex::solve_many`]
+    /// call shares them.
+    pub phase1_iterations: usize,
 }
 
 #[cfg(test)]

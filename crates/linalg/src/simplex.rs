@@ -1,5 +1,5 @@
 //! A two-phase primal simplex solver for [`LinearProgram`]s with bounded
-//! variables.
+//! variables, on a dense tableau.
 //!
 //! The solver densifies the constraint matrix, converts general bounds to
 //! shifted non-negative variables (splitting free variables into a positive
@@ -7,8 +7,27 @@
 //! textbook two-phase tableau simplex with Dantzig pricing and a Bland
 //! fallback that guarantees termination.
 //!
-//! Flux balance analysis in `pathway-fba` calls [`solve`] on models with a few
-//! hundred reactions, which the dense tableau handles comfortably.
+//! **One phase 1, many objectives.** Phase 1 minimizes the sum of the
+//! artificial variables, so it never reads the objective. [`solve_many`]
+//! runs it (and drives the remaining artificials out of the basis) once,
+//! then drops the artificial columns: they are a suffix of the tableau,
+//! phase 2 never lets them enter, and a pivot on a non-artificial column
+//! never feeds them into any other column. Phase 2 then runs once per
+//! objective, on a copy of that tableau for all but the last objective and
+//! in place for the last. Every solution is bit-identical to a lone
+//! [`solve`] of the same objective, pivot count included; [`solve`] is
+//! [`solve_many`] with the program's own objective.
+//!
+//! **A pivot that only eliminates non-zeros.** After the pivot row is
+//! normalized, its non-zero columns are collected once, and every other row
+//! (and the reduced-cost row) is updated at those columns only. At a few
+//! hundred reactions, about a quarter of a pivot row's entries are non-zero.
+//! Skipping the zeros can at most flip the sign of an exact zero, which no
+//! comparison, division or right-hand side ever sees, so the solution bits
+//! are those of a dense update.
+//!
+//! Flux balance analysis in `pathway-fba` calls [`solve_many`] on models with
+//! a few hundred reactions, which the dense tableau handles comfortably.
 
 use crate::lp::{Constraint, Relation};
 use crate::{LinalgError, LinearProgram, LpSolution, LpStatus, Objective};
@@ -16,7 +35,8 @@ use crate::{LinalgError, LinearProgram, LpSolution, LpStatus, Objective};
 /// Tuning options for the simplex solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimplexOptions {
-    /// Hard cap on the total number of pivots across both phases.
+    /// Hard cap on the number of pivots of one solve: phase 1 plus the phase 2
+    /// of one objective.
     pub max_iterations: usize,
     /// Numerical tolerance used for pricing, ratio tests and feasibility.
     pub tolerance: f64,
@@ -48,17 +68,21 @@ enum VarMap {
     Fixed { value: f64 },
 }
 
+#[derive(Clone)]
 struct Tableau {
     /// Constraint rows, canonical with respect to the current basis.
     rows: Vec<Vec<f64>>,
     /// Right-hand side of each row (always kept non-negative at start).
     rhs: Vec<f64>,
-    /// Basic variable (column index) of each row.
+    /// Basic variable (column index) of each row. After phase 1 a redundant
+    /// row may keep an artificial basic variable whose column was dropped.
     basis: Vec<usize>,
-    /// Total number of columns.
+    /// Number of columns, the artificial suffix included until phase 1 drops
+    /// it.
     ncols: usize,
-    /// Columns that are artificial variables (banned in phase 2).
-    artificial: Vec<bool>,
+    /// Index of the first artificial column; the artificials are the suffix
+    /// `first_artificial..ncols` until phase 1 drops them.
+    first_artificial: usize,
 }
 
 /// Solves a [`LinearProgram`] with default [`SimplexOptions`].
@@ -81,11 +105,60 @@ pub fn solve_with_options(
     lp: &LinearProgram,
     options: &SimplexOptions,
 ) -> crate::Result<LpSolution> {
+    solve_many_with_options(lp, &[lp.objective_coefficients()], options)?
+        .pop()
+        .expect("one objective gives one solution")
+}
+
+/// Solves the constraints and optimization sense of `lp` once per objective
+/// coefficient vector in `objectives` (each in place of the program's own
+/// objective), with default [`SimplexOptions`]. Phase 1 runs once for all of
+/// them.
+///
+/// Each solution, its `iterations` included, is bit-identical to what
+/// [`solve`] returns for a program with that objective.
+///
+/// # Errors
+///
+/// The outer result fails when the constraints do: [`LinalgError::Infeasible`],
+/// or [`LinalgError::IterationLimit`] within phase 1. It also fails with
+/// [`LinalgError::InvalidArgument`] when an objective does not have one
+/// coefficient per variable. Each inner result fails on its own objective:
+/// [`LinalgError::Unbounded`], or [`LinalgError::IterationLimit`] within
+/// that objective's phase 2.
+pub fn solve_many<O: AsRef<[f64]>>(
+    lp: &LinearProgram,
+    objectives: &[O],
+) -> crate::Result<Vec<crate::Result<LpSolution>>> {
+    solve_many_with_options(lp, objectives, &SimplexOptions::default())
+}
+
+/// [`solve_many`] with explicit [`SimplexOptions`]. The pivot cap applies to
+/// each objective's solve: phase 1 plus that objective's phase 2.
+///
+/// # Errors
+///
+/// Same as [`solve_many`].
+pub fn solve_many_with_options<O: AsRef<[f64]>>(
+    lp: &LinearProgram,
+    objectives: &[O],
+    options: &SimplexOptions,
+) -> crate::Result<Vec<crate::Result<LpSolution>>> {
     let tol = options.tolerance;
     if tol <= 0.0 || tol.is_nan() {
         return Err(LinalgError::InvalidArgument(
             "tolerance must be positive".into(),
         ));
+    }
+    if let Some(objective) = objectives
+        .iter()
+        .find(|objective| objective.as_ref().len() != lp.num_vars())
+    {
+        return Err(LinalgError::InvalidArgument(format!(
+            "objective has {} coefficients for {} variables",
+            objective.as_ref().len(),
+            lp.num_vars()
+        )));
     }
 
     // ---- 1. Map original variables to non-negative solver variables. ----
@@ -155,131 +228,139 @@ pub fn solve_with_options(
         raw_rows.push((row, Relation::LessEq, width));
     }
 
-    // ---- 3. Transform the objective. ----
-    let sense = match lp.objective() {
-        Objective::Minimize => 1.0,
-        Objective::Maximize => -1.0,
-    };
-    let mut cost = vec![0.0; num_y];
-    let mut cost_constant = 0.0;
-    for (var, &c) in lp.objective_coefficients().iter().enumerate() {
-        if c == 0.0 {
-            continue;
-        }
-        let c = c * sense;
-        match var_map[var] {
-            VarMap::Shifted { col, offset } => {
-                cost[col] += c;
-                cost_constant += c * offset;
-            }
-            VarMap::Mirrored { col, offset } => {
-                cost[col] -= c;
-                cost_constant += c * offset;
-            }
-            VarMap::Split { pos, neg } => {
-                cost[pos] += c;
-                cost[neg] -= c;
-            }
-            VarMap::Fixed { value } => {
-                cost_constant += c * value;
-            }
-        }
-    }
+    // ---- 3. Build the standard-form tableau with slack/artificial columns. ----
+    let mut tableau = build_tableau(raw_rows, num_y, tol);
 
-    // ---- 4. Build the standard-form tableau with slack/artificial columns. ----
-    let m = raw_rows.len();
-    // Count extra columns: one slack/surplus per inequality, one artificial per
-    // >= or = row (after sign normalization).
-    let mut tableau = build_tableau(&raw_rows, num_y, tol);
-    let ncols = tableau.ncols;
-
-    // ---- 5. Phase 1: minimize the sum of artificial variables. ----
-    let mut iterations = 0usize;
-    let any_artificial = tableau.artificial.iter().any(|&a| a);
-    if any_artificial {
-        let phase1_cost: Vec<f64> = (0..ncols)
-            .map(|j| if tableau.artificial[j] { 1.0 } else { 0.0 })
-            .collect();
-        let no_ban = vec![false; ncols];
-        let phase1_value = run_phase(
-            &mut tableau,
-            &phase1_cost,
-            &no_ban,
-            options,
-            &mut iterations,
-        )?;
+    // ---- 4. Phase 1: minimize the sum of artificial variables. ----
+    let mut phase1_iterations = 0usize;
+    if tableau.first_artificial < tableau.ncols {
+        let mut phase1_cost = vec![0.0; tableau.ncols];
+        phase1_cost[tableau.first_artificial..].fill(1.0);
+        let phase1_value = run_phase(&mut tableau, &phase1_cost, options, &mut phase1_iterations)?;
         if phase1_value > 1e-6 {
             return Err(LinalgError::Infeasible);
         }
         drive_out_artificials(&mut tableau, tol);
+        // Artificial columns must never re-enter the basis, and no phase-2
+        // pivot reads them: drop them.
+        for row in &mut tableau.rows {
+            row.truncate(tableau.first_artificial);
+        }
+        tableau.ncols = tableau.first_artificial;
     }
 
-    // ---- 6. Phase 2: minimize the real objective. ----
-    let mut phase2_cost = vec![0.0; ncols];
-    phase2_cost[..num_y].copy_from_slice(&cost[..num_y]);
-    // Artificial columns must never re-enter the basis.
-    for (coefficient, &is_artificial) in phase2_cost.iter_mut().zip(&tableau.artificial) {
-        if is_artificial {
-            *coefficient = 0.0;
+    // ---- 5. Phase 2, once per objective. ----
+    let sense = match lp.objective() {
+        Objective::Minimize => 1.0,
+        Objective::Maximize => -1.0,
+    };
+    let mut solutions = Vec::with_capacity(objectives.len());
+    for (k, objective) in objectives.iter().enumerate() {
+        let objective = objective.as_ref();
+        let mut copy;
+        let tableau = if k + 1 == objectives.len() {
+            &mut tableau
+        } else {
+            copy = tableau.clone();
+            &mut copy
+        };
+        let cost = phase2_cost(&var_map, objective, sense, tableau.ncols);
+        let mut iterations = phase1_iterations;
+        let solution = run_phase(tableau, &cost, options, &mut iterations).map(|_| {
+            read_solution(
+                tableau,
+                &var_map,
+                objective,
+                num_y,
+                iterations,
+                phase1_iterations,
+            )
+        });
+        solutions.push(solution);
+    }
+    Ok(solutions)
+}
+
+/// The minimized phase-2 cost over the solver columns for one objective.
+fn phase2_cost(var_map: &[VarMap], objective: &[f64], sense: f64, ncols: usize) -> Vec<f64> {
+    let mut cost = vec![0.0; ncols];
+    for (map, &c) in var_map.iter().zip(objective) {
+        if c == 0.0 {
+            continue;
+        }
+        let c = c * sense;
+        match *map {
+            VarMap::Shifted { col, .. } => cost[col] += c,
+            VarMap::Mirrored { col, .. } => cost[col] -= c,
+            VarMap::Split { pos, neg } => {
+                cost[pos] += c;
+                cost[neg] -= c;
+            }
+            // A fixed variable adds a constant, which moves no pivot.
+            VarMap::Fixed { .. } => {}
         }
     }
-    let banned = tableau.artificial.clone();
-    run_phase(
-        &mut tableau,
-        &phase2_cost,
-        &banned,
-        options,
-        &mut iterations,
-    )?;
+    cost
+}
 
-    // ---- 7. Read the solution back in the original variable space. ----
-    let mut y = vec![0.0; ncols];
-    for (i, &b) in tableau.basis.iter().enumerate() {
-        y[b] = tableau.rhs[i];
+/// Reads the optimal vertex of `tableau` back in the original variable space.
+fn read_solution(
+    tableau: &Tableau,
+    var_map: &[VarMap],
+    objective: &[f64],
+    num_y: usize,
+    iterations: usize,
+    phase1_iterations: usize,
+) -> LpSolution {
+    let mut y = vec![0.0; num_y];
+    for (&b, &value) in tableau.basis.iter().zip(&tableau.rhs) {
+        if let Some(slot) = y.get_mut(b) {
+            *slot = value;
+        }
     }
-    let mut x = vec![0.0; lp.num_vars()];
-    for (var, map) in var_map.iter().enumerate() {
-        x[var] = match *map {
+    let variables: Vec<f64> = var_map
+        .iter()
+        .map(|map| match *map {
             VarMap::Shifted { col, offset } => offset + y[col],
             VarMap::Mirrored { col, offset } => offset - y[col],
             VarMap::Split { pos, neg } => y[pos] - y[neg],
             VarMap::Fixed { value } => value,
-        };
-    }
-    let objective_value: f64 = lp
-        .objective_coefficients()
+        })
+        .collect();
+    let objective_value: f64 = objective
         .iter()
-        .zip(x.iter())
+        .zip(variables.iter())
         .map(|(c, v)| c * v)
         .sum();
-    let _ = cost_constant; // objective recomputed directly from x
-    let _ = m;
-
-    Ok(LpSolution {
+    LpSolution {
         status: LpStatus::Optimal,
         objective_value,
-        variables: x,
+        variables,
         iterations,
-    })
+        phase1_iterations,
+    }
 }
 
-fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64) -> Tableau {
+fn build_tableau(raw_rows: Vec<(Vec<f64>, Relation, f64)>, num_y: usize, tol: f64) -> Tableau {
     let m = raw_rows.len();
-    // First pass: figure out how many slack and artificial columns are needed.
+    // First pass: flip rows with a negative right-hand side, and count the
+    // slack and artificial columns needed.
     let mut num_slack = 0usize;
     let mut num_art = 0usize;
     let mut normalized: Vec<(Vec<f64>, Relation, f64)> = Vec::with_capacity(m);
-    for (row, rel, b) in raw_rows {
-        let (row, rel, b) = if *b < 0.0 {
-            let flipped: Vec<f64> = row.iter().map(|v| -v).collect();
+    for (mut row, rel, b) in raw_rows {
+        let (rel, b) = if b < 0.0 {
+            for v in &mut row {
+                *v = -*v;
+            }
             let rel = match rel {
                 Relation::LessEq => Relation::GreaterEq,
                 Relation::GreaterEq => Relation::LessEq,
                 Relation::Equal => Relation::Equal,
             };
-            (flipped, rel, -b)
+            (rel, -b)
         } else {
-            (row.clone(), *rel, *b)
+            (rel, b)
         };
         match rel {
             Relation::LessEq => num_slack += 1,
@@ -296,10 +377,10 @@ fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64)
     let mut rows = vec![vec![0.0; ncols]; m];
     let mut rhs = vec![0.0; m];
     let mut basis = vec![0usize; m];
-    let mut artificial = vec![false; ncols];
 
+    let first_artificial = num_y + num_slack;
     let mut slack_cursor = num_y;
-    let mut art_cursor = num_y + num_slack;
+    let mut art_cursor = first_artificial;
     for (i, (row, rel, b)) in normalized.into_iter().enumerate() {
         rows[i][..num_y].copy_from_slice(&row[..num_y]);
         rhs[i] = b;
@@ -313,13 +394,11 @@ fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64)
                 rows[i][slack_cursor] = -1.0;
                 slack_cursor += 1;
                 rows[i][art_cursor] = 1.0;
-                artificial[art_cursor] = true;
                 basis[i] = art_cursor;
                 art_cursor += 1;
             }
             Relation::Equal => {
                 rows[i][art_cursor] = 1.0;
-                artificial[art_cursor] = true;
                 basis[i] = art_cursor;
                 art_cursor += 1;
             }
@@ -335,7 +414,7 @@ fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64)
         rhs,
         basis,
         ncols,
-        artificial,
+        first_artificial,
     }
 }
 
@@ -344,18 +423,18 @@ fn build_tableau(raw_rows: &[(Vec<f64>, Relation, f64)], num_y: usize, tol: f64)
 fn run_phase(
     tableau: &mut Tableau,
     cost: &[f64],
-    banned: &[bool],
     options: &SimplexOptions,
     iterations: &mut usize,
 ) -> crate::Result<f64> {
     let tol = options.tolerance;
     let m = tableau.rows.len();
 
-    // Reduced cost row: z_j = cost_j - sum_i cost[basis_i] * T[i][j]
+    // Reduced cost row: z_j = cost_j - sum_i cost[basis_i] * T[i][j]. A basic
+    // column beyond `cost` is a dropped artificial, which costs nothing.
     let mut reduced = cost.to_vec();
     let mut objective = 0.0;
     for i in 0..m {
-        let cb = cost[tableau.basis[i]];
+        let cb = cost.get(tableau.basis[i]).copied().unwrap_or(0.0);
         if cb != 0.0 {
             for (r, &t_ij) in reduced.iter_mut().zip(&tableau.rows[i]) {
                 *r -= cb * t_ij;
@@ -375,16 +454,11 @@ fn run_phase(
         let use_bland = local_iter > options.bland_threshold;
         let mut entering: Option<usize> = None;
         if use_bland {
-            for (j, &rc) in reduced.iter().enumerate() {
-                if !banned[j] && rc < -tol {
-                    entering = Some(j);
-                    break;
-                }
-            }
+            entering = reduced.iter().position(|&rc| rc < -tol);
         } else {
             let mut best = -tol;
             for (j, &rc) in reduced.iter().enumerate() {
-                if !banned[j] && rc < best {
+                if rc < best {
                     best = rc;
                     entering = Some(j);
                 }
@@ -430,40 +504,49 @@ fn pivot(
     pivot_row: usize,
     pivot_col: usize,
 ) {
-    let ncols = tableau.ncols;
-    let pivot_val = tableau.rows[pivot_row][pivot_col];
-    // Normalize the pivot row.
-    for j in 0..ncols {
-        tableau.rows[pivot_row][j] /= pivot_val;
+    // Take the pivot row out, so it can be read while the others are written.
+    let mut row = std::mem::take(&mut tableau.rows[pivot_row]);
+    let pivot_val = row[pivot_col];
+    // Normalize the pivot row and collect its non-zero columns: only those
+    // change in the other rows.
+    let mut nonzeros = Vec::new();
+    for (j, t_pj) in row.iter_mut().enumerate() {
+        *t_pj /= pivot_val;
+        if *t_pj != 0.0 {
+            nonzeros.push(j);
+        }
     }
     tableau.rhs[pivot_row] /= pivot_val;
+    let pivot_rhs = tableau.rhs[pivot_row];
 
     // Eliminate the pivot column from every other row.
-    for i in 0..tableau.rows.len() {
+    for (i, other) in tableau.rows.iter_mut().enumerate() {
         if i == pivot_row {
             continue;
         }
-        let factor = tableau.rows[i][pivot_col];
+        let factor = other[pivot_col];
         if factor != 0.0 {
-            for j in 0..ncols {
-                tableau.rows[i][j] -= factor * tableau.rows[pivot_row][j];
+            for &j in &nonzeros {
+                other[j] -= factor * row[j];
             }
-            tableau.rhs[i] -= factor * tableau.rhs[pivot_row];
-            if tableau.rhs[i].abs() < 1e-12 {
-                tableau.rhs[i] = 0.0;
+            let rhs = &mut tableau.rhs[i];
+            *rhs -= factor * pivot_rhs;
+            if rhs.abs() < 1e-12 {
+                *rhs = 0.0;
             }
         }
     }
     // ... and from the reduced-cost row.
     let factor = reduced[pivot_col];
     if factor != 0.0 {
-        for (r, &t_pj) in reduced.iter_mut().zip(&tableau.rows[pivot_row]) {
-            *r -= factor * t_pj;
+        for &j in &nonzeros {
+            reduced[j] -= factor * row[j];
         }
         // The phase objective changes by (reduced cost of the entering column)
         // times the step length, which is the normalized pivot-row rhs.
-        *objective += factor * tableau.rhs[pivot_row];
+        *objective += factor * pivot_rhs;
     }
+    tableau.rows[pivot_row] = row;
     tableau.basis[pivot_row] = pivot_col;
 }
 
@@ -473,18 +556,13 @@ fn pivot(
 fn drive_out_artificials(tableau: &mut Tableau, tol: f64) {
     let m = tableau.rows.len();
     for i in 0..m {
-        let b = tableau.basis[i];
-        if !tableau.artificial[b] {
+        if tableau.basis[i] < tableau.first_artificial {
             continue;
         }
         // Find a non-artificial column with a nonzero coefficient in this row.
-        let mut target = None;
-        for j in 0..tableau.ncols {
-            if !tableau.artificial[j] && tableau.rows[i][j].abs() > tol {
-                target = Some(j);
-                break;
-            }
-        }
+        let target = tableau.rows[i][..tableau.first_artificial]
+            .iter()
+            .position(|t_ij| t_ij.abs() > tol);
         if let Some(j) = target {
             let mut dummy_reduced = vec![0.0; tableau.ncols];
             let mut dummy_obj = 0.0;
@@ -497,6 +575,7 @@ fn drive_out_artificials(tableau: &mut Tableau, tol: f64) {
 mod tests {
     use super::*;
     use crate::Bound;
+    use proptest::prelude::*;
 
     fn max_lp(obj: &[f64]) -> LinearProgram {
         let mut lp = LinearProgram::new(obj.len(), Objective::Maximize);
@@ -714,5 +793,231 @@ mod tests {
         }
         // Known optimum of this classic instance.
         assert!(sol.objective_value <= 275.0 + 1e-6);
+    }
+
+    /// Bitwise equality of two solve outcomes: every variable and the
+    /// objective compared by bits, pivot counts and errors exactly.
+    fn assert_bitwise_eq(left: &crate::Result<LpSolution>, right: &crate::Result<LpSolution>) {
+        match (left, right) {
+            (Ok(a), Ok(b)) => {
+                let bits = |s: &LpSolution| -> Vec<u64> {
+                    s.variables.iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(a), bits(b));
+                assert_eq!(a.objective_value.to_bits(), b.objective_value.to_bits());
+                assert_eq!(a.iterations, b.iterations);
+                assert_eq!(a.phase1_iterations, b.phase1_iterations);
+                assert_eq!(a.status, b.status);
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("outcomes differ: {left:?} vs {right:?}"),
+        }
+    }
+
+    /// `lp` with its objective coefficients replaced by `objective`.
+    fn with_objective(lp: &LinearProgram, objective: &[f64]) -> LinearProgram {
+        let mut lp = lp.clone();
+        for (var, &c) in objective.iter().enumerate() {
+            lp.set_objective_coefficient(var, c).unwrap();
+        }
+        lp
+    }
+
+    /// `solve_many` must agree bitwise with one `solve` per objective.
+    fn assert_matches_separate_solves(
+        lp: &LinearProgram,
+        objectives: &[Vec<f64>],
+        options: &SimplexOptions,
+    ) {
+        let many = solve_many_with_options(lp, objectives, options);
+        for (k, objective) in objectives.iter().enumerate() {
+            let alone = solve_with_options(&with_objective(lp, objective), options);
+            match &many {
+                Ok(solutions) => assert_bitwise_eq(&solutions[k], &alone),
+                Err(error) => assert_eq!(Err(error), alone.as_ref()),
+            }
+        }
+    }
+
+    /// A small deterministic generator for the random programs below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A uniform integer in `lo..hi`, as `f64`.
+        fn int(&mut self, lo: i64, hi: i64) -> f64 {
+            (lo + (self.next() % (hi - lo) as u64) as i64) as f64
+        }
+    }
+
+    /// A random program of up to 6 variables and 6 rows, mixing fixed,
+    /// shifted, mirrored and free bounds with `<=`, `>=` and `=` rows, plus
+    /// `k` random objectives.
+    fn random_program(seed: u64, k: usize) -> (LinearProgram, Vec<Vec<f64>>) {
+        let mut rng = SplitMix(seed);
+        let n = rng.int(1, 7) as usize;
+        let sense = if rng.next().is_multiple_of(2) {
+            Objective::Minimize
+        } else {
+            Objective::Maximize
+        };
+        let mut lp = LinearProgram::new(n, sense);
+        for var in 0..n {
+            let lower = rng.int(-5, 5);
+            let bound = match rng.next() % 5 {
+                0 => Bound::fixed(lower),
+                1 => Bound::interval(lower, lower + 1.0 + rng.int(0, 6)),
+                2 => Bound {
+                    lower: f64::NEG_INFINITY,
+                    upper: lower,
+                },
+                3 => Bound::free(),
+                _ => Bound::interval(lower, f64::INFINITY),
+            };
+            lp.set_bound(var, bound).unwrap();
+        }
+        for _ in 0..rng.int(0, 7) as usize {
+            let mut coefficients = Vec::new();
+            for var in 0..n {
+                if !rng.next().is_multiple_of(3) {
+                    coefficients.push((var, 0.5 * rng.int(-4, 5)));
+                }
+            }
+            let relation = match rng.next() % 3 {
+                0 => Relation::LessEq,
+                1 => Relation::GreaterEq,
+                _ => Relation::Equal,
+            };
+            lp.add_constraint(&coefficients, relation, rng.int(-10, 10))
+                .unwrap();
+        }
+        let objectives = (0..k)
+            .map(|_| {
+                (0..n)
+                    .map(|_| rng.int(-3, 4) + 0.25 * rng.int(0, 4))
+                    .collect()
+            })
+            .collect();
+        (lp, objectives)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_solve_many_matches_separate_solves(seed in 0u64..u64::MAX, k in 1usize..5) {
+            let (lp, objectives) = random_program(seed, k);
+            assert_matches_separate_solves(&lp, &objectives, &SimplexOptions::default());
+        }
+
+        #[test]
+        fn prop_solve_many_keeps_the_pivot_cap_per_objective(
+            seed in 0u64..u64::MAX,
+            k in 1usize..5,
+            max_iterations in 0usize..8,
+        ) {
+            let (lp, objectives) = random_program(seed, k);
+            let options = SimplexOptions {
+                max_iterations,
+                ..Default::default()
+            };
+            assert_matches_separate_solves(&lp, &objectives, &options);
+        }
+    }
+
+    /// `x + y >= 1`, `x <= 4`, `y <= 3`: phase 1 has work to do, and
+    /// different objectives need different phase-2 pivot counts.
+    fn two_variable_program() -> LinearProgram {
+        let mut lp = LinearProgram::new(2, Objective::Maximize);
+        lp.add_greater_eq(&[(0, 1.0), (1, 1.0)], 1.0).unwrap();
+        lp.set_bound(0, Bound::interval(0.0, 4.0)).unwrap();
+        lp.set_bound(1, Bound::interval(0.0, 3.0)).unwrap();
+        lp
+    }
+
+    #[test]
+    fn solve_many_shares_phase_one_and_keeps_pivot_counts() {
+        let lp = two_variable_program();
+        let objectives = [vec![1.0, 0.0], vec![1.0, 1.0], vec![0.0, 0.0]];
+        let solutions = solve_many(&lp, &objectives).unwrap();
+        let phase1 = solutions[0].as_ref().unwrap().phase1_iterations;
+        assert!(phase1 > 0);
+        for (solution, objective) in solutions.iter().zip(&objectives) {
+            assert_bitwise_eq(solution, &solve(&with_objective(&lp, objective)));
+            assert_eq!(solution.as_ref().unwrap().phase1_iterations, phase1);
+        }
+        let optimum = solutions[1].as_ref().unwrap();
+        assert!((optimum.objective_value - 7.0).abs() < 1e-9);
+        assert!(solve_many(&lp, &[] as &[Vec<f64>]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn solve_many_reports_infeasibility_once() {
+        let mut lp = two_variable_program();
+        lp.add_greater_eq(&[(0, 1.0)], 5.0).unwrap();
+        let objectives = [vec![1.0, 0.0], vec![0.0, 1.0]];
+        assert!(matches!(
+            solve_many(&lp, &objectives),
+            Err(LinalgError::Infeasible)
+        ));
+    }
+
+    #[test]
+    fn solve_many_reports_unboundedness_per_objective() {
+        // x is bounded, y is not: maximizing x is fine, maximizing y is not.
+        let mut lp = LinearProgram::new(2, Objective::Maximize);
+        lp.set_bound(0, Bound::interval(0.0, 4.0)).unwrap();
+        lp.add_greater_eq(&[(0, 1.0), (1, 1.0)], 1.0).unwrap();
+        let objectives = [vec![0.0, 1.0], vec![1.0, 0.0]];
+        let solutions = solve_many(&lp, &objectives).unwrap();
+        assert!(matches!(solutions[0], Err(LinalgError::Unbounded)));
+        assert!((solutions[1].as_ref().unwrap().variables[0] - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn solve_many_caps_phase_one_plus_each_phase_two() {
+        let lp = two_variable_program();
+        let objectives = [vec![0.0, 0.0], vec![1.0, 1.0]];
+        let uncapped = solve_many(&lp, &objectives).unwrap();
+        let cheap = uncapped[0].as_ref().unwrap();
+        let dear = uncapped[1].as_ref().unwrap();
+        assert!(dear.iterations > cheap.iterations);
+        // A cap just above the cheap objective's total lets it finish while
+        // the dear one runs out, exactly as two separate solves would.
+        let options = SimplexOptions {
+            max_iterations: cheap.iterations + 1,
+            ..Default::default()
+        };
+        let capped = solve_many_with_options(&lp, &objectives, &options).unwrap();
+        assert_bitwise_eq(&capped[0], &uncapped[0]);
+        assert_eq!(
+            capped[1],
+            Err(LinalgError::IterationLimit {
+                iterations: cheap.iterations + 1
+            })
+        );
+        // A cap phase 1 cannot meet fails the whole call.
+        let options = SimplexOptions {
+            max_iterations: cheap.phase1_iterations,
+            ..Default::default()
+        };
+        assert!(matches!(
+            solve_many_with_options(&lp, &objectives, &options),
+            Err(LinalgError::IterationLimit { .. })
+        ));
+    }
+
+    #[test]
+    fn solve_many_rejects_a_mis_sized_objective() {
+        let lp = two_variable_program();
+        assert!(matches!(
+            solve_many(&lp, &[vec![1.0]]),
+            Err(LinalgError::InvalidArgument(_))
+        ));
     }
 }

@@ -3,6 +3,7 @@
 
 use pathway_core::prelude::*;
 use pathway_fba::{steady_state_violation, FluxPerturbation, FluxRepair};
+use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::{Nsga2, Nsga2Config};
 
 fn small_model() -> GeobacterModel {
@@ -133,4 +134,33 @@ fn biomass_and_electron_objectives_genuinely_conflict() {
         assert!(best_electron.biomass_production <= best_biomass.biomass_production + 1e-9);
         assert!(best_biomass.electron_production <= best_electron.electron_production + 1e-9);
     }
+}
+
+/// 64-bit FNV-1a over the little-endian bits of a flux vector.
+fn flux_digest(fluxes: &[f64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in fluxes.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn paper_scale_reference_fluxes_are_bit_identical() {
+    // The reference vector centres the search box of every Geobacter front;
+    // pinning its bits keeps the committed fronts byte-identical across
+    // solver changes.
+    let model = GeobacterModel::builder().reactions(608).build();
+    let problem = GeobacterFluxProblem::new(&model).expect("paper-scale model is feasible");
+    assert_eq!(
+        flux_digest(problem.reference_fluxes()),
+        0x819a_a069_37bf_0fe2
+    );
+    // Both optima take 2,168 pivots, 2,167 of them in the shared phase 1.
+    let registry = MetricsRegistry::new();
+    problem.record_oracle_metrics(&registry);
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("oracle.fba.solves"), Some(2));
+    assert_eq!(snapshot.counter("oracle.fba.pivots"), Some(2_169));
 }
