@@ -53,15 +53,13 @@ use pathway_core::obs::{
     write_profile_file, ProfileCheck, ProfileData,
 };
 use pathway_core::sweep::{
-    run_sweep_with_metrics, validate_bench_json, write_front_file, SweepEvent, SweepReport,
+    run_sweep, validate_bench_json, write_front_file, SweepEvent, SweepReport,
 };
-use pathway_core::{
-    resume_spec_driver_with_executor, spec_driver_with_executor, validate_spec_against_problem,
-    AnyProblem, PROBLEM_CATALOG,
-};
+use pathway_core::{validate_spec_against_problem, AnyProblem, Job, PROBLEM_CATALOG};
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
-    is_sweep_text, AnyOptimizer, ChannelObserver, CheckpointStore, Driver, GenerationReport,
+    is_sweep_text, ChannelObserver, CheckpointError, CheckpointStore, GenerationReport,
     MetricsRegistry, RunSpec, StoredCheckpoint, SweepSpec,
 };
 use pathway_moo::exec::Executor;
@@ -371,41 +369,12 @@ fn read_spec_file(path: &Path) -> Result<RunSpec, CliError> {
 fn command_run(args: &[OsString]) -> Result<(), CliError> {
     let options = parse_options(args, "spec file")?;
     let spec = read_spec_file(&options.target)?;
-    let problem = AnyProblem::from_spec(&spec.problem).map_err(CliError::failed)?;
-    validate_spec_against_problem(&spec, &problem).map_err(CliError::failed)?;
     let checkpoint_dir = options.checkpoint_dir.clone().unwrap_or_else(|| {
         let mut dir = options.target.clone();
         dir.set_extension("checkpoints");
         dir
     });
-    let store = CheckpointStore::create(&checkpoint_dir, &spec).map_err(CliError::failed)?;
-    let executor = options.executor(&spec);
-    println!(
-        "run: {} on '{}' (seed {}, spec hash {:#018x}, {})",
-        spec.optimizer.kind(),
-        spec.problem.name,
-        spec.seed,
-        spec.content_hash(),
-        describe_executor(&executor)
-    );
-
-    // The CLI renders progress itself (through the channel observer), so
-    // the driver is built from a spec with the [observe] log sink stripped —
-    // observers are telemetry-only and do not affect the trajectory or the
-    // checkpoint hash, which is always taken from the original spec.
-    let mut exec_spec = spec.clone();
-    exec_spec.log_every = None;
-    let profile = options.profile_sink();
-    if let Some(sink) = &profile {
-        executor.set_metrics(sink.registry.clone());
-    }
-    let mut driver = spec_driver_with_executor(&exec_spec, &problem, Arc::clone(&executor));
-    if let Some(sink) = &profile {
-        driver = driver.with_metrics(sink.registry.clone());
-    }
-    execute(
-        driver, &spec, &store, &options, &problem, &executor, profile,
-    )
+    execute(&options, &spec, &checkpoint_dir, None)
 }
 
 fn describe_executor(executor: &Executor) -> String {
@@ -434,83 +403,81 @@ fn command_resume(args: &[OsString]) -> Result<(), CliError> {
             .ensure_matches(&override_spec)
             .map_err(|err| CliError::failed(format!("{}: {err}", override_path.display())))?;
     }
-    let problem = AnyProblem::from_spec(&spec.problem).map_err(CliError::failed)?;
-    validate_spec_against_problem(&spec, &problem).map_err(CliError::failed)?;
     let checkpoint_dir = options
         .checkpoint_dir
         .clone()
         .or_else(|| options.target.parent().map(Path::to_path_buf))
         .unwrap_or_else(|| PathBuf::from("."));
-    let store = CheckpointStore::create(&checkpoint_dir, &spec).map_err(CliError::failed)?;
-    let executor = options.executor(&spec);
-    println!(
-        "resume: {} on '{}' from generation {} ({} evaluations so far, {})",
-        spec.optimizer.kind(),
-        spec.problem.name,
-        stored.generation(),
-        stored.evaluations(),
-        describe_executor(&executor)
-    );
+    execute(&options, &spec, &checkpoint_dir, Some(stored))
+}
 
-    let mut exec_spec = spec.clone();
-    exec_spec.log_every = None;
+/// What a finished (or `--stop-after`-interrupted) generation loop leaves
+/// behind. Plain data — the job itself is dropped inside the worker so its
+/// channel observer hangs up and the progress consumer terminates.
+struct RunResult {
+    final_saved: Result<PathBuf, CheckpointError>,
+    front: Vec<Individual>,
+    generation: usize,
+    evaluations: usize,
+    checkpoint_error: Option<CheckpointError>,
+}
+
+/// Runs `spec` as one job — fresh, or continuing `stored` — to completion
+/// (or to `--stop-after`), streaming telemetry and writing periodic + final
+/// checkpoints into `checkpoint_dir`.
+fn execute(
+    options: &Options,
+    spec: &RunSpec,
+    checkpoint_dir: &Path,
+    stored: Option<StoredCheckpoint>,
+) -> Result<(), CliError> {
+    let problem = AnyProblem::from_spec(&spec.problem).map_err(CliError::failed)?;
+    validate_spec_against_problem(spec, &problem).map_err(CliError::failed)?;
+    let store = CheckpointStore::create(checkpoint_dir, spec).map_err(CliError::failed)?;
+    let executor = options.executor(spec);
+    match &stored {
+        None => println!(
+            "run: {} on '{}' (seed {}, spec hash {:#018x}, {})",
+            spec.optimizer.kind(),
+            spec.problem.name,
+            spec.seed,
+            spec.content_hash(),
+            describe_executor(&executor)
+        ),
+        Some(stored) => println!(
+            "resume: {} on '{}' from generation {} ({} evaluations so far, {})",
+            spec.optimizer.kind(),
+            spec.problem.name,
+            stored.generation(),
+            stored.evaluations(),
+            describe_executor(&executor)
+        ),
+    }
     let profile = options.profile_sink();
     if let Some(sink) = &profile {
         executor.set_metrics(sink.registry.clone());
     }
-    let mut driver = resume_spec_driver_with_executor(
-        &exec_spec,
-        &problem,
-        stored.checkpoint,
-        Arc::clone(&executor),
-    )
-    .map_err(|err| CliError::failed(format!("cannot resume: {err}")))?;
+    let checkpoint = stored.map(|stored| stored.checkpoint);
+    let mut job = Job::open(spec, store, &problem, Some(executor.clone()), checkpoint)
+        .map_err(|err| CliError::failed(format!("cannot resume: {err}")))?;
     if let Some(sink) = &profile {
-        driver = driver.with_metrics(sink.registry.clone());
+        job = job.with_metrics(sink.registry.clone());
     }
-    execute(
-        driver, &spec, &store, &options, &problem, &executor, profile,
-    )
-}
 
-/// What a finished (or `--stop-after`-interrupted) generation loop leaves
-/// behind. Plain data — the driver itself is dropped inside the worker so
-/// its channel observer hangs up and the progress consumer terminates.
-struct RunResult {
-    checkpoint: pathway_moo::engine::RunCheckpoint,
-    front: Vec<Individual>,
-    generation: usize,
-    evaluations: usize,
-    checkpoint_error: Option<pathway_moo::engine::CheckpointError>,
-}
-
-/// Drives a run to completion (or to `--stop-after`), streaming telemetry
-/// and writing periodic + final checkpoints.
-fn execute(
-    driver: Driver<&AnyProblem, AnyOptimizer>,
-    spec: &RunSpec,
-    store: &CheckpointStore,
-    options: &Options,
-    problem: &AnyProblem,
-    executor: &Executor,
-    profile: Option<ProfileSink>,
-) -> Result<(), CliError> {
     let progress_every = spec
         .log_every
         .unwrap_or(spec.stopping.max_generations / 20)
         .max(1);
-    let metrics = profile.as_ref().map(|sink| &sink.registry);
-
     let result = if options.quiet {
-        drive(driver, spec, store, options.stop_after, metrics)
+        drive(job, options.stop_after)
     } else {
-        // The driver steps on a worker thread; the main thread renders the
+        // The job steps on a worker thread; the main thread renders the
         // generation reports streaming out of the channel observer.
         let (observer, reports) = ChannelObserver::channel();
-        let driver = driver.with_observer(observer);
+        let job = job.with_observer(observer);
         std::thread::scope(|scope| {
-            let worker = scope.spawn(|| drive(driver, spec, store, options.stop_after, metrics));
-            // Ends when the worker finishes: `drive` drops the driver (and
+            let worker = scope.spawn(|| drive(job, options.stop_after));
+            // Ends when the worker finishes: `drive` drops the job (and
             // with it the observer), which closes the channel.
             for report in reports {
                 if report.generation == 1 || report.generation.is_multiple_of(progress_every) {
@@ -524,10 +491,6 @@ fn execute(
     // output — final checkpoint AND front file — before reporting any write
     // failure, so one broken destination never discards what the other
     // could still persist.
-    let final_saved = {
-        let _span = metrics.map(|m| m.phase("checkpoint_write"));
-        store.save(&result.checkpoint)
-    };
     println!(
         "done: {} generations, {} evaluations, {} non-dominated solutions",
         result.generation,
@@ -535,15 +498,8 @@ fn execute(
         result.front.len()
     );
     let stats = executor.stats();
-    println!(
-        "executor: {} worker lane{}, {} queued chunk{}, {} active",
-        stats.workers,
-        if stats.workers == 1 { "" } else { "s" },
-        stats.queued_chunks,
-        if stats.queued_chunks == 1 { "" } else { "s" },
-        stats.active_workers
-    );
-    if let Ok(final_path) = &final_saved {
+    print_executor_line(stats.workers, stats.queued_chunks, stats.active_workers);
+    if let Ok(final_path) = &result.final_saved {
         println!("checkpoint: {}", final_path.display());
         if let Some(stop_after) = options.stop_after {
             if result.generation >= stop_after {
@@ -578,15 +534,10 @@ fn execute(
             profile_error = Some(message);
         }
     }
-    if let Err(err) = final_saved {
-        return Err(CliError::failed(format!(
-            "final checkpoint write failed: {err}"
-        )));
-    }
-    if let Some(message) = front_error {
-        return Err(CliError::failed(message));
-    }
-    if let Some(message) = profile_error {
+    result
+        .final_saved
+        .map_err(|err| CliError::failed(format!("final checkpoint write failed: {err}")))?;
+    if let Some(message) = front_error.or(profile_error) {
         return Err(CliError::failed(message));
     }
     if let Some(err) = result.checkpoint_error {
@@ -598,64 +549,51 @@ fn execute(
     Ok(())
 }
 
-/// The generation loop: advances in checkpoint-sized chunks until the
-/// stopping rule (or `--stop-after`) fires, writing a checkpoint at every
-/// `checkpoint_every` boundary.
-///
-/// Chunks run through [`Driver::run_for`], so a `--quiet` run with no
-/// hypervolume-reading stopping rule skips per-generation telemetry
-/// entirely; with the channel observer attached (the default), every
-/// generation still produces a streamed report. A checkpoint-write failure
-/// is warned about immediately and retried at the next boundary — one disk
-/// hiccup must neither kill the run nor disable the durability it exists
-/// to provide; the first error is carried in the result for the exit code.
-fn drive(
-    mut driver: Driver<&AnyProblem, AnyOptimizer>,
-    spec: &RunSpec,
-    store: &CheckpointStore,
-    stop_after: Option<usize>,
-    metrics: Option<&MetricsRegistry>,
-) -> RunResult {
+/// The generation loop: advances the job boundary by boundary until the
+/// stopping rule (or `--stop-after`) fires, then writes the final
+/// checkpoint. Unless the channel observer is attached, generations skip
+/// the per-generation telemetry nothing reads. A failed boundary save is
+/// warned about and retried at the next boundary — one disk hiccup must
+/// neither kill the run nor disable its durability; the first error is kept
+/// for the exit code.
+fn drive(mut job: Job<&AnyProblem>, stop_after: Option<usize>) -> RunResult {
     let mut checkpoint_error = None;
     loop {
-        let mut budget = usize::MAX;
-        if spec.checkpoint_every > 0 {
-            // Generations until the next checkpoint boundary.
-            budget = spec.checkpoint_every - driver.generation() % spec.checkpoint_every;
-        }
-        if let Some(limit) = stop_after {
-            if driver.generation() >= limit {
-                break;
-            }
-            budget = budget.min(limit - driver.generation());
-        }
-        let ran = driver.run_for(budget);
-        if ran == 0 {
-            break; // the stopping rule fired before any generation ran
-        }
-        if spec.checkpoint_every > 0 && driver.generation().is_multiple_of(spec.checkpoint_every) {
-            let _span = metrics.map(|m| m.phase("checkpoint_write"));
-            if let Err(err) = store.save(&driver.checkpoint()) {
+        let limit = match stop_after {
+            Some(limit) if job.generation() >= limit => break,
+            Some(limit) => limit - job.generation(),
+            None => usize::MAX,
+        };
+        match job.advance(limit) {
+            Ok(0) => break, // the stopping rule has fired
+            Ok(_) => {}
+            Err(err) => {
                 eprintln!(
                     "warning: checkpoint write failed at generation {}: {err}",
-                    driver.generation()
+                    job.generation()
                 );
-                if checkpoint_error.is_none() {
-                    checkpoint_error = Some(err);
-                }
+                checkpoint_error.get_or_insert(err);
             }
         }
-        if ran < budget {
-            break; // the stopping rule fired mid-chunk
-        }
     }
+    let driver = job.driver();
     RunResult {
-        checkpoint: driver.checkpoint(),
+        final_saved: job.save(),
         front: driver.front(),
         generation: driver.generation(),
         evaluations: driver.optimizer().evaluations(),
         checkpoint_error,
     }
+}
+
+/// The `executor:` health line that `run`, `resume` and `status` print.
+fn print_executor_line(workers: usize, queued_chunks: usize, active_workers: usize) {
+    let plural = |count: usize| if count == 1 { "" } else { "s" };
+    println!(
+        "executor: {workers} worker lane{}, {queued_chunks} queued chunk{}, {active_workers} active",
+        plural(workers),
+        plural(queued_chunks)
+    );
 }
 
 fn print_progress(report: &GenerationReport, max_generations: usize) {
@@ -759,7 +697,7 @@ fn command_sweep(args: &[OsString]) -> Result<(), CliError> {
         }
     };
     let profile = options.profile_sink();
-    let report = run_sweep_with_metrics(
+    let report = run_sweep(
         &sweep,
         &out_dir,
         executor,
@@ -1252,22 +1190,8 @@ fn command_status(args: &[OsString]) -> Result<(), CliError> {
     let target = parse_client_target(args, None)?;
     let mut client = target.connect()?;
     let status = client.status().map_err(CliError::failed)?;
-    println!(
-        "executor: {} worker lane{}, {} queued chunk{}, {} active",
-        status.executor.workers,
-        if status.executor.workers == 1 {
-            ""
-        } else {
-            "s"
-        },
-        status.executor.queued_chunks,
-        if status.executor.queued_chunks == 1 {
-            ""
-        } else {
-            "s"
-        },
-        status.executor.active_workers
-    );
+    let health = &status.executor;
+    print_executor_line(health.workers, health.queued_chunks, health.active_workers);
     if status.jobs.is_empty() {
         println!("no jobs");
         return Ok(());
@@ -1289,7 +1213,7 @@ fn command_metrics(args: &[OsString]) -> Result<(), CliError> {
     let text = profile.to_pretty();
     match &target.out {
         Some(path) => {
-            std::fs::write(path, &text)
+            atomic_write(path, text.as_bytes())
                 .map_err(|err| CliError::failed(format!("{}: {err}", path.display())))?;
             println!("profile: {}", path.display());
         }
@@ -1352,7 +1276,7 @@ fn command_fetch_front(args: &[OsString]) -> Result<(), CliError> {
         Some(path) => {
             // Bit-exact: these are the same bytes `pathway run --front-out`
             // would have written for the job's spec.
-            std::fs::write(path, &front)
+            atomic_write(path, front.as_bytes())
                 .map_err(|err| CliError::failed(format!("{}: {err}", path.display())))?;
             println!(
                 "front: {} ({} solutions, job {} {})",

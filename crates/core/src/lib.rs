@@ -37,6 +37,7 @@
 
 mod design;
 mod geobacter_problem;
+mod job;
 mod ode_leaf_problem;
 mod photosynthesis_problem;
 mod registry;
@@ -53,12 +54,11 @@ pub use design::{
     SelectedLeafDesigns,
 };
 pub use geobacter_problem::{GeobacterFluxProblem, GeobacterSolution};
+pub use job::Job;
 pub use ode_leaf_problem::OdeLeafRedesignProblem;
 pub use photosynthesis_problem::LeafRedesignProblem;
 pub use registry::{
-    owned_resume_spec_driver, owned_spec_driver, resume_spec_driver,
-    resume_spec_driver_with_executor, spec_driver, spec_driver_with_executor,
-    validate_spec_against_problem, AnyProblem, ProblemInfo, PROBLEM_CATALOG,
+    spec_driver, validate_spec_against_problem, AnyProblem, ProblemInfo, PROBLEM_CATALOG,
 };
 pub use report::{
     render_table, CoverageRow, Figure1Series, Figure2Bar, Figure4Point, SelectionRow,

@@ -37,9 +37,9 @@
 //! tolerance instead of expecting an exact partition.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::{Metric, MetricsSnapshot};
 
 use crate::jsonlite::JsonValue;
@@ -157,20 +157,14 @@ pub fn render_profile(data: &ProfileData) -> String {
     profile_json(data).to_pretty()
 }
 
-/// Writes a profile atomically: to `<path>.tmp` first (fsynced), then
-/// renamed over `path` — a crash never leaves a truncated profile behind.
+/// Writes a profile atomically ([`atomic_write`]) — a crash never leaves a
+/// truncated profile behind.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_profile_file(path: &Path, data: &ProfileData) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(render_profile(data).as_bytes())?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)
+    atomic_write(path, render_profile(data).as_bytes())
 }
 
 /// One folded phase of a validated profile.

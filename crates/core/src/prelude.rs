@@ -8,9 +8,8 @@
 //! ```
 
 pub use crate::{
-    resume_spec_driver, resume_spec_driver_with_executor, spec_driver, spec_driver_with_executor,
-    validate_spec_against_problem, AnyProblem, GeobacterFluxProblem, GeobacterOutcome,
-    GeobacterSolution, GeobacterStudy, LeafDesign, LeafDesignOutcome, LeafDesignStudy,
+    spec_driver, validate_spec_against_problem, AnyProblem, GeobacterFluxProblem, GeobacterOutcome,
+    GeobacterSolution, GeobacterStudy, Job, LeafDesign, LeafDesignOutcome, LeafDesignStudy,
     LeafRedesignProblem, OdeLeafRedesignProblem, ProblemInfo, SelectedLeafDesigns, Study,
     StudyOutcome, PROBLEM_CATALOG,
 };

@@ -3,8 +3,10 @@
 //! A [`pathway_moo::engine::RunSpec`] describes its problem as plain data (a
 //! name plus string parameters); this module resolves that description into
 //! an [`AnyProblem`] — one concrete type covering every problem the
-//! workspace ships, so spec-driven code (the `pathway` CLI, the
-//! [`crate::Study`] factory) never needs to be generic over the problem.
+//! workspace ships, so spec-driven code (the `pathway` CLI, sweeps, the
+//! study daemon) never needs to be generic over the problem. [`spec_driver`]
+//! turns a spec plus a problem into a ready [`Driver`]; [`crate::Job`] adds
+//! the checkpoint store around it.
 //!
 //! [`PROBLEM_CATALOG`] is the authoritative list of registry names and their
 //! parameters; `pathway list-problems` prints it.
@@ -21,7 +23,7 @@
 //!     ..Default::default()
 //! };
 //! let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-//! let front = spec_driver(&spec, &problem).run();
+//! let front = spec_driver(&spec, &problem, None, None).unwrap().run();
 //! assert!(!front.is_empty());
 //! ```
 
@@ -29,8 +31,8 @@ use std::sync::Arc;
 
 use pathway_fba::geobacter::GeobacterModel;
 use pathway_moo::engine::{
-    AnyOptimizer, Driver, EngineError, LogObserver, MetricsRegistry, ProblemSpec, RunCheckpoint,
-    RunSpec, SpecError,
+    AnyOptimizer, Driver, EngineError, MetricsRegistry, ProblemSpec, RunCheckpoint, RunSpec,
+    SpecError,
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::problems::{BinhKorn, Dtlz2, Schaffer, Zdt1, Zdt2};
@@ -321,146 +323,49 @@ pub fn validate_spec_against_problem(
     Ok(())
 }
 
-/// Builds a ready-to-run [`Driver`] for a spec: fresh optimizer, the spec's
-/// stopping rule and reference point, and a [`LogObserver`] when the spec
-/// asks for one. Attach further observers on the returned driver.
+/// Builds the [`Driver`] for a spec — the one driver factory behind
+/// `pathway run`/`resume`, every sweep cell and every daemon job.
+///
+/// `problem` is borrowed (`&problem`) or owned (an [`AnyProblem`], for a
+/// self-contained driver). `executor`, when given, replaces the spec's own
+/// backend, so a launcher can run every driver on **one** worker pool;
+/// executors never change results. `checkpoint`, when given, is continued
+/// bit-identically, and the spec's reference point applies only when the
+/// checkpoint carries none. The spec's stopping rule is attached; observers
+/// (the spec's `log_every` included) are the caller's business.
 ///
 /// Call [`validate_spec_against_problem`] first when the spec comes from
 /// untrusted input — a reference point of the wrong dimension panics once
-/// telemetry computes a hypervolume.
-pub fn spec_driver<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-) -> Driver<&'p AnyProblem, AnyOptimizer> {
-    assemble_driver(spec, problem, spec.build_optimizer())
-}
-
-/// Like [`spec_driver`], with an explicit evaluation [`Executor`] installed
-/// on the optimizer before the driver takes it over.
+/// telemetry computes a hypervolume — and check that a checkpoint belongs
+/// to the spec
+/// ([`StoredCheckpoint::ensure_matches`](pathway_moo::engine::StoredCheckpoint::ensure_matches)).
 ///
-/// This is how a launcher runs a whole invocation on **one** persistent
-/// worker pool: build the executor once (the `pathway` CLI derives it from
-/// `--threads`, falling back to the spec's backend) and hand it to every
-/// driver it creates — fresh runs and resumes alike. Executors never change
-/// results, only where batches are evaluated.
-pub fn spec_driver_with_executor<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    executor: Arc<Executor>,
-) -> Driver<&'p AnyProblem, AnyOptimizer> {
-    let mut optimizer = spec.build_optimizer();
-    optimizer.set_executor(executor);
-    assemble_driver(spec, problem, optimizer)
-}
-
-/// Like [`spec_driver_with_executor`], but the driver takes *ownership* of
-/// the problem, so the returned value is a fully self-contained job: no
-/// borrow ties it to the caller's stack frame. This is the factory used by
-/// long-lived services (`pathway serve`) that park many drivers in a job
-/// table and advance each one step per scheduling turn.
-pub fn owned_spec_driver(
-    spec: &RunSpec,
-    problem: AnyProblem,
-    executor: Arc<Executor>,
-) -> Driver<AnyProblem, AnyOptimizer> {
-    let mut optimizer = spec.build_optimizer();
-    optimizer.set_executor(executor);
-    assemble_driver(spec, problem, optimizer)
-}
-
-fn assemble_driver<P: MultiObjectiveProblem>(
+/// # Errors
+///
+/// [`EngineError`] when the checkpointed state does not fit the spec's
+/// optimizer. A fresh driver never fails.
+pub fn spec_driver<P: MultiObjectiveProblem>(
     spec: &RunSpec,
     problem: P,
-    optimizer: AnyOptimizer,
-) -> Driver<P, AnyOptimizer> {
-    let mut driver = Driver::new(optimizer, problem).with_stopping(spec.stopping_rule());
-    if let Some(reference) = &spec.reference_point {
-        driver = driver.with_reference_point(reference.clone());
-    }
-    if let Some(every) = spec.log_every {
-        driver = driver.with_observer(LogObserver::new(every));
-    }
-    driver
-}
-
-/// Rebuilds a [`Driver`] continuing `checkpoint` under `spec`: the resumed
-/// run is bit-identical to the uninterrupted one (the engine's
-/// checkpoint/resume guarantee), with the spec's stopping rule and observer
-/// configuration re-attached.
-///
-/// Callers are responsible for having verified that the checkpoint belongs
-/// to `spec` (see
-/// [`StoredCheckpoint::ensure_matches`](pathway_moo::engine::StoredCheckpoint::ensure_matches));
-/// this function only checks that the optimizer state fits the spec's
-/// optimizer configuration.
-///
-/// # Errors
-///
-/// Propagates [`EngineError`] when the checkpointed state does not fit the
-/// spec's optimizer.
-pub fn resume_spec_driver<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    checkpoint: RunCheckpoint,
-) -> Result<Driver<&'p AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, None)
-}
-
-/// Like [`resume_spec_driver`], with an explicit evaluation [`Executor`]
-/// installed on the optimizer before the checkpoint is restored into it.
-/// Executors are configuration, not run state: resuming under a different
-/// executor (or worker count) than the checkpointing run preserves
-/// bit-identical results, only the wall-clock changes.
-///
-/// # Errors
-///
-/// Same as [`resume_spec_driver`].
-pub fn resume_spec_driver_with_executor<'p>(
-    spec: &RunSpec,
-    problem: &'p AnyProblem,
-    checkpoint: RunCheckpoint,
-    executor: Arc<Executor>,
-) -> Result<Driver<&'p AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, Some(executor))
-}
-
-/// Like [`resume_spec_driver_with_executor`], but the rebuilt driver takes
-/// *ownership* of the problem — the resume-side counterpart of
-/// [`owned_spec_driver`], used by services restoring parked jobs after a
-/// restart.
-///
-/// # Errors
-///
-/// Same as [`resume_spec_driver`].
-pub fn owned_resume_spec_driver(
-    spec: &RunSpec,
-    problem: AnyProblem,
-    checkpoint: RunCheckpoint,
-    executor: Arc<Executor>,
-) -> Result<Driver<AnyProblem, AnyOptimizer>, EngineError> {
-    resume_driver_inner(spec, problem, checkpoint, Some(executor))
-}
-
-fn resume_driver_inner<P: MultiObjectiveProblem>(
-    spec: &RunSpec,
-    problem: P,
-    checkpoint: RunCheckpoint,
     executor: Option<Arc<Executor>>,
+    checkpoint: Option<RunCheckpoint>,
 ) -> Result<Driver<P, AnyOptimizer>, EngineError> {
-    let missing_reference = checkpoint.reference_point.is_none();
     let mut optimizer = spec.build_optimizer();
     if let Some(executor) = executor {
         optimizer.set_executor(executor);
     }
-    let mut driver =
-        Driver::resume(optimizer, problem, checkpoint)?.with_stopping(spec.stopping_rule());
-    if missing_reference {
+    let has_reference = checkpoint
+        .as_ref()
+        .is_some_and(|checkpoint| checkpoint.reference_point.is_some());
+    let driver = match checkpoint {
+        Some(checkpoint) => Driver::resume(optimizer, problem, checkpoint)?,
+        None => Driver::new(optimizer, problem),
+    };
+    let mut driver = driver.with_stopping(spec.stopping_rule());
+    if !has_reference {
         if let Some(reference) = &spec.reference_point {
             driver = driver.with_reference_point(reference.clone());
         }
-    }
-    if let Some(every) = spec.log_every {
-        driver = driver.with_observer(LogObserver::new(every));
     }
     Ok(driver)
 }
@@ -529,13 +434,13 @@ mod tests {
     fn spec_driver_runs_and_resumes_bit_identically() {
         let spec = schaffer_spec(5, 12);
         let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-        let unsplit = spec_driver(&spec, &problem).run();
+        let unsplit = spec_driver(&spec, &problem, None, None).unwrap().run();
 
-        let mut first = spec_driver(&spec, &problem);
+        let mut first = spec_driver(&spec, &problem, None, None).unwrap();
         for _ in 0..4 {
             first.step();
         }
-        let resumed = resume_spec_driver(&spec, &problem, first.checkpoint())
+        let resumed = spec_driver(&spec, &problem, None, Some(first.checkpoint()))
             .expect("same spec")
             .run();
         assert_eq!(unsplit, resumed);
@@ -557,13 +462,13 @@ mod tests {
     fn resume_rejects_a_mismatched_optimizer_shape() {
         let spec = schaffer_spec(5, 12);
         let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-        let mut driver = spec_driver(&spec, &problem);
+        let mut driver = spec_driver(&spec, &problem, None, None).unwrap();
         driver.step();
         let checkpoint = driver.checkpoint();
         let different = RunSpec {
             optimizer: OptimizerSpec::Moead(Default::default()),
             ..schaffer_spec(5, 12)
         };
-        assert!(resume_spec_driver(&different, &problem, checkpoint).is_err());
+        assert!(spec_driver(&different, &problem, None, Some(checkpoint)).is_err());
     }
 }

@@ -11,14 +11,12 @@
 
 use std::sync::Arc;
 
-use pathway_moo::engine::{Driver, OptimizerSpec, RunSpec, SpecError, StoppingRule};
+use pathway_moo::engine::{Driver, StoppingRule};
 use pathway_moo::exec::Executor;
 use pathway_moo::{
     Archipelago, ArchipelagoConfig, EvalBackend, Individual, MigrationTopology,
     MultiObjectiveProblem, Nsga2Config,
 };
-
-use crate::AnyProblem;
 
 /// What a [`Study`] run produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +77,6 @@ pub struct Study<P> {
     generations: usize,
     migration_interval: usize,
     migration_probability: f64,
-    topology: MigrationTopology,
     extra_stopping: Option<StoppingRule>,
     reference_point: Option<Vec<f64>>,
     executor: Option<Arc<Executor>>,
@@ -99,7 +96,6 @@ impl<P: MultiObjectiveProblem> Study<P> {
             generations: 400,
             migration_interval: 200,
             migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
             extra_stopping: None,
             reference_point: None,
             executor: None,
@@ -131,13 +127,6 @@ impl<P: MultiObjectiveProblem> Study<P> {
         self
     }
 
-    /// Overrides the migration topology.
-    #[must_use]
-    pub fn with_topology(mut self, topology: MigrationTopology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Overrides the evaluation backend each island uses for its offspring
     /// batches. Results are bit-identical across backends for a fixed seed.
     /// The archipelago builds **one** persistent executor from this backend
@@ -155,15 +144,6 @@ impl<P: MultiObjectiveProblem> Study<P> {
     #[must_use]
     pub fn with_executor(mut self, executor: Arc<Executor>) -> Self {
         self.executor = Some(executor);
-        self
-    }
-
-    /// Overrides the full per-island NSGA-II configuration (genetic-operator
-    /// knobs included). The configuration's `generations` field is ignored —
-    /// the study's own budget governs run length.
-    #[must_use]
-    pub fn with_island_config(mut self, island: Nsga2Config) -> Self {
-        self.island = island;
         self
     }
 
@@ -207,7 +187,7 @@ impl<P: MultiObjectiveProblem> Study<P> {
             },
             migration_interval: self.migration_interval,
             migration_probability: self.migration_probability,
-            topology: self.topology,
+            topology: MigrationTopology::Broadcast,
         }
     }
 
@@ -247,75 +227,6 @@ impl<P: MultiObjectiveProblem> Study<P> {
             evaluations: driver.optimizer().evaluations(),
             generations: driver.generation(),
         }
-    }
-}
-
-impl Study<AnyProblem> {
-    /// Builds a study from a declarative [`RunSpec`] whose optimizer is the
-    /// archipelago: the problem is resolved through the registry
-    /// ([`AnyProblem::from_spec`]) and every archipelago/stopping knob of
-    /// the spec is carried over. The spec's seed is *not* baked in — pass it
-    /// (or any other seed) to [`Study::run`] / [`Study::driver`].
-    ///
-    /// For NSGA-II or MOEA/D specs use [`crate::spec_driver`], which drives
-    /// any optimizer kind.
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::Field`] when the spec's optimizer is not the archipelago
-    /// or its problem cannot be resolved.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use pathway_core::prelude::*;
-    ///
-    /// let spec = RunSpec::from_text("\
-    /// pathway-spec v1
-    /// [problem]
-    /// name = schaffer
-    /// [optimizer]
-    /// kind = archipelago
-    /// population = 16
-    /// migration_interval = 5
-    /// [stop]
-    /// max_generations = 10
-    /// ").unwrap();
-    /// let outcome = Study::from_spec(&spec).unwrap().run(spec.seed);
-    /// assert!(!outcome.front.is_empty());
-    /// ```
-    pub fn from_spec(spec: &RunSpec) -> Result<Self, SpecError> {
-        let OptimizerSpec::Archipelago(archipelago) = &spec.optimizer else {
-            return Err(SpecError::field(
-                "optimizer.kind",
-                format!(
-                    "Study::from_spec drives the archipelago, not '{}' (use spec_driver for \
-                     other optimizer kinds)",
-                    spec.optimizer.kind()
-                ),
-            ));
-        };
-        let problem = AnyProblem::from_spec(&spec.problem)?;
-        crate::validate_spec_against_problem(spec, &problem)?;
-        let mut study = Study::new(problem)
-            .with_islands(archipelago.islands)
-            .with_island_config(archipelago.island.config(spec.stopping.max_generations))
-            .with_budget(archipelago.island.population, spec.stopping.max_generations)
-            .with_migration(
-                archipelago.migration_interval,
-                archipelago.migration_probability,
-            )
-            .with_topology(archipelago.topology);
-        if let Some(budget) = spec.stopping.max_evaluations {
-            study = study.with_stopping(StoppingRule::MaxEvaluations(budget));
-        }
-        if let Some((window, epsilon)) = spec.stopping.stagnation {
-            study = study.with_stopping(StoppingRule::HypervolumeStagnation { window, epsilon });
-        }
-        if let Some(reference) = &spec.reference_point {
-            study = study.with_reference_point(reference.clone());
-        }
-        Ok(study)
     }
 }
 

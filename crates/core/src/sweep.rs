@@ -31,18 +31,18 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::{
-    CheckpointError, CheckpointStore, EngineError, MetricsRegistry, SpecError, SweepCell, SweepSpec,
+    CheckpointError, CheckpointStore, EngineError, MetricsRegistry, SpecError, StoredCheckpoint,
+    SweepCell, SweepSpec,
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::metrics::{global_coverage, hypervolume, union_front};
 use pathway_moo::Individual;
 
 use crate::jsonlite::JsonValue;
-use crate::registry::{
-    resume_spec_driver_with_executor, spec_driver_with_executor, validate_spec_against_problem,
-    AnyProblem,
-};
+use crate::registry::{validate_spec_against_problem, AnyProblem};
+use crate::Job;
 
 /// The header line of bit-exact front files.
 pub const FRONT_HEADER: &str = "pathway-front v1";
@@ -205,31 +205,18 @@ pub struct SweepReport {
 /// sweep resumes exactly there. Cells already in the ledger are skipped,
 /// never re-run.
 ///
+/// When `metrics` is set, the registry is installed on the shared executor,
+/// attached to every cell's job (phase spans accumulate across cells), and
+/// each completed or interrupted cell dumps its problem's oracle counters
+/// into it. Telemetry is observational: results, checkpoints and the ledger
+/// are bit-identical with or without a registry.
+///
 /// # Errors
 ///
 /// [`SweepError`] on invalid cells, checkpoint/ledger corruption, or I/O
-/// failure. A failed sweep can always be re-run: completed rows stay.
+/// failure — a failed checkpoint write included. A failed sweep can always
+/// be re-run: completed rows stay.
 pub fn run_sweep(
-    sweep: &SweepSpec,
-    out_dir: &Path,
-    executor: Arc<Executor>,
-    stop_after: Option<usize>,
-    progress: &mut dyn FnMut(SweepEvent<'_>),
-) -> Result<SweepReport, SweepError> {
-    run_sweep_with_metrics(sweep, out_dir, executor, stop_after, None, progress)
-}
-
-/// [`run_sweep`] with telemetry: when `metrics` is set, the registry is
-/// installed on the shared executor, attached to every cell's driver (phase
-/// spans accumulate across cells), and each completed or interrupted cell
-/// dumps its problem's oracle counters into it. Telemetry is observational:
-/// results, checkpoints and the ledger are bit-identical with or without a
-/// registry.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-pub fn run_sweep_with_metrics(
     sweep: &SweepSpec,
     out_dir: &Path,
     executor: Arc<Executor>,
@@ -266,89 +253,45 @@ pub fn run_sweep_with_metrics(
         }
         let problem = AnyProblem::from_spec(&cell.spec.problem)?;
         validate_spec_against_problem(&cell.spec, &problem)?;
-        let store_dir = out_dir.join("cells").join(cell.label());
-        let store = CheckpointStore::create(&store_dir, &cell.spec)?;
-        // The sweep renders its own progress; the per-cell [observe] sink
-        // is stripped exactly like the CLI does for single runs. The
-        // checkpoint store (and thus every spec hash on disk) still uses
-        // the cell's original spec.
-        let mut exec_spec = cell.spec.clone();
-        exec_spec.log_every = None;
+        let store = CheckpointStore::create(out_dir.join("cells").join(cell.label()), &cell.spec)?;
         let started = Instant::now();
-        let (mut driver, resumed_from) = match store.latest()? {
-            Some(path) => {
-                let stored = CheckpointStore::load_matching(&path, &cell.spec)?;
-                let generation = stored.generation();
-                let driver = resume_spec_driver_with_executor(
-                    &exec_spec,
-                    &problem,
-                    stored.checkpoint,
-                    executor.clone(),
-                )?;
-                (driver, Some(generation))
-            }
-            None => (
-                spec_driver_with_executor(&exec_spec, &problem, executor.clone()),
-                None,
-            ),
-        };
+        let stored = store.latest_matching(&cell.spec)?;
+        let resumed_from = stored.as_ref().map(StoredCheckpoint::generation);
+        let checkpoint = stored.map(|stored| stored.checkpoint);
+        let mut job = Job::open(
+            &cell.spec,
+            store,
+            &problem,
+            Some(executor.clone()),
+            checkpoint,
+        )?;
         if let Some(registry) = metrics {
-            driver = driver.with_metrics(registry.clone());
+            job = job.with_metrics(registry.clone());
         }
         progress(SweepEvent::CellStarted { cell, resumed_from });
-        loop {
-            if driver.should_stop() {
-                break;
-            }
+        while !job.is_done() {
             if remaining == Some(0) {
-                {
-                    let _span = metrics.map(|m| m.phase("checkpoint_write"));
-                    store.save(&driver.checkpoint())?;
-                }
+                job.save()?;
                 if let Some(registry) = metrics {
                     problem.record_oracle_metrics(registry);
                 }
                 progress(SweepEvent::SweepInterrupted {
                     cell,
-                    generation: driver.generation(),
+                    generation: job.generation(),
                 });
                 report.interrupted = Some(cell.index);
                 report.rows_total = ledger.rows.len();
                 return Ok(report);
             }
-            let mut budget = usize::MAX;
-            if cell.spec.checkpoint_every > 0 {
-                budget =
-                    cell.spec.checkpoint_every - driver.generation() % cell.spec.checkpoint_every;
-            }
-            if let Some(left) = remaining {
-                budget = budget.min(left);
-            }
-            let ran = driver.run_for(budget);
+            let ran = job.advance(remaining.unwrap_or(usize::MAX))?;
             if let Some(left) = &mut remaining {
                 *left -= ran.min(*left);
-            }
-            if ran == 0 {
-                break;
-            }
-            if cell.spec.checkpoint_every > 0
-                && driver
-                    .generation()
-                    .is_multiple_of(cell.spec.checkpoint_every)
-            {
-                let _span = metrics.map(|m| m.phase("checkpoint_write"));
-                store.save(&driver.checkpoint())?;
-            }
-            if ran < budget {
-                break;
             }
         }
         // One final checkpoint so the finished cell is durable and
         // inspectable like any single run.
-        {
-            let _span = metrics.map(|m| m.phase("checkpoint_write"));
-            store.save(&driver.checkpoint())?;
-        }
+        job.save()?;
+        let driver = job.driver();
         let front = driver.front();
         let front_path = fronts_dir.join(format!("{}.front", cell.label()));
         write_front_file(&front_path, &front).map_err(|err| io_err(&front_path, err))?;
@@ -461,16 +404,15 @@ fn derived_reference(points: &[Vec<f64>]) -> Vec<f64> {
 /// Writes a front bit-exactly: one line per solution, every `f64` rendered
 /// as its IEEE-754 bits in hex, so two fronts are equal iff the files are
 /// byte-identical. Kill/resume tests — single-run and sweep alike — diff
-/// these files; [`read_front_objectives`] reads them back losslessly.
+/// these files; [`read_front_objectives`] reads them back losslessly. The
+/// write is atomic ([`atomic_write`]): a kill mid-write leaves the old file
+/// or none, never a torn front.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_front_file(path: &Path, front: &[Individual]) -> std::io::Result<()> {
-    let out = render_front(front);
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()
+    atomic_write(path, render_front(front).as_bytes())
 }
 
 /// Renders a front in the exact [`write_front_file`] format without
@@ -591,7 +533,7 @@ impl Ledger {
         header.push_str(
             "|-----:|-----------|-------------|---------|--------|-----:|-----:|------:|------:|------------:|--------:|-----:|\n",
         );
-        std::fs::write(&text_path, header).map_err(|err| io_err(&text_path, err))?;
+        atomic_write(&text_path, header.as_bytes()).map_err(|err| io_err(&text_path, err))?;
         Ok(Ledger {
             text_path,
             json_path,
@@ -620,8 +562,7 @@ impl Ledger {
         Ok(())
     }
 
-    /// Regenerates the JSON projection atomically (write-tmp-then-rename,
-    /// like checkpoints).
+    /// Regenerates the JSON projection atomically, like checkpoints.
     fn write_json(
         &self,
         sweep: &SweepSpec,
@@ -629,10 +570,8 @@ impl Ledger {
         fronts_dir: &Path,
     ) -> Result<(), SweepError> {
         let document = bench_json(sweep, cells, &self.rows, fronts_dir);
-        let tmp = self.json_path.with_extension("json.tmp");
-        std::fs::write(&tmp, document.to_pretty()).map_err(|err| io_err(&tmp, err))?;
-        std::fs::rename(&tmp, &self.json_path).map_err(|err| io_err(&self.json_path, err))?;
-        Ok(())
+        atomic_write(&self.json_path, document.to_pretty().as_bytes())
+            .map_err(|err| io_err(&self.json_path, err))
     }
 }
 
@@ -1193,7 +1132,7 @@ max_generations = 4
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
         let executor = Executor::shared(EvalBackend::Serial);
         let mut events = Vec::new();
-        let report = run_sweep(&sweep, &dir, executor.clone(), None, &mut |event| {
+        let report = run_sweep(&sweep, &dir, executor.clone(), None, None, &mut |event| {
             events.push(format!("{event:?}"));
         })
         .unwrap();
@@ -1216,7 +1155,7 @@ max_generations = 4
         // A second invocation re-runs nothing and leaves the text ledger
         // byte-identical.
         let before = std::fs::read(dir.join("ledger.md")).unwrap();
-        let report = run_sweep(&sweep, &dir, executor, None, &mut |_| {}).unwrap();
+        let report = run_sweep(&sweep, &dir, executor, None, None, &mut |_| {}).unwrap();
         assert_eq!(report.completed, 0);
         assert_eq!(report.skipped, 2);
         let after = std::fs::read(dir.join("ledger.md")).unwrap();
@@ -1230,9 +1169,17 @@ max_generations = 4
         let metered_dir = temp_dir("metered");
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
         let executor = Executor::shared(EvalBackend::Serial);
-        run_sweep(&sweep, &plain_dir, executor.clone(), None, &mut |_| {}).unwrap();
+        run_sweep(
+            &sweep,
+            &plain_dir,
+            executor.clone(),
+            None,
+            None,
+            &mut |_| {},
+        )
+        .unwrap();
         let registry = MetricsRegistry::new();
-        run_sweep_with_metrics(
+        run_sweep(
             &sweep,
             &metered_dir,
             executor,
@@ -1270,8 +1217,8 @@ max_generations = 4
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
         let other = SweepSpec::from_text(&SWEEP.replace("1 | 2", "3 | 4")).unwrap();
         let executor = Executor::shared(EvalBackend::Serial);
-        run_sweep(&sweep, &dir, executor.clone(), Some(0), &mut |_| {}).unwrap();
-        let err = run_sweep(&other, &dir, executor, None, &mut |_| {}).unwrap_err();
+        run_sweep(&sweep, &dir, executor.clone(), Some(0), None, &mut |_| {}).unwrap();
+        let err = run_sweep(&other, &dir, executor, None, None, &mut |_| {}).unwrap_err();
         assert!(
             err.to_string().contains("different sweep"),
             "unexpected error: {err}"
@@ -1284,7 +1231,7 @@ max_generations = 4
         let dir = temp_dir("validate");
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
         let executor = Executor::shared(EvalBackend::Serial);
-        run_sweep(&sweep, &dir, executor, None, &mut |_| {}).unwrap();
+        run_sweep(&sweep, &dir, executor, None, None, &mut |_| {}).unwrap();
         let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
 
         let broken = text.replace("\"pathway-bench-sweep\"", "\"something-else\"");

@@ -6,7 +6,7 @@
 //! checkpointed state.
 
 use pathway_core::sweep::render_front;
-use pathway_core::{spec_driver_with_executor, AnyProblem};
+use pathway_core::{spec_driver, AnyProblem};
 use pathway_moo::engine::{encode_checkpoint, MetricsRegistry, RunSpec};
 use pathway_moo::exec::Executor;
 use pathway_moo::EvalBackend;
@@ -28,7 +28,7 @@ fn run_case(backend: EvalBackend, telemetry: bool) -> (String, Vec<u8>) {
     if let Some(registry) = &registry {
         executor.set_metrics(registry.clone());
     }
-    let mut driver = spec_driver_with_executor(&spec, &problem, executor);
+    let mut driver = spec_driver(&spec, &problem, Some(executor), None).expect("fresh driver");
     if let Some(registry) = &registry {
         driver = driver.with_metrics(registry.clone());
     }

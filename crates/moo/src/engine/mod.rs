@@ -50,7 +50,7 @@ mod observer;
 mod spec;
 mod state;
 mod stopping;
-mod store;
+pub mod store;
 mod sweep;
 pub mod telemetry;
 

@@ -237,9 +237,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<StoredCheckpoint, CheckpointErr
     })
 }
 
-/// Writes a checkpoint file atomically: the bytes go to a sibling temporary
-/// file which is fsynced and then renamed over `path`, so readers only ever
-/// observe complete checkpoints.
+/// Writes a checkpoint file atomically with [`atomic_write`], so readers
+/// only ever observe complete checkpoints.
 ///
 /// # Errors
 ///
@@ -249,20 +248,30 @@ pub fn write_checkpoint_file(
     spec_text: &str,
     checkpoint: &RunCheckpoint,
 ) -> Result<(), CheckpointError> {
-    let bytes = encode_checkpoint(spec_text, checkpoint);
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| {
-            CheckpointError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "checkpoint path has no file name",
-            ))
-        })?
-        .to_string_lossy();
-    let tmp = path.with_file_name(format!(".{file_name}.tmp"));
+    atomic_write(path, &encode_checkpoint(spec_text, checkpoint))?;
+    Ok(())
+}
+
+/// Replaces `path` with `bytes` atomically: the bytes go to a sibling
+/// temporary file (`.<name>.tmp`) which is fsynced and then renamed over
+/// `path`, so a reader — or a restart after a crash — sees either the old
+/// file or the complete new one, never a torn one.
+///
+/// # Errors
+///
+/// Propagates filesystem failures, including a missing parent directory;
+/// nothing is created then.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let file_name = path.file_name().ok_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+    })?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(file_name);
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
     {
         let mut file = fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(bytes)?;
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -459,6 +468,23 @@ impl CheckpointStore {
             }
         }
         Ok(best.map(|(_, path)| path))
+    }
+
+    /// Loads the newest stored checkpoint, if any, and rejects it unless it
+    /// was produced by exactly `spec` — the "resume if there is anything to
+    /// resume" step of sweep cells and daemon jobs.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`CheckpointStore::latest`] and
+    /// [`CheckpointStore::load_matching`].
+    pub fn latest_matching(
+        &self,
+        spec: &RunSpec,
+    ) -> Result<Option<StoredCheckpoint>, CheckpointError> {
+        self.latest()?
+            .map(|path| Self::load_matching(&path, spec))
+            .transpose()
     }
 
     /// Parses the generation number out of a `gen-<n>.ckpt` file name.
@@ -776,6 +802,62 @@ mod tests {
             problem: ProblemSpec::named("schaffer"),
             ..Default::default()
         }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pathway-store-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    #[test]
+    fn atomic_write_replaces_a_file_in_full_and_leaves_no_temp_sibling() {
+        let dir = temp_dir("atomic");
+        let path = dir.join("front.front");
+        fs::write(&path, b"an older, much longer file body").unwrap();
+        atomic_write(&path, b"new").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("front.front")]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_into_a_missing_directory_fails_and_creates_nothing() {
+        let dir = temp_dir("atomic-missing");
+        let missing = dir.join("absent");
+        let err = atomic_write(&missing.join("job.spec"), b"text").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        assert!(!missing.exists());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn latest_matching_loads_the_newest_checkpoint_of_the_same_spec() {
+        let dir = temp_dir("latest-matching");
+        let spec = sample_spec();
+        let store = CheckpointStore::create(&dir, &spec).unwrap();
+        assert_eq!(store.latest_matching(&spec).unwrap(), None);
+        let mut checkpoint = sample_checkpoint();
+        store.save(&checkpoint).unwrap();
+        checkpoint.generation = 12;
+        store.save(&checkpoint).unwrap();
+        let stored = store.latest_matching(&spec).unwrap().expect("a checkpoint");
+        assert_eq!(stored.checkpoint, checkpoint);
+        let other = RunSpec {
+            seed: 9,
+            ..sample_spec()
+        };
+        assert!(matches!(
+            store.latest_matching(&other),
+            Err(CheckpointError::SpecMismatch { .. })
+        ));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

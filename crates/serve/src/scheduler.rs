@@ -9,9 +9,9 @@
 //! is exactly the nested-submission deadlock `Executor::map_chunks`
 //! documents. The scheduler dissolves the problem structurally: **no thread
 //! ever blocks for a job's lifetime**. Every job is a parked
-//! [`Driver`] owning its problem (the owned-driver form
-//! [`pathway_core::owned_spec_driver`] builds), and the scheduler thread
-//! advances them round-robin, one `Driver::step` per turn. Each step
+//! [`Job`] whose driver owns its problem (the owned form of
+//! [`pathway_core::spec_driver`]), and the scheduler thread advances them
+//! round-robin, one [`Job::step`] per turn. Each step
 //! submits its evaluation chunks to the shared pool from the scheduler
 //! thread — the ordinary caller-participates path — so the pool's workers
 //! only ever see leaf chunk closures, never a whole study. Fairness falls
@@ -43,14 +43,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pathway_core::{
-    owned_resume_spec_driver, owned_spec_driver, sweep::render_front,
-    validate_spec_against_problem, AnyProblem,
-};
+use pathway_core::{sweep::render_front, validate_spec_against_problem, AnyProblem, Job};
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
-    AnyOptimizer, ChannelObserver, CheckpointStore, Driver, GenerationReport, MetricsRegistry,
-    Observer, RunSpec, SweepSpec,
+    ChannelObserver, CheckpointStore, GenerationReport, MetricsRegistry, Observer, RunCheckpoint,
+    RunSpec, SweepSpec,
 };
 use pathway_moo::Executor;
 
@@ -73,18 +71,17 @@ const LAG_BOUNDS_US: [f64; 8] = [
 /// kill — a mid-flight daemon; unset or `0` in normal operation.
 pub const STEP_SLEEP_ENV: &str = "PATHWAY_SERVE_STEP_SLEEP_MS";
 
-/// One parked study: an owned driver plus its durable surroundings.
+/// One parked study: its job plus what the daemon reports about it.
 struct JobSlot {
     id: String,
     spec: RunSpec,
     dir: PathBuf,
-    store: CheckpointStore,
     problem_name: String,
     optimizer_kind: String,
     state: JobState,
     error: Option<String>,
     /// `Some` while running; dropped on completion/cancellation/failure.
-    driver: Option<Driver<AnyProblem, AnyOptimizer>>,
+    job: Option<Job<AnyProblem>>,
     /// One telemetry sink per attached `watch` client; disconnected sinks
     /// are pruned after every step.
     watchers: Vec<ChannelObserver>,
@@ -280,21 +277,7 @@ impl Scheduler {
         let spec = RunSpec::from_text(&spec_text).map_err(|err| format!("job.spec: {err}"))?;
         let store = CheckpointStore::create(dir.join("checkpoints"), &spec)
             .map_err(|err| format!("checkpoint store: {err}"))?;
-        let mut slot = JobSlot {
-            id: id.to_string(),
-            problem_name: spec.problem.name.clone(),
-            optimizer_kind: spec.optimizer.kind().to_string(),
-            spec,
-            dir: dir.to_path_buf(),
-            store,
-            state: JobState::Running,
-            error: None,
-            driver: None,
-            watchers: Vec::new(),
-            generation: 0,
-            evaluations: 0,
-            front_size: 0,
-        };
+        let mut slot = running_slot(id, dir, spec);
 
         // Terminal states are recorded as marker files.
         if let Ok(message) = std::fs::read_to_string(dir.join("failed")) {
@@ -302,14 +285,11 @@ impl Scheduler {
             slot.error = Some(message.trim_end().to_string());
             return Ok(slot);
         }
-        let latest = slot
-            .store
-            .latest()
-            .map_err(|err| format!("scanning checkpoints: {err}"))?;
-        if let Some(path) = &latest {
+        let latest = store
+            .latest_matching(&slot.spec)
+            .map_err(|err| format!("{}: {err}", store.dir().display()))?;
+        if let Some(stored) = &latest {
             // Stats for terminal jobs come from the last checkpoint.
-            let stored = CheckpointStore::load_matching(path, &slot.spec)
-                .map_err(|err| format!("{}: {err}", path.display()))?;
             slot.generation = stored.generation();
             slot.evaluations = stored.evaluations();
         }
@@ -323,28 +303,28 @@ impl Scheduler {
             return Ok(slot);
         }
 
-        // Still in flight: rebuild the owned driver, resuming if possible.
+        // Still in flight: reopen the job, resuming if possible.
         let problem = AnyProblem::from_spec(&slot.spec.problem).map_err(|err| err.to_string())?;
-        let mut exec_spec = slot.spec.clone();
-        exec_spec.log_every = None; // a daemon must not log to its own stderr per spec
-        let driver = match latest {
-            Some(path) => {
-                let stored = CheckpointStore::load_matching(&path, &slot.spec)
-                    .map_err(|err| format!("{}: {err}", path.display()))?;
-                owned_resume_spec_driver(
-                    &exec_spec,
-                    problem,
-                    stored.checkpoint,
-                    Arc::clone(&self.executor),
-                )
-                .map_err(|err| format!("cannot resume: {err}"))?
-            }
-            None => owned_spec_driver(&exec_spec, problem, Arc::clone(&self.executor)),
-        };
-        let driver = driver.with_metrics(self.metrics.clone());
-        slot.generation = driver.generation();
-        slot.driver = Some(driver);
+        let checkpoint = latest.map(|stored| stored.checkpoint);
+        let job = self.open_job(&slot.spec, store, problem, checkpoint)?;
+        slot.generation = job.generation();
+        slot.job = Some(job);
         Ok(slot)
+    }
+
+    /// Builds a job on the shared executor and the daemon-wide registry —
+    /// fresh for a submission, from the newest checkpoint on restore.
+    fn open_job(
+        &self,
+        spec: &RunSpec,
+        store: CheckpointStore,
+        problem: AnyProblem,
+        checkpoint: Option<RunCheckpoint>,
+    ) -> Result<Job<AnyProblem>, String> {
+        let executor = Some(Arc::clone(&self.executor));
+        let job = Job::open(spec, store, problem, executor, checkpoint)
+            .map_err(|err| format!("cannot resume: {err}"))?;
+        Ok(job.with_metrics(self.metrics.clone()))
     }
 
     /// Registers every job a submitted document describes: one job for a
@@ -390,26 +370,10 @@ impl Scheduler {
         atomic_write(&dir.join("job.spec"), spec.to_text().as_bytes())
             .map_err(|err| format!("{id}: job.spec: {err}"))?;
 
-        let mut exec_spec = spec.clone();
-        exec_spec.log_every = None;
-        let driver = owned_spec_driver(&exec_spec, problem, Arc::clone(&self.executor))
-            .with_metrics(self.metrics.clone());
+        let job = self.open_job(&spec, store, problem, None)?;
         self.next_job += 1;
-        let slot = JobSlot {
-            id,
-            problem_name: spec.problem.name.clone(),
-            optimizer_kind: spec.optimizer.kind().to_string(),
-            spec,
-            dir,
-            store,
-            state: JobState::Running,
-            error: None,
-            driver: Some(driver),
-            watchers: Vec::new(),
-            generation: 0,
-            evaluations: 0,
-            front_size: 0,
-        };
+        let mut slot = running_slot(&id, &dir, spec);
+        slot.job = Some(job);
         let summary = slot.summary();
         self.jobs.push(slot);
         Ok(summary)
@@ -418,11 +382,6 @@ impl Scheduler {
     /// Summaries of every job, in submission order.
     pub fn status(&self) -> Vec<JobSummary> {
         self.jobs.iter().map(JobSlot::summary).collect()
-    }
-
-    /// `true` while at least one job is runnable.
-    pub fn has_runnable(&self) -> bool {
-        self.jobs.iter().any(|slot| slot.state == JobState::Running)
     }
 
     fn find(&mut self, job: &str) -> Result<usize, String> {
@@ -461,12 +420,12 @@ impl Scheduler {
         let index = self.find(job)?;
         let slot = &mut self.jobs[index];
         if slot.state == JobState::Running {
-            if let Some(driver) = &slot.driver {
-                let _ = slot.store.save(&driver.checkpoint());
+            if let Some(job) = &slot.job {
+                let _ = job.save();
             }
             let _ = atomic_write(&slot.dir.join("cancelled"), b"");
             slot.state = JobState::Cancelled;
-            slot.driver = None;
+            slot.job = None;
             slot.watchers.clear();
         }
         Ok(slot.summary())
@@ -493,8 +452,8 @@ impl Scheduler {
                     .map_err(|err| format!("cannot read {}: {err}", path.display()))?
             }
             JobState::Running => {
-                let driver = slot.driver.as_ref().ok_or("job has no driver")?;
-                render_front(&driver.front())
+                let job = slot.job.as_ref().ok_or("job has no driver")?;
+                render_front(&job.driver().front())
             }
             JobState::Cancelled => return Err(format!("job '{job}' was cancelled")),
             JobState::Failed => {
@@ -557,21 +516,26 @@ impl Scheduler {
     /// completion bookkeeping.
     fn step_job(&mut self, index: usize) {
         let slot = &mut self.jobs[index];
-        let Some(driver) = slot.driver.as_mut() else {
+        let Some(job) = slot.job.as_mut() else {
             slot.state = JobState::Failed;
             slot.error = Some("internal: running job without a driver".to_string());
             return;
         };
-        if driver.should_stop() {
+        if job.is_done() {
             self.complete(index);
             return;
         }
         // A panicking oracle fails its own job, never the daemon. The
         // driver may be mid-generation when it unwinds, so it is dropped
         // with the job.
-        let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| driver.step()));
-        let report = match report {
-            Ok(report) => report,
+        let report = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.step())) {
+            Ok(Ok(report)) => report,
+            Ok(Err(err)) => {
+                // Durability is the contract; a job that cannot persist is
+                // failed loudly rather than silently running volatile.
+                self.fail(index, format!("checkpoint write failed: {err}"));
+                return;
+            }
             Err(payload) => {
                 let message = format!("step panicked: {}", panic_message(&payload));
                 self.fail(index, message);
@@ -587,28 +551,7 @@ impl Scheduler {
         }
         // A disconnected watch client must not cost clones forever.
         slot.watchers.retain(|w| !w.is_disconnected());
-
-        let every = slot.spec.checkpoint_every;
-        if every > 0 && report.generation % every == 0 {
-            let checkpoint = slot.driver.as_ref().expect("stepped above").checkpoint();
-            let write_started = Instant::now();
-            let saved = slot.store.save(&checkpoint);
-            self.metrics
-                .record_phase("checkpoint_write", write_started.elapsed());
-            if let Err(err) = saved {
-                // Durability is the contract; a job that cannot persist is
-                // failed loudly rather than silently running volatile.
-                let message = format!("checkpoint write failed: {err}");
-                self.fail(index, message);
-                return;
-            }
-        }
-        if self.jobs[index]
-            .driver
-            .as_ref()
-            .expect("stepped above")
-            .should_stop()
-        {
+        if job.is_done() {
             self.complete(index);
         }
     }
@@ -617,18 +560,15 @@ impl Scheduler {
     /// state. Watchers drop here, which ends their streams.
     fn complete(&mut self, index: usize) {
         let slot = &mut self.jobs[index];
-        let Some(driver) = slot.driver.take() else {
+        let Some(job) = slot.job.take() else {
             return;
         };
+        let driver = job.driver();
         let front = driver.front();
         slot.generation = driver.generation();
         slot.evaluations = driver.optimizer().evaluations();
         slot.front_size = front.len();
-        let write_started = Instant::now();
-        let saved = slot.store.save(&driver.checkpoint());
-        self.metrics
-            .record_phase("checkpoint_write", write_started.elapsed());
-        if let Err(err) = saved {
+        if let Err(err) = job.save() {
             let message = format!("final checkpoint write failed: {err}");
             self.fail(index, message);
             return;
@@ -655,7 +595,7 @@ impl Scheduler {
         let _ = atomic_write(&slot.dir.join("failed"), message.as_bytes());
         slot.state = JobState::Failed;
         slot.error = Some(message);
-        slot.driver = None;
+        slot.job = None;
         slot.watchers.clear();
     }
 
@@ -680,10 +620,10 @@ impl Scheduler {
             Command::Shutdown { reply, written } => {
                 // Clean shutdown loses nothing: every running job is
                 // checkpointed at its current generation.
-                for slot in &mut self.jobs {
+                for slot in &self.jobs {
                     if slot.state == JobState::Running {
-                        if let Some(driver) = &slot.driver {
-                            let _ = slot.store.save(&driver.checkpoint());
+                        if let Some(job) = &slot.job {
+                            let _ = job.save();
                         }
                     }
                 }
@@ -746,26 +686,32 @@ fn parse_job_number(name: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
-/// A terminal slot for a job directory that could not be restored.
-fn failed_slot(id: &str, dir: &Path, message: String) -> JobSlot {
+/// A running slot with no job yet and zeroed stats.
+fn running_slot(id: &str, dir: &Path, spec: RunSpec) -> JobSlot {
     JobSlot {
         id: id.to_string(),
-        spec: RunSpec::default(),
+        problem_name: spec.problem.name.clone(),
+        optimizer_kind: spec.optimizer.kind().to_string(),
+        spec,
         dir: dir.to_path_buf(),
-        store: CheckpointStore::create(dir.join("checkpoints"), &RunSpec::default())
-            .unwrap_or_else(|_| {
-                CheckpointStore::create(std::env::temp_dir(), &RunSpec::default())
-                    .expect("temp dir checkpoint store")
-            }),
-        problem_name: "?".to_string(),
-        optimizer_kind: "?".to_string(),
-        state: JobState::Failed,
-        error: Some(message),
-        driver: None,
+        state: JobState::Running,
+        error: None,
+        job: None,
         watchers: Vec::new(),
         generation: 0,
         evaluations: 0,
         front_size: 0,
+    }
+}
+
+/// A terminal slot for a job directory that could not be restored.
+fn failed_slot(id: &str, dir: &Path, message: String) -> JobSlot {
+    JobSlot {
+        problem_name: "?".to_string(),
+        optimizer_kind: "?".to_string(),
+        state: JobState::Failed,
+        error: Some(message),
+        ..running_slot(id, dir, RunSpec::default())
     }
 }
 
@@ -774,19 +720,6 @@ fn front_file_size(path: &Path) -> usize {
     std::fs::read_to_string(path)
         .map(|text| text.lines().count().saturating_sub(1))
         .unwrap_or(0)
-}
-
-/// Write-temp-then-rename, fsynced: readers (and restart scans) only ever
-/// see absent or complete files.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Best-effort rendering of a panic payload.

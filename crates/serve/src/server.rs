@@ -28,11 +28,12 @@ use std::time::Instant;
 
 use pathway_core::jsonlite::JsonValue;
 use pathway_core::obs::{profile_json, ProfileData};
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::Executor;
 
-use crate::scheduler::{atomic_write, Command, Scheduler};
+use crate::scheduler::{Command, Scheduler};
 use crate::wire::{
     error_response, ok_response, ExecutorHealth, JobState, Request, StatusSnapshot, WatchEvent,
     PROTOCOL_VERSION, SERVER_NAME,
