@@ -29,8 +29,8 @@
 //! sample count that still exercises every code path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pathway_bench::scoped_evaluate_batch;
 use pathway_core::prelude::*;
-use pathway_moo::exec::scoped_evaluate_batch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,10 +1,8 @@
-use pathway_fba::geobacter::GeobacterModel;
-use pathway_moo::engine::StoppingRule;
 use pathway_moo::robustness::{global_yield, RobustnessOptions};
-use pathway_moo::{mining, ArchipelagoConfig, EvalBackend, Individual};
+use pathway_moo::{mining, Individual};
 use pathway_photosynthesis::{EnzymePartition, Scenario};
 
-use crate::{GeobacterFluxProblem, GeobacterSolution, LeafRedesignProblem, Study};
+use crate::{GeobacterFluxProblem, GeobacterSolution, LeafRedesignProblem};
 
 /// A re-engineered leaf design: enzyme partition plus its evaluated
 /// objectives.
@@ -32,11 +30,8 @@ pub struct SelectedLeafDesigns {
     pub max_yield: (LeafDesign, f64),
 }
 
-/// Result of a leaf-redesign study.
-///
-/// Build one from any engine-produced front with
-/// [`LeafDesignOutcome::from_front`], or let the [`LeafDesignStudy`]
-/// wrapper produce it.
+/// Result of a leaf-redesign run, built from its front with
+/// [`LeafDesignOutcome::from_front`].
 #[derive(Debug, Clone)]
 pub struct LeafDesignOutcome {
     /// The scenario that was optimized.
@@ -50,10 +45,9 @@ pub struct LeafDesignOutcome {
 }
 
 impl LeafDesignOutcome {
-    /// Decodes an engine-produced front (e.g. from
-    /// [`Study::run`] or a `Driver` over the
-    /// [`LeafRedesignProblem`]) into leaf designs: objective 0 is the
-    /// negated CO₂ uptake, objective 1 the protein nitrogen.
+    /// Decodes the front of a run over the [`LeafRedesignProblem`] into
+    /// leaf designs: objective 0 is the negated CO₂ uptake, objective 1 the
+    /// protein nitrogen.
     pub fn from_front(scenario: Scenario, front: Vec<Individual>, evaluations: usize) -> Self {
         let designs = front
             .into_iter()
@@ -189,109 +183,8 @@ impl LeafDesignOutcome {
     }
 }
 
-/// An end-to-end leaf redesign study: PMO2 over the [`LeafRedesignProblem`]
-/// followed by front mining and robustness screening.
-///
-/// This is a thin compatibility wrapper over the generic [`Study`] facade —
-/// prefer `Study::new(LeafRedesignProblem::new(scenario))` for new code,
-/// which additionally exposes observers, extra stopping rules and
-/// checkpoint/resume through [`Study::driver`]. The wrapper adds only the
-/// scenario bookkeeping and the robustness-trial budget that
-/// [`LeafDesignOutcome`] screening uses.
-#[derive(Debug, Clone)]
-pub struct LeafDesignStudy {
-    scenario: Scenario,
-    robustness_trials: usize,
-    study: Study<LeafRedesignProblem>,
-}
-
-impl LeafDesignStudy {
-    /// Creates a study with the paper's PMO2 configuration (2 islands,
-    /// migration every 200 generations with probability 0.5) and a moderate
-    /// default budget.
-    pub fn new(scenario: Scenario) -> Self {
-        LeafDesignStudy {
-            scenario,
-            robustness_trials: 5_000,
-            study: Study::new(LeafRedesignProblem::new(scenario)),
-        }
-    }
-
-    /// Overrides the per-island population size and total generation count.
-    #[must_use]
-    pub fn with_budget(mut self, population: usize, generations: usize) -> Self {
-        self.study = self.study.with_budget(population, generations);
-        self
-    }
-
-    /// Overrides the number of islands.
-    #[must_use]
-    pub fn with_islands(mut self, islands: usize) -> Self {
-        self.study = self.study.with_islands(islands);
-        self
-    }
-
-    /// Overrides the migration interval and probability.
-    #[must_use]
-    pub fn with_migration(mut self, interval: usize, probability: f64) -> Self {
-        self.study = self.study.with_migration(interval, probability);
-        self
-    }
-
-    /// Overrides the Monte-Carlo trial count used for robustness screening.
-    #[must_use]
-    pub fn with_robustness_trials(mut self, trials: usize) -> Self {
-        self.robustness_trials = trials;
-        self
-    }
-
-    /// Overrides the evaluation backend each island uses for its offspring
-    /// batches (each candidate evaluation runs the leaf ODE model to steady
-    /// state, so this is where the study's wall-clock goes). Results are
-    /// bit-identical across backends for a fixed seed.
-    #[must_use]
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.study = self.study.with_backend(backend);
-        self
-    }
-
-    /// Adds a stopping rule beside the generation budget (e.g. hypervolume
-    /// stagnation for early convergence exits).
-    #[must_use]
-    pub fn with_stopping(mut self, rule: StoppingRule) -> Self {
-        self.study = self.study.with_stopping(rule);
-        self
-    }
-
-    /// The robustness trial budget configured for this study.
-    pub fn robustness_trials(&self) -> usize {
-        self.robustness_trials
-    }
-
-    /// The scenario under study.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The underlying generic study, for driver-level access (observers,
-    /// checkpoints).
-    pub fn study(&self) -> &Study<LeafRedesignProblem> {
-        &self.study
-    }
-
-    /// The archipelago configuration this study will run.
-    pub fn archipelago_config(&self) -> ArchipelagoConfig {
-        self.study.archipelago_config()
-    }
-
-    /// Runs the study with a deterministic seed.
-    pub fn run(&self, seed: u64) -> LeafDesignOutcome {
-        let outcome = self.study.run(seed);
-        LeafDesignOutcome::from_front(self.scenario, outcome.front, outcome.evaluations)
-    }
-}
-
-/// Result of a Geobacter flux study.
+/// Result of a Geobacter flux run, built from its front with
+/// [`GeobacterOutcome::from_front`].
 #[derive(Debug, Clone)]
 pub struct GeobacterOutcome {
     /// Pareto-optimal flux designs (electron production, biomass production,
@@ -305,6 +198,37 @@ pub struct GeobacterOutcome {
 }
 
 impl GeobacterOutcome {
+    /// Decodes the front of a run over `problem` into flux designs and
+    /// measures the paper's "initial guess" reference: the violation of a
+    /// random vector in the model's raw flux bounds, drawn with `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the violation computation's dimension check.
+    pub fn from_front(
+        problem: &GeobacterFluxProblem,
+        front: &[Individual],
+        seed: u64,
+    ) -> Result<Self, pathway_fba::FbaError> {
+        let mut perturbation = pathway_fba::FluxPerturbation::new(0.1, 10.0, seed);
+        let random_guess = perturbation.random_vector(problem.model());
+        let initial_violation =
+            pathway_fba::steady_state_violation(problem.model(), &random_guess)?;
+        let front: Vec<GeobacterSolution> = front
+            .iter()
+            .map(|individual| problem.decode(&individual.variables))
+            .collect();
+        let best_violation = front
+            .iter()
+            .map(|s| s.violation)
+            .fold(f64::INFINITY, f64::min);
+        Ok(GeobacterOutcome {
+            front,
+            initial_violation,
+            best_violation,
+        })
+    }
+
     /// The `count` best trade-off points ordered by decreasing biomass, i.e.
     /// the paper's A–E labels in Figure 4.
     pub fn labelled_points(&self, count: usize) -> Vec<GeobacterSolution> {
@@ -318,119 +242,58 @@ impl GeobacterOutcome {
     }
 }
 
-/// An end-to-end Geobacter study: PMO2 over the [`GeobacterFluxProblem`].
-///
-/// This is a thin compatibility wrapper over the generic [`Study`] facade
-/// (the model — and therefore the problem — depends on the run seed, so the
-/// wrapper builds a fresh `Study` per run). Prefer constructing a
-/// [`GeobacterFluxProblem`] and a `Study` directly for new code.
-#[derive(Debug, Clone)]
-pub struct GeobacterStudy {
-    reactions: usize,
-    population: usize,
-    generations: usize,
-    islands: usize,
-    backend: EvalBackend,
-}
-
-impl GeobacterStudy {
-    /// Creates a study at the paper's scale (608 reactions).
-    pub fn new() -> Self {
-        GeobacterStudy {
-            reactions: 608,
-            population: 60,
-            generations: 200,
-            islands: 2,
-            backend: EvalBackend::Serial,
-        }
-    }
-
-    /// Overrides the synthetic model size (useful for tests and CI budgets).
-    #[must_use]
-    pub fn with_reactions(mut self, reactions: usize) -> Self {
-        self.reactions = reactions;
-        self
-    }
-
-    /// Overrides the optimization budget.
-    #[must_use]
-    pub fn with_budget(mut self, population: usize, generations: usize) -> Self {
-        self.population = population;
-        self.generations = generations;
-        self
-    }
-
-    /// Overrides the evaluation backend each island uses for its offspring
-    /// batches (each candidate costs a sparse steady-state residual at model
-    /// scale). Results are bit-identical across backends for a fixed seed.
-    #[must_use]
-    pub fn with_backend(mut self, backend: EvalBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Runs the study with a deterministic seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates FBA failures while the problem is being constructed.
-    pub fn run(&self, seed: u64) -> Result<GeobacterOutcome, pathway_fba::FbaError> {
-        let model = GeobacterModel::builder()
-            .reactions(self.reactions)
-            .seed(seed ^ 0x6E0B)
-            .build();
-        let problem = GeobacterFluxProblem::new(&model)?;
-
-        // The paper's "initial guess" violation reference: a random vector in
-        // the model's raw flux bounds, far from steady state.
-        let mut perturbation = pathway_fba::FluxPerturbation::new(0.1, 10.0, seed);
-        let random_guess = perturbation.random_vector(problem.model());
-        let initial_violation =
-            pathway_fba::steady_state_violation(problem.model(), &random_guess)?;
-
-        let study = Study::new(problem)
-            .with_islands(self.islands)
-            .with_budget(self.population, self.generations)
-            .with_migration((self.generations / 2).max(1), 0.5)
-            .with_backend(self.backend);
-        let outcome = study.run(seed);
-        let solutions: Vec<GeobacterSolution> = outcome
-            .front
-            .iter()
-            .map(|individual| study.problem().decode(&individual.variables))
-            .collect();
-        let best_violation = solutions
-            .iter()
-            .map(|s| s.violation)
-            .fold(f64::INFINITY, f64::min);
-        Ok(GeobacterOutcome {
-            front: solutions,
-            initial_violation,
-            best_violation,
-        })
-    }
-}
-
-impl Default for GeobacterStudy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{spec_driver, AnyProblem};
+    use pathway_moo::engine::RunSpec;
 
-    fn quick_study() -> LeafDesignStudy {
-        LeafDesignStudy::new(Scenario::present_low_export())
-            .with_budget(24, 30)
-            .with_migration(10, 0.5)
-            .with_robustness_trials(150)
+    /// A two-island archipelago spec (broadcast migration at probability
+    /// 0.5) over `problem`, the given budget and the given backend.
+    fn archipelago_spec(
+        problem: &str,
+        population: usize,
+        generations: usize,
+        migration_interval: usize,
+        seed: u64,
+        backend: &str,
+    ) -> RunSpec {
+        RunSpec::from_text(&format!(
+            "pathway-spec v1\n[problem]\n{problem}\n\
+             [optimizer]\nkind = archipelago\nislands = 2\npopulation = {population}\n\
+             migration_interval = {migration_interval}\nmigration_probability = 0.5\n\
+             backend = {backend}\n[run]\nseed = {seed}\n\
+             [stop]\nmax_generations = {generations}\n"
+        ))
+        .expect("a valid spec")
+    }
+
+    fn leaf_outcome(spec: &RunSpec) -> LeafDesignOutcome {
+        let problem = AnyProblem::from_spec(&spec.problem).expect("leaf-design resolves");
+        let mut driver = spec_driver(spec, &problem, None, None).expect("fresh driver");
+        let front = driver.run();
+        let evaluations = driver.optimizer().evaluations();
+        LeafDesignOutcome::from_front(Scenario::present_low_export(), front, evaluations)
+    }
+
+    fn present_low(population: usize, generations: usize, interval: usize, seed: u64) -> RunSpec {
+        archipelago_spec(
+            "name = leaf-design\nera = present\nexport = low",
+            population,
+            generations,
+            interval,
+            seed,
+            "serial",
+        )
+    }
+
+    fn quick_study(seed: u64) -> LeafDesignOutcome {
+        leaf_outcome(&present_low(24, 30, 10, seed))
     }
 
     #[test]
     fn study_produces_a_trade_off_front() {
-        let outcome = quick_study().run(3);
+        let outcome = quick_study(3);
         assert!(
             outcome.front.len() >= 5,
             "front only had {} designs",
@@ -445,10 +308,7 @@ mod tests {
 
     #[test]
     fn optimized_designs_beat_the_natural_leaf() {
-        let outcome = LeafDesignStudy::new(Scenario::present_low_export())
-            .with_budget(30, 80)
-            .with_migration(20, 0.5)
-            .run(11);
+        let outcome = leaf_outcome(&present_low(30, 80, 20, 11));
         // The paper reports uptake raised from 15.5 to well above 30 at higher
         // nitrogen; even a small budget should clear the natural uptake.
         assert!(outcome.max_uptake().uptake > Scenario::NATURAL_UPTAKE);
@@ -458,10 +318,7 @@ mod tests {
 
     #[test]
     fn candidate_b_preserves_uptake_with_less_nitrogen() {
-        let outcome = LeafDesignStudy::new(Scenario::present_low_export())
-            .with_budget(40, 120)
-            .with_migration(30, 0.5)
-            .run(17);
+        let outcome = leaf_outcome(&present_low(40, 120, 30, 17));
         let candidate = outcome
             .candidate_b(0.95)
             .expect("some design preserves at least 95% of the natural uptake");
@@ -471,7 +328,7 @@ mod tests {
 
     #[test]
     fn selected_designs_cover_the_papers_table_2_rows() {
-        let outcome = quick_study().run(5);
+        let outcome = quick_study(5);
         let selected = outcome.selected_designs(100, 8);
         assert!(selected.max_uptake.0.uptake >= selected.min_nitrogen.0.uptake);
         assert!(selected.min_nitrogen.0.nitrogen <= selected.closest_to_ideal.0.nitrogen);
@@ -488,15 +345,22 @@ mod tests {
 
     #[test]
     fn threaded_backend_reproduces_the_serial_study_bit_for_bit() {
-        let serial = quick_study().run(3);
-        let threaded = quick_study().with_backend(EvalBackend::Threads(2)).run(3);
+        let serial = quick_study(3);
+        let threaded = leaf_outcome(&archipelago_spec(
+            "name = leaf-design\nera = present\nexport = low",
+            24,
+            30,
+            10,
+            3,
+            "threads:2",
+        ));
         assert_eq!(serial.front, threaded.front);
         assert_eq!(serial.evaluations, threaded.evaluations);
     }
 
     #[test]
     fn spread_returns_the_requested_number_of_designs() {
-        let outcome = quick_study().run(9);
+        let outcome = quick_study(9);
         let spread = outcome.spread(5);
         assert!(spread.len() <= 5);
         assert!(!spread.is_empty());
@@ -504,10 +368,27 @@ mod tests {
 
     #[test]
     fn geobacter_study_finds_near_steady_state_trade_offs() {
-        let outcome = GeobacterStudy::new()
-            .with_reactions(48)
-            .with_budget(30, 30)
-            .run(2)
+        let seed = 2;
+        let spec = archipelago_spec(
+            &format!(
+                "name = geobacter\nreactions = 48\nmodel_seed = {}",
+                seed ^ 0x6E0B
+            ),
+            30,
+            30,
+            15,
+            seed,
+            "serial",
+        );
+        let AnyProblem::Geobacter(problem) =
+            AnyProblem::from_spec(&spec.problem).expect("small geobacter model builds")
+        else {
+            unreachable!("the spec names the geobacter problem")
+        };
+        let front = spec_driver(&spec, problem.as_ref(), None, None)
+            .expect("fresh driver")
+            .run();
+        let outcome = GeobacterOutcome::from_front(&problem, &front, seed)
             .expect("small geobacter study must run");
         assert!(!outcome.front.is_empty());
         // The evolved solutions violate the steady-state constraint far less

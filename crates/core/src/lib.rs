@@ -8,10 +8,10 @@
 //!    protein nitrogen) and the ***Geobacter sulfurreducens*** flux problem
 //!    (maximize electron and biomass production near steady state);
 //! 2. approximate the Pareto front with **PMO2** (an archipelago of NSGA-II
-//!    islands with periodic migration), driven through the generic
-//!    [`Study`] facade and the step-driven engine of
-//!    [`pathway_moo::engine`] (observers, early stopping,
-//!    checkpoint/resume);
+//!    islands with periodic migration), described by a
+//!    [`RunSpec`](pathway_moo::engine::RunSpec) and driven through
+//!    [`spec_driver`] and the step-driven engine of [`pathway_moo::engine`]
+//!    (observers, early stopping, checkpoint/resume);
 //! 3. **mine** the front: closest-to-ideal, shadow minima, equally spaced
 //!    representatives;
 //! 4. score the mined candidates with the **robustness yield** Γ under
@@ -23,10 +23,20 @@
 //! use pathway_core::prelude::*;
 //!
 //! // A deliberately small study so the example runs in a few seconds.
-//! let study = LeafDesignStudy::new(Scenario::present_low_export())
-//!     .with_budget(24, 40)
-//!     .with_robustness_trials(200);
-//! let outcome = study.run(7);
+//! let spec = RunSpec::from_text(
+//!     "pathway-spec v1\n[problem]\nname = leaf-design\n\
+//!      [optimizer]\nkind = archipelago\npopulation = 24\nmigration_interval = 40\n\
+//!      [run]\nseed = 7\n[stop]\nmax_generations = 40\n",
+//! )
+//! .unwrap();
+//! let problem = AnyProblem::from_spec(&spec.problem).unwrap();
+//! let mut driver = spec_driver(&spec, &problem, None, None).unwrap();
+//! let front = driver.run();
+//! let outcome = LeafDesignOutcome::from_front(
+//!     Scenario::present_low_export(),
+//!     front,
+//!     driver.optimizer().evaluations(),
+//! );
 //! assert!(!outcome.front.is_empty());
 //! let best_uptake = outcome.max_uptake();
 //! assert!(best_uptake.uptake > Scenario::NATURAL_UPTAKE * 0.8);
@@ -42,17 +52,13 @@ mod ode_leaf_problem;
 mod photosynthesis_problem;
 mod registry;
 mod report;
-mod study;
 
 pub mod jsonlite;
 pub mod obs;
 pub mod prelude;
 pub mod sweep;
 
-pub use design::{
-    GeobacterOutcome, GeobacterStudy, LeafDesign, LeafDesignOutcome, LeafDesignStudy,
-    SelectedLeafDesigns,
-};
+pub use design::{GeobacterOutcome, LeafDesign, LeafDesignOutcome, SelectedLeafDesigns};
 pub use geobacter_problem::{GeobacterFluxProblem, GeobacterSolution};
 pub use job::Job;
 pub use ode_leaf_problem::OdeLeafRedesignProblem;
@@ -60,7 +66,4 @@ pub use photosynthesis_problem::LeafRedesignProblem;
 pub use registry::{
     spec_driver, validate_spec_against_problem, AnyProblem, ProblemInfo, PROBLEM_CATALOG,
 };
-pub use report::{
-    render_table, CoverageRow, Figure1Series, Figure2Bar, Figure4Point, SelectionRow,
-};
-pub use study::{Study, StudyOutcome};
+pub use report::{render_table, SelectionRow};

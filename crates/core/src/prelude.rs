@@ -9,9 +9,8 @@
 
 pub use crate::{
     spec_driver, validate_spec_against_problem, AnyProblem, GeobacterFluxProblem, GeobacterOutcome,
-    GeobacterSolution, GeobacterStudy, Job, LeafDesign, LeafDesignOutcome, LeafDesignStudy,
-    LeafRedesignProblem, OdeLeafRedesignProblem, ProblemInfo, SelectedLeafDesigns, Study,
-    StudyOutcome, PROBLEM_CATALOG,
+    GeobacterSolution, Job, LeafDesign, LeafDesignOutcome, LeafRedesignProblem,
+    OdeLeafRedesignProblem, ProblemInfo, SelectedLeafDesigns, PROBLEM_CATALOG,
 };
 
 pub use pathway_fba::geobacter::GeobacterModel;

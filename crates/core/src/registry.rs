@@ -373,7 +373,10 @@ pub fn spec_driver<P: MultiObjectiveProblem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathway_moo::engine::{Nsga2Spec, OptimizerSpec, StoppingSpec};
+    use pathway_moo::engine::{
+        ArchipelagoSpec, HistoryObserver, Nsga2Spec, OptimizerSpec, StoppingSpec,
+    };
+    use pathway_moo::{Archipelago, EvalBackend};
 
     fn schaffer_spec(seed: u64, generations: usize) -> RunSpec {
         RunSpec {
@@ -456,6 +459,101 @@ mod tests {
         assert!(err.to_string().contains("2 objectives"), "{err}");
         spec.reference_point = Some(vec![30.0, 30.0]);
         validate_spec_against_problem(&spec, &problem).expect("matching dimension");
+    }
+
+    /// Two Schaffer islands of 20, 15 generations, migration every 5.
+    fn schaffer_archipelago(seed: u64) -> RunSpec {
+        RunSpec {
+            problem: ProblemSpec::named("schaffer"),
+            optimizer: OptimizerSpec::Archipelago(ArchipelagoSpec {
+                island: Nsga2Spec {
+                    population: 20,
+                    ..Default::default()
+                },
+                migration_interval: 5,
+                ..Default::default()
+            }),
+            seed,
+            stopping: StoppingSpec {
+                max_generations: 15,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn run_reports_actual_budget_spent() {
+        let spec = schaffer_archipelago(5);
+        let mut driver = spec_driver(&spec, Schaffer, None, None).unwrap();
+        assert!(!driver.run().is_empty());
+        assert_eq!(driver.generation(), 15);
+        assert_eq!(driver.optimizer().evaluations(), 2 * 20 * (15 + 1));
+    }
+
+    #[test]
+    fn study_matches_a_raw_archipelago_run() {
+        let spec = schaffer_archipelago(11);
+        let via_spec = spec_driver(&spec, Schaffer, None, None).unwrap().run();
+        let OptimizerSpec::Archipelago(archipelago) = &spec.optimizer else {
+            unreachable!("an archipelago spec")
+        };
+        let via_archipelago = Archipelago::new(archipelago.config(15), 11).run(&Schaffer);
+        assert_eq!(via_spec, via_archipelago);
+    }
+
+    #[test]
+    fn extra_stopping_rules_end_the_run_early() {
+        let mut spec = schaffer_archipelago(2);
+        spec.stopping.max_evaluations = Some(2 * 20 * 3);
+        let mut driver = spec_driver(&spec, Schaffer, None, None).unwrap();
+        driver.run();
+        assert!(driver.generation() < 15);
+        assert!(driver.optimizer().evaluations() <= 2 * 20 * 4);
+    }
+
+    #[test]
+    fn driver_exposes_observers_and_checkpoints() {
+        let history = HistoryObserver::new();
+        let mut driver = spec_driver(&schaffer_archipelago(9), Schaffer, None, None)
+            .unwrap()
+            .with_observer(history.clone());
+        driver.step();
+        let checkpoint = driver.checkpoint();
+        assert_eq!(checkpoint.generation, 1);
+        assert_eq!(history.reports().len(), 1);
+    }
+
+    #[test]
+    fn shared_executor_changes_nothing_but_the_pool() {
+        let spec = schaffer_archipelago(7);
+        let mut plain = spec_driver(&spec, Schaffer, None, None).unwrap();
+        let pool = Executor::shared(EvalBackend::Threads(2));
+        let mut pooled = spec_driver(&spec, Schaffer, Some(pool), None).unwrap();
+        assert_eq!(plain.run(), pooled.run());
+        assert_eq!(
+            plain.optimizer().evaluations(),
+            pooled.optimizer().evaluations()
+        );
+    }
+
+    #[test]
+    fn leaf_problem_study_runs_end_to_end() {
+        let mut spec = schaffer_archipelago(1);
+        spec.problem = ProblemSpec::named("leaf-design").with_param("export", "low");
+        spec.optimizer = OptimizerSpec::Archipelago(ArchipelagoSpec {
+            island: Nsga2Spec {
+                population: 12,
+                ..Default::default()
+            },
+            migration_interval: 3,
+            ..Default::default()
+        });
+        spec.stopping.max_generations = 6;
+        let problem = AnyProblem::from_spec(&spec.problem).unwrap();
+        let front = spec_driver(&spec, &problem, None, None).unwrap().run();
+        assert!(!front.is_empty());
+        assert_eq!(front[0].objectives.len(), 2);
     }
 
     #[test]

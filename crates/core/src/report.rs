@@ -1,35 +1,7 @@
-//! Report types mirroring the tables and figures of the paper, plus a small
-//! plain-text table renderer used by the experiment binaries.
+//! The paper's Table 2 row type and a small plain-text table renderer used
+//! by the examples.
 
 use std::fmt::Write as _;
-
-/// One row of the paper's Table 1 (Pareto-front quality comparison).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageRow {
-    /// Algorithm name (`"PMO2"`, `"MOEA-D"`).
-    pub algorithm: String,
-    /// Number of non-dominated points found.
-    pub points: usize,
-    /// Relative Pareto coverage R_p.
-    pub relative_coverage: f64,
-    /// Global Pareto coverage G_p.
-    pub global_coverage: f64,
-    /// Hypervolume indicator V_p.
-    pub hypervolume: f64,
-}
-
-impl CoverageRow {
-    /// Renders the row as table cells.
-    pub fn cells(&self) -> Vec<String> {
-        vec![
-            self.algorithm.clone(),
-            self.points.to_string(),
-            format!("{:.3}", self.relative_coverage),
-            format!("{:.3}", self.global_coverage),
-            format!("{:.3}", self.hypervolume),
-        ]
-    }
-}
 
 /// One row of the paper's Table 2 (selected trade-off solutions).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,36 +26,6 @@ impl SelectionRow {
             format!("{:.0}", self.yield_percent),
         ]
     }
-}
-
-/// One series of the paper's Figure 1: the Pareto front of one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure1Series {
-    /// Scenario label, e.g. `"Present: Ci=270, low export"`.
-    pub label: String,
-    /// `(CO₂ uptake, nitrogen)` points along the front.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// One bar of the paper's Figure 2: the concentration ratio of one enzyme in
-/// the re-engineered leaf relative to the natural leaf.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure2Bar {
-    /// Enzyme name as labelled in the figure.
-    pub enzyme: String,
-    /// Ratio of engineered to natural capacity.
-    pub ratio: f64,
-}
-
-/// One labelled point of the paper's Figure 4 (Geobacter Pareto front).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure4Point {
-    /// Point label (A–E in the paper).
-    pub label: String,
-    /// Electron production in mmol/gDW/h.
-    pub electron_production: f64,
-    /// Biomass production in 1/h.
-    pub biomass_production: f64,
 }
 
 /// Renders rows of cells as an aligned plain-text table with a header.
@@ -133,21 +75,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coverage_row_cells_are_formatted() {
-        let row = CoverageRow {
-            algorithm: "PMO2".into(),
-            points: 755,
-            relative_coverage: 1.0,
-            global_coverage: 1.0,
-            hypervolume: 0.976,
-        };
-        let cells = row.cells();
-        assert_eq!(cells[0], "PMO2");
-        assert_eq!(cells[1], "755");
-        assert_eq!(cells[4], "0.976");
-    }
-
-    #[test]
     fn selection_row_cells_are_formatted() {
         let row = SelectionRow {
             selection: "Max CO2 Uptake".into(),
@@ -176,25 +103,5 @@ mod tests {
         assert!(lines[0].starts_with("Name"));
         assert!(lines[1].starts_with('-'));
         assert!(lines[3].starts_with("long-name"));
-    }
-
-    #[test]
-    fn figure_types_hold_their_data() {
-        let series = Figure1Series {
-            label: "present".into(),
-            points: vec![(15.5, 208_330.0)],
-        };
-        assert_eq!(series.points.len(), 1);
-        let bar = Figure2Bar {
-            enzyme: "Rubisco".into(),
-            ratio: 0.9,
-        };
-        assert_eq!(bar.enzyme, "Rubisco");
-        let point = Figure4Point {
-            label: "A".into(),
-            electron_production: 158.14,
-            biomass_production: 0.3,
-        };
-        assert!(point.electron_production > point.biomass_production);
     }
 }

@@ -1,5 +1,5 @@
 //! Evaluation backends: how a batch of candidate decision vectors is turned
-//! into evaluated [`Individual`]s.
+//! into evaluated [`Individual`](crate::Individual)s.
 //!
 //! The expensive part of every study in this workspace is the objective
 //! oracle — an FBA steady-state residual per candidate for the Geobacter
@@ -18,15 +18,13 @@
 //! feed it every batch, so worker threads are spawned once instead of per
 //! generation.
 
-use crate::exec::Executor;
-use crate::{Individual, MultiObjectiveProblem};
-
 /// Strategy used to evaluate a batch of candidate decision vectors.
 ///
 /// The default is [`EvalBackend::Serial`]. `Threads(n)` splits each batch
 /// into `n` contiguous chunks evaluated on a persistent pool of `n` worker
 /// threads (one [`crate::exec::Executor`] per run), which requires nothing
-/// beyond the [`MultiObjectiveProblem`]'s existing `Sync` bound.
+/// beyond the [`MultiObjectiveProblem`](crate::MultiObjectiveProblem)'s
+/// existing `Sync` bound.
 ///
 /// # Determinism
 ///
@@ -39,11 +37,11 @@ use crate::{Individual, MultiObjectiveProblem};
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{EvalBackend, problems::Schaffer};
+/// use pathway_moo::{exec::Executor, problems::Schaffer, EvalBackend};
 ///
 /// let xs = vec![vec![0.0], vec![1.0], vec![2.0]];
-/// let serial = EvalBackend::Serial.evaluate_batch(&Schaffer, &xs);
-/// let threaded = EvalBackend::Threads(2).evaluate_batch(&Schaffer, &xs);
+/// let serial = Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs);
+/// let threaded = Executor::new(EvalBackend::Threads(2)).evaluate_batch(&Schaffer, &xs);
 /// assert_eq!(serial, threaded);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -64,57 +62,24 @@ pub enum EvalBackend {
 
 impl EvalBackend {
     /// Degree of parallelism this backend asks for on a batch of
-    /// `batch_len` candidates (at least 1, at most one lane per candidate).
-    /// Both the transient convenience path below and
-    /// [`Executor::map_chunks`]'s chunking honor this clamp.
+    /// `batch_len` candidates (at least 1, at most one lane per candidate),
+    /// the clamp [`Executor::map_chunks`]'s chunking honors.
+    ///
+    /// [`Executor::map_chunks`]: crate::exec::Executor::map_chunks
     pub fn workers(&self, batch_len: usize) -> usize {
         match *self {
             EvalBackend::Serial => 1,
             EvalBackend::Threads(n) => n.max(1).min(batch_len.max(1)),
         }
     }
-
-    /// A transient executor sized for one batch of `batch_len` candidates:
-    /// never more lanes (and so never more spawned threads) than the batch
-    /// has candidates.
-    fn batch_executor(&self, batch_len: usize) -> Executor {
-        Executor::new(EvalBackend::Threads(self.workers(batch_len)))
-    }
-
-    /// Evaluates a batch of decision vectors, returning
-    /// `(objectives, constraint_violation)` per candidate in batch order.
-    ///
-    /// Convenience entry point that builds a **transient**
-    /// [`Executor`] for this one call — the cost of the old
-    /// per-batch scoped-thread strategy. Code on a hot path (every
-    /// optimizer in this crate) holds a persistent executor instead and
-    /// calls [`Executor::evaluate_batch`] on it directly, paying the pool
-    /// spawn once per run rather than once per batch.
-    pub fn evaluate_batch<P: MultiObjectiveProblem>(
-        &self,
-        problem: &P,
-        xs: &[Vec<f64>],
-    ) -> Vec<(Vec<f64>, f64)> {
-        self.batch_executor(xs.len()).evaluate_batch(problem, xs)
-    }
-
-    /// Evaluates a batch of decision vectors into [`Individual`]s (rank and
-    /// crowding left unassigned), preserving batch order. Transient-executor
-    /// convenience like [`EvalBackend::evaluate_batch`].
-    pub fn evaluate_individuals<P: MultiObjectiveProblem>(
-        &self,
-        problem: &P,
-        variables: Vec<Vec<f64>>,
-    ) -> Vec<Individual> {
-        self.batch_executor(variables.len())
-            .evaluate_individuals(problem, variables)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
     use crate::problems::{BinhKorn, Schaffer};
+    use crate::MultiObjectiveProblem;
 
     fn candidates(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![-5.0 + i as f64 * 0.37]).collect()
@@ -123,7 +88,7 @@ mod tests {
     #[test]
     fn serial_matches_itemwise_evaluation() {
         let xs = candidates(7);
-        let batch = EvalBackend::Serial.evaluate_batch(&Schaffer, &xs);
+        let batch = Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs);
         for (x, (objectives, violation)) in xs.iter().zip(&batch) {
             assert_eq!(objectives, &Schaffer.evaluate(x));
             assert_eq!(*violation, Schaffer.constraint_violation(x));
@@ -133,10 +98,10 @@ mod tests {
     #[test]
     fn threads_match_serial_for_every_worker_count() {
         let xs = candidates(13);
-        let serial = EvalBackend::Serial.evaluate_batch(&Schaffer, &xs);
+        let serial = Executor::new(EvalBackend::Serial).evaluate_batch(&Schaffer, &xs);
         for n in [1, 2, 3, 4, 8, 32] {
             assert_eq!(
-                EvalBackend::Threads(n).evaluate_batch(&Schaffer, &xs),
+                Executor::new(EvalBackend::Threads(n)).evaluate_batch(&Schaffer, &xs),
                 serial
             );
         }
@@ -147,8 +112,8 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..9)
             .map(|i| vec![i as f64 * 0.6, 3.0 - i as f64 * 0.3])
             .collect();
-        let serial = EvalBackend::Serial.evaluate_batch(&BinhKorn, &xs);
-        let threaded = EvalBackend::Threads(3).evaluate_batch(&BinhKorn, &xs);
+        let serial = Executor::new(EvalBackend::Serial).evaluate_batch(&BinhKorn, &xs);
+        let threaded = Executor::new(EvalBackend::Threads(3)).evaluate_batch(&BinhKorn, &xs);
         assert_eq!(serial, threaded);
         assert!(
             serial.iter().any(|(_, v)| *v > 0.0),
@@ -162,7 +127,7 @@ mod tests {
         assert_eq!(EvalBackend::Threads(16).workers(3), 3);
         assert_eq!(EvalBackend::Serial.workers(10), 1);
         let empty: Vec<Vec<f64>> = Vec::new();
-        assert!(EvalBackend::Threads(4)
+        assert!(Executor::new(EvalBackend::Threads(4))
             .evaluate_batch(&Schaffer, &empty)
             .is_empty());
     }
@@ -170,7 +135,8 @@ mod tests {
     #[test]
     fn evaluate_individuals_preserves_order_and_variables() {
         let xs = candidates(6);
-        let individuals = EvalBackend::Threads(2).evaluate_individuals(&Schaffer, xs.clone());
+        let individuals =
+            Executor::new(EvalBackend::Threads(2)).evaluate_individuals(&Schaffer, xs.clone());
         assert_eq!(individuals.len(), xs.len());
         for (individual, x) in individuals.iter().zip(&xs) {
             assert_eq!(&individual.variables, x);

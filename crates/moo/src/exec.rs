@@ -320,38 +320,6 @@ impl Executor {
     }
 }
 
-/// The pre-pool strategy, kept as a measured baseline: spawns `workers`
-/// scoped OS threads for this one batch, splits the batch into fixed
-/// contiguous chunks (no stealing), and tears the threads down again.
-///
-/// `benches/batch_eval.rs` races this against a persistent [`Executor`] pool
-/// — including a skewed-cost workload where fixed chunks starve — to
-/// demonstrate why the pool replaced it; production code should never call
-/// it.
-pub fn scoped_evaluate_batch<P: MultiObjectiveProblem>(
-    problem: &P,
-    xs: &[Vec<f64>],
-    workers: usize,
-) -> Vec<(Vec<f64>, f64)> {
-    problem.prepare_batch(xs);
-    let workers = workers.max(1).min(xs.len().max(1));
-    if workers <= 1 {
-        return problem.evaluate_batch(xs);
-    }
-    let chunk_size = xs.len().div_ceil(workers);
-    let mut results: Vec<(Vec<f64>, f64)> = Vec::with_capacity(xs.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = xs
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || problem.evaluate_batch(chunk)))
-            .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("evaluation thread must not panic"));
-        }
-    });
-    results
-}
-
 // -------------------------------------------------- the stealing splitter --
 
 /// One lane's remaining index range, packed `lo << 32 | hi` so a claim is a
@@ -890,16 +858,6 @@ mod tests {
         let after = pool.stats();
         assert_eq!(after.queued_chunks, 0);
         assert_eq!(after.active_workers, 0);
-    }
-
-    #[test]
-    fn scoped_baseline_matches_the_pool() {
-        let xs = candidates(11);
-        let pool = Executor::new(EvalBackend::Threads(3));
-        assert_eq!(
-            scoped_evaluate_batch(&Schaffer, &xs, 3),
-            pool.evaluate_batch(&Schaffer, &xs)
-        );
     }
 
     #[test]

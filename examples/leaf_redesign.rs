@@ -4,32 +4,34 @@
 //!
 //! Run with: `cargo run --release --example leaf_redesign`
 //!
-//! Each scenario is one generic [`Study`] over its own
-//! [`LeafRedesignProblem`]; the threaded evaluation backend spreads the
-//! per-candidate ODE steady states over worker threads (bit-identical to the
-//! serial backend for a fixed seed). Set `PATHWAY_EXAMPLE_BUDGET=quick` (as
-//! CI does) to shrink the budgets.
+//! Each scenario is one cell of `examples/leaf_redesign.sweep`, driven
+//! through [`spec_driver`]; the sweep's threaded backend spreads each
+//! offspring batch over worker threads (bit-identical to the serial
+//! backend for a fixed seed).
 
 use pathway_core::prelude::*;
 use pathway_core::render_table;
-
-mod common;
-use common::quick_budget;
+use pathway_moo::engine::SweepSpec;
 
 fn main() {
-    let (population, generations) = if quick_budget() { (16, 20) } else { (50, 120) };
+    let sweep =
+        SweepSpec::from_text(include_str!("leaf_redesign.sweep")).expect("the sweep parses");
     let mut rows = Vec::new();
     let mut reference_outcome = None;
 
-    for (index, scenario) in Scenario::all().into_iter().enumerate() {
-        let study = Study::new(LeafRedesignProblem::new(scenario))
-            .with_budget(population, generations)
-            .with_migration((generations / 3).max(1), 0.5)
-            .with_backend(EvalBackend::Threads(4));
-        let result = study.run(100 + index as u64);
-        let outcome = LeafDesignOutcome::from_front(scenario, result.front, result.evaluations);
-        let max_uptake = outcome.max_uptake().clone();
-        let min_nitrogen = outcome.min_nitrogen().clone();
+    for cell in sweep.expand().expect("every cell is a valid spec") {
+        let problem =
+            AnyProblem::from_spec(&cell.spec.problem).expect("the cell's problem resolves");
+        let AnyProblem::LeafDesign(leaf) = &problem else {
+            panic!("leaf_redesign.sweep describes leaf-design runs");
+        };
+        let scenario = *leaf.scenario();
+        let mut driver = spec_driver(&cell.spec, &problem, None, None).expect("a fresh driver");
+        let front = driver.run();
+        let outcome =
+            LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations());
+        let max_uptake = outcome.max_uptake();
+        let min_nitrogen = outcome.min_nitrogen();
         rows.push(vec![
             scenario.to_string(),
             outcome.front.len().to_string(),
@@ -59,29 +61,26 @@ fn main() {
     );
 
     // Figure 2: the candidate-B enzyme ratios for the reference scenario.
-    if let Some(outcome) = reference_outcome {
-        if let Some(candidate_b) = outcome.candidate_b(1.0) {
+    let outcome = reference_outcome.expect("the sweep covers the present, low-export scenario");
+    if let Some(candidate_b) = outcome.candidate_b(1.0) {
+        println!(
+            "candidate B: uptake {:.2} µmol/m²/s using {:.0} mg/l nitrogen ({:.0}% of natural)",
+            candidate_b.uptake,
+            candidate_b.nitrogen,
+            100.0 * candidate_b.nitrogen / EnzymePartition::NATURAL_NITROGEN
+        );
+        println!("per-enzyme capacity relative to the natural leaf:");
+        let ratios = candidate_b.partition.ratio_to_natural();
+        for (kind, ratio) in EnzymeKind::ALL.iter().zip(ratios) {
+            let bar_length = (ratio * 20.0).round().clamp(0.0, 60.0) as usize;
             println!(
-                "candidate B: uptake {:.2} µmol/m²/s using {:.0} mg/l nitrogen ({:.0}% of natural)",
-                candidate_b.uptake,
-                candidate_b.nitrogen,
-                100.0 * candidate_b.nitrogen / EnzymePartition::NATURAL_NITROGEN
-            );
-            println!("per-enzyme capacity relative to the natural leaf:");
-            let ratios = candidate_b.partition.ratio_to_natural();
-            for (kind, ratio) in EnzymeKind::ALL.iter().zip(ratios) {
-                let bar_length = (ratio * 20.0).round().clamp(0.0, 60.0) as usize;
-                println!(
-                    "  {:<24} {:>6.2}  {}",
-                    kind.name(),
-                    ratio,
-                    "#".repeat(bar_length)
-                );
-            }
-        } else {
-            println!(
-                "no candidate matched the natural uptake in this budget; increase generations"
+                "  {:<24} {:>6.2}  {}",
+                kind.name(),
+                ratio,
+                "#".repeat(bar_length)
             );
         }
+    } else {
+        println!("no candidate matched the natural uptake in this budget; increase generations");
     }
 }

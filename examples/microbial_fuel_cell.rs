@@ -4,82 +4,38 @@
 //!
 //! Run with: `cargo run --release --example microbial_fuel_cell`
 //!
-//! The search is a generic [`Study`] over a [`GeobacterFluxProblem`], driven
-//! with a checkpoint mid-run to demonstrate that a split run reproduces the
-//! unsplit trajectory bit for bit. The example uses a 300-reaction synthetic
-//! model so it finishes quickly; the Figure 4 experiment binary (`cargo run
-//! --release -p pathway-bench --bin figure4`) runs the full 608-reaction
-//! scale. Set `PATHWAY_EXAMPLE_BUDGET=quick` (as CI does) to shrink the
-//! budgets.
+//! The search is `examples/microbial_fuel_cell.spec` at the paper's
+//! 608-reaction scale. It is driven through [`spec_driver`] with a
+//! checkpoint mid-run, to show that a split run reproduces the unsplit
+//! trajectory bit for bit.
 
 use pathway_core::prelude::*;
 use pathway_core::render_table;
 
-mod common;
-use common::quick_budget;
-
 fn main() {
-    let (reactions, population, generations) = if quick_budget() {
-        (100, 24, 30)
-    } else {
-        (300, 60, 120)
+    let spec =
+        RunSpec::from_text(include_str!("microbial_fuel_cell.spec")).expect("the spec parses");
+    let problem = AnyProblem::from_spec(&spec.problem).expect("the spec's problem resolves");
+    let AnyProblem::Geobacter(geobacter) = &problem else {
+        panic!("microbial_fuel_cell.spec describes a geobacter run");
     };
-
-    // First look at the pure FBA extremes of the synthetic organism.
-    let model = GeobacterModel::builder().reactions(reactions).build();
-    let max_biomass = model.max_biomass().expect("biomass FBA is feasible");
-    let max_electron = model.max_electron().expect("electron FBA is feasible");
-    println!(
-        "FBA extremes: max biomass {:.3} 1/h, max electron production {:.1} mmol/gDW/h",
-        max_biomass.objective_value, max_electron.objective_value
-    );
-
-    // The paper's "initial guess" violation reference: a random vector in
-    // the model's raw flux bounds, far from steady state.
-    let problem = GeobacterFluxProblem::new(&model).expect("the FBA reference is feasible");
-    let mut perturbation = pathway_fba::FluxPerturbation::new(0.1, 10.0, 7);
-    let random_guess = perturbation.random_vector(problem.model());
-    let initial_violation = pathway_fba::steady_state_violation(problem.model(), &random_guess)
-        .expect("violation of a random guess is defined");
-
-    // Then run the multi-objective search over the full flux vector. The
-    // offspring batches of each island are evaluated on 4 worker threads;
-    // swap in `EvalBackend::Serial` and the result is bit-identical, just
-    // slower on multicore hardware.
-    let study = Study::new(problem)
-        .with_budget(population, generations)
-        .with_migration((generations / 2).max(1), 0.5)
-        .with_backend(EvalBackend::Threads(4));
 
     // Drive the first half, checkpoint, and resume — the resumed run is
     // bit-identical to driving straight through (the determinism suite
     // enforces this at every split point).
-    let mut first_half = study.driver(7);
-    first_half.run_for(generations / 2);
+    let mut first_half = spec_driver(&spec, &problem, None, None).expect("a fresh driver");
+    first_half.run_for(spec.stopping.max_generations / 2);
     let checkpoint = first_half.checkpoint();
     println!(
         "checkpoint at generation {} ({} evaluations so far)",
         checkpoint.generation,
         first_half.optimizer().evaluations(),
     );
-    let mut resumed = Driver::resume(study.optimizer(7), study.problem(), checkpoint)
-        .expect("checkpoint matches the study configuration")
-        .with_stopping(StoppingRule::MaxGenerations(study.generations()));
-    let front = resumed.run();
-
-    let solutions: Vec<GeobacterSolution> = front
-        .iter()
-        .map(|individual| study.problem().decode(&individual.variables))
-        .collect();
-    let best_violation = solutions
-        .iter()
-        .map(|s| s.violation)
-        .fold(f64::INFINITY, f64::min);
-    let outcome = GeobacterOutcome {
-        front: solutions,
-        initial_violation,
-        best_violation,
-    };
+    let front = spec_driver(&spec, &problem, None, Some(checkpoint))
+        .expect("the checkpoint matches the spec")
+        .run();
+    let outcome = GeobacterOutcome::from_front(geobacter, &front, spec.seed)
+        .expect("violation of a random guess is defined");
 
     println!(
         "multi-objective search: {} non-dominated flux distributions",

@@ -2,36 +2,29 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
-//! The study is expressed through the engine API: a generic [`Study`] over
-//! the leaf redesign problem, driven with a logging observer. Set
-//! `PATHWAY_EXAMPLE_BUDGET=quick` (as CI does) to shrink the budgets.
+//! The study is `examples/quickstart.spec`, driven through [`spec_driver`]
+//! with a logging observer at the spec's `log_every`.
 
 use pathway_core::prelude::*;
 use pathway_core::{render_table, SelectionRow};
 
-mod common;
-use common::quick_budget;
+/// Monte-Carlo trials behind each robustness yield of the selection table.
+const ROBUSTNESS_TRIALS: usize = 1_000;
 
 fn main() {
-    let (population, generations, trials) = if quick_budget() {
-        (20, 30, 150)
-    } else {
-        (60, 150, 1_000)
+    let spec = RunSpec::from_text(include_str!("quickstart.spec")).expect("the spec parses");
+    let problem = AnyProblem::from_spec(&spec.problem).expect("the spec's problem resolves");
+    let AnyProblem::LeafDesign(leaf) = &problem else {
+        panic!("quickstart.spec describes a leaf-design run");
     };
-
-    // A small but representative study: 2 NSGA-II islands, broadcast
-    // migration, present-day CO2 with the low triose-phosphate export rate.
-    let scenario = Scenario::present_low_export();
-    let study = Study::new(LeafRedesignProblem::new(scenario))
-        .with_budget(population, generations)
-        .with_migration((generations / 3).max(1), 0.5);
-
-    // Drive the run explicitly so we can watch it converge.
-    let mut driver = study
-        .driver(42)
-        .with_observer(LogObserver::new((generations / 5).max(1)));
+    let mut driver = spec_driver(&spec, &problem, None, None)
+        .expect("a fresh driver")
+        .with_observer(LogObserver::new(
+            spec.log_every.expect("the spec sets log_every"),
+        ));
     let front = driver.run();
-    let outcome = LeafDesignOutcome::from_front(scenario, front, driver.optimizer().evaluations());
+    let outcome =
+        LeafDesignOutcome::from_front(*leaf.scenario(), front, driver.optimizer().evaluations());
 
     println!(
         "PMO2 found {} Pareto-optimal leaf designs ({} evaluations over {} generations)",
@@ -45,7 +38,7 @@ fn main() {
         EnzymePartition::NATURAL_NITROGEN
     );
 
-    let selected = outcome.selected_designs(trials, 20);
+    let selected = outcome.selected_designs(ROBUSTNESS_TRIALS, 20);
     let rows = [
         ("Closest-to-ideal", &selected.closest_to_ideal),
         ("Max CO2 Uptake", &selected.max_uptake),

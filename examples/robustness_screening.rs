@@ -1,30 +1,30 @@
-//! Robustness screening of leaf designs: the ρ/Γ analysis of Section 2.3.
+//! Robustness screening of leaf designs: the ρ/Γ analysis of Section 2.3,
+//! the paper's Table 2 and the Pareto surface of its Figure 3.
 //!
 //! The example compares the natural leaf with an aggressively tuned
-//! maximum-uptake design and a balanced trade-off design, reporting the global
-//! yield Γ and the per-enzyme local yields that reveal which enzymes make a
-//! design fragile.
+//! maximum-uptake design, reporting the global yield Γ and the per-enzyme
+//! local yields that reveal which enzymes make a design fragile. It then
+//! mines the front of `examples/robustness_screening.spec` for the four
+//! selected designs of Table 2, and scores 50 designs spread along the
+//! front. Every yield uses the paper's setting, [`RobustnessOptions`]'s
+//! default: 5,000 trials at ±10%, within 5% of the nominal uptake.
 //!
 //! Run with: `cargo run --release --example robustness_screening`
 //!
-//! The balanced design comes from a [`Study`] with a hypervolume-stagnation
-//! stopping rule stacked on the generation budget, so the search exits as
-//! soon as the front stops improving. Set `PATHWAY_EXAMPLE_BUDGET=quick` (as
-//! CI does) to shrink the budgets.
+//! The spec stacks a hypervolume-stagnation stopping rule on the
+//! generation budget, so the search exits as soon as the front stops
+//! improving.
 
 use pathway_core::prelude::*;
+use pathway_core::{render_table, SelectionRow};
 use pathway_moo::robustness::{global_yield, local_yield, RobustnessOptions};
 
-mod common;
-use common::quick_budget;
+/// Designs spread along the front for the Figure 3 surface (and screened
+/// for the most robust one in Table 2).
+const SPREAD: usize = 50;
 
-fn report(label: &str, partition: &EnzymePartition, scenario: &Scenario, trials: usize) {
-    let problem = LeafRedesignProblem::new(*scenario);
-    let options = RobustnessOptions {
-        global_trials: trials,
-        local_trials: (trials / 20).max(10),
-        ..Default::default()
-    };
+fn report(label: &str, partition: &EnzymePartition, problem: &LeafRedesignProblem) {
+    let options = RobustnessOptions::default();
     let uptake = problem.uptake(partition.capacities());
     let global = global_yield(partition.capacities(), |x| problem.uptake(x), &options);
     let local = local_yield(partition.capacities(), |x| problem.uptake(x), &options);
@@ -50,46 +50,67 @@ fn report(label: &str, partition: &EnzymePartition, scenario: &Scenario, trials:
 }
 
 fn main() {
-    let (population, generations, trials) = if quick_budget() {
-        (16, 30, 300)
-    } else {
-        (40, 80, 2_000)
+    let spec =
+        RunSpec::from_text(include_str!("robustness_screening.spec")).expect("the spec parses");
+    let problem = AnyProblem::from_spec(&spec.problem).expect("the spec's problem resolves");
+    let AnyProblem::LeafDesign(leaf) = &problem else {
+        panic!("robustness_screening.spec describes a leaf-design run");
     };
-    let scenario = Scenario::present_low_export();
 
     // 1. The natural leaf.
-    report(
-        "natural leaf        ",
-        &EnzymePartition::natural(),
-        &scenario,
-        trials,
-    );
+    report("natural leaf        ", &EnzymePartition::natural(), leaf);
 
     // 2. A hand-tuned maximum-uptake leaf: everything scaled up, which the
     //    paper finds to be less robust than interior trade-off points.
     let aggressive = EnzymePartition::natural().scaled(3.0);
-    report("aggressive (3x) leaf", &aggressive, &scenario, trials);
+    report("aggressive (3x) leaf", &aggressive, leaf);
 
-    // 3. A balanced design straight from a short PMO2 run, with an early
-    //    exit once the hypervolume stops moving.
-    let study = Study::new(LeafRedesignProblem::new(scenario))
-        .with_budget(population, generations)
-        .with_migration((generations / 2).max(1), 0.5)
-        .with_stopping(StoppingRule::HypervolumeStagnation {
-            window: 15,
-            epsilon: 1e-6,
-        });
-    let result = study.run(3);
-    let outcome = LeafDesignOutcome::from_front(scenario, result.front, result.evaluations);
-    let knee = outcome.closest_to_ideal();
-    report("closest-to-ideal    ", &knee.partition, &scenario, trials);
-
+    // 3. The PMO2 front, mined for the paper's Table 2.
+    let mut driver = spec_driver(&spec, &problem, None, None).expect("a fresh driver");
+    let front = driver.run();
+    let outcome =
+        LeafDesignOutcome::from_front(*leaf.scenario(), front, driver.optimizer().evaluations());
     println!();
     println!(
-        "designs screened from a front of {} Pareto-optimal partitions \
-         ({} of {} budgeted generations used)",
+        "front of {} Pareto-optimal partitions ({} of {} budgeted generations used)",
         outcome.front.len(),
-        result.generations,
-        generations
+        driver.generation(),
+        spec.stopping.max_generations
     );
+
+    let trials = RobustnessOptions::default().global_trials;
+    let selected = outcome.selected_designs(trials, SPREAD);
+    let rows: Vec<Vec<String>> = [
+        ("Closest-to-ideal", &selected.closest_to_ideal),
+        ("Max CO2 Uptake", &selected.max_uptake),
+        ("Min Nitrogen", &selected.min_nitrogen),
+        ("Max Yield", &selected.max_yield),
+    ]
+    .iter()
+    .map(|(name, (design, yield_percent))| {
+        SelectionRow {
+            selection: name.to_string(),
+            co2_uptake: design.uptake,
+            nitrogen: design.nitrogen,
+            yield_percent: *yield_percent,
+        }
+        .cells()
+    })
+    .collect();
+    println!();
+    println!(
+        "{}",
+        render_table(&["Selection", "CO2 Uptake", "Nitrogen", "Yield %"], &rows)
+    );
+
+    // 4. Figure 3: robustness against both objectives along the front.
+    println!("co2_uptake_umol_m2_s\tnitrogen_mg_l\trobustness_percent");
+    for design in outcome.spread(SPREAD) {
+        println!(
+            "{:.4}\t{:.1}\t{:.1}",
+            design.uptake,
+            design.nitrogen,
+            outcome.robustness_percent(design, trials)
+        );
+    }
 }

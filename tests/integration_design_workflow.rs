@@ -4,12 +4,27 @@
 
 use pathway_core::prelude::*;
 
+/// Two islands of 30 over 60 generations, migrating every 20, in the CO2
+/// era `era` at low export.
+fn leaf_outcome(era: &str, seed: u64) -> LeafDesignOutcome {
+    let spec = RunSpec::from_text(&format!(
+        "pathway-spec v1\n[problem]\nname = leaf-design\nera = {era}\nexport = low\n\
+         [optimizer]\nkind = archipelago\nislands = 2\npopulation = 30\n\
+         migration_interval = 20\nmigration_probability = 0.5\n\
+         [run]\nseed = {seed}\n[stop]\nmax_generations = 60\n"
+    ))
+    .expect("a valid spec");
+    let problem = AnyProblem::from_spec(&spec.problem).expect("leaf-design resolves");
+    let AnyProblem::LeafDesign(leaf) = &problem else {
+        unreachable!("the spec names the leaf-design problem")
+    };
+    let mut driver = spec_driver(&spec, &problem, None, None).expect("fresh driver");
+    let front = driver.run();
+    LeafDesignOutcome::from_front(*leaf.scenario(), front, driver.optimizer().evaluations())
+}
+
 fn quick_outcome(seed: u64) -> LeafDesignOutcome {
-    LeafDesignStudy::new(Scenario::present_low_export())
-        .with_budget(30, 60)
-        .with_migration(20, 0.5)
-        .with_robustness_trials(200)
-        .run(seed)
+    leaf_outcome("present", seed)
 }
 
 #[test]
@@ -84,13 +99,7 @@ fn reported_figures_of_merit_are_reproducible_per_seed() {
 #[test]
 fn different_scenarios_produce_different_fronts() {
     let present = quick_outcome(5);
-    let future = LeafDesignStudy::new(Scenario::new(
-        CarbonDioxideEra::Future,
-        TriosePhosphateExport::Low,
-    ))
-    .with_budget(30, 60)
-    .with_migration(20, 0.5)
-    .run(5);
+    let future = leaf_outcome("future", 5);
     // Higher CO2 admits higher maximum uptake on the front.
     assert!(future.max_uptake().uptake > present.max_uptake().uptake * 0.9);
 }

@@ -82,11 +82,24 @@ fn study_violation_reduction_mirrors_the_paper() {
     // The paper reports the evolved solution violating the steady-state
     // constraint ~26x less than the initial guess. At reduced scale we only
     // require a clear order-of-magnitude style improvement.
-    let outcome = GeobacterStudy::new()
-        .with_reactions(80)
-        .with_budget(40, 40)
-        .run(13)
-        .expect("study runs");
+    let seed = 13;
+    let spec = RunSpec::from_text(&format!(
+        "pathway-spec v1\n[problem]\nname = geobacter\nreactions = 80\nmodel_seed = {}\n\
+         [optimizer]\nkind = archipelago\nislands = 2\npopulation = 40\n\
+         migration_interval = 20\nmigration_probability = 0.5\n\
+         [run]\nseed = {seed}\n[stop]\nmax_generations = 40\n",
+        seed ^ 0x6E0B
+    ))
+    .expect("a valid spec");
+    let AnyProblem::Geobacter(problem) =
+        AnyProblem::from_spec(&spec.problem).expect("model builds")
+    else {
+        unreachable!("the spec names the geobacter problem")
+    };
+    let front = spec_driver(&spec, problem.as_ref(), None, None)
+        .expect("fresh driver")
+        .run();
+    let outcome = GeobacterOutcome::from_front(&problem, &front, seed).expect("study runs");
     assert!(outcome.initial_violation > 0.0);
     assert!(outcome.best_violation < outcome.initial_violation / 5.0);
     // The labelled A-E points are ordered by decreasing biomass production.
