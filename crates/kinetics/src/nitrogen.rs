@@ -41,6 +41,29 @@ pub fn total_nitrogen(enzymes: &[Enzyme], capacities: &[f64]) -> f64 {
         .sum()
 }
 
+/// [`total_nitrogen`] over precomputed per-enzyme costs, with
+/// `costs[i] = enzymes[i].nitrogen_per_catalytic_unit()`.
+///
+/// The terms and their summation order are those of [`total_nitrogen`], so
+/// the result is bit-identical; an oracle that evaluates many partitions of
+/// one enzyme set computes the costs once and calls this.
+///
+/// # Panics
+///
+/// Panics if the two slices have different lengths.
+pub fn total_from_costs(costs: &[f64], capacities: &[f64]) -> f64 {
+    assert_eq!(
+        costs.len(),
+        capacities.len(),
+        "one catalytic capacity per enzyme is required"
+    );
+    costs
+        .iter()
+        .zip(capacities.iter())
+        .map(|(&cost, &capacity)| cost * capacity.max(0.0))
+        .sum()
+}
+
 /// Per-enzyme nitrogen breakdown (mg/l), same ordering as the inputs.
 ///
 /// # Panics
@@ -151,6 +174,21 @@ mod tests {
             let base = total_nitrogen(&enzymes, &[c0, c1, c2]);
             let more = total_nitrogen(&enzymes, &[c0 + extra, c1, c2]);
             prop_assert!(more >= base);
+        }
+
+        #[test]
+        fn prop_total_from_costs_is_bit_identical_to_total_nitrogen(
+            c0 in -1.0f64..10.0,
+            c1 in 0.0f64..10.0,
+            c2 in 0.0f64..1e6,
+        ) {
+            let enzymes = sample_enzymes();
+            let costs: Vec<f64> = enzymes.iter().map(Enzyme::nitrogen_per_catalytic_unit).collect();
+            let capacities = [c0, c1, c2];
+            prop_assert_eq!(
+                total_from_costs(&costs, &capacities).to_bits(),
+                total_nitrogen(&enzymes, &capacities).to_bits()
+            );
         }
 
         #[test]

@@ -4,6 +4,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::dominance::constrained_nondominated;
 use crate::engine::telemetry::MetricsRegistry;
 use crate::engine::{ArchipelagoState, EngineError, Optimizer, OptimizerState, RngState};
 use crate::exec::Executor;
@@ -293,24 +294,23 @@ impl Archipelago {
     /// populations, sorted by objectives and deduplicated (broadcast
     /// migration copies solutions between islands).
     ///
-    /// Candidates are borrowed from the islands' rank bookkeeping and
-    /// filtered pairwise, so only the surviving front members are cloned —
-    /// this runs once per generation on observed [`crate::engine::Driver`]
-    /// runs and must not re-sort or copy whole populations.
+    /// Candidates are borrowed from the islands' rank-0 bookkeeping and
+    /// filtered under Deb's feasibility rule: the feasible members that no
+    /// feasible member Pareto-dominates if any member is feasible, else the
+    /// members of least violation. For two finite objectives the Pareto
+    /// filter is one sort and one sweep (`O(k log k)`), otherwise a pairwise
+    /// test. Only the surviving front members are cloned — this runs once
+    /// per generation on observed [`crate::engine::Driver`] runs and must
+    /// not re-sort or copy whole populations.
     pub fn front(&self) -> Vec<Individual> {
         let candidates: Vec<&Individual> = self
             .islands
             .iter()
             .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
             .collect();
-        let mut front: Vec<Individual> = candidates
-            .iter()
-            .filter(|candidate| {
-                !candidates
-                    .iter()
-                    .any(|other| crate::constrained_dominates(other, candidate))
-            })
-            .map(|candidate| (*candidate).clone())
+        let mut front: Vec<Individual> = constrained_nondominated(&candidates)
+            .into_iter()
+            .cloned()
             .collect();
         // Deduplicate identical objective vectors that may arise from broadcast copies.
         front.sort_by(|a, b| {
@@ -688,6 +688,39 @@ mod tests {
         let a = Archipelago::new(cfg, 11).run(&Schaffer);
         let b = Archipelago::new(cfg, 11).run(&Schaffer);
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_front_matches_the_pairwise_merge(seed in 0u64..u64::MAX) {
+            use crate::front_reference::{
+                pairwise_archipelago_front, population_bits, random_cloud, CLOUDS_PER_CASE,
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..CLOUDS_PER_CASE {
+                let islands = rng.gen_range(1..4usize);
+                let mut archipelago = Archipelago::new(config(islands, 1, 1), seed);
+                // Deal the cloud round-robin onto the islands; a quarter of
+                // the members are not rank 0 and must be ignored.
+                let mut populations = vec![Vec::new(); islands];
+                for (index, mut member) in random_cloud(&mut rng).into_iter().enumerate() {
+                    member.rank = usize::from(rng.gen_range(0..4u32) == 0);
+                    populations[index % islands].push(member);
+                }
+                for (island, population) in archipelago.islands.iter_mut().zip(populations) {
+                    island.inject_migrants(population);
+                }
+                let candidates: Vec<&Individual> = archipelago
+                    .islands
+                    .iter()
+                    .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
+                    .collect();
+                proptest::prop_assert_eq!(
+                    population_bits(&archipelago.front()),
+                    population_bits(&pairwise_archipelago_front(&candidates))
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,3 +1,19 @@
+//! Pareto dominance, the non-dominated sort, and the non-dominated filter.
+//!
+//! Two kernels live here. [`fast_nondominated_sort_with`] ranks a whole
+//! population into fronts under constrained domination. [`nondominated_mask`]
+//! marks the non-dominated members of a point set under plain dominance; the
+//! merged fronts of [`Archipelago::front`](crate::Archipelago::front) and
+//! [`Moead::front`](crate::Moead::front), [`nondominated_filter`] and the
+//! [`metrics`](crate::metrics) hypervolume and union front all run on it.
+//!
+//! With two objectives and only finite values, the mask comes from one
+//! stable lexicographic sort and one sweep (Kung, Luccio & Preparata 1975),
+//! `O(k log k)` for `k` points. Any other input — three or more objectives,
+//! or a NaN or infinite component anywhere — takes the pairwise `O(k²)`
+//! test, which is the definition itself and so gives the same answer on
+//! inputs where the sweep's ordering arguments do not hold.
+
 use crate::Individual;
 
 /// Returns `true` if objective vector `a` Pareto-dominates `b`: `a` is no
@@ -379,14 +395,119 @@ pub fn fast_nondominated_sort(individuals: &mut [Individual]) -> Vec<Vec<usize>>
     scratch.fronts().map(<[usize]>::to_vec).collect()
 }
 
-/// Extracts the non-dominated subset of a set of objective vectors
-/// (constrained domination is not considered; use this for plain fronts).
-pub fn nondominated_filter(points: &[Vec<f64>]) -> Vec<Vec<f64>> {
+/// Marks the non-dominated points of a set: `mask[i]` is `true` iff no
+/// point of `points` Pareto-dominates `points[i]` (plain dominance, all
+/// objectives minimized). Equal points do not dominate each other, so every
+/// copy of a non-dominated point is kept.
+///
+/// See the [module docs](self) for when the sweep runs and when the pairwise
+/// test does; both return the same mask.
+///
+/// # Panics
+///
+/// Panics if points of different lengths meet in the pairwise test.
+pub fn nondominated_mask<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
+    let two_finite = points.iter().all(|point| {
+        let point = point.as_ref();
+        point.len() == 2 && point.iter().all(|v| v.is_finite())
+    });
+    if two_finite {
+        sweep_mask_two_objectives(points)
+    } else {
+        points
+            .iter()
+            .map(|candidate| {
+                !points
+                    .iter()
+                    .any(|other| dominates(other.as_ref(), candidate.as_ref()))
+            })
+            .collect()
+    }
+}
+
+/// Bi-objective mask by one lexicographic sweep. After a stable sort by
+/// `(f1, f2)`, only earlier points can dominate a point `p`: one with a
+/// smaller `f1` dominates it iff its `f2 <= p.f2`, one with the same `f1`
+/// iff its `f2 < p.f2`. So `p` is dominated iff the least `f2` over all
+/// smaller `f1` is `<= p.f2`, or the least `f2` of its own `f1` group is
+/// `< p.f2`. `partial_cmp` and `==` treat `-0.0` and `0.0` as equal, exactly
+/// like [`dominates`].
+fn sweep_mask_two_objectives<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
+    let point = |i: usize| points[i].as_ref();
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    let cmp = |a: f64, b: f64| {
+        a.partial_cmp(&b)
+            .expect("the sweep only sees finite values")
+    };
+    order.sort_by(|&a, &b| {
+        let (a, b) = (point(a), point(b));
+        cmp(a[0], b[0]).then_with(|| cmp(a[1], b[1]))
+    });
+    let mut mask = vec![false; points.len()];
+    // Least f2 over every point with a strictly smaller f1.
+    let mut best_f2 = f64::INFINITY;
+    let mut group_start = 0;
+    while group_start < order.len() {
+        let f1 = point(order[group_start])[0];
+        let group_f2 = point(order[group_start])[1];
+        let mut next = group_start;
+        while next < order.len() && point(order[next])[0] == f1 {
+            let f2 = point(order[next])[1];
+            mask[order[next]] = best_f2 > f2 && group_f2 >= f2;
+            next += 1;
+        }
+        best_f2 = best_f2.min(group_f2);
+        group_start = next;
+    }
+    mask
+}
+
+/// Extracts the non-dominated subset of a set of objective vectors, in input
+/// order with duplicates kept (constrained domination is not considered;
+/// use this for plain fronts). Borrowed points (`P = &[f64]`) are filtered
+/// without copying their values.
+pub fn nondominated_filter<P: AsRef<[f64]> + Clone>(points: &[P]) -> Vec<P> {
     points
         .iter()
-        .filter(|candidate| !points.iter().any(|other| dominates(other, candidate)))
-        .cloned()
+        .zip(nondominated_mask(points))
+        .filter(|&(_, keep)| keep)
+        .map(|(point, _)| point.clone())
         .collect()
+}
+
+/// The members of `candidates` that no other member constrained-dominates
+/// (Deb's rules, as in [`constrained_dominates`]), in input order.
+///
+/// A feasible member dominates every infeasible one, and infeasible members
+/// are compared by violation alone. So when any member is feasible this is
+/// the Pareto non-dominated subset of the feasible members; otherwise it is
+/// every member of least violation (a NaN violation never compares less,
+/// so such members are never dominated either).
+pub(crate) fn constrained_nondominated<'a>(candidates: &[&'a Individual]) -> Vec<&'a Individual> {
+    if candidates.iter().any(|c| c.is_feasible()) {
+        let feasible: Vec<&Individual> = candidates
+            .iter()
+            .copied()
+            .filter(|c| c.is_feasible())
+            .collect();
+        let objectives: Vec<&[f64]> = feasible.iter().map(|c| c.objectives.as_slice()).collect();
+        let mask = nondominated_mask(&objectives);
+        feasible
+            .into_iter()
+            .zip(mask)
+            .filter_map(|(c, keep)| keep.then_some(c))
+            .collect()
+    } else {
+        let least = candidates
+            .iter()
+            .map(|c| c.violation)
+            .fold(f64::INFINITY, f64::min);
+        candidates
+            .iter()
+            .copied()
+            .filter(|c| c.violation.is_nan() || c.violation <= least)
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -265,7 +265,7 @@ impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
 
         let telemetry_started = Instant::now();
         let front = self.optimizer.front();
-        let objectives: Vec<Vec<f64>> = front.iter().map(|i| i.objectives.clone()).collect();
+        let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
         if self.reference_point.is_none() {
             self.reference_point = derive_reference(&objectives);
         }
@@ -365,8 +365,8 @@ impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
 /// span (or of the value's own magnitude when the front is degenerate).
 /// Returns `None` for empty fronts or fronts with more than three
 /// objectives.
-fn derive_reference(objectives: &[Vec<f64>]) -> Option<Vec<f64>> {
-    let first = objectives.first()?;
+fn derive_reference<P: AsRef<[f64]>>(objectives: &[P]) -> Option<Vec<f64>> {
+    let first = objectives.first()?.as_ref();
     if !matches!(first.len(), 2 | 3) {
         return None;
     }
@@ -376,8 +376,9 @@ fn derive_reference(objectives: &[Vec<f64>]) -> Option<Vec<f64>> {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for point in objectives {
-            min = min.min(point[m]);
-            max = max.max(point[m]);
+            let value = point.as_ref()[m];
+            min = min.min(value);
+            max = max.max(value);
         }
         if !min.is_finite() || !max.is_finite() {
             return None;
@@ -552,7 +553,7 @@ mod tests {
 
     #[test]
     fn derive_reference_handles_edge_fronts() {
-        assert_eq!(derive_reference(&[]), None);
+        assert_eq!(derive_reference::<Vec<f64>>(&[]), None);
         assert_eq!(derive_reference(&[vec![1.0; 4]]), None);
         let reference =
             derive_reference(&[vec![0.0, 10.0], vec![1.0, 5.0]]).expect("bi-objective front");

@@ -52,6 +52,8 @@ mod archive;
 mod crowding;
 mod dominance;
 mod eval;
+#[cfg(test)]
+mod front_reference;
 mod individual;
 mod moead;
 mod nsga2;

@@ -31,7 +31,7 @@ use crate::dominance::nondominated_filter;
 /// let hv = hypervolume(&front, &[4.0, 4.0]);
 /// assert!((hv - 6.0).abs() < 1e-12);
 /// ```
-pub fn hypervolume(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+pub fn hypervolume<P: AsRef<[f64]>>(front: &[P], reference: &[f64]) -> f64 {
     if front.is_empty() {
         return 0.0;
     }
@@ -42,30 +42,29 @@ pub fn hypervolume(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     );
     for point in front {
         assert_eq!(
-            point.len(),
+            point.as_ref().len(),
             dim,
             "front points must match the reference length"
         );
     }
-    let nondominated: Vec<Vec<f64>> = nondominated_filter(front)
-        .into_iter()
-        .filter(|p| p.iter().zip(reference).all(|(v, r)| v < r))
-        .collect();
+    let points: Vec<&[f64]> = front.iter().map(AsRef::as_ref).collect();
+    let mut nondominated = nondominated_filter(&points);
+    nondominated.retain(|p| p.iter().zip(reference).all(|(v, r)| v < r));
     if nondominated.is_empty() {
         return 0.0;
     }
     match dim {
-        2 => hypervolume_2d(&nondominated, reference),
+        2 => hypervolume_2d(&mut nondominated, reference),
         _ => hypervolume_3d(&nondominated, reference),
     }
 }
 
-fn hypervolume_2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
-    let mut sorted = front.to_vec();
-    sorted.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("objectives are not NaN"));
+/// 2-D hypervolume of a non-dominated front; sorts `front` by `f1`.
+fn hypervolume_2d(front: &mut [&[f64]], reference: &[f64]) -> f64 {
+    front.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("objectives are not NaN"));
     let mut volume = 0.0;
     let mut previous_f2 = reference[1];
-    for point in &sorted {
+    for point in front.iter() {
         let width = reference[0] - point[0];
         let height = previous_f2 - point[1];
         if width > 0.0 && height > 0.0 {
@@ -77,7 +76,7 @@ fn hypervolume_2d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 }
 
 /// 3-D hypervolume by slicing along the third objective.
-fn hypervolume_3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
+fn hypervolume_3d(front: &[&[f64]], reference: &[f64]) -> f64 {
     // Collect distinct f3 slice boundaries.
     let mut levels: Vec<f64> = front.iter().map(|p| p[2]).collect();
     levels.sort_by(|a, b| a.partial_cmp(b).expect("objectives are not NaN"));
@@ -93,16 +92,16 @@ fn hypervolume_3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
             continue;
         }
         // All points with f3 <= z_low contribute to this slab.
-        let slab: Vec<Vec<f64>> = front
+        let slab: Vec<&[f64]> = front
             .iter()
             .filter(|p| p[2] <= z_low)
-            .map(|p| vec![p[0], p[1]])
+            .map(|p| &p[..2])
             .collect();
         if slab.is_empty() {
             continue;
         }
-        let slab_front = nondominated_filter(&slab);
-        volume += hypervolume_2d(&slab_front, &reference[..2]) * thickness;
+        let mut slab_front = nondominated_filter(&slab);
+        volume += hypervolume_2d(&mut slab_front, &reference[..2]) * thickness;
     }
     volume
 }
@@ -238,7 +237,7 @@ mod tests {
 
     #[test]
     fn empty_front_has_zero_hypervolume() {
-        assert_eq!(hypervolume(&[], &[1.0, 1.0]), 0.0);
+        assert_eq!(hypervolume::<Vec<f64>>(&[], &[1.0, 1.0]), 0.0);
         assert_eq!(hypervolume(&[vec![5.0, 5.0]], &[1.0, 1.0]), 0.0);
     }
 

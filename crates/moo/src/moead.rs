@@ -3,7 +3,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dominance::nondominated_filter;
+use crate::dominance::nondominated_mask;
 use crate::engine::{EngineError, MoeadState, Optimizer, OptimizerState, RngState};
 use crate::exec::Executor;
 use crate::individual::sample_within;
@@ -311,22 +311,26 @@ impl Moead {
 
     /// The non-dominated, feasible subset of the current population (or of
     /// the whole population when no member is feasible).
+    ///
+    /// Plain Pareto dominance decides, in population order, with duplicates
+    /// kept. Members with a NaN objective are left out.
     pub fn front(&self) -> Vec<Individual> {
-        let feasible: Vec<Individual> = self
+        let feasible: Vec<&Individual> = self
             .population
             .iter()
             .filter(|individual| individual.is_feasible())
-            .cloned()
             .collect();
         let pool = if feasible.is_empty() {
-            self.population.clone()
+            self.population.iter().collect()
         } else {
             feasible
         };
-        let objectives: Vec<Vec<f64>> = pool.iter().map(|i| i.objectives.clone()).collect();
-        let front = nondominated_filter(&objectives);
+        let objectives: Vec<&[f64]> = pool.iter().map(|i| i.objectives.as_slice()).collect();
+        let mask = nondominated_mask(&objectives);
         pool.into_iter()
-            .filter(|individual| front.contains(&individual.objectives))
+            .zip(mask)
+            .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
+            .map(|(individual, _)| individual.clone())
             .collect()
     }
 

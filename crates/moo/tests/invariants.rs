@@ -169,7 +169,7 @@ fn hypervolume_ignores_dominated_and_out_of_reference_points() {
 
 #[test]
 fn hypervolume_is_zero_for_empty_or_non_dominating_fronts() {
-    assert_eq!(hypervolume(&[], &[1.0, 1.0]), 0.0);
+    assert_eq!(hypervolume::<Vec<f64>>(&[], &[1.0, 1.0]), 0.0);
     // Every point is outside the reference box.
     assert_eq!(hypervolume(&[vec![2.0, 2.0]], &[1.0, 1.0]), 0.0);
 }

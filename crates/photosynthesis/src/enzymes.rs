@@ -66,11 +66,11 @@ impl EnzymeKind {
     ];
 
     /// Index of the enzyme in the Figure 2 ordering.
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&e| e == self)
-            .expect("every enzyme kind appears in ALL")
+    ///
+    /// The enum variants are declared in `ALL` order, so the discriminant
+    /// *is* the index (`index_round_trips` pins this).
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
     /// Enzyme at a given index.

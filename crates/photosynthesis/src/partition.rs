@@ -1,22 +1,30 @@
 use std::fmt;
 use std::ops::Index;
+use std::sync::LazyLock;
 
 use pathway_kinetics::nitrogen;
 
-use crate::enzymes::{enzyme_table, EnzymeKind, ENZYME_COUNT};
+use crate::enzymes::{EnzymeKind, ENZYME_COUNT};
 
-/// Calibration factor that maps the surrogate's raw `Σ capacity·MW/k_cat`
-/// nitrogen sum onto the paper's reported total of 208 330 mg/l for the
-/// natural leaf (see `DESIGN.md`, "Substitutions").
-fn nitrogen_scale() -> f64 {
-    let enzymes = enzyme_table();
-    let natural: Vec<f64> = EnzymeKind::ALL
-        .iter()
-        .map(|k| k.natural_capacity())
-        .collect();
-    let raw = nitrogen::total_nitrogen(&enzymes, &natural);
-    EnzymePartition::NATURAL_NITROGEN / raw
+/// The nitrogen accounting of the 23 enzymes, built once: the per-enzyme
+/// cost `MW/k_cat` of one unit of capacity, and the calibration factor that
+/// maps the surrogate's raw `Σ cost·capacity` sum onto the paper's reported
+/// total of 208 330 mg/l for the natural leaf (see `DESIGN.md`,
+/// "Substitutions").
+struct NitrogenAccounting {
+    costs: [f64; ENZYME_COUNT],
+    scale: f64,
 }
+
+static NITROGEN: LazyLock<NitrogenAccounting> = LazyLock::new(|| {
+    let costs = EnzymeKind::ALL.map(|kind| kind.to_enzyme().nitrogen_per_catalytic_unit());
+    let natural = EnzymeKind::ALL.map(EnzymeKind::natural_capacity);
+    let raw = nitrogen::total_from_costs(&costs, &natural);
+    NitrogenAccounting {
+        costs,
+        scale: EnzymePartition::NATURAL_NITROGEN / raw,
+    }
+});
 
 /// A 23-dimensional enzyme partition: the catalytic capacity (Vmax, µmol m⁻²
 /// s⁻¹) assigned to each enzyme of the C3 carbon-metabolism model.
@@ -116,18 +124,17 @@ impl EnzymePartition {
     /// `Σ xᵢ·MWᵢ/k_catᵢ` accounting calibrated so that the natural leaf sums
     /// to [`EnzymePartition::NATURAL_NITROGEN`].
     pub fn total_nitrogen(&self) -> f64 {
-        let enzymes = enzyme_table();
-        nitrogen::total_nitrogen(&enzymes, &self.capacities) * nitrogen_scale()
+        nitrogen::total_from_costs(&NITROGEN.costs, &self.capacities) * NITROGEN.scale
     }
 
     /// Per-enzyme nitrogen breakdown in mg/l (same calibration as
     /// [`EnzymePartition::total_nitrogen`]).
     pub fn nitrogen_breakdown(&self) -> Vec<f64> {
-        let enzymes = enzyme_table();
-        let scale = nitrogen_scale();
-        nitrogen::nitrogen_breakdown(&enzymes, &self.capacities)
-            .into_iter()
-            .map(|n| n * scale)
+        let NitrogenAccounting { costs, scale } = &*NITROGEN;
+        costs
+            .iter()
+            .zip(&self.capacities)
+            .map(|(cost, capacity)| cost * capacity.max(0.0) * scale)
             .collect()
     }
 

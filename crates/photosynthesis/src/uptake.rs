@@ -115,20 +115,20 @@ impl UptakeModel {
     /// differentiable everywhere, never exceeds the hard minimum (so ceilings
     /// are respected exactly), and approaches the hard minimum as the
     /// sharpness grows or the rates separate.
-    fn soft_min(&self, rates: &[f64]) -> f64 {
+    fn soft_min(&self, rates: impl IntoIterator<Item = f64>) -> f64 {
         let p = self.colimitation_sharpness;
-        let sum: f64 = rates.iter().map(|&r| r.max(1e-9).powf(-p)).sum();
+        let sum: f64 = rates.into_iter().map(|r| r.max(1e-9).powf(-p)).sum();
         sum.powf(-1.0 / p)
     }
 
     /// Effective capacity of a chain of enzymes, each with a stoichiometric
     /// load factor (flux through the enzyme per unit of net CO₂ uptake).
     fn chain_capacity(&self, partition: &EnzymePartition, chain: &[(EnzymeKind, f64)]) -> f64 {
-        let rates: Vec<f64> = chain
-            .iter()
-            .map(|&(kind, load)| partition.capacity(kind) / load)
-            .collect();
-        self.soft_min(&rates)
+        self.soft_min(
+            chain
+                .iter()
+                .map(|&(kind, load)| partition.capacity(kind) / load),
+        )
     }
 
     /// Evaluates the steady-state CO₂ uptake of a leaf design.
@@ -205,7 +205,7 @@ impl UptakeModel {
             photorespiration_limited.min(1e6),
             electron_limited,
         ];
-        let co2_uptake = self.soft_min(&candidates);
+        let co2_uptake = self.soft_min(candidates);
 
         let limiting_index = candidates
             .iter()
