@@ -31,10 +31,11 @@
 //! `phases` folds the `phase.<name>.us` / `phase.<name>.calls` counter
 //! pairs the span timers record; the remaining counters stay in
 //! `counters`. All four arrays are sorted by name. Phase totals are CPU
-//! time: archipelago islands step concurrently, so sub-phase totals can
-//! legitimately exceed the `generation` phase's wall-clock total —
-//! [`check_phase_balance`] therefore applies a deliberately generous
-//! tolerance instead of expecting an exact partition.
+//! time: on a pooled executor the archipelago's islands breed on separate
+//! lanes at once, so sub-phase totals can legitimately exceed the
+//! `generation` phase's wall-clock total — [`check_phase_balance`]
+//! therefore applies a deliberately generous tolerance instead of
+//! expecting an exact partition.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -376,13 +377,13 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileCheck, Vec<String>> {
 /// `generation` phase total: their sum must land within a generous
 /// multiplicative window (at least 1/8× and at most 16× the generation
 /// total). The window is wide on purpose — sub-phases overlap (executor
-/// spans run *inside* a generation) and archipelago islands record
-/// concurrently (CPU time > wall time). `checkpoint_write` is excluded
-/// from the sum: it is the one phase recorded *outside* the generation
-/// span (the CLI and the serve scheduler both checkpoint between
-/// generations) and it is fsync-bound, so its cost has no relation to
-/// compute time. Profiles without a non-zero `generation` phase (e.g. an
-/// idle daemon) pass trivially.
+/// spans run *inside* a generation) and, on a pooled executor, archipelago
+/// islands breed on separate lanes at once (CPU time > wall time).
+/// `checkpoint_write` is excluded from the sum: it is the one phase
+/// recorded *outside* the generation span (the CLI and the serve scheduler
+/// both checkpoint between generations) and it is fsync-bound, so its cost
+/// has no relation to compute time. Profiles without a non-zero
+/// `generation` phase (e.g. an idle daemon) pass trivially.
 ///
 /// # Errors
 ///

@@ -75,11 +75,10 @@ struct WarmStartPool {
     pending: Vec<(Vec<f64>, Vector)>,
     /// Bumped by every commit. `evaluate_batch` snapshots it when a chunk
     /// starts and re-checks it before recording results: a mismatch means a
-    /// *concurrent* `prepare_batch` (another optimizer sharing this
-    /// instance, e.g. a multi-island archipelago) swapped the pool
-    /// mid-batch — the batch's warm starts were scheduling-dependent, so
-    /// the run's determinism contract is already broken and we fail loudly
-    /// instead of silently diverging.
+    /// *concurrent* `prepare_batch` (a second, independent driver sharing
+    /// this instance) swapped the pool mid-batch — the batch's warm starts
+    /// were scheduling-dependent, so the run's determinism contract is
+    /// already broken and we fail loudly instead of silently diverging.
     epoch: u64,
     /// When set, commits discard `pending` instead of merging it: the
     /// library is pinned to its current contents. See
@@ -263,15 +262,17 @@ fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// bit-identically. That is why this problem is deliberately **not** in the
 /// spec registry of [`crate::PROBLEM_CATALOG`] — the `pathway` CLI promises
 /// bit-identical cross-process resume, which a process-local cache cannot
-/// honor. For the same reason, drive this problem with **NSGA-II**, whose
-/// whole offspring generation flows through one
-/// [`MultiObjectiveProblem::evaluate_batch`] call: a multi-island
-/// archipelago steps its islands on concurrent threads, whose interleaved
-/// `prepare_batch` commits against one shared pool would be
-/// scheduling-dependent — the problem detects a commit landing mid-batch
-/// and **panics** with a diagnostic rather than letting the run silently
-/// diverge. MOEA/D is *correct* but slower: it evaluates its children one
-/// at a time through [`MultiObjectiveProblem::evaluate`] and
+/// honor. For the same reason, drive this problem with **NSGA-II** or the
+/// **archipelago**: each evaluates a whole generation's offspring — every
+/// island's, for the archipelago — through one
+/// [`pathway_moo::exec::Executor::evaluate_batch`] call, so `prepare_batch`
+/// runs once per generation. What one instance cannot serve is two
+/// independent drivers at once: their interleaved `prepare_batch` commits
+/// against one shared pool would be scheduling-dependent — the problem
+/// detects a commit landing mid-batch and **panics** with a diagnostic
+/// rather than letting the run silently diverge. MOEA/D is *correct* but
+/// slower: it evaluates its children one at a time through
+/// [`MultiObjectiveProblem::evaluate`] and
 /// [`MultiObjectiveProblem::constraint_violation`], one solve each, which
 /// read the committed pool without ever refreshing it, so after the
 /// initial batch every candidate cold-starts.
@@ -523,9 +524,9 @@ impl MultiObjectiveProblem for OdeLeafRedesignProblem {
         assert_eq!(
             pool.epoch, epoch,
             "OdeLeafRedesignProblem: prepare_batch committed while a batch was still \
-             evaluating — this problem instance is being driven by concurrent optimizers \
-             (e.g. a multi-island archipelago), which makes warm starts scheduling-dependent; \
-             drive it with a single-population optimizer or give each optimizer its own instance"
+             evaluating — this problem instance is being driven by two independent \
+             optimizers at once, which makes warm starts scheduling-dependent; give each \
+             optimizer its own instance"
         );
         pool.pending.extend(settled);
         results
@@ -745,6 +746,47 @@ mod tests {
         let pooled = counts(Executor::new(EvalBackend::Threads(2)));
         assert_eq!(serial, pooled);
         assert!(serial[2].is_some_and(|steps| steps > 0), "{serial:?}");
+    }
+
+    #[test]
+    fn a_two_island_archipelago_is_identical_under_serial_and_pooled_executors() {
+        use pathway_moo::{Archipelago, ArchipelagoConfig, Nsga2Config};
+        use std::sync::Arc;
+
+        // One instance per run: the warm-start library is history. The
+        // archipelago evaluates both islands' offspring in one batch, so
+        // `prepare_batch` runs once per generation and the epoch guard
+        // never trips, under either executor.
+        let front_bits = |backend: EvalBackend| {
+            let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+            let mut archipelago = Archipelago::new(
+                ArchipelagoConfig {
+                    islands: 2,
+                    island_config: Nsga2Config {
+                        population_size: 8,
+                        generations: 4,
+                        ..Default::default()
+                    },
+                    migration_interval: 2,
+                    migration_probability: 1.0,
+                    ..Default::default()
+                },
+                3,
+            );
+            archipelago.set_executor(Arc::new(Executor::new(backend)));
+            let front = archipelago.run(&problem);
+            assert!(!front.is_empty());
+            assert!(problem.warm_start_pool_size() > 0);
+            front
+                .iter()
+                .flat_map(|member| member.variables.iter().chain(&member.objectives))
+                .map(|value| value.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(
+            front_bits(EvalBackend::Serial),
+            front_bits(EvalBackend::Threads(2))
+        );
     }
 
     #[test]

@@ -1,0 +1,125 @@
+//! Pins the bits of three archipelagos' final fronts: the paper's two-island
+//! broadcast leaf search, a three-island ring on ZDT1 and a two-island
+//! Geobacter search at a reduced reaction count. Each runs through at least
+//! one migration, once on the serial executor and once on a two-lane pool;
+//! both must land on the same digest. How the islands are scheduled (one
+//! after another, spread across lanes, one batch or many) must never move a
+//! bit of any front, so a change to the archipelago's stepping that does
+//! fails here.
+
+use std::sync::Arc;
+
+use pathway_core::{GeobacterFluxProblem, LeafRedesignProblem};
+use pathway_fba::geobacter::GeobacterModel;
+use pathway_moo::exec::Executor;
+use pathway_moo::problems::Zdt1;
+use pathway_moo::{
+    Archipelago, ArchipelagoConfig, EvalBackend, MigrationTopology, MultiObjectiveProblem,
+    Nsga2Config,
+};
+use pathway_photosynthesis::Scenario;
+
+/// 64-bit FNV-1a over a stream of little-endian words.
+fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn config(
+    islands: usize,
+    population_size: usize,
+    generations: usize,
+    topology: MigrationTopology,
+) -> ArchipelagoConfig {
+    ArchipelagoConfig {
+        islands,
+        island_config: Nsga2Config {
+            population_size,
+            generations,
+            ..Default::default()
+        },
+        migration_interval: 4,
+        // Every island takes part in every event, so each run below
+        // migrates at generations 4 and 8 at least.
+        migration_probability: 1.0,
+        topology,
+    }
+}
+
+/// Runs the archipelago on `backend` and digests its final front: every
+/// member's variables, objectives and violation, in front order, followed
+/// by the evaluation count.
+fn front_digest<P: MultiObjectiveProblem>(
+    problem: &P,
+    config: ArchipelagoConfig,
+    seed: u64,
+    backend: EvalBackend,
+) -> u64 {
+    let mut archipelago = Archipelago::new(config, seed);
+    archipelago.set_executor(Arc::new(Executor::new(backend)));
+    let front = archipelago.run(problem);
+    assert!(!front.is_empty());
+    let mut words = Vec::new();
+    for member in &front {
+        words.extend(member.variables.iter().map(|v| v.to_bits()));
+        words.extend(member.objectives.iter().map(|v| v.to_bits()));
+        words.push(member.violation.to_bits());
+    }
+    words.push(archipelago.evaluations() as u64);
+    fnv1a64(words)
+}
+
+fn assert_digest<P: MultiObjectiveProblem>(
+    problem: &P,
+    config: ArchipelagoConfig,
+    seed: u64,
+    expected: u64,
+) {
+    for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
+        assert_eq!(
+            front_digest(problem, config, seed, backend),
+            expected,
+            "{} front under {backend:?}",
+            problem.name()
+        );
+    }
+}
+
+#[test]
+fn two_island_broadcast_leaf_front_is_bit_identical() {
+    let problem = LeafRedesignProblem::new(Scenario::present_low_export());
+    assert_digest(
+        &problem,
+        config(2, 20, 12, MigrationTopology::Broadcast),
+        7,
+        0xe9d4_c35d_cf09_3be8,
+    );
+}
+
+#[test]
+fn three_island_ring_zdt1_front_is_bit_identical() {
+    assert_digest(
+        &Zdt1 { variables: 8 },
+        config(3, 16, 12, MigrationTopology::Ring),
+        11,
+        0x5f74_cb0e_ba34_16d5,
+    );
+}
+
+#[test]
+fn two_island_geobacter_front_is_bit_identical() {
+    let model = GeobacterModel::builder().reactions(80).seed(11).build();
+    let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
+    assert_digest(
+        &problem,
+        config(2, 16, 10, MigrationTopology::Broadcast),
+        5,
+        0x92f1_656a_5753_8917,
+    );
+}

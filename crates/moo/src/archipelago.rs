@@ -1,4 +1,4 @@
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -35,9 +35,8 @@ pub struct ArchipelagoConfig {
     pub islands: usize,
     /// NSGA-II configuration used on every island. `generations` here is the
     /// total evolution length of [`Archipelago::run`]. The evaluation backend
-    /// is configured here too (`island_config.backend`): each island applies
-    /// it to its own offspring batches, multiplying the coarse-grained island
-    /// parallelism by fine-grained evaluation parallelism.
+    /// is configured here too (`island_config.backend`): it builds the one
+    /// executor that breeds the islands and evaluates their offspring.
     pub island_config: Nsga2Config,
     /// Number of generations between migrations (the paper uses 200).
     pub migration_interval: usize,
@@ -66,14 +65,21 @@ impl Default for ArchipelagoConfig {
 /// The paper's reference configuration — two NSGA-II islands, all-to-all
 /// (broadcast) migration every 200 generations with probability 0.5 — is the
 /// default. The archipelago is step-driven: every [`Archipelago::step`]
-/// advances each island by one generation (islands run on separate threads,
-/// coarse-grained parallelism), and a migration event fires lazily at each
-/// epoch boundary — i.e. before the first step of each new
+/// advances each island by one generation, and a migration event fires
+/// lazily at each epoch boundary — i.e. before the first step of each new
 /// `migration_interval`-generation epoch, which reproduces the classic
 /// "migrate between epochs, but not after the last one" schedule while
 /// making the archipelago driveable and checkpointable at *any* generation
-/// by a [`crate::engine::Driver`]. Results are deterministic for a given
-/// seed regardless of thread scheduling.
+/// by a [`crate::engine::Driver`].
+///
+/// A generation runs in three stages on the archipelago's one
+/// [`Executor`]: every island breeds its offspring as one task (its own
+/// RNG stream, so on a pool the islands spread across lanes), all
+/// offspring are evaluated in **one** batch, and every island then selects
+/// its survivors. The archipelago spawns no threads of its own: with the
+/// serial executor the islands run one after another on the calling
+/// thread, and with `threads:<n>` they run in parallel on the pool.
+/// Results are bit-identical for a given seed under every executor.
 ///
 /// Migration exports are served incrementally from per-island
 /// [`ParetoArchive`]s: at each migration event an island's current
@@ -104,11 +110,10 @@ pub struct Archipelago {
     archives: Vec<ParetoArchive>,
     migration_rng: StdRng,
     generations_done: usize,
-    /// One executor shared by every island, lazily built from
-    /// `island_config.backend` (or injected via
-    /// [`Archipelago::set_executor`]): the islands' offspring batches all
-    /// feed the same worker pool instead of spawning one pool per island.
-    /// Configuration, not run state — never checkpointed.
+    /// The executor that breeds the islands and evaluates their offspring,
+    /// lazily built from `island_config.backend` (or injected via
+    /// [`Archipelago::set_executor`]). Configuration, not run state —
+    /// never checkpointed.
     executor: Option<Arc<Executor>>,
     /// Telemetry sink for migration timings; forwarded to every island so
     /// their variation/selection phases land in the same registry. Like
@@ -164,21 +169,20 @@ impl Archipelago {
         &self.config
     }
 
-    /// Installs a (usually shared) evaluation executor on the archipelago
-    /// and every island, replacing the pool that would otherwise be built
-    /// lazily from `island_config.backend`. The `pathway` CLI uses this to
-    /// run a whole invocation — run or resume — on one pool. Executors only
-    /// change where batches are evaluated, never their results.
+    /// Installs a (usually shared) executor, replacing the pool that would
+    /// otherwise be built lazily from `island_config.backend`. The
+    /// `pathway` CLI uses this to run a whole invocation — run or resume —
+    /// on one pool. Executors only change where islands breed and
+    /// candidates are evaluated, never the results.
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
-        for island in &mut self.islands {
-            island.set_executor(Arc::clone(&executor));
-        }
         self.executor = Some(executor);
     }
 
     /// Attaches one telemetry registry to the archipelago and every
-    /// island. Islands step concurrently, so per-phase times recorded
-    /// here are CPU time summed across islands and can exceed the
+    /// island. Each island records its own `variation` and `selection`
+    /// phases: on the serial executor the islands run one after another,
+    /// so the phases add up to wall time; on a pool, islands that breed on
+    /// different lanes overlap, and the summed phase times can exceed the
     /// generation's wall-clock. Observational only.
     pub fn set_metrics(&mut self, registry: MetricsRegistry) {
         for island in &mut self.islands {
@@ -187,20 +191,19 @@ impl Archipelago {
         self.metrics = Some(registry);
     }
 
-    /// Ensures every island evaluates on one shared executor, building it
-    /// from the island backend configuration on first need. Idempotent and
-    /// cheap once installed.
+    /// The archipelago's executor, building it from the island backend
+    /// configuration on first need. Cheap once installed.
     ///
     /// The lazily-built pool is sized for the archipelago's *total*
     /// evaluation parallelism — `islands × n` lanes for a `Threads(n)`
-    /// island backend — because all islands step concurrently and feed the
-    /// same pool; sizing it for a single island would serialize the
-    /// islands' chunks behind `n` lanes and lose the coarse × fine
-    /// parallelism the per-island configuration promises. (An explicitly
-    /// injected executor is used as-is: its owner chose the width.)
-    fn ensure_executor(&mut self) {
-        if self.executor.is_some() {
-            return;
+    /// island backend — because it serves one batch holding every island's
+    /// offspring, `islands×` larger than one island's; sizing it for a
+    /// single island would serve that batch with the lanes one island's
+    /// configuration asked for. (An explicitly injected executor is used
+    /// as-is: its owner chose the width.)
+    fn executor(&mut self) -> Arc<Executor> {
+        if let Some(executor) = &self.executor {
+            return Arc::clone(executor);
         }
         let backend = match self.config.island_config.backend {
             EvalBackend::Threads(n) if n >= 2 => {
@@ -209,7 +212,8 @@ impl Archipelago {
             other => other,
         };
         let shared = Executor::shared(backend);
-        self.set_executor(shared);
+        self.set_executor(Arc::clone(&shared));
+        shared
     }
 
     /// The seed this archipelago (and its islands) were derived from.
@@ -232,31 +236,25 @@ impl Archipelago {
         self.islands.iter().map(Nsga2::evaluations).sum()
     }
 
-    /// Initializes every island's population if that has not happened yet.
-    /// Idempotent.
+    /// Initializes every island's population if that has not happened yet:
+    /// the islands sample, one batch evaluates every sampled vector, and
+    /// each island installs its share. Idempotent.
     pub fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        self.ensure_executor();
-        if self
+        let executor = self.executor();
+        let pending: Vec<&mut Nsga2> = self
             .islands
-            .iter()
-            .all(|island| !island.population().is_empty())
-        {
-            return;
+            .iter_mut()
+            .filter(|island| island.population().is_empty())
+            .collect();
+        if !pending.is_empty() {
+            run_islands(&executor, pending, problem, Nsga2::sample, Nsga2::install);
         }
-        if self.islands.len() == 1 {
-            self.islands[0].initialize(problem);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for island in self.islands.iter_mut() {
-                scope.spawn(move || island.initialize(problem));
-            }
-        });
     }
 
-    /// Advances every island by one generation (in parallel), firing the
-    /// migration event lazily at each epoch boundary first. Initializes the
-    /// islands if needed.
+    /// Advances every island by one generation, firing the migration event
+    /// lazily at each epoch boundary first: the islands breed, one batch
+    /// evaluates every island's offspring, and each island selects.
+    /// Initializes the islands if needed.
     pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
         self.initialize(problem);
         if self.generations_done > 0
@@ -266,15 +264,9 @@ impl Archipelago {
         {
             self.migrate();
         }
-        if self.islands.len() == 1 {
-            self.islands[0].step(problem);
-        } else {
-            std::thread::scope(|scope| {
-                for island in self.islands.iter_mut() {
-                    scope.spawn(move || island.step(problem));
-                }
-            });
-        }
+        let executor = self.executor();
+        let islands = self.islands.iter_mut().collect();
+        run_islands(&executor, islands, problem, Nsga2::breed, Nsga2::select);
         self.generations_done += 1;
     }
 
@@ -478,6 +470,40 @@ impl Archipelago {
         self.migration_rng = state.migration_rng.rebuild();
         self.generations_done = state.generations_done;
         Ok(())
+    }
+}
+
+/// One archipelago stage over `islands`: each island produces its decision
+/// vectors as one task through [`Executor::map_chunks`] (in island order on
+/// the serial executor, spread across lanes on a pool), every island's
+/// vectors are evaluated in **one** [`Executor::evaluate_batch`], and each
+/// island gets its own evaluated share back, in order. Only an island's own
+/// `produce` touches its RNG stream and evaluation commits by slot, so the
+/// results are the same under every executor.
+fn run_islands<P: MultiObjectiveProblem>(
+    executor: &Executor,
+    islands: Vec<&mut Nsga2>,
+    problem: &P,
+    produce: impl Fn(&mut Nsga2, &P) -> Vec<Vec<f64>> + Sync,
+    commit: impl Fn(&mut Nsga2, Vec<Individual>),
+) {
+    // Each lock is taken once, by the one lane that claimed the island; it
+    // only hands `&mut` islands through `map_chunks`' shared slice.
+    let cells: Vec<Mutex<&mut Nsga2>> = islands.into_iter().map(Mutex::new).collect();
+    let batches = executor.map_chunks(&cells, |chunk| {
+        chunk
+            .iter()
+            .map(|cell| produce(&mut cell.lock().expect("island lock poisoned"), problem))
+            .collect()
+    });
+    let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+    let variables = batches.into_iter().flatten().collect();
+    let mut evaluated = executor
+        .evaluate_individuals(problem, variables)
+        .into_iter();
+    for (cell, size) in cells.into_iter().zip(sizes) {
+        let island = cell.into_inner().expect("island lock poisoned");
+        commit(island, evaluated.by_ref().take(size).collect());
     }
 }
 
@@ -688,6 +714,58 @@ mod tests {
         let a = Archipelago::new(cfg, 11).run(&Schaffer);
         let b = Archipelago::new(cfg, 11).run(&Schaffer);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_island_is_evaluated_in_one_batch_per_generation() {
+        let population = 12;
+        for topology in [
+            MigrationTopology::Broadcast,
+            MigrationTopology::Ring,
+            MigrationTopology::Isolated,
+        ] {
+            for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
+                let executor = Arc::new(Executor::new(backend));
+                executor.set_metrics(MetricsRegistry::new());
+                let cfg = ArchipelagoConfig {
+                    islands: 3,
+                    island_config: Nsga2Config {
+                        population_size: population,
+                        ..Default::default()
+                    },
+                    migration_interval: 2,
+                    migration_probability: 1.0,
+                    topology,
+                };
+                let mut archipelago = Archipelago::new(cfg, 4);
+                archipelago.set_executor(Arc::clone(&executor));
+                let counters = || {
+                    let snapshot = executor.metrics().expect("registry attached").snapshot();
+                    (
+                        snapshot.counter("exec.batches"),
+                        snapshot.counter("exec.candidates"),
+                    )
+                };
+                archipelago.initialize(&Schaffer);
+                assert_eq!(
+                    counters(),
+                    (Some(1), Some(3 * population as u64)),
+                    "{topology:?} initialize under {backend:?}"
+                );
+                // Five steps cross two migration events.
+                for generation in 1..=5u64 {
+                    archipelago.step(&Schaffer);
+                    assert_eq!(
+                        counters(),
+                        (
+                            Some(1 + generation),
+                            Some((1 + generation) * 3 * population as u64)
+                        ),
+                        "{topology:?} step {generation} under {backend:?}"
+                    );
+                }
+            }
+        }
     }
 
     proptest::proptest! {

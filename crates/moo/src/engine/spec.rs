@@ -1189,11 +1189,11 @@ impl AnyOptimizer {
     }
 
     /// Installs a (usually shared) evaluation [`Executor`] on the wrapped
-    /// optimizer — for the archipelago, on every island. Spec-driven
-    /// launchers (the `pathway` CLI) use this to run a whole invocation,
-    /// resume included, on one persistent worker pool instead of letting
-    /// each optimizer build its own. Executors never change results, only
-    /// where batches are evaluated.
+    /// optimizer — for the archipelago, the one its islands breed and
+    /// evaluate on. Spec-driven launchers (the `pathway` CLI) use this to
+    /// run a whole invocation, resume included, on one persistent worker
+    /// pool instead of letting each optimizer build its own. Executors
+    /// never change results, only where batches are evaluated.
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
         match self {
             AnyOptimizer::Nsga2(inner) => inner.set_executor(executor),

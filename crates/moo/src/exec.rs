@@ -42,10 +42,11 @@
 //!
 //! # Sharing
 //!
-//! Executors are shared as `Arc<Executor>`: an archipelago injects one pool
-//! into all of its islands, and the `pathway` CLI builds a single pool for a
-//! whole `run`/`resume` invocation (`--threads`). Cloning an optimizer
-//! clones the `Arc`, so clones share the same workers.
+//! Executors are shared as `Arc<Executor>`: an archipelago breeds all of
+//! its islands and evaluates all of their offspring on one executor, and
+//! the `pathway` CLI builds a single pool for a whole `run`/`resume`
+//! invocation (`--threads`). Cloning an optimizer clones the `Arc`, so
+//! clones share the same workers.
 //!
 //! # Example
 //!
@@ -251,12 +252,15 @@ impl Executor {
     /// in-flight lane of this call has finished; the pool itself survives
     /// and can run further batches.
     ///
+    /// Items need not be candidates: the archipelago passes its islands,
+    /// one item each, so on a pool the islands breed on separate lanes. It
+    /// evaluates their offspring only after this call returns.
+    ///
     /// Do not call this from inside a job running *on the same pool*
     /// (i.e. from within `f`): the outer job would occupy a worker while
     /// blocking on the inner call's completion, which can deadlock a
     /// saturated pool. Calling from ordinary threads — including several
-    /// concurrently, e.g. archipelago islands sharing one executor — is
-    /// fine and how the pool is meant to be used.
+    /// at once — is fine.
     pub fn map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,

@@ -69,9 +69,10 @@ pub struct Nsga2 {
     scratch: SortScratch,
     evaluations: usize,
     /// Lazily built from `config.backend` on first use, or injected via
-    /// [`Nsga2::set_executor`] (the archipelago shares one pool across all
-    /// islands). Not part of the run state: checkpoints never carry it and
-    /// restoring never touches it.
+    /// [`Nsga2::set_executor`]. Archipelago islands never use theirs: the
+    /// archipelago evaluates for them on its own executor. Not part of the
+    /// run state: checkpoints never carry it and restoring never touches
+    /// it.
     executor: Option<Arc<Executor>>,
     /// Telemetry sink for the per-generation phase breakdown. Like the
     /// executor: never checkpointed, never restored, never consulted by
@@ -174,31 +175,49 @@ impl Nsga2 {
         if !self.population.is_empty() {
             return;
         }
+        let variables = self.sample(problem);
+        let population = self.executor().evaluate_individuals(problem, variables);
+        self.install(population);
+    }
+
+    /// Runs one generation: breed the offspring, evaluate them in one
+    /// batch, then select the survivors. The archipelago runs the same
+    /// three pieces, with one batch for all of its islands.
+    pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        self.initialize(problem);
+        let children = self.breed(problem);
+        let offspring = self.executor().evaluate_individuals(problem, children);
+        self.select(offspring);
+    }
+
+    /// Samples the initial population's decision vectors on this solver's
+    /// RNG stream, to be evaluated and then handed to [`Nsga2::install`].
+    pub(crate) fn sample<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Vec<f64>> {
         let bounds = problem.bounds();
-        let variables: Vec<Vec<f64>> = (0..self.config.population_size)
+        (0..self.config.population_size)
             .map(|_| sample_within(&bounds, &mut self.rng))
-            .collect();
-        self.evaluations += variables.len();
-        self.population = self
-            .executor()
-            .evaluate_individuals(problem, variables)
-            .into();
+            .collect()
+    }
+
+    /// Installs the evaluated initial population (the vectors
+    /// [`Nsga2::sample`] drew, in order) and ranks it.
+    pub(crate) fn install(&mut self, population: Vec<Individual>) {
+        self.evaluations += population.len();
+        self.population = population.into();
         self.refresh_ranks();
     }
 
-    /// Runs one generation: mating and variation first (RNG-driven, serial),
-    /// then one batched evaluation of the full offspring set, then
-    /// environmental selection.
-    pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        self.initialize(problem);
+    /// Mating and variation: tournament selection, SBX crossover and
+    /// polynomial mutation on this solver's own RNG stream produce the full
+    /// offspring batch, to be evaluated and then handed to
+    /// [`Nsga2::select`]. Records the `variation` phase.
+    pub(crate) fn breed<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Vec<f64>> {
+        let variation_started = Instant::now();
         let bounds = problem.bounds();
         let mutation_probability = self
             .config
             .mutation_probability
             .unwrap_or(1.0 / problem.num_variables() as f64);
-
-        // --- variation: produce the full offspring batch ---
-        let variation_started = Instant::now();
         let parents = self.population.members();
         let mut children: Vec<Vec<f64>> = Vec::with_capacity(self.config.population_size);
         while children.len() < self.config.population_size {
@@ -237,16 +256,17 @@ impl Nsga2 {
                 children.push(child_b);
             }
         }
-
         if let Some(metrics) = &self.metrics {
             metrics.record_phase("variation", variation_started.elapsed());
         }
+        children
+    }
 
-        // --- one batched (possibly parallel) evaluation of all offspring ---
-        self.evaluations += children.len();
-        let offspring = self.executor().evaluate_individuals(problem, children);
-
-        // --- environmental selection on parents ∪ offspring ---
+    /// Environmental selection on parents ∪ the evaluated offspring (the
+    /// vectors [`Nsga2::breed`] produced, in order). Records the
+    /// `selection` phase.
+    pub(crate) fn select(&mut self, offspring: Vec<Individual>) {
+        self.evaluations += offspring.len();
         let selection_started = Instant::now();
         let mut combined = std::mem::take(&mut self.population).into_members();
         combined.extend(offspring);

@@ -4,8 +4,8 @@
 /// a quantity (CO₂ uptake, biomass production, electron production) expose the
 /// negated value, as is conventional.
 ///
-/// Implementations must be [`Sync`] because the PMO2 archipelago evaluates
-/// islands on separate threads.
+/// Implementations must be [`Sync`] because a pooled
+/// [`crate::exec::Executor`] evaluates one batch on several threads.
 ///
 /// # Example
 ///
