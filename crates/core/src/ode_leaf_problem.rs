@@ -333,8 +333,7 @@ impl OdeLeafRedesignProblem {
     /// (0.02×–4× the natural capacities, matching
     /// [`crate::LeafRedesignProblem`]) and the
     /// [`OdeUptakeEvaluator::fast`] solver settings (tolerance `1e-8`, 400
-    /// steps) — the right trade-off inside an optimization loop; use
-    /// [`OdeLeafRedesignProblem::with_evaluator`] for tighter tolerances.
+    /// steps) — the right trade-off inside an optimization loop.
     pub fn new(scenario: Scenario) -> Self {
         OdeLeafRedesignProblem {
             scenario,
@@ -365,20 +364,6 @@ impl OdeLeafRedesignProblem {
         ] {
             registry.add(name, counter.load(AtomicOrdering::Relaxed));
         }
-    }
-
-    /// Overrides the steady-state evaluator (step, tolerance, budget).
-    #[must_use]
-    pub fn with_evaluator(mut self, evaluator: OdeUptakeEvaluator) -> Self {
-        self.evaluator = evaluator;
-        self
-    }
-
-    /// Overrides the search box as multiples of the natural capacities.
-    #[must_use]
-    pub fn with_bounds(mut self, lower_factor: f64, upper_factor: f64) -> Self {
-        self.bounds = EnzymePartition::bounds(lower_factor, upper_factor);
-        self
     }
 
     /// The scenario being optimized.

@@ -1,4 +1,4 @@
-//! Rate laws for enzyme-catalysed and equilibrium reactions.
+//! Rate laws for the enzyme-catalysed reactions of the Calvin-cycle model.
 //!
 //! All concentrations are in mmol/l and all rates in mmol/(l·s). Every rate
 //! law clamps negative substrate concentrations to zero so that transient
@@ -51,82 +51,6 @@ pub fn competitive_inhibition(vmax: f64, km: f64, substrate: f64, inhibitor: f64
     michaelis_menten(vmax, km_eff, s)
 }
 
-/// Michaelis–Menten kinetics with a non-competitive inhibitor:
-/// `v = Vmax / (1 + I/Ki) · S / (Km + S)`.
-pub fn noncompetitive_inhibition(
-    vmax: f64,
-    km: f64,
-    substrate: f64,
-    inhibitor: f64,
-    ki: f64,
-) -> f64 {
-    let i = inhibitor.max(0.0);
-    let vmax_eff = vmax / (1.0 + i / ki.max(f64::MIN_POSITIVE));
-    michaelis_menten(vmax_eff, km, substrate)
-}
-
-/// Michaelis–Menten kinetics modulated by a hyperbolic activator:
-/// `v = Vmax · (A / (Ka + A)) · S / (Km + S)`.
-///
-/// When the activator concentration is far above `Ka` this reduces to plain
-/// Michaelis–Menten; when the activator is absent the rate is zero.
-pub fn activated_michaelis_menten(
-    vmax: f64,
-    km: f64,
-    substrate: f64,
-    activator: f64,
-    ka: f64,
-) -> f64 {
-    let a = activator.max(0.0);
-    let activation = a / (ka.max(f64::MIN_POSITIVE) + a);
-    michaelis_menten(vmax * activation, km, substrate)
-}
-
-/// Reversible Michaelis–Menten kinetics (Haldane form) for a reaction
-/// `S <-> P` with equilibrium constant `keq`:
-/// `v = Vmax (S - P/keq) / (Km + S + P·Km/Kmp)`.
-pub fn reversible_michaelis_menten(
-    vmax: f64,
-    km_s: f64,
-    km_p: f64,
-    keq: f64,
-    substrate: f64,
-    product: f64,
-) -> f64 {
-    let s = substrate.max(0.0);
-    let p = product.max(0.0);
-    let driving = s - p / keq.max(f64::MIN_POSITIVE);
-    let denom = km_s + s + p * km_s / km_p.max(f64::MIN_POSITIVE);
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    vmax * driving / denom
-}
-
-/// First-order mass-action kinetics `v = k · S`, used for fast equilibrium
-/// interconversions (GAP/DHAP, pentose-phosphate pools, hexose-phosphate
-/// pools) which the paper's model treats as near-instantaneous.
-pub fn mass_action(k: f64, substrate: f64) -> f64 {
-    k * substrate.max(0.0)
-}
-
-/// Net rate of a fast reversible interconversion `A <-> B` relaxing towards
-/// the equilibrium ratio `keq = B/A`: `v = k (A - B/keq)`.
-pub fn equilibrium_relaxation(k: f64, keq: f64, a: f64, b: f64) -> f64 {
-    k * (a.max(0.0) - b.max(0.0) / keq.max(f64::MIN_POSITIVE))
-}
-
-/// Hill kinetics `v = Vmax · S^n / (K^n + S^n)` for cooperative enzymes.
-pub fn hill(vmax: f64, k_half: f64, n: f64, substrate: f64) -> f64 {
-    let s = substrate.max(0.0);
-    if s == 0.0 {
-        return 0.0;
-    }
-    let sn = s.powf(n);
-    let kn = k_half.max(f64::MIN_POSITIVE).powf(n);
-    vmax * sn / (kn + sn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,8 +68,11 @@ mod tests {
     #[test]
     fn negative_substrate_is_clamped() {
         assert_eq!(michaelis_menten(5.0, 1.0, -3.0), 0.0);
-        assert_eq!(mass_action(2.0, -1.0), 0.0);
-        assert_eq!(hill(5.0, 1.0, 2.0, -1.0), 0.0);
+        assert_eq!(
+            michaelis_menten_two_substrates(5.0, 1.0, -3.0, 1.0, 2.0),
+            0.0
+        );
+        assert_eq!(competitive_inhibition(5.0, 1.0, -3.0, 1.0, 1.0), 0.0);
     }
 
     #[test]
@@ -172,49 +99,6 @@ mod tests {
         assert!(saturated > 9.9);
     }
 
-    #[test]
-    fn noncompetitive_inhibition_lowers_vmax_even_at_saturation() {
-        let saturated = noncompetitive_inhibition(10.0, 1.0, 1e6, 1.0, 1.0);
-        assert!(saturated < 5.1);
-    }
-
-    #[test]
-    fn activation_scales_from_zero_to_full() {
-        assert_eq!(activated_michaelis_menten(10.0, 1.0, 5.0, 0.0, 0.5), 0.0);
-        let full = activated_michaelis_menten(10.0, 1.0, 5.0, 1e6, 0.5);
-        let plain = michaelis_menten(10.0, 1.0, 5.0);
-        assert!((full - plain).abs() < 1e-3);
-    }
-
-    #[test]
-    fn reversible_rate_changes_sign_across_equilibrium() {
-        // keq = 2: equilibrium at P = 2 S.
-        let forward = reversible_michaelis_menten(5.0, 1.0, 1.0, 2.0, 1.0, 0.5);
-        let backward = reversible_michaelis_menten(5.0, 1.0, 1.0, 2.0, 0.1, 4.0);
-        let at_eq = reversible_michaelis_menten(5.0, 1.0, 1.0, 2.0, 1.0, 2.0);
-        assert!(forward > 0.0);
-        assert!(backward < 0.0);
-        assert!(at_eq.abs() < 1e-12);
-    }
-
-    #[test]
-    fn equilibrium_relaxation_sign() {
-        assert!(equilibrium_relaxation(1.0, 1.0, 2.0, 1.0) > 0.0);
-        assert!(equilibrium_relaxation(1.0, 1.0, 1.0, 2.0) < 0.0);
-        assert_eq!(equilibrium_relaxation(1.0, 1.0, 1.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn hill_kinetics_is_sigmoidal() {
-        let low = hill(10.0, 1.0, 4.0, 0.5);
-        let mid = hill(10.0, 1.0, 4.0, 1.0);
-        let high = hill(10.0, 1.0, 4.0, 2.0);
-        assert!(low < mid && mid < high);
-        assert!((mid - 5.0).abs() < 1e-12);
-        // Steeper than plain MM below the half-saturation point.
-        assert!(low < michaelis_menten(10.0, 1.0, 0.5));
-    }
-
     proptest! {
         #[test]
         fn prop_mm_monotone_in_substrate(vmax in 0.1f64..100.0, km in 0.01f64..10.0, s in 0.0f64..100.0) {
@@ -239,7 +123,6 @@ mod tests {
         ) {
             let base = michaelis_menten(vmax, km, s);
             prop_assert!(competitive_inhibition(vmax, km, s, i, ki) <= base + 1e-12);
-            prop_assert!(noncompetitive_inhibition(vmax, km, s, i, ki) <= base + 1e-12);
         }
     }
 }

@@ -129,7 +129,8 @@ impl Vector {
         out
     }
 
-    /// `self + factor * other`, the fused update used by Runge-Kutta stages.
+    /// `self + factor * other` into a new vector; [`Vector::axpy_mut`] is the
+    /// in-place form.
     ///
     /// # Errors
     ///

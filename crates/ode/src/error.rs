@@ -12,22 +12,6 @@ pub enum OdeError {
         /// Time at which the non-finite value was first observed.
         time: f64,
     },
-    /// The adaptive step controller shrank the step below its minimum without
-    /// meeting the error tolerance.
-    StepSizeUnderflow {
-        /// Time at which the controller gave up.
-        time: f64,
-        /// The step size at which the controller gave up.
-        step: f64,
-    },
-    /// The hard cap on attempted steps was exhausted before reaching the end
-    /// of the integration interval.
-    MaxStepsExceeded {
-        /// Time reached when the budget ran out.
-        time: f64,
-        /// Number of steps attempted (accepted + rejected).
-        steps: usize,
-    },
     /// The implicit corrector failed to converge.
     NewtonDivergence {
         /// Time of the failed step.
@@ -57,12 +41,6 @@ impl fmt::Display for OdeError {
             OdeError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             OdeError::NonFiniteState { time } => {
                 write!(f, "state became non-finite at t = {time}")
-            }
-            OdeError::StepSizeUnderflow { time, step } => {
-                write!(f, "step size underflow ({step:e}) at t = {time}")
-            }
-            OdeError::MaxStepsExceeded { time, steps } => {
-                write!(f, "exhausted the budget of {steps} steps at t = {time}")
             }
             OdeError::NewtonDivergence { time, iterations } => {
                 write!(
@@ -95,9 +73,9 @@ mod tests {
     fn display_is_informative() {
         let e = OdeError::NonFiniteState { time: 1.5 };
         assert!(e.to_string().contains("1.5"));
-        let e = OdeError::MaxStepsExceeded {
+        let e = OdeError::NewtonDivergence {
             time: 0.25,
-            steps: 42,
+            iterations: 42,
         };
         assert!(e.to_string().contains("42") && e.to_string().contains("0.25"));
         let e = OdeError::DimensionMismatch {

@@ -1,7 +1,7 @@
 use pathway_linalg::{LuDecomposition, Matrix, Vector};
 
 use crate::system::validate_inputs;
-use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem};
+use crate::{IntegrationResult, IntegrationStats, OdeError, OdeSystem};
 
 /// A backward-Euler integrator with a damped Newton corrector.
 ///
@@ -23,7 +23,7 @@ use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem
 /// # Example
 ///
 /// ```
-/// use pathway_ode::{OdeSystem, BackwardEuler, Integrator};
+/// use pathway_ode::{OdeSystem, BackwardEuler};
 /// use pathway_linalg::Vector;
 ///
 /// /// A stiff decay: dy/dt = -1000 (y - cos(t)).
@@ -46,13 +46,12 @@ use crate::{IntegrationResult, IntegrationStats, Integrator, OdeError, OdeSystem
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackwardEuler {
     step: f64,
-    newton_tol: f64,
-    max_newton_iterations: usize,
 }
 
 impl BackwardEuler {
-    /// Creates a solver with the given step size and default Newton settings
-    /// (tolerance `1e-10`, at most 25 iterations per step).
+    /// Creates a solver with the given step size. The Newton corrector
+    /// converges at a scaled residual of `1e-10` and gives up after 25
+    /// iterations per step.
     ///
     /// # Panics
     ///
@@ -62,32 +61,16 @@ impl BackwardEuler {
             step.is_finite() && step > 0.0,
             "step size must be positive and finite"
         );
-        BackwardEuler {
-            step,
-            newton_tol: 1e-10,
-            max_newton_iterations: 25,
-        }
-    }
-
-    /// Overrides the Newton convergence tolerance.
-    #[must_use]
-    pub fn with_newton_tolerance(mut self, tol: f64) -> Self {
-        self.newton_tol = tol;
-        self
-    }
-
-    /// Overrides the maximum number of Newton iterations per step.
-    #[must_use]
-    pub fn with_max_newton_iterations(mut self, iterations: usize) -> Self {
-        self.max_newton_iterations = iterations;
-        self
-    }
-
-    /// The configured step size.
-    pub fn step(&self) -> f64 {
-        self.step
+        BackwardEuler { step }
     }
 }
+
+/// Convergence tolerance of [`BackwardEuler`]'s Newton corrector on the
+/// scaled residual `‖G‖∞ / (1 + ‖y‖∞)`.
+const NEWTON_TOLERANCE: f64 = 1e-10;
+
+/// Newton iterations per [`BackwardEuler`] step before it gives up.
+const MAX_NEWTON_ITERATIONS: usize = 25;
 
 /// Relative perturbation of the forward-difference Jacobian.
 const JACOBIAN_EPSILON: f64 = 1e-7;
@@ -181,8 +164,18 @@ impl NewtonWorkspace {
     }
 }
 
-impl Integrator for BackwardEuler {
-    fn integrate<S: OdeSystem>(
+impl BackwardEuler {
+    /// Integrates `system` from `t0` with initial state `y0` until `t_end`,
+    /// in steps of the configured size (the last one shortened to land on
+    /// `t_end`).
+    ///
+    /// # Errors
+    ///
+    /// * [`OdeError::DimensionMismatch`] if `y0.len() != system.dim()`.
+    /// * [`OdeError::InvalidParameter`] for a non-finite or reversed span.
+    /// * [`OdeError::NonFiniteState`] if the state blows up.
+    /// * [`OdeError::NewtonDivergence`] if a step's corrector fails.
+    pub fn integrate<S: OdeSystem>(
         &self,
         system: &S,
         t0: f64,
@@ -211,7 +204,7 @@ impl Integrator for BackwardEuler {
                 .expect("dimensions match by construction");
 
             let mut converged = false;
-            for iteration in 0..self.max_newton_iterations {
+            for iteration in 0..MAX_NEWTON_ITERATIONS {
                 system.rhs(t_new, &y_new, &mut f);
                 stats.rhs_evaluations += 1;
                 stats.newton_iterations += 1;
@@ -220,7 +213,7 @@ impl Integrator for BackwardEuler {
                 for i in 0..dim {
                     ws.residual[i] = y_new[i] - y[i] - h * f[i];
                 }
-                if ws.residual.norm_inf() <= self.newton_tol * (1.0 + y_new.norm_inf()) {
+                if ws.residual.norm_inf() <= NEWTON_TOLERANCE * (1.0 + y_new.norm_inf()) {
                     converged = true;
                     break;
                 }
@@ -288,7 +281,7 @@ impl Integrator for BackwardEuler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::test_systems::{Decay, StiffLinear};
+    use crate::system::test_systems::{Decay, Logistic, StiffLinear};
 
     #[test]
     fn decay_converges_to_analytic_solution_with_small_steps() {
@@ -318,16 +311,37 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_are_applied() {
-        let solver = BackwardEuler::new(0.1)
-            .with_newton_tolerance(1e-6)
-            .with_max_newton_iterations(3);
-        assert_eq!(solver.step(), 0.1);
-        // Still solves an easy problem with the reduced iteration budget.
-        let result = solver
-            .integrate(&Decay { k: 1.0 }, 0.0, Vector::from(vec![1.0]), 0.5)
-            .unwrap();
-        assert!(result.state[0] > 0.0);
+    fn steps_land_on_the_end_time() {
+        // 0.3 does not divide [0, 1]: three full steps and a closing 0.1
+        // step. Backward Euler on decay multiplies by 1 / (1 + h) per step.
+        // A zero-length span takes no step.
+        let full = 1.0 / (1.3f64.powi(3) * 1.1);
+        for (t0, t_end, y0, steps, expected) in [(0.0, 1.0, 1.0, 4, full), (2.0, 2.0, 3.0, 0, 3.0)]
+        {
+            let result = BackwardEuler::new(0.3)
+                .integrate(&Decay { k: 1.0 }, t0, Vector::from(vec![y0]), t_end)
+                .unwrap();
+            assert_eq!(result.time, t_end);
+            assert_eq!(result.stats.steps_accepted, steps);
+            assert!((result.state[0] - expected).abs() < 1e-9, "{result:?}");
+        }
+    }
+
+    #[test]
+    fn projection_is_applied_after_every_step() {
+        // Near y = 1 the explicit predictor overshoots the carrying capacity
+        // by less than the Newton tolerance and is accepted as it stands
+        // (first at t = 7.5 here); only the projection brings it back into
+        // [0, 1].
+        let solver = BackwardEuler::new(0.5);
+        for k in 1..=40 {
+            let t_end = 0.5 * f64::from(k);
+            let result = solver
+                .integrate(&Logistic { r: 10.0 }, 0.0, Vector::from(vec![0.5]), t_end)
+                .unwrap();
+            let y = result.state[0];
+            assert!((0.0..=1.0).contains(&y), "y({t_end}) = {y}");
+        }
     }
 
     #[test]

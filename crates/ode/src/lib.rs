@@ -1,9 +1,9 @@
-//! Ordinary differential equation solvers for metabolic pathway simulation.
+//! Steady-state solver for metabolic pathway simulation.
 //!
 //! The C3 photosynthesis model in `pathway-photosynthesis` is a set of coupled,
 //! moderately stiff ODEs whose CO₂ uptake rate is read off at a steady state.
-//! The Rust ODE ecosystem is thin, so this crate hand-rolls the solvers the
-//! workspace needs:
+//! The Rust ODE ecosystem is thin, so this crate hand-rolls the two solvers
+//! the workspace needs:
 //!
 //! * [`PseudoTransient`] — finds a steady state `f(y) = 0` by
 //!   pseudo-transient continuation: backward-Euler steps in pseudo-time whose
@@ -11,18 +11,16 @@
 //!   evaluated.
 //! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
 //!   Newton corrector and finite-difference Jacobian, for stiff transients.
-//! * [`Rk4`] — fixed-step classical Runge–Kutta, for smooth systems with a
-//!   known safe step size.
-//! * [`Rkf45`] — adaptive Runge–Kutta–Fehlberg 4(5) with step-size control.
-//! * [`CashKarp`] — adaptive Cash–Karp 4(5), an alternative embedded pair.
+//!   It is the long reference march that pins [`PseudoTransient`]'s
+//!   tolerance.
 //!
 //! # Example
 //!
 //! ```
-//! use pathway_ode::{OdeSystem, Rk4, Integrator};
+//! use pathway_ode::{OdeSystem, PseudoTransient};
 //! use pathway_linalg::Vector;
 //!
-//! /// Exponential decay dy/dt = -y.
+//! /// Exponential decay dy/dt = -y, whose steady state is y = 0.
 //! struct Decay;
 //! impl OdeSystem for Decay {
 //!     fn dim(&self) -> usize { 1 }
@@ -32,9 +30,9 @@
 //! }
 //!
 //! # fn main() -> Result<(), pathway_ode::OdeError> {
-//! let solver = Rk4::new(1e-3);
-//! let result = solver.integrate(&Decay, 0.0, Vector::from(vec![1.0]), 1.0)?;
-//! assert!((result.state[0] - (-1.0f64).exp()).abs() < 1e-6);
+//! let solver = PseudoTransient::new(0.1, 1e-10, 100);
+//! let steady = solver.solve(&Decay, Vector::from(vec![1.0]))?;
+//! assert!(steady.state[0].abs() < 1e-10);
 //! # Ok(())
 //! # }
 //! ```
@@ -44,19 +42,15 @@
 
 mod error;
 mod implicit;
-mod rk4;
-mod rkf45;
 mod stats;
 mod steady_state;
 mod system;
 
 pub use error::OdeError;
 pub use implicit::BackwardEuler;
-pub use rk4::Rk4;
-pub use rkf45::{AdaptiveOptions, CashKarp, Rkf45};
 pub use stats::IntegrationStats;
 pub use steady_state::{PseudoTransient, SteadyState};
-pub use system::{IntegrationResult, Integrator, OdeSystem};
+pub use system::{IntegrationResult, OdeSystem};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, OdeError>;

@@ -1,8 +1,9 @@
 /// Counters accumulated while integrating an ODE system.
 ///
-/// These are useful both for diagnosing solver behaviour (how many steps were
-/// rejected by the adaptive controller?) and for the benchmark harness, which
-/// reports right-hand-side evaluation counts per steady-state evaluation.
+/// These are useful both for diagnosing solver behaviour (how many
+/// pseudo-transient trials were rejected?) and for the benchmark harness,
+/// which reports right-hand-side evaluation counts per steady-state
+/// evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IntegrationStats {
     /// Number of accepted steps.
@@ -11,9 +12,9 @@ pub struct IntegrationStats {
     pub steps_rejected: usize,
     /// Number of right-hand-side evaluations.
     pub rhs_evaluations: usize,
-    /// Number of Jacobian evaluations (implicit solvers only).
+    /// Number of Jacobian evaluations.
     pub jacobian_evaluations: usize,
-    /// Number of Newton iterations (implicit solvers only).
+    /// Number of Newton iterations.
     pub newton_iterations: usize,
 }
 
@@ -27,26 +28,6 @@ impl IntegrationStats {
     pub fn steps_attempted(&self) -> usize {
         self.steps_accepted + self.steps_rejected
     }
-
-    /// Fraction of attempted steps that were accepted, or 1.0 if no steps were
-    /// attempted.
-    pub fn acceptance_rate(&self) -> f64 {
-        let attempted = self.steps_attempted();
-        if attempted == 0 {
-            1.0
-        } else {
-            self.steps_accepted as f64 / attempted as f64
-        }
-    }
-
-    /// Merges counters from another record into this one.
-    pub fn merge(&mut self, other: &IntegrationStats) {
-        self.steps_accepted += other.steps_accepted;
-        self.steps_rejected += other.steps_rejected;
-        self.rhs_evaluations += other.rhs_evaluations;
-        self.jacobian_evaluations += other.jacobian_evaluations;
-        self.newton_iterations += other.newton_iterations;
-    }
 }
 
 #[cfg(test)]
@@ -54,36 +35,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acceptance_rate_handles_zero_steps() {
-        assert_eq!(IntegrationStats::new().acceptance_rate(), 1.0);
-    }
-
-    #[test]
-    fn acceptance_rate_counts_rejections() {
+    fn steps_attempted_counts_rejections() {
         let stats = IntegrationStats {
             steps_accepted: 3,
             steps_rejected: 1,
             ..Default::default()
         };
         assert_eq!(stats.steps_attempted(), 4);
-        assert!((stats.acceptance_rate() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn merge_adds_all_fields() {
-        let mut a = IntegrationStats {
-            steps_accepted: 1,
-            steps_rejected: 2,
-            rhs_evaluations: 3,
-            jacobian_evaluations: 4,
-            newton_iterations: 5,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.steps_accepted, 2);
-        assert_eq!(a.steps_rejected, 4);
-        assert_eq!(a.rhs_evaluations, 6);
-        assert_eq!(a.jacobian_evaluations, 8);
-        assert_eq!(a.newton_iterations, 10);
     }
 }

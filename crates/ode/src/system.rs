@@ -35,7 +35,9 @@ pub trait OdeSystem {
     /// entry; implementations must overwrite every component.
     fn rhs(&self, t: f64, y: &Vector, dydt: &mut Vector);
 
-    /// Optional projection applied after every accepted step.
+    /// Optional projection applied to every new state: after each
+    /// [`crate::BackwardEuler`] step and to each [`crate::PseudoTransient`]
+    /// trial, before it is accepted or rejected.
     ///
     /// The default implementation does nothing. Models with physical
     /// positivity constraints (metabolite concentrations cannot go negative)
@@ -68,29 +70,9 @@ pub struct IntegrationResult {
     pub stats: IntegrationStats,
 }
 
-/// A time integrator for [`OdeSystem`]s.
-///
-/// All time integrators in this crate implement this trait so callers can
-/// be generic over the stepping scheme.
-pub trait Integrator {
-    /// Integrates `system` from `t0` with initial state `y0` until `t_end`.
-    ///
-    /// # Errors
-    ///
-    /// * [`OdeError::DimensionMismatch`] if `y0.len() != system.dim()`.
-    /// * [`OdeError::NonFiniteState`] if the state blows up.
-    /// * Solver-specific errors such as [`OdeError::StepSizeUnderflow`].
-    fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        t0: f64,
-        y0: Vector,
-        t_end: f64,
-    ) -> crate::Result<IntegrationResult>;
-}
-
 /// Validates that the initial state matches the system dimension and the time
-/// span is sensible. Shared by every solver.
+/// span is sensible. Shared by both solvers; [`crate::PseudoTransient`] passes
+/// the empty span `0..0`.
 pub(crate) fn validate_inputs<S: OdeSystem>(
     system: &S,
     y0: &Vector,
@@ -135,19 +117,6 @@ pub(crate) mod test_systems {
         }
         fn rhs(&self, _t: f64, y: &Vector, dydt: &mut Vector) {
             dydt[0] = -self.k * y[0];
-        }
-    }
-
-    /// Undamped harmonic oscillator with unit angular frequency.
-    pub struct Harmonic;
-
-    impl OdeSystem for Harmonic {
-        fn dim(&self) -> usize {
-            2
-        }
-        fn rhs(&self, _t: f64, y: &Vector, dydt: &mut Vector) {
-            dydt[0] = y[1];
-            dydt[1] = -y[0];
         }
     }
 

@@ -1,6 +1,6 @@
 use pathway_kinetics::rate_laws;
 use pathway_linalg::Vector;
-use pathway_ode::{BackwardEuler, Integrator, OdeError, OdeSystem, PseudoTransient, SteadyState};
+use pathway_ode::{BackwardEuler, OdeError, OdeSystem, PseudoTransient, SteadyState};
 
 use crate::enzymes::EnzymeKind;
 use crate::partition::EnzymePartition;

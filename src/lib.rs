@@ -5,8 +5,10 @@
 //! (`examples/`). The science lives in the member crates:
 //!
 //! * [`linalg`] — vectors, matrices, LU, sparse storage, simplex LP;
-//! * [`ode`] — explicit/implicit integrators and steady-state detection;
-//! * [`kinetics`] — rate laws, enzyme networks, nitrogen accounting;
+//! * [`ode`] — the pseudo-transient steady-state solver and the
+//!   backward-Euler reference march;
+//! * [`kinetics`] — enzymes, Michaelis–Menten rate laws, nitrogen
+//!   accounting;
 //! * [`moo`] — NSGA-II, MOEA/D, the PMO2 archipelago, metrics, mining,
 //!   robustness ensembles;
 //! * [`fba`] — flux balance analysis and the *Geobacter sulfurreducens*

@@ -60,7 +60,7 @@ fn ode_uptake_is_pinned_on_both_sides_of_the_bistable_range() {
 /// h = 0.1 from the same start, the cold-start state or a warm one.
 #[test]
 fn pseudo_transient_uptake_matches_a_long_backward_euler_march() {
-    use pathway_ode::{BackwardEuler, Integrator};
+    use pathway_ode::BackwardEuler;
     use pathway_photosynthesis::CalvinCycleOde;
 
     let scenario = Scenario::present_low_export();
