@@ -125,9 +125,9 @@ fn bench_executors(c: &mut Criterion) {
     }
 }
 
-/// Whole-batch sparse mat×mat residual vs the per-candidate map it
-/// replaced, on identical candidates (results are bit-identical; this
-/// measures the kernel only).
+/// The fused CSR residual-norm kernel over the whole batch vs the
+/// per-candidate map it replaced, on identical candidates (results are
+/// bit-identical; this measures the kernel only).
 fn bench_oracle_amortization(c: &mut Criterion) {
     let (reactions, population, samples) = profile();
     let model = GeobacterModel::builder().reactions(reactions).build();
@@ -139,7 +139,7 @@ fn bench_oracle_amortization(c: &mut Criterion) {
     // comparison stable on noisy shared machines.
     group.sample_size(samples * 4);
     let case = format!("geobacter_residual_pop{population}");
-    group.bench_function(BenchmarkId::new(&case, "batched_matmat"), |b| {
+    group.bench_function(BenchmarkId::new(&case, "batched_fused"), |b| {
         b.iter(|| problem.evaluate_batch(&batch).len())
     });
     group.bench_function(BenchmarkId::new(&case, "mapped_per_candidate"), |b| {

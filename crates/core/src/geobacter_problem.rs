@@ -19,7 +19,8 @@ struct OracleStats {
     /// Simplex pivots of those solves: their shared phase 1 once, plus each
     /// objective's phase 2.
     fba_pivots: AtomicU64,
-    /// Batched steady-state kernels (one sparse × dense product per batch).
+    /// Batched steady-state kernel calls (one fused residual-norm pass per
+    /// batch).
     batch_kernels: AtomicU64,
     /// Candidates scored through the steady-state oracle.
     candidates: AtomicU64,
@@ -202,11 +203,10 @@ impl MultiObjectiveProblem for GeobacterFluxProblem {
     }
 
     /// Whole-batch oracle: the objectives are plain flux reads, and the
-    /// steady-state residuals of the entire batch are computed as **one**
-    /// sparse matrix × dense matrix product
-    /// ([`steady_state_violation_batch`]) instead of one sparse mat-vec per
-    /// candidate — the sparse structure of `S` is traversed once per
-    /// generation. Bit-identical to the per-candidate path, so batched runs
+    /// steady-state residual norms of the batch come from the fused CSR
+    /// kernel ([`steady_state_violation_batch`]) instead of one sparse
+    /// mat-vec per candidate — the sparse structure of `S` is traversed
+    /// once per 8-candidate tile. Bit-identical to the per-candidate path, so batched runs
     /// keep the serial/threaded determinism contract.
     fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<(Vec<f64>, f64)> {
         let reactions = self.model.num_reactions();

@@ -1,6 +1,7 @@
-//! Pins the bits of three archipelagos' final fronts: the paper's two-island
-//! broadcast leaf search, a three-island ring on ZDT1 and a two-island
-//! Geobacter search at a reduced reaction count. Each runs through at least
+//! Pins the bits of four archipelagos' final fronts: the paper's two-island
+//! broadcast leaf search, a three-island ring on ZDT1, and two-island
+//! Geobacter searches at a reduced reaction count and at the paper's 608
+//! reactions. Each runs through at least
 //! one migration, once on the serial executor and once on a two-lane pool;
 //! both must land on the same digest. How the islands are scheduled (one
 //! after another, spread across lanes, one batch or many) must never move a
@@ -121,5 +122,20 @@ fn two_island_geobacter_front_is_bit_identical() {
         config(2, 16, 10, MigrationTopology::Broadcast),
         5,
         0x92f1_656a_5753_8917,
+    );
+}
+
+#[test]
+fn two_island_paper_scale_geobacter_front_is_bit_identical() {
+    // All 608 fluxes, as in the paper's Figure 4: SBX and mutation run over
+    // 608 genes and every offspring batch goes through the fused CSR
+    // residual-norm kernel in full and partial tiles.
+    let model = GeobacterModel::paper_scale();
+    let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
+    assert_digest(
+        &problem,
+        config(2, 20, 6, MigrationTopology::Broadcast),
+        13,
+        0xc17b_dc35_dc4d_4bc9,
     );
 }

@@ -6,7 +6,7 @@
 //! order of 10⁶ and the reported solution A reduces it by a factor of ≈26.5).
 //! This module provides that scoring.
 
-use pathway_linalg::{Matrix, Vector};
+use pathway_linalg::{Vector, RESIDUAL_TILE};
 
 use crate::{FbaError, MetabolicModel};
 
@@ -32,26 +32,19 @@ pub fn steady_state_violation(model: &MetabolicModel, fluxes: &[f64]) -> Result<
     Ok(residual.norm2())
 }
 
-/// Number of candidates per multi-RHS tile in
-/// [`steady_state_violation_batch`]. Sixteen columns keep a genome-scale
-/// tile (rhs + product, ~140 KB at 608 reactions) L2-resident and under the
-/// allocator's mmap threshold, while still amortizing each sparse-structure
-/// traversal over 16 candidates.
-const BATCH_TILE: usize = 16;
-
 /// Steady-state residual norms of a whole **batch** of candidate flux
-/// vectors, computed as sparse matrix × dense matrix products over
-/// `BATCH_TILE`-wide (16-candidate) column tiles of the batch.
+/// vectors, computed by the fused CSR kernel
+/// [`CsrMatrix::residual_norms`](pathway_linalg::CsrMatrix::residual_norms)
+/// over [`RESIDUAL_TILE`]-wide (8-candidate) tiles of the batch.
 ///
 /// Semantically this is `batch.iter().map(|v| steady_state_violation(model,
-/// v))`, and the results are **bit-identical** to that map (each column is
-/// an independent [`pathway_linalg::CsrMatrix::mat_mul_dense`] column, which
-/// adds residual contributions in exactly `mat_vec` order, and the squares
-/// accumulate in the same row order `Vector::norm2` uses). The batched form
-/// exists purely for speed: the sparse structure of `S` is traversed once
-/// per tile instead of once per candidate, which is what lets
-/// `GeobacterFluxProblem::evaluate_batch` score a whole offspring
-/// generation in a handful of kernel calls.
+/// v))`, and the results are **bit-identical** to that map: the kernel adds
+/// each candidate's residual contributions in `mat_vec` order and sums their
+/// squares in the row order `Vector::norm2` uses. The batched form exists
+/// purely for speed: the sparse structure of `S` is traversed once per tile
+/// instead of once per candidate, and no residual vector is ever stored. The
+/// tile width equals the executor's claim block, so each run of candidates
+/// a pool lane claims is exactly one tile.
 ///
 /// # Errors
 ///
@@ -70,50 +63,23 @@ pub fn steady_state_violation_batch(
             });
         }
     }
-    let stoichiometry = model.stoichiometric_matrix();
-    let metabolites = stoichiometry.rows();
     let mut norms = Vec::with_capacity(batch.len());
-    // One (rhs, residuals) buffer pair serves every full-width tile — the
-    // kernel runs through `mat_mul_dense_into`, so a generation-sized batch
-    // allocates two matrices total instead of two per tile. The final
-    // narrower tile (if any) gets its own pair.
-    let mut buffers: Option<(Matrix, Matrix)> = None;
-    let mut sums = [0.0f64; BATCH_TILE];
-    for tile in batch.chunks(BATCH_TILE) {
-        let width = tile.len();
-        // A narrower chunk is always the batch's last, so swapping the
-        // buffers out for right-sized ones happens at most once.
-        if buffers.as_ref().is_none_or(|(rhs, _)| rhs.cols() != width) {
-            buffers = Some((
-                Matrix::zeros(reactions, width),
-                Matrix::zeros(metabolites, width),
-            ));
+    // One transposed tile serves the whole batch: row `i` holds flux `i` of
+    // each of the tile's candidates. The lanes past a partial tile's last
+    // candidate repeat it, and their norms are dropped. Slicing each lane to
+    // `reactions` lets the compiler drop the bounds checks of the transpose.
+    let mut tile = vec![[0.0; RESIDUAL_TILE]; reactions];
+    for candidates in batch.chunks(RESIDUAL_TILE) {
+        let lanes: [&[f64]; RESIDUAL_TILE] =
+            std::array::from_fn(|j| &candidates[j.min(candidates.len() - 1)][..reactions]);
+        for (i, row) in tile.iter_mut().enumerate() {
+            *row = std::array::from_fn(|j| lanes[j][i]);
         }
-        let (rhs, residuals) = buffers.as_mut().expect("buffers just ensured");
-        // The tile's candidates become the *columns* of one dense
-        // right-hand side, so the sparse kernel's inner loop runs along the
-        // batch dimension in contiguous memory. Filled row-major (writes
-        // contiguous, reads striped over at most BATCH_TILE candidate
-        // vectors).
-        for (i, row) in rhs.as_mut_slice().chunks_exact_mut(width).enumerate() {
-            for (slot, fluxes) in row.iter_mut().zip(tile) {
-                *slot = fluxes[i];
-            }
-        }
-        stoichiometry
-            .mat_mul_dense_into(rhs, residuals)
+        let tile_norms = model
+            .stoichiometric_matrix()
+            .residual_norms(&tile)
             .map_err(FbaError::from)?;
-        // ‖column j‖₂, accumulating squares in row order — the order
-        // `Vector::norm2` uses, which keeps the batch bit-identical to the
-        // per-candidate path.
-        let sums = &mut sums[..width];
-        sums.fill(0.0);
-        for r in 0..residuals.rows() {
-            for (sum, &v) in sums.iter_mut().zip(residuals.row(r)) {
-                *sum += v * v;
-            }
-        }
-        norms.extend(sums.iter().map(|&s| s.sqrt()));
+        norms.extend_from_slice(&tile_norms[..candidates.len()]);
     }
     Ok(norms)
 }
@@ -231,6 +197,36 @@ mod tests {
             // Exact equality, not approximate: the contract is that the
             // batched kernel reproduces the per-candidate path bit for bit.
             assert_eq!(violation, steady_state_violation(&model, fluxes).unwrap());
+        }
+    }
+
+    #[test]
+    fn paper_scale_batched_violations_match_the_per_candidate_path_bit_for_bit() {
+        // The 608-reaction model at batch widths 1-20: full and partial
+        // tiles, and lanes left over from a wider earlier tile.
+        let geobacter = crate::geobacter::GeobacterModel::paper_scale();
+        let model = geobacter.model();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let candidates: Vec<Vec<f64>> = (0..20)
+            .map(|_| {
+                (0..model.num_reactions())
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 40.0
+                    })
+                    .collect()
+            })
+            .collect();
+        let expected: Vec<u64> = candidates
+            .iter()
+            .map(|x| steady_state_violation(model, x).unwrap().to_bits())
+            .collect();
+        for width in 1..=candidates.len() {
+            let batched = steady_state_violation_batch(model, &candidates[..width]).unwrap();
+            let bits: Vec<u64> = batched.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, expected[..width], "batch width {width}");
         }
     }
 

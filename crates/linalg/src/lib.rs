@@ -45,7 +45,7 @@ pub use error::LinalgError;
 pub use lp::{Bound, Constraint, LinearProgram, LpSolution, LpStatus, Objective, Relation};
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
-pub use sparse::CsrMatrix;
+pub use sparse::{CsrMatrix, RESIDUAL_TILE};
 pub use vector::Vector;
 
 /// Convenience alias for results produced by this crate.

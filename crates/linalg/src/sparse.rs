@@ -1,5 +1,10 @@
 use crate::{LinalgError, Matrix, Vector};
 
+/// Candidates per tile of [`CsrMatrix::residual_norms`]. Eight `f64`
+/// accumulators fill two AVX registers (four SSE2 ones), and a
+/// genome-scale tile (608 × 8 × 8 bytes, ~39 KB) stays cache-resident.
+pub const RESIDUAL_TILE: usize = 8;
+
 /// A compressed sparse row (CSR) matrix.
 ///
 /// Stoichiometric matrices of genome-scale metabolic models are very sparse
@@ -164,105 +169,68 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Sparse matrix × dense matrix product `self · rhs` — the multi-RHS
-    /// form of [`CsrMatrix::mat_vec`]: column `j` of the result equals
-    /// `self.mat_vec(column j of rhs)` **bit for bit**, because the inner
-    /// loop adds the stored entries of each sparse row in exactly the order
-    /// `mat_vec` does.
+    /// Residual norms `‖self · x_j‖₂` of a tile of [`RESIDUAL_TILE`]
+    /// right-hand sides in one pass over the sparse structure, allocating
+    /// nothing: the fused, multi-candidate form of
+    /// `self.mat_vec(x_j)?.norm2()`.
     ///
-    /// One call amortizes the sparse-structure traversal (row pointers,
-    /// column indices) over all right-hand sides and walks `rhs` in
-    /// contiguous row-major slices, which is what makes whole-batch oracle
-    /// kernels (e.g. the Geobacter steady-state residual over a full
-    /// offspring batch) several times faster than mapping `mat_vec` per
-    /// candidate.
+    /// `tile` is row-major, one row per column of `self`: `tile[i][j]` is
+    /// entry `i` of candidate `j`. Each norm equals
+    /// `self.mat_vec(x_j)?.norm2()` **bit for bit**: candidate `j`'s product
+    /// entries are summed over the stored entries of each row in `mat_vec`'s
+    /// order, and their squares are summed in `Vector::norm2`'s row order.
+    /// The candidates of a tile never mix, so the lanes of a partial tile
+    /// that the caller ignores may hold anything.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `rhs.rows() != self.cols()`.
+    /// `tile.len() != self.cols()`.
     ///
     /// # Example
     ///
     /// ```
-    /// use pathway_linalg::{CsrMatrix, Matrix, Vector};
+    /// use pathway_linalg::{CsrMatrix, Vector, RESIDUAL_TILE};
     ///
     /// # fn main() -> Result<(), pathway_linalg::LinalgError> {
     /// let s = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)])?;
-    /// // Two right-hand sides as the columns of a 3 x 2 dense matrix.
-    /// let rhs = Matrix::from_rows(&[vec![1.0, 0.5], vec![1.0, -1.0], vec![1.0, 2.0]])?;
-    /// let product = s.mat_mul_dense(&rhs)?;
-    /// assert_eq!(product.column(0), s.mat_vec(&Vector::from(vec![1.0, 1.0, 1.0]))?);
+    /// // Candidate 0 is (1, 1, 1); the other lanes are left at zero.
+    /// let mut tile = [[0.0; RESIDUAL_TILE]; 3];
+    /// for row in &mut tile {
+    ///     row[0] = 1.0;
+    /// }
+    /// let norms = s.residual_norms(&tile)?;
+    /// assert_eq!(norms[0], s.mat_vec(&Vector::from(vec![1.0, 1.0, 1.0]))?.norm2());
     /// # Ok(())
     /// # }
     /// ```
-    pub fn mat_mul_dense(&self, rhs: &Matrix) -> crate::Result<Matrix> {
-        let mut out = Matrix::zeros(self.rows, rhs.cols());
-        self.mat_mul_dense_into(rhs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::mat_mul_dense`] into a caller-provided output matrix
-    /// (cleared and overwritten), allocating nothing. Batch kernels that run
-    /// once per generation — the FBA steady-state violation tiles — reuse
-    /// one output buffer across all tiles through this entry point.
-    ///
-    /// The inner loop is register-tiled: output columns are processed in
-    /// blocks of 8 accumulated in a local array, so the compiler keeps the
-    /// partial sums in SIMD registers instead of re-walking the output row
-    /// per stored entry. Per output column the additions still happen in
-    /// stored-entry order, so every column remains bit-identical to
-    /// `mat_vec` (and to the untiled loop this replaced).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if
-    /// `rhs.rows() != self.cols()` or `out` is not
-    /// `self.rows() × rhs.cols()`.
-    pub fn mat_mul_dense_into(&self, rhs: &Matrix, out: &mut Matrix) -> crate::Result<()> {
-        if rhs.rows() != self.cols {
+    pub fn residual_norms(
+        &self,
+        tile: &[[f64; RESIDUAL_TILE]],
+    ) -> crate::Result<[f64; RESIDUAL_TILE]> {
+        if tile.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 expected: format!("{} rows", self.cols),
-                found: format!("{} rows", rhs.rows()),
+                found: format!("{} rows", tile.len()),
             });
         }
-        if out.rows() != self.rows || out.cols() != rhs.cols() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}x{}", self.rows, rhs.cols()),
-                found: format!("{}x{}", out.rows(), out.cols()),
-            });
-        }
-        const COL_TILE: usize = 8;
-        let width = rhs.cols();
+        let mut sums = [0.0f64; RESIDUAL_TILE];
         for r in 0..self.rows {
             let entries = self.row_ptr[r]..self.row_ptr[r + 1];
-            let out_row = out.row_mut(r);
-            out_row.fill(0.0);
-            let mut c0 = 0;
-            while c0 + COL_TILE <= width {
-                let mut acc = [0.0f64; COL_TILE];
-                for k in entries.clone() {
-                    let value = self.values[k];
-                    let rhs_tile = &rhs.row(self.col_idx[k])[c0..c0 + COL_TILE];
-                    for (a, &b) in acc.iter_mut().zip(rhs_tile) {
-                        *a += value * b;
-                    }
+            let mut acc = [0.0f64; RESIDUAL_TILE];
+            for (&value, &col) in self.values[entries.clone()]
+                .iter()
+                .zip(&self.col_idx[entries])
+            {
+                for (a, &x) in acc.iter_mut().zip(&tile[col]) {
+                    *a += value * x;
                 }
-                out_row[c0..c0 + COL_TILE].copy_from_slice(&acc);
-                c0 += COL_TILE;
             }
-            // Remainder columns (< COL_TILE): same per-column add order.
-            if c0 < width {
-                for k in entries.clone() {
-                    let value = self.values[k];
-                    let rhs_tail = &rhs.row(self.col_idx[k])[c0..];
-                    for (acc, &b) in out_row[c0..].iter_mut().zip(rhs_tail) {
-                        *acc += value * b;
-                    }
-                }
+            for (sum, &a) in sums.iter_mut().zip(&acc) {
+                *sum += a * a;
             }
         }
-        Ok(())
+        Ok(sums.map(f64::sqrt))
     }
 
     /// Converts to a dense [`Matrix`]. Intended for small matrices and tests.
@@ -340,8 +308,35 @@ mod tests {
         assert!(m.mat_vec(&Vector::zeros(3)).is_err());
     }
 
+    /// Norms of `candidates` through [`CsrMatrix::residual_norms`], one
+    /// tile at a time, with the unused lanes of a partial tile poisoned.
+    fn tiled_norms(m: &CsrMatrix, candidates: &[Vec<f64>]) -> Vec<f64> {
+        let mut norms = Vec::new();
+        for chunk in candidates.chunks(RESIDUAL_TILE) {
+            let mut tile = vec![[f64::NAN; RESIDUAL_TILE]; m.cols()];
+            for (i, row) in tile.iter_mut().enumerate() {
+                for (slot, x) in row.iter_mut().zip(chunk) {
+                    *slot = x[i];
+                }
+            }
+            norms.extend_from_slice(&m.residual_norms(&tile).unwrap()[..chunk.len()]);
+        }
+        norms
+    }
+
+    fn assert_norms_match_mat_vec(m: &CsrMatrix, candidates: &[Vec<f64>]) {
+        let norms = tiled_norms(m, candidates);
+        assert_eq!(norms.len(), candidates.len());
+        for (j, (x, norm)) in candidates.iter().zip(norms).enumerate() {
+            let expected = m.mat_vec(&Vector::from(x.clone())).unwrap().norm2();
+            // Exact equality: the fused kernel adds in mat_vec order and
+            // squares in norm2 order.
+            assert_eq!(norm.to_bits(), expected.to_bits(), "candidate {j}");
+        }
+    }
+
     #[test]
-    fn mat_mul_dense_columns_match_mat_vec_bit_for_bit() {
+    fn residual_norms_match_mat_vec_bit_for_bit() {
         // An awkward matrix: duplicate-summed entries, empty row, negatives.
         let sparse = CsrMatrix::from_triplets(
             4,
@@ -351,47 +346,37 @@ mod tests {
                 (0, 2, -2.25),
                 (1, 1, 3.0),
                 (1, 0, 0.125),
+                (0, 0, 0.5),
                 (3, 2, 7.5),
                 (3, 0, -0.625),
             ],
         )
         .unwrap();
-        let columns = [
+        let candidates = [
             vec![1.0, 2.0, 3.0],
             vec![-0.5, 0.25, 8.0],
             vec![1e-3, -1e3, 0.3],
         ];
-        let mut rhs = Matrix::zeros(3, columns.len());
-        for (j, column) in columns.iter().enumerate() {
-            for (i, &v) in column.iter().enumerate() {
-                rhs[(i, j)] = v;
-            }
-        }
-        let product = sparse.mat_mul_dense(&rhs).unwrap();
-        for (j, column) in columns.iter().enumerate() {
-            let expected = sparse.mat_vec(&Vector::from(column.clone())).unwrap();
-            for i in 0..sparse.rows() {
-                // Exact equality: the batched kernel adds in mat_vec order.
-                assert_eq!(product[(i, j)], expected[i], "entry ({i}, {j})");
-            }
-        }
+        assert_norms_match_mat_vec(&sparse, &candidates);
     }
 
     #[test]
-    fn mat_mul_dense_dimension_check() {
+    fn residual_norms_dimension_check() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]).unwrap();
-        assert!(m.mat_mul_dense(&Matrix::zeros(3, 4)).is_err());
-        assert_eq!(m.mat_mul_dense(&Matrix::zeros(2, 0)).unwrap().cols(), 0);
-        let mut wrong = Matrix::zeros(3, 4);
-        assert!(m
-            .mat_mul_dense_into(&Matrix::zeros(2, 4), &mut wrong)
-            .is_err());
+        assert!(matches!(
+            m.residual_norms(&[[0.0; RESIDUAL_TILE]; 3]),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert!(m.residual_norms(&[]).is_err());
+        assert_eq!(
+            m.residual_norms(&[[0.0; RESIDUAL_TILE]; 2]).unwrap(),
+            [0.0; RESIDUAL_TILE]
+        );
     }
 
     #[test]
-    fn wide_mat_mul_dense_stays_bit_identical_across_the_tile_boundary() {
-        // 19 columns: two full 8-wide register tiles plus a 3-wide
-        // remainder; every column must still match mat_vec bit for bit.
+    fn residual_norms_stay_bit_identical_across_tile_boundaries() {
+        // Batch widths 1-20: full tiles, partial tiles and both together.
         let sparse = CsrMatrix::from_triplets(
             3,
             4,
@@ -405,26 +390,16 @@ mod tests {
             ],
         )
         .unwrap();
-        let width = 19;
-        let mut rhs = Matrix::zeros(4, width);
-        for i in 0..4 {
-            for j in 0..width {
-                rhs[(i, j)] = ((i * 131 + j * 37) % 101) as f64 / 9.0 - 5.0;
-            }
+        let candidates: Vec<Vec<f64>> = (0..20)
+            .map(|j| {
+                (0..4)
+                    .map(|i| ((i * 131 + j * 37) % 101) as f64 / 9.0 - 5.0)
+                    .collect()
+            })
+            .collect();
+        for width in 1..=candidates.len() {
+            assert_norms_match_mat_vec(&sparse, &candidates[..width]);
         }
-        let product = sparse.mat_mul_dense(&rhs).unwrap();
-        for j in 0..width {
-            let expected = sparse.mat_vec(&rhs.column(j)).unwrap();
-            for i in 0..sparse.rows() {
-                assert_eq!(product[(i, j)], expected[i], "entry ({i}, {j})");
-            }
-        }
-        // The in-place variant overwrites a dirty buffer with the same
-        // values.
-        let mut out = Matrix::zeros(3, width);
-        out.as_mut_slice().fill(f64::NAN);
-        sparse.mat_mul_dense_into(&rhs, &mut out).unwrap();
-        assert_eq!(out, product);
     }
 
     #[test]
@@ -466,6 +441,41 @@ mod tests {
             for i in 0..rows {
                 prop_assert!((ds[i] - ss[i]).abs() < 1e-10);
             }
+        }
+
+        #[test]
+        fn prop_residual_norms_match_mat_vec_bit_for_bit(
+            rows in 1usize..40,
+            cols in 1usize..40,
+            width in 1usize..21,
+            seed in 0u64..1_000,
+        ) {
+            // A random CSR matrix (~15% fill, some duplicate triplets) and
+            // `width` random candidates from one xorshift stream.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut uniform = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+            let mut triplets = Vec::new();
+            for r in 0..rows {
+                for c in 0..cols {
+                    if uniform() < 0.15 {
+                        triplets.push((r, c, 20.0 * uniform() - 10.0));
+                        if uniform() < 0.1 {
+                            triplets.push((r, c, uniform() - 0.5));
+                        }
+                    }
+                }
+            }
+            let sparse = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+            let candidates: Vec<Vec<f64>> = (0..width)
+                .map(|_| (0..cols).map(|_| 1e3 * (uniform() - 0.5)).collect())
+                .collect();
+            assert_norms_match_mat_vec(&sparse, &candidates);
         }
     }
 }

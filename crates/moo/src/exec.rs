@@ -96,7 +96,9 @@ const CHUNK_BOUNDS_US: [f64; 11] = [
 
 /// Most items a single claim (owner pop or steal) may take. Small enough
 /// that a skewed tail can be redistributed, large enough that batched
-/// oracles still amortize within a run.
+/// oracles still amortize within a run. It equals the tile width of the
+/// Geobacter oracle's fused CSR kernel (`pathway_linalg::RESIDUAL_TILE`),
+/// so a full claimed run is exactly one tile.
 const CLAIM_BLOCK: usize = 8;
 
 /// A point-in-time load snapshot of an [`Executor`] (see

@@ -8,7 +8,7 @@
 //! on worker threads, and batch order is preserved, so parallel evaluation
 //! may change wall-clock time but never the search trajectory. The
 //! batch-amortized oracles keep the same contract: the Geobacter residual's
-//! whole-batch sparse mat×mat kernel is bit-identical to the per-candidate
+//! fused CSR residual-norm kernel is bit-identical to the per-candidate
 //! path, and the warm-started ODE leaf oracle freezes its parent pool per
 //! batch (`prepare_batch`) so chunked pooled evaluation matches serial.
 //! Checkpoints capture every bit of run state (populations, RNG streams,
