@@ -17,8 +17,8 @@
 //!    bit-identical; only the traversal count differs.
 //! 3. **Tail stealing beats fixed chunks on skewed batches.** A real ODE
 //!    leaf batch where a run of candidates costs far more than the rest
-//!    (they solve from a distant parent; the rest restart from their own
-//!    steady states in a frozen parent library) starves
+//!    (every solve is a cold start: a starved leaf takes about 150 steps,
+//!    the upscaled leaves around it about 15) starves
 //!    fixed chunking — one lane grinds while the other idles. The
 //!    executor's index-stealing splitter rebalances the tail and stays
 //!    bit-identical to serial (`tests/determinism.rs` proves the slot
@@ -150,7 +150,7 @@ fn bench_oracle_amortization(c: &mut Criterion) {
 }
 
 /// The expensive design of [`skewed_leaf_batch`]: a 0.02x-scaled pathway,
-/// far from every committed parent.
+/// about 150 pseudo-transient steps from the cold start.
 fn expensive_leaf_design() -> Vec<f64> {
     EnzymePartition::natural()
         .scaled(0.02)
@@ -158,13 +158,12 @@ fn expensive_leaf_design() -> Vec<f64> {
         .to_vec()
 }
 
-/// A batch whose expensive candidates ([`expensive_leaf_design`], kept out
-/// of the parent library, so each solves from the natural leaf's steady
-/// state in ~56 steps) sit in the middle of lane 0's fixed-chunk half,
-/// surrounded by cheap designs that warm-start from their own committed
-/// steady states (no step at all). The placement spans the later claim
-/// blocks of lane 0's range, which is exactly the work a tail thief can
-/// take over.
+/// A batch of cold starts whose expensive candidates
+/// ([`expensive_leaf_design`]) sit in the middle of lane 0's fixed-chunk
+/// half, surrounded by cheap 2x-upscaled designs that settle in about 15
+/// steps. The placement spans the later claim blocks of lane 0's range,
+/// which is exactly the work a tail thief can take over. Every solve starts
+/// from the same state, so every timed iteration sees the same cost split.
 fn skewed_leaf_batch(batch_len: usize) -> Vec<Vec<f64>> {
     let natural = EnzymePartition::natural();
     (0..batch_len)
@@ -172,25 +171,10 @@ fn skewed_leaf_batch(batch_len: usize) -> Vec<Vec<f64>> {
             if (batch_len / 8..3 * batch_len / 8).contains(&i) {
                 expensive_leaf_design()
             } else {
-                natural.scaled(1.0 + 0.02 * i as f64).capacities().to_vec()
+                natural.scaled(2.0 + 0.02 * i as f64).capacities().to_vec()
             }
         })
         .collect()
-}
-
-/// Settles the cheap designs of the batch once cold, commits them as the
-/// parent library, then freezes it: every timed iteration sees the same
-/// cheap-vs-expensive cost split, because the frozen library neither
-/// absorbs the expensive designs nor drifts between samples.
-fn warmed_leaf_problem(batch: &[Vec<f64>]) -> OdeLeafRedesignProblem {
-    let expensive = expensive_leaf_design();
-    let cheap: Vec<Vec<f64>> = batch.iter().filter(|x| **x != expensive).cloned().collect();
-    let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    problem.prepare_batch(&cheap);
-    problem.evaluate_batch(&cheap);
-    problem.prepare_batch(&cheap);
-    problem.freeze_warm_start_pool();
-    problem
 }
 
 /// Fixed chunks vs the index-stealing splitter on the skewed ODE batch,
@@ -208,11 +192,11 @@ fn bench_skewed_stealing(c: &mut Criterion) {
     group.sample_size(samples);
     let case = format!("ode_leaf_pop{batch_len}");
     group.bench_function(BenchmarkId::new(&case, "scoped_fixed_chunks2"), |b| {
-        let problem = warmed_leaf_problem(&batch);
+        let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
         b.iter(|| scoped_evaluate_batch(&problem, &batch, 2).len())
     });
     group.bench_function(BenchmarkId::new(&case, "executor_pool_stealing2"), |b| {
-        let problem = warmed_leaf_problem(&batch);
+        let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
         let pool = Executor::new(EvalBackend::Threads(2));
         b.iter(|| pool.evaluate_batch(&problem, &batch).len())
     });

@@ -49,11 +49,11 @@ fn write_spec(dir: &Path, backend: &str) -> PathBuf {
 }
 
 fn assert_identical(a: &Path, b: &Path) {
-    let left = std::fs::read(a).expect("front file a");
-    let right = std::fs::read(b).expect("front file b");
+    let left = std::fs::read(a).expect("file a");
+    let right = std::fs::read(b).expect("file b");
     assert!(
         !left.is_empty() && left == right,
-        "fronts differ between {} and {}",
+        "files differ between {} and {}",
         a.display(),
         b.display()
     );
@@ -139,6 +139,75 @@ fn kill_and_resume_is_bit_identical_serial() {
 #[test]
 fn kill_and_resume_is_bit_identical_threaded() {
     kill_resume_roundtrip("threads:2", "threads");
+}
+
+/// The paper's own oracle, the Calvin-cycle ODE steady state, across
+/// processes: every solve starts cold, so a resumed run re-scores nothing
+/// differently. The front and every checkpoint written after the kill are
+/// byte-identical to the uninterrupted run's.
+fn ode_kill_resume_roundtrip(backend: &str, tag: &str) {
+    let dir = temp_dir(tag);
+    let spec = dir.join("ode.spec");
+    std::fs::write(
+        &spec,
+        format!(
+            "pathway-spec v1\n\n\
+             [problem]\nname = leaf-design-ode\nera = present\nexport = low\n\n\
+             [optimizer]\nkind = nsga2\npopulation = 12\nbackend = {backend}\n\n\
+             [run]\nseed = 7\ncheckpoint_every = 2\n\n\
+             [stop]\nmax_generations = 6\n"
+        ),
+    )
+    .expect("write spec");
+    let spec = spec.to_str().unwrap();
+
+    let full_front = dir.join("full.front");
+    let full_ckpt = dir.join("full-ckpt");
+    run_ok(&[
+        "run",
+        spec,
+        "--checkpoint-dir",
+        full_ckpt.to_str().unwrap(),
+        "--front-out",
+        full_front.to_str().unwrap(),
+        "--quiet",
+    ]);
+
+    let split_ckpt = dir.join("split-ckpt");
+    run_ok(&[
+        "run",
+        spec,
+        "--checkpoint-dir",
+        split_ckpt.to_str().unwrap(),
+        "--stop-after",
+        "3",
+        "--quiet",
+    ]);
+    let resumed_front = dir.join("resumed.front");
+    run_ok(&[
+        "resume",
+        split_ckpt.join("gen-3.ckpt").to_str().unwrap(),
+        "--front-out",
+        resumed_front.to_str().unwrap(),
+        "--quiet",
+    ]);
+
+    assert_identical(&full_front, &resumed_front);
+    for generation in [4, 6] {
+        let name = format!("gen-{generation}.ckpt");
+        assert_identical(&full_ckpt.join(&name), &split_ckpt.join(&name));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn ode_leaf_kill_and_resume_is_bit_identical_serial() {
+    ode_kill_resume_roundtrip("serial", "ode-serial");
+}
+
+#[test]
+fn ode_leaf_kill_and_resume_is_bit_identical_threaded() {
+    ode_kill_resume_roundtrip("threads:2", "ode-threads");
 }
 
 #[test]
@@ -248,7 +317,14 @@ fn inspect_describes_specs_and_checkpoints() {
 fn list_problems_prints_the_registry() {
     let output = run_ok(&["list-problems"]);
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for name in ["leaf-design", "geobacter", "schaffer", "zdt1", "dtlz2"] {
+    for name in [
+        "leaf-design",
+        "leaf-design-ode",
+        "geobacter",
+        "schaffer",
+        "zdt1",
+        "dtlz2",
+    ] {
         assert!(stdout.contains(name), "missing '{name}' in:\n{stdout}");
     }
 }

@@ -39,7 +39,7 @@ use pathway_moo::problems::{BinhKorn, Dtlz2, Schaffer, Zdt1, Zdt2};
 use pathway_moo::MultiObjectiveProblem;
 use pathway_photosynthesis::{CarbonDioxideEra, Scenario, TriosePhosphateExport};
 
-use crate::{GeobacterFluxProblem, LeafRedesignProblem};
+use crate::{GeobacterFluxProblem, LeafRedesignProblem, OdeLeafRedesignProblem};
 
 /// One registry entry: a problem name, what it is, and its parameters.
 #[derive(Debug, Clone, Copy)]
@@ -62,6 +62,14 @@ pub const PROBLEM_CATALOG: &[ProblemInfo] = &[
             ("export", "triose-phosphate export: low | high (default low)"),
             ("lower_factor", "search box lower bound as a multiple of natural capacity (default 0.02)"),
             ("upper_factor", "search box upper bound as a multiple of natural capacity (default 4)"),
+        ],
+    },
+    ProblemInfo {
+        name: "leaf-design-ode",
+        summary: "C3 leaf redesign scored at the steady state of the Calvin-cycle ODE, the paper's own oracle (23 enzymes)",
+        params: &[
+            ("era", "CO2 era: past | present | future (default present)"),
+            ("export", "triose-phosphate export: low | high (default low)"),
         ],
     },
     ProblemInfo {
@@ -110,6 +118,9 @@ pub const PROBLEM_CATALOG: &[ProblemInfo] = &[
 pub enum AnyProblem {
     /// The paper's C3 leaf redesign problem.
     LeafDesign(LeafRedesignProblem),
+    /// The leaf redesign problem scored on the Calvin-cycle ODE steady
+    /// state, the paper's own oracle.
+    LeafDesignOde(OdeLeafRedesignProblem),
     /// The paper's Geobacter flux problem (boxed: it carries the whole
     /// metabolic model).
     Geobacter(Box<GeobacterFluxProblem>),
@@ -157,28 +168,7 @@ impl AnyProblem {
         }
         match spec.name.as_str() {
             "leaf-design" => {
-                let era = match spec.params.get("era").map(String::as_str) {
-                    None | Some("present") => CarbonDioxideEra::Present,
-                    Some("past") => CarbonDioxideEra::Past,
-                    Some("future") => CarbonDioxideEra::Future,
-                    Some(other) => {
-                        return Err(SpecError::field(
-                            "problem.era",
-                            format!("unknown era '{other}' (expected past, present or future)"),
-                        ))
-                    }
-                };
-                let export = match spec.params.get("export").map(String::as_str) {
-                    None | Some("low") => TriosePhosphateExport::Low,
-                    Some("high") => TriosePhosphateExport::High,
-                    Some(other) => {
-                        return Err(SpecError::field(
-                            "problem.export",
-                            format!("unknown export regime '{other}' (expected low or high)"),
-                        ))
-                    }
-                };
-                let mut problem = LeafRedesignProblem::new(Scenario::new(era, export));
+                let mut problem = LeafRedesignProblem::new(leaf_scenario(spec)?);
                 let lower_param = spec.parsed_param::<f64>("lower_factor")?;
                 let upper_param = spec.parsed_param::<f64>("upper_factor")?;
                 if lower_param.is_some() || upper_param.is_some() {
@@ -203,6 +193,9 @@ impl AnyProblem {
                 }
                 Ok(AnyProblem::LeafDesign(problem))
             }
+            "leaf-design-ode" => Ok(AnyProblem::LeafDesignOde(OdeLeafRedesignProblem::new(
+                leaf_scenario(spec)?,
+            ))),
             "geobacter" => {
                 let reactions = spec.parsed_param::<usize>("reactions")?.unwrap_or(64);
                 let model_seed = spec.parsed_param::<u64>("model_seed")?.unwrap_or(0x6E0B);
@@ -246,18 +239,22 @@ impl AnyProblem {
     }
 
     /// Dumps the problem's cumulative oracle counters (if it keeps any)
-    /// into `registry`: the Geobacter problem reports its
-    /// `oracle.fba.*` tallies; the benchmark problems have no expensive
-    /// oracle and record nothing. Call once when an invocation finishes.
+    /// into `registry`: the Geobacter problem reports its `oracle.fba.*`
+    /// tallies and the ODE leaf problem its `ode.*` solver work; the
+    /// analytic and benchmark problems have no expensive oracle and record
+    /// nothing. Call once when an invocation finishes.
     pub fn record_oracle_metrics(&self, registry: &MetricsRegistry) {
-        if let AnyProblem::Geobacter(problem) = self {
-            problem.record_oracle_metrics(registry);
+        match self {
+            AnyProblem::Geobacter(problem) => problem.record_oracle_metrics(registry),
+            AnyProblem::LeafDesignOde(problem) => problem.record_oracle_metrics(registry),
+            _ => {}
         }
     }
 
     fn inner(&self) -> &dyn MultiObjectiveProblem {
         match self {
             AnyProblem::LeafDesign(p) => p,
+            AnyProblem::LeafDesignOde(p) => p,
             AnyProblem::Geobacter(p) => p.as_ref(),
             AnyProblem::Schaffer(p) => p,
             AnyProblem::Zdt1(p) => p,
@@ -293,6 +290,32 @@ impl MultiObjectiveProblem for AnyProblem {
     fn name(&self) -> &str {
         self.inner().name()
     }
+}
+
+/// The scenario of a leaf problem from its `era` and `export` params.
+fn leaf_scenario(spec: &ProblemSpec) -> Result<Scenario, SpecError> {
+    let era = match spec.params.get("era").map(String::as_str) {
+        None | Some("present") => CarbonDioxideEra::Present,
+        Some("past") => CarbonDioxideEra::Past,
+        Some("future") => CarbonDioxideEra::Future,
+        Some(other) => {
+            return Err(SpecError::field(
+                "problem.era",
+                format!("unknown era '{other}' (expected past, present or future)"),
+            ))
+        }
+    };
+    let export = match spec.params.get("export").map(String::as_str) {
+        None | Some("low") => TriosePhosphateExport::Low,
+        Some("high") => TriosePhosphateExport::High,
+        Some(other) => {
+            return Err(SpecError::field(
+                "problem.export",
+                format!("unknown export regime '{other}' (expected low or high)"),
+            ))
+        }
+    };
+    Ok(Scenario::new(era, export))
 }
 
 /// Cross-checks the spec fields whose validity depends on the *resolved*
@@ -431,6 +454,25 @@ mod tests {
         assert_eq!(zdt1.num_variables(), 9);
         let leaf = AnyProblem::from_spec(&ProblemSpec::named("leaf-design")).unwrap();
         assert_eq!(leaf.num_variables(), 23);
+        let ode = AnyProblem::from_spec(
+            &ProblemSpec::named("leaf-design-ode")
+                .with_param("era", "future")
+                .with_param("export", "high"),
+        )
+        .unwrap();
+        let AnyProblem::LeafDesignOde(ode) = &ode else {
+            panic!("leaf-design-ode resolves to the ODE problem")
+        };
+        assert_eq!(
+            ode.scenario(),
+            &Scenario::new(CarbonDioxideEra::Future, TriosePhosphateExport::High)
+        );
+        // The search box of the ODE problem is fixed.
+        let err = AnyProblem::from_spec(
+            &ProblemSpec::named("leaf-design-ode").with_param("lower_factor", "0.1"),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("lower_factor"), "{err}");
     }
 
     #[test]

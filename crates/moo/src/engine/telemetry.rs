@@ -24,8 +24,8 @@
 //!
 //! * `exec.*` — executor/pool metrics (`exec.batches`, `exec.candidates`,
 //!   `exec.queue_wait_us`, `exec.lane03.busy_us`, …);
-//! * `oracle.*` — amortized-oracle counters (`oracle.fba.solves`,
-//!   `oracle.ode.warm_starts`, …);
+//! * `oracle.*` — amortized-oracle counters (`oracle.fba.solves`, …);
+//! * `ode.*` — ODE solver work (`ode.steps`, `ode.rhs_evals`, …);
 //! * `serve.*` — daemon scheduler metrics (`serve.turn_us`,
 //!   `serve.loop_lag_us`, `serve.jobs_runnable`, …);
 //! * `phase.<name>.us` / `phase.<name>.calls` — the counter pair behind a

@@ -285,9 +285,9 @@ impl Executor {
     /// `(objectives, constraint_violation)` per candidate in batch order.
     ///
     /// [`MultiObjectiveProblem::prepare_batch`] is called exactly once with
-    /// the *whole* batch before any run is evaluated (this is what lets
-    /// stateful oracles like the warm-started leaf model stay deterministic
-    /// under splitting), then each claimed run goes through
+    /// the *whole* batch before any run is evaluated (the hook a stateful
+    /// oracle would need to stay deterministic under splitting), then each
+    /// claimed run goes through
     /// [`MultiObjectiveProblem::evaluate_batch`], so batched-oracle
     /// overrides amortize under the serial and the pooled mode alike.
     pub fn evaluate_batch<P: MultiObjectiveProblem>(

@@ -52,9 +52,8 @@ pub trait MultiObjectiveProblem: Sync {
     /// product over the whole batch) can override it; the
     /// [`crate::exec::Executor`]s call this entry point once per chunk, so
     /// an override speeds up the serial and the pooled path alike. Overrides
-    /// must stay pure functions of each `x` (given the state frozen by
-    /// [`MultiObjectiveProblem::prepare_batch`]) and preserve order,
-    /// otherwise parallel runs lose bit-identity with serial runs.
+    /// must stay pure functions of each `x` and preserve order, otherwise
+    /// parallel runs lose bit-identity with serial runs.
     fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<(Vec<f64>, f64)> {
         xs.iter()
             .map(|x| (self.evaluate(x), self.constraint_violation(x)))
@@ -62,17 +61,16 @@ pub trait MultiObjectiveProblem: Sync {
     }
 
     /// Hook called exactly once with the **entire** batch before any
-    /// (possibly chunked, possibly parallel) evaluation of it begins.
+    /// (possibly chunked, possibly parallel) evaluation of it begins. The
+    /// default is a no-op.
     ///
-    /// [`crate::exec::Executor::evaluate_batch`] splits a batch into
-    /// per-worker chunks and calls
-    /// [`MultiObjectiveProblem::evaluate_batch`] once per chunk — so an
-    /// oracle that carries state across batches (the warm-started leaf
-    /// model's parent pool, for instance) must commit that state *here*,
-    /// where the whole batch is visible, and treat it as frozen during the
-    /// chunk evaluations. That freeze is what keeps chunked (pooled) runs
-    /// bit-identical to serial runs. The default is a no-op: stateless
-    /// oracles need nothing.
+    /// No problem in the workspace implements it: every shipped oracle is a
+    /// pure function of the candidate. It stays because the benchmark's
+    /// counting wrapper (`perfbench`'s `Counted`) forwards it. An oracle that carried state across batches would have
+    /// to commit that state here, where the whole batch is visible, and
+    /// treat it as frozen while [`crate::exec::Executor::evaluate_batch`]
+    /// evaluates the batch chunk by chunk, or pooled runs would lose
+    /// bit-identity with serial runs.
     fn prepare_batch(&self, _xs: &[Vec<f64>]) {}
 
     /// Total constraint violation at `x`; `0.0` means feasible. Algorithms use

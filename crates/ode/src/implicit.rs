@@ -1,7 +1,7 @@
 use pathway_linalg::{LuDecomposition, Matrix, Vector};
 
 use crate::system::validate_inputs;
-use crate::{IntegrationResult, IntegrationStats, OdeError, OdeSystem};
+use crate::{IntegrationResult, IntegrationStats, Jacobian, OdeError, OdeSystem};
 
 /// A backward-Euler integrator with a damped Newton corrector.
 ///
@@ -72,18 +72,14 @@ const NEWTON_TOLERANCE: f64 = 1e-10;
 /// Newton iterations per [`BackwardEuler`] step before it gives up.
 const MAX_NEWTON_ITERATIONS: usize = 25;
 
-/// Relative perturbation of the forward-difference Jacobian.
-const JACOBIAN_EPSILON: f64 = 1e-7;
-
 /// Buffers reused across every Newton iteration of every step, shared by
 /// [`BackwardEuler`] and [`crate::PseudoTransient`].
 pub(crate) struct NewtonWorkspace {
-    jac: Matrix,
+    pub(crate) jacobian: Jacobian,
     newton_matrix: Matrix,
     pub(crate) residual: Vector,
     pub(crate) delta: Vector,
     pub(crate) candidate: Vector,
-    perturbed: Vector,
     pub(crate) f1: Vector,
     /// The LU storage (and, within a step, the pivot order) carried from
     /// solve to solve; `None` until the first factorization.
@@ -93,53 +89,41 @@ pub(crate) struct NewtonWorkspace {
 impl NewtonWorkspace {
     pub(crate) fn new(dim: usize) -> Self {
         NewtonWorkspace {
-            jac: Matrix::zeros(dim, dim),
+            jacobian: Jacobian::new(dim),
             newton_matrix: Matrix::zeros(dim, dim),
             residual: Vector::zeros(dim),
             delta: Vector::zeros(dim),
             candidate: Vector::zeros(dim),
-            perturbed: Vector::zeros(dim),
             f1: Vector::zeros(dim),
             lu: None,
         }
     }
 
-    /// Forward-difference Jacobian of the right-hand side at `(t, y)`, whose
-    /// value there is `f0`, written into `jac` (no allocation).
-    pub(crate) fn jacobian<S: OdeSystem>(
-        &mut self,
-        system: &S,
-        t: f64,
-        y: &Vector,
-        f0: &Vector,
-        stats: &mut IntegrationStats,
-    ) {
-        let dim = system.dim();
-        self.perturbed.as_mut_slice().copy_from_slice(y.as_slice());
-        for j in 0..dim {
-            let h = JACOBIAN_EPSILON * (1.0 + y[j].abs());
-            self.perturbed[j] = y[j] + h;
-            system.rhs(t, &self.perturbed, &mut self.f1);
-            stats.rhs_evaluations += 1;
-            let jac = self.jac.as_mut_slice();
-            for i in 0..dim {
-                jac[i * dim + j] = (self.f1[i] - f0[i]) / h;
-            }
-            self.perturbed[j] = y[j];
-        }
-        stats.jacobian_evaluations += 1;
-    }
-
     /// Writes `diagonal · I − scale · J` into `newton_matrix`.
     pub(crate) fn assemble(&mut self, diagonal: f64, scale: f64) {
-        let dim = self.jac.rows();
-        let nm = self.newton_matrix.as_mut_slice();
-        for (dst, &src) in nm.iter_mut().zip(self.jac.as_slice()) {
-            *dst = -scale * src;
+        self.jacobian
+            .assemble(diagonal, scale, &mut self.newton_matrix);
+    }
+
+    /// Solves `(diagonal · I − J) delta = residual`. A sparse-plus-rank-one
+    /// `J` goes through [`crate::SparsePlusRankOne::solve`] first; a dense `J`,
+    /// or a structured solve whose pivots or denominator degrade (counted
+    /// in `stats.dense_fallbacks`), is assembled and factored with partial
+    /// pivoting.
+    pub(crate) fn solve_shifted(
+        &mut self,
+        diagonal: f64,
+        stats: &mut IntegrationStats,
+    ) -> pathway_linalg::Result<()> {
+        if let Some(structured) = self.jacobian.as_sparse_plus_rank_one_mut() {
+            if structured.solve(diagonal, &self.residual, &mut self.delta) {
+                return Ok(());
+            }
+            stats.dense_fallbacks += 1;
         }
-        for i in 0..dim {
-            nm[i * dim + i] += diagonal;
-        }
+        self.assemble(diagonal, 1.0);
+        self.factor(false)?;
+        self.solve()
     }
 
     /// Factors `newton_matrix` with a full partial-pivoting LU into the
@@ -218,8 +202,11 @@ impl BackwardEuler {
                     break;
                 }
 
-                // Jacobian of G: I - h J, built in place.
-                ws.jacobian(system, t_new, &y_new, &f, &mut stats);
+                // Jacobian of G: I - h J, built in place from dense forward
+                // differences (never the system's own Jacobian hook: this
+                // march is the reference the hook is checked against).
+                stats.rhs_evaluations += ws.jacobian.difference_dense(system, t_new, &y_new, &f);
+                stats.jacobian_evaluations += 1;
                 ws.assemble(1.0, h);
                 // Factor: full pivoting on the first iteration of the step,
                 // pivot reuse afterwards (the Newton matrix drifts slowly

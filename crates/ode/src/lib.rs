@@ -8,7 +8,9 @@
 //! * [`PseudoTransient`] — finds a steady state `f(y) = 0` by
 //!   pseudo-transient continuation: backward-Euler steps in pseudo-time whose
 //!   step grows until they are Newton steps. This is how uptake rates are
-//!   evaluated.
+//!   evaluated. A system can supply its Jacobian as a sparse part plus a
+//!   rank-one term ([`OdeSystem::jacobian`], [`SparsePlusRankOne`]), which
+//!   makes each step a sparse solve.
 //! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
 //!   Newton corrector and finite-difference Jacobian, for stiff transients.
 //!   It is the long reference march that pins [`PseudoTransient`]'s
@@ -42,12 +44,14 @@
 
 mod error;
 mod implicit;
+mod jacobian;
 mod stats;
 mod steady_state;
 mod system;
 
 pub use error::OdeError;
 pub use implicit::BackwardEuler;
+pub use jacobian::{forward_difference_step, Jacobian, JacobianPattern, SparsePlusRankOne};
 pub use stats::IntegrationStats;
 pub use steady_state::{PseudoTransient, SteadyState};
 pub use system::{IntegrationResult, OdeSystem};

@@ -16,6 +16,10 @@ pub struct IntegrationStats {
     pub jacobian_evaluations: usize,
     /// Number of Newton iterations.
     pub newton_iterations: usize,
+    /// Sparse-plus-rank-one Newton solves whose static pivots or
+    /// Sherman–Morrison denominator degraded, so the step was solved densely
+    /// instead.
+    pub dense_fallbacks: usize,
 }
 
 impl IntegrationStats {

@@ -20,8 +20,14 @@ pub struct SteadyState {
 /// pseudo-transient continuation*, SIAM J. Numer. Anal. 35(2), 1998).
 ///
 /// Each step is one linearized backward-Euler step in pseudo-time: it solves
-/// `(I/dt − J) δ = f(y)` with a fresh forward-difference Jacobian `J`, sets
-/// `y += δ` and applies [`OdeSystem::project`]. The pseudo-time step grows by
+/// `(I/dt − J) δ = f(y)` with a fresh Jacobian `J` from
+/// [`OdeSystem::jacobian`], sets `y += δ` and applies
+/// [`OdeSystem::project`]. A dense `J` (the default, forward differences) is
+/// factored with partial pivoting; a sparse-plus-rank-one `J = S + u·gᵀ` is
+/// solved by Sherman–Morrison against a static-pivot LU of `I/dt − S`,
+/// falling back to the dense factorization of the assembled matrix when a
+/// pivot or the denominator degrades ([`crate::SparsePlusRankOne::solve`]).
+/// The pseudo-time step grows by
 /// switched evolution relaxation, `dt ← dt · ‖f_old‖ / ‖f_new‖`, so the
 /// early steps follow the trajectory and, as the residual falls, the steps
 /// turn into Newton steps on `f(y) = 0`. A failed factorization or a
@@ -170,13 +176,13 @@ impl PseudoTransient {
             }
 
             if !jacobian_current {
-                ws.jacobian(system, 0.0, &y, &f, &mut stats);
+                stats.rhs_evaluations += system.jacobian(0.0, &y, &f, &mut ws.jacobian);
+                stats.jacobian_evaluations += 1;
                 jacobian_current = true;
             }
-            ws.assemble(1.0 / dt, 1.0);
             ws.residual.as_mut_slice().copy_from_slice(f.as_slice());
             stats.newton_iterations += 1;
-            if ws.factor(false).and_then(|()| ws.solve()).is_ok() {
+            if ws.solve_shifted(1.0 / dt, &mut stats).is_ok() {
                 ws.candidate.as_mut_slice().copy_from_slice(y.as_slice());
                 ws.candidate
                     .axpy_mut(1.0, &ws.delta)

@@ -1,6 +1,6 @@
 use pathway_linalg::Vector;
 
-use crate::{IntegrationStats, OdeError};
+use crate::{IntegrationStats, Jacobian, OdeError};
 
 /// A first-order ODE system `dy/dt = f(t, y)`.
 ///
@@ -43,6 +43,21 @@ pub trait OdeSystem {
     /// positivity constraints (metabolite concentrations cannot go negative)
     /// override this to clamp the state.
     fn project(&self, _t: f64, _y: &mut Vector) {}
+
+    /// Writes the Jacobian of the right-hand side at `(t, y)`, where it
+    /// equals `f`, into `jacobian`, and returns the right-hand-side calls
+    /// made. [`crate::PseudoTransient`] calls it once per accepted step.
+    ///
+    /// The default is the dense forward-difference Jacobian
+    /// ([`Jacobian::difference_dense`]), one call per state variable. A
+    /// system that knows its structure can fill the sparse-plus-rank-one
+    /// form instead ([`Jacobian::sparse_plus_rank_one`]), which costs a call
+    /// per column group and makes the Newton solve sparse.
+    /// [`crate::BackwardEuler`], the reference march, never calls this hook
+    /// and always differences densely.
+    fn jacobian(&self, t: f64, y: &Vector, f: &Vector, jacobian: &mut Jacobian) -> usize {
+        jacobian.difference_dense(self, t, y, f)
+    }
 }
 
 impl<T: OdeSystem + ?Sized> OdeSystem for &T {
@@ -56,6 +71,10 @@ impl<T: OdeSystem + ?Sized> OdeSystem for &T {
 
     fn project(&self, t: f64, y: &mut Vector) {
         (**self).project(t, y)
+    }
+
+    fn jacobian(&self, t: f64, y: &Vector, f: &Vector, jacobian: &mut Jacobian) -> usize {
+        (**self).jacobian(t, y, f, jacobian)
     }
 }
 

@@ -9,8 +9,8 @@
 //! may change wall-clock time but never the search trajectory. The
 //! batch-amortized oracles keep the same contract: the Geobacter residual's
 //! fused CSR residual-norm kernel is bit-identical to the per-candidate
-//! path, and the warm-started ODE leaf oracle freezes its parent pool per
-//! batch (`prepare_batch`) so chunked pooled evaluation matches serial.
+//! path, and the ODE leaf oracle cold-starts every solve, so a design's
+//! score does not depend on the search that came before it.
 //! Checkpoints capture every bit of run state (populations, RNG streams,
 //! migration archives, counters, the driver's hypervolume history), so a
 //! resumed run continues the exact trajectory — executors are
@@ -343,42 +343,48 @@ fn determinism_batched_geobacter_oracle_matches_per_candidate() {
     assert_eq!(serial, pooled);
 }
 
-/// The warm-started ODE leaf oracle: batched evaluation must match the
-/// per-candidate path against the same (frozen) parent pool, and a pooled
-/// multi-generation run must match the serial one bit for bit even though
-/// every generation warm-starts from the previous one's steady states.
+/// The ODE leaf oracle is history-free: a fixed probe set scores bit for
+/// bit the same on a fresh problem instance as on an instance that has just
+/// run a 3-generation NSGA-II search, batched or one candidate at a time,
+/// and the search itself is identical under `Serial` and `Threads(2)`.
 #[test]
-fn determinism_warm_started_leaf_oracle_matches_per_candidate_and_serial() {
+fn determinism_leaf_ode_oracle_is_history_free() {
     let natural = EnzymePartition::natural();
-    let batch: Vec<Vec<f64>> = [1.0, 1.1, 1.3]
+    // Both sides of the bistable range (1.2x-1.3x natural), inside it, and
+    // far from every design the search visits first.
+    let probes: Vec<Vec<f64>> = [0.3, 1.0, 1.2, 1.25, 1.3, 3.5]
         .iter()
         .map(|&factor| natural.scaled(factor).capacities().to_vec())
         .collect();
+    let bits = |scored: &[(Vec<f64>, f64)]| -> Vec<u64> {
+        scored
+            .iter()
+            .flat_map(|(objectives, violation)| objectives.iter().chain([violation]))
+            .map(|value| value.to_bits())
+            .collect()
+    };
+    let fresh = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+    let reference = bits(&Executor::serial().evaluate_batch(&fresh, &probes));
 
-    // Batched == per-candidate on a fresh (cold-pool) problem.
-    let batched_problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    let itemwise_problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    for (x, (objectives, _)) in batch.iter().zip(batched_problem.evaluate_batch(&batch)) {
-        assert_eq!(objectives, itemwise_problem.evaluate(x));
+    let mut fronts = Vec::new();
+    for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
+        let searched = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+        let config = Nsga2Config {
+            population_size: 8,
+            generations: 3,
+            backend,
+            ..Default::default()
+        };
+        fronts.push(signature(&Nsga2::new(config, 5).run(&searched)));
+        let rescored = Executor::new(backend).evaluate_batch(&searched, &probes);
+        assert_eq!(bits(&rescored), reference, "{backend:?} after a search");
+        let one_at_a_time: Vec<(Vec<f64>, f64)> = probes
+            .iter()
+            .map(|x| (searched.evaluate(x), searched.constraint_violation(x)))
+            .collect();
+        assert_eq!(bits(&one_at_a_time), reference, "{backend:?} per candidate");
     }
-
-    // Serial vs pooled executors across generations (warm starts engaged
-    // from generation 1 on).
-    let serial_problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    let pooled_problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-    let serial = Executor::serial();
-    let pooled = Executor::new(EvalBackend::Threads(3));
-    for generation in 0..2 {
-        assert_eq!(
-            serial.evaluate_batch(&serial_problem, &batch),
-            pooled.evaluate_batch(&pooled_problem, &batch),
-            "warm-started generation {generation} diverged"
-        );
-    }
-    assert!(
-        serial_problem.warm_start_pool_size() > 0,
-        "the second generation must actually have warm-started"
-    );
+    assert_eq!(fronts[0], fronts[1], "the pooled search diverged");
 }
 
 // --- work-stealing splitter determinism ---------------------------------
