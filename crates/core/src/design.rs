@@ -210,7 +210,7 @@ impl GeobacterOutcome {
         front: &[Individual],
         seed: u64,
     ) -> Result<Self, pathway_fba::FbaError> {
-        let mut perturbation = pathway_fba::FluxPerturbation::new(0.1, 10.0, seed);
+        let mut perturbation = pathway_fba::FluxPerturbation::new(10.0, seed);
         let random_guess = perturbation.random_vector(problem.model());
         let initial_violation =
             pathway_fba::steady_state_violation(problem.model(), &random_guess)?;

@@ -12,8 +12,8 @@
 //!    [`RunSpec`](pathway_moo::engine::RunSpec) and driven through
 //!    [`spec_driver`] and the step-driven engine of [`pathway_moo::engine`]
 //!    (observers, early stopping, checkpoint/resume);
-//! 3. **mine** the front: closest-to-ideal, shadow minima, equally spaced
-//!    representatives;
+//! 3. **mine** the front: closest-to-ideal, the extremes of each objective,
+//!    equally spaced representatives;
 //! 4. score the mined candidates with the **robustness yield** Γ under
 //!    Monte-Carlo perturbation of the design variables.
 //!

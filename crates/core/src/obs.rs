@@ -152,20 +152,14 @@ pub fn profile_json(data: &ProfileData) -> JsonValue {
     ])
 }
 
-/// Renders a profile as the exact bytes [`write_profile_file`] persists
-/// (pretty-printed, trailing newline).
-pub fn render_profile(data: &ProfileData) -> String {
-    profile_json(data).to_pretty()
-}
-
-/// Writes a profile atomically ([`atomic_write`]) — a crash never leaves a
-/// truncated profile behind.
+/// Writes a profile, pretty-printed with a trailing newline, atomically
+/// ([`atomic_write`]) — a crash never leaves a truncated profile behind.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_profile_file(path: &Path, data: &ProfileData) -> std::io::Result<()> {
-    atomic_write(path, render_profile(data).as_bytes())
+    atomic_write(path, profile_json(data).to_pretty().as_bytes())
 }
 
 /// One folded phase of a validated profile.
@@ -570,7 +564,7 @@ mod tests {
         registry.observe("exec.chunk_us", &[10.0, 100.0], 5.0);
         registry.observe("exec.chunk_us", &[10.0, 100.0], 50.0);
         let snapshot = registry.snapshot();
-        render_profile(&ProfileData {
+        profile_json(&ProfileData {
             source: "run",
             label: "examples/quickstart.spec",
             generations: 4,
@@ -578,6 +572,7 @@ mod tests {
             wall_ms: 12,
             snapshot: &snapshot,
         })
+        .to_pretty()
     }
 
     #[test]

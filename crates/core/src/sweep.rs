@@ -404,9 +404,9 @@ fn derived_reference(points: &[Vec<f64>]) -> Vec<f64> {
 /// Writes a front bit-exactly: one line per solution, every `f64` rendered
 /// as its IEEE-754 bits in hex, so two fronts are equal iff the files are
 /// byte-identical. Kill/resume tests — single-run and sweep alike — diff
-/// these files; [`read_front_objectives`] reads them back losslessly. The
-/// write is atomic ([`atomic_write`]): a kill mid-write leaves the old file
-/// or none, never a torn front.
+/// these files, and the sweep summary reads their objectives back
+/// losslessly. The write is atomic ([`atomic_write`]): a kill mid-write
+/// leaves the old file or none, never a torn front.
 ///
 /// # Errors
 ///
@@ -447,7 +447,7 @@ pub fn render_front(front: &[Individual]) -> String {
 /// # Errors
 ///
 /// `InvalidData` when the file does not follow the front format.
-pub fn read_front_objectives(path: &Path) -> std::io::Result<Vec<Vec<f64>>> {
+fn read_front_objectives(path: &Path) -> std::io::Result<Vec<Vec<f64>>> {
     let bad = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
     let text = std::fs::read_to_string(path)?;
     let mut lines = text.lines();

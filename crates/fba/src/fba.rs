@@ -16,17 +16,8 @@ pub struct FbaSolution {
     pub phase1_iterations: usize,
 }
 
-/// Flux variability range of one reaction at a fixed objective level.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FluxVariability {
-    /// Minimum attainable flux.
-    pub minimum: f64,
-    /// Maximum attainable flux.
-    pub maximum: f64,
-}
-
-/// Flux balance analysis over a [`MetabolicModel`]: maximize (or minimize) one
-/// reaction flux subject to the steady-state constraint `S·v = 0` and the
+/// Flux balance analysis over a [`MetabolicModel`]: maximize one reaction
+/// flux subject to the steady-state constraint `S·v = 0` and the
 /// per-reaction bounds, exactly the LP the COBRA toolbox solves.
 ///
 /// # Example
@@ -54,10 +45,10 @@ impl<'a> FluxBalanceAnalysis<'a> {
         FluxBalanceAnalysis { model }
     }
 
-    /// The steady-state program, without an objective.
-    fn build_program(&self, sense: Objective) -> LinearProgram {
+    /// The steady-state program to maximize, without an objective.
+    fn build_program(&self) -> LinearProgram {
         let n = self.model.num_reactions();
-        let mut lp = LinearProgram::new(n, sense);
+        let mut lp = LinearProgram::new(n, Objective::Maximize);
         for (i, bound) in self.model.flux_bounds().into_iter().enumerate() {
             lp.set_bound(i, bound).expect("model bounds are valid");
         }
@@ -72,8 +63,8 @@ impl<'a> FluxBalanceAnalysis<'a> {
         lp
     }
 
-    /// The objective `coefficient · v[reaction]`.
-    fn flux_objective(&self, reaction: usize, coefficient: f64) -> Result<Vec<f64>, FbaError> {
+    /// The objective `v[reaction]`.
+    fn flux_objective(&self, reaction: usize) -> Result<Vec<f64>, FbaError> {
         let n = self.model.num_reactions();
         if reaction >= n {
             return Err(FbaError::DimensionMismatch {
@@ -82,18 +73,14 @@ impl<'a> FluxBalanceAnalysis<'a> {
             });
         }
         let mut objective = vec![0.0; n];
-        objective[reaction] = coefficient;
+        objective[reaction] = 1.0;
         Ok(objective)
     }
 
-    /// Optimizes each objective in `sense` over the steady-state program,
-    /// sharing one phase 1.
-    fn optimize(
-        &self,
-        sense: Objective,
-        objectives: &[Vec<f64>],
-    ) -> Result<Vec<FbaSolution>, FbaError> {
-        let lp = self.build_program(sense);
+    /// Maximizes each objective over the steady-state program, sharing one
+    /// phase 1.
+    fn optimize(&self, objectives: &[Vec<f64>]) -> Result<Vec<FbaSolution>, FbaError> {
+        let lp = self.build_program();
         simplex::solve_many(&lp, objectives)?
             .into_iter()
             .map(|solution| {
@@ -135,40 +122,9 @@ impl<'a> FluxBalanceAnalysis<'a> {
     ) -> Result<Vec<FbaSolution>, FbaError> {
         let objectives = objective_reactions
             .iter()
-            .map(|&reaction| self.flux_objective(reaction, 1.0))
+            .map(|&reaction| self.flux_objective(reaction))
             .collect::<Result<Vec<_>, _>>()?;
-        self.optimize(Objective::Maximize, &objectives)
-    }
-
-    /// Minimizes the flux through `objective_reaction`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
-    pub fn minimize_reaction(&self, objective_reaction: usize) -> Result<FbaSolution, FbaError> {
-        let objective = self.flux_objective(objective_reaction, 1.0)?;
-        let mut solutions = self.optimize(Objective::Minimize, &[objective])?;
-        Ok(solutions.remove(0))
-    }
-
-    /// Flux variability analysis of one reaction: its attainable flux range
-    /// over the steady-state polytope (without constraining the objective).
-    /// Both ends come from one shared phase 1: the maximum is the negated
-    /// minimum of `-v[reaction]`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FluxBalanceAnalysis::maximize_reaction`].
-    pub fn variability(&self, reaction: usize) -> Result<FluxVariability, FbaError> {
-        let objectives = [
-            self.flux_objective(reaction, 1.0)?,
-            self.flux_objective(reaction, -1.0)?,
-        ];
-        let solutions = self.optimize(Objective::Minimize, &objectives)?;
-        Ok(FluxVariability {
-            minimum: solutions[0].objective_value,
-            maximum: -solutions[1].objective_value,
-        })
+        self.optimize(&objectives)
     }
 }
 
@@ -214,22 +170,6 @@ mod tests {
         assert!((solution.fluxes[leak] - 0.45).abs() < 1e-6);
         // Biomass loses exactly the pinned leak.
         assert!((solution.objective_value - 9.55).abs() < 1e-6);
-    }
-
-    #[test]
-    fn minimization_and_variability() {
-        let model = toy_model();
-        let fba = FluxBalanceAnalysis::new(&model);
-        let biomass = model.reaction_index("biomass").unwrap();
-        let min = fba.minimize_reaction(biomass).unwrap();
-        assert!(min.objective_value.abs() < 1e-6);
-        let range = fba.variability(biomass).unwrap();
-        assert!(range.minimum.abs() < 1e-6);
-        assert!((range.maximum - 10.0).abs() < 1e-6);
-        // The shared phase 1 reproduces the two separate solves exactly.
-        let max = fba.maximize_reaction(biomass).unwrap();
-        assert_eq!(range.minimum, min.objective_value);
-        assert_eq!(range.maximum, max.objective_value);
     }
 
     #[test]

@@ -31,13 +31,17 @@ pub const GEOBACTER_REACTIONS: usize = 608;
 /// ATP maintenance flux the paper keeps fixed (mmol/gDW/h).
 pub const ATP_MAINTENANCE_FLUX: f64 = 0.45;
 
+/// Acetate uptake bound (mmol/gDW/h), the main carbon/electron limit.
+const ACETATE_UPTAKE_LIMIT: f64 = 25.8;
+
+/// Ammonium uptake bound (mmol/gDW/h).
+const AMMONIUM_UPTAKE_LIMIT: f64 = 0.3;
+
 /// Builder for [`GeobacterModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeobacterBuilder {
     reactions: usize,
     seed: u64,
-    acetate_uptake_limit: f64,
-    ammonium_uptake_limit: f64,
 }
 
 impl Default for GeobacterBuilder {
@@ -45,8 +49,6 @@ impl Default for GeobacterBuilder {
         GeobacterBuilder {
             reactions: GEOBACTER_REACTIONS,
             seed: 0x6E0B,
-            acetate_uptake_limit: 25.8,
-            ammonium_uptake_limit: 0.3,
         }
     }
 }
@@ -75,13 +77,6 @@ impl GeobacterBuilder {
         self
     }
 
-    /// Sets the acetate uptake bound (mmol/gDW/h), the main carbon/electron limit.
-    #[must_use]
-    pub fn acetate_uptake_limit(mut self, limit: f64) -> Self {
-        self.acetate_uptake_limit = limit;
-        self
-    }
-
     /// Builds the synthetic model.
     pub fn build(self) -> GeobacterModel {
         let mut builder = MetabolicModel::builder("geobacter-sulfurreducens-synthetic");
@@ -103,12 +98,12 @@ impl GeobacterBuilder {
         builder.add_reaction(
             "acetate_uptake",
             &[(ac_ext, -1.0), (acetate, 1.0)],
-            Bound::interval(0.0, self.acetate_uptake_limit),
+            Bound::interval(0.0, ACETATE_UPTAKE_LIMIT),
         );
         builder.add_reaction(
             "ammonium_uptake",
             &[(nh4_ext, -1.0), (nh4, 1.0)],
-            Bound::interval(0.0, self.ammonium_uptake_limit),
+            Bound::interval(0.0, AMMONIUM_UPTAKE_LIMIT),
         );
         builder.add_reaction(
             "acetate_oxidation",

@@ -41,9 +41,9 @@ mod violation;
 pub mod geobacter;
 
 pub use error::FbaError;
-pub use fba::{FbaSolution, FluxBalanceAnalysis, FluxVariability};
+pub use fba::{FbaSolution, FluxBalanceAnalysis};
 pub use model::{MetabolicModel, MetabolicModelBuilder, Metabolite, Reaction};
-pub use perturb::{FluxPerturbation, FluxRepair};
+pub use perturb::FluxPerturbation;
 pub use violation::{
     steady_state_violation, steady_state_violation_batch, violation_norm, ViolationPenalty,
 };

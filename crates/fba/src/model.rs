@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use pathway_linalg::{Bound, CsrMatrix};
@@ -37,7 +37,6 @@ pub struct MetabolicModel {
     name: String,
     metabolites: Vec<Metabolite>,
     reactions: Vec<Reaction>,
-    metabolite_index: HashMap<String, usize>,
     reaction_index: HashMap<String, usize>,
     stoichiometric_matrix: CsrMatrix,
 }
@@ -49,7 +48,7 @@ impl MetabolicModel {
             name: name.into(),
             metabolites: Vec::new(),
             reactions: Vec::new(),
-            metabolite_index: HashMap::new(),
+            metabolite_ids: HashSet::new(),
             reaction_index: HashMap::new(),
         }
     }
@@ -77,11 +76,6 @@ impl MetabolicModel {
     /// Reactions in insertion order.
     pub fn reactions(&self) -> &[Reaction] {
         &self.reactions
-    }
-
-    /// Index of a metabolite by id.
-    pub fn metabolite_index(&self, id: &str) -> Option<usize> {
-        self.metabolite_index.get(id).copied()
     }
 
     /// Index of a reaction by id.
@@ -134,7 +128,7 @@ pub struct MetabolicModelBuilder {
     name: String,
     metabolites: Vec<Metabolite>,
     reactions: Vec<Reaction>,
-    metabolite_index: HashMap<String, usize>,
+    metabolite_ids: HashSet<String>,
     reaction_index: HashMap<String, usize>,
 }
 
@@ -147,11 +141,10 @@ impl MetabolicModelBuilder {
     pub fn add_metabolite(&mut self, id: impl Into<String>, boundary: bool) -> usize {
         let id = id.into();
         assert!(
-            !self.metabolite_index.contains_key(&id),
+            self.metabolite_ids.insert(id.clone()),
             "duplicate metabolite id: {id}"
         );
         let index = self.metabolites.len();
-        self.metabolite_index.insert(id.clone(), index);
         self.metabolites.push(Metabolite { id, boundary });
         index
     }
@@ -232,7 +225,6 @@ impl MetabolicModelBuilder {
             name: self.name,
             metabolites: self.metabolites,
             reactions: self.reactions,
-            metabolite_index: self.metabolite_index,
             reaction_index: self.reaction_index,
             stoichiometric_matrix,
         })
@@ -290,7 +282,7 @@ mod tests {
         let model = toy_model();
         assert_eq!(model.num_metabolites(), 3);
         assert_eq!(model.num_reactions(), 4);
-        assert_eq!(model.metabolite_index("A"), Some(0));
+        assert_eq!(model.metabolites()[0].id, "A");
         assert_eq!(model.reaction_index("biomass"), Some(2));
         assert_eq!(model.reaction_index("missing"), None);
         assert!(model.to_string().contains("toy"));

@@ -1,48 +1,32 @@
-//! Flux-vector perturbation and repair operators.
+//! Random flux vectors inside a model's bounds.
 //!
-//! The paper's Geobacter experiment searches the 608-dimensional flux space by
-//! perturbing candidate flux vectors (rather than re-solving an LP at every
-//! step) while the optimizer rewards low steady-state violation. These
-//! operators produce the perturbed candidates and clamp them back inside the
-//! model's flux bounds.
+//! The paper's Geobacter experiment searches the 608-dimensional flux space
+//! directly (rather than re-solving an LP at every step) while the optimizer
+//! rewards low steady-state violation. A random vector drawn here is the
+//! paper's "initial guess", whose violation the designed fluxes are compared
+//! against.
 
-use pathway_linalg::Vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{FbaError, MetabolicModel};
+use crate::MetabolicModel;
 
-/// Uniform multiplicative/additive perturbation of flux vectors.
+/// Seeded sampler of flux vectors inside a model's bounds.
 #[derive(Debug, Clone)]
 pub struct FluxPerturbation {
-    /// Maximum relative perturbation per flux.
-    pub relative: f64,
-    /// Maximum absolute perturbation per flux (applied on top of the relative
-    /// one so zero fluxes can move too).
-    pub absolute: f64,
+    /// Half-width of the range sampled in a direction without a finite
+    /// bound, divided by 100.
+    absolute: f64,
     rng: StdRng,
 }
 
 impl FluxPerturbation {
-    /// Creates a perturbation operator with a deterministic seed.
-    pub fn new(relative: f64, absolute: f64, seed: u64) -> Self {
+    /// Creates a sampler with a deterministic seed.
+    pub fn new(absolute: f64, seed: u64) -> Self {
         FluxPerturbation {
-            relative,
             absolute,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Returns a perturbed copy of `fluxes`.
-    pub fn perturb(&mut self, fluxes: &[f64]) -> Vec<f64> {
-        fluxes
-            .iter()
-            .map(|&v| {
-                let rel = 1.0 + self.rng.gen_range(-self.relative..=self.relative);
-                let abs = self.rng.gen_range(-self.absolute..=self.absolute);
-                v * rel + abs
-            })
-            .collect()
     }
 
     /// Generates a random flux vector inside the model's bounds (unbounded
@@ -72,148 +56,19 @@ impl FluxPerturbation {
     }
 }
 
-/// Repairs flux vectors: clamps them into bounds and optionally relaxes them
-/// towards the steady-state subspace with a few rounds of residual feedback.
-#[derive(Debug, Clone, Copy)]
-pub struct FluxRepair {
-    /// Number of relaxation sweeps towards `S·v = 0`.
-    pub relaxation_sweeps: usize,
-    /// Step size of each relaxation sweep.
-    pub relaxation_rate: f64,
-}
-
-impl Default for FluxRepair {
-    fn default() -> Self {
-        FluxRepair {
-            relaxation_sweeps: 4,
-            relaxation_rate: 0.4,
-        }
-    }
-}
-
-impl FluxRepair {
-    /// Clamps every flux into its bounds.
-    pub fn clamp_to_bounds(&self, model: &MetabolicModel, fluxes: &mut [f64]) {
-        for (value, bound) in fluxes.iter_mut().zip(model.flux_bounds()) {
-            *value = value.clamp(bound.lower, bound.upper);
-        }
-    }
-
-    /// Clamps to bounds and then performs a few Kaczmarz sweeps towards the
-    /// steady-state subspace: each internal metabolite's balance row is
-    /// projected out in turn (`v ← v − (row·v / ‖row‖²)·row`, scaled by the
-    /// relaxation rate), followed by re-clamping. Returns the final residual
-    /// norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FbaError::DimensionMismatch`] if the flux vector length does
-    /// not match the model.
-    pub fn repair(&self, model: &MetabolicModel, fluxes: &mut [f64]) -> Result<f64, FbaError> {
-        if fluxes.len() != model.num_reactions() {
-            return Err(FbaError::DimensionMismatch {
-                expected: model.num_reactions(),
-                found: fluxes.len(),
-            });
-        }
-        self.clamp_to_bounds(model, fluxes);
-        let s = model.stoichiometric_matrix();
-        let rate = self.relaxation_rate.clamp(0.0, 1.0);
-        for _ in 0..self.relaxation_sweeps {
-            for row in 0..s.rows() {
-                let mut residual = 0.0;
-                let mut row_norm = 0.0;
-                for (col, coeff) in s.row_entries(row) {
-                    residual += coeff * fluxes[col];
-                    row_norm += coeff * coeff;
-                }
-                if row_norm <= 0.0 || residual == 0.0 {
-                    continue;
-                }
-                let step = rate * residual / row_norm;
-                for (col, coeff) in s.row_entries(row) {
-                    fluxes[col] -= step * coeff;
-                }
-            }
-            self.clamp_to_bounds(model, fluxes);
-        }
-        let v = Vector::from(&fluxes[..]);
-        Ok(s.mat_vec(&v).map_err(FbaError::from)?.norm2())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::test_models::toy_model;
-    use crate::steady_state_violation;
-
-    #[test]
-    fn perturbation_stays_close_for_small_amplitudes() {
-        let mut op = FluxPerturbation::new(0.01, 0.0, 1);
-        let original = vec![10.0, 5.0, 0.0];
-        let perturbed = op.perturb(&original);
-        for (o, p) in original.iter().zip(perturbed.iter()) {
-            assert!((o - p).abs() <= 0.011 * o.abs() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn absolute_perturbation_moves_zero_fluxes() {
-        let mut op = FluxPerturbation::new(0.0, 1.0, 3);
-        let perturbed = op.perturb(&[0.0; 16]);
-        assert!(perturbed.iter().any(|&v| v.abs() > 1e-6));
-    }
-
-    #[test]
-    fn perturbation_is_reproducible_per_seed() {
-        let mut a = FluxPerturbation::new(0.1, 0.5, 9);
-        let mut b = FluxPerturbation::new(0.1, 0.5, 9);
-        assert_eq!(a.perturb(&[1.0, 2.0, 3.0]), b.perturb(&[1.0, 2.0, 3.0]));
-    }
 
     #[test]
     fn random_vector_respects_bounds() {
         let model = toy_model();
-        let mut op = FluxPerturbation::new(0.1, 1.0, 5);
+        let mut op = FluxPerturbation::new(1.0, 5);
         let v = op.random_vector(&model);
         assert_eq!(v.len(), model.num_reactions());
         for (value, bound) in v.iter().zip(model.flux_bounds()) {
             assert!(*value >= bound.lower - 1e-12 && *value <= bound.upper + 1e-12);
         }
-    }
-
-    #[test]
-    fn clamp_to_bounds_fixes_out_of_range_fluxes() {
-        let model = toy_model();
-        let repair = FluxRepair::default();
-        let mut fluxes = vec![20.0, -5.0, 3.0, 0.5];
-        repair.clamp_to_bounds(&model, &mut fluxes);
-        assert_eq!(fluxes[0], 10.0);
-        assert_eq!(fluxes[1], 0.0);
-    }
-
-    #[test]
-    fn repair_reduces_the_steady_state_violation() {
-        let model = toy_model();
-        let repair = FluxRepair::default();
-        let mut fluxes = vec![9.0, 1.0, 0.0, 0.0];
-        let before = steady_state_violation(&model, &fluxes).unwrap();
-        let after = repair.repair(&model, &mut fluxes).unwrap();
-        assert!(
-            after < before,
-            "repair did not reduce the violation ({before} -> {after})"
-        );
-    }
-
-    #[test]
-    fn repair_checks_dimensions() {
-        let model = toy_model();
-        let repair = FluxRepair::default();
-        let mut fluxes = vec![1.0; 2];
-        assert!(matches!(
-            repair.repair(&model, &mut fluxes),
-            Err(FbaError::DimensionMismatch { .. })
-        ));
     }
 }

@@ -121,7 +121,7 @@ impl ViolationPenalty {
     }
 
     /// Total bound violation of a flux vector (sum of overshoots).
-    pub fn bound_violation(&self, fluxes: &[f64]) -> f64 {
+    fn bound_violation(&self, fluxes: &[f64]) -> f64 {
         self.bounds
             .iter()
             .zip(fluxes.iter())

@@ -39,11 +39,6 @@ impl KineticConstants {
     pub fn vmax(&self, enzyme_concentration: f64) -> f64 {
         self.k_cat * enzyme_concentration
     }
-
-    /// Catalytic efficiency `k_cat / K_m`.
-    pub fn efficiency(&self) -> f64 {
-        self.k_cat / self.k_m
-    }
 }
 
 /// A catalytic protein of a metabolic model.
@@ -119,21 +114,6 @@ impl Enzyme {
         &self.name
     }
 
-    /// Kinetic constants.
-    pub fn constants(&self) -> &KineticConstants {
-        &self.constants
-    }
-
-    /// Molecular weight in g/mol.
-    pub fn molecular_weight(&self) -> f64 {
-        self.molecular_weight
-    }
-
-    /// Nitrogen mass fraction of the protein.
-    pub fn nitrogen_fraction(&self) -> f64 {
-        self.nitrogen_fraction
-    }
-
     /// Nitrogen mass (mg) tied up per unit of catalytic capacity
     /// (mmol substrate · l⁻¹ · s⁻¹), following the paper's accounting
     /// `[Enzyme]·MW / k_cat` scaled by the protein nitrogen fraction.
@@ -166,7 +146,6 @@ mod tests {
     fn kinetic_constants_accessors() {
         let k = KineticConstants::new(10.0, 0.5);
         assert_eq!(k.vmax(2.0), 20.0);
-        assert_eq!(k.efficiency(), 20.0);
     }
 
     #[test]
@@ -199,7 +178,6 @@ mod tests {
     fn nitrogen_fraction_override() {
         let e =
             Enzyme::new("x", KineticConstants::new(1.0, 1.0), 1000.0).with_nitrogen_fraction(0.5);
-        assert_eq!(e.nitrogen_fraction(), 0.5);
         assert!((e.nitrogen_per_catalytic_unit() - 500.0).abs() < 1e-12);
     }
 

@@ -82,26 +82,6 @@ pub fn nitrogen_breakdown(enzymes: &[Enzyme], capacities: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Scales a capacity vector so that its total nitrogen matches `budget`
-/// (mg/l). Returns the scaled capacities; a zero-nitrogen input is returned
-/// unchanged.
-///
-/// This is the "conserved quantity" constraint of the Zhu et al. model: the
-/// optimizer redistributes a fixed nitrogen budget among enzymes rather than
-/// creating nitrogen out of thin air.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn rescale_to_budget(enzymes: &[Enzyme], capacities: &[f64], budget: f64) -> Vec<f64> {
-    let current = total_nitrogen(enzymes, capacities);
-    if current <= 0.0 {
-        return capacities.to_vec();
-    }
-    let factor = budget / current;
-    capacities.iter().map(|&c| c.max(0.0) * factor).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,22 +117,6 @@ mod tests {
     fn negative_capacities_do_not_produce_negative_nitrogen() {
         let enzymes = sample_enzymes();
         assert_eq!(total_nitrogen(&enzymes, &[-1.0, 0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn rescale_hits_the_requested_budget() {
-        let enzymes = sample_enzymes();
-        let caps = [1.0, 2.0, 3.0];
-        let scaled = rescale_to_budget(&enzymes, &caps, 5000.0);
-        let n = total_nitrogen(&enzymes, &scaled);
-        assert!((n - 5000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rescale_of_zero_vector_is_identity() {
-        let enzymes = sample_enzymes();
-        let caps = [0.0, 0.0, 0.0];
-        assert_eq!(rescale_to_budget(&enzymes, &caps, 100.0), caps.to_vec());
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Direction of optimization.
     pub fn objective(&self) -> Objective {
         self.objective
@@ -326,7 +321,6 @@ mod tests {
         assert!(lp.set_bound(3, Bound::free()).is_err());
         assert!(lp.add_less_eq(&[(7, 1.0)], 1.0).is_err());
         assert!(lp.add_less_eq(&[(0, 1.0)], 1.0).is_ok());
-        assert_eq!(lp.num_constraints(), 1);
         assert_eq!(lp.num_vars(), 2);
     }
 

@@ -26,8 +26,6 @@ pub struct LuDecomposition {
     /// Row permutation: row `i` of the factored matrix came from row `perm[i]`
     /// of the original.
     perm: Vec<usize>,
-    /// Sign of the permutation, used for the determinant.
-    perm_sign: f64,
 }
 
 impl LuDecomposition {
@@ -53,13 +51,8 @@ impl LuDecomposition {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
-        factor_in_place(&mut lu, &mut perm, &mut perm_sign)?;
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        factor_in_place(&mut lu, &mut perm)?;
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Re-factors `a` into this decomposition's storage without allocating:
@@ -81,8 +74,7 @@ impl LuDecomposition {
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i;
         }
-        self.perm_sign = 1.0;
-        factor_in_place(&mut self.lu, &mut self.perm, &mut self.perm_sign)
+        factor_in_place(&mut self.lu, &mut self.perm)
     }
 
     /// Re-factors `a` reusing the *stored pivot sequence*: rows are loaded
@@ -223,15 +215,6 @@ impl LuDecomposition {
         Ok(())
     }
 
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
     /// Inverse of the original matrix, built column by column.
     ///
     /// # Errors
@@ -254,10 +237,10 @@ impl LuDecomposition {
 
 /// The partial-pivoting elimination shared by [`LuDecomposition::new`] and
 /// [`LuDecomposition::refactor`]: factors `lu` in place, recording the row
-/// permutation and its sign. Row slices (instead of per-element indexing)
+/// permutation. Row slices (instead of per-element indexing)
 /// keep the update loop autovectorizable without changing the accumulation
 /// order, so results are bit-identical to the textbook element loop.
-fn factor_in_place(lu: &mut Matrix, perm: &mut [usize], perm_sign: &mut f64) -> crate::Result<()> {
+fn factor_in_place(lu: &mut Matrix, perm: &mut [usize]) -> crate::Result<()> {
     let n = lu.rows();
     let data = lu.as_mut_slice();
     for k in 0..n {
@@ -279,7 +262,6 @@ fn factor_in_place(lu: &mut Matrix, perm: &mut [usize], perm_sign: &mut f64) -> 
                 data.swap(k * n + c, pivot_row * n + c);
             }
             perm.swap(k, pivot_row);
-            *perm_sign = -*perm_sign;
         }
         // Eliminate below the pivot.
         let pivot = data[k * n + k];
@@ -340,19 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_diagonal_matrix() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 5.0]]).unwrap();
-        assert!((a.lu().unwrap().determinant() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_sign_tracks_permutation() {
-        // Swapping two rows of the identity gives determinant -1.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        assert!((a.lu().unwrap().determinant() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn inverse_times_matrix_is_identity() {
         let a = Matrix::from_rows(&[
             vec![3.0, 0.5, -1.0],
@@ -405,7 +374,7 @@ mod tests {
         lu.refactor(&b).unwrap();
         let fresh = b.lu().unwrap();
         assert_eq!(lu.permutation(), fresh.permutation());
-        assert_eq!(lu.determinant(), fresh.determinant());
+        assert_eq!(lu.u(), fresh.u());
         let rhs = Vector::from(vec![5.0, 4.0]);
         assert_eq!(
             lu.solve(&rhs).unwrap().as_slice(),

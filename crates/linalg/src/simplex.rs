@@ -32,17 +32,19 @@
 use crate::lp::{Constraint, Relation};
 use crate::{LinalgError, LinearProgram, LpSolution, LpStatus, Objective};
 
-/// Tuning options for the simplex solver.
+/// Tuning options for the simplex solver. Every solve uses the defaults; the
+/// tests set them to reach the iteration cap and Bland's rule on small
+/// programs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimplexOptions {
+pub(crate) struct SimplexOptions {
     /// Hard cap on the number of pivots of one solve: phase 1 plus the phase 2
     /// of one objective.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// Numerical tolerance used for pricing, ratio tests and feasibility.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Number of Dantzig pivots after which the solver switches to Bland's
     /// rule to guarantee termination in the presence of degeneracy.
-    pub bland_threshold: usize,
+    pub(crate) bland_threshold: usize,
 }
 
 impl Default for SimplexOptions {
@@ -85,7 +87,7 @@ struct Tableau {
     first_artificial: usize,
 }
 
-/// Solves a [`LinearProgram`] with default [`SimplexOptions`].
+/// Solves a [`LinearProgram`].
 ///
 /// # Errors
 ///
@@ -96,15 +98,8 @@ pub fn solve(lp: &LinearProgram) -> crate::Result<LpSolution> {
     solve_with_options(lp, &SimplexOptions::default())
 }
 
-/// Solves a [`LinearProgram`] with explicit [`SimplexOptions`].
-///
-/// # Errors
-///
-/// Same as [`solve`].
-pub fn solve_with_options(
-    lp: &LinearProgram,
-    options: &SimplexOptions,
-) -> crate::Result<LpSolution> {
+/// [`solve`] with explicit [`SimplexOptions`].
+fn solve_with_options(lp: &LinearProgram, options: &SimplexOptions) -> crate::Result<LpSolution> {
     solve_many_with_options(lp, &[lp.objective_coefficients()], options)?
         .pop()
         .expect("one objective gives one solution")
@@ -112,8 +107,7 @@ pub fn solve_with_options(
 
 /// Solves the constraints and optimization sense of `lp` once per objective
 /// coefficient vector in `objectives` (each in place of the program's own
-/// objective), with default [`SimplexOptions`]. Phase 1 runs once for all of
-/// them.
+/// objective). Phase 1 runs once for all of them.
 ///
 /// Each solution, its `iterations` included, is bit-identical to what
 /// [`solve`] returns for a program with that objective.
@@ -135,11 +129,7 @@ pub fn solve_many<O: AsRef<[f64]>>(
 
 /// [`solve_many`] with explicit [`SimplexOptions`]. The pivot cap applies to
 /// each objective's solve: phase 1 plus that objective's phase 2.
-///
-/// # Errors
-///
-/// Same as [`solve_many`].
-pub fn solve_many_with_options<O: AsRef<[f64]>>(
+fn solve_many_with_options<O: AsRef<[f64]>>(
     lp: &LinearProgram,
     objectives: &[O],
     options: &SimplexOptions,

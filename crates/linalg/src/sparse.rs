@@ -108,15 +108,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Fill fraction: `nnz / (rows * cols)`. Returns `0.0` for an empty shape.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
-    }
-
     /// Value at `(row, col)`, or `0.0` if the entry is not stored.
     ///
     /// # Panics
@@ -410,9 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn density_and_row_entries() {
+    fn row_entries_lists_the_stored_entries() {
         let m = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]).unwrap();
-        assert!((m.density() - 0.5).abs() < 1e-15);
         let entries: Vec<_> = m.row_entries(0).collect();
         assert_eq!(entries, vec![(0, 1.0)]);
     }

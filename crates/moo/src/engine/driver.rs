@@ -352,12 +352,6 @@ impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
             reference_point: self.reference_point.clone(),
         }
     }
-
-    /// Consumes the driver, returning the optimizer (e.g. to inspect its
-    /// final population).
-    pub fn into_optimizer(self) -> O {
-        self.optimizer
-    }
 }
 
 /// Derives a frozen hypervolume reference point just beyond the nadir of a

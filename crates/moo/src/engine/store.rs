@@ -304,9 +304,9 @@ pub fn read_checkpoint_file(path: &Path) -> Result<StoredCheckpoint, CheckpointE
 /// save the store deletes any checkpoint that is neither among the newest
 /// `keep_last` generations nor (when `keep_every > 0`) at a generation
 /// divisible by `keep_every`. The default store keeps everything — retention
-/// is strictly opt-in (via [`CheckpointStore::with_retention`] or the
-/// `checkpoint_keep_last` / `checkpoint_keep_every` keys of a run spec's
-/// `[run]` section).
+/// is strictly opt-in, via the `checkpoint_keep_last` /
+/// `checkpoint_keep_every` keys of a run spec's `[run]` section, which
+/// [`CheckpointStore::create`] installs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointRetention {
     /// Always keep the newest `keep_last` checkpoints (at least 1 — the
@@ -370,13 +370,6 @@ impl CheckpointStore {
             spec_text: spec.to_text(),
             retention: spec.retention,
         })
-    }
-
-    /// Overrides the retention policy (`None` keeps every checkpoint).
-    #[must_use]
-    pub fn with_retention(mut self, retention: Option<CheckpointRetention>) -> Self {
-        self.retention = retention;
-        self
     }
 
     /// The active retention policy, if any.

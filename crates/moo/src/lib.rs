@@ -23,8 +23,8 @@
 //!   fixed seed.
 //! * [`metrics`] — the hypervolume indicator and the paper's global/relative
 //!   Pareto coverage metrics (Equations 1–2).
-//! * [`mining`] — trade-off selection strategies: ideal point, Pareto Relative
-//!   Minimum, closest-to-ideal and shadow minima (Section 2.2).
+//! * [`mining`] — trade-off selection strategies: the design closest to the
+//!   Pareto Relative Minimum, and equally spaced representatives (Section 2.2).
 //! * [`robustness`] — the robustness condition ρ and uptake yield Γ with
 //!   global and local Monte-Carlo ensembles (Section 2.3, Equations 3–4).
 //! * [`problems`] — standard synthetic benchmark problems (ZDT1, Schaffer,

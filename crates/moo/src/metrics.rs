@@ -182,30 +182,6 @@ pub fn spacing(front: &[Vec<f64>]) -> f64 {
     variance.sqrt()
 }
 
-/// Inverted generational distance: mean distance from each reference-front
-/// point to the closest point of `front`. Lower is better.
-pub fn inverted_generational_distance(front: &[Vec<f64>], reference_front: &[Vec<f64>]) -> f64 {
-    if reference_front.is_empty() || front.is_empty() {
-        return f64::INFINITY;
-    }
-    let total: f64 = reference_front
-        .iter()
-        .map(|r| {
-            front
-                .iter()
-                .map(|p| {
-                    r.iter()
-                        .zip(p.iter())
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        .sqrt()
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .sum();
-    total / reference_front.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,26 +284,6 @@ mod tests {
         let uneven = vec![vec![0.0, 3.0], vec![0.1, 2.9], vec![3.0, 0.0]];
         assert!(spacing(&uneven) > 0.1);
         assert_eq!(spacing(&[vec![1.0, 1.0]]), 0.0);
-    }
-
-    #[test]
-    fn igd_decreases_as_fronts_approach_the_reference() {
-        let reference: Vec<Vec<f64>> = (0..11)
-            .map(|i| {
-                let f1 = i as f64 / 10.0;
-                vec![f1, 1.0 - f1.sqrt()]
-            })
-            .collect();
-        let far: Vec<Vec<f64>> = reference.iter().map(|p| vec![p[0], p[1] + 1.0]).collect();
-        let near: Vec<Vec<f64>> = reference.iter().map(|p| vec![p[0], p[1] + 0.1]).collect();
-        assert!(
-            inverted_generational_distance(&near, &reference)
-                < inverted_generational_distance(&far, &reference)
-        );
-        assert_eq!(
-            inverted_generational_distance(&[], &reference),
-            f64::INFINITY
-        );
     }
 
     proptest! {

@@ -6,25 +6,17 @@
 //! automatic criteria — the solution closest to the ideal point, the
 //! per-objective shadow minima, and a spread of equally spaced representatives
 //! — and uses the *Pareto Relative Minimum* (the per-objective minimum
-//! achieved by the algorithm) in place of the unknown true ideal point.
-
-use crate::Individual;
+//! achieved by the algorithm) in place of the unknown true ideal point. This
+//! module provides the first and the last; the shadow minima of a
+//! two-objective front are its two extremes, which the studies read off the
+//! front directly.
 
 /// The Pareto Relative Minimum (PRM): the minimum value achieved on each
 /// objective across a front. Used as the ideal point when the true minima are
 /// unknown.
 ///
 /// Returns an empty vector for an empty front.
-///
-/// # Example
-///
-/// ```
-/// use pathway_moo::mining::pareto_relative_minimum;
-///
-/// let front = vec![vec![1.0, 5.0], vec![3.0, 2.0]];
-/// assert_eq!(pareto_relative_minimum(&front), vec![1.0, 2.0]);
-/// ```
-pub fn pareto_relative_minimum(front: &[Vec<f64>]) -> Vec<f64> {
+fn pareto_relative_minimum(front: &[Vec<f64>]) -> Vec<f64> {
     if front.is_empty() {
         return Vec::new();
     }
@@ -80,28 +72,6 @@ pub fn closest_to_ideal(front: &[Vec<f64>]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Indices of the shadow minima: for each objective, the front member that
-/// achieves the lowest value on that objective.
-///
-/// Returns one index per objective (indices may repeat if one solution is best
-/// on several objectives); empty for an empty front.
-pub fn shadow_minima(front: &[Vec<f64>]) -> Vec<usize> {
-    if front.is_empty() {
-        return Vec::new();
-    }
-    let dim = front[0].len();
-    (0..dim)
-        .map(|m| {
-            front
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a[m].partial_cmp(&b[m]).expect("objectives are not NaN"))
-                .map(|(i, _)| i)
-                .expect("front is non-empty")
-        })
-        .collect()
-}
-
 /// Picks `count` representatives spread equally along the front, ordered by
 /// the first objective. The paper uses this to select the 50 points whose
 /// robustness builds the Figure 3 Pareto surface.
@@ -125,22 +95,6 @@ pub fn equally_spaced(front: &[Vec<f64>], count: usize) -> Vec<usize> {
             let position = k as f64 / (count - 1).max(1) as f64 * (order.len() - 1) as f64;
             order[position.round() as usize]
         })
-        .collect()
-}
-
-/// Convenience: applies [`closest_to_ideal`] to a set of [`Individual`]s and
-/// returns a clone of the selected one.
-pub fn select_closest_to_ideal(front: &[Individual]) -> Option<Individual> {
-    let objectives: Vec<Vec<f64>> = front.iter().map(|i| i.objectives.clone()).collect();
-    closest_to_ideal(&objectives).map(|index| front[index].clone())
-}
-
-/// Convenience: applies [`shadow_minima`] to a set of [`Individual`]s.
-pub fn select_shadow_minima(front: &[Individual]) -> Vec<Individual> {
-    let objectives: Vec<Vec<f64>> = front.iter().map(|i| i.objectives.clone()).collect();
-    shadow_minima(&objectives)
-        .into_iter()
-        .map(|index| front[index].clone())
         .collect()
 }
 
@@ -185,19 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn shadow_minima_pick_the_extremes() {
-        let minima = shadow_minima(&staircase());
-        assert_eq!(minima, vec![0, 4]);
-        assert!(shadow_minima(&[]).is_empty());
-    }
-
-    #[test]
-    fn shadow_minima_may_repeat_when_one_point_wins_everywhere() {
-        let front = vec![vec![1.0, 1.0], vec![2.0, 2.0]];
-        assert_eq!(shadow_minima(&front), vec![0, 0]);
-    }
-
-    #[test]
     fn equally_spaced_selects_spread_points() {
         let front: Vec<Vec<f64>> = (0..101).map(|i| vec![i as f64, 100.0 - i as f64]).collect();
         let picks = equally_spaced(&front, 5);
@@ -212,25 +153,5 @@ mod tests {
         assert_eq!(equally_spaced(&front, 10).len(), front.len());
         assert!(equally_spaced(&front, 0).is_empty());
         assert!(equally_spaced(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn individual_wrappers_return_clones() {
-        let individuals: Vec<Individual> = staircase()
-            .into_iter()
-            .map(|objectives| Individual {
-                variables: vec![],
-                objectives,
-                violation: 0.0,
-                rank: 0,
-                crowding: 0.0,
-            })
-            .collect();
-        let knee = select_closest_to_ideal(&individuals).unwrap();
-        assert_eq!(knee.objectives, vec![2.0, 6.0]);
-        let minima = select_shadow_minima(&individuals);
-        assert_eq!(minima.len(), 2);
-        assert_eq!(minima[0].objectives, vec![0.0, 10.0]);
-        assert_eq!(minima[1].objectives, vec![10.0, 0.0]);
     }
 }

@@ -68,16 +68,7 @@ impl RobustnessReport {
 
 /// The robustness condition ρ (Equation 3): `1` if the perturbed property
 /// value stays within `epsilon` of the nominal value, else `0`.
-///
-/// # Example
-///
-/// ```
-/// use pathway_moo::robustness::robustness_condition;
-///
-/// assert_eq!(robustness_condition(10.0, 10.3, 0.5), 1);
-/// assert_eq!(robustness_condition(10.0, 11.0, 0.5), 0);
-/// ```
-pub fn robustness_condition(nominal: f64, perturbed: f64, epsilon: f64) -> u8 {
+fn robustness_condition(nominal: f64, perturbed: f64, epsilon: f64) -> u8 {
     u8::from((nominal - perturbed).abs() <= epsilon)
 }
 

@@ -235,13 +235,12 @@ fn save_generation(store: &CheckpointStore, generation: usize) {
 fn retention_keeps_last_k_plus_every_mth() {
     let dir = std::env::temp_dir().join(format!("pathway-retain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = fixture_spec();
-    let store = CheckpointStore::create(&dir, &spec)
-        .unwrap()
-        .with_retention(Some(CheckpointRetention {
-            keep_last: 2,
-            keep_every: 4,
-        }));
+    let mut spec = fixture_spec();
+    spec.retention = Some(CheckpointRetention {
+        keep_last: 2,
+        keep_every: 4,
+    });
+    let store = CheckpointStore::create(&dir, &spec).unwrap();
     for generation in 1..=10 {
         save_generation(&store, generation);
     }
@@ -257,13 +256,12 @@ fn retention_keeps_last_k_plus_every_mth() {
 fn retention_without_modular_keeps_is_a_sliding_window() {
     let dir = std::env::temp_dir().join(format!("pathway-retain-win-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = fixture_spec();
-    let store = CheckpointStore::create(&dir, &spec)
-        .unwrap()
-        .with_retention(Some(CheckpointRetention {
-            keep_last: 3,
-            keep_every: 0,
-        }));
+    let mut spec = fixture_spec();
+    spec.retention = Some(CheckpointRetention {
+        keep_last: 3,
+        keep_every: 0,
+    });
+    let store = CheckpointStore::create(&dir, &spec).unwrap();
     for generation in [5, 1, 9, 3, 7] {
         save_generation(&store, generation);
     }
@@ -278,13 +276,12 @@ fn retention_never_deletes_the_checkpoint_just_saved() {
     // swallowed just because gen-10 outranks it.
     let dir = std::env::temp_dir().join(format!("pathway-retain-stale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = fixture_spec();
-    let store = CheckpointStore::create(&dir, &spec)
-        .unwrap()
-        .with_retention(Some(CheckpointRetention {
-            keep_last: 1,
-            keep_every: 4,
-        }));
+    let mut spec = fixture_spec();
+    spec.retention = Some(CheckpointRetention {
+        keep_last: 1,
+        keep_every: 4,
+    });
+    let store = CheckpointStore::create(&dir, &spec).unwrap();
     for generation in [4, 8, 10] {
         save_generation(&store, generation);
     }

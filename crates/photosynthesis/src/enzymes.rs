@@ -169,7 +169,7 @@ impl EnzymeKind {
     }
 
     /// Molecular weight of the holoenzyme in kDa.
-    pub fn molecular_weight_kda(self) -> f64 {
+    fn molecular_weight_kda(self) -> f64 {
         match self {
             EnzymeKind::Rubisco => 550.0,
             EnzymeKind::PgaKinase => 45.0,

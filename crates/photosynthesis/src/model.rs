@@ -646,9 +646,19 @@ impl OdeUptakeEvaluator {
     /// solver's initial step and returns the trajectory endpoint; useful for
     /// inspecting transients.
     ///
+    /// The march starts cold, from [`CalvinCycleOde::initial_state`], and
+    /// completes only for designs near the natural partition. For uniformly
+    /// scaled partitions at the default step of 0.1 s it completes up to
+    /// 1.4× natural in every scenario and up to 1.5× at low export. From
+    /// 1.6× (1.5× at high export) the Newton iteration of its first or second
+    /// step diverges, although [`OdeUptakeEvaluator::steady_state`] still
+    /// settles there: that is the upper part of the leaf problems' 0.02×–4×
+    /// search box.
+    ///
     /// # Errors
     ///
-    /// Propagates integration failures from the underlying solver.
+    /// Propagates integration failures from the underlying solver:
+    /// [`OdeError::NewtonDivergence`] for the designs above.
     pub fn transient(
         &self,
         partition: &EnzymePartition,

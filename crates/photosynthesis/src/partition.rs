@@ -151,8 +151,8 @@ impl EnzymePartition {
     /// from `lower_factor` to `upper_factor` times its natural value.
     ///
     /// The paper observes re-engineered candidates staying roughly within
-    /// 0.05×–2× of the natural concentration; the optimizers search a wider
-    /// 0.01×–8× box so that those candidates are interior points.
+    /// 0.05×–2× of the natural concentration; the leaf problems search a
+    /// wider 0.02×–4× box so that those candidates are interior points.
     pub fn bounds(lower_factor: f64, upper_factor: f64) -> Vec<(f64, f64)> {
         assert!(lower_factor >= 0.0 && upper_factor > lower_factor);
         EnzymeKind::ALL
@@ -162,11 +162,6 @@ impl EnzymePartition {
                 (natural * lower_factor, natural * upper_factor)
             })
             .collect()
-    }
-
-    /// Default optimizer bounds (0.01× to 8× the natural capacity).
-    pub fn default_bounds() -> Vec<(f64, f64)> {
-        Self::bounds(0.01, 8.0)
     }
 }
 
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn bounds_contain_the_natural_partition() {
         let natural = EnzymePartition::natural();
-        let bounds = EnzymePartition::default_bounds();
+        let bounds = EnzymePartition::bounds(0.02, 4.0);
         assert_eq!(bounds.len(), ENZYME_COUNT);
         for (capacity, (lower, upper)) in natural.capacities().iter().zip(bounds.iter()) {
             assert!(capacity >= lower && capacity <= upper);

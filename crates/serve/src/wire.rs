@@ -173,11 +173,6 @@ impl JobState {
             _ => None,
         }
     }
-
-    /// `true` for states a job can never leave.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, JobState::Running)
-    }
 }
 
 /// One job's row in a `status` reply (and the job-shaped part of `submit`,

@@ -2,7 +2,6 @@
 //! optimization problem and the multi-objective search working together.
 
 use pathway_core::prelude::*;
-use pathway_fba::{steady_state_violation, FluxPerturbation, FluxRepair};
 use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::{Nsga2, Nsga2Config};
 
@@ -53,28 +52,6 @@ fn evolved_solutions_respect_the_pinned_atp_maintenance_flux() {
             "the ATP maintenance flux must stay pinned at 0.45"
         );
     }
-}
-
-#[test]
-fn repair_operator_improves_random_flux_vectors() {
-    let model = small_model();
-    let mut perturbation = FluxPerturbation::new(0.2, 5.0, 3);
-    let repair = FluxRepair::default();
-    let mut improved = 0;
-    for _ in 0..10 {
-        let mut fluxes = perturbation.random_vector(model.model());
-        let before = steady_state_violation(model.model(), &fluxes).expect("dimensions match");
-        let after = repair
-            .repair(model.model(), &mut fluxes)
-            .expect("repair runs");
-        if after < before {
-            improved += 1;
-        }
-    }
-    assert!(
-        improved >= 8,
-        "repair only improved {improved}/10 random vectors"
-    );
 }
 
 #[test]

@@ -94,6 +94,17 @@ fn pseudo_transient_uptake_matches_a_long_backward_euler_march() {
         );
     }
 
+    // From 1.6x natural the march cannot take its first steps from the cold
+    // start, while the pseudo-transient solve still settles; no reference
+    // exists there.
+    let doubled = natural.scaled(2.0);
+    let uptake = ode.co2_uptake(&doubled, &scenario).expect("settles");
+    assert!(uptake.is_finite() && uptake > 0.0);
+    assert!(matches!(
+        ode.transient(&doubled, &scenario, 10_000.0),
+        Err(pathway_ode::OdeError::NewtonDivergence { .. })
+    ));
+
     // Warm starts inside the bistable range (1.2x-1.3x natural) begin near a
     // Newton step, which close to a fold could reach the unstable middle
     // root. They must land on the stable root a march from the same state
