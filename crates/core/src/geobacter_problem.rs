@@ -339,9 +339,10 @@ mod tests {
     }
 
     /// The full 608-reaction problem of Figure 4. The workspace builds
-    /// `pathway-linalg`/`pathway-fba` with `opt-level = 2` even in dev, and
-    /// the two set-up solves share one simplex phase 1, so construction
-    /// takes under two seconds under `cargo test` (2-vCPU host).
+    /// `pathway-linalg`/`pathway-fba` with `opt-level = 2` even in dev, the
+    /// simplex stores only the non-basic columns, and the two set-up solves
+    /// share one simplex phase 1, so construction takes about half a second
+    /// under `cargo test` (2-vCPU host).
     #[test]
     fn paper_scale_problem_has_608_variables() {
         let model = GeobacterModel::builder().reactions(608).build();

@@ -11,8 +11,9 @@
 //!   implicit ODE stepper and for solving small dense systems.
 //! * [`CsrMatrix`] — compressed sparse row matrices for genome-scale
 //!   stoichiometric matrices (hundreds of reactions).
-//! * [`LinearProgram`] / [`simplex::solve`] — a bounded-variable two-phase
-//!   primal simplex solver used by flux balance analysis;
+//! * [`LinearProgram`] / [`simplex::solve`] — a two-phase primal simplex
+//!   solver used by flux balance analysis, on a dense tableau of the
+//!   non-basic columns (finite upper bounds become explicit `≤` rows);
 //!   [`simplex::solve_many`] shares one phase 1 among several objectives.
 //!
 //! # Example
