@@ -26,7 +26,7 @@ fn profile() -> (usize, usize, usize) {
 }
 
 fn bench_archipelago_scaling(c: &mut Criterion) {
-    let (population_size, generations, sample_size) = profile();
+    let (population, generations, sample_size) = profile();
     let problem = LeafRedesignProblem::new(Scenario::present_low_export());
     let mut group = c.benchmark_group("archipelago_scaling");
     group.sample_size(sample_size);
@@ -38,20 +38,22 @@ fn bench_archipelago_scaling(c: &mut Criterion) {
         for islands in [1usize, 2, 4] {
             group.bench_with_input(BenchmarkId::new(name, islands), &islands, |b, &islands| {
                 b.iter(|| {
-                    let config = ArchipelagoConfig {
+                    let spec = ArchipelagoSpec {
                         islands,
-                        island_config: Nsga2Config {
-                            population_size,
-                            generations,
+                        island: Nsga2Spec {
+                            population,
                             ..Default::default()
                         },
                         migration_interval: 10,
                         migration_probability: 0.5,
                         topology: MigrationTopology::Broadcast,
                     };
-                    let mut archipelago = Archipelago::new(config, 3);
+                    let mut archipelago = Archipelago::new(spec, 3);
                     archipelago.set_executor(Arc::clone(&executor));
-                    archipelago.run(&problem).len()
+                    Driver::new(archipelago, &problem)
+                        .with_stopping(StoppingRule::MaxGenerations(generations))
+                        .run()
+                        .len()
                 });
             });
         }

@@ -11,8 +11,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathway_core::LeafRedesignProblem;
+use pathway_moo::engine::{Driver, StoppingRule};
 use pathway_moo::metrics::hypervolume;
-use pathway_moo::{Archipelago, ArchipelagoConfig, Nsga2Config};
+use pathway_moo::{Archipelago, ArchipelagoSpec, Nsga2Spec};
 use pathway_photosynthesis::Scenario;
 
 /// `(front sizes, generations evolved before timing the front, sample_size)`
@@ -63,11 +64,10 @@ fn bench_hypervolume(c: &mut Criterion) {
 fn bench_front_extraction(c: &mut Criterion) {
     let (_, generations, sample_size) = profile();
     let problem = LeafRedesignProblem::new(Scenario::present_low_export());
-    let mut archipelago = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: 100,
+    let archipelago = Archipelago::new(
+        ArchipelagoSpec {
+            island: Nsga2Spec {
+                population: 100,
                 ..Default::default()
             },
             migration_interval: 10,
@@ -75,17 +75,16 @@ fn bench_front_extraction(c: &mut Criterion) {
         },
         1,
     );
-    archipelago.initialize(&problem);
-    for _ in 0..generations {
-        archipelago.step(&problem);
-    }
+    let mut driver =
+        Driver::new(archipelago, &problem).with_stopping(StoppingRule::MaxGenerations(generations));
+    driver.run();
     // Table 1's reference point for the leaf objectives (-uptake, nitrogen).
     let reference = [0.0, 833_320.0];
     let mut group = c.benchmark_group("front_extraction");
     group.sample_size(sample_size);
     group.bench_function("2x100", |b| {
         b.iter(|| {
-            let front = archipelago.front();
+            let front = driver.front();
             let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
             hypervolume(&objectives, &reference)
         });

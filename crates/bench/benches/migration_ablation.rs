@@ -6,18 +6,19 @@ use pathway_core::prelude::*;
 use pathway_moo::metrics::hypervolume;
 
 fn run_with_topology(topology: MigrationTopology, problem: &LeafRedesignProblem) -> f64 {
-    let config = ArchipelagoConfig {
+    let spec = ArchipelagoSpec {
         islands: 2,
-        island_config: Nsga2Config {
-            population_size: 24,
-            generations: 30,
+        island: Nsga2Spec {
+            population: 24,
             ..Default::default()
         },
         migration_interval: 10,
         migration_probability: 0.5,
         topology,
     };
-    let front = Archipelago::new(config, 5).run(problem);
+    let front = Driver::new(Archipelago::new(spec, 5), problem)
+        .with_stopping(StoppingRule::MaxGenerations(30))
+        .run();
     let matrix: Vec<Vec<f64>> = front.iter().map(|i| i.objectives.clone()).collect();
     let normalized: Vec<Vec<f64>> = matrix
         .iter()

@@ -15,9 +15,8 @@ fn bench_nsga2_generation(c: &mut Criterion) {
             |b, &population| {
                 b.iter(|| {
                     let mut solver = Nsga2::new(
-                        Nsga2Config {
-                            population_size: population,
-                            generations: 0,
+                        Nsga2Spec {
+                            population,
                             ..Default::default()
                         },
                         7,

@@ -358,17 +358,17 @@ mod tests {
 
     #[test]
     fn a_two_island_archipelago_is_identical_under_serial_and_pooled_executors() {
-        use pathway_moo::{Archipelago, ArchipelagoConfig, Nsga2Config};
+        use pathway_moo::engine::{Driver, StoppingRule};
+        use pathway_moo::{Archipelago, ArchipelagoSpec, Nsga2Spec};
         use std::sync::Arc;
 
         let front_bits = |backend: EvalBackend| {
             let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
             let mut archipelago = Archipelago::new(
-                ArchipelagoConfig {
+                ArchipelagoSpec {
                     islands: 2,
-                    island_config: Nsga2Config {
-                        population_size: 8,
-                        generations: 4,
+                    island: Nsga2Spec {
+                        population: 8,
                         ..Default::default()
                     },
                     migration_interval: 2,
@@ -378,7 +378,9 @@ mod tests {
                 3,
             );
             archipelago.set_executor(Arc::new(Executor::new(backend)));
-            let front = archipelago.run(&problem);
+            let front = Driver::new(archipelago, &problem)
+                .with_stopping(StoppingRule::MaxGenerations(4))
+                .run();
             assert!(!front.is_empty());
             front
                 .iter()

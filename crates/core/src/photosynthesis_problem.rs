@@ -53,11 +53,6 @@ impl LeafRedesignProblem {
         &self.scenario
     }
 
-    /// The uptake model used for evaluation.
-    pub fn uptake_model(&self) -> &UptakeModel {
-        &self.model
-    }
-
     /// CO₂ uptake of a decision vector (convenience for reports).
     pub fn uptake(&self, x: &[f64]) -> f64 {
         self.model

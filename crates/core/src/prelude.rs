@@ -17,13 +17,13 @@ pub use pathway_fba::geobacter::GeobacterModel;
 pub use pathway_fba::{FluxBalanceAnalysis, MetabolicModel};
 pub use pathway_moo::engine::{
     AnyOptimizer, ChannelObserver, CheckpointError, CheckpointRetention, CheckpointStore, Driver,
-    EngineError, GenerationReport, HistoryObserver, LogObserver, NullObserver, Observer, Optimizer,
+    EngineError, GenerationReport, HistoryObserver, LogObserver, Observer, Optimizer,
     OptimizerSpec, OptimizerState, ProblemSpec, RunCheckpoint, RunSpec, SpecError, StoppingRule,
     StoppingSpec, StoredCheckpoint,
 };
 pub use pathway_moo::{
-    Archipelago, ArchipelagoConfig, EvalBackend, Executor, Individual, MigrationTopology, Moead,
-    MoeadConfig, MultiObjectiveProblem, Nsga2, Nsga2Config, Pmo2,
+    Archipelago, ArchipelagoSpec, EvalBackend, Executor, Individual, MigrationTopology, Moead,
+    MoeadSpec, MultiObjectiveProblem, Nsga2, Nsga2Spec,
 };
 pub use pathway_photosynthesis::{
     CarbonDioxideEra, EnzymeKind, EnzymePartition, Scenario, TriosePhosphateExport, UptakeModel,

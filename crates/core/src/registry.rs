@@ -540,8 +540,12 @@ mod tests {
         let OptimizerSpec::Archipelago(archipelago) = &spec.optimizer else {
             unreachable!("an archipelago spec")
         };
-        let via_archipelago = Archipelago::new(archipelago.config(15), 11).run(&Schaffer);
-        assert_eq!(via_spec, via_archipelago);
+        let mut raw = Archipelago::new(*archipelago, 11);
+        raw.initialize(&Schaffer);
+        for _ in 0..15 {
+            raw.step(&Schaffer);
+        }
+        assert_eq!(via_spec, raw.front());
     }
 
     #[test]

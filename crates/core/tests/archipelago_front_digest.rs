@@ -12,11 +12,11 @@ use std::sync::Arc;
 
 use pathway_core::{GeobacterFluxProblem, LeafRedesignProblem};
 use pathway_fba::geobacter::GeobacterModel;
+use pathway_moo::engine::{Driver, StoppingRule};
 use pathway_moo::exec::Executor;
 use pathway_moo::problems::Zdt1;
 use pathway_moo::{
-    Archipelago, ArchipelagoConfig, EvalBackend, MigrationTopology, MultiObjectiveProblem,
-    Nsga2Config,
+    Archipelago, ArchipelagoSpec, EvalBackend, MigrationTopology, MultiObjectiveProblem, Nsga2Spec,
 };
 use pathway_photosynthesis::Scenario;
 
@@ -32,17 +32,17 @@ fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
     hash
 }
 
+/// An archipelago and the number of generations to run it for.
 fn config(
     islands: usize,
-    population_size: usize,
+    population: usize,
     generations: usize,
     topology: MigrationTopology,
-) -> ArchipelagoConfig {
-    ArchipelagoConfig {
+) -> (ArchipelagoSpec, usize) {
+    let spec = ArchipelagoSpec {
         islands,
-        island_config: Nsga2Config {
-            population_size,
-            generations,
+        island: Nsga2Spec {
+            population,
             ..Default::default()
         },
         migration_interval: 4,
@@ -50,7 +50,8 @@ fn config(
         // migrates at generations 4 and 8 at least.
         migration_probability: 1.0,
         topology,
-    }
+    };
+    (spec, generations)
 }
 
 /// Runs the archipelago on `backend` and digests its final front: every
@@ -58,13 +59,15 @@ fn config(
 /// by the evaluation count.
 fn front_digest<P: MultiObjectiveProblem>(
     problem: &P,
-    config: ArchipelagoConfig,
+    (spec, generations): (ArchipelagoSpec, usize),
     seed: u64,
     backend: EvalBackend,
 ) -> u64 {
-    let mut archipelago = Archipelago::new(config, seed);
+    let mut archipelago = Archipelago::new(spec, seed);
     archipelago.set_executor(Arc::new(Executor::new(backend)));
-    let front = archipelago.run(problem);
+    let mut driver =
+        Driver::new(archipelago, problem).with_stopping(StoppingRule::MaxGenerations(generations));
+    let front = driver.run();
     assert!(!front.is_empty());
     let mut words = Vec::new();
     for member in &front {
@@ -72,13 +75,13 @@ fn front_digest<P: MultiObjectiveProblem>(
         words.extend(member.objectives.iter().map(|v| v.to_bits()));
         words.push(member.violation.to_bits());
     }
-    words.push(archipelago.evaluations() as u64);
+    words.push(driver.optimizer().evaluations() as u64);
     fnv1a64(words)
 }
 
 fn assert_digest<P: MultiObjectiveProblem>(
     problem: &P,
-    config: ArchipelagoConfig,
+    config: (ArchipelagoSpec, usize),
     seed: u64,
     expected: u64,
 ) {

@@ -44,6 +44,4 @@ pub use error::FbaError;
 pub use fba::{FbaSolution, FluxBalanceAnalysis};
 pub use model::{MetabolicModel, MetabolicModelBuilder, Metabolite, Reaction};
 pub use perturb::random_flux_vector;
-pub use violation::{
-    steady_state_violation, steady_state_violation_batch, violation_norm, ViolationPenalty,
-};
+pub use violation::{steady_state_violation, steady_state_violation_batch, violation_norm};

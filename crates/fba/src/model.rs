@@ -68,11 +68,6 @@ impl MetabolicModel {
         self.reactions.len()
     }
 
-    /// Metabolites in insertion order.
-    pub fn metabolites(&self) -> &[Metabolite] {
-        &self.metabolites
-    }
-
     /// Reactions in insertion order.
     pub fn reactions(&self) -> &[Reaction] {
         &self.reactions
@@ -282,7 +277,7 @@ mod tests {
         let model = toy_model();
         assert_eq!(model.num_metabolites(), 3);
         assert_eq!(model.num_reactions(), 4);
-        assert_eq!(model.metabolites()[0].id, "A");
+        assert_eq!(model.metabolites[0].id, "A");
         assert_eq!(model.reaction_index("biomass"), Some(2));
         assert_eq!(model.reaction_index("missing"), None);
         assert!(model.to_string().contains("toy"));

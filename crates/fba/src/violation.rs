@@ -94,53 +94,6 @@ pub fn violation_norm(model: &MetabolicModel, fluxes: &[f64]) -> Result<f64, Fba
     Ok(norm * norm)
 }
 
-/// A reusable penalty scorer that also accounts for flux-bound violations, so
-/// the optimizer can treat "how infeasible is this flux vector" as a single
-/// scalar.
-#[derive(Debug, Clone)]
-pub struct ViolationPenalty {
-    bounds: Vec<(f64, f64)>,
-    /// Weight of the steady-state residual relative to bound violations.
-    pub steady_state_weight: f64,
-    /// Weight of the bound violations.
-    pub bound_weight: f64,
-}
-
-impl ViolationPenalty {
-    /// Creates a penalty scorer for a model with unit weights.
-    pub fn new(model: &MetabolicModel) -> Self {
-        ViolationPenalty {
-            bounds: model
-                .flux_bounds()
-                .into_iter()
-                .map(|b| (b.lower, b.upper))
-                .collect(),
-            steady_state_weight: 1.0,
-            bound_weight: 1.0,
-        }
-    }
-
-    /// Total bound violation of a flux vector (sum of overshoots).
-    fn bound_violation(&self, fluxes: &[f64]) -> f64 {
-        self.bounds
-            .iter()
-            .zip(fluxes.iter())
-            .map(|(&(lower, upper), &v)| (lower - v).max(0.0) + (v - upper).max(0.0))
-            .sum()
-    }
-
-    /// Combined penalty: weighted steady-state residual plus weighted bound
-    /// violation.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`steady_state_violation`].
-    pub fn total(&self, model: &MetabolicModel, fluxes: &[f64]) -> Result<f64, FbaError> {
-        let steady = steady_state_violation(model, fluxes)?;
-        Ok(self.steady_state_weight * steady + self.bound_weight * self.bound_violation(fluxes))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,19 +195,5 @@ mod tests {
             steady_state_violation_batch(&model, &mixed),
             Err(FbaError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn penalty_combines_bounds_and_steady_state() {
-        let model = toy_model();
-        let penalty = ViolationPenalty::new(&model);
-        // leak bound is [0, 1]; a leak of 3 violates it by 2.
-        let fluxes = vec![2.0, 2.0, 2.0, 3.0];
-        assert!((penalty.bound_violation(&fluxes) - 2.0).abs() < 1e-12);
-        let total = penalty.total(&model, &fluxes).unwrap();
-        // Steady-state residual: A balance = 2 - 2 - 3 = -3.
-        assert!(total > 2.0 + 2.9);
-        // A fully consistent vector scores zero.
-        assert_eq!(penalty.total(&model, &[2.0, 2.0, 2.0, 0.0]).unwrap(), 0.0);
     }
 }

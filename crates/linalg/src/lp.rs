@@ -68,11 +68,6 @@ impl Bound {
         }
     }
 
-    /// Width of the interval (`upper - lower`).
-    pub fn width(&self) -> f64 {
-        self.upper - self.lower
-    }
-
     /// Returns `true` if `value` lies within the bound (inclusive), with a
     /// small tolerance.
     pub fn contains(&self, value: f64) -> bool {
@@ -301,7 +296,6 @@ mod tests {
         assert!(Bound::non_negative().upper.is_infinite());
         assert!(Bound::free().lower.is_infinite());
         let b = Bound::interval(-1.0, 2.0);
-        assert_eq!(b.width(), 3.0);
         assert!(b.contains(0.0));
         assert!(!b.contains(3.0));
         let f = Bound::fixed(0.45);

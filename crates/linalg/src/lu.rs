@@ -214,25 +214,6 @@ impl LuDecomposition {
         }
         Ok(())
     }
-
-    /// Inverse of the original matrix, built column by column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`].
-    pub fn inverse(&self) -> crate::Result<Matrix> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for col in 0..n {
-            let mut e = Vector::zeros(n);
-            e[col] = 1.0;
-            let x = self.solve(&e)?;
-            for row in 0..n {
-                inv[(row, col)] = x[row];
-            }
-        }
-        Ok(inv)
-    }
 }
 
 /// The partial-pivoting elimination shared by [`LuDecomposition::new`] and
@@ -329,7 +310,17 @@ mod tests {
             vec![-1.0, 0.25, 4.0],
         ])
         .unwrap();
-        let inv = a.lu().unwrap().inverse().unwrap();
+        // The inverse, one solve per column of the identity.
+        let lu = a.lu().unwrap();
+        let mut inv = Matrix::zeros(3, 3);
+        for col in 0..3 {
+            let mut e = Vector::zeros(3);
+            e[col] = 1.0;
+            let x = lu.solve(&e).unwrap();
+            for row in 0..3 {
+                inv[(row, col)] = x[row];
+            }
+        }
         let prod = a.mat_mul(&inv).unwrap();
         let diff = &prod - &Matrix::identity(3);
         assert!(diff.frobenius_norm() < 1e-10);

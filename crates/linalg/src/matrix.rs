@@ -147,16 +147,6 @@ impl Matrix {
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Copies a column into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn column(&self, col: usize) -> Vector {
-        assert!(col < self.cols, "col {col} out of bounds ({})", self.cols);
-        (0..self.rows).map(|r| self[(r, col)]).collect()
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -225,7 +215,7 @@ impl Matrix {
     }
 
     /// Scales every element by `factor`, in place.
-    pub fn scale_mut(&mut self, factor: f64) {
+    fn scale_mut(&mut self, factor: f64) {
         for v in &mut self.data {
             *v *= factor;
         }
@@ -403,7 +393,7 @@ mod tests {
     fn column_and_row_access() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.column(0).as_slice(), &[1.0, 3.0]);
+        assert_eq!([m[(0, 0)], m[(1, 0)]], [1.0, 3.0]);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Vector {
     }
 
     /// Element-wise scaling in place.
-    pub fn scale_mut(&mut self, factor: f64) {
+    fn scale_mut(&mut self, factor: f64) {
         for v in &mut self.data {
             *v *= factor;
         }

@@ -8,7 +8,7 @@ use crate::dominance::constrained_nondominated;
 use crate::engine::telemetry::MetricsRegistry;
 use crate::engine::{ArchipelagoState, EngineError, Optimizer, OptimizerState, RngState};
 use crate::exec::Executor;
-use crate::{EvalBackend, Individual, MultiObjectiveProblem, Nsga2, Nsga2Config, ParetoArchive};
+use crate::{Individual, MultiObjectiveProblem, Nsga2, Nsga2Spec, ParetoArchive};
 
 /// Topology describing which islands exchange migrants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,17 +28,16 @@ pub enum MigrationTopology {
     Isolated,
 }
 
-/// Configuration of the PMO2 archipelago.
+/// Archipelago (PMO2) settings: what a spec's `[optimizer]` section says
+/// for `kind = archipelago`. The defaults are the paper's configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArchipelagoConfig {
+pub struct ArchipelagoSpec {
     /// Number of islands (the paper uses 2).
     pub islands: usize,
-    /// NSGA-II configuration used on every island. `generations` here is the
-    /// total evolution length of [`Archipelago::run`]. The evaluation backend
-    /// is configured here too (`island_config.backend`): it builds the one
+    /// The NSGA-II settings every island runs. Its backend builds the one
     /// executor that breeds the islands and evaluates their offspring.
-    pub island_config: Nsga2Config,
-    /// Number of generations between migrations (the paper uses 200).
+    pub island: Nsga2Spec,
+    /// Generations between migration events (the paper uses 200).
     pub migration_interval: usize,
     /// Probability that an island participates in a given migration event
     /// (the paper uses 0.5).
@@ -47,11 +46,11 @@ pub struct ArchipelagoConfig {
     pub topology: MigrationTopology,
 }
 
-impl Default for ArchipelagoConfig {
+impl Default for ArchipelagoSpec {
     fn default() -> Self {
-        ArchipelagoConfig {
+        ArchipelagoSpec {
             islands: 2,
-            island_config: Nsga2Config::default(),
+            island: Nsga2Spec::default(),
             migration_interval: 200,
             migration_probability: 0.5,
             topology: MigrationTopology::Broadcast,
@@ -91,27 +90,28 @@ impl Default for ArchipelagoConfig {
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Archipelago, ArchipelagoConfig, Nsga2Config, problems::Schaffer};
+/// use pathway_moo::engine::{Driver, StoppingRule};
+/// use pathway_moo::{Archipelago, ArchipelagoSpec, Nsga2Spec, problems::Schaffer};
 ///
-/// let config = ArchipelagoConfig {
-///     islands: 2,
-///     island_config: Nsga2Config { population_size: 30, generations: 40, ..Default::default() },
+/// let spec = ArchipelagoSpec {
+///     island: Nsga2Spec { population: 30, ..Default::default() },
 ///     migration_interval: 10,
 ///     ..Default::default()
 /// };
-/// let front = Archipelago::new(config, 7).run(&Schaffer);
+/// let front = Driver::new(Archipelago::new(spec, 7), &Schaffer)
+///     .with_stopping(StoppingRule::MaxGenerations(40))
+///     .run();
 /// assert!(!front.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Archipelago {
-    config: ArchipelagoConfig,
-    seed: u64,
+    spec: ArchipelagoSpec,
     islands: Vec<Nsga2>,
     archives: Vec<ParetoArchive>,
     migration_rng: StdRng,
     generations_done: usize,
     /// The executor that breeds the islands and evaluates their offspring,
-    /// lazily built from `island_config.backend` (or injected via
+    /// lazily built from `spec.island.backend` (or injected via
     /// [`Archipelago::set_executor`]). Configuration, not run state —
     /// never checkpointed.
     executor: Option<Arc<Executor>>,
@@ -121,40 +121,27 @@ pub struct Archipelago {
     metrics: Option<MetricsRegistry>,
 }
 
-/// Alias emphasising that the archipelago with its default configuration *is*
-/// the paper's PMO2 algorithm.
-pub type Pmo2 = Archipelago;
-
 impl Archipelago {
     /// Creates an archipelago with a deterministic seed.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration requests zero islands or a zero migration
+    /// Panics if the spec requests zero islands or a zero migration
     /// interval.
-    pub fn new(config: ArchipelagoConfig, seed: u64) -> Self {
-        assert!(config.islands > 0, "at least one island is required");
+    pub fn new(spec: ArchipelagoSpec, seed: u64) -> Self {
+        assert!(spec.islands > 0, "at least one island is required");
         assert!(
-            config.migration_interval > 0,
+            spec.migration_interval > 0,
             "migration interval must be positive"
         );
-        let islands: Vec<Nsga2> = (0..config.islands)
-            .map(|i| {
-                let island_config = Nsga2Config {
-                    // Islands are driven per generation by the archipelago;
-                    // their own generation budget is unused.
-                    generations: 0,
-                    ..config.island_config
-                };
-                Nsga2::new(island_config, seed.wrapping_add(1 + i as u64))
-            })
+        let islands: Vec<Nsga2> = (0..spec.islands)
+            .map(|i| Nsga2::new(spec.island, seed.wrapping_add(1 + i as u64)))
             .collect();
-        let archive_capacity = config.island_config.population_size.max(1);
+        let archive_capacity = spec.island.population.max(1);
         Archipelago {
-            config,
-            seed,
+            spec,
             islands,
-            archives: (0..config.islands)
+            archives: (0..spec.islands)
                 .map(|_| ParetoArchive::new(archive_capacity))
                 .collect(),
             migration_rng: StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9)),
@@ -164,13 +151,8 @@ impl Archipelago {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ArchipelagoConfig {
-        &self.config
-    }
-
     /// Installs a (usually shared) executor, replacing the pool that would
-    /// otherwise be built lazily from `island_config.backend`. The
+    /// otherwise be built lazily from `spec.island.backend`. The
     /// `pathway` CLI uses this to run a whole invocation — run or resume —
     /// on one pool. Executors only change where islands breed and
     /// candidates are evaluated, never the results.
@@ -191,44 +173,14 @@ impl Archipelago {
         self.metrics = Some(registry);
     }
 
-    /// The archipelago's executor, building it from the island backend
-    /// configuration on first need. Cheap once installed.
-    ///
-    /// The lazily-built pool is sized for the archipelago's *total*
-    /// evaluation parallelism — `islands × n` lanes for a `Threads(n)`
-    /// island backend — because it serves one batch holding every island's
-    /// offspring, `islands×` larger than one island's; sizing it for a
-    /// single island would serve that batch with the lanes one island's
-    /// configuration asked for. (An explicitly injected executor is used
-    /// as-is: its owner chose the width.)
+    /// The archipelago's executor, built from the island backend on first
+    /// need, as every spec-driven launcher builds it: `threads:<n>` is `n`
+    /// lanes for the whole archipelago. Cheap once installed.
     fn executor(&mut self) -> Arc<Executor> {
-        if let Some(executor) = &self.executor {
-            return Arc::clone(executor);
-        }
-        let backend = match self.config.island_config.backend {
-            EvalBackend::Threads(n) if n >= 2 => {
-                EvalBackend::Threads(n.saturating_mul(self.config.islands.max(1)))
-            }
-            other => other,
-        };
-        let shared = Executor::shared(backend);
-        self.set_executor(Arc::clone(&shared));
-        shared
-    }
-
-    /// The seed this archipelago (and its islands) were derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of generations every island has completed.
-    pub fn generations_done(&self) -> usize {
-        self.generations_done
-    }
-
-    /// The islands, in index order.
-    pub fn islands(&self) -> &[Nsga2] {
-        &self.islands
+        Arc::clone(
+            self.executor
+                .get_or_insert_with(|| Executor::shared(self.spec.island.backend)),
+        )
     }
 
     /// Cumulative candidate evaluations spent across all islands.
@@ -260,7 +212,7 @@ impl Archipelago {
         if self.generations_done > 0
             && self
                 .generations_done
-                .is_multiple_of(self.config.migration_interval)
+                .is_multiple_of(self.spec.migration_interval)
         {
             self.migrate();
         }
@@ -268,18 +220,6 @@ impl Archipelago {
         let islands = self.islands.iter_mut().collect();
         run_islands(&executor, islands, problem, Nsga2::breed, Nsga2::select);
         self.generations_done += 1;
-    }
-
-    /// Runs the configured number of generations
-    /// (`island_config.generations`) and returns the merged non-dominated
-    /// front across all islands. Continues from wherever previous `step` /
-    /// `run` calls left the archipelago.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.island_config.generations {
-            self.step(problem);
-        }
-        self.front()
     }
 
     /// The merged non-dominated front across all islands' current
@@ -327,7 +267,7 @@ impl Archipelago {
     /// *source* island, and the next generation's tournament selection reads
     /// those fields before any environmental selection runs.
     fn migrate(&mut self) {
-        if matches!(self.config.topology, MigrationTopology::Isolated) || self.islands.len() < 2 {
+        if matches!(self.spec.topology, MigrationTopology::Isolated) || self.islands.len() < 2 {
             return;
         }
         let migration_started = Instant::now();
@@ -358,8 +298,8 @@ impl Archipelago {
 
         let n = self.islands.len();
         let mut received = vec![false; n];
-        let probability = self.config.migration_probability.clamp(0.0, 1.0);
-        match self.config.topology {
+        let probability = self.spec.migration_probability.clamp(0.0, 1.0);
+        match self.spec.topology {
             // Broadcast is inherently clone-heavy: every export is copied to
             // all n-1 other islands (n² individual copies in total).
             MigrationTopology::Broadcast => {
@@ -439,7 +379,7 @@ impl Archipelago {
         }
         // Validate every island snapshot before touching any state, so a
         // rejected restore leaves the archipelago untouched.
-        let expected = self.config.island_config.population_size;
+        let expected = self.spec.island.population;
         for (index, snapshot) in state.islands.iter().enumerate() {
             if !snapshot.population.is_empty() && snapshot.population.len() != expected {
                 return Err(EngineError::ConfigMismatch {
@@ -456,7 +396,7 @@ impl Archipelago {
                 .restore_snapshot(snapshot)
                 .expect("island snapshots were validated above");
         }
-        let capacity = self.config.island_config.population_size.max(1);
+        let capacity = self.spec.island.population.max(1);
         for (archive, members) in self.archives.iter_mut().zip(state.archives) {
             // Archive members are mutually non-dominated and feasible, so
             // re-inserting them in captured order reproduces the archive
@@ -554,15 +494,16 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Archipelago {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::{Driver, StoppingRule};
     use crate::metrics;
     use crate::problems::{Schaffer, Zdt1};
+    use crate::EvalBackend;
 
-    fn config(islands: usize, generations: usize, interval: usize) -> ArchipelagoConfig {
-        ArchipelagoConfig {
+    fn spec(islands: usize, interval: usize) -> ArchipelagoSpec {
+        ArchipelagoSpec {
             islands,
-            island_config: Nsga2Config {
-                population_size: 30,
-                generations,
+            island: Nsga2Spec {
+                population: 30,
                 ..Default::default()
             },
             migration_interval: interval,
@@ -571,9 +512,21 @@ mod tests {
         }
     }
 
+    /// The final front of `generations` generations from `seed`.
+    fn run<P: MultiObjectiveProblem>(
+        spec: ArchipelagoSpec,
+        seed: u64,
+        generations: usize,
+        problem: &P,
+    ) -> Vec<Individual> {
+        Driver::new(Archipelago::new(spec, seed), problem)
+            .with_stopping(StoppingRule::MaxGenerations(generations))
+            .run()
+    }
+
     #[test]
     fn pmo2_finds_the_schaffer_front() {
-        let front = Archipelago::new(config(2, 40, 10), 42).run(&Schaffer);
+        let front = run(spec(2, 10), 42, 40, &Schaffer);
         assert!(front.len() >= 10);
         for individual in &front {
             assert!(individual.variables[0] > -0.3 && individual.variables[0] < 2.3);
@@ -582,7 +535,7 @@ mod tests {
 
     #[test]
     fn merged_front_is_mutually_nondominating_and_deduplicated() {
-        let front = Archipelago::new(config(3, 30, 10), 5).run(&Zdt1 { variables: 6 });
+        let front = run(spec(3, 10), 5, 30, &Zdt1 { variables: 6 });
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -595,8 +548,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible_despite_threads() {
-        let a = Archipelago::new(config(2, 20, 5), 9).run(&Schaffer);
-        let b = Archipelago::new(config(2, 20, 5), 9).run(&Schaffer);
+        let a = run(spec(2, 5), 9, 20, &Schaffer);
+        let b = run(spec(2, 5), 9, 20, &Schaffer);
         assert_eq!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -605,13 +558,13 @@ mod tests {
 
     #[test]
     fn stepwise_run_matches_monolithic_run() {
-        let monolithic = Archipelago::new(config(2, 15, 4), 31).run(&Schaffer);
-        let mut stepped = Archipelago::new(config(2, 15, 4), 31);
+        let monolithic = run(spec(2, 4), 31, 15, &Schaffer);
+        let mut stepped = Archipelago::new(spec(2, 4), 31);
         stepped.initialize(&Schaffer);
         for _ in 0..15 {
             stepped.step(&Schaffer);
         }
-        assert_eq!(stepped.generations_done(), 15);
+        assert_eq!(stepped.generations_done, 15);
         assert_eq!(
             monolithic
                 .iter()
@@ -628,8 +581,8 @@ mod tests {
     #[test]
     fn migration_improves_over_isolated_islands_on_zdt1() {
         let problem = Zdt1 { variables: 12 };
-        let base = config(2, 60, 15);
-        let isolated = ArchipelagoConfig {
+        let base = spec(2, 15);
+        let isolated = ArchipelagoSpec {
             topology: MigrationTopology::Isolated,
             ..base
         };
@@ -638,8 +591,8 @@ mod tests {
         let mut hv_migration = 0.0;
         let mut hv_isolated = 0.0;
         for seed in 0..3 {
-            let with_migration = Archipelago::new(base, seed).run(&problem);
-            let without = Archipelago::new(isolated, seed).run(&problem);
+            let with_migration = run(base, seed, 60, &problem);
+            let without = run(isolated, seed, 60, &problem);
             hv_migration += metrics::hypervolume(
                 &with_migration
                     .iter()
@@ -664,28 +617,28 @@ mod tests {
 
     #[test]
     fn ring_topology_runs() {
-        let cfg = ArchipelagoConfig {
+        let ring = ArchipelagoSpec {
             topology: MigrationTopology::Ring,
-            ..config(3, 20, 5)
+            ..spec(3, 5)
         };
-        let front = Archipelago::new(cfg, 3).run(&Schaffer);
+        let front = run(ring, 3, 20, &Schaffer);
         assert!(!front.is_empty());
     }
 
     #[test]
     fn ring_migration_moves_exports_to_the_successor_only() {
         // Probability 1 so every island participates in the event.
-        let cfg = ArchipelagoConfig {
+        let ring = ArchipelagoSpec {
             islands: 3,
-            island_config: Nsga2Config {
-                population_size: 10,
+            island: Nsga2Spec {
+                population: 10,
                 ..Default::default()
             },
             migration_interval: 4,
             migration_probability: 1.0,
             topology: MigrationTopology::Ring,
         };
-        let mut archipelago = Archipelago::new(cfg, 17);
+        let mut archipelago = Archipelago::new(ring, 17);
         archipelago.initialize(&Schaffer);
         for _ in 0..4 {
             archipelago.step(&Schaffer);
@@ -694,7 +647,7 @@ mod tests {
         archipelago.migrate();
         // Every island exported its archive to exactly one successor, so
         // each population grew by its predecessor's archive size.
-        for (index, island) in archipelago.islands().iter().enumerate() {
+        for (index, island) in archipelago.islands.iter().enumerate() {
             let predecessor = (index + 2) % 3;
             let expected = 10 + archipelago.archives[predecessor].len();
             assert_eq!(
@@ -707,12 +660,12 @@ mod tests {
 
     #[test]
     fn ring_runs_are_deterministic() {
-        let cfg = ArchipelagoConfig {
+        let ring = ArchipelagoSpec {
             topology: MigrationTopology::Ring,
-            ..config(3, 18, 4)
+            ..spec(3, 4)
         };
-        let a = Archipelago::new(cfg, 11).run(&Schaffer);
-        let b = Archipelago::new(cfg, 11).run(&Schaffer);
+        let a = run(ring, 11, 18, &Schaffer);
+        let b = run(ring, 11, 18, &Schaffer);
         assert_eq!(a, b);
     }
 
@@ -727,17 +680,17 @@ mod tests {
             for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
                 let executor = Arc::new(Executor::new(backend));
                 executor.set_metrics(MetricsRegistry::new());
-                let cfg = ArchipelagoConfig {
+                let three = ArchipelagoSpec {
                     islands: 3,
-                    island_config: Nsga2Config {
-                        population_size: population,
+                    island: Nsga2Spec {
+                        population,
                         ..Default::default()
                     },
                     migration_interval: 2,
                     migration_probability: 1.0,
                     topology,
                 };
-                let mut archipelago = Archipelago::new(cfg, 4);
+                let mut archipelago = Archipelago::new(three, 4);
                 archipelago.set_executor(Arc::clone(&executor));
                 let counters = || {
                     let snapshot = executor.metrics().expect("registry attached").snapshot();
@@ -768,6 +721,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_lazy_executor_has_the_lanes_the_island_backend_names() {
+        for (backend, lanes) in [(EvalBackend::Serial, 1), (EvalBackend::Threads(3), 3)] {
+            let mut archipelago = Archipelago::new(
+                ArchipelagoSpec {
+                    island: Nsga2Spec {
+                        population: 8,
+                        backend,
+                        ..Default::default()
+                    },
+                    ..spec(2, 5)
+                },
+                1,
+            );
+            archipelago.initialize(&Schaffer);
+            let executor = archipelago.executor.as_ref().expect("built by initialize");
+            assert_eq!(executor.workers(), lanes, "{backend:?}");
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_front_matches_the_pairwise_merge(seed in 0u64..u64::MAX) {
@@ -777,7 +750,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..CLOUDS_PER_CASE {
                 let islands = rng.gen_range(1..4usize);
-                let mut archipelago = Archipelago::new(config(islands, 1, 1), seed);
+                let mut archipelago = Archipelago::new(spec(islands, 1), seed);
                 // Deal the cloud round-robin onto the islands; a quarter of
                 // the members are not rank 0 and must be ignored.
                 let mut populations = vec![Vec::new(); islands];
@@ -805,7 +778,7 @@ mod tests {
     #[should_panic(expected = "at least one island")]
     fn zero_islands_panics() {
         let _ = Archipelago::new(
-            ArchipelagoConfig {
+            ArchipelagoSpec {
                 islands: 0,
                 ..Default::default()
             },
@@ -817,7 +790,7 @@ mod tests {
     #[should_panic(expected = "migration interval must be positive")]
     fn zero_interval_panics() {
         let _ = Archipelago::new(
-            ArchipelagoConfig {
+            ArchipelagoSpec {
                 migration_interval: 0,
                 ..Default::default()
             },

@@ -55,11 +55,6 @@ impl ParetoArchive {
         self.members.is_empty()
     }
 
-    /// Maximum number of stored solutions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Stored solutions (mutually non-dominated).
     pub fn members(&self) -> &[Individual] {
         &self.members
@@ -113,11 +108,6 @@ impl ParetoArchive {
                 .expect("archive is non-empty while pruning");
             self.members.remove(worst);
         }
-    }
-
-    /// Objective vectors of the stored front.
-    pub fn objective_matrix(&self) -> Vec<Vec<f64>> {
-        self.members.iter().map(|m| m.objectives.clone()).collect()
     }
 }
 
@@ -173,9 +163,9 @@ mod tests {
         }
         assert_eq!(archive.len(), 5);
         // The extremes survive pruning because of their infinite crowding.
-        let objectives = archive.objective_matrix();
-        assert!(objectives.iter().any(|o| o[0] == 0.0));
-        assert!(objectives.iter().any(|o| o[0] == 19.0));
+        let members = archive.members();
+        assert!(members.iter().any(|m| m.objectives[0] == 0.0));
+        assert!(members.iter().any(|m| m.objectives[0] == 19.0));
     }
 
     #[test]

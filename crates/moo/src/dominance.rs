@@ -64,9 +64,8 @@ pub fn constrained_dominates(a: &Individual, b: &Individual) -> bool {
 /// `Vec<Vec<usize>>` dominated-set allocations of the textbook algorithm.
 /// [`Nsga2`](crate::Nsga2) carries one of these across generations.
 ///
-/// After a sort, the fronts are read back through [`SortScratch::front`] /
-/// [`SortScratch::fronts`] as index slices into the sorted population, best
-/// front first.
+/// After a sort, the fronts are read back through [`SortScratch::front`] as
+/// index slices into the sorted population, best front first.
 #[derive(Debug, Clone, Default)]
 pub struct SortScratch {
     /// Per individual: how many others currently dominate it.
@@ -122,7 +121,7 @@ impl SortScratch {
     }
 
     /// Iterates the fronts of the last sort, best front first.
-    pub fn fronts(&self) -> impl Iterator<Item = &[usize]> {
+    fn fronts(&self) -> impl Iterator<Item = &[usize]> {
         (0..self.num_fronts()).map(move |rank| self.front(rank))
     }
 
@@ -194,8 +193,7 @@ impl SortScratch {
 /// Fast non-dominated sort (Deb et al. 2002) into reusable scratch buffers.
 ///
 /// Assigns `rank` to every individual in place and leaves the fronts in
-/// `scratch` (read them with [`SortScratch::front`] / [`SortScratch::fronts`],
-/// best front first). Uses constrained domination so infeasible solutions
+/// `scratch` (read them with [`SortScratch::front`], best front first). Uses constrained domination so infeasible solutions
 /// sink to later fronts.
 ///
 /// Bi-objective populations — every problem the paper optimizes — take an

@@ -69,10 +69,10 @@ pub struct RunCheckpoint {
 ///
 /// ```
 /// use pathway_moo::engine::{Driver, StoppingRule};
-/// use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+/// use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 ///
-/// let config = Nsga2Config { population_size: 16, ..Default::default() };
-/// let make = || Nsga2::new(config, 3);
+/// let spec = Nsga2Spec { population: 16, ..Default::default() };
+/// let make = || Nsga2::new(spec, 3);
 /// let stop = StoppingRule::MaxGenerations(10);
 ///
 /// // Unsplit run.
@@ -104,8 +104,9 @@ pub struct Driver<P: MultiObjectiveProblem, O: Optimizer<P>> {
 impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
     /// Creates a driver for a fresh run.
     ///
-    /// The default stopping rule is `MaxGenerations(250)` (matching the
-    /// algorithm configs' default generation budget); override it with
+    /// The default stopping rule is `MaxGenerations(250)` (matching
+    /// [`StoppingSpec`](crate::engine::StoppingSpec)'s default generation
+    /// budget); override it with
     /// [`with_stopping`](Driver::with_stopping). `problem` is moved into
     /// the driver; pass `&problem` to keep ownership at the call site.
     pub fn new(optimizer: O, problem: P) -> Self {
@@ -193,23 +194,9 @@ impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
         self.generation
     }
 
-    /// Hypervolume after each generation driven with telemetry, oldest
-    /// first. Generations driven without any telemetry consumer (see
-    /// [`Driver::run`]) record no entry; entries are NaN when no
-    /// hypervolume could be computed (empty front or more than three
-    /// objectives).
-    pub fn hypervolume_history(&self) -> &[f64] {
-        &self.hypervolume_history
-    }
-
     /// The driven optimizer.
     pub fn optimizer(&self) -> &O {
         &self.optimizer
-    }
-
-    /// The driven problem.
-    pub fn problem(&self) -> &P {
-        &self.problem
     }
 
     /// The current non-dominated front.
@@ -388,12 +375,12 @@ mod tests {
     use super::*;
     use crate::engine::HistoryObserver;
     use crate::problems::{Schaffer, Zdt1};
-    use crate::{Nsga2, Nsga2Config};
+    use crate::{Nsga2, Nsga2Spec};
 
     fn small(seed: u64) -> Nsga2 {
         Nsga2::new(
-            Nsga2Config {
-                population_size: 16,
+            Nsga2Spec {
+                population: 16,
                 ..Default::default()
             },
             seed,
@@ -464,14 +451,18 @@ mod tests {
         let stop = StoppingRule::MaxGenerations(5);
         let mut untracked = Driver::new(small(6), &Schaffer).with_stopping(stop.clone());
         let untracked_front = untracked.run();
-        assert!(untracked.hypervolume_history().is_empty());
+        assert!(untracked.checkpoint().hypervolume_history.is_empty());
         assert_eq!(untracked.generation(), 5);
 
         let mut observed = Driver::new(small(6), &Schaffer)
             .with_observer(HistoryObserver::new())
             .with_stopping(stop);
         let observed_front = observed.run();
-        assert!(observed.hypervolume_history().iter().all(|h| h.is_finite()));
+        assert!(observed
+            .checkpoint()
+            .hypervolume_history
+            .iter()
+            .all(|h| h.is_finite()));
         // Telemetry is read-only: the search trajectory is identical.
         assert_eq!(untracked_front, observed_front);
     }
@@ -516,8 +507,8 @@ mod tests {
             }
         }
         let optimizer = Nsga2::new(
-            Nsga2Config {
-                population_size: 8,
+            Nsga2Spec {
+                population: 8,
                 ..Default::default()
             },
             1,
@@ -531,7 +522,11 @@ mod tests {
             ]));
         driver.run();
         assert_eq!(driver.generation(), 5, "one NaN window, then stop");
-        assert!(driver.hypervolume_history().iter().all(|h| h.is_nan()));
+        assert!(driver
+            .checkpoint()
+            .hypervolume_history
+            .iter()
+            .all(|h| h.is_nan()));
     }
 
     #[test]
@@ -539,7 +534,7 @@ mod tests {
         let mut driver =
             Driver::new(small(8), &Schaffer).with_stopping(StoppingRule::MaxGenerations(6));
         assert_eq!(driver.run_for(4), 4);
-        assert!(driver.hypervolume_history().is_empty());
+        assert!(driver.checkpoint().hypervolume_history.is_empty());
         // Only 2 of the requested 5 remain under the budget.
         assert_eq!(driver.run_for(5), 2);
         assert_eq!(driver.generation(), 6);

@@ -30,11 +30,11 @@
 //!
 //! ```
 //! use pathway_moo::engine::{Driver, HistoryObserver, Optimizer, StoppingRule};
-//! use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+//! use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 //!
-//! let config = Nsga2Config { population_size: 24, ..Default::default() };
+//! let spec = Nsga2Spec { population: 24, ..Default::default() };
 //! let history = HistoryObserver::new();
-//! let mut driver = Driver::new(Nsga2::new(config, 7), &Schaffer)
+//! let mut driver = Driver::new(Nsga2::new(spec, 7), &Schaffer)
 //!     .with_observer(history.clone())
 //!     .with_stopping(StoppingRule::any_of([
 //!         StoppingRule::MaxGenerations(40),
@@ -54,13 +54,11 @@ pub mod store;
 mod sweep;
 pub mod telemetry;
 
+pub use crate::{ArchipelagoSpec, MoeadSpec, Nsga2Spec};
 pub use driver::{Driver, RunCheckpoint};
-pub use observer::{
-    ChannelObserver, GenerationReport, HistoryObserver, LogObserver, NullObserver, Observer,
-};
+pub use observer::{ChannelObserver, GenerationReport, HistoryObserver, LogObserver, Observer};
 pub use spec::{
-    AnyOptimizer, ArchipelagoSpec, MoeadSpec, Nsga2Spec, OptimizerSpec, ProblemSpec, RunSpec,
-    SpecError, StoppingSpec, SPEC_HEADER,
+    AnyOptimizer, OptimizerSpec, ProblemSpec, RunSpec, SpecError, StoppingSpec, SPEC_HEADER,
 };
 pub use state::{ArchipelagoState, EngineError, MoeadState, Nsga2State, OptimizerState, RngState};
 pub use stopping::{RunStatus, StoppingRule};

@@ -38,15 +38,6 @@ pub trait Observer: Send {
     fn on_generation(&mut self, report: &GenerationReport);
 }
 
-/// An observer that ignores every report. Useful as an explicit "no
-/// telemetry" marker in configuration code.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn on_generation(&mut self, _report: &GenerationReport) {}
-}
-
 /// Logs a one-line summary of every `every`-th generation to stderr.
 #[derive(Debug, Clone)]
 pub struct LogObserver {
@@ -92,11 +83,11 @@ impl Observer for LogObserver {
 ///
 /// ```
 /// use pathway_moo::engine::{Driver, HistoryObserver, StoppingRule};
-/// use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+/// use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 ///
 /// let history = HistoryObserver::new();
-/// let config = Nsga2Config { population_size: 16, ..Default::default() };
-/// let mut driver = Driver::new(Nsga2::new(config, 1), &Schaffer)
+/// let spec = Nsga2Spec { population: 16, ..Default::default() };
+/// let mut driver = Driver::new(Nsga2::new(spec, 1), &Schaffer)
 ///     .with_observer(history.clone())
 ///     .with_stopping(StoppingRule::MaxGenerations(5));
 /// driver.run();
@@ -158,13 +149,13 @@ impl Observer for HistoryObserver {
 ///
 /// ```
 /// use pathway_moo::engine::{ChannelObserver, Driver, StoppingRule};
-/// use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+/// use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 ///
 /// let (observer, reports) = ChannelObserver::channel();
-/// let config = Nsga2Config { population_size: 16, ..Default::default() };
+/// let spec = Nsga2Spec { population: 16, ..Default::default() };
 /// std::thread::scope(|scope| {
 ///     scope.spawn(move || {
-///         Driver::new(Nsga2::new(config, 1), &Schaffer)
+///         Driver::new(Nsga2::new(spec, 1), &Schaffer)
 ///             .with_observer(observer)
 ///             .with_stopping(StoppingRule::MaxGenerations(5))
 ///             .run();
@@ -266,30 +257,29 @@ mod tests {
         // trajectory.
         use crate::engine::{Driver, StoppingRule};
         use crate::problems::Schaffer;
-        use crate::{Nsga2, Nsga2Config};
+        use crate::{Nsga2, Nsga2Spec};
 
-        let config = Nsga2Config {
-            population_size: 16,
+        let spec = Nsga2Spec {
+            population: 16,
             ..Default::default()
         };
         let stop = StoppingRule::MaxGenerations(6);
 
         let (observer, receiver) = ChannelObserver::channel();
         drop(receiver); // client hung up before the run even started
-        let mut watched = Driver::new(Nsga2::new(config, 7), &Schaffer)
+        let mut watched = Driver::new(Nsga2::new(spec, 7), &Schaffer)
             .with_observer(observer)
             .with_stopping(stop.clone());
         let watched_front = watched.run();
         assert_eq!(watched.generation(), 6);
 
-        let mut unwatched = Driver::new(Nsga2::new(config, 7), &Schaffer).with_stopping(stop);
+        let mut unwatched = Driver::new(Nsga2::new(spec, 7), &Schaffer).with_stopping(stop);
         let unwatched_front = unwatched.run();
         assert_eq!(watched_front, unwatched_front);
     }
 
     #[test]
-    fn null_and_log_observers_accept_reports() {
-        NullObserver.on_generation(&report(1));
+    fn log_observer_accepts_reports() {
         let mut log = LogObserver::new(0);
         log.on_generation(&report(1));
         let mut sparse = LogObserver::new(100);

@@ -60,8 +60,8 @@ use crate::engine::telemetry::MetricsRegistry;
 use crate::engine::{EngineError, Optimizer, OptimizerState, StoppingRule};
 use crate::exec::Executor;
 use crate::{
-    Archipelago, ArchipelagoConfig, EvalBackend, Individual, MigrationTopology, Moead, MoeadConfig,
-    MultiObjectiveProblem, Nsga2, Nsga2Config,
+    Archipelago, ArchipelagoSpec, EvalBackend, Individual, MigrationTopology, Moead, MoeadSpec,
+    MultiObjectiveProblem, Nsga2, Nsga2Spec,
 };
 
 /// The header line every spec document starts with.
@@ -171,146 +171,6 @@ impl ProblemSpec {
     }
 }
 
-/// NSGA-II settings carried by a spec (the serializable face of
-/// [`Nsga2Config`]; the generation budget lives in [`StoppingSpec`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Nsga2Spec {
-    /// Individuals kept each generation.
-    pub population: usize,
-    /// Probability of applying SBX crossover to a mating pair.
-    pub crossover_probability: f64,
-    /// SBX distribution index (η_c).
-    pub eta_crossover: f64,
-    /// Per-gene mutation probability; `None` (spelled `auto` in text form)
-    /// uses the `1/n` convention.
-    pub mutation_probability: Option<f64>,
-    /// Polynomial-mutation distribution index (η_m).
-    pub eta_mutation: f64,
-    /// How offspring batches are evaluated.
-    pub backend: EvalBackend,
-}
-
-impl Default for Nsga2Spec {
-    fn default() -> Self {
-        let config = Nsga2Config::default();
-        Nsga2Spec {
-            population: config.population_size,
-            crossover_probability: config.crossover_probability,
-            eta_crossover: config.eta_crossover,
-            mutation_probability: config.mutation_probability,
-            eta_mutation: config.eta_mutation,
-            backend: config.backend,
-        }
-    }
-}
-
-impl Nsga2Spec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> Nsga2Config {
-        Nsga2Config {
-            population_size: self.population,
-            generations,
-            crossover_probability: self.crossover_probability,
-            eta_crossover: self.eta_crossover,
-            mutation_probability: self.mutation_probability,
-            eta_mutation: self.eta_mutation,
-            backend: self.backend,
-        }
-    }
-}
-
-/// MOEA/D settings carried by a spec (the serializable face of
-/// [`MoeadConfig`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MoeadSpec {
-    /// Number of sub-problems (= population size).
-    pub population: usize,
-    /// Neighbourhood size.
-    pub neighborhood: usize,
-    /// SBX distribution index.
-    pub eta_crossover: f64,
-    /// Polynomial-mutation distribution index.
-    pub eta_mutation: f64,
-    /// Per-gene mutation probability; `None` uses `1/n`.
-    pub mutation_probability: Option<f64>,
-    /// Backend used for the initial population batch.
-    pub backend: EvalBackend,
-}
-
-impl Default for MoeadSpec {
-    fn default() -> Self {
-        let config = MoeadConfig::default();
-        MoeadSpec {
-            population: config.population_size,
-            neighborhood: config.neighborhood_size,
-            eta_crossover: config.eta_crossover,
-            eta_mutation: config.eta_mutation,
-            mutation_probability: config.mutation_probability,
-            backend: config.backend,
-        }
-    }
-}
-
-impl MoeadSpec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> MoeadConfig {
-        MoeadConfig {
-            population_size: self.population,
-            generations,
-            neighborhood_size: self.neighborhood,
-            eta_crossover: self.eta_crossover,
-            eta_mutation: self.eta_mutation,
-            mutation_probability: self.mutation_probability,
-            backend: self.backend,
-        }
-    }
-}
-
-/// Archipelago (PMO2) settings carried by a spec: the island NSGA-II
-/// settings plus the migration knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchipelagoSpec {
-    /// Number of islands.
-    pub islands: usize,
-    /// Per-island NSGA-II settings.
-    pub island: Nsga2Spec,
-    /// Generations between migration events.
-    pub migration_interval: usize,
-    /// Probability an island participates in a migration event.
-    pub migration_probability: f64,
-    /// Migration topology.
-    pub topology: MigrationTopology,
-}
-
-impl Default for ArchipelagoSpec {
-    fn default() -> Self {
-        let config = ArchipelagoConfig::default();
-        ArchipelagoSpec {
-            islands: config.islands,
-            island: Nsga2Spec::default(),
-            migration_interval: config.migration_interval,
-            migration_probability: config.migration_probability,
-            topology: config.topology,
-        }
-    }
-}
-
-impl ArchipelagoSpec {
-    /// The equivalent algorithm configuration, with the given generation
-    /// budget filled in.
-    pub fn config(&self, generations: usize) -> ArchipelagoConfig {
-        ArchipelagoConfig {
-            islands: self.islands,
-            island_config: self.island.config(generations),
-            migration_interval: self.migration_interval,
-            migration_probability: self.migration_probability,
-            topology: self.topology,
-        }
-    }
-}
-
 /// Which optimizer a spec runs, with its full configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimizerSpec {
@@ -330,6 +190,20 @@ impl Default for OptimizerSpec {
 }
 
 impl OptimizerSpec {
+    /// The default description of the optimizer kind named `kind` (its
+    /// spec-text name), or `None` for a kind no optimizer has. The spec
+    /// parser starts from it, and a sweep's `optimizer.kind` axis reads the
+    /// keys each kind accepts from its canonical text.
+    pub(crate) fn default_for(kind: &str) -> Option<OptimizerSpec> {
+        [
+            OptimizerSpec::Nsga2(Nsga2Spec::default()),
+            OptimizerSpec::Moead(MoeadSpec::default()),
+            OptimizerSpec::Archipelago(ArchipelagoSpec::default()),
+        ]
+        .into_iter()
+        .find(|spec| spec.kind() == kind)
+    }
+
     /// Spec-text name of the optimizer kind.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -350,22 +224,15 @@ impl OptimizerSpec {
         }
     }
 
-    /// Builds a fresh optimizer from this description.
-    ///
-    /// `generations` fills the config's (engine-ignored, but kept coherent)
-    /// generation field; the driver's stopping rule is what actually bounds
-    /// the run.
-    pub fn build(&self, seed: u64, generations: usize) -> AnyOptimizer {
-        match self {
-            OptimizerSpec::Nsga2(spec) => {
-                AnyOptimizer::Nsga2(Box::new(Nsga2::new(spec.config(generations), seed)))
+    /// Builds a fresh optimizer from this description. The driver's
+    /// stopping rule, not the optimizer, bounds the run.
+    pub fn build(&self, seed: u64) -> AnyOptimizer {
+        match *self {
+            OptimizerSpec::Nsga2(spec) => AnyOptimizer::Nsga2(Box::new(Nsga2::new(spec, seed))),
+            OptimizerSpec::Moead(spec) => AnyOptimizer::Moead(Box::new(Moead::new(spec, seed))),
+            OptimizerSpec::Archipelago(spec) => {
+                AnyOptimizer::Archipelago(Box::new(Archipelago::new(spec, seed)))
             }
-            OptimizerSpec::Moead(spec) => {
-                AnyOptimizer::Moead(Box::new(Moead::new(spec.config(generations), seed)))
-            }
-            OptimizerSpec::Archipelago(spec) => AnyOptimizer::Archipelago(Box::new(
-                Archipelago::new(spec.config(generations), seed),
-            )),
         }
     }
 }
@@ -394,7 +261,7 @@ impl Default for StoppingSpec {
 
 impl StoppingSpec {
     /// The composed engine stopping rule.
-    pub fn rule(&self) -> StoppingRule {
+    fn rule(&self) -> StoppingRule {
         let mut rules = vec![StoppingRule::MaxGenerations(self.max_generations)];
         if let Some(budget) = self.max_evaluations {
             rules.push(StoppingRule::MaxEvaluations(budget));
@@ -446,8 +313,7 @@ impl RunSpec {
 
     /// Builds a fresh optimizer for this run.
     pub fn build_optimizer(&self) -> AnyOptimizer {
-        self.optimizer
-            .build(self.seed, self.stopping.max_generations)
+        self.optimizer.build(self.seed)
     }
 
     /// FNV-1a hash of the canonical text rendering. Two specs have equal
@@ -946,10 +812,18 @@ fn interpret(document: &Document) -> Result<RunSpec, SpecError> {
             "[optimizer] must set 'kind'",
         )
     })?;
-    let optimizer = match kind.value.as_str() {
-        "nsga2" => OptimizerSpec::Nsga2(take_nsga2(&mut section)?),
-        "moead" => {
-            let mut spec = MoeadSpec::default();
+    let mut optimizer = OptimizerSpec::default_for(&kind.value).ok_or_else(|| {
+        SpecError::parse(
+            kind.line,
+            format!(
+                "unknown optimizer kind '{}' (expected nsga2, moead or archipelago)",
+                kind.value
+            ),
+        )
+    })?;
+    match &mut optimizer {
+        OptimizerSpec::Nsga2(spec) => take_nsga2(&mut section, spec)?,
+        OptimizerSpec::Moead(spec) => {
             if let Some(v) = section.take_parsed("population")? {
                 spec.population = v;
             }
@@ -968,14 +842,12 @@ fn interpret(document: &Document) -> Result<RunSpec, SpecError> {
             if let Some(entry) = section.take("backend") {
                 spec.backend = parse_backend(entry)?;
             }
-            OptimizerSpec::Moead(spec)
         }
-        "archipelago" => {
-            let mut spec = ArchipelagoSpec::default();
+        OptimizerSpec::Archipelago(spec) => {
             if let Some(v) = section.take_parsed("islands")? {
                 spec.islands = v;
             }
-            spec.island = take_nsga2(&mut section)?;
+            take_nsga2(&mut section, &mut spec.island)?;
             if let Some(v) = section.take_parsed("migration_interval")? {
                 spec.migration_interval = v;
             }
@@ -997,15 +869,8 @@ fn interpret(document: &Document) -> Result<RunSpec, SpecError> {
                     }
                 };
             }
-            OptimizerSpec::Archipelago(spec)
         }
-        other => {
-            return Err(SpecError::parse(
-                kind.line,
-                format!("unknown optimizer kind '{other}' (expected nsga2, moead or archipelago)"),
-            ))
-        }
-    };
+    }
     section.finish()?;
 
     // [run]
@@ -1096,8 +961,7 @@ fn interpret(document: &Document) -> Result<RunSpec, SpecError> {
     })
 }
 
-fn take_nsga2(section: &mut Section<'_>) -> Result<Nsga2Spec, SpecError> {
-    let mut spec = Nsga2Spec::default();
+fn take_nsga2(section: &mut Section<'_>, spec: &mut Nsga2Spec) -> Result<(), SpecError> {
     if let Some(v) = section.take_parsed("population")? {
         spec.population = v;
     }
@@ -1116,7 +980,7 @@ fn take_nsga2(section: &mut Section<'_>) -> Result<Nsga2Spec, SpecError> {
     if let Some(entry) = section.take("backend") {
         spec.backend = parse_backend(entry)?;
     }
-    Ok(spec)
+    Ok(())
 }
 
 fn parse_auto(entry: &Entry) -> Result<Option<f64>, SpecError> {
@@ -1514,7 +1378,7 @@ mod tests {
             Optimizer::<Schaffer>::front(&b)
         );
         // Kind mismatch is rejected.
-        let mut moead = OptimizerSpec::Moead(MoeadSpec::default()).build(1, 5);
+        let mut moead = OptimizerSpec::Moead(MoeadSpec::default()).build(1);
         let err = Optimizer::<Schaffer>::restore(&mut moead, Optimizer::<Schaffer>::state(&a))
             .unwrap_err();
         assert!(matches!(err, EngineError::StateMismatch { .. }));

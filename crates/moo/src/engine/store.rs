@@ -320,7 +320,7 @@ pub struct CheckpointRetention {
 impl CheckpointRetention {
     /// `true` when a checkpoint at `generation`, currently the
     /// `newest_rank`-th newest on disk (0 = newest), survives this policy.
-    pub fn keeps(&self, generation: usize, newest_rank: usize) -> bool {
+    fn keeps(&self, generation: usize, newest_rank: usize) -> bool {
         newest_rank < self.keep_last.max(1)
             || (self.keep_every > 0 && generation.is_multiple_of(self.keep_every))
     }
@@ -771,13 +771,13 @@ mod tests {
     use super::*;
     use crate::engine::{Driver, ProblemSpec, StoppingRule};
     use crate::problems::Schaffer;
-    use crate::{Nsga2, Nsga2Config};
+    use crate::{Nsga2, Nsga2Spec};
 
     fn sample_checkpoint() -> RunCheckpoint {
         let mut driver = Driver::new(
             Nsga2::new(
-                Nsga2Config {
-                    population_size: 8,
+                Nsga2Spec {
+                    population: 8,
                     ..Default::default()
                 },
                 3,

@@ -44,13 +44,16 @@
 //! leave the template's kind-specific keys behind — an nsga2 template
 //! carries `crossover_probability`, which moead rejects — so a kind axis
 //! *rebuilds* the `[optimizer]` section: `kind = <value>` first, then only
-//! the keys the target kind accepts, carried over from the template in
-//! order. Shared keys (`population`, `eta_crossover`, `eta_mutation`,
+//! the keys the target kind accepts (the keys of its default's canonical
+//! text), carried over from the template in order. Shared keys
+//! (`population`, `eta_crossover`, `eta_mutation`,
 //! `mutation_probability`, `backend`) therefore apply to every cell, while
 //! a kind-specific key such as `islands` or `neighborhood` reaches only
 //! the cells of the kind that understands it.
 
-use super::spec::{fnv1a64, strip_comment, RunSpec, SpecError, KNOWN_SECTIONS, SPEC_HEADER};
+use super::spec::{
+    fnv1a64, strip_comment, OptimizerSpec, RunSpec, SpecError, KNOWN_SECTIONS, SPEC_HEADER,
+};
 
 /// The header line every sweep document starts with.
 pub const SWEEP_HEADER: &str = "pathway-sweep v1";
@@ -351,25 +354,33 @@ fn validate_axis_field(line: usize, field: &str) -> Result<(), SpecError> {
     Ok(())
 }
 
+/// The line range of `[section]`'s entries in `lines` (after its header,
+/// up to the next section header), or `None` when the section is absent.
+fn section_range(lines: &[String], section: &str) -> Option<std::ops::Range<usize>> {
+    let header = format!("[{section}]");
+    let start = lines.iter().position(|line| line.trim() == header)? + 1;
+    let end = lines[start..]
+        .iter()
+        .position(|line| line.trim_start().starts_with('['))
+        .map_or(lines.len(), |offset| start + offset);
+    Some(start..end)
+}
+
 /// Substitutes `value` for `<section>.<key>` in canonical spec text:
 /// replaces the existing `key = ...` line in that section, inserts one
 /// right under the section header, or appends the whole section when the
 /// template does not carry it (e.g. `[observe]`).
 fn patch_field(text: &str, field: &str, value: &str) -> String {
     let (section, key) = field.split_once('.').expect("axis field is validated");
-    let header = format!("[{section}]");
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let Some(start) = lines.iter().position(|line| line.trim() == header) else {
+    let Some(range) = section_range(&lines, section) else {
         lines.push(String::new());
-        lines.push(header);
+        lines.push(format!("[{section}]"));
         lines.push(format!("{key} = {value}"));
         return lines.join("\n") + "\n";
     };
-    let end = lines[start + 1..]
-        .iter()
-        .position(|line| line.trim_start().starts_with('['))
-        .map_or(lines.len(), |offset| start + 1 + offset);
-    for line in &mut lines[start + 1..end] {
+    let start = range.start;
+    for line in &mut lines[range] {
         if let Some((existing_key, _)) = line.split_once('=') {
             if existing_key.trim() == key {
                 *line = format!("{key} = {value}");
@@ -377,77 +388,53 @@ fn patch_field(text: &str, field: &str, value: &str) -> String {
             }
         }
     }
-    lines.insert(start + 1, format!("{key} = {value}"));
+    lines.insert(start, format!("{key} = {value}"));
     lines.join("\n") + "\n"
 }
 
-/// The `[optimizer]` keys each kind's parser accepts, in canonical order.
-/// Returns `None` for a kind this table does not know, in which case the
-/// axis falls back to plain substitution and the spec parser reports the
-/// unknown kind with the cell's coordinates.
-fn optimizer_keys(kind: &str) -> Option<&'static [&'static str]> {
-    match kind {
-        "nsga2" => Some(&[
-            "population",
-            "crossover_probability",
-            "eta_crossover",
-            "mutation_probability",
-            "eta_mutation",
-            "backend",
-        ]),
-        "moead" => Some(&[
-            "population",
-            "neighborhood",
-            "eta_crossover",
-            "eta_mutation",
-            "mutation_probability",
-            "backend",
-        ]),
-        "archipelago" => Some(&[
-            "islands",
-            "population",
-            "crossover_probability",
-            "eta_crossover",
-            "mutation_probability",
-            "eta_mutation",
-            "backend",
-            "migration_interval",
-            "migration_probability",
-            "topology",
-        ]),
-        _ => None,
-    }
+/// The key of a `key = value` line, if it is one.
+fn line_key(line: &str) -> Option<&str> {
+    line.split_once('=').map(|(key, _)| key.trim())
 }
 
 /// Applies an `optimizer.kind` axis value: rebuilds the `[optimizer]`
 /// section as `kind = <value>` followed by the existing keys the target
-/// kind accepts, in their existing order. Keys the target kind does not
-/// understand are dropped — the cell base is the template's *canonical*
-/// text, which spells out every kind-specific default, so keeping them
-/// would make every cross-kind cell fail validation.
+/// kind accepts, in their existing order. A kind accepts the keys of its
+/// default description's canonical text, which spells out every key its
+/// parser reads. The other keys are dropped — the cell base is the
+/// template's *canonical* text, which spells out every kind-specific
+/// default, so keeping them would make every cross-kind cell fail
+/// validation. An unknown kind falls back to plain substitution, and the
+/// spec parser reports it with the cell's coordinates.
 fn patch_optimizer_kind(text: &str, value: &str) -> String {
-    let Some(keep) = optimizer_keys(value) else {
+    let Some(optimizer) = OptimizerSpec::default_for(value) else {
         return patch_field(text, "optimizer.kind", value);
     };
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let Some(start) = lines.iter().position(|line| line.trim() == "[optimizer]") else {
-        return patch_field(text, "optimizer.kind", value);
-    };
-    let end = lines[start + 1..]
+    let defaults: Vec<String> = RunSpec {
+        optimizer,
+        ..RunSpec::default()
+    }
+    .to_text()
+    .lines()
+    .map(str::to_string)
+    .collect();
+    let range = section_range(&defaults, "optimizer").expect("canonical text has [optimizer]");
+    let accepted: Vec<&str> = defaults[range]
         .iter()
-        .position(|line| line.trim_start().starts_with('['))
-        .map_or(lines.len(), |offset| start + 1 + offset);
+        .filter_map(|line| line_key(line))
+        .collect();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let Some(range) = section_range(&lines, "optimizer") else {
+        return patch_field(text, "optimizer.kind", value);
+    };
     let mut section = vec![format!("kind = {value}")];
-    for line in &lines[start + 1..end] {
-        if let Some((key, _)) = line.split_once('=') {
-            let key = key.trim();
-            if key != "kind" && keep.contains(&key) {
-                section.push(line.clone());
-            }
+    for line in &lines[range.clone()] {
+        if line_key(line).is_some_and(|key| key != "kind" && accepted.contains(&key)) {
+            section.push(line.clone());
         }
     }
     section.push(String::new());
-    lines.splice(start + 1..end, section);
+    lines.splice(range, section);
     lines.join("\n") + "\n"
 }
 
@@ -602,38 +589,67 @@ max_generations = 6
 
     #[test]
     fn a_kind_axis_rebuilds_the_optimizer_section_per_cell() {
-        // The template is nsga2 (whose canonical text spells out
-        // crossover_probability, which moead rejects); a kind axis must
-        // still produce valid cells of every kind, carrying shared keys
-        // and dropping kind-specific ones.
-        let sweep = SweepSpec::from_text(
-            "pathway-sweep v1\n\n[sweep]\noptimizer.kind = nsga2 | moead | archipelago\n\n\
-             [problem]\nname = schaffer\n\n\
-             [optimizer]\nkind = nsga2\npopulation = 20\ncrossover_probability = 0.8\n\
-             backend = serial\n\n\
-             [run]\nseed = 1\n\n[stop]\nmax_generations = 4\n",
-        )
-        .unwrap();
-        let cells = sweep.expand().unwrap();
-        assert_eq!(cells.len(), 3);
-        let kinds: Vec<&str> = cells.iter().map(|c| c.spec.optimizer.kind()).collect();
-        assert_eq!(kinds, ["nsga2", "moead", "archipelago"]);
-        // Shared keys survive the rebuild in every cell...
-        for cell in &cells {
-            let text = cell.spec.to_text();
-            assert!(text.contains("population = 20"), "{text}");
-            assert!(text.contains("backend = serial"), "{text}");
+        // A non-default value for every optimizer key of every kind. Which
+        // keys a kind accepts is asked of the spec parser itself.
+        const VALUES: [(&str, &str); 11] = [
+            ("islands", "3"),
+            ("population", "20"),
+            ("neighborhood", "7"),
+            ("crossover_probability", "0.8"),
+            ("eta_crossover", "11"),
+            ("mutation_probability", "0.05"),
+            ("eta_mutation", "9"),
+            ("backend", "threads:2"),
+            ("migration_interval", "13"),
+            ("migration_probability", "0.25"),
+            ("topology", "ring"),
+        ];
+        const KINDS: [&str; 3] = ["nsga2", "moead", "archipelago"];
+        let spec_text = |kind: &str, keys: &[(&str, &str)]| {
+            let lines: String = keys.iter().map(|(k, v)| format!("{k} = {v}\n")).collect();
+            format!(
+                "{SPEC_HEADER}\n\n[problem]\nname = schaffer\n\n[optimizer]\nkind = {kind}\n\
+                 {lines}\n[run]\nseed = 1\n\n[stop]\nmax_generations = 4\n"
+            )
+        };
+        let accepted = |kind: &str| -> Vec<(&str, &str)> {
+            VALUES
+                .into_iter()
+                .filter(|&pair| RunSpec::from_text(&spec_text(kind, &[pair])).is_ok())
+                .collect()
+        };
+        for (key, _) in VALUES {
+            assert!(
+                KINDS
+                    .iter()
+                    .any(|kind| accepted(kind).iter().any(|(k, _)| *k == key)),
+                "no kind accepts {key}"
+            );
         }
-        // ...and the nsga2-only key reaches the kinds that accept it.
-        assert!(cells[0]
-            .spec
-            .to_text()
-            .contains("crossover_probability = 0.8"));
-        assert!(!cells[1].spec.to_text().contains("crossover_probability"));
-        assert!(cells[2]
-            .spec
-            .to_text()
-            .contains("crossover_probability = 0.8"));
+        for from in KINDS {
+            let template = spec_text(from, &accepted(from));
+            for to in KINDS {
+                // The template spells out every key its kind accepts; the
+                // cell keeps exactly the ones the target kind accepts too,
+                // and the target's defaults fill in the rest.
+                let sweep = SweepSpec::from_text(&template.replacen(
+                    SPEC_HEADER,
+                    &format!("{SWEEP_HEADER}\n\n[sweep]\noptimizer.kind = {to}\n"),
+                    1,
+                ))
+                .unwrap_or_else(|err| panic!("{from} -> {to}: {err}"));
+                let cells = sweep.expand().expect("every cell validates");
+                let shared: Vec<(&str, &str)> = accepted(from)
+                    .into_iter()
+                    .filter(|pair| accepted(to).contains(pair))
+                    .collect();
+                let expected = RunSpec::from_text(&spec_text(to, &shared)).expect("valid");
+                assert_eq!(
+                    cells[0].spec.optimizer, expected.optimizer,
+                    "{from} -> {to}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -204,14 +204,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The gauge `name`, if recorded.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.metrics.get(name) {
-            Some(Metric::Gauge(value)) => Some(*value),
-            _ => None,
-        }
-    }
-
     /// The histogram `name`, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         match self.metrics.get(name) {
@@ -357,7 +349,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.set_gauge("test.depth", 9.0);
         registry.set_gauge("test.depth", 3.0);
-        assert_eq!(registry.snapshot().gauge("test.depth"), Some(3.0));
+        assert_eq!(
+            registry.snapshot().metrics.get("test.depth"),
+            Some(&Metric::Gauge(3.0))
+        );
     }
 
     #[test]
@@ -417,7 +412,7 @@ mod tests {
         ba.merge(&left);
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("c"), Some(7));
-        assert_eq!(ab.gauge("g"), Some(1.5));
+        assert_eq!(ab.metrics.get("g"), Some(&Metric::Gauge(1.5)));
         assert_eq!(ab.histogram("h").map(|h| h.count), Some(2));
     }
 

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dominance::{constrained_dominates, dominates, nondominated_filter};
 use crate::metrics::hypervolume;
-use crate::{Individual, Moead, MoeadConfig};
+use crate::{Individual, Moead, MoeadSpec};
 use proptest::prelude::*;
 
 /// The pairwise filter [`nondominated_filter`] replaced.
@@ -236,7 +236,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..CLOUDS_PER_CASE {
             let cloud = random_cloud(&mut rng);
-            let mut moead = Moead::new(MoeadConfig::default(), seed);
+            let mut moead = Moead::new(MoeadSpec::default(), seed);
             moead.set_population(cloud.clone());
             prop_assert_eq!(
                 population_bits(&moead.front()),

@@ -18,10 +18,9 @@ pub struct Individual {
 }
 
 /// Samples a decision vector uniformly within `bounds`, one `gen_range` draw
-/// per non-degenerate variable. Pulled out of [`Individual::random`] so that
-/// population initializers can sample every vector up front and evaluate the
-/// whole batch through an [`crate::EvalBackend`] without changing the RNG
-/// stream.
+/// per non-degenerate variable. Population initializers sample every vector
+/// up front and then evaluate the whole batch through an
+/// [`crate::EvalBackend`].
 pub(crate) fn sample_within<R: Rng>(bounds: &[(f64, f64)], rng: &mut R) -> Vec<f64> {
     bounds
         .iter()
@@ -55,12 +54,6 @@ impl Individual {
         }
     }
 
-    /// Samples a uniformly random individual within the problem bounds.
-    pub fn random<P: MultiObjectiveProblem, R: Rng>(problem: &P, rng: &mut R) -> Self {
-        let variables = sample_within(&problem.bounds(), rng);
-        Individual::from_variables(problem, variables)
-    }
-
     /// `true` if the individual satisfies every constraint.
     pub fn is_feasible(&self) -> bool {
         self.violation <= 0.0
@@ -81,15 +74,6 @@ impl Population {
     pub fn new() -> Self {
         Population {
             members: Vec::new(),
-        }
-    }
-
-    /// Creates a population of `size` random individuals.
-    pub fn random<P: MultiObjectiveProblem, R: Rng>(problem: &P, size: usize, rng: &mut R) -> Self {
-        Population {
-            members: (0..size)
-                .map(|_| Individual::random(problem, rng))
-                .collect(),
         }
     }
 
@@ -121,11 +105,6 @@ impl Population {
     /// Iterator over the members.
     pub fn iter(&self) -> std::slice::Iter<'_, Individual> {
         self.members.iter()
-    }
-
-    /// Extracts the objective vectors of every member.
-    pub fn objective_matrix(&self) -> Vec<Vec<f64>> {
-        self.members.iter().map(|m| m.objectives.clone()).collect()
     }
 
     /// Consumes the population, returning its members without copying them.
@@ -170,6 +149,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A uniformly sampled individual, drawn as the optimizers draw their
+    /// initial populations.
+    fn random<P: MultiObjectiveProblem>(problem: &P, rng: &mut StdRng) -> Individual {
+        Individual::from_variables(problem, sample_within(&problem.bounds(), rng))
+    }
+
     #[test]
     fn from_variables_caches_objectives_and_violation() {
         let ind = Individual::from_variables(&Schaffer, vec![1.0]);
@@ -183,7 +168,7 @@ mod tests {
     fn random_individuals_respect_bounds() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let ind = Individual::random(&Schaffer, &mut rng);
+            let ind = random(&Schaffer, &mut rng);
             assert!(ind.variables[0] >= -5.0 && ind.variables[0] <= 5.0);
         }
     }
@@ -191,7 +176,7 @@ mod tests {
     #[test]
     fn random_population_has_requested_size_and_is_varied() {
         let mut rng = StdRng::seed_from_u64(1);
-        let pop = Population::random(&Schaffer, 20, &mut rng);
+        let pop: Population = (0..20).map(|_| random(&Schaffer, &mut rng)).collect();
         assert_eq!(pop.len(), 20);
         let first = &pop.members()[0].variables;
         assert!(pop.iter().any(|m| m.variables != *first));
@@ -200,12 +185,11 @@ mod tests {
     #[test]
     fn population_collection_traits() {
         let mut rng = StdRng::seed_from_u64(3);
-        let a = Individual::random(&Schaffer, &mut rng);
-        let b = Individual::random(&Schaffer, &mut rng);
+        let a = random(&Schaffer, &mut rng);
+        let b = random(&Schaffer, &mut rng);
         let mut pop: Population = vec![a].into_iter().collect();
         pop.extend(vec![b]);
         assert_eq!(pop.len(), 2);
-        assert_eq!(pop.objective_matrix().len(), 2);
         let back: Vec<Individual> = pop.into_iter().collect();
         assert_eq!(back.len(), 2);
     }
@@ -228,7 +212,7 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(9);
-        let ind = Individual::random(&Pinned, &mut rng);
+        let ind = random(&Pinned, &mut rng);
         assert_eq!(ind.variables[0], 0.45);
     }
 }

@@ -15,7 +15,7 @@
 //!   the paper's island engine.
 //! * [`Moead`] — MOEA/D with Tchebycheff decomposition (Zhang & Li), the
 //!   paper's comparison baseline in Table 1.
-//! * [`Archipelago`] / [`Pmo2`] — the island model with periodic migration
+//! * [`Archipelago`] — the island model with periodic migration
 //!   that constitutes PMO2 (the paper's configuration: two NSGA-II islands,
 //!   all-to-all migration every 200 generations with probability 0.5).
 //! * [`EvalBackend`] / [`exec::Executor`] — batched candidate evaluation,
@@ -33,10 +33,13 @@
 //! # Example
 //!
 //! ```
-//! use pathway_moo::{Nsga2, Nsga2Config, problems::Schaffer};
+//! use pathway_moo::engine::{Driver, StoppingRule};
+//! use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 //!
-//! let config = Nsga2Config { population_size: 40, generations: 50, ..Default::default() };
-//! let front = Nsga2::new(config, 42).run(&Schaffer);
+//! let spec = Nsga2Spec { population: 40, ..Default::default() };
+//! let front = Driver::new(Nsga2::new(spec, 42), &Schaffer)
+//!     .with_stopping(StoppingRule::MaxGenerations(50))
+//!     .run();
 //! assert!(!front.is_empty());
 //! // Every solution on the Schaffer front has x in [0, 2].
 //! for individual in &front {
@@ -67,7 +70,7 @@ pub mod mining;
 pub mod problems;
 pub mod robustness;
 
-pub use archipelago::{Archipelago, ArchipelagoConfig, MigrationTopology, Pmo2};
+pub use archipelago::{Archipelago, ArchipelagoSpec, MigrationTopology};
 pub use archive::ParetoArchive;
 pub use crowding::assign_crowding_distance;
 pub use dominance::{
@@ -75,13 +78,13 @@ pub use dominance::{
     SortScratch,
 };
 pub use engine::{
-    Driver, EngineError, GenerationReport, HistoryObserver, LogObserver, NullObserver, Observer,
-    Optimizer, OptimizerState, RunCheckpoint, StoppingRule,
+    Driver, EngineError, GenerationReport, HistoryObserver, LogObserver, Observer, Optimizer,
+    OptimizerState, RunCheckpoint, StoppingRule,
 };
 pub use eval::EvalBackend;
 pub use exec::{Executor, ExecutorStats};
 pub use individual::{Individual, Population};
-pub use moead::{Moead, MoeadConfig};
-pub use nsga2::{Nsga2, Nsga2Config};
+pub use moead::{Moead, MoeadSpec};
+pub use nsga2::{Nsga2, Nsga2Spec};
 pub use operators::{polynomial_mutation, sbx_crossover, tournament_select};
 pub use problem::MultiObjectiveProblem;

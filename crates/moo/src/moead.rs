@@ -9,18 +9,19 @@ use crate::exec::Executor;
 use crate::individual::sample_within;
 use crate::{polynomial_mutation, sbx_crossover, EvalBackend, Individual, MultiObjectiveProblem};
 
-/// Configuration of a MOEA/D run.
+/// MOEA/D settings: what a spec's `[optimizer]` section says for
+/// `kind = moead`. The generation budget is not here: the driver's stopping
+/// rule bounds the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MoeadConfig {
-    /// Number of sub-problems (weight vectors), which is also the population size.
-    pub population_size: usize,
-    /// Number of generations.
-    pub generations: usize,
+pub struct MoeadSpec {
+    /// Number of sub-problems (weight vectors), which is also the population
+    /// size.
+    pub population: usize,
     /// Neighbourhood size (number of closest weight vectors).
-    pub neighborhood_size: usize,
+    pub neighborhood: usize,
     /// SBX distribution index.
     pub eta_crossover: f64,
-    /// Polynomial mutation distribution index.
+    /// Polynomial-mutation distribution index.
     pub eta_mutation: f64,
     /// Per-gene mutation probability; `None` uses `1/n`.
     pub mutation_probability: Option<f64>,
@@ -30,12 +31,11 @@ pub struct MoeadConfig {
     pub backend: EvalBackend,
 }
 
-impl Default for MoeadConfig {
+impl Default for MoeadSpec {
     fn default() -> Self {
-        MoeadConfig {
-            population_size: 100,
-            generations: 250,
-            neighborhood_size: 20,
+        MoeadSpec {
+            population: 100,
+            neighborhood: 20,
             eta_crossover: 15.0,
             eta_mutation: 20.0,
             mutation_probability: None,
@@ -52,28 +52,30 @@ impl Default for MoeadConfig {
 /// evaluates.
 ///
 /// The solver is step-driven: [`Moead::initialize`] builds the weight
-/// vectors, neighbourhoods and initial population, [`Moead::step`] advances
-/// one generation, and [`Moead::run`] is the convenience loop over the
-/// configured generation budget. It implements
-/// [`Optimizer`](crate::engine::Optimizer), so it can be driven, observed,
-/// stopped early and checkpointed by a [`crate::engine::Driver`] exactly
-/// like NSGA-II.
+/// vectors, neighbourhoods and initial population, and [`Moead::step`]
+/// advances one generation. It implements
+/// [`Optimizer`](crate::engine::Optimizer), so it is driven, observed,
+/// stopped and checkpointed by a [`crate::engine::Driver`] exactly like
+/// NSGA-II.
 ///
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Moead, MoeadConfig, problems::Schaffer};
+/// use pathway_moo::engine::{Driver, StoppingRule};
+/// use pathway_moo::{Moead, MoeadSpec, problems::Schaffer};
 ///
-/// let config = MoeadConfig { population_size: 40, generations: 50, ..Default::default() };
-/// let front = Moead::new(config, 3).run(&Schaffer);
+/// let spec = MoeadSpec { population: 40, ..Default::default() };
+/// let front = Driver::new(Moead::new(spec, 3), &Schaffer)
+///     .with_stopping(StoppingRule::MaxGenerations(50))
+///     .run();
 /// assert!(!front.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Moead {
-    config: MoeadConfig,
+    spec: MoeadSpec,
     rng: StdRng,
     /// Weight vectors, one per sub-problem. Empty until initialization;
-    /// derived from the configuration and the problem's objective count
+    /// derived from the spec and the problem's objective count
     /// only, so they are rebuilt (not checkpointed) on restore.
     weights: Vec<Vec<f64>>,
     /// Per-sub-problem neighbourhoods (indices of the closest weights).
@@ -83,16 +85,16 @@ pub struct Moead {
     /// Running ideal point `z*` over everything evaluated so far.
     ideal: Vec<f64>,
     evaluations: usize,
-    /// Lazily built from `config.backend` on first use, or injected via
+    /// Lazily built from `spec.backend` on first use, or injected via
     /// [`Moead::set_executor`]. Configuration, not run state.
     executor: Option<Arc<Executor>>,
 }
 
 impl Moead {
     /// Creates a solver with a deterministic seed.
-    pub fn new(config: MoeadConfig, seed: u64) -> Self {
+    pub fn new(spec: MoeadSpec, seed: u64) -> Self {
         Moead {
-            config,
+            spec,
             rng: StdRng::seed_from_u64(seed),
             weights: Vec::new(),
             neighborhoods: Vec::new(),
@@ -101,11 +103,6 @@ impl Moead {
             evaluations: 0,
             executor: None,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MoeadConfig {
-        &self.config
     }
 
     /// Installs a (usually shared) evaluation executor for the initial
@@ -119,12 +116,10 @@ impl Moead {
     /// The executor evaluating this solver's batches, building it from the
     /// configured backend on first use.
     fn executor(&mut self) -> Arc<Executor> {
-        if self.executor.is_none() {
-            self.executor = Some(Executor::shared(self.config.backend));
-        }
-        self.executor
-            .clone()
-            .expect("the executor was just installed")
+        Arc::clone(
+            self.executor
+                .get_or_insert_with(|| Executor::shared(self.spec.backend)),
+        )
     }
 
     /// Current population, one incumbent per sub-problem (empty before
@@ -160,7 +155,7 @@ impl Moead {
 
     /// Uniformly spread weight vectors for 2 or 3 objectives.
     fn weight_vectors(&self, num_objectives: usize) -> Vec<Vec<f64>> {
-        let n = self.config.population_size.max(2);
+        let n = self.spec.population.max(2);
         match num_objectives {
             2 => (0..n)
                 .map(|i| {
@@ -209,7 +204,7 @@ impl Moead {
         if self.weights.is_empty() {
             self.weights = self.weight_vectors(problem.num_objectives());
             let n = self.weights.len();
-            let t = self.config.neighborhood_size.min(n);
+            let t = self.spec.neighborhood.min(n);
             self.neighborhoods = (0..n)
                 .map(|i| {
                     let mut order: Vec<usize> = (0..n).collect();
@@ -262,10 +257,10 @@ impl Moead {
         self.initialize(problem);
         let bounds = problem.bounds();
         let mutation_probability = self
-            .config
+            .spec
             .mutation_probability
             .unwrap_or(1.0 / problem.num_variables() as f64);
-        let t = self.config.neighborhood_size.min(self.weights.len());
+        let t = self.spec.neighborhood.min(self.weights.len());
 
         for k in 0..self.neighborhoods.len() {
             // Pick two parents from the neighbourhood.
@@ -275,14 +270,14 @@ impl Moead {
                 &self.population[pa].variables,
                 &self.population[pb].variables,
                 &bounds,
-                self.config.eta_crossover,
+                self.spec.eta_crossover,
                 &mut self.rng,
             );
             polynomial_mutation(
                 &mut child,
                 &bounds,
                 mutation_probability,
-                self.config.eta_mutation,
+                self.spec.eta_mutation,
                 &mut self.rng,
             );
             let child = Individual::from_variables(problem, child);
@@ -332,20 +327,6 @@ impl Moead {
             .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
             .map(|(individual, _)| individual.clone())
             .collect()
-    }
-
-    /// Runs the configured number of generations and returns the
-    /// non-dominated subset of the final population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has more than three objectives.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.generations {
-            self.step(problem);
-        }
-        self.front()
     }
 
     /// Captures the solver's run state as plain data. The weight vectors and
@@ -457,20 +438,31 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Moead {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::{Driver, StoppingRule};
     use crate::problems::{Dtlz2, Schaffer, Zdt1};
 
-    fn config(generations: usize) -> MoeadConfig {
-        MoeadConfig {
-            population_size: 40,
-            generations,
-            neighborhood_size: 10,
+    fn small() -> MoeadSpec {
+        MoeadSpec {
+            population: 40,
+            neighborhood: 10,
             ..Default::default()
         }
     }
 
+    /// The final front of `generations` generations from `seed`.
+    fn run<P: MultiObjectiveProblem>(
+        seed: u64,
+        generations: usize,
+        problem: &P,
+    ) -> Vec<Individual> {
+        Driver::new(Moead::new(small(), seed), problem)
+            .with_stopping(StoppingRule::MaxGenerations(generations))
+            .run()
+    }
+
     #[test]
     fn schaffer_front_is_covered() {
-        let front = Moead::new(config(60), 4).run(&Schaffer);
+        let front = run(4, 60, &Schaffer);
         assert!(front.len() >= 5);
         for individual in &front {
             assert!(individual.variables[0] > -0.3 && individual.variables[0] < 2.3);
@@ -479,7 +471,7 @@ mod tests {
 
     #[test]
     fn front_is_mutually_nondominating() {
-        let front = Moead::new(config(40), 8).run(&Zdt1 { variables: 6 });
+        let front = run(8, 40, &Zdt1 { variables: 6 });
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -489,7 +481,7 @@ mod tests {
 
     #[test]
     fn three_objective_problem_is_supported() {
-        let front = Moead::new(config(30), 5).run(&Dtlz2 { variables: 6 });
+        let front = run(5, 30, &Dtlz2 { variables: 6 });
         assert!(!front.is_empty());
         assert_eq!(front[0].objectives.len(), 3);
     }
@@ -504,8 +496,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = Moead::new(config(15), 77).run(&Schaffer);
-        let b = Moead::new(config(15), 77).run(&Schaffer);
+        let a = run(77, 15, &Schaffer);
+        let b = run(77, 15, &Schaffer);
         assert_eq!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -514,8 +506,8 @@ mod tests {
 
     #[test]
     fn stepwise_run_matches_monolithic_run() {
-        let monolithic = Moead::new(config(12), 5).run(&Schaffer);
-        let mut stepped = Moead::new(config(12), 5);
+        let monolithic = run(5, 12, &Schaffer);
+        let mut stepped = Moead::new(small(), 5);
         stepped.initialize(&Schaffer);
         for _ in 0..12 {
             stepped.step(&Schaffer);
@@ -535,7 +527,7 @@ mod tests {
 
     #[test]
     fn parity_accessors_expose_and_replace_the_population() {
-        let mut solver = Moead::new(config(2), 3);
+        let mut solver = Moead::new(small(), 3);
         solver.initialize(&Schaffer);
         assert_eq!(solver.population().len(), 40);
         assert_eq!(solver.evaluations(), 40);
@@ -550,7 +542,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one incumbent per weight vector")]
     fn set_population_rejects_wrong_sizes_once_initialized() {
-        let mut solver = Moead::new(config(1), 0);
+        let mut solver = Moead::new(small(), 0);
         solver.initialize(&Schaffer);
         solver.set_population(Vec::new());
     }
@@ -573,6 +565,6 @@ mod tests {
                 vec![x[0]; 4]
             }
         }
-        let _ = Moead::new(config(1), 0).run(&FourObjectives);
+        Moead::new(small(), 0).initialize(&FourObjectives);
     }
 }

@@ -13,18 +13,19 @@ use crate::{
     EvalBackend, Individual, MultiObjectiveProblem, Population, SortScratch,
 };
 
-/// Configuration of an NSGA-II run.
+/// NSGA-II settings: what a spec's `[optimizer]` section says for
+/// `kind = nsga2`, and what every archipelago island runs. The generation
+/// budget is not here: the driver's stopping rule bounds the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Nsga2Config {
-    /// Number of individuals kept each generation.
-    pub population_size: usize,
-    /// Number of generations to evolve.
-    pub generations: usize,
+pub struct Nsga2Spec {
+    /// Individuals kept each generation.
+    pub population: usize,
     /// Probability of applying SBX crossover to a mating pair.
     pub crossover_probability: f64,
     /// SBX distribution index (η_c).
     pub eta_crossover: f64,
-    /// Per-gene mutation probability; `None` uses the `1/n` convention.
+    /// Per-gene mutation probability; `None` (spelled `auto` in text form)
+    /// uses the `1/n` convention.
     pub mutation_probability: Option<f64>,
     /// Polynomial-mutation distribution index (η_m).
     pub eta_mutation: f64,
@@ -33,11 +34,10 @@ pub struct Nsga2Config {
     pub backend: EvalBackend,
 }
 
-impl Default for Nsga2Config {
+impl Default for Nsga2Spec {
     fn default() -> Self {
-        Nsga2Config {
-            population_size: 100,
-            generations: 250,
+        Nsga2Spec {
+            population: 100,
             crossover_probability: 0.9,
             eta_crossover: 15.0,
             mutation_probability: None,
@@ -55,20 +55,23 @@ impl Default for Nsga2Config {
 /// # Example
 ///
 /// ```
-/// use pathway_moo::{Nsga2, Nsga2Config, problems::Zdt1};
+/// use pathway_moo::engine::{Driver, StoppingRule};
+/// use pathway_moo::{Nsga2, Nsga2Spec, problems::Zdt1};
 ///
-/// let config = Nsga2Config { population_size: 40, generations: 60, ..Default::default() };
-/// let front = Nsga2::new(config, 1).run(&Zdt1 { variables: 6 });
+/// let spec = Nsga2Spec { population: 40, ..Default::default() };
+/// let front = Driver::new(Nsga2::new(spec, 1), &Zdt1 { variables: 6 })
+///     .with_stopping(StoppingRule::MaxGenerations(60))
+///     .run();
 /// assert!(front.len() > 5);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Nsga2 {
-    config: Nsga2Config,
+    spec: Nsga2Spec,
     rng: StdRng,
     population: Population,
     scratch: SortScratch,
     evaluations: usize,
-    /// Lazily built from `config.backend` on first use, or injected via
+    /// Lazily built from `spec.backend` on first use, or injected via
     /// [`Nsga2::set_executor`]. Archipelago islands never use theirs: the
     /// archipelago evaluates for them on its own executor. Not part of the
     /// run state: checkpoints never carry it and restoring never touches
@@ -82,9 +85,9 @@ pub struct Nsga2 {
 
 impl Nsga2 {
     /// Creates a solver with a deterministic seed.
-    pub fn new(config: Nsga2Config, seed: u64) -> Self {
+    pub fn new(spec: Nsga2Spec, seed: u64) -> Self {
         Nsga2 {
-            config,
+            spec,
             rng: StdRng::seed_from_u64(seed),
             population: Population::new(),
             scratch: SortScratch::new(),
@@ -92,11 +95,6 @@ impl Nsga2 {
             executor: None,
             metrics: None,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &Nsga2Config {
-        &self.config
     }
 
     /// Installs a (usually shared) evaluation executor, replacing the one
@@ -119,12 +117,10 @@ impl Nsga2 {
     /// The executor evaluating this solver's batches, building it from the
     /// configured backend on first use.
     fn executor(&mut self) -> Arc<Executor> {
-        if self.executor.is_none() {
-            self.executor = Some(Executor::shared(self.config.backend));
-        }
-        self.executor
-            .clone()
-            .expect("the executor was just installed")
+        Arc::clone(
+            self.executor
+                .get_or_insert_with(|| Executor::shared(self.spec.backend)),
+        )
     }
 
     /// Current population (empty before the first generation).
@@ -194,7 +190,7 @@ impl Nsga2 {
     /// RNG stream, to be evaluated and then handed to [`Nsga2::install`].
     pub(crate) fn sample<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Vec<f64>> {
         let bounds = problem.bounds();
-        (0..self.config.population_size)
+        (0..self.spec.population)
             .map(|_| sample_within(&bounds, &mut self.rng))
             .collect()
     }
@@ -215,23 +211,23 @@ impl Nsga2 {
         let variation_started = Instant::now();
         let bounds = problem.bounds();
         let mutation_probability = self
-            .config
+            .spec
             .mutation_probability
             .unwrap_or(1.0 / problem.num_variables() as f64);
         let parents = self.population.members();
-        let mut children: Vec<Vec<f64>> = Vec::with_capacity(self.config.population_size);
-        while children.len() < self.config.population_size {
+        let mut children: Vec<Vec<f64>> = Vec::with_capacity(self.spec.population);
+        while children.len() < self.spec.population {
             let a = tournament_select(parents, &mut self.rng);
             let b = tournament_select(parents, &mut self.rng);
             let (mut child_a, mut child_b) = if rand::Rng::gen_bool(
                 &mut self.rng,
-                self.config.crossover_probability.clamp(0.0, 1.0),
+                self.spec.crossover_probability.clamp(0.0, 1.0),
             ) {
                 sbx_crossover(
                     &parents[a].variables,
                     &parents[b].variables,
                     &bounds,
-                    self.config.eta_crossover,
+                    self.spec.eta_crossover,
                     &mut self.rng,
                 )
             } else {
@@ -241,18 +237,18 @@ impl Nsga2 {
                 &mut child_a,
                 &bounds,
                 mutation_probability,
-                self.config.eta_mutation,
+                self.spec.eta_mutation,
                 &mut self.rng,
             );
             polynomial_mutation(
                 &mut child_b,
                 &bounds,
                 mutation_probability,
-                self.config.eta_mutation,
+                self.spec.eta_mutation,
                 &mut self.rng,
             );
             children.push(child_a);
-            if children.len() < self.config.population_size {
+            if children.len() < self.spec.population {
                 children.push(child_b);
             }
         }
@@ -270,7 +266,7 @@ impl Nsga2 {
         let selection_started = Instant::now();
         let mut combined = std::mem::take(&mut self.population).into_members();
         combined.extend(offspring);
-        self.population = self.environmental_selection(combined, self.config.population_size);
+        self.population = self.environmental_selection(combined, self.spec.population);
         if let Some(metrics) = &self.metrics {
             metrics.record_phase("selection", selection_started.elapsed());
         }
@@ -317,16 +313,6 @@ impl Nsga2 {
             .collect()
     }
 
-    /// Runs the configured number of generations and returns the final
-    /// non-dominated set.
-    pub fn run<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Individual> {
-        self.initialize(problem);
-        for _ in 0..self.config.generations {
-            self.step(problem);
-        }
-        self.nondominated_front()
-    }
-
     /// Non-dominated members of the current population (rank 0 under
     /// constrained domination).
     ///
@@ -364,12 +350,12 @@ impl Nsga2 {
     /// other length means the snapshot came from a differently configured
     /// solver and is rejected.
     pub(crate) fn restore_snapshot(&mut self, state: Nsga2State) -> Result<(), EngineError> {
-        if !state.population.is_empty() && state.population.len() != self.config.population_size {
+        if !state.population.is_empty() && state.population.len() != self.spec.population {
             return Err(EngineError::ConfigMismatch {
                 detail: format!(
                     "snapshot holds {} individuals but this solver is configured for {}",
                     state.population.len(),
-                    self.config.population_size
+                    self.spec.population
                 ),
             });
         }
@@ -424,19 +410,31 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Nsga2 {
 mod tests {
     use super::*;
     use crate::dominance::dominates;
+    use crate::engine::{Driver, StoppingRule};
     use crate::problems::{BinhKorn, Schaffer, Zdt1};
 
-    fn small_config(generations: usize) -> Nsga2Config {
-        Nsga2Config {
-            population_size: 40,
-            generations,
+    fn small() -> Nsga2Spec {
+        Nsga2Spec {
+            population: 40,
             ..Default::default()
         }
     }
 
+    /// The final front of `generations` generations from `seed`.
+    fn run<P: MultiObjectiveProblem>(
+        spec: Nsga2Spec,
+        seed: u64,
+        generations: usize,
+        problem: &P,
+    ) -> Vec<Individual> {
+        Driver::new(Nsga2::new(spec, seed), problem)
+            .with_stopping(StoppingRule::MaxGenerations(generations))
+            .run()
+    }
+
     #[test]
     fn schaffer_front_is_found() {
-        let front = Nsga2::new(small_config(60), 42).run(&Schaffer);
+        let front = run(small(), 42, 60, &Schaffer);
         assert!(front.len() >= 10);
         for individual in &front {
             // Pareto set of the Schaffer problem is x in [0, 2].
@@ -446,7 +444,7 @@ mod tests {
 
     #[test]
     fn front_members_do_not_dominate_each_other() {
-        let front = Nsga2::new(small_config(40), 3).run(&Zdt1 { variables: 6 });
+        let front = run(small(), 3, 40, &Zdt1 { variables: 6 });
         for a in &front {
             for b in &front {
                 assert!(!dominates(&a.objectives, &b.objectives) || a.objectives == b.objectives);
@@ -456,15 +454,11 @@ mod tests {
 
     #[test]
     fn zdt1_converges_towards_the_true_front() {
-        let front = Nsga2::new(
-            Nsga2Config {
-                population_size: 60,
-                generations: 150,
-                ..Default::default()
-            },
-            7,
-        )
-        .run(&Zdt1 { variables: 8 });
+        let spec = Nsga2Spec {
+            population: 60,
+            ..Default::default()
+        };
+        let front = run(spec, 7, 150, &Zdt1 { variables: 8 });
         // On the true front f2 = 1 - sqrt(f1); measure the mean gap.
         let mean_gap: f64 = front
             .iter()
@@ -476,7 +470,7 @@ mod tests {
 
     #[test]
     fn constrained_problem_yields_feasible_front() {
-        let front = Nsga2::new(small_config(80), 11).run(&BinhKorn);
+        let front = run(small(), 11, 80, &BinhKorn);
         assert!(!front.is_empty());
         for individual in &front {
             assert!(individual.is_feasible());
@@ -485,8 +479,8 @@ mod tests {
 
     #[test]
     fn seeded_runs_are_reproducible() {
-        let a = Nsga2::new(small_config(20), 99).run(&Schaffer);
-        let b = Nsga2::new(small_config(20), 99).run(&Schaffer);
+        let a = run(small(), 99, 20, &Schaffer);
+        let b = run(small(), 99, 20, &Schaffer);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.objectives, y.objectives);
@@ -495,8 +489,8 @@ mod tests {
 
     #[test]
     fn different_seeds_explore_differently() {
-        let a = Nsga2::new(small_config(10), 1).run(&Zdt1 { variables: 6 });
-        let b = Nsga2::new(small_config(10), 2).run(&Zdt1 { variables: 6 });
+        let a = run(small(), 1, 10, &Zdt1 { variables: 6 });
+        let b = run(small(), 2, 10, &Zdt1 { variables: 6 });
         assert_ne!(
             a.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>(),
             b.iter().map(|i| i.objectives.clone()).collect::<Vec<_>>()
@@ -505,7 +499,7 @@ mod tests {
 
     #[test]
     fn step_keeps_population_size_constant() {
-        let mut solver = Nsga2::new(small_config(1), 5);
+        let mut solver = Nsga2::new(small(), 5);
         solver.initialize(&Schaffer);
         assert_eq!(solver.population().len(), 40);
         solver.step(&Schaffer);
@@ -514,7 +508,7 @@ mod tests {
 
     #[test]
     fn set_population_is_truncated_on_next_step() {
-        let mut solver = Nsga2::new(small_config(1), 5);
+        let mut solver = Nsga2::new(small(), 5);
         solver.initialize(&Schaffer);
         let mut inflated: Vec<Individual> = solver.population().clone().into_iter().collect();
         inflated.extend(solver.population().clone());

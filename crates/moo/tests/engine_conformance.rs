@@ -12,7 +12,7 @@
 use pathway_moo::engine::{EngineError, Optimizer, OptimizerState};
 use pathway_moo::problems::{Schaffer, Zdt1};
 use pathway_moo::{
-    dominates, Archipelago, ArchipelagoConfig, Individual, Moead, MoeadConfig, Nsga2, Nsga2Config,
+    dominates, Archipelago, ArchipelagoSpec, Individual, Moead, MoeadSpec, Nsga2, Nsga2Spec,
 };
 
 fn signature(front: &[Individual]) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
@@ -24,8 +24,8 @@ fn signature(front: &[Individual]) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
 
 fn nsga2() -> Nsga2 {
     Nsga2::new(
-        Nsga2Config {
-            population_size: 20,
+        Nsga2Spec {
+            population: 20,
             ..Default::default()
         },
         7,
@@ -34,9 +34,9 @@ fn nsga2() -> Nsga2 {
 
 fn moead() -> Moead {
     Moead::new(
-        MoeadConfig {
-            population_size: 20,
-            neighborhood_size: 6,
+        MoeadSpec {
+            population: 20,
+            neighborhood: 6,
             ..Default::default()
         },
         7,
@@ -45,10 +45,10 @@ fn moead() -> Moead {
 
 fn archipelago() -> Archipelago {
     Archipelago::new(
-        ArchipelagoConfig {
+        ArchipelagoSpec {
             islands: 2,
-            island_config: Nsga2Config {
-                population_size: 12,
+            island: Nsga2Spec {
+                population: 12,
                 ..Default::default()
             },
             migration_interval: 2,
@@ -179,10 +179,10 @@ fn restore_rejects_mismatched_island_counts() {
     let state = Optimizer::<Schaffer>::state(&donor);
 
     let mut three_islands = Archipelago::new(
-        ArchipelagoConfig {
+        ArchipelagoSpec {
             islands: 3,
-            island_config: Nsga2Config {
-                population_size: 12,
+            island: Nsga2Spec {
+                population: 12,
                 ..Default::default()
             },
             migration_interval: 2,

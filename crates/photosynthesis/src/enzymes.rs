@@ -140,7 +140,7 @@ impl EnzymeKind {
 
     /// Turnover number k_cat in 1/s (plausible literature-scale values; see
     /// `DESIGN.md` on the parameter substitution).
-    pub fn k_cat(self) -> f64 {
+    fn k_cat(self) -> f64 {
         match self {
             EnzymeKind::Rubisco => 3.5,
             EnzymeKind::PgaKinase => 200.0,

@@ -219,7 +219,7 @@ impl CalvinCycleOde {
     }
 
     /// Evaluates every reaction flux at the current state.
-    pub fn fluxes(&self, y: &Vector) -> PathwayFluxes {
+    fn fluxes(&self, y: &Vector) -> PathwayFluxes {
         self.fluxes_with_pi(y, self.free_phosphate(y))
     }
 

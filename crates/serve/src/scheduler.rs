@@ -225,11 +225,6 @@ impl Scheduler {
         Ok(scheduler)
     }
 
-    /// The daemon data directory this scheduler persists into.
-    pub fn data_dir(&self) -> &Path {
-        &self.data_dir
-    }
-
     /// The daemon-wide telemetry registry. Clone it before spawning the
     /// scheduler loop; snapshots taken from other threads merge every
     /// shard live.

@@ -33,18 +33,28 @@ fn signature(front: &[Individual]) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
         .collect()
 }
 
+/// The final front of `generations` generations of `optimizer`.
+fn front_after<P: MultiObjectiveProblem, O: Optimizer<P>>(
+    optimizer: O,
+    problem: P,
+    generations: usize,
+) -> Vec<Individual> {
+    Driver::new(optimizer, problem)
+        .with_stopping(StoppingRule::MaxGenerations(generations))
+        .run()
+}
+
 fn nsga2_front<P: MultiObjectiveProblem>(
     problem: &P,
     backend: EvalBackend,
     seed: u64,
 ) -> Vec<Individual> {
-    let config = Nsga2Config {
-        population_size: 32,
-        generations: 25,
+    let spec = Nsga2Spec {
+        population: 32,
         backend,
         ..Default::default()
     };
-    Nsga2::new(config, seed).run(problem)
+    front_after(Nsga2::new(spec, seed), problem, 25)
 }
 
 #[test]
@@ -80,43 +90,32 @@ fn determinism_threads_match_serial_on_zdt1() {
 fn determinism_threads_match_serial_on_geobacter() {
     let model = GeobacterModel::builder().reactions(48).seed(5).build();
     let problem = GeobacterFluxProblem::new(&model).expect("small model is feasible");
-    let config = Nsga2Config {
-        population_size: 20,
-        generations: 10,
+    let spec = |backend| Nsga2Spec {
+        population: 20,
+        backend,
         ..Default::default()
     };
-    let serial = signature(
-        &Nsga2::new(
-            Nsga2Config {
-                backend: EvalBackend::Serial,
-                ..config
-            },
-            13,
-        )
-        .run(&problem),
-    );
+    let serial = signature(&front_after(
+        Nsga2::new(spec(EvalBackend::Serial), 13),
+        &problem,
+        10,
+    ));
     for workers in [2, 4] {
-        let threaded = signature(
-            &Nsga2::new(
-                Nsga2Config {
-                    backend: EvalBackend::Threads(workers),
-                    ..config
-                },
-                13,
-            )
-            .run(&problem),
-        );
+        let threaded = signature(&front_after(
+            Nsga2::new(spec(EvalBackend::Threads(workers)), 13),
+            &problem,
+            10,
+        ));
         assert_eq!(threaded, serial, "Threads({workers}) diverged on Geobacter");
     }
 }
 
 #[test]
 fn determinism_archipelago_threads_match_serial() {
-    let archipelago_config = |backend| ArchipelagoConfig {
+    let archipelago_spec = |backend| ArchipelagoSpec {
         islands: 2,
-        island_config: Nsga2Config {
-            population_size: 24,
-            generations: 20,
+        island: Nsga2Spec {
+            population: 24,
             backend,
             ..Default::default()
         },
@@ -124,8 +123,16 @@ fn determinism_archipelago_threads_match_serial() {
         migration_probability: 0.5,
         topology: MigrationTopology::Broadcast,
     };
-    let serial = Archipelago::new(archipelago_config(EvalBackend::Serial), 9).run(&Schaffer);
-    let threaded = Archipelago::new(archipelago_config(EvalBackend::Threads(2)), 9).run(&Schaffer);
+    let serial = front_after(
+        Archipelago::new(archipelago_spec(EvalBackend::Serial), 9),
+        Schaffer,
+        20,
+    );
+    let threaded = front_after(
+        Archipelago::new(archipelago_spec(EvalBackend::Threads(2)), 9),
+        Schaffer,
+        20,
+    );
     assert_eq!(signature(&threaded), signature(&serial));
 }
 
@@ -134,12 +141,11 @@ fn determinism_archipelago_threads_match_serial() {
 /// The configuration under test: a 2-island archipelago with a short
 /// migration interval, so split points land before, on and after migration
 /// boundaries.
-fn checkpoint_config(backend: EvalBackend) -> ArchipelagoConfig {
-    ArchipelagoConfig {
+fn checkpoint_config(backend: EvalBackend) -> ArchipelagoSpec {
+    ArchipelagoSpec {
         islands: 2,
-        island_config: Nsga2Config {
-            population_size: 16,
-            generations: 0,
+        island: Nsga2Spec {
+            population: 16,
             backend,
             ..Default::default()
         },
@@ -224,8 +230,8 @@ fn determinism_checkpoint_crosses_backends() {
 #[test]
 fn determinism_checkpoint_nsga2_standalone() {
     let problem = Zdt1 { variables: 6 };
-    let config = Nsga2Config {
-        population_size: 20,
+    let config = Nsga2Spec {
+        population: 20,
         backend: EvalBackend::Threads(2),
         ..Default::default()
     };
@@ -293,16 +299,15 @@ fn determinism_pooled_executor_splits_reuse_one_pool() {
 #[test]
 fn determinism_pooled_executor_matches_serial_on_nsga2() {
     let problem = Zdt1 { variables: 8 };
-    let config = Nsga2Config {
-        population_size: 24,
-        generations: 15,
+    let spec = Nsga2Spec {
+        population: 24,
         ..Default::default()
     };
-    let serial = signature(&Nsga2::new(config, 41).run(&problem));
+    let serial = signature(&front_after(Nsga2::new(spec, 41), problem, 15));
     let pool = Executor::shared(EvalBackend::Threads(4));
-    let mut pooled = Nsga2::new(config, 41);
+    let mut pooled = Nsga2::new(spec, 41);
     pooled.set_executor(pool);
-    assert_eq!(signature(&pooled.run(&problem)), serial);
+    assert_eq!(signature(&front_after(pooled, problem, 15)), serial);
 }
 
 // --- batched-oracle determinism -----------------------------------------
@@ -369,13 +374,12 @@ fn determinism_leaf_ode_oracle_is_history_free() {
     let mut fronts = Vec::new();
     for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
         let searched = OdeLeafRedesignProblem::new(Scenario::present_low_export());
-        let config = Nsga2Config {
-            population_size: 8,
-            generations: 3,
+        let spec = Nsga2Spec {
+            population: 8,
             backend,
             ..Default::default()
         };
-        fronts.push(signature(&Nsga2::new(config, 5).run(&searched)));
+        fronts.push(signature(&front_after(Nsga2::new(spec, 5), &searched, 3)));
         let rescored = Executor::new(backend).evaluate_batch(&searched, &probes);
         assert_eq!(bits(&rescored), reference, "{backend:?} after a search");
         let one_at_a_time: Vec<(Vec<f64>, f64)> = probes
@@ -447,9 +451,9 @@ fn determinism_stealing_splitter_is_slot_exact_for_any_lane_count() {
 /// part of the snapshot.
 #[test]
 fn determinism_checkpoint_moead_standalone() {
-    let config = MoeadConfig {
-        population_size: 24,
-        neighborhood_size: 8,
+    let config = MoeadSpec {
+        population: 24,
+        neighborhood: 8,
         ..Default::default()
     };
     let stop = StoppingRule::MaxGenerations(8);

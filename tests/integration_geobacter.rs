@@ -3,7 +3,6 @@
 
 use pathway_core::prelude::*;
 use pathway_moo::engine::MetricsRegistry;
-use pathway_moo::{Nsga2, Nsga2Config};
 
 fn small_model() -> GeobacterModel {
     GeobacterModel::builder().reactions(80).seed(11).build()
@@ -16,12 +15,13 @@ fn fba_extremes_bound_the_evolved_front() {
     let max_electron = model.max_electron().expect("electron FBA runs");
 
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 40,
-        generations: 40,
+    let spec = Nsga2Spec {
+        population: 40,
         ..Default::default()
     };
-    let front = Nsga2::new(config, 5).run(&problem);
+    let front = Driver::new(Nsga2::new(spec, 5), &problem)
+        .with_stopping(StoppingRule::MaxGenerations(40))
+        .run();
     assert!(!front.is_empty());
     // Evolved solutions are allowed a bounded steady-state violation
     // (0.035 · radius · reactions), so they may overshoot the exact-FBA optima
@@ -39,12 +39,13 @@ fn evolved_solutions_respect_the_pinned_atp_maintenance_flux() {
     let model = small_model();
     let atp_index = model.atp_maintenance_reaction();
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 30,
-        generations: 20,
+    let spec = Nsga2Spec {
+        population: 30,
         ..Default::default()
     };
-    let front = Nsga2::new(config, 9).run(&problem);
+    let front = Driver::new(Nsga2::new(spec, 9), &problem)
+        .with_stopping(StoppingRule::MaxGenerations(20))
+        .run();
     for individual in &front {
         assert!(
             (individual.variables[atp_index] - pathway_fba::geobacter::ATP_MAINTENANCE_FLUX).abs()
@@ -90,12 +91,13 @@ fn study_violation_reduction_mirrors_the_paper() {
 fn biomass_and_electron_objectives_genuinely_conflict() {
     let model = small_model();
     let problem = GeobacterFluxProblem::new(&model).expect("problem builds");
-    let config = Nsga2Config {
-        population_size: 40,
-        generations: 40,
+    let spec = Nsga2Spec {
+        population: 40,
         ..Default::default()
     };
-    let front = Nsga2::new(config, 21).run(&problem);
+    let front = Driver::new(Nsga2::new(spec, 21), &problem)
+        .with_stopping(StoppingRule::MaxGenerations(40))
+        .run();
     let solutions: Vec<GeobacterSolution> = front
         .iter()
         .map(|individual| problem.decode(&individual.variables))

@@ -12,30 +12,36 @@ fn objective_matrix(front: &[pathway_moo::Individual]) -> Vec<Vec<f64>> {
 fn table_1_style_comparison_runs_end_to_end() {
     let problem = LeafRedesignProblem::new(Scenario::present_high_export());
 
-    let pmo2_front = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: 30,
-                generations: 40,
+    let pmo2_front = Driver::new(
+        Archipelago::new(
+            ArchipelagoSpec {
+                islands: 2,
+                island: Nsga2Spec {
+                    population: 30,
+                    ..Default::default()
+                },
+                migration_interval: 20,
+                migration_probability: 0.5,
+                topology: MigrationTopology::Broadcast,
+            },
+            1,
+        ),
+        &problem,
+    )
+    .with_stopping(StoppingRule::MaxGenerations(40))
+    .run();
+    let moead_front = Driver::new(
+        Moead::new(
+            MoeadSpec {
+                population: 30,
                 ..Default::default()
             },
-            migration_interval: 20,
-            migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
-        },
-        1,
+            1,
+        ),
+        &problem,
     )
-    .run(&problem);
-    let moead_front = Moead::new(
-        MoeadConfig {
-            population_size: 30,
-            generations: 40,
-            ..Default::default()
-        },
-        1,
-    )
-    .run(&problem);
+    .with_stopping(StoppingRule::MaxGenerations(40))
+    .run();
 
     let pmo2 = objective_matrix(&pmo2_front);
     let moead = objective_matrix(&moead_front);
@@ -68,30 +74,36 @@ fn pmo2_front_is_at_least_as_good_as_a_single_island_with_the_same_budget() {
     let problem = LeafRedesignProblem::new(Scenario::present_high_export());
     // Single NSGA-II with population 30 and 60 generations vs PMO2 with two
     // islands of 30 for 30 generations each: identical evaluation budgets.
-    let single = Nsga2::new(
-        Nsga2Config {
-            population_size: 30,
-            generations: 60,
-            ..Default::default()
-        },
-        3,
-    )
-    .run(&problem);
-    let pmo2 = Archipelago::new(
-        ArchipelagoConfig {
-            islands: 2,
-            island_config: Nsga2Config {
-                population_size: 30,
-                generations: 30,
+    let single = Driver::new(
+        Nsga2::new(
+            Nsga2Spec {
+                population: 30,
                 ..Default::default()
             },
-            migration_interval: 10,
-            migration_probability: 0.5,
-            topology: MigrationTopology::Broadcast,
-        },
-        3,
+            3,
+        ),
+        &problem,
     )
-    .run(&problem);
+    .with_stopping(StoppingRule::MaxGenerations(60))
+    .run();
+    let pmo2 = Driver::new(
+        Archipelago::new(
+            ArchipelagoSpec {
+                islands: 2,
+                island: Nsga2Spec {
+                    population: 30,
+                    ..Default::default()
+                },
+                migration_interval: 10,
+                migration_probability: 0.5,
+                topology: MigrationTopology::Broadcast,
+            },
+            3,
+        ),
+        &problem,
+    )
+    .with_stopping(StoppingRule::MaxGenerations(30))
+    .run();
 
     let reference = [1.0, 2.0 * EnzymePartition::NATURAL_NITROGEN];
     let hv_single = hypervolume(&objective_matrix(&single), &reference);
@@ -107,15 +119,18 @@ fn pmo2_front_is_at_least_as_good_as_a_single_island_with_the_same_budget() {
 #[test]
 fn spacing_of_an_evolved_front_is_finite_and_positive() {
     let problem = LeafRedesignProblem::new(Scenario::present_low_export());
-    let front = Nsga2::new(
-        Nsga2Config {
-            population_size: 30,
-            generations: 30,
-            ..Default::default()
-        },
-        4,
+    let front = Driver::new(
+        Nsga2::new(
+            Nsga2Spec {
+                population: 30,
+                ..Default::default()
+            },
+            4,
+        ),
+        &problem,
     )
-    .run(&problem);
+    .with_stopping(StoppingRule::MaxGenerations(30))
+    .run();
     let matrix = objective_matrix(&front);
     let s = spacing(&matrix);
     assert!(s.is_finite());
