@@ -1,10 +1,10 @@
 //! Cost of one photosynthesis uptake evaluation: the fast analytic
 //! steady-state model versus the full ODE steady-state solve (fast preset),
 //! and the ODE's Newton step in its two forms: the Calvin-cycle model's
-//! structured Jacobian `S + u·gᵀ` (compressed differences, Sherman–Morrison
-//! over a static-pivot sparse LU) against the dense forward-difference
-//! Jacobian with a partial-pivoting LU, both for one step and for a whole
-//! cold-start solve.
+//! exact structured Jacobian `S + u·gᵀ` (closed-form partials in one pass,
+//! Sherman–Morrison over a static-pivot sparse LU in minimum-fill order)
+//! against the dense forward-difference Jacobian with a partial-pivoting
+//! LU, both for one step and for a whole cold-start solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pathway_linalg::{LuDecomposition, Matrix, Vector};

@@ -120,7 +120,9 @@ OPTIONS (run / resume):
 OPTIONS (sweep):
     --out-dir <dir>          sweep output root — holds ledger.md,
                              BENCH_sweep.json, per-cell checkpoints and fronts
-                             (default: '<sweep>.results' next to the sweep)
+                             (default: '<sweep>.results' next to the sweep);
+                             a running sweep locks it, and a second sweep
+                             into the same directory fails at once
     --stop-after <n>         stop once <n> generations have run across the
                              grid in this invocation; re-running the same
                              sweep resumes only its incomplete cells

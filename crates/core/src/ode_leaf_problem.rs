@@ -8,10 +8,11 @@
 //! state, so a design's score is a pure function of the design: it does not
 //! depend on which designs were scored before, in which order, on which
 //! executor lane or in which process. What pays for the cold start is the
-//! Newton step: the model supplies its Jacobian as a sparse part plus a
-//! rank-one free-phosphate term, which the pseudo-transient solver solves by
-//! Sherman–Morrison over a static-pivot sparse LU (65 steps of 7
-//! right-hand-side calls for the natural leaf).
+//! Newton step: the model supplies its exact Jacobian, from closed-form
+//! partials, as a sparse part plus a rank-one free-phosphate term, which the
+//! pseudo-transient solver solves by Sherman–Morrison over a static-pivot
+//! sparse LU in minimum-fill order. The natural leaf takes 67 steps and 68
+//! right-hand-side calls, one trial per step.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

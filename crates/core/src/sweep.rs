@@ -72,6 +72,11 @@ pub enum SweepError {
     /// The on-disk ledger is unusable (corrupt, or belongs to a different
     /// sweep).
     Ledger(String),
+    /// Another sweep holds the lock on this out-dir.
+    Locked {
+        /// The out-dir both sweeps write to.
+        out_dir: PathBuf,
+    },
 }
 
 impl std::fmt::Display for SweepError {
@@ -82,6 +87,12 @@ impl std::fmt::Display for SweepError {
             SweepError::Engine(err) => write!(f, "{err}"),
             SweepError::Io { path, error } => write!(f, "{}: {error}", path.display()),
             SweepError::Ledger(message) => write!(f, "ledger: {message}"),
+            SweepError::Locked { out_dir } => write!(
+                f,
+                "another sweep is running in {} (it holds {}); wait for it to finish",
+                out_dir.display(),
+                out_dir.join(LOCK_FILE).display()
+            ),
         }
     }
 }
@@ -110,6 +121,30 @@ fn io_err(path: &Path, error: std::io::Error) -> SweepError {
     SweepError::Io {
         path: path.to_path_buf(),
         error,
+    }
+}
+
+/// The file a running sweep holds an exclusive lock on, in its out-dir.
+const LOCK_FILE: &str = ".sweep.lock";
+
+/// Creates `out_dir` and takes the exclusive lock on its [`LOCK_FILE`],
+/// refusing at once when another sweep, in this process or another, holds
+/// it. The lock lasts as long as the returned file is open.
+fn lock_out_dir(out_dir: &Path) -> Result<std::fs::File, SweepError> {
+    std::fs::create_dir_all(out_dir).map_err(|err| io_err(out_dir, err))?;
+    let path = out_dir.join(LOCK_FILE);
+    let file = std::fs::File::options()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|err| io_err(&path, err))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(std::fs::TryLockError::WouldBlock) => Err(SweepError::Locked {
+            out_dir: out_dir.to_path_buf(),
+        }),
+        Err(std::fs::TryLockError::Error(err)) => Err(io_err(&path, err)),
     }
 }
 
@@ -215,7 +250,10 @@ pub struct SweepReport {
 ///
 /// [`SweepError`] on invalid cells, checkpoint/ledger corruption, or I/O
 /// failure — a failed checkpoint write included. A failed sweep can always
-/// be re-run: completed rows stay.
+/// be re-run: completed rows stay. [`SweepError::Locked`] when another
+/// sweep is running in `out_dir`: a sweep holds a lock on
+/// `out_dir/.sweep.lock` from start to finish, so two sweeps never append
+/// to one ledger.
 pub fn run_sweep(
     sweep: &SweepSpec,
     out_dir: &Path,
@@ -228,6 +266,7 @@ pub fn run_sweep(
         executor.set_metrics(registry.clone());
     }
     let cells = sweep.expand()?;
+    let _lock = lock_out_dir(out_dir)?;
     let fronts_dir = out_dir.join("fronts");
     std::fs::create_dir_all(&fronts_dir).map_err(|err| io_err(&fronts_dir, err))?;
     let mut ledger = Ledger::open(out_dir, sweep, &cells)?;
@@ -1160,6 +1199,31 @@ max_generations = 4
         assert_eq!(report.skipped, 2);
         let after = std::fs::read(dir.join("ledger.md")).unwrap();
         assert_eq!(before, after);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sweep_refuses_an_out_dir_another_sweep_holds() {
+        let dir = temp_dir("locked");
+        let sweep = SweepSpec::from_text(SWEEP).unwrap();
+        let executor = Executor::shared(EvalBackend::Serial);
+        let held = lock_out_dir(&dir).unwrap();
+        let mut events = 0;
+        let err = run_sweep(&sweep, &dir, executor.clone(), None, None, &mut |_| {
+            events += 1
+        })
+        .unwrap_err();
+        assert!(matches!(&err, SweepError::Locked { out_dir } if out_dir == &dir));
+        assert!(
+            err.to_string().contains("another sweep is running"),
+            "{err}"
+        );
+        assert_eq!(events, 0, "nothing ran");
+        assert!(!dir.join("ledger.md").exists(), "nothing was written");
+
+        drop(held);
+        let report = run_sweep(&sweep, &dir, executor, None, None, &mut |_| {}).unwrap();
+        assert_eq!((report.completed, report.rows_total), (2, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -128,15 +128,16 @@ impl Moead {
         &self.population
     }
 
-    /// Replaces the current population, e.g. to seed a run with known-good
-    /// designs or to inject migrants. The ideal point is reset to the
-    /// member-wise objective minimum of the new population.
+    /// Replaces the current population, for tests that install a known
+    /// population. The ideal point is reset to the member-wise objective
+    /// minimum of the new population.
     ///
     /// # Panics
     ///
     /// Panics if the solver is already initialized and `population` does not
     /// provide exactly one incumbent per weight vector.
-    pub fn set_population(&mut self, population: Vec<Individual>) {
+    #[cfg(test)]
+    pub(crate) fn set_population(&mut self, population: Vec<Individual>) {
         if !self.weights.is_empty() {
             assert_eq!(
                 population.len(),
@@ -197,9 +198,7 @@ impl Moead {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has more than three objectives, or if a
-    /// population installed via [`Moead::set_population`] before
-    /// initialization does not match the generated weight count.
+    /// Panics if the problem has more than three objectives.
     pub fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
         if self.weights.is_empty() {
             self.weights = self.weight_vectors(problem.num_objectives());

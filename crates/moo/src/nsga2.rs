@@ -133,12 +133,14 @@ impl Nsga2 {
         self.evaluations
     }
 
-    /// Replaces the current population. Extra individuals are truncated on
-    /// the next environmental selection. Ranks and crowding are recomputed
+    /// Replaces the current population, for tests that install a known
+    /// population. Extra individuals are truncated on the next
+    /// environmental selection. Ranks and crowding are recomputed
     /// immediately: the next `step`'s mating tournament reads those fields
     /// before any environmental selection runs, so stale or foreign
     /// bookkeeping on the injected individuals must not survive this call.
-    pub fn set_population(&mut self, population: Population) {
+    #[cfg(test)]
+    pub(crate) fn set_population(&mut self, population: Population) {
         self.population = population;
         self.refresh_ranks();
     }
@@ -316,8 +318,8 @@ impl Nsga2 {
     /// Non-dominated members of the current population (rank 0 under
     /// constrained domination).
     ///
-    /// This reads the `rank` bookkeeping maintained by `initialize`, `step`,
-    /// `set_population` and `refresh_ranks` instead of cloning and
+    /// This reads the `rank` bookkeeping maintained by `initialize`, `step`
+    /// and `refresh_ranks` instead of cloning and
     /// re-sorting the whole population, so only the front members themselves
     /// are cloned. After [`Nsga2::inject_migrants`] the ranks are stale
     /// until the next [`Nsga2::refresh_ranks`] (the archipelago always

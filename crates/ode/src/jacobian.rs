@@ -2,15 +2,18 @@ use pathway_linalg::{Matrix, Vector};
 
 use crate::OdeSystem;
 
-/// Relative perturbation of every forward difference.
+/// Relative perturbation of the dense forward difference.
 const JACOBIAN_EPSILON: f64 = 1e-7;
 
 /// Largest multiplier `|l_ik| = |a_ik / a_kk|` the static-pivot LU of
 /// [`SparsePlusRankOne::solve`] accepts: threshold pivoting with threshold
 /// 0.01, where a pivot may be up to 100 times smaller than its column. A
-/// larger multiplier means the diagonal pivot has degraded. (At threshold
-/// 0.1 the Calvin-cycle model's glycerate pivot fails the test on about
-/// one step in 40, with multipliers of 10–21, late in a solve.)
+/// larger multiplier means the diagonal pivot has degraded. (Over the
+/// 69,000 steps of 3,000 random designs of the leaf search box, the
+/// Calvin-cycle model's largest multiplier under the minimum-fill order is
+/// 37, and one factorization has one above 10, at the triose-phosphate
+/// pivot. In state-vector order, threshold 0.1 failed the glycerate pivot
+/// on about one step in 40, with multipliers of 10–21, late in a solve.)
 const MAX_MULTIPLIER: f64 = 100.0;
 
 /// Smallest pivot magnitude the static-pivot LU accepts: the singularity
@@ -21,12 +24,6 @@ const MIN_PIVOT: f64 = 1e-13;
 /// `max(1, |gᵀz|)`. Below it the rank-one correction cancels most of its
 /// own digits, and the dense fallback is the accurate path.
 const MIN_DENOMINATOR: f64 = 1e-8;
-
-/// The forward-difference step for a coordinate of value `x`:
-/// `1e-7 · (1 + |x|)`, the step of every difference in this crate.
-pub fn forward_difference_step(x: f64) -> f64 {
-    JACOBIAN_EPSILON * (1.0 + x.abs())
-}
 
 /// The Jacobian of a right-hand side at one state, as a Newton step uses
 /// it: filled by [`OdeSystem::jacobian`] in one of two forms.
@@ -70,9 +67,8 @@ impl Jacobian {
 
     /// Fills the dense forward-difference Jacobian of `system` at `(t, y)`,
     /// where the right-hand side is `f`: column `j` is
-    /// `(f(y + h_j e_j) − f) / h_j` with `h_j` from
-    /// [`forward_difference_step`]. Returns the right-hand-side calls it
-    /// made, one per column.
+    /// `(f(y + h_j e_j) − f) / h_j` with `h_j = 1e-7 · (1 + |y_j|)`.
+    /// Returns the right-hand-side calls it made, one per column.
     pub fn difference_dense<S: OdeSystem + ?Sized>(
         &mut self,
         system: &S,
@@ -93,7 +89,7 @@ impl Jacobian {
         };
         perturbed.as_mut_slice().copy_from_slice(y.as_slice());
         for j in 0..dim {
-            let h = forward_difference_step(y[j]);
+            let h = JACOBIAN_EPSILON * (1.0 + y[j].abs());
             perturbed[j] = y[j] + h;
             system.rhs(t, perturbed, f1);
             let jac = jac.as_mut_slice();
@@ -184,15 +180,18 @@ impl Jacobian {
 }
 
 /// The structural non-zeros of a Jacobian's sparse part `S`, fixed once per
-/// model, together with what every Newton step reuses:
+/// model, together with the **symbolic LU** of `d·I − S` that every Newton
+/// step reuses: a pivot order, the fill-in, and the list of updates
+/// `a_ij −= l_ik · u_kj` the numeric elimination runs.
 ///
-/// * **column groups** for compressed forward differences (Curtis, Powell
-///   & Reid, *On the estimation of sparse Jacobian matrices*, 1974): the
-///   columns of one group share no row, so one right-hand-side call, with
-///   every column of the group perturbed at once, differences them all;
-/// * the **symbolic LU** of `d·I − S` with the pivots taken down the
-///   diagonal: the fill-in, and the list of updates
-///   `a_ij −= l_ik · u_kj` the numeric elimination runs.
+/// The pivots stay on the diagonal; only their order is chosen, once, by
+/// the greedy minimum-fill rule of Markowitz (*The elimination form of the
+/// inverse and its application to linear programming*, 1957): among the
+/// rows not yet eliminated, pivot next on the one whose off-diagonal row
+/// and column counts in the remaining symbolic matrix have the smallest
+/// product `r·c`, the lowest index on a tie. A product of 0 eliminates
+/// with no fill at all. A row that reads nothing else (an empty
+/// off-diagonal row) goes last, so its column never becomes multipliers.
 ///
 /// The diagonal is always part of the pattern.
 ///
@@ -206,21 +205,27 @@ impl Jacobian {
 /// let arrow = (1..n).flat_map(|j| [(0, j), (j, 0)]);
 /// let pattern = JacobianPattern::new(n, arrow);
 /// assert_eq!(pattern.nnz(), 3 * n - 2);
-/// // Columns 1..n share row 0, so each needs its own difference.
-/// assert_eq!(pattern.groups().len(), n);
-/// // Eliminating the dense first column fills the whole trailing block.
-/// assert_eq!(pattern.lu_nnz(), n * n);
+/// // Pivoting on the hub first would fill the whole trailing block. Under
+/// // the minimum-fill order the spokes go first and the hub once a single
+/// // spoke is left, so nothing fills: each elimination updates one pivot.
+/// assert_eq!(pattern.lu_nnz(), pattern.nnz());
+/// assert_eq!(pattern.update_flops(), n - 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct JacobianPattern {
     dim: usize,
     /// Column-major structure: the rows of column `j` are
-    /// `rows[col_start[j]..col_start[j + 1]]`, ascending.
+    /// `rows[col_start[j]..col_start[j + 1]]`, ascending. A value of `S`
+    /// lives at the same index of [`SparsePlusRankOne`]'s values.
     col_start: Vec<usize>,
     rows: Vec<usize>,
-    groups: Vec<Vec<usize>>,
-    /// Dense positions (`row · dim + col`) of the fill-in: the entries of
-    /// `L + U` outside the pattern of `S`.
+    /// The pivot order: `order[k]` is the row (and column) of `S`
+    /// eliminated `k`-th. The LU works on `S` symmetrically permuted by it.
+    order: Vec<usize>,
+    /// Dense position (`row · dim + col`, permuted) of each value of `S`.
+    scatter: Vec<usize>,
+    /// Dense positions of the fill-in: the entries of `L + U` outside the
+    /// permuted pattern of `S`.
     fill: Vec<usize>,
     /// One per multiplier `l_ik`, in elimination order; those of pivot `k`
     /// are `eliminations[elimination_start[k]..elimination_start[k + 1]]`.
@@ -245,10 +250,55 @@ struct Elimination {
     updates: (usize, usize),
 }
 
+/// The minimum-fill pivot order of a `dim × dim` structure: at each step
+/// the remaining row `k` with the smallest `r·c` (off-diagonal non-zeros
+/// in its remaining row and column), the lowest index on a tie; its
+/// elimination couples every remaining row of its column to every
+/// remaining column of its row. A row with no off-diagonal non-zero but a
+/// non-empty column waits until no other row is left: pivoted early it
+/// would update nothing and only turn its column into multipliers, which
+/// its pivot can make large.
+fn minimum_fill_order(dim: usize, mut nonzero: Vec<bool>) -> Vec<usize> {
+    let mut remaining: Vec<usize> = (0..dim).collect();
+    let mut order = Vec::with_capacity(dim);
+    while !remaining.is_empty() {
+        let coupled = |k: usize, nonzero: &[bool]| {
+            let others = remaining.iter().filter(move |&&i| i != k);
+            let rows: Vec<usize> = others
+                .clone()
+                .copied()
+                .filter(|&i| nonzero[i * dim + k])
+                .collect();
+            let cols: Vec<usize> = others.copied().filter(|&j| nonzero[k * dim + j]).collect();
+            (rows, cols)
+        };
+        let (at, _) = remaining
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &k)| {
+                let (rows, cols) = coupled(k, &nonzero);
+                let waits = cols.is_empty() && !rows.is_empty();
+                (waits, rows.len() * cols.len(), k)
+            })
+            .expect("a row remains");
+        let k = remaining[at];
+        let (rows, cols) = coupled(k, &nonzero);
+        for &i in &rows {
+            for &j in &cols {
+                nonzero[i * dim + j] = true;
+            }
+        }
+        remaining.remove(at);
+        order.push(k);
+    }
+    order
+}
+
 impl JacobianPattern {
     /// Builds the pattern of a `dim`-dimensional system from its
-    /// `(row, column)` non-zeros. Duplicates are merged and the diagonal is
-    /// added. Columns are grouped greedily in index order.
+    /// `(row, column)` non-zeros, with its minimum-fill pivot order and the
+    /// symbolic LU under that order. Duplicates are merged and the diagonal
+    /// is added.
     ///
     /// # Panics
     ///
@@ -273,25 +323,25 @@ impl JacobianPattern {
             col_start.push(rows.len());
         }
 
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut taken: Vec<Vec<bool>> = Vec::new();
-        for j in 0..dim {
-            let column = &rows[col_start[j]..col_start[j + 1]];
-            let free = taken
-                .iter()
-                .position(|used| column.iter().all(|&i| !used[i]));
-            let g = free.unwrap_or_else(|| {
-                groups.push(Vec::new());
-                taken.push(vec![false; dim]);
-                groups.len() - 1
-            });
-            groups[g].push(j);
-            for &i in column {
-                taken[g][i] = true;
-            }
+        let order = minimum_fill_order(dim, nonzero.clone());
+        let mut position = vec![0; dim];
+        for (k, &i) in order.iter().enumerate() {
+            position[i] = k;
+        }
+        let scatter = (0..dim)
+            .flat_map(|j| {
+                rows[col_start[j]..col_start[j + 1]]
+                    .iter()
+                    .map(move |&i| (i, j))
+            })
+            .map(|(i, j)| position[i] * dim + position[j])
+            .collect();
+        let mut permuted = vec![false; dim * dim];
+        for (i, j) in (0..dim).flat_map(|i| (0..dim).map(move |j| (i, j))) {
+            permuted[position[i] * dim + position[j]] = nonzero[i * dim + j];
         }
 
-        let mut filled = nonzero.clone();
+        let mut filled = permuted.clone();
         let mut eliminations = Vec::new();
         let mut elimination_start = vec![0];
         let mut updates = Vec::new();
@@ -316,7 +366,7 @@ impl JacobianPattern {
         }
 
         let fill = (0..dim * dim)
-            .filter(|&p| filled[p] && !nonzero[p])
+            .filter(|&p| filled[p] && !permuted[p])
             .collect();
         let (mut lower_start, mut lower) = (vec![0], Vec::new());
         let (mut upper_start, mut upper) = (vec![0], Vec::new());
@@ -337,7 +387,8 @@ impl JacobianPattern {
             dim,
             col_start,
             rows,
-            groups,
+            order,
+            scatter,
             fill,
             eliminations,
             elimination_start,
@@ -354,18 +405,17 @@ impl JacobianPattern {
         self.rows.len()
     }
 
-    /// Whether `(row, col)` is a structural non-zero of `S`.
-    pub fn contains(&self, row: usize, col: usize) -> bool {
-        col < self.dim
-            && self.rows[self.col_start[col]..self.col_start[col + 1]]
-                .binary_search(&row)
-                .is_ok()
-    }
-
-    /// The column groups of the compressed differences; one
-    /// right-hand-side call differences each group.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
+    /// The index of `(row, col)` among the values of `S`
+    /// ([`SparsePlusRankOne::parts_mut`]), if it is a structural non-zero.
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        if col >= self.dim {
+            return None;
+        }
+        let (start, end) = (self.col_start[col], self.col_start[col + 1]);
+        self.rows[start..end]
+            .binary_search(&row)
+            .ok()
+            .map(|k| start + k)
     }
 
     /// Non-zeros of the static-pivot `L + U`, fill-in included.
@@ -383,7 +433,8 @@ impl JacobianPattern {
 /// A Jacobian `J = S + u·gᵀ`: a sparse part `S` on a fixed
 /// [`JacobianPattern`], plus the rank-one term of one scalar coupling `p(y)`
 /// that the right-hand side `f(y) = F(y, p(y))` reads everywhere, with
-/// `S = ∂F/∂y` at fixed `p`, `u = ∂F/∂p` and `g = ∂p/∂y`.
+/// `S = ∂F/∂y` at fixed `p`, `u = ∂F/∂p` and `g = ∂p/∂y`. The system fills
+/// all three ([`SparsePlusRankOne::parts_mut`]).
 ///
 /// [`SparsePlusRankOne::solve`] solves a Newton system
 /// `(d·I − S − u·gᵀ) δ = r` by Sherman–Morrison: with `M = d·I − S`,
@@ -396,14 +447,15 @@ pub struct SparsePlusRankOne {
     values: Vec<f64>,
     u: Vector,
     g: Vector,
-    perturbed: Vector,
-    f1: Vector,
-    /// Dense `dim × dim` storage of the static-pivot LU; only the
-    /// pattern's `L + U` positions are ever read.
+    /// Dense `dim × dim` storage of the static-pivot LU of the permuted
+    /// `M`; only the pattern's `L + U` positions are ever read.
     lu: Vec<f64>,
     /// `1 / u_kk` of the last factorization.
     inverse_pivots: Vec<f64>,
+    /// `M⁻¹u`.
     z: Vector,
+    /// `z` and `w` in pivot order, where the triangular solves run.
+    permuted: (Vec<f64>, Vec<f64>),
 }
 
 impl SparsePlusRankOne {
@@ -414,48 +466,17 @@ impl SparsePlusRankOne {
             values: vec![0.0; pattern.nnz()],
             u: Vector::zeros(dim),
             g: Vector::zeros(dim),
-            perturbed: Vector::zeros(dim),
-            f1: Vector::zeros(dim),
             lu: vec![0.0; dim * dim],
             inverse_pivots: vec![0.0; dim],
             z: Vector::zeros(dim),
+            permuted: (vec![0.0; dim], vec![0.0; dim]),
         }
     }
 
-    /// Fills `S` by compressed forward differences at `y`: for every
-    /// column group, `F` is called once at `y` with each column `j` of the
-    /// group moved by `h_j` ([`forward_difference_step`]), and
-    /// `S_ij = (F_i − f_i) / h_j` over the rows of column `j`. `rhs(y, out)`
-    /// must evaluate `F` with the coupling held at its value at `y`, and
-    /// `f` must be `F` at `y`. Returns the calls made, one per group.
-    pub fn difference_sparse_part(
-        &mut self,
-        y: &Vector,
-        f: &Vector,
-        mut rhs: impl FnMut(&Vector, &mut Vector),
-    ) -> usize {
-        let pattern = self.pattern;
-        self.perturbed.as_mut_slice().copy_from_slice(y.as_slice());
-        for group in &pattern.groups {
-            for &j in group {
-                self.perturbed[j] = y[j] + forward_difference_step(y[j]);
-            }
-            rhs(&self.perturbed, &mut self.f1);
-            for &j in group {
-                let h = forward_difference_step(y[j]);
-                for p in pattern.col_start[j]..pattern.col_start[j + 1] {
-                    let i = pattern.rows[p];
-                    self.values[p] = (self.f1[i] - f[i]) / h;
-                }
-                self.perturbed[j] = y[j];
-            }
-        }
-        pattern.groups.len()
-    }
-
-    /// The rank-one factors `(u, g)`, for the system to fill.
-    pub fn rank_one_mut(&mut self) -> (&mut Vector, &mut Vector) {
-        (&mut self.u, &mut self.g)
+    /// The values of `S`, indexed by [`JacobianPattern::slot`], and the
+    /// rank-one factors `u` and `g`, for the system to fill.
+    pub fn parts_mut(&mut self) -> (&mut [f64], &mut Vector, &mut Vector) {
+        (&mut self.values, &mut self.u, &mut self.g)
     }
 
     /// Solves `(diagonal·I − S − u·gᵀ) δ = rhs` into `delta` by
@@ -470,15 +491,17 @@ impl SparsePlusRankOne {
         if !self.factor(diagonal) {
             return false;
         }
-        self.z.as_mut_slice().copy_from_slice(self.u.as_slice());
-        delta.as_mut_slice().copy_from_slice(rhs.as_slice());
-        substitute(
-            self.pattern,
-            &self.lu,
-            &self.inverse_pivots,
-            self.z.as_mut_slice(),
-            delta.as_mut_slice(),
-        );
+        let order = &self.pattern.order;
+        let (z, w) = &mut self.permuted;
+        for ((z, w), &i) in z.iter_mut().zip(w.iter_mut()).zip(order) {
+            *z = self.u[i];
+            *w = rhs[i];
+        }
+        substitute(self.pattern, &self.lu, &self.inverse_pivots, z, w);
+        for ((&z, &w), &i) in z.iter().zip(w.iter()).zip(order) {
+            self.z[i] = z;
+            delta[i] = w;
+        }
         let gz = self
             .g
             .dot(&self.z)
@@ -495,8 +518,9 @@ impl SparsePlusRankOne {
         true
     }
 
-    /// Numeric static-pivot LU of `diagonal·I − S` in `lu`, with the
-    /// inverse pivots; `false` when a pivot degrades.
+    /// Numeric static-pivot LU of `diagonal·I − S`, permuted into pivot
+    /// order, in `lu`, with the inverse pivots; `false` when a pivot
+    /// degrades.
     fn factor(&mut self, diagonal: f64) -> bool {
         let pattern = self.pattern;
         let dim = pattern.dim;
@@ -504,11 +528,11 @@ impl SparsePlusRankOne {
         for &p in &pattern.fill {
             lu[p] = 0.0;
         }
-        for j in 0..dim {
-            for p in pattern.col_start[j]..pattern.col_start[j + 1] {
-                lu[pattern.rows[p] * dim + j] = -self.values[p];
-            }
-            lu[j * dim + j] += diagonal;
+        for (&p, &value) in pattern.scatter.iter().zip(&self.values) {
+            lu[p] = -value;
+        }
+        for k in 0..dim {
+            lu[k * dim + k] += diagonal;
         }
         for k in 0..dim {
             let pivot = lu[k * dim + k];
@@ -534,7 +558,7 @@ impl SparsePlusRankOne {
 }
 
 /// Solves `L U x = b` in place for two right-hand sides `a` and `b` at once,
-/// over a static-pivot LU and its inverse pivots.
+/// over a static-pivot LU and its inverse pivots, all in pivot order.
 fn substitute(
     pattern: &JacobianPattern,
     lu: &[f64],
@@ -589,13 +613,38 @@ mod tests {
     }
 
     #[test]
-    fn a_tridiagonal_pattern_needs_three_groups_and_no_fill() {
+    fn a_tridiagonal_pattern_has_no_fill() {
         let pattern = tridiagonal(7);
         assert_eq!(pattern.nnz(), 7 + 2 * 6);
-        assert_eq!(pattern.groups(), &[vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        // Each end row has one neighbour, so the order peels from row 0.
+        assert_eq!(pattern.order, (0..7).collect::<Vec<_>>());
         assert_eq!(pattern.lu_nnz(), pattern.nnz());
         assert_eq!(pattern.update_flops(), 6);
-        assert!(pattern.contains(3, 4) && !pattern.contains(0, 2));
+        assert_eq!(pattern.slot(3, 4), Some(11));
+        assert_eq!(pattern.slot(0, 2), None);
+    }
+
+    #[test]
+    fn a_row_that_reads_nothing_pivots_last() {
+        // Row 0 has no off-diagonal entry; rows 1 and 2 read column 0.
+        // Pivoted first it would turn (1, 0) and (2, 0) into multipliers.
+        let pattern = JacobianPattern::new(3, [(1, 0), (2, 0)]);
+        assert_eq!(pattern.order, vec![1, 2, 0]);
+        assert_eq!(pattern.lu_nnz(), pattern.nnz());
+        assert!(pattern.eliminations.is_empty(), "no multipliers at all");
+    }
+
+    #[test]
+    fn the_minimum_fill_order_pivots_a_hub_after_its_spokes() {
+        // A star on row 3 of 6: in index order its elimination would fill
+        // rows and columns 4 and 5 against each other. The spokes go first,
+        // the hub once a single spoke is left.
+        let n = 6;
+        let star = (0..n).filter(|&j| j != 3).flat_map(|j| [(3, j), (j, 3)]);
+        let pattern = JacobianPattern::new(n, star);
+        assert_eq!(pattern.order, vec![0, 1, 2, 4, 3, 5]);
+        assert_eq!(pattern.lu_nnz(), pattern.nnz());
+        assert_eq!(pattern.update_flops(), n - 1);
     }
 
     /// A structured Jacobian on `pattern` with random `S`, `u` and `g`.
@@ -706,19 +755,21 @@ mod tests {
         fn rhs(&self, _t: f64, y: &Vector, dydt: &mut Vector) {
             self.rhs_with_p(y, y.iter().sum(), dydt);
         }
-        fn jacobian(&self, _t: f64, y: &Vector, f: &Vector, jacobian: &mut Jacobian) -> usize {
-            let p: f64 = y.iter().sum();
-            let structured = jacobian.sparse_plus_rank_one(Self::pattern());
-            let calls =
-                structured.difference_sparse_part(y, f, |y, out| self.rhs_with_p(y, p, out));
-            let (u, g) = structured.rank_one_mut();
-            let h = forward_difference_step(p);
-            self.rhs_with_p(y, p + h, u);
+        fn jacobian(&self, _t: f64, _y: &Vector, _f: &Vector, jacobian: &mut Jacobian) -> usize {
+            let pattern = Self::pattern();
+            let (values, u, g) = jacobian.sparse_plus_rank_one(pattern).parts_mut();
+            for (i, row) in self.s.iter().enumerate() {
+                for (j, &sij) in row.iter().enumerate() {
+                    if let Some(slot) = pattern.slot(i, j) {
+                        values[slot] = sij;
+                    }
+                }
+            }
             for i in 0..3 {
-                u[i] = (u[i] - f[i]) / h;
+                u[i] = self.b[i];
                 g[i] = 1.0;
             }
-            calls + 1
+            0
         }
     }
 
@@ -755,9 +806,9 @@ mod tests {
         let stats = structured.stats;
         assert_eq!(stats.steps_rejected, 0);
         assert_eq!(stats.dense_fallbacks, 0);
-        // The initial residual, then per step 3 groups, one coupling
-        // difference and one trial.
-        assert_eq!(stats.rhs_evaluations, 1 + 5 * stats.steps_accepted);
+        // The initial residual, then per step only the trial: the
+        // structured Jacobian is exact.
+        assert_eq!(stats.rhs_evaluations, 1 + stats.steps_accepted);
         assert_eq!(
             dense.stats.rhs_evaluations,
             1 + 4 * dense.stats.steps_accepted
@@ -767,8 +818,7 @@ mod tests {
     #[test]
     fn a_vanishing_pivot_takes_the_dense_fallback() {
         // At the first step, dt = 0.1: the first pivot 1/dt − S_00 = 10 − 10
-        // vanishes (up to the rounding of the difference), while the
-        // assembled matrix is well conditioned.
+        // vanishes, while the assembled matrix is well conditioned.
         let mut system = stable();
         system.s[0][0] = 10.0;
         let err = PseudoTransient::new(0.1, 1e-12, 1)

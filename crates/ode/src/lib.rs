@@ -51,7 +51,7 @@ mod system;
 
 pub use error::OdeError;
 pub use implicit::BackwardEuler;
-pub use jacobian::{forward_difference_step, Jacobian, JacobianPattern, SparsePlusRankOne};
+pub use jacobian::{Jacobian, JacobianPattern, SparsePlusRankOne};
 pub use stats::IntegrationStats;
 pub use steady_state::{PseudoTransient, SteadyState};
 pub use system::{IntegrationResult, OdeSystem};

@@ -51,8 +51,8 @@ pub trait OdeSystem {
     /// The default is the dense forward-difference Jacobian
     /// ([`Jacobian::difference_dense`]), one call per state variable. A
     /// system that knows its structure can fill the sparse-plus-rank-one
-    /// form instead ([`Jacobian::sparse_plus_rank_one`]), which costs a call
-    /// per column group and makes the Newton solve sparse.
+    /// form instead ([`Jacobian::sparse_plus_rank_one`]), from its own
+    /// partial derivatives, which makes the Newton solve sparse.
     /// [`crate::BackwardEuler`], the reference march, never calls this hook
     /// and always differences densely.
     fn jacobian(&self, t: f64, y: &Vector, f: &Vector, jacobian: &mut Jacobian) -> usize {

@@ -35,8 +35,10 @@ impl KineticConstants {
     }
 
     /// Maximum catalytic rate `Vmax = k_cat * [E]` for an enzyme concentration
-    /// in mmol/l; the result is in mmol/(l·s).
-    pub fn vmax(&self, enzyme_concentration: f64) -> f64 {
+    /// in mmol/l; the result is in mmol/(l·s). The models take their Vmax
+    /// from a partition's capacities instead, so only the tests ask.
+    #[cfg(test)]
+    fn vmax(&self, enzyme_concentration: f64) -> f64 {
         self.k_cat * enzyme_concentration
     }
 }
@@ -50,7 +52,7 @@ impl KineticConstants {
 /// # Example
 ///
 /// ```
-/// use pathway_kinetics::{Enzyme, KineticConstants};
+/// use pathway_photosynthesis::{Enzyme, KineticConstants};
 ///
 /// let rubisco = Enzyme::new("Rubisco", KineticConstants::new(3.5, 10.9), 550_000.0)
 ///     .with_nitrogen_fraction(0.16);
@@ -119,11 +121,6 @@ impl Enzyme {
     /// `[Enzyme]·MW / k_cat` scaled by the protein nitrogen fraction.
     pub fn nitrogen_per_catalytic_unit(&self) -> f64 {
         self.nitrogen_fraction * self.molecular_weight / self.constants.k_cat
-    }
-
-    /// Maximum catalytic rate for a given enzyme concentration in mmol/l.
-    pub fn vmax(&self, concentration: f64) -> f64 {
-        self.constants.vmax(concentration)
     }
 }
 

@@ -1,4 +1,4 @@
-use pathway_kinetics::{Enzyme, KineticConstants};
+use crate::{Enzyme, KineticConstants};
 
 /// Number of tunable enzymes in the model (the 23 bars of the paper's Figure 2).
 pub const ENZYME_COUNT: usize = 23;
@@ -228,8 +228,8 @@ impl EnzymeKind {
         }
     }
 
-    /// Builds the [`Enzyme`] record used by the nitrogen accounting in
-    /// `pathway-kinetics`.
+    /// Builds the [`Enzyme`] record used by the nitrogen accounting
+    /// ([`crate::nitrogen`]).
     pub fn to_enzyme(self) -> Enzyme {
         Enzyme::new(
             self.name(),

@@ -21,6 +21,11 @@
 //!   uptake, used inside optimization loops.
 //! * [`CalvinCycleOde`] — the dynamic ODE model of the same pathway, driven to
 //!   steady state with the solvers from `pathway-ode`.
+//! * [`rate_laws`] — its Michaelis–Menten rate laws (one and two substrates,
+//!   competitive inhibition), each with its partial derivatives.
+//! * [`Enzyme`] and [`nitrogen`] — a catalytic protein's turnover number and
+//!   molecular weight, and the protein-nitrogen cost of a partition, the
+//!   second objective of the paper's leaf-redesign problem.
 //!
 //! # Example
 //!
@@ -38,12 +43,16 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+mod enzyme;
 mod enzymes;
 mod model;
+pub mod nitrogen;
 mod partition;
+pub mod rate_laws;
 mod scenario;
 mod uptake;
 
+pub use enzyme::{Enzyme, EnzymeId, KineticConstants};
 pub use enzymes::{enzyme_table, EnzymeKind, ENZYME_COUNT};
 pub use model::{CalvinCycleOde, MetabolitePool, OdeUptakeEvaluator, POOL_COUNT};
 pub use partition::EnzymePartition;

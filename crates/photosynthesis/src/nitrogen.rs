@@ -19,7 +19,7 @@ use crate::Enzyme;
 /// # Example
 ///
 /// ```
-/// use pathway_kinetics::{Enzyme, KineticConstants, nitrogen};
+/// use pathway_photosynthesis::{Enzyme, KineticConstants, nitrogen};
 ///
 /// let enzymes = vec![
 ///     Enzyme::new("Rubisco", KineticConstants::new(3.5, 10.9), 550_000.0),

@@ -2,7 +2,7 @@ use std::fmt;
 use std::ops::Index;
 use std::sync::LazyLock;
 
-use pathway_kinetics::nitrogen;
+use crate::nitrogen;
 
 use crate::enzymes::{EnzymeKind, ENZYME_COUNT};
 

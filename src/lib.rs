@@ -7,14 +7,12 @@
 //! * [`linalg`] — vectors, matrices, LU, sparse storage, simplex LP;
 //! * [`ode`] — the pseudo-transient steady-state solver and the
 //!   backward-Euler reference march;
-//! * [`kinetics`] — enzymes, Michaelis–Menten rate laws, nitrogen
-//!   accounting;
 //! * [`moo`] — NSGA-II, MOEA/D, the PMO2 archipelago, metrics, mining,
 //!   robustness ensembles;
 //! * [`fba`] — flux balance analysis and the *Geobacter sulfurreducens*
 //!   model;
-//! * [`photosynthesis`] — the C3 leaf kinetic model and CO₂-uptake
-//!   scenarios;
+//! * [`photosynthesis`] — the C3 leaf kinetic model, its Michaelis–Menten
+//!   rate laws and nitrogen accounting, and the CO₂-uptake scenarios;
 //! * [`core`] — the paper-level studies, problems, and reporting.
 //!
 //! ```
@@ -29,7 +27,6 @@
 
 pub use pathway_core as core;
 pub use pathway_fba as fba;
-pub use pathway_kinetics as kinetics;
 pub use pathway_linalg as linalg;
 pub use pathway_moo as moo;
 pub use pathway_ode as ode;
