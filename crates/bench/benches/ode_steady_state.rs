@@ -2,7 +2,8 @@
 //! steady-state model versus the full ODE steady-state solve (fast preset),
 //! and the ODE's Newton step in its two forms: the Calvin-cycle model's
 //! exact structured Jacobian `S + u·gᵀ` (closed-form partials in one pass,
-//! Sherman–Morrison over a static-pivot sparse LU in minimum-fill order)
+//! Sherman–Morrison over a static-pivot sparse LU in minimum-fill order,
+//! compiled to straight-line code in `pathway-photosynthesis`)
 //! against the dense forward-difference Jacobian with a partial-pivoting
 //! LU, both for one step and for a whole cold-start solve.
 

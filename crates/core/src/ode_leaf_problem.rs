@@ -11,8 +11,12 @@
 //! Newton step: the model supplies its exact Jacobian, from closed-form
 //! partials, as a sparse part plus a rank-one free-phosphate term, which the
 //! pseudo-transient solver solves by Sherman–Morrison over a static-pivot
-//! sparse LU in minimum-fill order. The natural leaf takes 67 steps and 68
-//! right-hand-side calls, one trial per step.
+//! sparse LU in minimum-fill order. That LU runs as straight-line code
+//! compiled from the model's pattern (`pathway-photosynthesis`'s generated
+//! `src/calvin_lu.rs`, bit for bit the interpreter it was emitted from).
+//! The natural leaf takes 67 steps and 68 right-hand-side calls, one trial
+//! per step. `tests/leaf_oracle_digest.rs` pins the objectives,
+//! violations and `ode.*` counters of 300 designs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,11 +1,13 @@
-//! Pins the bits of the analytic leaf oracle that scores every candidate of
-//! the paper's leaf-redesign search (Figures 1-2, Table 1): both objectives
-//! of `LeafRedesignProblem::evaluate` over seeded random designs in all six
-//! scenarios, and the nitrogen accounting of three reference leaves. Every
-//! leaf front follows from these bits, so an oracle change that moves one of
-//! them fails here.
+//! Pins the bits of the leaf oracles that score every candidate of the
+//! paper's leaf-redesign search (Figures 1-2, Table 1): both objectives of
+//! `LeafRedesignProblem::evaluate` over seeded random designs in all six
+//! scenarios, the objectives, violations and solver work of the ODE oracle
+//! `OdeLeafRedesignProblem`, and the nitrogen accounting of three reference
+//! leaves. Every leaf front follows from these bits, so an oracle change
+//! that moves one of them fails here.
 
-use pathway_core::LeafRedesignProblem;
+use pathway_core::{LeafRedesignProblem, OdeLeafRedesignProblem};
+use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::MultiObjectiveProblem;
 use pathway_photosynthesis::{EnzymePartition, Scenario};
 
@@ -60,6 +62,55 @@ fn leaf_oracle_objectives_are_bit_identical() {
     }
     assert_eq!(words.len(), 6 * DESIGNS * 2);
     assert_eq!(fnv1a64(words), 0x2bea_c87f_f70e_0e41);
+}
+
+/// Designs drawn for the ODE oracle.
+const ODE_DESIGNS: usize = 300;
+
+/// The ODE oracle over designs drawn log-uniformly in its 0.02x-4x box at
+/// present CO₂ with low export, the `leaf-ode` benchmark's scenario: every
+/// objective and violation bit, then the summed `ode.*` counters (steps,
+/// RHS calls, Jacobians, Newton iterations, dense fallbacks, unsettled
+/// designs). A change to the Newton step that moves one bit of a solve, or
+/// one step of its work, fails here.
+#[test]
+fn ode_leaf_oracle_objectives_are_bit_identical() {
+    let problem = OdeLeafRedesignProblem::new(Scenario::present_low_export());
+    let mut rng = SplitMix64(0x0de_1eaf);
+    let designs: Vec<Vec<f64>> = (0..ODE_DESIGNS)
+        .map(|_| {
+            problem
+                .bounds()
+                .iter()
+                .map(|&(lower, upper)| lower * (upper / lower).powf(rng.next_unit()))
+                .collect()
+        })
+        .collect();
+    let mut words = Vec::new();
+    for (objectives, violation) in problem.evaluate_batch(&designs) {
+        words.extend(objectives.iter().map(|v| v.to_bits()));
+        words.push(violation.to_bits());
+    }
+    let registry = MetricsRegistry::new();
+    problem.record_oracle_metrics(&registry);
+    let snapshot = registry.snapshot();
+    let counters = [
+        "ode.steps",
+        "ode.rhs_evals",
+        "ode.jacobians",
+        "ode.newton_iters",
+        "ode.dense_fallbacks",
+        "ode.unsettled",
+    ]
+    .map(|name| {
+        snapshot
+            .counter(name)
+            .expect("the oracle records every counter")
+    });
+    assert_eq!(counters, [9_492, 9_792, 9_492, 9_492, 0, 0]);
+    words.extend(counters);
+    assert_eq!(words.len(), ODE_DESIGNS * 3 + 6);
+    assert_eq!(fnv1a64(words), 0xd9c4_4ebc_40b1_5219);
 }
 
 #[test]

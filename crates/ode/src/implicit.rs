@@ -76,7 +76,9 @@ const MAX_NEWTON_ITERATIONS: usize = 25;
 /// [`BackwardEuler`] and [`crate::PseudoTransient`].
 pub(crate) struct NewtonWorkspace {
     pub(crate) jacobian: Jacobian,
-    newton_matrix: Matrix,
+    /// The assembled `dim × dim` Newton matrix, allocated on first use:
+    /// a structured solve never assembles one.
+    newton_matrix: Option<Matrix>,
     pub(crate) residual: Vector,
     pub(crate) delta: Vector,
     pub(crate) candidate: Vector,
@@ -90,7 +92,7 @@ impl NewtonWorkspace {
     pub(crate) fn new(dim: usize) -> Self {
         NewtonWorkspace {
             jacobian: Jacobian::new(dim),
-            newton_matrix: Matrix::zeros(dim, dim),
+            newton_matrix: None,
             residual: Vector::zeros(dim),
             delta: Vector::zeros(dim),
             candidate: Vector::zeros(dim),
@@ -101,8 +103,11 @@ impl NewtonWorkspace {
 
     /// Writes `diagonal · I − scale · J` into `newton_matrix`.
     pub(crate) fn assemble(&mut self, diagonal: f64, scale: f64) {
-        self.jacobian
-            .assemble(diagonal, scale, &mut self.newton_matrix);
+        let dim = self.residual.len();
+        let newton_matrix = self
+            .newton_matrix
+            .get_or_insert_with(|| Matrix::zeros(dim, dim));
+        self.jacobian.assemble(diagonal, scale, newton_matrix);
     }
 
     /// Solves `(diagonal · I − J) delta = residual`. A sparse-plus-rank-one
@@ -130,12 +135,16 @@ impl NewtonWorkspace {
     /// carried storage, or, with `reuse_pivots`, under the previous pivot
     /// order first (falling back to a full refactorization).
     pub(crate) fn factor(&mut self, reuse_pivots: bool) -> pathway_linalg::Result<()> {
+        let newton_matrix = self
+            .newton_matrix
+            .as_ref()
+            .expect("the Newton matrix is assembled before it is factored");
         match &mut self.lu {
-            None => LuDecomposition::new(&self.newton_matrix).map(|lu| self.lu = Some(lu)),
-            Some(lu) if !reuse_pivots => lu.refactor(&self.newton_matrix),
+            None => LuDecomposition::new(newton_matrix).map(|lu| self.lu = Some(lu)),
+            Some(lu) if !reuse_pivots => lu.refactor(newton_matrix),
             Some(lu) => lu
-                .refactor_reusing_pivots(&self.newton_matrix)
-                .or_else(|_| lu.refactor(&self.newton_matrix)),
+                .refactor_reusing_pivots(newton_matrix)
+                .or_else(|_| lu.refactor(newton_matrix)),
         }
     }
 

@@ -195,6 +195,20 @@ impl Jacobian {
 ///
 /// The diagonal is always part of the pattern.
 ///
+/// The numeric factor and the paired triangular solves run in one of two
+/// forms, with identical results bit for bit:
+///
+/// * **Interpreted** ([`JacobianPattern::interpret_factor`],
+///   [`JacobianPattern::interpret_substitute`]): loops over the symbolic
+///   lists. Every pattern has this form, and it is the reference a compiled
+///   one is proven against.
+/// * **Compiled** ([`CompiledLu`]): the same operations in the same order,
+///   emitted once as straight-line Rust over fixed-size arrays by
+///   [`JacobianPattern::emit_compiled_lu`], committed beside the model and
+///   attached by [`JacobianPattern::with_compiled_lu`]. A pattern with a
+///   compiled LU always uses it. The Calvin-cycle model's lives in
+///   `pathway-photosynthesis`'s `src/calvin_lu.rs`.
+///
 /// # Example
 ///
 /// ```
@@ -233,13 +247,45 @@ pub struct JacobianPattern {
     elimination_start: Vec<usize>,
     /// `(position of a_ij, position of u_kj)` for `a_ij −= l_ik · u_kj`.
     updates: Vec<(usize, usize)>,
-    /// Strictly lower entries of `L` by row: `(position, column)`.
+    /// Strictly lower entries of `L` by pivot row `k`: `(position, state
+    /// index of the column)`. The triangular solves run in pivot order on
+    /// vectors in state order, so the row of pivot `k` is `order[k]`.
     lower_start: Vec<usize>,
     lower: Vec<(usize, usize)>,
-    /// Strictly upper entries of `U` by row: `(position, column)`.
+    /// Strictly upper entries of `U` by pivot row, likewise.
     upper_start: Vec<usize>,
     upper: Vec<(usize, usize)>,
+    /// The compiled form of the numeric LU, if one is attached.
+    compiled: Option<CompiledLu>,
 }
+
+/// The numeric static-pivot LU of one [`JacobianPattern`], compiled to
+/// straight-line code: the output of [`JacobianPattern::emit_compiled_lu`],
+/// committed as a source file, attached by
+/// [`JacobianPattern::with_compiled_lu`]. Its two functions have the
+/// contracts of [`JacobianPattern::interpret_factor`] and
+/// [`JacobianPattern::interpret_substitute`], and return their results bit
+/// for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledLu {
+    /// A digest of the symbolic LU it was emitted from: the pivot order,
+    /// every list of operations and the pivot thresholds.
+    pub fingerprint: u64,
+    /// The factor.
+    pub factor: LuFactor,
+    /// The paired triangular solves.
+    pub substitute: LuSubstitute,
+}
+
+/// `(diagonal, values of S, LU storage, inverse pivots) -> pivots held`:
+/// the signature of [`JacobianPattern::interpret_factor`] without the
+/// pattern.
+pub type LuFactor = fn(f64, &[f64], &mut [f64], &mut [f64]) -> bool;
+
+/// `(LU storage, inverse pivots, a, b)`, both solved in place: the
+/// signature of [`JacobianPattern::interpret_substitute`] without the
+/// pattern.
+pub type LuSubstitute = fn(&[f64], &[f64], &mut [f64], &mut [f64]);
 
 /// One multiplier of the static-pivot elimination.
 #[derive(Debug, Clone, Copy)]
@@ -371,12 +417,12 @@ impl JacobianPattern {
         let (mut lower_start, mut lower) = (vec![0], Vec::new());
         let (mut upper_start, mut upper) = (vec![0], Vec::new());
         for i in 0..dim {
-            for j in 0..dim {
+            for (j, &column) in order.iter().enumerate() {
                 let p = i * dim + j;
                 if filled[p] && j < i {
-                    lower.push((p, j));
+                    lower.push((p, column));
                 } else if filled[p] && j > i {
-                    upper.push((p, j));
+                    upper.push((p, column));
                 }
             }
             lower_start.push(lower.len());
@@ -397,6 +443,7 @@ impl JacobianPattern {
             lower,
             upper_start,
             upper,
+            compiled: None,
         }
     }
 
@@ -428,6 +475,264 @@ impl JacobianPattern {
     pub fn update_flops(&self) -> usize {
         self.updates.len()
     }
+
+    /// Attaches the compiled form of this pattern's numeric LU, which every
+    /// [`SparsePlusRankOne::solve`] on it then uses.
+    ///
+    /// # Panics
+    ///
+    /// If `compiled` was emitted from a different symbolic LU (its
+    /// fingerprint differs): the pattern changed since the file was
+    /// generated, and the command in the file's header regenerates it.
+    pub fn with_compiled_lu(mut self, compiled: CompiledLu) -> Self {
+        let fingerprint = self.fingerprint();
+        assert_eq!(
+            compiled.fingerprint, fingerprint,
+            "the compiled LU was emitted from another pattern \
+             (fingerprint {:#018x}, this pattern's {fingerprint:#018x}): \
+             regenerate it with the command in its file's header",
+            compiled.fingerprint
+        );
+        self.compiled = Some(compiled);
+        self
+    }
+
+    /// The compiled LU attached by [`JacobianPattern::with_compiled_lu`].
+    pub fn compiled_lu(&self) -> Option<&CompiledLu> {
+        self.compiled.as_ref()
+    }
+
+    /// FNV-1a over everything the numeric LU reads of the pattern: the
+    /// dimensions, the pivot order, every list of positions, and the
+    /// pivot thresholds.
+    fn fingerprint(&self) -> u64 {
+        let pairs = |list: &[(usize, usize)]| list.iter().flat_map(|&(a, b)| [a, b]).collect();
+        let lists: [Vec<usize>; 12] = [
+            vec![self.dim, self.nnz()],
+            self.order.clone(),
+            self.scatter.clone(),
+            self.fill.clone(),
+            self.eliminations
+                .iter()
+                .flat_map(|e| [e.multiplier, e.updates.0, e.updates.1])
+                .collect(),
+            self.elimination_start.clone(),
+            pairs(&self.updates),
+            self.lower_start.clone(),
+            pairs(&self.lower),
+            self.upper_start.clone(),
+            pairs(&self.upper),
+            vec![
+                MIN_PIVOT.to_bits() as usize,
+                MAX_MULTIPLIER.to_bits() as usize,
+            ],
+        ];
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for list in &lists {
+            for word in std::iter::once(list.len()).chain(list.iter().copied()) {
+                for byte in (word as u64).to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// The numeric static-pivot LU of `diagonal·I − S`, permuted into pivot
+    /// order, by the interpreter: `values` are those of `S`
+    /// ([`JacobianPattern::slot`]), `lu` is `dim × dim` storage of which
+    /// only the positions of `L + U` are written, and `inverse_pivots`
+    /// receives `1 / u_kk` in pivot order. Returns `false`, leaving both
+    /// unspecified, when a pivot is NaN or under `1e-13` in magnitude, or
+    /// a multiplier is NaN or above 100.
+    ///
+    /// Straight-line code emitted by [`JacobianPattern::emit_compiled_lu`]
+    /// runs exactly these operations, in this order.
+    ///
+    /// # Panics
+    ///
+    /// If a slice is shorter than the pattern needs.
+    pub fn interpret_factor(
+        &self,
+        diagonal: f64,
+        values: &[f64],
+        lu: &mut [f64],
+        inverse_pivots: &mut [f64],
+    ) -> bool {
+        let dim = self.dim;
+        for &p in &self.fill {
+            lu[p] = 0.0;
+        }
+        for (&p, &value) in self.scatter.iter().zip(values) {
+            lu[p] = -value;
+        }
+        for k in 0..dim {
+            lu[k * dim + k] += diagonal;
+        }
+        for k in 0..dim {
+            let pivot = lu[k * dim + k];
+            if pivot.is_nan() || pivot.abs() < MIN_PIVOT {
+                return false;
+            }
+            let inverse = 1.0 / pivot;
+            inverse_pivots[k] = inverse;
+            let column = self.elimination_start[k]..self.elimination_start[k + 1];
+            for e in &self.eliminations[column] {
+                let l = lu[e.multiplier] * inverse;
+                if l.is_nan() || l.abs() > MAX_MULTIPLIER {
+                    return false;
+                }
+                lu[e.multiplier] = l;
+                for &(target, source) in &self.updates[e.updates.0..e.updates.1] {
+                    lu[target] -= l * lu[source];
+                }
+            }
+        }
+        true
+    }
+
+    /// Solves `L U x = a` and `L U x = b` in place, by the interpreter,
+    /// over a factorization from [`JacobianPattern::interpret_factor`]:
+    /// `a` and `b` are in state order, and the solves visit their entries
+    /// in pivot order.
+    ///
+    /// # Panics
+    ///
+    /// If a slice is shorter than the pattern needs.
+    pub fn interpret_substitute(
+        &self,
+        lu: &[f64],
+        inverse_pivots: &[f64],
+        a: &mut [f64],
+        b: &mut [f64],
+    ) {
+        for (k, &i) in self.order.iter().enumerate() {
+            let (mut sa, mut sb) = (a[i], b[i]);
+            for &(p, j) in &self.lower[self.lower_start[k]..self.lower_start[k + 1]] {
+                sa -= lu[p] * a[j];
+                sb -= lu[p] * b[j];
+            }
+            a[i] = sa;
+            b[i] = sb;
+        }
+        for (k, &i) in self.order.iter().enumerate().rev() {
+            let (mut sa, mut sb) = (a[i], b[i]);
+            for &(p, j) in &self.upper[self.upper_start[k]..self.upper_start[k + 1]] {
+                sa -= lu[p] * a[j];
+                sb -= lu[p] * b[j];
+            }
+            a[i] = sa * inverse_pivots[k];
+            b[i] = sb * inverse_pivots[k];
+        }
+    }
+
+    /// The source of a Rust module that compiles this pattern's numeric LU:
+    /// a `pub(crate) const COMPILED_LU: CompiledLu` over two private
+    /// functions, [`JacobianPattern::interpret_factor`] and
+    /// [`JacobianPattern::interpret_substitute`] unrolled into one statement
+    /// per operation (fill zero, scatter, diagonal shift, pivot check,
+    /// inverse pivot, multiplier and its check, update, substitution term)
+    /// over fixed-size arrays, in the interpreter's order, so every result
+    /// is bit for bit the interpreter's. `regenerate` is the command that
+    /// rewrites the file, quoted in its header. The output is
+    /// `rustfmt`-clean.
+    pub fn emit_compiled_lu(&self, regenerate: &str) -> String {
+        use std::fmt::Write;
+
+        let (dim, nnz) = (self.dim, self.nnz());
+        let mut out = String::new();
+        macro_rules! emit {
+            ($($arg:tt)*) => {
+                writeln!(out, $($arg)*).expect("a String takes every write")
+            };
+        }
+        emit!("// @generated by `pathway_ode::JacobianPattern::emit_compiled_lu`: do not edit.");
+        emit!("// Regenerate with `{regenerate}`.");
+        emit!();
+        emit!("use pathway_ode::CompiledLu;");
+        emit!();
+        emit!("/// The static-pivot LU of a {dim}x{dim} pattern with {nnz} non-zeros,");
+        emit!(
+            "/// {} in `L + U` and {} updates, in straight-line code.",
+            self.lu_nnz(),
+            self.update_flops()
+        );
+        emit!("pub(crate) const COMPILED_LU: CompiledLu = CompiledLu {{");
+        emit!("    fingerprint: {:#018x},", self.fingerprint());
+        emit!("    factor,");
+        emit!("    substitute,");
+        emit!("}};");
+        emit!();
+        emit!("const MIN_PIVOT: f64 = {MIN_PIVOT:?};");
+        emit!("const MAX_MULTIPLIER: f64 = {MAX_MULTIPLIER:?};");
+        emit!();
+        emit!("fn factor(diagonal: f64, values: &[f64], lu: &mut [f64], inverse_pivots: &mut [f64]) -> bool {{");
+        emit!("    let values: &[f64; {nnz}] = values.try_into().expect(\"values of S\");");
+        emit!(
+            "    let lu: &mut [f64; {}] = lu.try_into().expect(\"LU storage\");",
+            dim * dim
+        );
+        emit!("    let inverse_pivots: &mut [f64; {dim}] = inverse_pivots.try_into().expect(\"pivots\");");
+        for &p in &self.fill {
+            emit!("    lu[{p}] = 0.0;");
+        }
+        for (value, &p) in self.scatter.iter().enumerate() {
+            emit!("    lu[{p}] = -values[{value}];");
+        }
+        for k in 0..dim {
+            emit!("    lu[{}] += diagonal;", k * dim + k);
+        }
+        for k in 0..dim {
+            emit!("    // Pivot {k}: state {}.", self.order[k]);
+            emit!("    let pivot = lu[{}];", k * dim + k);
+            emit!("    if pivot.is_nan() || pivot.abs() < MIN_PIVOT {{");
+            emit!("        return false;");
+            emit!("    }}");
+            emit!("    let inverse = 1.0 / pivot;");
+            emit!("    inverse_pivots[{k}] = inverse;");
+            let column = self.elimination_start[k]..self.elimination_start[k + 1];
+            for e in &self.eliminations[column] {
+                emit!("    let l = lu[{}] * inverse;", e.multiplier);
+                emit!("    if l.is_nan() || l.abs() > MAX_MULTIPLIER {{");
+                emit!("        return false;");
+                emit!("    }}");
+                emit!("    lu[{}] = l;", e.multiplier);
+                for &(target, source) in &self.updates[e.updates.0..e.updates.1] {
+                    emit!("    lu[{target}] -= l * lu[{source}];");
+                }
+            }
+        }
+        emit!("    true");
+        emit!("}}");
+        emit!();
+        emit!("fn substitute(lu: &[f64], inverse_pivots: &[f64], a: &mut [f64], b: &mut [f64]) {{");
+        emit!(
+            "    let lu: &[f64; {}] = lu.try_into().expect(\"LU storage\");",
+            dim * dim
+        );
+        emit!(
+            "    let inverse_pivots: &[f64; {dim}] = inverse_pivots.try_into().expect(\"pivots\");"
+        );
+        emit!("    let a: &mut [f64; {dim}] = a.try_into().expect(\"one entry per state\");");
+        emit!("    let b: &mut [f64; {dim}] = b.try_into().expect(\"one entry per state\");");
+        for (k, &i) in self.order.iter().enumerate() {
+            for &(p, j) in &self.lower[self.lower_start[k]..self.lower_start[k + 1]] {
+                emit!("    a[{i}] -= lu[{p}] * a[{j}];");
+                emit!("    b[{i}] -= lu[{p}] * b[{j}];");
+            }
+        }
+        for (k, &i) in self.order.iter().enumerate().rev() {
+            for &(p, j) in &self.upper[self.upper_start[k]..self.upper_start[k + 1]] {
+                emit!("    a[{i}] -= lu[{p}] * a[{j}];");
+                emit!("    b[{i}] -= lu[{p}] * b[{j}];");
+            }
+            emit!("    a[{i}] *= inverse_pivots[{k}];");
+            emit!("    b[{i}] *= inverse_pivots[{k}];");
+        }
+        emit!("}}");
+        out
+    }
 }
 
 /// A Jacobian `J = S + u·gᵀ`: a sparse part `S` on a fixed
@@ -438,8 +743,10 @@ impl JacobianPattern {
 ///
 /// [`SparsePlusRankOne::solve`] solves a Newton system
 /// `(d·I − S − u·gᵀ) δ = r` by Sherman–Morrison: with `M = d·I − S`,
-/// `z = M⁻¹u` and `w = M⁻¹r`, `δ = w + z · gᵀw / (1 − gᵀz)`, two
-/// triangular solve pairs against one static-pivot LU of `M`.
+/// `z = M⁻¹u` and `w = M⁻¹r`, `δ = w + z · gᵀw / (1 − gᵀz)`, one
+/// static-pivot LU of `M` and one pass of paired triangular solves. The LU
+/// runs compiled when the pattern has a [`CompiledLu`] (the Calvin-cycle
+/// model's does), and interpreted otherwise.
 #[derive(Debug, Clone)]
 pub struct SparsePlusRankOne {
     pattern: &'static JacobianPattern,
@@ -454,8 +761,6 @@ pub struct SparsePlusRankOne {
     inverse_pivots: Vec<f64>,
     /// `M⁻¹u`.
     z: Vector,
-    /// `z` and `w` in pivot order, where the triangular solves run.
-    permuted: (Vec<f64>, Vec<f64>),
 }
 
 impl SparsePlusRankOne {
@@ -469,7 +774,6 @@ impl SparsePlusRankOne {
             lu: vec![0.0; dim * dim],
             inverse_pivots: vec![0.0; dim],
             z: Vector::zeros(dim),
-            permuted: (vec![0.0; dim], vec![0.0; dim]),
         }
     }
 
@@ -488,19 +792,21 @@ impl SparsePlusRankOne {
     /// or not finite. The caller then solves the assembled matrix
     /// ([`Jacobian::assemble`]) densely with partial pivoting.
     pub fn solve(&mut self, diagonal: f64, rhs: &Vector, delta: &mut Vector) -> bool {
-        if !self.factor(diagonal) {
+        let pattern = self.pattern;
+        let (lu, inverse_pivots) = (&mut self.lu, &mut self.inverse_pivots);
+        let factored = match pattern.compiled {
+            Some(compiled) => (compiled.factor)(diagonal, &self.values, lu, inverse_pivots),
+            None => pattern.interpret_factor(diagonal, &self.values, lu, inverse_pivots),
+        };
+        if !factored {
             return false;
         }
-        let order = &self.pattern.order;
-        let (z, w) = &mut self.permuted;
-        for ((z, w), &i) in z.iter_mut().zip(w.iter_mut()).zip(order) {
-            *z = self.u[i];
-            *w = rhs[i];
-        }
-        substitute(self.pattern, &self.lu, &self.inverse_pivots, z, w);
-        for ((&z, &w), &i) in z.iter().zip(w.iter()).zip(order) {
-            self.z[i] = z;
-            delta[i] = w;
+        self.z.as_mut_slice().copy_from_slice(self.u.as_slice());
+        delta.as_mut_slice().copy_from_slice(rhs.as_slice());
+        let (z, w) = (self.z.as_mut_slice(), delta.as_mut_slice());
+        match pattern.compiled {
+            Some(compiled) => (compiled.substitute)(lu, inverse_pivots, z, w),
+            None => pattern.interpret_substitute(lu, inverse_pivots, z, w),
         }
         let gz = self
             .g
@@ -516,73 +822,6 @@ impl SparsePlusRankOne {
             *d += scale * z;
         }
         true
-    }
-
-    /// Numeric static-pivot LU of `diagonal·I − S`, permuted into pivot
-    /// order, in `lu`, with the inverse pivots; `false` when a pivot
-    /// degrades.
-    fn factor(&mut self, diagonal: f64) -> bool {
-        let pattern = self.pattern;
-        let dim = pattern.dim;
-        let lu = &mut self.lu;
-        for &p in &pattern.fill {
-            lu[p] = 0.0;
-        }
-        for (&p, &value) in pattern.scatter.iter().zip(&self.values) {
-            lu[p] = -value;
-        }
-        for k in 0..dim {
-            lu[k * dim + k] += diagonal;
-        }
-        for k in 0..dim {
-            let pivot = lu[k * dim + k];
-            if pivot.is_nan() || pivot.abs() < MIN_PIVOT {
-                return false;
-            }
-            let inverse = 1.0 / pivot;
-            self.inverse_pivots[k] = inverse;
-            let column = pattern.elimination_start[k]..pattern.elimination_start[k + 1];
-            for e in &pattern.eliminations[column] {
-                let l = lu[e.multiplier] * inverse;
-                if l.is_nan() || l.abs() > MAX_MULTIPLIER {
-                    return false;
-                }
-                lu[e.multiplier] = l;
-                for &(target, source) in &pattern.updates[e.updates.0..e.updates.1] {
-                    lu[target] -= l * lu[source];
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Solves `L U x = b` in place for two right-hand sides `a` and `b` at once,
-/// over a static-pivot LU and its inverse pivots, all in pivot order.
-fn substitute(
-    pattern: &JacobianPattern,
-    lu: &[f64],
-    inverse_pivots: &[f64],
-    a: &mut [f64],
-    b: &mut [f64],
-) {
-    for i in 0..pattern.dim {
-        let (mut sa, mut sb) = (a[i], b[i]);
-        for &(p, j) in &pattern.lower[pattern.lower_start[i]..pattern.lower_start[i + 1]] {
-            sa -= lu[p] * a[j];
-            sb -= lu[p] * b[j];
-        }
-        a[i] = sa;
-        b[i] = sb;
-    }
-    for i in (0..pattern.dim).rev() {
-        let (mut sa, mut sb) = (a[i], b[i]);
-        for &(p, j) in &pattern.upper[pattern.upper_start[i]..pattern.upper_start[i + 1]] {
-            sa -= lu[p] * a[j];
-            sb -= lu[p] * b[j];
-        }
-        a[i] = sa * inverse_pivots[i];
-        b[i] = sb * inverse_pivots[i];
     }
 }
 
@@ -647,6 +886,64 @@ mod tests {
         assert_eq!(pattern.update_flops(), n - 1);
     }
 
+    /// A random `dim × dim` pattern, each off-diagonal entry present with
+    /// probability `density`.
+    fn random_pattern(dim: usize, density: f64, seed: u64) -> JacobianPattern {
+        let mut rng = Lcg(seed);
+        let entries: Vec<(usize, usize)> = (0..dim * dim)
+            .filter(|_| rng.next() < density)
+            .map(|p| (p / dim, p % dim))
+            .collect();
+        JacobianPattern::new(dim, entries)
+    }
+
+    #[test]
+    fn the_emitted_lu_has_one_statement_per_operation() {
+        let pattern = random_pattern(12, 0.25, 5);
+        let source = pattern.emit_compiled_lu("regenerate-command");
+        let count = |needle: &str| source.lines().filter(|l| l.contains(needle)).count();
+        let multipliers = pattern.eliminations.len();
+        assert!(source.contains("// Regenerate with `regenerate-command`."));
+        assert_eq!(count("] = 0.0;"), pattern.lu_nnz() - pattern.nnz(), "fill");
+        assert_eq!(count("] = -values["), pattern.nnz(), "scatter");
+        assert_eq!(count("] += diagonal;"), 12, "shifts");
+        assert_eq!(count("let pivot = lu["), 12, "pivots");
+        assert_eq!(count("let l = lu["), multipliers, "multipliers");
+        assert_eq!(count("l.abs() > MAX_MULTIPLIER"), multipliers);
+        assert_eq!(count("-= l * lu["), pattern.update_flops(), "updates");
+        // One term per off-diagonal entry of `L + U` and right-hand side,
+        // one scaling per pivot and right-hand side.
+        let terms = 2 * (pattern.lu_nnz() - 12);
+        assert_eq!(count("] -= lu["), terms, "substitution terms");
+        assert_eq!(count("] *= inverse_pivots["), 2 * 12, "scalings");
+        assert!(source.contains(&format!("{:#018x}", pattern.fingerprint())));
+    }
+
+    #[test]
+    fn a_compiled_lu_carries_the_fingerprint_of_its_pattern() {
+        let (a, b) = (random_pattern(12, 0.25, 5), random_pattern(12, 0.25, 6));
+        assert_eq!(a.fingerprint(), random_pattern(12, 0.25, 5).fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(a.fingerprint(), tridiagonal(12).fingerprint());
+        let compiled = stub_compiled_lu(a.fingerprint());
+        assert!(a.with_compiled_lu(compiled).compiled_lu().is_some());
+    }
+
+    fn stub_compiled_lu(fingerprint: u64) -> CompiledLu {
+        CompiledLu {
+            fingerprint,
+            factor: |_, _, _, _| false,
+            substitute: |_, _, _, _| {},
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "regenerate it with the command in its file's header")]
+    fn a_compiled_lu_of_another_pattern_is_refused() {
+        let other = random_pattern(12, 0.25, 6).fingerprint();
+        let _ = random_pattern(12, 0.25, 5).with_compiled_lu(stub_compiled_lu(other));
+    }
+
     /// A structured Jacobian on `pattern` with random `S`, `u` and `g`.
     fn random_structured(pattern: &'static JacobianPattern, rng: &mut Lcg) -> Jacobian {
         let mut jacobian = Jacobian::new(pattern.dim);
@@ -669,14 +966,7 @@ mod tests {
     #[test]
     fn sherman_morrison_matches_dense_lu_on_random_systems() {
         static PATTERN: OnceLock<JacobianPattern> = OnceLock::new();
-        let pattern = PATTERN.get_or_init(|| {
-            let mut rng = Lcg(5);
-            let entries: Vec<(usize, usize)> = (0..12 * 12)
-                .filter(|_| rng.next() < 0.25)
-                .map(|p| (p / 12, p % 12))
-                .collect();
-            JacobianPattern::new(12, entries)
-        });
+        let pattern = PATTERN.get_or_init(|| random_pattern(12, 0.25, 5));
         assert!(pattern.lu_nnz() > pattern.nnz(), "the pattern fills in");
         let mut rng = Lcg(17);
         for trial in 0..200 {

@@ -51,7 +51,9 @@ mod system;
 
 pub use error::OdeError;
 pub use implicit::BackwardEuler;
-pub use jacobian::{Jacobian, JacobianPattern, SparsePlusRankOne};
+pub use jacobian::{
+    CompiledLu, Jacobian, JacobianPattern, LuFactor, LuSubstitute, SparsePlusRankOne,
+};
 pub use stats::IntegrationStats;
 pub use steady_state::{PseudoTransient, SteadyState};
 pub use system::{IntegrationResult, OdeSystem};

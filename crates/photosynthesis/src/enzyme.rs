@@ -1,18 +1,5 @@
 use std::fmt;
 
-/// Stable identifier of an enzyme within a model.
-///
-/// Models assign indices in their own enzyme tables; the newtype keeps those
-/// indices from being confused with metabolite or reaction indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EnzymeId(pub usize);
-
-impl fmt::Display for EnzymeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "enzyme#{}", self.0)
-    }
-}
-
 /// Kinetic constants of an enzyme-catalysed reaction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KineticConstants {
@@ -191,7 +178,6 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("PRK"));
         assert!(s.contains("90000"));
-        assert_eq!(format!("{}", EnzymeId(3)), "enzyme#3");
     }
 
     proptest! {

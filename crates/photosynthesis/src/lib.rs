@@ -43,6 +43,12 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+/// The static-pivot LU of [`CalvinCycleOde`]'s Jacobian, compiled to
+/// straight-line code by `JacobianPattern::emit_compiled_lu` and attached to
+/// [`CalvinCycleOde::jacobian_pattern`]. Generated: the test
+/// `tests/compiled_lu.rs` fails, naming the command that rewrites it,
+/// whenever the reactions or the emitter change.
+mod calvin_lu;
 mod enzyme;
 mod enzymes;
 mod model;
@@ -52,7 +58,7 @@ pub mod rate_laws;
 mod scenario;
 mod uptake;
 
-pub use enzyme::{Enzyme, EnzymeId, KineticConstants};
+pub use enzyme::{Enzyme, KineticConstants};
 pub use enzymes::{enzyme_table, EnzymeKind, ENZYME_COUNT};
 pub use model::{CalvinCycleOde, MetabolitePool, OdeUptakeEvaluator, POOL_COUNT};
 pub use partition::EnzymePartition;

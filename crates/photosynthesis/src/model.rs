@@ -346,7 +346,8 @@ impl ReactionVisitor for PartialSum<'_> {
 /// `g = ∂Pi/∂y`) exactly, from every rate law's closed-form partials in one
 /// pass over the reactions and without a right-hand-side call, and
 /// [`PseudoTransient`] solves each Newton step by Sherman–Morrison over a
-/// static-pivot sparse LU in minimum-fill order.
+/// static-pivot sparse LU in minimum-fill order, compiled to straight-line
+/// code in `src/calvin_lu.rs` ([`CalvinCycleOde::emit_compiled_lu`]).
 #[derive(Debug, Clone)]
 pub struct CalvinCycleOde {
     /// Per-enzyme Vmax in volumetric units (capacity / volume factor),
@@ -367,6 +368,9 @@ pub struct CalvinCycleOde {
     dilution: f64,
 }
 
+/// The command that rewrites `src/calvin_lu.rs` from the reactions.
+const REGENERATE_COMPILED_LU: &str = "cargo run -p pathway-photosynthesis --example emit_calvin_lu";
+
 /// Where the partial derivatives of [`CalvinCycleOde`]'s reactions land
 /// among the values of its Jacobian's sparse part `S`.
 struct JacobianSlots {
@@ -381,15 +385,24 @@ struct JacobianSlots {
 }
 
 impl JacobianSlots {
+    /// The `(i, j)` partial of every reaction, in visiting order.
+    fn entries() -> Vec<(usize, usize)> {
+        // The structure does not depend on the rate constants.
+        let model =
+            CalvinCycleOde::new(&EnzymePartition::natural(), &Scenario::present_low_export());
+        let mut entries = Vec::new();
+        model.visit_reactions(&mut entries);
+        entries
+    }
+
+    /// The slots, on the pattern with its compiled LU
+    /// ([`crate::calvin_lu`]) attached.
     fn get() -> &'static JacobianSlots {
         static SLOTS: OnceLock<JacobianSlots> = OnceLock::new();
         SLOTS.get_or_init(|| {
-            // The structure does not depend on the rate constants.
-            let model =
-                CalvinCycleOde::new(&EnzymePartition::natural(), &Scenario::present_low_export());
-            let mut entries = Vec::new();
-            model.visit_reactions(&mut entries);
-            let pattern = JacobianPattern::new(POOL_COUNT, entries.iter().copied());
+            let entries = Self::entries();
+            let pattern = JacobianPattern::new(POOL_COUNT, entries.iter().copied())
+                .with_compiled_lu(crate::calvin_lu::COMPILED_LU);
             let slot = |(i, j): (usize, usize)| pattern.slot(i, j).expect("in the pattern");
             JacobianSlots {
                 diagonal: (0..POOL_COUNT).map(|i| slot((i, i))).collect(),
@@ -558,6 +571,15 @@ impl CalvinCycleOde {
     /// an entry here, never add one.
     pub fn jacobian_pattern() -> &'static JacobianPattern {
         &JacobianSlots::get().pattern
+    }
+
+    /// The source of `src/calvin_lu.rs`, the static-pivot LU of
+    /// [`CalvinCycleOde::jacobian_pattern`] compiled to straight-line code
+    /// ([`JacobianPattern::emit_compiled_lu`]), emitted from the reactions
+    /// as they are now. The crate's `emit_calvin_lu` example writes it.
+    pub fn emit_compiled_lu() -> String {
+        JacobianPattern::new(POOL_COUNT, JacobianSlots::entries())
+            .emit_compiled_lu(REGENERATE_COMPILED_LU)
     }
 }
 
