@@ -86,5 +86,5 @@ pub use exec::{Executor, ExecutorStats};
 pub use individual::{Individual, Population};
 pub use moead::{Moead, MoeadSpec};
 pub use nsga2::{Nsga2, Nsga2Spec};
-pub use operators::{polynomial_mutation, sbx_crossover, tournament_select};
+pub use operators::{polynomial_mutation, sbx_crossover, tournament_select, SbxScratch};
 pub use problem::MultiObjectiveProblem;

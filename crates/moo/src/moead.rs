@@ -7,7 +7,9 @@ use crate::dominance::nondominated_mask;
 use crate::engine::{EngineError, MoeadState, Optimizer, OptimizerState, RngState};
 use crate::exec::Executor;
 use crate::individual::sample_within;
-use crate::{polynomial_mutation, sbx_crossover, EvalBackend, Individual, MultiObjectiveProblem};
+use crate::{
+    polynomial_mutation, sbx_crossover, EvalBackend, Individual, MultiObjectiveProblem, SbxScratch,
+};
 
 /// MOEA/D settings: what a spec's `[optimizer]` section says for
 /// `kind = moead`. The generation budget is not here: the driver's stopping
@@ -88,6 +90,8 @@ pub struct Moead {
     /// Lazily built from `spec.backend` on first use, or injected via
     /// [`Moead::set_executor`]. Configuration, not run state.
     executor: Option<Arc<Executor>>,
+    /// SBX's reusable buffers; not run state, never checkpointed.
+    sbx_scratch: SbxScratch,
 }
 
 impl Moead {
@@ -102,6 +106,7 @@ impl Moead {
             ideal: Vec::new(),
             evaluations: 0,
             executor: None,
+            sbx_scratch: SbxScratch::new(),
         }
     }
 
@@ -271,6 +276,7 @@ impl Moead {
                 &bounds,
                 self.spec.eta_crossover,
                 &mut self.rng,
+                &mut self.sbx_scratch,
             );
             polynomial_mutation(
                 &mut child,

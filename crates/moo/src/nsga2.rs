@@ -10,7 +10,7 @@ use crate::exec::Executor;
 use crate::individual::sample_within;
 use crate::{
     fast_nondominated_sort_with, polynomial_mutation, sbx_crossover, tournament_select,
-    EvalBackend, Individual, MultiObjectiveProblem, Population, SortScratch,
+    EvalBackend, Individual, MultiObjectiveProblem, Population, SbxScratch, SortScratch,
 };
 
 /// NSGA-II settings: what a spec's `[optimizer]` section says for
@@ -70,6 +70,8 @@ pub struct Nsga2 {
     rng: StdRng,
     population: Population,
     scratch: SortScratch,
+    /// SBX's reusable buffers; like `scratch`, never checkpointed.
+    sbx_scratch: SbxScratch,
     evaluations: usize,
     /// Lazily built from `spec.backend` on first use, or injected via
     /// [`Nsga2::set_executor`]. Archipelago islands never use theirs: the
@@ -91,6 +93,7 @@ impl Nsga2 {
             rng: StdRng::seed_from_u64(seed),
             population: Population::new(),
             scratch: SortScratch::new(),
+            sbx_scratch: SbxScratch::new(),
             evaluations: 0,
             executor: None,
             metrics: None,
@@ -231,6 +234,7 @@ impl Nsga2 {
                     &bounds,
                     self.spec.eta_crossover,
                     &mut self.rng,
+                    &mut self.sbx_scratch,
                 )
             } else {
                 (parents[a].variables.clone(), parents[b].variables.clone())
