@@ -1,11 +1,15 @@
 //! Cost of one variation: SBX crossover of a parent pair plus polynomial
-//! mutation of both children, as NSGA-II breeds them.
+//! mutation of both children, as NSGA-II breeds them; and of one
+//! polynomial mutation alone.
 //!
 //! `geobacter/608` is a paper-scale Geobacter pair (608 genes, 60% of them
 //! differing between the parents, the rest equal, as on a converged
 //! front); `leaf/23` is a leaf-redesign pair (23 genes, all differing). Each
 //! sample runs the operators 200 times on one generator and one
 //! [`SbxScratch`], so the per-call cost is the reported time / 200.
+//! `mutation/608` and `mutation/23` time `polynomial_mutation` alone at
+//! `p = 1/n`, 200 calls per sample on a copy of the pair's first parent
+//! mutated in place.
 //!
 //! A microbenchmark alone is not a speed claim: a change to these
 //! operators is judged by the study's own profile (`pathway profile-diff`)
@@ -18,7 +22,7 @@ use pathway_moo::{polynomial_mutation, sbx_crossover, SbxScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Variations per sample.
+/// Variations (or mutations alone) per sample.
 const ROUNDS: usize = 200;
 
 /// A parent pair of `n` genes in `[0, 1]`, a share `differing` of them
@@ -73,6 +77,16 @@ fn bench_variation(c: &mut Criterion) {
                     checksum += child_a[n - 1] + child_b[0];
                 }
                 checksum
+            });
+        });
+        group.bench_function(BenchmarkId::new("mutation", n), |b| {
+            let mut rng = StdRng::seed_from_u64(13);
+            let mut child = parent_a.clone();
+            b.iter(|| {
+                for _ in 0..ROUNDS {
+                    polynomial_mutation(&mut child, &bounds, mutation_probability, 20.0, &mut rng);
+                }
+                child[n - 1]
             });
         });
     }

@@ -102,7 +102,7 @@ fn two_island_broadcast_leaf_front_is_bit_identical() {
         &problem,
         config(2, 20, 12, MigrationTopology::Broadcast),
         7,
-        0xe9d4_c35d_cf09_3be8,
+        0x87e1_9c6b_6d2e_7bad,
     );
 }
 
@@ -112,7 +112,7 @@ fn three_island_ring_zdt1_front_is_bit_identical() {
         &Zdt1 { variables: 8 },
         config(3, 16, 12, MigrationTopology::Ring),
         11,
-        0x5f74_cb0e_ba34_16d5,
+        0x706a_1280_37c1_36bc,
     );
 }
 
@@ -124,7 +124,7 @@ fn two_island_geobacter_front_is_bit_identical() {
         &problem,
         config(2, 16, 10, MigrationTopology::Broadcast),
         5,
-        0x92f1_656a_5753_8917,
+        0xa51f_a10a_e2be_0d36,
     );
 }
 
@@ -139,6 +139,6 @@ fn two_island_paper_scale_geobacter_front_is_bit_identical() {
         &problem,
         config(2, 20, 6, MigrationTopology::Broadcast),
         13,
-        0xc17b_dc35_dc4d_4bc9,
+        0x50b1_0cb2_e385_dd45,
     );
 }

@@ -154,14 +154,33 @@ fn differ(x1: f64, x2: f64) -> u64 {
 /// probability `mutation_probability` (clamped to `[0, 1]`) and stays within
 /// `bounds`.
 ///
-/// Per gene it draws one word for the mutation test and, when the gene
-/// mutates and its bounds have positive width, one for the perturbation, so
-/// it reads exactly the words `gen_bool(p)` and `gen::<f64>()` would.
+/// # Draw contract
+///
+/// With `p = mutation_probability.clamp(0, 1)`, the mutated genes are found
+/// by skip sampling: the gap to the next one is drawn instead of one coin
+/// per gene.
+///
+/// - `p = 0` draws nothing.
+/// - `p = 1` draws no gaps: every gene is selected.
+/// - `0 < p < 1`: `ln(1 − p)` is computed once per call as
+///   `(-p).ln_1p()`, and each gap is `G = ⌊ln(1 − next_f64()) / ln(1 − p)⌋`
+///   (the argument lies in `(0, 1]`, so `G ≥ 0` is geometric:
+///   `P(G ≥ k) = (1 − p)^k`). From gene `i`, the next selected gene is
+///   `i + G`. A gap that reaches past the last gene ends the call, and that
+///   gap draw is the call's last; after the last gene is selected no further
+///   gap is drawn. The gap is compared as an `f64` with the genes left
+///   before it is converted, so a huge or infinite gap cannot overflow.
+///
+/// A selected gene whose bounds have positive width draws one perturbation
+/// word `u` (as `next_f64()`) and moves by `delta · (upper − lower)`, then is
+/// clamped; a zero-width gene draws no perturbation word. A call over `n`
+/// genes reads about `2np + 1` words.
 ///
 /// # Panics
 ///
-/// Panics if `x` and `bounds` have different lengths, or if
-/// `mutation_probability` is NaN.
+/// Panics if `x` and `bounds` have different lengths, if
+/// `mutation_probability` is NaN, or if a selected gene's bounds have a NaN
+/// end.
 pub fn polynomial_mutation<R: Rng>(
     x: &mut [f64],
     bounds: &[(f64, f64)],
@@ -175,27 +194,41 @@ pub fn polynomial_mutation<R: Rng>(
         !p.is_nan(),
         "gen_bool probability {p} is outside [0.0, 1.0]"
     );
-    // `next_f64() < p` compares k·2⁻⁵³ with p for the word's top 53 bits k;
-    // both sides scale by 2⁵³ exactly, and an integer is below a real
-    // exactly when it is below its ceiling.
-    let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
     let exponent = 1.0 / (eta_m + 1.0);
-    for (xi, &(lower, upper)) in x.iter_mut().zip(bounds) {
-        if (rng.next_u64() >> 11) >= threshold {
-            continue;
+    if p == 1.0 {
+        for (xi, &bound) in x.iter_mut().zip(bounds) {
+            perturb(xi, bound, exponent, rng);
         }
-        let range = upper - lower;
-        if range <= 0.0 {
-            continue;
+    } else if p > 0.0 {
+        let log_q = (-p).ln_1p();
+        let mut i = 0;
+        while i < x.len() {
+            let gap = (1.0 - rng.next_f64()).ln() / log_q;
+            if gap >= (x.len() - i) as f64 {
+                break;
+            }
+            i += gap as usize;
+            perturb(&mut x[i], bounds[i], exponent, rng);
+            i += 1;
         }
-        let u = rng.next_f64();
-        let delta = if u < 0.5 {
-            (2.0 * u).powf(exponent) - 1.0
-        } else {
-            1.0 - (2.0 * (1.0 - u)).powf(exponent)
-        };
-        *xi = (*xi + delta * range).clamp(lower, upper);
     }
+}
+
+/// Moves one selected gene by a polynomial perturbation of spread `exponent`
+/// (`1 / (eta_m + 1)`) within `(lower, upper)`; a gene whose bounds have no
+/// positive width stays and draws nothing.
+fn perturb<R: Rng>(xi: &mut f64, (lower, upper): (f64, f64), exponent: f64, rng: &mut R) {
+    let range = upper - lower;
+    if range <= 0.0 {
+        return;
+    }
+    let u = rng.next_f64();
+    let delta = if u < 0.5 {
+        (2.0 * u).powf(exponent) - 1.0
+    } else {
+        1.0 - (2.0 * (1.0 - u)).powf(exponent)
+    };
+    *xi = (*xi + delta * range).clamp(lower, upper);
 }
 
 /// Binary tournament selection on (constrained domination, crowding distance).
@@ -311,6 +344,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "either was NaN")]
+    fn mutation_of_a_gene_with_a_nan_bound_panics() {
+        let mut rng = StdRng::seed_from_u64(3);
+        polynomial_mutation(&mut [0.5], &[(f64::NAN, 1.0)], 1.0, 20.0, &mut rng);
+    }
+
+    #[test]
     fn tournament_prefers_dominating_and_less_crowded() {
         let good = Individual {
             variables: vec![],
@@ -377,18 +417,22 @@ mod tests {
 
 #[cfg(test)]
 mod reference {
-    //! Equivalence tests for the SBX and polynomial-mutation operators: the
-    //! `gen_bool`-based versions they replaced, kept verbatim as references,
-    //! and random parents that stress every case the integer coin and
-    //! threshold must get right.
+    //! Equivalence tests for SBX: the `gen_bool`-based version it replaced,
+    //! kept verbatim as a reference, and random parents that stress every
+    //! case the integer coin and the branch-free walk must get right.
     //!
     //! A case mixes genes drawn inside their bounds, genes equal in both
     //! parents, genes within 1e-14 of each other (on both sides of the cut
     //! and exactly on it), genes outside their bounds and zero-width bounds,
-    //! over a spread of distribution indices and mutation probabilities (0,
-    //! 1/n, 0.5, 1, the smallest subnormal, out-of-range values that clamp,
-    //! random). Children are compared bit for bit, and the generators must
-    //! end in the same state.
+    //! over a spread of distribution indices. Children are compared bit for
+    //! bit, and the generators must end in the same state.
+    //!
+    //! Polynomial mutation is pinned by its draw contract instead: scripted
+    //! word sources assert the children's bits and the words read at each
+    //! edge of the skip sampling (no draw at `p = 0`, no gap at `p = 1`,
+    //! gaps of 0, of the genes left and past them, zero-width genes,
+    //! clamped probabilities), and a seeded test checks the mutated-gene
+    //! counts against Binomial(n, p) and their positions against uniform.
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -450,42 +494,7 @@ mod reference {
         (child_a, child_b)
     }
 
-    /// [`polynomial_mutation`] as it was before its integer threshold:
-    /// polynomial mutation with distribution index `eta_m`; each gene mutates with
-    /// probability `mutation_probability` and stays within `bounds`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `bounds` have different lengths.
-    fn reference_polynomial_mutation<R: Rng>(
-        x: &mut [f64],
-        bounds: &[(f64, f64)],
-        mutation_probability: f64,
-        eta_m: f64,
-        rng: &mut R,
-    ) {
-        assert_eq!(x.len(), bounds.len(), "one bound per variable is required");
-        for i in 0..x.len() {
-            if !rng.gen_bool(mutation_probability.clamp(0.0, 1.0)) {
-                continue;
-            }
-            let (lower, upper) = bounds[i];
-            let range = upper - lower;
-            if range <= 0.0 {
-                continue;
-            }
-            let u: f64 = rng.gen();
-            let delta = if u < 0.5 {
-                (2.0 * u).powf(1.0 / (eta_m + 1.0)) - 1.0
-            } else {
-                1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta_m + 1.0))
-            };
-            x[i] = (x[i] + delta * range).clamp(lower, upper);
-        }
-    }
-
-    /// Random parents and bounds of `n` genes that hit every branch of both
-    /// operators.
+    /// Random parents and bounds of `n` genes that hit every branch of SBX.
     fn random_case(rng: &mut StdRng, n: usize) -> (Vec<f64>, Vec<f64>, Vec<(f64, f64)>) {
         let mut parent_a = Vec::with_capacity(n);
         let mut parent_b = Vec::with_capacity(n);
@@ -533,80 +542,17 @@ mod reference {
             let (parent_a, parent_b, bounds) = random_case(&mut cases, n);
             let eta = [0.0, 0.5, 1.0, 2.0, 5.0, 15.0, 20.0, 100.0, cases.gen_range(0.0..200.0)]
                 [cases.gen_range(0..9usize)];
-            let p = [
-                0.0,
-                1.0 / n as f64,
-                0.5,
-                1.0,
-                f64::from_bits(1),
-                -0.25,
-                1.5,
-                cases.gen_range(0.0..1.0),
-            ][cases.gen_range(0..8usize)];
             let mut rng = StdRng::seed_from_u64(cases.gen());
             let mut reference_rng = rng.clone();
             let mut scratch = SbxScratch::new();
             for _ in 0..4 {
-                let (mut a, mut b) =
+                let (a, b) =
                     sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut rng, &mut scratch);
-                let (mut ref_a, mut ref_b) =
+                let (ref_a, ref_b) =
                     reference_sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut reference_rng);
                 prop_assert_eq!(bits(&a), bits(&ref_a));
                 prop_assert_eq!(bits(&b), bits(&ref_b));
                 prop_assert_eq!(rng.state(), reference_rng.state());
-                polynomial_mutation(&mut a, &bounds, p, eta, &mut rng);
-                polynomial_mutation(&mut b, &bounds, p, eta, &mut rng);
-                reference_polynomial_mutation(&mut ref_a, &bounds, p, eta, &mut reference_rng);
-                reference_polynomial_mutation(&mut ref_b, &bounds, p, eta, &mut reference_rng);
-                prop_assert_eq!(bits(&a), bits(&ref_a));
-                prop_assert_eq!(bits(&b), bits(&ref_b));
-                prop_assert_eq!(rng.state(), reference_rng.state());
-            }
-        }
-    }
-
-    #[test]
-    fn thresholds_match_gen_bool_at_the_edges_of_the_word() {
-        // Words whose top 53 bits sit just below, at and just above the
-        // threshold of each probability.
-        for p in [
-            0.0,
-            f64::from_bits(1),
-            1e-300,
-            1.0 / 608.0,
-            0.1,
-            0.5,
-            1.0 - f64::EPSILON,
-            1.0,
-        ] {
-            let k = (p * (1u64 << 53) as f64).ceil() as u64;
-            for top in [k.saturating_sub(1), k, k + 1] {
-                let top = top.min((1u64 << 53) - 1);
-                for low in [0, 0x7ff] {
-                    let word = top << 11 | low;
-                    let mut x = [0.5];
-                    // A mutating gene draws a second word for its perturbation.
-                    polynomial_mutation(
-                        &mut x,
-                        &[(0.0, 1.0)],
-                        p,
-                        20.0,
-                        &mut Script::new(vec![word, 0]),
-                    );
-                    let mut reference = [0.5];
-                    reference_polynomial_mutation(
-                        &mut reference,
-                        &[(0.0, 1.0)],
-                        p,
-                        20.0,
-                        &mut Script::new(vec![word, 0]),
-                    );
-                    assert_eq!(
-                        x[0].to_bits(),
-                        reference[0].to_bits(),
-                        "p {p}, word {word:#x}"
-                    );
-                }
             }
         }
     }
@@ -784,29 +730,333 @@ mod reference {
 
     #[test]
     fn moead_one_child_use_matches_the_reference() {
-        // MOEA/D keeps the first child of each crossover and mutates only
-        // it; the second child's genes are still computed but dropped.
+        // MOEA/D keeps the first child of each crossover; the second
+        // child's genes are still computed but dropped.
         let mut cases = StdRng::seed_from_u64(47);
         let mut scratch = SbxScratch::new();
         for n in [23, 608] {
             let (parent_a, parent_b, bounds) = random_case(&mut cases, n);
             let mut rng = StdRng::seed_from_u64(cases.gen());
             let mut reference_rng = rng.clone();
-            let p = 1.0 / n as f64;
             for _ in 0..20 {
-                let (mut child, _) =
+                let (child, _) =
                     sbx_crossover(&parent_a, &parent_b, &bounds, 20.0, &mut rng, &mut scratch);
-                polynomial_mutation(&mut child, &bounds, p, 20.0, &mut rng);
-                let (mut reference, _) = reference_sbx_crossover(
+                let (reference, _) = reference_sbx_crossover(
                     &parent_a,
                     &parent_b,
                     &bounds,
                     20.0,
                     &mut reference_rng,
                 );
-                reference_polynomial_mutation(&mut reference, &bounds, p, 20.0, &mut reference_rng);
                 assert_eq!(bits(&child), bits(&reference));
                 assert_eq!(rng.state(), reference_rng.state());
+            }
+        }
+    }
+
+    /// [`polynomial_mutation`]'s move of one selected gene of positive width
+    /// on the perturbation word `word`, as the gene-by-gene loop wrote it.
+    fn moved(x: f64, (lower, upper): (f64, f64), eta_m: f64, word: u64) -> f64 {
+        let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let delta = if u < 0.5 {
+            (2.0 * u).powf(1.0 / (eta_m + 1.0)) - 1.0
+        } else {
+            1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta_m + 1.0))
+        };
+        (x + delta * (upper - lower)).clamp(lower, upper)
+    }
+
+    /// A word whose gap at probability `p` is `gap`: `1 − u` is
+    /// `(1 − p)^(gap + ½)`, halfway between the cuts of `gap` and `gap + 1`.
+    fn gap_word(p: f64, gap: usize) -> u64 {
+        let u = 1.0 - (1.0 - p).powf(gap as f64 + 0.5);
+        let top = (u * (1u64 << 53) as f64) as u64;
+        assert!(top < 1 << 53, "gap {gap} is beyond the word at p {p}");
+        top << 11
+    }
+
+    /// Perturbation words: `u` of 0 (the gene moves to its lower bound),
+    /// below ½, exactly ½ and above it, so both arms of `delta` are read.
+    const PERTURB: [u64; 4] = [0, 0x3456_789a_bcde_f012, 1 << 63, 0xedcb_a987_6543_2100];
+
+    /// Mutates `x` on a script of `words` (η = 20) and asserts that every
+    /// word was read and that the children are `x` with each `(gene, word)`
+    /// of `moves` applied, bit for bit.
+    fn assert_mutation_on_script(
+        x: &[f64],
+        bounds: &[(f64, f64)],
+        p: f64,
+        words: &[u64],
+        moves: &[(usize, u64)],
+        case: &str,
+    ) {
+        let mut expected = x.to_vec();
+        for &(gene, word) in moves {
+            expected[gene] = moved(x[gene], bounds[gene], 20.0, word);
+        }
+        let mut child = x.to_vec();
+        // Reading past the script panics on its index.
+        let mut rng = Script::new(words.to_vec());
+        polynomial_mutation(&mut child, bounds, p, 20.0, &mut rng);
+        assert_eq!(bits(&child), bits(&expected), "{case}: children");
+        assert_eq!(rng.read, words.len(), "{case}: words read");
+    }
+
+    /// Eight genes in `[-1, 3]`, one of them (gene 5) of zero width.
+    fn contract_case() -> (Vec<f64>, Vec<(f64, f64)>) {
+        let x = vec![0.25, -0.75, 1.5, 2.875, 0.0, 0.45, -1.0, 3.0];
+        let mut bounds = vec![(-1.0, 3.0); 8];
+        bounds[5] = (0.45, 0.45);
+        (x, bounds)
+    }
+
+    #[test]
+    fn mutation_at_probability_zero_reads_nothing() {
+        let (x, bounds) = contract_case();
+        for p in [0.0, -0.0] {
+            assert_mutation_on_script(&x, &bounds, p, &[], &[], &format!("p {p}"));
+        }
+    }
+
+    /// At `p = 1` on [`contract_case`]: the script of one perturbation word
+    /// per positive-width gene, and the moves it makes.
+    fn every_gene_script() -> (Vec<u64>, Vec<(usize, u64)>) {
+        let genes = [0, 1, 2, 3, 4, 6, 7];
+        let words: Vec<u64> = (0..genes.len()).map(|k| PERTURB[k % 4]).collect();
+        let moves = genes.into_iter().zip(words.clone()).collect();
+        (words, moves)
+    }
+
+    #[test]
+    fn mutation_at_probability_one_reads_one_word_per_positive_width_gene() {
+        let (x, bounds) = contract_case();
+        let (words, moves) = every_gene_script();
+        assert_mutation_on_script(&x, &bounds, 1.0, &words, &moves, "p 1");
+    }
+
+    #[test]
+    fn a_first_gap_past_the_last_gene_ends_the_call_after_one_word() {
+        let (x, bounds) = contract_case();
+        // The largest word, and first gaps of exactly the genes left, one
+        // more and many more.
+        for p in [1.0 / 608.0, 0.01, 0.25, 0.5] {
+            let mut words = vec![u64::MAX];
+            if p < 0.5 {
+                words.extend([gap_word(p, 8), gap_word(p, 9), gap_word(p, 100)]);
+            }
+            for word in words {
+                assert_mutation_on_script(
+                    &x,
+                    &bounds,
+                    p,
+                    &[word],
+                    &[],
+                    &format!("p {p}, {word:#x}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gaps_of_zero_the_genes_left_and_one_more() {
+        let (x, bounds) = contract_case();
+        let p = 0.25;
+        let gap = |g| gap_word(p, g);
+        // Gaps of 0: genes 0, 1 and 2 in turn; then 3 to gene 6; then a gap
+        // of exactly the genes left (one), or one more, ends the call.
+        for last in [1, 2] {
+            assert_mutation_on_script(
+                &x,
+                &bounds,
+                p,
+                &[
+                    gap(0),
+                    PERTURB[0],
+                    gap(0),
+                    PERTURB[1],
+                    gap(0),
+                    PERTURB[2],
+                    gap(3),
+                    PERTURB[3],
+                    gap(last),
+                ],
+                &[
+                    (0, PERTURB[0]),
+                    (1, PERTURB[1]),
+                    (2, PERTURB[2]),
+                    (6, PERTURB[3]),
+                ],
+                &format!("gaps 0, 0, 0, 3, then {last}"),
+            );
+        }
+        // A gap of one less than the genes left selects the last gene, and
+        // no gap is drawn after it.
+        assert_mutation_on_script(
+            &x,
+            &bounds,
+            p,
+            &[gap(7), PERTURB[1]],
+            &[(7, PERTURB[1])],
+            "the last gene first",
+        );
+        assert_mutation_on_script(
+            &x,
+            &bounds,
+            p,
+            &[gap(3), PERTURB[2], gap(3), PERTURB[3]],
+            &[(3, PERTURB[2]), (7, PERTURB[3])],
+            "genes 3 and 7",
+        );
+        // Gaps exactly on an integer: at p = ½, `1 − u = 2⁻ᵏ` gives exactly
+        // k. A gap of 3 selects gene 3; then 4, exactly the genes left, ends
+        // the call; so does 8 as the first gap.
+        let exact = |k: u32| {
+            let word = ((1u64 << 53) - (1 << (53 - k))) << 11;
+            let u = (word >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!((1.0 - u).ln() / (-0.5f64).ln_1p(), f64::from(k));
+            word
+        };
+        assert_mutation_on_script(
+            &x,
+            &bounds,
+            0.5,
+            &[exact(3), PERTURB[1], exact(4)],
+            &[(3, PERTURB[1])],
+            "exact gaps 3, then 4",
+        );
+        assert_mutation_on_script(
+            &x,
+            &bounds,
+            0.5,
+            &[exact(8)],
+            &[],
+            "an exact first gap of 8",
+        );
+        // The largest word reads the gap at `1 − u = 2⁻⁵³`: 127 at p = 0.25,
+        // and 1 just below p = 1.
+        assert_mutation_on_script(
+            &[0.5; 128],
+            &[(0.0, 1.0); 128],
+            p,
+            &[u64::MAX, 0],
+            &[(127, 0)],
+            "gap 127",
+        );
+        assert_mutation_on_script(
+            &[0.5; 2],
+            &[(0.0, 1.0); 2],
+            1.0 - f64::EPSILON,
+            &[u64::MAX, 0],
+            &[(1, 0)],
+            "gap 1 at 1 − ε",
+        );
+    }
+
+    #[test]
+    fn a_selected_zero_width_gene_reads_no_perturbation_word() {
+        let (x, bounds) = contract_case();
+        for p in [0.01, 0.25, 0.5] {
+            assert_mutation_on_script(
+                &x,
+                &bounds,
+                p,
+                &[gap_word(p, 5), gap_word(p, 0), PERTURB[1], gap_word(p, 1)],
+                &[(6, PERTURB[1])],
+                &format!("p {p}, gene 5 then 6"),
+            );
+        }
+    }
+
+    #[test]
+    fn subnormal_and_out_of_range_probabilities_clamp() {
+        let (x, bounds) = contract_case();
+        // The smallest subnormal: `ln(1 − p)` is `−p`, and every word but
+        // `u = 0` gives an infinite gap, which ends the call and is never
+        // converted.
+        let tiny = f64::from_bits(1);
+        assert_eq!((-tiny).ln_1p(), -tiny);
+        for word in [1 << 11, PERTURB[1], PERTURB[2], u64::MAX] {
+            assert_mutation_on_script(&x, &bounds, tiny, &[word], &[], &format!("{word:#x}"));
+        }
+        // `u = 0` makes the argument 1 and the gap 0, at any `p`.
+        assert_mutation_on_script(
+            &x,
+            &bounds,
+            tiny,
+            &[0, PERTURB[3], u64::MAX],
+            &[(0, PERTURB[3])],
+            "u = 0",
+        );
+        // Above 1 clamps to 1, and below 0 to 0.
+        let (words, moves) = every_gene_script();
+        for p in [1.0 + f64::EPSILON, 1.5, 1e300, f64::INFINITY] {
+            assert_mutation_on_script(&x, &bounds, p, &words, &moves, &format!("p {p}"));
+        }
+        for p in [-tiny, -0.25, -1e300, f64::NEG_INFINITY] {
+            assert_mutation_on_script(&x, &bounds, p, &[], &[], &format!("p {p}"));
+        }
+    }
+
+    /// Counts mutated genes over `calls` seeded calls at `n` genes in
+    /// `[0, 1]` from 0.5 (a mutated gene moves unless `u` is exactly ½).
+    /// Returns the per-call counts and the per-position hit counts.
+    fn mutation_counts(n: usize, p: f64, calls: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
+        let bounds = vec![(0.0, 1.0); n];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = vec![0.5; n];
+        let mut per_call = Vec::with_capacity(calls);
+        let mut per_position = vec![0; n];
+        for _ in 0..calls {
+            polynomial_mutation(&mut x, &bounds, p, 20.0, &mut rng);
+            let mut count = 0;
+            for (hits, xi) in per_position.iter_mut().zip(x.iter_mut()) {
+                if *xi != 0.5 {
+                    *hits += 1;
+                    count += 1;
+                    *xi = 0.5;
+                }
+            }
+            per_call.push(count);
+        }
+        (per_call, per_position)
+    }
+
+    #[test]
+    fn mutated_gene_counts_follow_the_binomial_and_positions_are_uniform() {
+        for n in [23usize, 608] {
+            for p in [1.0 / n as f64, 0.1, 0.5] {
+                let calls = if n == 23 { 40_000 } else { 8_000 };
+                let (per_call, per_position) = mutation_counts(n, p, calls, 2_029);
+                let c = calls as f64;
+                let mean = per_call.iter().sum::<usize>() as f64 / c;
+                let variance = per_call
+                    .iter()
+                    .map(|&k| (k as f64 - mean).powi(2))
+                    .sum::<f64>()
+                    / (c - 1.0);
+                let (expected_mean, expected_variance) = (n as f64 * p, n as f64 * p * (1.0 - p));
+                // Four standard errors of the mean and of the variance (the
+                // binomial's excess kurtosis is below 1 here).
+                let mean_error = 4.0 * (expected_variance / c).sqrt();
+                assert!(
+                    (mean - expected_mean).abs() <= mean_error,
+                    "n {n}, p {p}: mean {mean} against {expected_mean} ± {mean_error}"
+                );
+                let variance_error = 4.0 * expected_variance * (3.0 / c).sqrt();
+                assert!(
+                    (variance - expected_variance).abs() <= variance_error,
+                    "n {n}, p {p}: variance {variance} against {expected_variance} ± {variance_error}"
+                );
+                // Each position is hit Binomial(calls, p) times, independently.
+                let chi_squared: f64 = per_position
+                    .iter()
+                    .map(|&hits| (hits as f64 - c * p).powi(2) / (c * p * (1.0 - p)))
+                    .sum();
+                let (df, spread) = (n as f64, 4.0 * (2.0 * n as f64).sqrt());
+                assert!(
+                    (chi_squared - df).abs() <= spread,
+                    "n {n}, p {p}: χ² {chi_squared} over {n} positions"
+                );
             }
         }
     }
