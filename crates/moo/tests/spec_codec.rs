@@ -207,3 +207,173 @@ fn line_errors_point_at_the_line() {
         other => panic!("expected a parse error, got {other:?}"),
     }
 }
+
+/// One FNV-1a digest over the canonical text of `build_spec` on a fixed
+/// grid: every kind, every `options` bit pattern and two values of each
+/// scalar. It pins key order and rendering for keys no committed example
+/// uses (MOEA/D's full key list, retention, stagnation, `[observe]`), and
+/// so the bytes every checkpoint, ledger and job hash.
+#[test]
+fn the_canonical_text_of_the_build_spec_grid_is_pinned() {
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut specs = 0;
+    for kind in 0..3 {
+        for options in 0..128 {
+            for population in [2, 37] {
+                for probability in [0.25, 1.0] {
+                    for eta in [0.5, 15.0] {
+                        for seed in [0, 123_456_789] {
+                            for generations in [1, 999] {
+                                for threads in [0, 3] {
+                                    let spec = build_spec(
+                                        kind,
+                                        population,
+                                        probability,
+                                        eta,
+                                        options,
+                                        seed,
+                                        generations,
+                                        threads,
+                                    );
+                                    for byte in spec.to_text().bytes() {
+                                        digest ^= u64::from(byte);
+                                        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                                    }
+                                    specs += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(specs, 3 * 128 * 64);
+    assert_eq!(
+        digest, 0x8202_3c5b_6a7b_9a65,
+        "build_spec grid digest {digest:#018x}"
+    );
+}
+
+/// Where a malformed document's error must point.
+#[derive(Debug)]
+enum Expect {
+    /// A [`SpecError::Parse`] on this 1-based line.
+    Line(usize),
+    /// A [`SpecError::Field`] naming this field.
+    Field(&'static str),
+}
+
+/// Every document below starts with these four lines, so its own first
+/// line is line 5.
+const HEAD: &str = "pathway-spec v1\n[problem]\nname = zdt1\n[optimizer]\n";
+
+/// Malformed documents, each with the error variant, line and field it
+/// must raise: an unknown key, a bad value of every value kind, an unknown
+/// kind and topology, and both cross-key rules.
+const MALFORMED: [(&str, Expect); 27] = [
+    // An unknown key, section or kind.
+    ("kind = nsga2\ntopolgy = ring\n", Expect::Line(6)),
+    (
+        "kind = nsga2\n[stopping]\nmax_generations = 4\n",
+        Expect::Line(6),
+    ),
+    ("kind = simplex\n", Expect::Line(5)),
+    ("kind = nsga2\nislands = 2\n", Expect::Line(6)),
+    (
+        "kind = moead\ncrossover_probability = 0.5\n",
+        Expect::Line(6),
+    ),
+    // A count (at least 1).
+    ("kind = nsga2\npopulation = many\n", Expect::Line(6)),
+    (
+        "kind = nsga2\npopulation = 0\n",
+        Expect::Field("optimizer.population"),
+    ),
+    (
+        "kind = moead\nneighborhood = 0\n",
+        Expect::Field("optimizer.neighborhood"),
+    ),
+    (
+        "kind = archipelago\nmigration_interval = 0\n",
+        Expect::Field("optimizer.migration_interval"),
+    ),
+    // A count that may be 0, and a seed.
+    (
+        "kind = nsga2\n[run]\ncheckpoint_every = -1\n",
+        Expect::Line(7),
+    ),
+    ("kind = nsga2\n[run]\nseed = 1.5\n", Expect::Line(7)),
+    // A probability.
+    ("kind = nsga2\ncrossover_probability = x\n", Expect::Line(6)),
+    (
+        "kind = nsga2\ncrossover_probability = 1.5\n",
+        Expect::Field("optimizer.crossover_probability"),
+    ),
+    (
+        "kind = archipelago\nmigration_probability = -0.1\n",
+        Expect::Field("optimizer.migration_probability"),
+    ),
+    // A positive real.
+    (
+        "kind = moead\neta_mutation = 0\n",
+        Expect::Field("optimizer.eta_mutation"),
+    ),
+    ("kind = nsga2\neta_crossover = fast\n", Expect::Line(6)),
+    // `auto` or a probability.
+    (
+        "kind = nsga2\nmutation_probability = sometimes\n",
+        Expect::Line(6),
+    ),
+    (
+        "kind = moead\nmutation_probability = 2\n",
+        Expect::Field("optimizer.mutation_probability"),
+    ),
+    // A backend and a topology.
+    ("kind = nsga2\nbackend = gpu\n", Expect::Line(6)),
+    ("kind = nsga2\nbackend = threads:x\n", Expect::Line(6)),
+    ("kind = archipelago\ntopology = star\n", Expect::Line(6)),
+    // Optional counts and the reference point.
+    (
+        "kind = nsga2\n[stop]\nmax_evaluations = lots\n",
+        Expect::Line(7),
+    ),
+    (
+        "kind = nsga2\n[observe]\nlog_every = 0\n",
+        Expect::Field("observe.log_every"),
+    ),
+    (
+        "kind = nsga2\n[run]\nreference_point = 1, x\n",
+        Expect::Line(7),
+    ),
+    (
+        "kind = nsga2\n[run]\nreference_point = 1, inf\n",
+        Expect::Field("run.reference_point"),
+    ),
+    // The cross-key rules point at the key that is set.
+    (
+        "kind = nsga2\n[run]\nseed = 1\ncheckpoint_keep_every = 5\n",
+        Expect::Line(8),
+    ),
+    (
+        "kind = nsga2\n[stop]\nstagnation_epsilon = 0.1\n",
+        Expect::Line(7),
+    ),
+];
+
+#[test]
+fn malformed_documents_raise_the_pinned_error() {
+    for (body, expect) in &MALFORMED {
+        let text = format!("{HEAD}{body}");
+        let err = RunSpec::from_text(&text).expect_err(body);
+        match (expect, &err) {
+            (Expect::Line(want), SpecError::Parse { line, .. }) => {
+                assert_eq!(line, want, "{body:?}: {err}");
+            }
+            (Expect::Field(want), SpecError::Field { field, .. }) => {
+                assert_eq!(field, want, "{body:?}: {err}");
+            }
+            _ => panic!("{body:?}: expected {expect:?}, got {err:?}"),
+        }
+    }
+}

@@ -59,6 +59,11 @@ fn every_committed_spec_and_sweep_cell_resolves() {
             AnyProblem::from_spec(&spec.problem).unwrap_or_else(|err| panic!("{name}: {err}"));
         validate_spec_against_problem(&spec, &problem)
             .unwrap_or_else(|err| panic!("{name}: {err}"));
+        // A sweep cell is built in memory; its canonical text must read back
+        // as the same spec, as any spec file's does.
+        let reparsed =
+            RunSpec::from_text(&spec.to_text()).unwrap_or_else(|err| panic!("{name}: {err}"));
+        assert_eq!(reparsed, spec, "{name}");
     }
 }
 
