@@ -52,7 +52,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use crate::engine::store::CheckpointRetention;
@@ -189,19 +189,61 @@ impl Default for OptimizerSpec {
     }
 }
 
+/// Binds `$keys` to the key table of `$optimizer`'s kind and `$spec` to
+/// its description, and evaluates `$body` for whichever kind it is.
+macro_rules! with_kind {
+    ($optimizer:expr, |$keys:ident, $spec:ident| $body:expr) => {
+        match $optimizer {
+            OptimizerSpec::Nsga2($spec) => {
+                let $keys = &NSGA2[..];
+                $body
+            }
+            OptimizerSpec::Moead($spec) => {
+                let $keys = &MOEAD[..];
+                $body
+            }
+            OptimizerSpec::Archipelago($spec) => {
+                let $keys = &ARCHIPELAGO[..];
+                $body
+            }
+        }
+    };
+}
+
 impl OptimizerSpec {
-    /// The default description of the optimizer kind named `kind` (its
-    /// spec-text name), or `None` for a kind no optimizer has. The spec
-    /// parser starts from it, and a sweep's `optimizer.kind` axis reads the
-    /// keys each kind accepts from its canonical text.
-    pub(crate) fn default_for(kind: &str) -> Option<OptimizerSpec> {
+    /// The default description of every kind.
+    fn kinds() -> [OptimizerSpec; 3] {
         [
             OptimizerSpec::Nsga2(Nsga2Spec::default()),
             OptimizerSpec::Moead(MoeadSpec::default()),
             OptimizerSpec::Archipelago(ArchipelagoSpec::default()),
         ]
-        .into_iter()
-        .find(|spec| spec.kind() == kind)
+    }
+
+    /// The default description of the optimizer kind named `kind` (its
+    /// spec-text name), or `None` for a kind no optimizer has. The spec
+    /// reader starts from it.
+    fn default_for(kind: &str) -> Option<OptimizerSpec> {
+        OptimizerSpec::kinds()
+            .into_iter()
+            .find(|spec| spec.kind() == kind)
+    }
+
+    /// This description switched to kind `kind`: that kind's defaults, with
+    /// the value of every key the two kinds' tables share carried over. A
+    /// sweep's `optimizer.kind` axis applies it.
+    fn retarget(&self, kind: &str) -> Result<OptimizerSpec, String> {
+        let mut next = OptimizerSpec::default_for(kind).ok_or_else(|| unknown_kind(kind))?;
+        let mut text = String::new();
+        with_kind!(self, |from, old| with_kind!(&mut next, |to, new| {
+            for key in to {
+                text.clear();
+                if find(from, key.name).is_some_and(|row| (row.write)(old, &mut text)) {
+                    (key.read)(new, &text).expect("a rendered value reads back");
+                }
+            }
+        }));
+        Ok(next)
     }
 
     /// Spec-text name of the optimizer kind.
@@ -323,7 +365,8 @@ impl RunSpec {
         fnv1a64(self.to_text().as_bytes())
     }
 
-    /// Semantic validation beyond what parsing enforces. `to_text` output of
+    /// Semantic validation beyond what parsing enforces: the problem's
+    /// tokens, then each key's check from its table row. `to_text` output of
     /// a validated spec always re-parses.
     ///
     /// # Errors
@@ -332,167 +375,50 @@ impl RunSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         validate_token("problem.name", &self.problem.name)?;
         for (key, value) in &self.problem.params {
-            validate_token(&format!("problem.{key}"), key)?;
-            // 'name' is the problem's own key in the text form; a param by
-            // that name would render as a duplicate 'name =' line that no
-            // parser accepts.
-            if key == "name" {
-                return Err(SpecError::field(
-                    "problem.name",
-                    "'name' is reserved for the problem name and cannot be a parameter",
-                ));
-            }
-            // '#' starts a comment in the text form, so a value containing
-            // one would re-parse truncated — silently changing the spec and
-            // its content hash.
-            if value.chars().any(|c| c.is_control()) || value.contains('#') || value != value.trim()
+            let field = format!("problem.{key}");
+            validate_token(&field, key)?;
+            // 'name' would render as a duplicate 'name =' line, and a '#'
+            // would start a comment, so the text would re-parse truncated
+            // (silently changing the spec and its content hash).
+            let message = if key == PROBLEM_NAME {
+                "'name' is reserved for the problem name and cannot be a parameter"
+            } else if value.chars().any(char::is_control)
+                || value.contains('#')
+                || value != value.trim()
             {
-                return Err(SpecError::field(
-                    format!("problem.{key}"),
-                    "parameter values must be single-line, trimmed and free of '#'",
-                ));
-            }
+                "parameter values must be single-line, trimmed and free of '#'"
+            } else {
+                continue;
+            };
+            return Err(SpecError::field(field, message));
         }
-        match &self.optimizer {
-            OptimizerSpec::Nsga2(spec) => validate_nsga2("optimizer", spec)?,
-            OptimizerSpec::Moead(spec) => {
-                validate_count("optimizer.population", spec.population)?;
-                validate_probability(
-                    "optimizer.mutation_probability",
-                    spec.mutation_probability.unwrap_or(0.0),
-                )?;
-                validate_positive("optimizer.eta_crossover", spec.eta_crossover)?;
-                validate_positive("optimizer.eta_mutation", spec.eta_mutation)?;
-                validate_count("optimizer.neighborhood", spec.neighborhood)?;
-            }
-            OptimizerSpec::Archipelago(spec) => {
-                validate_count("optimizer.islands", spec.islands)?;
-                validate_count("optimizer.migration_interval", spec.migration_interval)?;
-                validate_probability(
-                    "optimizer.migration_probability",
-                    spec.migration_probability,
-                )?;
-                validate_nsga2("optimizer", &spec.island)?;
-            }
-        }
-        if let Some(reference) = &self.reference_point {
-            if reference.is_empty() || reference.iter().any(|v| !v.is_finite()) {
-                return Err(SpecError::field(
-                    "run.reference_point",
-                    "must be a non-empty list of finite numbers",
-                ));
-            }
-        }
-        validate_count("stop.max_generations", self.stopping.max_generations)?;
-        if let Some((window, epsilon)) = self.stopping.stagnation {
-            validate_count("stop.stagnation_window", window)?;
-            if !epsilon.is_finite() {
-                return Err(SpecError::field(
-                    "stop.stagnation_epsilon",
-                    "must be finite",
-                ));
-            }
-        }
-        if let Some(retention) = &self.retention {
-            validate_count("run.checkpoint_keep_last", retention.keep_last)?;
-        }
-        if let Some(every) = self.log_every {
-            validate_count("observe.log_every", every)?;
-        }
-        Ok(())
+        with_kind!(&self.optimizer, |keys, o| check_keys(OPTIMIZER, keys, o))?;
+        TABLES
+            .iter()
+            .try_for_each(|(section, keys)| check_keys(section, keys, self))
     }
 
-    /// Renders the canonical text form. Parsing it back yields an equal
-    /// spec; hashing it yields [`RunSpec::content_hash`].
+    /// Renders the canonical text form: each section's keys that are set, in
+    /// table order. Parsing it back yields an equal spec; hashing it yields
+    /// [`RunSpec::content_hash`].
     pub fn to_text(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push_str(SPEC_HEADER);
         out.push_str("\n\n[problem]\n");
-        push_kv(&mut out, "name", &self.problem.name);
+        push_kv(&mut out, PROBLEM_NAME, &self.problem.name);
         for (key, value) in &self.problem.params {
             push_kv(&mut out, key, value);
         }
-
         out.push_str("\n[optimizer]\n");
-        push_kv(&mut out, "kind", self.optimizer.kind());
-        match &self.optimizer {
-            OptimizerSpec::Nsga2(spec) => push_nsga2(&mut out, spec),
-            OptimizerSpec::Moead(spec) => {
-                push_kv(&mut out, "population", &spec.population.to_string());
-                push_kv(&mut out, "neighborhood", &spec.neighborhood.to_string());
-                push_kv(&mut out, "eta_crossover", &spec.eta_crossover.to_string());
-                push_kv(&mut out, "eta_mutation", &spec.eta_mutation.to_string());
-                push_kv(
-                    &mut out,
-                    "mutation_probability",
-                    &render_auto(spec.mutation_probability),
-                );
-                push_kv(&mut out, "backend", &render_backend(spec.backend));
+        push_kv(&mut out, OPTIMIZER_KIND, self.optimizer.kind());
+        with_kind!(&self.optimizer, |keys, o| write_keys(&mut out, keys, o));
+        for (section, keys) in &TABLES {
+            // A section with no key set (`[observe]` when quiet) is left out.
+            let start = out.len();
+            let _ = write!(out, "\n[{section}]\n");
+            if !write_keys(&mut out, keys, self) {
+                out.truncate(start);
             }
-            OptimizerSpec::Archipelago(spec) => {
-                push_kv(&mut out, "islands", &spec.islands.to_string());
-                push_nsga2(&mut out, &spec.island);
-                push_kv(
-                    &mut out,
-                    "migration_interval",
-                    &spec.migration_interval.to_string(),
-                );
-                push_kv(
-                    &mut out,
-                    "migration_probability",
-                    &spec.migration_probability.to_string(),
-                );
-                push_kv(&mut out, "topology", render_topology(spec.topology));
-            }
-        }
-
-        out.push_str("\n[run]\n");
-        push_kv(&mut out, "seed", &self.seed.to_string());
-        push_kv(
-            &mut out,
-            "checkpoint_every",
-            &self.checkpoint_every.to_string(),
-        );
-        if let Some(retention) = &self.retention {
-            push_kv(
-                &mut out,
-                "checkpoint_keep_last",
-                &retention.keep_last.to_string(),
-            );
-            if retention.keep_every > 0 {
-                push_kv(
-                    &mut out,
-                    "checkpoint_keep_every",
-                    &retention.keep_every.to_string(),
-                );
-            }
-        }
-        if let Some(reference) = &self.reference_point {
-            let joined = reference
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            push_kv(&mut out, "reference_point", &joined);
-        }
-
-        out.push_str("\n[stop]\n");
-        push_kv(
-            &mut out,
-            "max_generations",
-            &self.stopping.max_generations.to_string(),
-        );
-        if let Some(budget) = self.stopping.max_evaluations {
-            push_kv(&mut out, "max_evaluations", &budget.to_string());
-        }
-        if let Some((window, epsilon)) = self.stopping.stagnation {
-            push_kv(&mut out, "stagnation_window", &window.to_string());
-            push_kv(&mut out, "stagnation_epsilon", &epsilon.to_string());
-        }
-
-        if let Some(every) = self.log_every {
-            out.push_str("\n[observe]\n");
-            push_kv(&mut out, "log_every", &every.to_string());
         }
         out
     }
@@ -506,516 +432,542 @@ impl RunSpec {
     /// values, or a [`SpecError::Field`] when the parsed spec fails
     /// [`RunSpec::validate`].
     pub fn from_text(text: &str) -> Result<Self, SpecError> {
-        let document = Document::parse(text)?;
-        let spec = interpret(&document)?;
+        RunSpec::read(&Document::parse(text, SPEC_HEADER, None)?)
+    }
+
+    /// The validated spec a document describes: its kind's defaults with the
+    /// entries of the spec's sections applied (a sweep's `[sweep]` is not).
+    pub(super) fn read(document: &Document) -> Result<Self, SpecError> {
+        let required = |section: &str, key: &str| {
+            let entries = document.section(section);
+            let line = entries.first().map_or(1, |entry| entry.line);
+            let set = entries.iter().find(|e| e.key == key && !e.value.is_empty());
+            set.ok_or_else(|| SpecError::parse(line, format!("[{section}] must set '{key}'")))
+        };
+        required(PROBLEM, PROBLEM_NAME)?;
+        let kind = required(OPTIMIZER, OPTIMIZER_KIND)?;
+        let Some(optimizer) = OptimizerSpec::default_for(&kind.value) else {
+            return Err(SpecError::parse(kind.line, unknown_kind(&kind.value)));
+        };
+        let (lines, assignments): (Vec<usize>, Vec<_>) = section_names()
+            .flat_map(|name| document.section(name).iter().map(move |e| (name, e)))
+            .map(|(name, e)| (e.line, (name, &*e.key, &*e.value)))
+            .unzip();
+        let base = RunSpec {
+            optimizer,
+            ..RunSpec::default()
+        };
+        let spec = base
+            .apply(&assignments)
+            .map_err(|(at, err)| SpecError::parse(lines[at], err))?;
         spec.validate()?;
         Ok(spec)
     }
+
+    /// This spec with `assignments`, `(section, key, text)` triples, written
+    /// over it through the tables; the spec reader and the sweep's cell
+    /// builder both come here. An `[optimizer] kind` goes first, since the
+    /// kind decides which keys the others may set. Then the two cross-key
+    /// rules no single row can state: `checkpoint_keep_every` needs
+    /// `checkpoint_keep_last`, and the two stagnation keys need each other,
+    /// where a key is set when an assignment or this spec sets it. The
+    /// result is not yet validated.
+    ///
+    /// # Errors
+    ///
+    /// The index of the offending assignment and what is wrong with it.
+    pub(super) fn apply(
+        &self,
+        assignments: &[(&str, &str, &str)],
+    ) -> Result<Self, (usize, String)> {
+        let is_kind =
+            |&at: &usize| assignments[at].0 == OPTIMIZER && assignments[at].1 == OPTIMIZER_KIND;
+        let (kind, rest): (Vec<usize>, Vec<usize>) = (0..assignments.len()).partition(is_kind);
+        let mut spec = self.clone();
+        for &at in kind.iter().chain(&rest) {
+            let (section, key, text) = assignments[at];
+            spec.assign(section, key, text).map_err(|err| (at, err))?;
+        }
+        // Key names are unique across the fixed tables.
+        let assigned = |key: &Key<RunSpec>| {
+            assignments
+                .iter()
+                .position(|&(section, name, _)| name == key.name && table(section).is_some())
+        };
+        let unset =
+            |key: &Key<RunSpec>| assigned(key).is_none() && !(key.write)(self, &mut String::new());
+        let lone = |key, needs| assigned(key).filter(|_| unset(needs));
+        let ([_, _, keep_last, keep_every, _], [_, _, window, epsilon]) = (&RUN, &STOP);
+        if let Some(at) = lone(keep_every, keep_last) {
+            return Err((
+                at,
+                format!("{} requires {}", keep_every.name, keep_last.name),
+            ));
+        }
+        match lone(window, epsilon).or_else(|| lone(epsilon, window)) {
+            Some(at) => Err((
+                at,
+                format!("{} and {} must be set together", window.name, epsilon.name),
+            )),
+            None => Ok(spec),
+        }
+    }
+
+    /// Writes the text value of `[section] key` into this spec through the
+    /// key's table row. `[problem]`'s keys are its name and its parameters;
+    /// `[optimizer] kind` switches the kind.
+    fn assign(&mut self, section: &str, key: &str, text: &str) -> Result<(), String> {
+        match (section, key) {
+            (PROBLEM, PROBLEM_NAME) => self.problem.name = text.to_string(),
+            (PROBLEM, _) => drop(self.problem.params.insert(key.into(), text.into())),
+            (OPTIMIZER, OPTIMIZER_KIND) if text == self.optimizer.kind() => {}
+            (OPTIMIZER, OPTIMIZER_KIND) => self.optimizer = self.optimizer.retarget(text)?,
+            (OPTIMIZER, _) => {
+                with_kind!(&mut self.optimizer, |keys, o| set_key(keys, o, key, text))?
+            }
+            _ => set_key(table(section).unwrap_or_default(), self, key, text)?,
+        }
+        Ok(())
+    }
 }
 
-fn validate_nsga2(prefix: &str, spec: &Nsga2Spec) -> Result<(), SpecError> {
-    validate_count(&format!("{prefix}.population"), spec.population)?;
-    validate_probability(
-        &format!("{prefix}.crossover_probability"),
-        spec.crossover_probability,
-    )?;
-    validate_probability(
-        &format!("{prefix}.mutation_probability"),
-        spec.mutation_probability.unwrap_or(0.0),
-    )?;
-    validate_positive(&format!("{prefix}.eta_crossover"), spec.eta_crossover)?;
-    validate_positive(&format!("{prefix}.eta_mutation"), spec.eta_mutation)
+/// The `[problem]` key that names the problem; its other keys are the
+/// problem's parameters.
+const PROBLEM_NAME: &str = "name";
+/// The `[optimizer]` key that selects the kind, and so the table of the
+/// section's other keys.
+const OPTIMIZER_KIND: &str = "kind";
+const PROBLEM: &str = "problem";
+const OPTIMIZER: &str = "optimizer";
+
+/// The sections after `[problem]` and `[optimizer]`: fixed tables over the
+/// [`RunSpec`], in canonical order.
+static TABLES: [(&str, &[Key<RunSpec>]); 3] =
+    [("run", &RUN), ("stop", &STOP), ("observe", &OBSERVE)];
+
+fn table(section: &str) -> Option<&'static [Key<RunSpec>]> {
+    TABLES
+        .iter()
+        .find(|(name, _)| *name == section)
+        .map(|(_, keys)| *keys)
+}
+
+/// Every section of a spec, in canonical order.
+pub(super) fn section_names() -> impl Iterator<Item = &'static str> {
+    [PROBLEM, OPTIMIZER]
+        .into_iter()
+        .chain(TABLES.iter().map(|(name, _)| *name))
+}
+
+/// Whether a spec can set `[section] key`: any token is a problem key (its
+/// name or a parameter); an optimizer key is the kind or a key of some
+/// kind's table. `None` when there is no such section.
+pub(super) fn has_key(section: &str, key: &str) -> Option<bool> {
+    let kinds = OptimizerSpec::kinds();
+    let mut kind_keys = kinds
+        .iter()
+        .map(|o| with_kind!(o, |keys, _o| find(keys, key).is_some()));
+    match section {
+        PROBLEM => Some(is_token(key)),
+        OPTIMIZER => Some(key == OPTIMIZER_KIND || kind_keys.any(|known| known)),
+        _ => table(section).map(|keys| find(keys, key).is_some()),
+    }
+}
+
+/// How a field's value reads from and renders to spec text; with a row's
+/// check, the field's type makes up the key's value kind.
+trait Text: Sized {
+    /// The value `text` spells, or a hint at what a valid text looks like.
+    fn parse(text: &str) -> Result<Self, String>;
+    fn render(&self, out: &mut String);
+}
+
+/// Numbers read and render as themselves.
+macro_rules! number_text {
+    ($($number:ty),+) => {$(
+        impl Text for $number {
+            fn parse(text: &str) -> Result<Self, String> {
+                text.parse().map_err(|_| String::new())
+            }
+
+            fn render(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )+};
+}
+
+number_text!(usize, u64, f64);
+
+/// A mutation probability: `auto` (`None`: one over the gene count) or a
+/// number.
+impl Text for Option<f64> {
+    fn parse(text: &str) -> Result<Self, String> {
+        let number = || {
+            text.parse()
+                .map_err(|_| " (expected 'auto' or a number)".into())
+        };
+        (text != "auto").then(number).transpose()
+    }
+
+    fn render(&self, out: &mut String) {
+        match self {
+            None => out.push_str("auto"),
+            Some(probability) => probability.render(out),
+        }
+    }
+}
+
+impl Text for EvalBackend {
+    fn parse(text: &str) -> Result<Self, String> {
+        match text.strip_prefix("threads:").map(str::parse) {
+            _ if text == "serial" => Ok(EvalBackend::Serial),
+            Some(Ok(workers)) => Ok(EvalBackend::Threads(workers)),
+            _ => Err(" (expected serial or threads:<n>)".into()),
+        }
+    }
+
+    fn render(&self, out: &mut String) {
+        match self {
+            EvalBackend::Serial => out.push_str("serial"),
+            EvalBackend::Threads(workers) => {
+                out.push_str("threads:");
+                workers.render(out);
+            }
+        }
+    }
+}
+
+/// Every migration topology, by its spec-text name.
+const TOPOLOGIES: [(&str, MigrationTopology); 3] = [
+    ("broadcast", MigrationTopology::Broadcast),
+    ("ring", MigrationTopology::Ring),
+    ("isolated", MigrationTopology::Isolated),
+];
+
+impl Text for MigrationTopology {
+    fn parse(text: &str) -> Result<Self, String> {
+        let named = TOPOLOGIES.iter().find(|(name, _)| *name == text);
+        let names = || TOPOLOGIES.map(|(name, _)| name).join(", ");
+        named
+            .map(|&(_, topology)| topology)
+            .ok_or_else(|| format!(" (expected one of {})", names()))
+    }
+
+    fn render(&self, out: &mut String) {
+        let named = TOPOLOGIES.iter().find(|(_, topology)| topology == self);
+        out.push_str(named.expect("every topology has a name").0);
+    }
+}
+
+/// A reference point: numbers separated by commas.
+impl Text for Vec<f64> {
+    fn parse(text: &str) -> Result<Self, String> {
+        let numbers = text.split(',').map(|part| part.trim().parse().ok());
+        numbers
+            .collect::<Option<_>>()
+            .ok_or_else(|| " (expected numbers and commas)".into())
+    }
+
+    fn render(&self, out: &mut String) {
+        for (at, value) in self.iter().enumerate() {
+            out.push_str(if at == 0 { "" } else { ", " });
+            value.render(out);
+        }
+    }
+}
+
+/// The checks of the value kinds: a predicate on the field, and the message
+/// for a value that fails it. A kind with no check (a count that may be 0,
+/// a seed, a backend, a topology) uses [`any`].
+macro_rules! checks {
+    ($($check:ident($value:ident: &$field:ty) $valid:expr, $message:literal;)+) => {$(
+        fn $check($value: &$field) -> Result<(), &'static str> {
+            if $valid { Ok(()) } else { Err($message) }
+        }
+    )+};
+}
+
+checks! {
+    count(n: &usize) *n > 0, "must be at least 1";
+    probability(p: &f64) (0.0..=1.0).contains(p), "must be a probability in [0, 1]";
+    auto_probability(p: &Option<f64>) p.is_none_or(|p| (0.0..=1.0).contains(&p)), "must be a probability in [0, 1]";
+    positive(x: &f64) x.is_finite() && *x > 0.0, "must be a positive finite number";
+    finite(x: &f64) x.is_finite(), "must be finite";
+    point(p: &[f64]) !p.is_empty() && p.iter().all(|x| x.is_finite()), "must be a non-empty list of finite numbers";
+}
+
+fn any<T>(_: &T) -> Result<(), &'static str> {
+    Ok(())
+}
+
+/// One row of a section's table: a key's spec-text name and how its text
+/// reads into, renders from and checks its field of `S`. `write` writes
+/// nothing and returns `false` for an optional key that is unset.
+struct Key<S> {
+    name: &'static str,
+    read: fn(&mut S, &str) -> Result<(), String>,
+    write: fn(&S, &mut String) -> bool,
+    check: fn(&S) -> Result<(), &'static str>,
+}
+
+/// The row of key `$name` on the field `spec.$path`, checked by `$check`.
+/// An `optional` key's field is an `Option`, left out of the text when
+/// `None`; a key on `$field of $group` is a field of an optional group,
+/// left out when the group is `None` and written through `$open`.
+macro_rules! key {
+    ($name:literal, $check:ident, $($path:ident).+) => {
+        Key {
+            name: $name,
+            read: |spec, text| Text::parse(text).map(|value| spec.$($path).+ = value),
+            write: |spec, out| { spec.$($path).+.render(out); true },
+            check: |spec| $check(&spec.$($path).+),
+        }
+    };
+    (optional $name:literal, $check:ident, $($path:ident).+) => {
+        Key {
+            name: $name,
+            read: |spec, text| Text::parse(text).map(|value| spec.$($path).+ = Some(value)),
+            write: |spec, out| spec.$($path).+.as_ref().map(|value| value.render(out)).is_some(),
+            check: |spec| spec.$($path).+.as_ref().map_or(Ok(()), |value| $check(value)),
+        }
+    };
+    ($name:literal, $check:ident, $field:tt of $($group:ident).+, $open:ident) => {
+        Key {
+            name: $name,
+            read: |spec, text| Text::parse(text).map(|value| $open(spec).$field = value),
+            write: |spec, out| spec.$($group).+.map(|group| group.$field.render(out)).is_some(),
+            check: |spec| spec.$($group).+.map_or(Ok(()), |group| $check(&group.$field)),
+        }
+    };
+}
+
+/// NSGA-II's rows, on the population at `spec.$island` (or the spec
+/// itself), between the rows `$before` and `$after` of their table:
+/// NSGA-II's own, and the archipelago's, whose islands are NSGA-II
+/// populations.
+macro_rules! nsga2_keys {
+    ($($island:ident)?; [$($before:expr),*]; [$($after:expr),*]) => {
+        [
+            $($before,)*
+            key!("population", count, $($island.)? population),
+            key!("crossover_probability", probability, $($island.)? crossover_probability),
+            key!("eta_crossover", positive, $($island.)? eta_crossover),
+            key!("mutation_probability", auto_probability, $($island.)? mutation_probability),
+            key!("eta_mutation", positive, $($island.)? eta_mutation),
+            key!("backend", any, $($island.)? backend),
+            $($after),*
+        ]
+    };
+}
+
+static NSGA2: [Key<Nsga2Spec>; 6] = nsga2_keys!(; []; []);
+
+static MOEAD: [Key<MoeadSpec>; 6] = [
+    key!("population", count, population),
+    key!("neighborhood", count, neighborhood),
+    key!("eta_crossover", positive, eta_crossover),
+    key!("eta_mutation", positive, eta_mutation),
+    key!(
+        "mutation_probability",
+        auto_probability,
+        mutation_probability
+    ),
+    key!("backend", any, backend),
+];
+
+static ARCHIPELAGO: [Key<ArchipelagoSpec>; 10] = nsga2_keys!(
+    island;
+    [key!("islands", count, islands)];
+    [
+        key!("migration_interval", count, migration_interval),
+        key!("migration_probability", probability, migration_probability),
+        key!("topology", any, topology)
+    ]
+);
+
+/// A retention or stagnation key alone opens its group with a placeholder,
+/// which the cross-key rules in [`RunSpec::apply`] see completed.
+static RUN: [Key<RunSpec>; 5] = [
+    key!("seed", any, seed),
+    key!("checkpoint_every", any, checkpoint_every),
+    key!("checkpoint_keep_last", count, keep_last of retention, retention),
+    Key {
+        name: "checkpoint_keep_every",
+        read: |spec, text| Text::parse(text).map(|value| retention(spec).keep_every = value),
+        // Written only when modular keeps are on.
+        write: |spec, out| match spec.retention.map_or(0, |kept| kept.keep_every) {
+            0 => false,
+            every => {
+                every.render(out);
+                true
+            }
+        },
+        check: |_| Ok(()),
+    },
+    key!(optional "reference_point", point, reference_point),
+];
+
+static STOP: [Key<RunSpec>; 4] = [
+    key!("max_generations", count, stopping.max_generations),
+    key!(optional "max_evaluations", any, stopping.max_evaluations),
+    key!("stagnation_window", count, 0 of stopping.stagnation, stagnation),
+    key!("stagnation_epsilon", finite, 1 of stopping.stagnation, stagnation),
+];
+
+static OBSERVE: [Key<RunSpec>; 1] = [key!(optional "log_every", count, log_every)];
+
+fn retention(spec: &mut RunSpec) -> &mut CheckpointRetention {
+    let placeholder = CheckpointRetention {
+        keep_last: 0,
+        keep_every: 0,
+    };
+    spec.retention.get_or_insert(placeholder)
+}
+
+fn stagnation(spec: &mut RunSpec) -> &mut (usize, f64) {
+    spec.stopping.stagnation.get_or_insert((0, 0.0))
+}
+
+fn find<'k, S>(keys: &'k [Key<S>], key: &str) -> Option<&'k Key<S>> {
+    keys.iter().find(|row| row.name == key)
+}
+
+/// Reads `text` into `spec` through the row of `keys` named `key`.
+fn set_key<S>(keys: &[Key<S>], spec: &mut S, key: &str, text: &str) -> Result<(), String> {
+    let row = find(keys, key).ok_or_else(|| format!("unknown key '{key}'"))?;
+    (row.read)(spec, text).map_err(|hint| format!("invalid value '{text}' for '{key}'{hint}"))
+}
+
+/// Writes `key = value` for every key of `keys` set on `spec`, in row
+/// order; `false` when none is.
+fn write_keys<S>(out: &mut String, keys: &[Key<S>], spec: &S) -> bool {
+    let mut any = false;
+    for key in keys {
+        let start = out.len();
+        let _ = write!(out, "{} = ", key.name);
+        if (key.write)(spec, out) {
+            out.push('\n');
+            any = true;
+        } else {
+            out.truncate(start);
+        }
+    }
+    any
+}
+
+fn check_keys<S>(section: &str, keys: &[Key<S>], spec: &S) -> Result<(), SpecError> {
+    let field = |key: &Key<S>| format!("{section}.{}", key.name);
+    keys.iter()
+        .try_for_each(|key| (key.check)(spec).map_err(|err| SpecError::field(field(key), err)))
+}
+
+fn unknown_kind(kind: &str) -> String {
+    let kinds = OptimizerSpec::kinds().map(|spec| spec.kind()).join(", ");
+    format!("unknown optimizer kind '{kind}' (expected one of {kinds})")
+}
+
+fn is_token(value: &str) -> bool {
+    let token_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_';
+    !value.is_empty() && value.chars().all(token_char)
 }
 
 fn validate_token(field: &str, value: &str) -> Result<(), SpecError> {
-    let valid = !value.is_empty()
-        && value
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_');
-    if valid {
-        Ok(())
-    } else {
-        Err(SpecError::field(
-            field,
-            format!("'{value}' is not a lowercase [a-z0-9_-] token"),
-        ))
-    }
-}
-
-fn validate_count(field: &str, value: usize) -> Result<(), SpecError> {
-    if value == 0 {
-        Err(SpecError::field(field, "must be at least 1"))
-    } else {
-        Ok(())
-    }
-}
-
-fn validate_probability(field: &str, value: f64) -> Result<(), SpecError> {
-    if (0.0..=1.0).contains(&value) {
-        Ok(())
-    } else {
-        Err(SpecError::field(field, "must be a probability in [0, 1]"))
-    }
-}
-
-fn validate_positive(field: &str, value: f64) -> Result<(), SpecError> {
-    if value.is_finite() && value > 0.0 {
-        Ok(())
-    } else {
-        Err(SpecError::field(field, "must be a positive finite number"))
-    }
+    let message = || format!("'{value}' is not a lowercase [a-z0-9_-] token");
+    is_token(value)
+        .then_some(())
+        .ok_or_else(|| SpecError::field(field, message()))
 }
 
 fn push_kv(out: &mut String, key: &str, value: &str) {
-    out.push_str(key);
-    out.push_str(" = ");
-    out.push_str(value);
-    out.push('\n');
-}
-
-fn push_nsga2(out: &mut String, spec: &Nsga2Spec) {
-    push_kv(out, "population", &spec.population.to_string());
-    push_kv(
-        out,
-        "crossover_probability",
-        &spec.crossover_probability.to_string(),
-    );
-    push_kv(out, "eta_crossover", &spec.eta_crossover.to_string());
-    push_kv(
-        out,
-        "mutation_probability",
-        &render_auto(spec.mutation_probability),
-    );
-    push_kv(out, "eta_mutation", &spec.eta_mutation.to_string());
-    push_kv(out, "backend", &render_backend(spec.backend));
-}
-
-fn render_auto(value: Option<f64>) -> String {
-    match value {
-        None => "auto".to_string(),
-        Some(v) => v.to_string(),
-    }
-}
-
-fn render_backend(backend: EvalBackend) -> String {
-    match backend {
-        EvalBackend::Serial => "serial".to_string(),
-        EvalBackend::Threads(n) => format!("threads:{n}"),
-    }
-}
-
-fn render_topology(topology: MigrationTopology) -> &'static str {
-    match topology {
-        MigrationTopology::Broadcast => "broadcast",
-        MigrationTopology::Ring => "ring",
-        MigrationTopology::Isolated => "isolated",
-    }
+    let _ = writeln!(out, "{key} = {value}");
 }
 
 /// One parsed `key = value` line.
-struct Entry {
-    line: usize,
-    key: String,
-    value: String,
+pub(super) struct Entry {
+    pub(super) line: usize,
+    pub(super) key: String,
+    pub(super) value: String,
 }
 
-/// The raw sectioned document: section name → entries, in file order.
-struct Document {
+/// A sectioned document as read: section name → entries, in file order.
+pub(super) struct Document {
     sections: Vec<(String, Vec<Entry>)>,
 }
 
-pub(crate) const KNOWN_SECTIONS: [&str; 5] = ["problem", "optimizer", "run", "stop", "observe"];
-
 impl Document {
-    fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut lines = text.lines().enumerate();
-        // The first significant line must be the header.
+    /// Reads a document whose first significant line is `header` and whose
+    /// sections are the spec's, plus `extra` (a sweep's `[sweep]`) when
+    /// given. Keys are unique within a spec section; the caller gives the
+    /// extra section's keys their meaning, so it checks them.
+    pub(super) fn parse(
+        text: &str,
+        header: &str,
+        extra: Option<&'static str>,
+    ) -> Result<Self, SpecError> {
         let mut header_seen = false;
         let mut sections: Vec<(String, Vec<Entry>)> = Vec::new();
-        let mut current: Option<usize> = None;
-        for (index, raw) in &mut lines {
-            let line_no = index + 1;
-            let line = strip_comment(raw).trim();
+        for (index, raw) in text.lines().enumerate() {
+            let (line_no, line) = (index + 1, strip_comment(raw).trim());
+            let fail = |message: String| Err(SpecError::parse(line_no, message));
             if line.is_empty() {
                 continue;
-            }
-            if !header_seen {
-                if line != SPEC_HEADER {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!("expected header '{SPEC_HEADER}', found '{line}'"),
-                    ));
+            } else if !header_seen {
+                if line != header {
+                    return fail(format!("expected header '{header}', found '{line}'"));
                 }
                 header_seen = true;
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[') {
-                let Some(name) = name.strip_suffix(']') else {
-                    return Err(SpecError::parse(line_no, "unterminated section header"));
+            } else if let Some(name) = line.strip_prefix('[') {
+                let Some(name) = name.strip_suffix(']').map(str::trim) else {
+                    return fail("unterminated section header".into());
                 };
-                let name = name.trim();
-                if !KNOWN_SECTIONS.contains(&name) {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!(
-                            "unknown section '[{name}]' (expected one of [problem], \
-                             [optimizer], [run], [stop], [observe])"
-                        ),
+                let known: Vec<&str> = section_names().chain(extra).collect();
+                if !known.contains(&name) {
+                    let known = known.join("], [");
+                    return fail(format!(
+                        "unknown section '[{name}]' (expected one of [{known}])"
                     ));
                 }
                 if sections.iter().any(|(existing, _)| existing == name) {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!("duplicate section '[{name}]'"),
-                    ));
+                    return fail(format!("duplicate section '[{name}]'"));
                 }
                 sections.push((name.to_string(), Vec::new()));
-                current = Some(sections.len() - 1);
-                continue;
+            } else {
+                let Some((key, value)) = line.split_once('=') else {
+                    return fail(format!("expected 'key = value', found '{line}'"));
+                };
+                let (key, value) = (key.trim().to_string(), value.trim().to_string());
+                if key.is_empty() {
+                    return fail("empty key".into());
+                }
+                let Some((section, entries)) = sections.last_mut() else {
+                    return fail(format!("key '{key}' appears before any [section]"));
+                };
+                if Some(section.as_str()) != extra && entries.iter().any(|entry| entry.key == key) {
+                    return fail(format!("duplicate key '{key}' in [{section}]"));
+                }
+                entries.push(Entry {
+                    line: line_no,
+                    key,
+                    value,
+                });
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(SpecError::parse(
-                    line_no,
-                    format!("expected 'key = value', found '{line}'"),
-                ));
-            };
-            let key = key.trim().to_string();
-            let value = value.trim().to_string();
-            if key.is_empty() {
-                return Err(SpecError::parse(line_no, "empty key"));
-            }
-            let Some(section) = current else {
-                return Err(SpecError::parse(
-                    line_no,
-                    format!("key '{key}' appears before any [section]"),
-                ));
-            };
-            let entries = &mut sections[section].1;
-            if entries.iter().any(|entry| entry.key == key) {
-                return Err(SpecError::parse(
-                    line_no,
-                    format!("duplicate key '{key}' in [{}]", sections[section].0),
-                ));
-            }
-            sections[section].1.push(Entry {
-                line: line_no,
-                key,
-                value,
-            });
         }
         if !header_seen {
-            return Err(SpecError::parse(
-                1,
-                format!("missing header '{SPEC_HEADER}'"),
-            ));
+            return Err(SpecError::parse(1, format!("missing header '{header}'")));
         }
         Ok(Document { sections })
     }
 
-    fn section(&self, name: &str) -> Option<&[Entry]> {
-        self.sections
-            .iter()
-            .find(|(section, _)| section == name)
-            .map(|(_, entries)| entries.as_slice())
+    /// The entries of section `name`; none when the document lacks it.
+    pub(super) fn section(&self, name: &str) -> &[Entry] {
+        let section = self.sections.iter().find(|(section, _)| section == name);
+        section.map_or(&[], |(_, entries)| entries)
     }
 }
 
 pub(crate) fn strip_comment(line: &str) -> &str {
-    match line.find('#') {
-        Some(at) => &line[..at],
-        None => line,
-    }
-}
-
-/// Typed accessor over one section's entries that tracks which keys were
-/// consumed, so leftovers can be reported as unknown keys with their line.
-struct Section<'d> {
-    name: &'static str,
-    entries: &'d [Entry],
-    consumed: Vec<bool>,
-}
-
-impl<'d> Section<'d> {
-    fn new(name: &'static str, entries: &'d [Entry]) -> Self {
-        Section {
-            name,
-            entries,
-            consumed: vec![false; entries.len()],
-        }
-    }
-
-    fn take(&mut self, key: &str) -> Option<&'d Entry> {
-        for (index, entry) in self.entries.iter().enumerate() {
-            if entry.key == key {
-                self.consumed[index] = true;
-                return Some(entry);
-            }
-        }
-        None
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(entry) => entry.value.parse::<T>().map(Some).map_err(|_| {
-                SpecError::parse(
-                    entry.line,
-                    format!("invalid value '{}' for '{key}'", entry.value),
-                )
-            }),
-        }
-    }
-
-    fn finish(self) -> Result<(), SpecError> {
-        for (entry, consumed) in self.entries.iter().zip(&self.consumed) {
-            if !consumed {
-                return Err(SpecError::parse(
-                    entry.line,
-                    format!("unknown key '{}' in [{}]", entry.key, self.name),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn interpret(document: &Document) -> Result<RunSpec, SpecError> {
-    // [problem]
-    let entries = document
-        .section("problem")
-        .ok_or_else(|| SpecError::parse(1, "missing [problem] section"))?;
-    let mut problem = ProblemSpec::default();
-    for entry in entries {
-        if entry.key == "name" {
-            problem.name = entry.value.clone();
-        } else {
-            problem
-                .params
-                .insert(entry.key.clone(), entry.value.clone());
-        }
-    }
-    if problem.name.is_empty() {
-        return Err(SpecError::parse(
-            entries.first().map_or(1, |e| e.line),
-            "[problem] must set 'name'",
-        ));
-    }
-
-    // [optimizer]
-    let entries = document
-        .section("optimizer")
-        .ok_or_else(|| SpecError::parse(1, "missing [optimizer] section"))?;
-    let mut section = Section::new("optimizer", entries);
-    let kind = section.take("kind").ok_or_else(|| {
-        SpecError::parse(
-            entries.first().map_or(1, |e| e.line),
-            "[optimizer] must set 'kind'",
-        )
-    })?;
-    let mut optimizer = OptimizerSpec::default_for(&kind.value).ok_or_else(|| {
-        SpecError::parse(
-            kind.line,
-            format!(
-                "unknown optimizer kind '{}' (expected nsga2, moead or archipelago)",
-                kind.value
-            ),
-        )
-    })?;
-    match &mut optimizer {
-        OptimizerSpec::Nsga2(spec) => take_nsga2(&mut section, spec)?,
-        OptimizerSpec::Moead(spec) => {
-            if let Some(v) = section.take_parsed("population")? {
-                spec.population = v;
-            }
-            if let Some(v) = section.take_parsed("neighborhood")? {
-                spec.neighborhood = v;
-            }
-            if let Some(v) = section.take_parsed("eta_crossover")? {
-                spec.eta_crossover = v;
-            }
-            if let Some(v) = section.take_parsed("eta_mutation")? {
-                spec.eta_mutation = v;
-            }
-            if let Some(entry) = section.take("mutation_probability") {
-                spec.mutation_probability = parse_auto(entry)?;
-            }
-            if let Some(entry) = section.take("backend") {
-                spec.backend = parse_backend(entry)?;
-            }
-        }
-        OptimizerSpec::Archipelago(spec) => {
-            if let Some(v) = section.take_parsed("islands")? {
-                spec.islands = v;
-            }
-            take_nsga2(&mut section, &mut spec.island)?;
-            if let Some(v) = section.take_parsed("migration_interval")? {
-                spec.migration_interval = v;
-            }
-            if let Some(v) = section.take_parsed("migration_probability")? {
-                spec.migration_probability = v;
-            }
-            if let Some(entry) = section.take("topology") {
-                spec.topology = match entry.value.as_str() {
-                    "broadcast" => MigrationTopology::Broadcast,
-                    "ring" => MigrationTopology::Ring,
-                    "isolated" => MigrationTopology::Isolated,
-                    other => {
-                        return Err(SpecError::parse(
-                            entry.line,
-                            format!(
-                                "unknown topology '{other}' (expected broadcast, ring or isolated)"
-                            ),
-                        ))
-                    }
-                };
-            }
-        }
-    }
-    section.finish()?;
-
-    // [run]
-    let mut seed = 0u64;
-    let mut checkpoint_every = 0usize;
-    let mut retention = None;
-    let mut reference_point = None;
-    if let Some(entries) = document.section("run") {
-        let mut section = Section::new("run", entries);
-        if let Some(v) = section.take_parsed("seed")? {
-            seed = v;
-        }
-        if let Some(v) = section.take_parsed("checkpoint_every")? {
-            checkpoint_every = v;
-        }
-        let keep_last: Option<usize> = section.take_parsed("checkpoint_keep_last")?;
-        let keep_every_line = section.take("checkpoint_keep_every").map(|e| e.line);
-        let keep_every: Option<usize> = section.take_parsed("checkpoint_keep_every")?;
-        retention = match (keep_last, keep_every) {
-            (Some(keep_last), keep_every) => Some(CheckpointRetention {
-                keep_last,
-                keep_every: keep_every.unwrap_or(0),
-            }),
-            (None, None) => None,
-            (None, Some(_)) => {
-                return Err(SpecError::parse(
-                    keep_every_line.expect("the key was just taken"),
-                    "checkpoint_keep_every requires checkpoint_keep_last",
-                ))
-            }
-        };
-        if let Some(entry) = section.take("reference_point") {
-            let mut values = Vec::new();
-            for part in entry.value.split(',') {
-                let value: f64 = part.trim().parse().map_err(|_| {
-                    SpecError::parse(
-                        entry.line,
-                        format!("invalid reference point component '{}'", part.trim()),
-                    )
-                })?;
-                values.push(value);
-            }
-            reference_point = Some(values);
-        }
-        section.finish()?;
-    }
-
-    // [stop]
-    let mut stopping = StoppingSpec::default();
-    if let Some(entries) = document.section("stop") {
-        let mut section = Section::new("stop", entries);
-        if let Some(v) = section.take_parsed("max_generations")? {
-            stopping.max_generations = v;
-        }
-        stopping.max_evaluations = section.take_parsed("max_evaluations")?;
-        let window: Option<usize> = section.take_parsed("stagnation_window")?;
-        let epsilon: Option<f64> = section.take_parsed("stagnation_epsilon")?;
-        stopping.stagnation = match (window, epsilon) {
-            (Some(window), Some(epsilon)) => Some((window, epsilon)),
-            (None, None) => None,
-            _ => {
-                return Err(SpecError::parse(
-                    entries.first().map_or(1, |e| e.line),
-                    "stagnation_window and stagnation_epsilon must be set together",
-                ))
-            }
-        };
-        section.finish()?;
-    }
-
-    // [observe]
-    let mut log_every = None;
-    if let Some(entries) = document.section("observe") {
-        let mut section = Section::new("observe", entries);
-        log_every = section.take_parsed("log_every")?;
-        section.finish()?;
-    }
-
-    Ok(RunSpec {
-        problem,
-        optimizer,
-        seed,
-        checkpoint_every,
-        retention,
-        reference_point,
-        stopping,
-        log_every,
-    })
-}
-
-fn take_nsga2(section: &mut Section<'_>, spec: &mut Nsga2Spec) -> Result<(), SpecError> {
-    if let Some(v) = section.take_parsed("population")? {
-        spec.population = v;
-    }
-    if let Some(v) = section.take_parsed("crossover_probability")? {
-        spec.crossover_probability = v;
-    }
-    if let Some(v) = section.take_parsed("eta_crossover")? {
-        spec.eta_crossover = v;
-    }
-    if let Some(entry) = section.take("mutation_probability") {
-        spec.mutation_probability = parse_auto(entry)?;
-    }
-    if let Some(v) = section.take_parsed("eta_mutation")? {
-        spec.eta_mutation = v;
-    }
-    if let Some(entry) = section.take("backend") {
-        spec.backend = parse_backend(entry)?;
-    }
-    Ok(())
-}
-
-fn parse_auto(entry: &Entry) -> Result<Option<f64>, SpecError> {
-    if entry.value == "auto" {
-        Ok(None)
-    } else {
-        entry.value.parse::<f64>().map(Some).map_err(|_| {
-            SpecError::parse(
-                entry.line,
-                format!(
-                    "invalid value '{}' for '{}' (expected 'auto' or a number)",
-                    entry.value, entry.key
-                ),
-            )
-        })
-    }
-}
-
-fn parse_backend(entry: &Entry) -> Result<EvalBackend, SpecError> {
-    if entry.value == "serial" {
-        return Ok(EvalBackend::Serial);
-    }
-    if let Some(count) = entry.value.strip_prefix("threads:") {
-        let workers: usize = count
-            .parse()
-            .map_err(|_| SpecError::parse(entry.line, format!("invalid thread count '{count}'")))?;
-        return Ok(EvalBackend::Threads(workers));
-    }
-    Err(SpecError::parse(
-        entry.line,
-        format!(
-            "unknown backend '{}' (expected serial or threads:<n>)",
-            entry.value
-        ),
-    ))
+    line.find('#').map_or(line, |at| &line[..at])
 }
 
 /// Any of the shipped optimizers behind one concrete type, so spec-driven
@@ -1029,6 +981,18 @@ pub enum AnyOptimizer {
     Moead(Box<Moead>),
     /// The PMO2 archipelago.
     Archipelago(Box<Archipelago>),
+}
+
+/// Evaluates `$body` with `$inner` bound to the wrapped optimizer,
+/// whichever kind it is.
+macro_rules! each_kind {
+    ($optimizer:expr, |$inner:ident| $body:expr) => {
+        match $optimizer {
+            AnyOptimizer::Nsga2($inner) => $body,
+            AnyOptimizer::Moead($inner) => $body,
+            AnyOptimizer::Archipelago($inner) => $body,
+        }
+    };
 }
 
 impl AnyOptimizer {
@@ -1045,11 +1009,7 @@ impl AnyOptimizer {
     /// only via [`Optimizer`]) because the trait method needs a problem type
     /// annotation the caller may not have at hand.
     pub fn evaluations(&self) -> usize {
-        match self {
-            AnyOptimizer::Nsga2(inner) => inner.evaluations(),
-            AnyOptimizer::Moead(inner) => inner.evaluations(),
-            AnyOptimizer::Archipelago(inner) => inner.evaluations(),
-        }
+        each_kind!(self, |inner| inner.evaluations())
     }
 
     /// Installs a (usually shared) evaluation [`Executor`] on the wrapped
@@ -1059,11 +1019,7 @@ impl AnyOptimizer {
     /// pool instead of letting each optimizer build its own. Executors
     /// never change results, only where batches are evaluated.
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
-        match self {
-            AnyOptimizer::Nsga2(inner) => inner.set_executor(executor),
-            AnyOptimizer::Moead(inner) => inner.set_executor(executor),
-            AnyOptimizer::Archipelago(inner) => inner.set_executor(executor),
-        }
+        each_kind!(self, |inner| inner.set_executor(executor))
     }
 
     /// Attaches a telemetry registry to the wrapped optimizer — for the
@@ -1083,59 +1039,34 @@ impl AnyOptimizer {
 
 impl<P: MultiObjectiveProblem> Optimizer<P> for AnyOptimizer {
     fn initialize(&mut self, problem: &P) {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::initialize(inner.as_mut(), problem),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::initialize(inner.as_mut(), problem),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::initialize(inner.as_mut(), problem),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::initialize(
+            inner.as_mut(),
+            problem
+        ))
     }
 
     fn step(&mut self, problem: &P) {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::step(inner.as_mut(), problem),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::step(inner.as_mut(), problem),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::step(inner.as_mut(), problem),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::step(inner.as_mut(), problem))
     }
 
     fn population(&self) -> Vec<Individual> {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::population(inner.as_ref()),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::population(inner.as_ref()),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::population(inner.as_ref()),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::population(inner.as_ref()))
     }
 
     fn front(&self) -> Vec<Individual> {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::front(inner.as_ref()),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::front(inner.as_ref()),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::front(inner.as_ref()),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::front(inner.as_ref()))
     }
 
     fn evaluations(&self) -> usize {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::evaluations(inner.as_ref()),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::evaluations(inner.as_ref()),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::evaluations(inner.as_ref()),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::evaluations(inner.as_ref()))
     }
 
     fn state(&self) -> OptimizerState {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::state(inner.as_ref()),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::state(inner.as_ref()),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::state(inner.as_ref()),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::state(inner.as_ref()))
     }
 
     fn restore(&mut self, state: OptimizerState) -> Result<(), EngineError> {
-        match self {
-            AnyOptimizer::Nsga2(inner) => Optimizer::<P>::restore(inner.as_mut(), state),
-            AnyOptimizer::Moead(inner) => Optimizer::<P>::restore(inner.as_mut(), state),
-            AnyOptimizer::Archipelago(inner) => Optimizer::<P>::restore(inner.as_mut(), state),
-        }
+        each_kind!(self, |inner| Optimizer::<P>::restore(inner.as_mut(), state))
     }
 
     fn set_metrics(&mut self, registry: MetricsRegistry) {
@@ -1331,6 +1262,72 @@ mod tests {
             "{SPEC_HEADER}\n[problem]\nname = schaffer\n[optimizer]\nkind = nsga2\n[stop]\nstagnation_window = 5\n"
         );
         assert!(RunSpec::from_text(&text).is_err());
+        // The error points at the key that is set, not at the section's
+        // first entry.
+        for (lone, at) in [
+            ("stagnation_window = 5", 9),
+            ("stagnation_epsilon = 0.1", 9),
+        ] {
+            let text = format!(
+                "{SPEC_HEADER}\n[problem]\nname = schaffer\n[optimizer]\nkind = nsga2\n[stop]\n\
+                 max_generations = 4\nmax_evaluations = 100\n{lone}\n"
+            );
+            match RunSpec::from_text(&text) {
+                Err(SpecError::Parse { line, message }) => {
+                    assert_eq!(line, at, "{lone}");
+                    assert!(message.contains("set together"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// README's "Spec field reference" table lists exactly the keys of the
+    /// tables, section by section: `[problem] name` (its other keys are
+    /// parameters), `[optimizer] kind` with every kind's keys, and the
+    /// fixed tables.
+    #[test]
+    fn the_readme_field_reference_lists_exactly_the_tables_keys() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("the repository README");
+        let table = readme
+            .split("### Spec field reference")
+            .nth(1)
+            .expect("the field reference heading");
+        let mut listed = std::collections::BTreeSet::new();
+        for row in table.lines().skip_while(|line| !line.starts_with('|')) {
+            let Some(cells) = row.strip_prefix("| `[") else {
+                if row.starts_with("|---") || row.starts_with("| section") {
+                    continue;
+                }
+                break;
+            };
+            let (section, rest) = cells.split_once("]` | ").expect("a section cell");
+            let keys = rest.split(" | ").next().expect("a key cell");
+            for key in keys
+                .split(" / ")
+                .filter_map(|key| key.strip_prefix('`')?.strip_suffix('`'))
+            {
+                listed.insert((section.to_string(), key.to_string()));
+            }
+        }
+        let mut declared = std::collections::BTreeSet::new();
+        let mut declare =
+            |section: &str, key: &str| declared.insert((section.to_string(), key.to_string()));
+        declare(PROBLEM, PROBLEM_NAME);
+        declare(OPTIMIZER, OPTIMIZER_KIND);
+        for kind in OptimizerSpec::kinds() {
+            with_kind!(&kind, |keys, _o| keys.iter().for_each(|key| {
+                declare(OPTIMIZER, key.name);
+            }));
+        }
+        for (section, keys) in &TABLES {
+            keys.iter().for_each(|key| {
+                declare(section, key.name);
+            });
+        }
+        assert_eq!(listed, declared);
     }
 
     #[test]

@@ -28,35 +28,39 @@
 //! max_generations = 60
 //! ```
 //!
-//! Every axis names a spec field as `<section>.<key>` and lists its values
-//! separated by `|`. The cartesian product of the axes (the **last** axis
-//! varies fastest, like an odometer) yields the grid's cells; each cell is
-//! the template with the axis values substituted in, re-parsed and
-//! re-validated through the ordinary [`RunSpec`] codec, so a cell can never
-//! be a spec the engine would not accept from a file.
+//! Every axis names a spec key as `<section>.<key>` and lists its values
+//! separated by `|`; an axis on a key no table declares is refused at its
+//! line. The cartesian product of the axes (the **last** axis varies
+//! fastest, like an odometer) yields the grid's cells. Each cell is a clone
+//! of the template with the axis values written over it through the same
+//! key tables the spec reader uses (`RunSpec::apply`), then validated, so
+//! a cell is a spec the engine would accept from a file. A cell's errors
+//! name the field and the cell's coordinates.
 //!
 //! Expansion is deterministic: cell indices, coordinates and per-cell spec
 //! hashes are a pure function of the sweep text. That is what lets a
 //! results ledger skip completed cells by `(index, spec hash)` alone and
 //! lets a killed sweep resume bit-identically.
 //!
-//! `optimizer.kind` gets one special rule. A naive line substitution would
-//! leave the template's kind-specific keys behind — an nsga2 template
-//! carries `crossover_probability`, which moead rejects — so a kind axis
-//! *rebuilds* the `[optimizer]` section: `kind = <value>` first, then only
-//! the keys the target kind accepts (the keys of its default's canonical
-//! text), carried over from the template in order. Shared keys
-//! (`population`, `eta_crossover`, `eta_mutation`,
-//! `mutation_probability`, `backend`) therefore apply to every cell, while
-//! a kind-specific key such as `islands` or `neighborhood` reaches only
-//! the cells of the kind that understands it.
+//! An `optimizer.kind` axis is applied first, wherever it is declared,
+//! because the kind decides which keys the other axes may set. It switches
+//! the cell to that kind's defaults and carries over the template's value
+//! of every key the two kinds' tables share (`population`,
+//! `eta_crossover`, `eta_mutation`, `mutation_probability`, `backend`, and
+//! between NSGA-II and the archipelago also `crossover_probability`). A
+//! template's kind-specific key such as `islands` or `neighborhood`
+//! reaches only the cells of its own kind; an *axis* on a key the cell's
+//! kind has no row for is an error naming the cell.
 
 use super::spec::{
-    fnv1a64, strip_comment, OptimizerSpec, RunSpec, SpecError, KNOWN_SECTIONS, SPEC_HEADER,
+    fnv1a64, has_key, section_names, strip_comment, Document, RunSpec, SpecError, SPEC_HEADER,
 };
 
 /// The header line every sweep document starts with.
 pub const SWEEP_HEADER: &str = "pathway-sweep v1";
+
+/// The section of a sweep document that lists its axes.
+const SWEEP_SECTION: &str = "sweep";
 
 /// Expansion guard: a sweep larger than this is almost certainly a typo
 /// (an axis pasted twice, a seed range fat-fingered) and would grind a
@@ -92,11 +96,7 @@ impl SweepCell {
 
     /// Human-readable coordinates, e.g. `problem.name=zdt1 run.seed=2`.
     pub fn coordinates_string(&self) -> String {
-        self.coordinates
-            .iter()
-            .map(|(field, value)| format!("{field}={value}"))
-            .collect::<Vec<_>>()
-            .join(" ")
+        coordinates_string(&self.coordinates)
     }
 }
 
@@ -118,105 +118,47 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Parses a sweep document and validates the *entire* grid: every cell
-    /// is expanded and pushed through [`RunSpec::from_text`], so a bad
-    /// combination is reported here, not miles into a run.
+    /// is built and validated, so a bad combination is reported here, not
+    /// miles into a run.
     ///
     /// # Errors
     ///
     /// [`SpecError::Parse`] with the offending line for malformed axis
-    /// syntax, [`SpecError::Field`] for a cell whose substituted spec does
-    /// not validate, plus everything the template itself can raise.
+    /// syntax or an axis on no spec key, [`SpecError::Field`] for a cell
+    /// that does not form a valid spec, plus everything the template itself
+    /// can raise.
     pub fn from_text(text: &str) -> Result<Self, SpecError> {
-        let mut template_lines: Vec<String> = Vec::new();
+        let document = Document::parse(text, SWEEP_HEADER, Some(SWEEP_SECTION))?;
         let mut axes: Vec<SweepAxis> = Vec::new();
-        let mut header_seen = false;
-        let mut sweep_seen = false;
-        let mut in_sweep = false;
-        for (index, raw) in text.lines().enumerate() {
-            let line_no = index + 1;
-            let significant = strip_comment(raw).trim();
-            if !header_seen {
-                if significant.is_empty() {
-                    template_lines.push(raw.to_string());
-                    continue;
-                }
-                if significant != SWEEP_HEADER {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!("expected header '{SWEEP_HEADER}', found '{significant}'"),
-                    ));
-                }
-                header_seen = true;
-                // The template sees an ordinary spec header on the same
-                // line, keeping every later line number accurate.
-                template_lines.push(SPEC_HEADER.to_string());
-                continue;
-            }
-            if significant.starts_with('[') && significant.ends_with(']') {
-                if significant == "[sweep]" {
-                    if sweep_seen {
-                        return Err(SpecError::parse(line_no, "duplicate [sweep] section"));
-                    }
-                    sweep_seen = true;
-                    in_sweep = true;
-                    // Blank, not removed: line numbers in template errors
-                    // must keep pointing at the original file.
-                    template_lines.push(String::new());
-                    continue;
-                }
-                in_sweep = false;
-                template_lines.push(raw.to_string());
-                continue;
-            }
-            if !in_sweep {
-                template_lines.push(raw.to_string());
-                continue;
-            }
-            template_lines.push(String::new());
-            if significant.is_empty() {
-                continue;
-            }
-            let Some((field, value)) = significant.split_once('=') else {
+        for entry in document.section(SWEEP_SECTION) {
+            let (line, field) = (entry.line, &entry.key);
+            let fail =
+                |problem: &str| Err(SpecError::parse(line, format!("axis '{field}' {problem}")));
+            validate_axis_field(line, field)?;
+            if axes.iter().any(|axis| axis.field == *field) {
                 return Err(SpecError::parse(
-                    line_no,
-                    "expected '<section>.<key> = value | value | ...'",
-                ));
-            };
-            let field = field.trim();
-            validate_axis_field(line_no, field)?;
-            if axes.iter().any(|axis| axis.field == field) {
-                return Err(SpecError::parse(
-                    line_no,
+                    line,
                     format!("duplicate sweep axis '{field}'"),
                 ));
             }
-            let mut values = Vec::new();
-            for part in value.split('|') {
-                let part = part.trim();
-                if part.is_empty() {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!("axis '{field}' has an empty value"),
-                    ));
-                }
-                if part.chars().any(char::is_control) {
-                    return Err(SpecError::parse(
-                        line_no,
-                        format!("axis '{field}' value contains a control character"),
-                    ));
-                }
-                values.push(part.to_string());
+            let values: Vec<String> = entry
+                .value
+                .split('|')
+                .map(|part| part.trim().to_string())
+                .collect();
+            if values.iter().any(String::is_empty) {
+                return fail("has an empty value");
+            }
+            if values
+                .iter()
+                .any(|value| value.chars().any(char::is_control))
+            {
+                return fail("value contains a control character");
             }
             axes.push(SweepAxis {
-                field: field.to_string(),
+                field: field.clone(),
                 values,
             });
-        }
-        if !header_seen {
-            return Err(SpecError::parse(
-                1,
-                format!("expected header '{SWEEP_HEADER}'"),
-            ));
         }
         if axes.is_empty() {
             return Err(SpecError::parse(
@@ -224,8 +166,10 @@ impl SweepSpec {
                 "a sweep needs a [sweep] section with at least one axis",
             ));
         }
-        let template = RunSpec::from_text(&template_lines.join("\n"))?;
-        let sweep = SweepSpec { template, axes };
+        let sweep = SweepSpec {
+            template: RunSpec::read(&document)?,
+            axes,
+        };
         sweep.expand()?; // every cell must form a valid spec
         Ok(sweep)
     }
@@ -234,19 +178,19 @@ impl SweepSpec {
     /// declaration order, then the template's canonical sections.
     /// `from_text(to_text())` reproduces the sweep exactly.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(SWEEP_HEADER);
-        out.push_str("\n\n[sweep]\n");
-        for axis in &self.axes {
-            out.push_str(&format!("{} = {}\n", axis.field, axis.values.join(" | ")));
-        }
+        let axes: String = self
+            .axes
+            .iter()
+            .map(|axis| format!("{} = {}\n", axis.field, axis.values.join(" | ")))
+            .collect();
         let template = self.template.to_text();
-        let body = template
+        let sections = template
             .strip_prefix(SPEC_HEADER)
-            .expect("canonical template text starts with the spec header");
-        out.push('\n');
-        out.push_str(body.trim_start_matches('\n'));
-        out
+            .expect("canonical text starts with its header");
+        format!(
+            "{SWEEP_HEADER}\n\n[sweep]\n{axes}\n{}",
+            sections.trim_start_matches('\n')
+        )
     }
 
     /// FNV-1a hash of the canonical text — the sweep's identity. Ledgers
@@ -261,13 +205,14 @@ impl SweepSpec {
     }
 
     /// Expands the full grid in odometer order (last axis fastest). Every
-    /// returned cell carries a validated [`RunSpec`].
+    /// returned cell carries a validated [`RunSpec`]: the template with the
+    /// cell's axis values applied (the kind first) and validated.
     ///
     /// # Errors
     ///
     /// [`SpecError::Field`] when the grid exceeds [`MAX_SWEEP_CELLS`] or a
-    /// substituted cell does not form a valid spec (the message names the
-    /// cell's coordinates).
+    /// cell does not form a valid spec (the message names the cell's
+    /// coordinates and the offending field).
     pub fn expand(&self) -> Result<Vec<SweepCell>, SpecError> {
         let total = self.cell_count();
         if total > MAX_SWEEP_CELLS {
@@ -276,7 +221,6 @@ impl SweepSpec {
                 format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}"),
             ));
         }
-        let base = self.template.to_text();
         let mut cells = Vec::with_capacity(total);
         for index in 0..total {
             let mut remainder = index;
@@ -286,25 +230,27 @@ impl SweepSpec {
                 remainder /= axis.values.len();
                 coordinates[slot] = (axis.field.clone(), axis.values[pick].clone());
             }
-            let mut text = base.clone();
-            for (field, value) in &coordinates {
-                text = if field == "optimizer.kind" {
-                    patch_optimizer_kind(&text, value)
-                } else {
-                    patch_field(&text, field, value)
-                };
-            }
-            let spec = RunSpec::from_text(&text).map_err(|err| {
-                let where_ = coordinates
-                    .iter()
-                    .map(|(field, value)| format!("{field}={value}"))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                SpecError::field(
-                    format!("sweep cell {index}"),
-                    format!("({where_}) does not form a valid spec: {err}"),
-                )
-            })?;
+            let assignments: Vec<(&str, &str, &str)> = coordinates
+                .iter()
+                .map(|(field, value)| {
+                    let (section, key) = field.split_once('.').expect("axis fields are validated");
+                    (section, key, value.as_str())
+                })
+                .collect();
+            let spec = self
+                .template
+                .apply(&assignments)
+                .map_err(|(at, message)| SpecError::field(&coordinates[at].0, message))
+                .and_then(|spec| spec.validate().map(|()| spec))
+                .map_err(|err| {
+                    SpecError::field(
+                        format!("sweep cell {index}"),
+                        format!(
+                            "({}) does not form a valid spec: {err}",
+                            coordinates_string(&coordinates)
+                        ),
+                    )
+                })?;
             cells.push(SweepCell {
                 index,
                 coordinates,
@@ -325,117 +271,30 @@ pub fn is_sweep_text(text: &str) -> bool {
         == Some(SWEEP_HEADER)
 }
 
+fn coordinates_string(coordinates: &[(String, String)]) -> String {
+    coordinates
+        .iter()
+        .map(|(field, value)| format!("{field}={value}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Refuses an axis that names no key of the spec's tables, at its line.
 fn validate_axis_field(line: usize, field: &str) -> Result<(), SpecError> {
+    let fail = |problem: String| Err(SpecError::parse(line, format!("axis '{field}' {problem}")));
     let Some((section, key)) = field.split_once('.') else {
-        return Err(SpecError::parse(
-            line,
-            format!("axis '{field}' must be '<section>.<key>', e.g. 'run.seed'"),
-        ));
+        return fail("must be '<section>.<key>', e.g. 'run.seed'".into());
     };
-    if !KNOWN_SECTIONS.contains(&section) {
-        return Err(SpecError::parse(
-            line,
-            format!(
-                "axis '{field}' names unknown section '{section}' (known: {})",
-                KNOWN_SECTIONS.join(", ")
-            ),
-        ));
-    }
-    let key_ok = !key.is_empty()
-        && key
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-');
-    if !key_ok {
-        return Err(SpecError::parse(
-            line,
-            format!("axis '{field}' has an invalid key '{key}'"),
-        ));
-    }
-    Ok(())
-}
-
-/// The line range of `[section]`'s entries in `lines` (after its header,
-/// up to the next section header), or `None` when the section is absent.
-fn section_range(lines: &[String], section: &str) -> Option<std::ops::Range<usize>> {
-    let header = format!("[{section}]");
-    let start = lines.iter().position(|line| line.trim() == header)? + 1;
-    let end = lines[start..]
-        .iter()
-        .position(|line| line.trim_start().starts_with('['))
-        .map_or(lines.len(), |offset| start + offset);
-    Some(start..end)
-}
-
-/// Substitutes `value` for `<section>.<key>` in canonical spec text:
-/// replaces the existing `key = ...` line in that section, inserts one
-/// right under the section header, or appends the whole section when the
-/// template does not carry it (e.g. `[observe]`).
-fn patch_field(text: &str, field: &str, value: &str) -> String {
-    let (section, key) = field.split_once('.').expect("axis field is validated");
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let Some(range) = section_range(&lines, section) else {
-        lines.push(String::new());
-        lines.push(format!("[{section}]"));
-        lines.push(format!("{key} = {value}"));
-        return lines.join("\n") + "\n";
-    };
-    let start = range.start;
-    for line in &mut lines[range] {
-        if let Some((existing_key, _)) = line.split_once('=') {
-            if existing_key.trim() == key {
-                *line = format!("{key} = {value}");
-                return lines.join("\n") + "\n";
-            }
+    match has_key(section, key) {
+        Some(true) => Ok(()),
+        Some(false) => fail(format!("names no key of [{section}]")),
+        None => {
+            let known = section_names().collect::<Vec<_>>().join(", ");
+            fail(format!(
+                "names unknown section '{section}' (known: {known})"
+            ))
         }
     }
-    lines.insert(start, format!("{key} = {value}"));
-    lines.join("\n") + "\n"
-}
-
-/// The key of a `key = value` line, if it is one.
-fn line_key(line: &str) -> Option<&str> {
-    line.split_once('=').map(|(key, _)| key.trim())
-}
-
-/// Applies an `optimizer.kind` axis value: rebuilds the `[optimizer]`
-/// section as `kind = <value>` followed by the existing keys the target
-/// kind accepts, in their existing order. A kind accepts the keys of its
-/// default description's canonical text, which spells out every key its
-/// parser reads. The other keys are dropped — the cell base is the
-/// template's *canonical* text, which spells out every kind-specific
-/// default, so keeping them would make every cross-kind cell fail
-/// validation. An unknown kind falls back to plain substitution, and the
-/// spec parser reports it with the cell's coordinates.
-fn patch_optimizer_kind(text: &str, value: &str) -> String {
-    let Some(optimizer) = OptimizerSpec::default_for(value) else {
-        return patch_field(text, "optimizer.kind", value);
-    };
-    let defaults: Vec<String> = RunSpec {
-        optimizer,
-        ..RunSpec::default()
-    }
-    .to_text()
-    .lines()
-    .map(str::to_string)
-    .collect();
-    let range = section_range(&defaults, "optimizer").expect("canonical text has [optimizer]");
-    let accepted: Vec<&str> = defaults[range]
-        .iter()
-        .filter_map(|line| line_key(line))
-        .collect();
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let Some(range) = section_range(&lines, "optimizer") else {
-        return patch_field(text, "optimizer.kind", value);
-    };
-    let mut section = vec![format!("kind = {value}")];
-    for line in &lines[range.clone()] {
-        if line_key(line).is_some_and(|key| key != "kind" && accepted.contains(&key)) {
-            section.push(line.clone());
-        }
-    }
-    section.push(String::new());
-    lines.splice(range, section);
-    lines.join("\n") + "\n"
 }
 
 #[cfg(test)]
@@ -585,6 +444,65 @@ max_generations = 6
         let message = err.to_string();
         assert!(message.contains("optimizer.population=0"), "{message}");
         assert!(message.contains("sweep cell 1"), "{message}");
+        // A lone stagnation key breaks a cross-key rule; the error names the
+        // field and the cell, never a line of text the user did not write.
+        let err = SweepSpec::from_text(
+            "pathway-sweep v1\n\n[sweep]\nstop.stagnation_window = 5\n\n\
+             [problem]\nname = schaffer\n\n[optimizer]\nkind = nsga2\n\n\
+             [run]\nseed = 1\n\n[stop]\nmax_generations = 4\n",
+        )
+        .unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("sweep cell 0"), "{message}");
+        assert!(message.contains("(stop.stagnation_window=5)"), "{message}");
+        assert!(
+            message.contains("field stop.stagnation_window"),
+            "{message}"
+        );
+        assert!(!message.contains("line"), "{message}");
+    }
+
+    /// A kind axis applies first wherever it is declared: shared keys reach
+    /// every cell in both orders, and an axis on a key the cell's kind has
+    /// no row for fails with the cell's coordinates in both orders.
+    #[test]
+    fn a_kind_axis_applies_first_in_either_order() {
+        let sweep = |axes: &str| {
+            SweepSpec::from_text(&format!(
+                "pathway-sweep v1\n\n[sweep]\n{axes}\n[problem]\nname = schaffer\n\n\
+                 [optimizer]\nkind = nsga2\n\n[stop]\nmax_generations = 4\n"
+            ))
+        };
+        let kind = "optimizer.kind = nsga2 | moead";
+        let population = "optimizer.population = 10 | 20";
+        let cell_specs = |axes: &str| -> std::collections::BTreeSet<String> {
+            let cells = sweep(axes)
+                .and_then(|sweep| sweep.expand())
+                .expect("a valid grid");
+            cells.iter().map(|cell| cell.spec.to_text()).collect()
+        };
+        let specs = cell_specs(&format!("{population}\n{kind}"));
+        assert_eq!(specs.len(), 4, "four distinct cells");
+        assert_eq!(specs, cell_specs(&format!("{kind}\n{population}")));
+
+        let kind = "optimizer.kind = nsga2 | archipelago";
+        let islands = "optimizer.islands = 2 | 3";
+        for axes in [format!("{islands}\n{kind}"), format!("{kind}\n{islands}")] {
+            let message = sweep(&axes).unwrap_err().to_string();
+            assert!(message.contains("optimizer.kind=nsga2"), "{message}");
+            assert!(message.contains("optimizer.islands=2"), "{message}");
+            assert!(message.contains("field optimizer.islands"), "{message}");
+        }
+    }
+
+    #[test]
+    fn an_axis_on_no_key_is_refused_at_its_line() {
+        let err = SweepSpec::from_text(
+            "pathway-sweep v1\n\n[sweep]\noptimizer.topolgy = ring\n\n\
+             [problem]\nname = schaffer\n\n[optimizer]\nkind = archipelago\n",
+        )
+        .unwrap_err();
+        assert!(matches!(err, SpecError::Parse { line: 4, .. }), "{err:?}");
     }
 
     #[test]
