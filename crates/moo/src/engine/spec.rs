@@ -9,11 +9,16 @@
 //! sectioned key/value document and [`RunSpec::from_text`] parses it back
 //! with line- and field-level errors ([`SpecError`]).
 //!
-//! The codec round-trips exactly: `from_text(to_text(spec)) == spec` for
-//! every valid spec (enforced by property tests), and
-//! [`RunSpec::content_hash`] — an FNV-1a hash of the canonical text — gives
-//! checkpoints a cheap way to detect that a resume was attempted against a
-//! *different* spec (see [`crate::engine::CheckpointStore`]).
+//! Each key is declared once, as a row of its section's table: its name and
+//! how its text reads into, renders from and checks its field. `[optimizer]`
+//! has one table per kind (the archipelago's islands reuse NSGA-II's rows);
+//! `[run]`, `[stop]` and `[observe]` have one each. Parsing, rendering,
+//! [`RunSpec::validate`] and a sweep's cells all go through the tables, and
+//! a table's row order is the canonical key order. The codec round-trips
+//! exactly, `from_text(to_text(spec)) == spec` (property-tested), and
+//! [`RunSpec::content_hash`], an FNV-1a hash of the canonical text, lets a
+//! checkpoint refuse a resume against a *different* spec (see
+//! [`crate::engine::CheckpointStore`]).
 //!
 //! The spec's problem description ([`ProblemSpec`]) is deliberately just a
 //! name plus a string parameter map: this crate only knows synthetic
@@ -415,7 +420,9 @@ impl RunSpec {
         for (section, keys) in &TABLES {
             // A section with no key set (`[observe]` when quiet) is left out.
             let start = out.len();
-            let _ = write!(out, "\n[{section}]\n");
+            out.push_str("\n[");
+            out.push_str(section);
+            out.push_str("]\n");
             if !write_keys(&mut out, keys, self) {
                 out.truncate(start);
             }
@@ -469,9 +476,8 @@ impl RunSpec {
     /// builder both come here. An `[optimizer] kind` goes first, since the
     /// kind decides which keys the others may set. Then the two cross-key
     /// rules no single row can state: `checkpoint_keep_every` needs
-    /// `checkpoint_keep_last`, and the two stagnation keys need each other,
-    /// where a key is set when an assignment or this spec sets it. The
-    /// result is not yet validated.
+    /// `checkpoint_keep_last`, and the two stagnation keys need each other.
+    /// The result is not yet validated.
     ///
     /// # Errors
     ///
@@ -480,35 +486,35 @@ impl RunSpec {
         &self,
         assignments: &[(&str, &str, &str)],
     ) -> Result<Self, (usize, String)> {
-        let is_kind =
-            |&at: &usize| assignments[at].0 == OPTIMIZER && assignments[at].1 == OPTIMIZER_KIND;
-        let (kind, rest): (Vec<usize>, Vec<usize>) = (0..assignments.len()).partition(is_kind);
         let mut spec = self.clone();
-        for &at in kind.iter().chain(&rest) {
-            let (section, key, text) = assignments[at];
-            spec.assign(section, key, text).map_err(|err| (at, err))?;
+        for kind_pass in [true, false] {
+            for (at, &(section, key, text)) in assignments.iter().enumerate() {
+                if ((section, key) == (OPTIMIZER, OPTIMIZER_KIND)) == kind_pass {
+                    spec.assign(section, key, text).map_err(|err| (at, err))?;
+                }
+            }
         }
-        // Key names are unique across the fixed tables.
+        // A fixed-table key is set when an assignment or this spec sets it;
+        // key names are unique across the fixed tables.
         let assigned = |key: &Key<RunSpec>| {
+            let fixed = |section| table(section).is_some();
             assignments
                 .iter()
-                .position(|&(section, name, _)| name == key.name && table(section).is_some())
+                .position(|&(section, name, _)| name == key.name && fixed(section))
         };
         let unset =
             |key: &Key<RunSpec>| assigned(key).is_none() && !(key.write)(self, &mut String::new());
-        let lone = |key, needs| assigned(key).filter(|_| unset(needs));
         let ([_, _, keep_last, keep_every, _], [_, _, window, epsilon]) = (&RUN, &STOP);
-        if let Some(at) = lone(keep_every, keep_last) {
-            return Err((
-                at,
-                format!("{} requires {}", keep_every.name, keep_last.name),
-            ));
-        }
-        match lone(window, epsilon).or_else(|| lone(epsilon, window)) {
-            Some(at) => Err((
-                at,
-                format!("{} and {} must be set together", window.name, epsilon.name),
-            )),
+        let rules = [
+            (keep_every, keep_last),
+            (window, epsilon),
+            (epsilon, window),
+        ];
+        match rules
+            .iter()
+            .find_map(|(key, needs)| Some((assigned(key).filter(|_| unset(needs))?, key, needs)))
+        {
+            Some((at, key, needs)) => Err((at, format!("{} requires {}", key.name, needs.name))),
             None => Ok(spec),
         }
     }
@@ -845,7 +851,8 @@ fn write_keys<S>(out: &mut String, keys: &[Key<S>], spec: &S) -> bool {
     let mut any = false;
     for key in keys {
         let start = out.len();
-        let _ = write!(out, "{} = ", key.name);
+        out.push_str(key.name);
+        out.push_str(" = ");
         if (key.write)(spec, out) {
             out.push('\n');
             any = true;
@@ -880,7 +887,10 @@ fn validate_token(field: &str, value: &str) -> Result<(), SpecError> {
 }
 
 fn push_kv(out: &mut String, key: &str, value: &str) {
-    let _ = writeln!(out, "{key} = {value}");
+    out.push_str(key);
+    out.push_str(" = ");
+    out.push_str(value);
+    out.push('\n');
 }
 
 /// One parsed `key = value` line.
@@ -1275,7 +1285,7 @@ mod tests {
             match RunSpec::from_text(&text) {
                 Err(SpecError::Parse { line, message }) => {
                     assert_eq!(line, at, "{lone}");
-                    assert!(message.contains("set together"), "{message}");
+                    assert!(message.contains("requires stagnation_"), "{message}");
                 }
                 other => panic!("expected a parse error, got {other:?}"),
             }

@@ -28,29 +28,23 @@
 //! max_generations = 60
 //! ```
 //!
-//! Every axis names a spec key as `<section>.<key>` and lists its values
-//! separated by `|`; an axis on a key no table declares is refused at its
-//! line. The cartesian product of the axes (the **last** axis varies
-//! fastest, like an odometer) yields the grid's cells. Each cell is a clone
-//! of the template with the axis values written over it through the same
-//! key tables the spec reader uses (`RunSpec::apply`), then validated, so
-//! a cell is a spec the engine would accept from a file. A cell's errors
-//! name the field and the cell's coordinates.
+//! Every axis names a spec key as `<section>.<key>` (an axis on no key is
+//! refused at its line) and lists its values separated by `|`. The
+//! cartesian product of the axes, **last** axis fastest like an odometer,
+//! yields the cells. A cell is a clone of the template with its axis values
+//! written over it through the spec's own key tables (`RunSpec::apply`),
+//! then validated: a spec the engine would accept from a file. Cell errors
+//! name the field and the cell's coordinates. Expansion is a pure function
+//! of the sweep text, which lets a results ledger skip completed cells by
+//! `(index, spec hash)` and a killed sweep resume bit-identically.
 //!
-//! Expansion is deterministic: cell indices, coordinates and per-cell spec
-//! hashes are a pure function of the sweep text. That is what lets a
-//! results ledger skip completed cells by `(index, spec hash)` alone and
-//! lets a killed sweep resume bit-identically.
-//!
-//! An `optimizer.kind` axis is applied first, wherever it is declared,
-//! because the kind decides which keys the other axes may set. It switches
-//! the cell to that kind's defaults and carries over the template's value
-//! of every key the two kinds' tables share (`population`,
-//! `eta_crossover`, `eta_mutation`, `mutation_probability`, `backend`, and
-//! between NSGA-II and the archipelago also `crossover_probability`). A
-//! template's kind-specific key such as `islands` or `neighborhood`
-//! reaches only the cells of its own kind; an *axis* on a key the cell's
-//! kind has no row for is an error naming the cell.
+//! An `optimizer.kind` axis applies first, wherever it is declared, since
+//! the kind decides which keys the other axes may set. The cell gets that
+//! kind's defaults plus the template's value of every key the two kinds'
+//! tables share (`population`, `eta_*`, `mutation_probability`, `backend`;
+//! NSGA-II and the archipelago also share `crossover_probability`). A
+//! template's `islands` or `neighborhood` reaches only its own kind's
+//! cells, while an *axis* on a key the cell's kind lacks is an error.
 
 use super::spec::{
     fnv1a64, has_key, section_names, strip_comment, Document, RunSpec, SpecError, SPEC_HEADER,
