@@ -225,20 +225,25 @@ impl OptimizerSpec {
         ]
     }
 
-    /// The default description of the optimizer kind named `kind` (its
-    /// spec-text name), or `None` for a kind no optimizer has. The spec
-    /// reader starts from it.
-    fn default_for(kind: &str) -> Option<OptimizerSpec> {
-        OptimizerSpec::kinds()
-            .into_iter()
+    /// The default description of the kind named `kind` (its spec-text
+    /// name), or the error for a kind no optimizer has.
+    fn default_for(kind: &str) -> Result<OptimizerSpec, String> {
+        let kinds = OptimizerSpec::kinds();
+        let unknown = || {
+            let expected = kinds.each_ref().map(OptimizerSpec::kind).join(", ");
+            format!("unknown optimizer kind '{kind}' (expected one of {expected})")
+        };
+        kinds
+            .iter()
             .find(|spec| spec.kind() == kind)
+            .cloned()
+            .ok_or_else(unknown)
     }
 
     /// This description switched to kind `kind`: that kind's defaults, with
-    /// the value of every key the two kinds' tables share carried over. A
-    /// sweep's `optimizer.kind` axis applies it.
+    /// the value of every key the two kinds' tables share carried over.
     fn retarget(&self, kind: &str) -> Result<OptimizerSpec, String> {
-        let mut next = OptimizerSpec::default_for(kind).ok_or_else(|| unknown_kind(kind))?;
+        let mut next = OptimizerSpec::default_for(kind)?;
         let mut text = String::new();
         with_kind!(self, |from, old| with_kind!(&mut next, |to, new| {
             for key in to {
@@ -442,8 +447,7 @@ impl RunSpec {
         RunSpec::read(&Document::parse(text, SPEC_HEADER, None)?)
     }
 
-    /// The validated spec a document describes: its kind's defaults with the
-    /// entries of the spec's sections applied (a sweep's `[sweep]` is not).
+    /// The validated spec a document's spec sections describe.
     pub(super) fn read(document: &Document) -> Result<Self, SpecError> {
         let required = |section: &str, key: &str| {
             let entries = document.section(section);
@@ -453,17 +457,16 @@ impl RunSpec {
         };
         required(PROBLEM, PROBLEM_NAME)?;
         let kind = required(OPTIMIZER, OPTIMIZER_KIND)?;
-        let Some(optimizer) = OptimizerSpec::default_for(&kind.value) else {
-            return Err(SpecError::parse(kind.line, unknown_kind(&kind.value)));
+        let optimizer = OptimizerSpec::default_for(&kind.value)
+            .map_err(|message| SpecError::parse(kind.line, message))?;
+        let base = RunSpec {
+            optimizer,
+            ..RunSpec::default()
         };
         let (lines, assignments): (Vec<usize>, Vec<_>) = section_names()
             .flat_map(|name| document.section(name).iter().map(move |e| (name, e)))
             .map(|(name, e)| (e.line, (name, &*e.key, &*e.value)))
             .unzip();
-        let base = RunSpec {
-            optimizer,
-            ..RunSpec::default()
-        };
         let spec = base
             .apply(&assignments)
             .map_err(|(at, err)| SpecError::parse(lines[at], err))?;
@@ -471,17 +474,11 @@ impl RunSpec {
         Ok(spec)
     }
 
-    /// This spec with `assignments`, `(section, key, text)` triples, written
-    /// over it through the tables; the spec reader and the sweep's cell
-    /// builder both come here. An `[optimizer] kind` goes first, since the
-    /// kind decides which keys the others may set. Then the two cross-key
-    /// rules no single row can state: `checkpoint_keep_every` needs
-    /// `checkpoint_keep_last`, and the two stagnation keys need each other.
-    /// The result is not yet validated.
-    ///
-    /// # Errors
-    ///
-    /// The index of the offending assignment and what is wrong with it.
+    /// This spec with `(section, key, text)` assignments written over it
+    /// through the tables, `[optimizer] kind` first (the kind decides which
+    /// keys the others may set), not yet validated. The spec reader and the
+    /// sweep's cell builder both come here. An error carries the index of
+    /// the offending assignment.
     pub(super) fn apply(
         &self,
         assignments: &[(&str, &str, &str)],
@@ -494,29 +491,22 @@ impl RunSpec {
                 }
             }
         }
-        // A fixed-table key is set when an assignment or this spec sets it;
-        // key names are unique across the fixed tables.
-        let assigned = |key: &Key<RunSpec>| {
-            let fixed = |section| table(section).is_some();
-            assignments
-                .iter()
-                .position(|&(section, name, _)| name == key.name && fixed(section))
+        // The two cross-key rules no row can state: a key that is set needs
+        // the other one set, by an assignment or by this spec.
+        let assigned = |row: &Key<RunSpec>| {
+            let named = |&(section, key, _): &(&str, &str, &str)| {
+                key == row.name && table(section).is_some()
+            };
+            assignments.iter().position(named)
         };
-        let unset =
-            |key: &Key<RunSpec>| assigned(key).is_none() && !(key.write)(self, &mut String::new());
-        let ([_, _, keep_last, keep_every, _], [_, _, window, epsilon]) = (&RUN, &STOP);
-        let rules = [
-            (keep_every, keep_last),
-            (window, epsilon),
-            (epsilon, window),
-        ];
-        match rules
-            .iter()
-            .find_map(|(key, needs)| Some((assigned(key).filter(|_| unset(needs))?, key, needs)))
-        {
-            Some((at, key, needs)) => Err((at, format!("{} requires {}", key.name, needs.name))),
-            None => Ok(spec),
+        let ([_, _, last, every, _], [_, _, window, epsilon]) = (&RUN, &STOP);
+        for (key, needs) in [(every, last), (window, epsilon), (epsilon, window)] {
+            let needed = assigned(needs).is_some() || (needs.write)(self, &mut String::new());
+            if let Some(at) = assigned(key).filter(|_| !needed) {
+                return Err((at, format!("{} requires {}", key.name, needs.name)));
+            }
         }
+        Ok(spec)
     }
 
     /// Writes the text value of `[section] key` into this spec through the
@@ -552,30 +542,24 @@ static TABLES: [(&str, &[Key<RunSpec>]); 3] =
     [("run", &RUN), ("stop", &STOP), ("observe", &OBSERVE)];
 
 fn table(section: &str) -> Option<&'static [Key<RunSpec>]> {
-    TABLES
-        .iter()
-        .find(|(name, _)| *name == section)
-        .map(|(_, keys)| *keys)
+    let (_, keys) = TABLES.iter().find(|(name, _)| *name == section)?;
+    Some(keys)
 }
 
 /// Every section of a spec, in canonical order.
 pub(super) fn section_names() -> impl Iterator<Item = &'static str> {
-    [PROBLEM, OPTIMIZER]
-        .into_iter()
-        .chain(TABLES.iter().map(|(name, _)| *name))
+    let fixed = TABLES.iter().map(|(name, _)| *name);
+    [PROBLEM, OPTIMIZER].into_iter().chain(fixed)
 }
 
 /// Whether a spec can set `[section] key`: any token is a problem key (its
 /// name or a parameter); an optimizer key is the kind or a key of some
 /// kind's table. `None` when there is no such section.
 pub(super) fn has_key(section: &str, key: &str) -> Option<bool> {
-    let kinds = OptimizerSpec::kinds();
-    let mut kind_keys = kinds
-        .iter()
-        .map(|o| with_kind!(o, |keys, _o| find(keys, key).is_some()));
+    let kind_has = |o: &OptimizerSpec| with_kind!(o, |keys, _o| find(keys, key).is_some());
     match section {
         PROBLEM => Some(is_token(key)),
-        OPTIMIZER => Some(key == OPTIMIZER_KIND || kind_keys.any(|known| known)),
+        OPTIMIZER => Some(key == OPTIMIZER_KIND || OptimizerSpec::kinds().iter().any(kind_has)),
         _ => table(section).map(|keys| find(keys, key).is_some()),
     }
 }
@@ -707,9 +691,8 @@ fn any<T>(_: &T) -> Result<(), &'static str> {
     Ok(())
 }
 
-/// One row of a section's table: a key's spec-text name and how its text
-/// reads into, renders from and checks its field of `S`. `write` writes
-/// nothing and returns `false` for an optional key that is unset.
+/// One row of a section's table: a key's name and how its text reads into,
+/// renders from (`false`: an optional key, unset) and checks its field.
 struct Key<S> {
     name: &'static str,
     read: fn(&mut S, &str) -> Result<(), String>,
@@ -719,8 +702,8 @@ struct Key<S> {
 
 /// The row of key `$name` on the field `spec.$path`, checked by `$check`.
 /// An `optional` key's field is an `Option`, left out of the text when
-/// `None`; a key on `$field of $group` is a field of an optional group,
-/// left out when the group is `None` and written through `$open`.
+/// `None`; a key on `$field of $group or $open` is a field of an optional
+/// group, left out when the group is `None` and opened as `$open`.
 macro_rules! key {
     ($name:literal, $check:ident, $($path:ident).+) => {
         Key {
@@ -738,20 +721,20 @@ macro_rules! key {
             check: |spec| spec.$($path).+.as_ref().map_or(Ok(()), |value| $check(value)),
         }
     };
-    ($name:literal, $check:ident, $field:tt of $($group:ident).+, $open:ident) => {
+    ($name:literal, $check:ident, $field:tt of $($group:ident).+ or $open:expr) => {
         Key {
             name: $name,
-            read: |spec, text| Text::parse(text).map(|value| $open(spec).$field = value),
+            read: |spec, text| {
+                Text::parse(text).map(|value| spec.$($group).+.get_or_insert($open).$field = value)
+            },
             write: |spec, out| spec.$($group).+.map(|group| group.$field.render(out)).is_some(),
             check: |spec| spec.$($group).+.map_or(Ok(()), |group| $check(&group.$field)),
         }
     };
 }
 
-/// NSGA-II's rows, on the population at `spec.$island` (or the spec
-/// itself), between the rows `$before` and `$after` of their table:
-/// NSGA-II's own, and the archipelago's, whose islands are NSGA-II
-/// populations.
+/// NSGA-II's rows on the population at `spec.$island` (or the spec itself),
+/// between `$before` and `$after`: NSGA-II's table, and the archipelago's.
 macro_rules! nsga2_keys {
     ($($island:ident)?; [$($before:expr),*]; [$($after:expr),*]) => {
         [
@@ -797,10 +780,13 @@ static ARCHIPELAGO: [Key<ArchipelagoSpec>; 10] = nsga2_keys!(
 static RUN: [Key<RunSpec>; 5] = [
     key!("seed", any, seed),
     key!("checkpoint_every", any, checkpoint_every),
-    key!("checkpoint_keep_last", count, keep_last of retention, retention),
+    key!("checkpoint_keep_last", count, keep_last of retention or NO_RETENTION),
     Key {
         name: "checkpoint_keep_every",
-        read: |spec, text| Text::parse(text).map(|value| retention(spec).keep_every = value),
+        read: |spec, text| {
+            let retention = spec.retention.get_or_insert(NO_RETENTION);
+            Text::parse(text).map(|value| retention.keep_every = value)
+        },
         // Written only when modular keeps are on.
         write: |spec, out| match spec.retention.map_or(0, |kept| kept.keep_every) {
             0 => false,
@@ -817,23 +803,17 @@ static RUN: [Key<RunSpec>; 5] = [
 static STOP: [Key<RunSpec>; 4] = [
     key!("max_generations", count, stopping.max_generations),
     key!(optional "max_evaluations", any, stopping.max_evaluations),
-    key!("stagnation_window", count, 0 of stopping.stagnation, stagnation),
-    key!("stagnation_epsilon", finite, 1 of stopping.stagnation, stagnation),
+    key!("stagnation_window", count, 0 of stopping.stagnation or (0, 0.0)),
+    key!("stagnation_epsilon", finite, 1 of stopping.stagnation or (0, 0.0)),
 ];
 
 static OBSERVE: [Key<RunSpec>; 1] = [key!(optional "log_every", count, log_every)];
 
-fn retention(spec: &mut RunSpec) -> &mut CheckpointRetention {
-    let placeholder = CheckpointRetention {
-        keep_last: 0,
-        keep_every: 0,
-    };
-    spec.retention.get_or_insert(placeholder)
-}
-
-fn stagnation(spec: &mut RunSpec) -> &mut (usize, f64) {
-    spec.stopping.stagnation.get_or_insert((0, 0.0))
-}
+/// The retention policy a lone retention key opens.
+const NO_RETENTION: CheckpointRetention = CheckpointRetention {
+    keep_last: 0,
+    keep_every: 0,
+};
 
 fn find<'k, S>(keys: &'k [Key<S>], key: &str) -> Option<&'k Key<S>> {
     keys.iter().find(|row| row.name == key)
@@ -869,11 +849,6 @@ fn check_keys<S>(section: &str, keys: &[Key<S>], spec: &S) -> Result<(), SpecErr
         .try_for_each(|key| (key.check)(spec).map_err(|err| SpecError::field(field(key), err)))
 }
 
-fn unknown_kind(kind: &str) -> String {
-    let kinds = OptimizerSpec::kinds().map(|spec| spec.kind()).join(", ");
-    format!("unknown optimizer kind '{kind}' (expected one of {kinds})")
-}
-
 fn is_token(value: &str) -> bool {
     let token_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_';
     !value.is_empty() && value.chars().all(token_char)
@@ -906,28 +881,32 @@ pub(super) struct Document {
 }
 
 impl Document {
-    /// Reads a document whose first significant line is `header` and whose
-    /// sections are the spec's, plus `extra` (a sweep's `[sweep]`) when
-    /// given. Keys are unique within a spec section; the caller gives the
-    /// extra section's keys their meaning, so it checks them.
+    /// Reads a document headed `header` with the spec's sections, plus
+    /// `extra` (a sweep's `[sweep]`), whose keys the caller checks.
     pub(super) fn parse(
         text: &str,
         header: &str,
         extra: Option<&'static str>,
     ) -> Result<Self, SpecError> {
-        let mut header_seen = false;
+        let lines = text
+            .lines()
+            .map(|raw| strip_comment(raw).trim())
+            .enumerate();
+        let mut lines = lines
+            .filter(|(_, line)| !line.is_empty())
+            .map(|(at, line)| (at + 1, line));
+        match lines.next() {
+            Some((_, line)) if line == header => {}
+            Some((at, line)) => {
+                let message = format!("expected header '{header}', found '{line}'");
+                return Err(SpecError::parse(at, message));
+            }
+            None => return Err(SpecError::parse(1, format!("missing header '{header}'"))),
+        }
         let mut sections: Vec<(String, Vec<Entry>)> = Vec::new();
-        for (index, raw) in text.lines().enumerate() {
-            let (line_no, line) = (index + 1, strip_comment(raw).trim());
+        for (line_no, line) in lines {
             let fail = |message: String| Err(SpecError::parse(line_no, message));
-            if line.is_empty() {
-                continue;
-            } else if !header_seen {
-                if line != header {
-                    return fail(format!("expected header '{header}', found '{line}'"));
-                }
-                header_seen = true;
-            } else if let Some(name) = line.strip_prefix('[') {
+            if let Some(name) = line.strip_prefix('[') {
                 let Some(name) = name.strip_suffix(']').map(str::trim) else {
                     return fail("unterminated section header".into());
                 };
@@ -942,29 +921,23 @@ impl Document {
                     return fail(format!("duplicate section '[{name}]'"));
                 }
                 sections.push((name.to_string(), Vec::new()));
-            } else {
-                let Some((key, value)) = line.split_once('=') else {
-                    return fail(format!("expected 'key = value', found '{line}'"));
-                };
-                let (key, value) = (key.trim().to_string(), value.trim().to_string());
-                if key.is_empty() {
-                    return fail("empty key".into());
-                }
-                let Some((section, entries)) = sections.last_mut() else {
-                    return fail(format!("key '{key}' appears before any [section]"));
-                };
-                if Some(section.as_str()) != extra && entries.iter().any(|entry| entry.key == key) {
-                    return fail(format!("duplicate key '{key}' in [{section}]"));
-                }
-                entries.push(Entry {
-                    line: line_no,
-                    key,
-                    value,
-                });
+                continue;
             }
-        }
-        if !header_seen {
-            return Err(SpecError::parse(1, format!("missing header '{header}'")));
+            let Some((key, value)) = line.split_once('=') else {
+                return fail(format!("expected 'key = value', found '{line}'"));
+            };
+            let (key, value) = (key.trim().to_string(), value.trim().to_string());
+            if key.is_empty() {
+                return fail("empty key".into());
+            }
+            let Some((section, entries)) = sections.last_mut() else {
+                return fail(format!("key '{key}' appears before any [section]"));
+            };
+            if Some(section.as_str()) != extra && entries.iter().any(|entry| entry.key == key) {
+                return fail(format!("duplicate key '{key}' in [{section}]"));
+            }
+            let line = line_no;
+            entries.push(Entry { line, key, value });
         }
         Ok(Document { sections })
     }

@@ -90,7 +90,11 @@ impl SweepCell {
 
     /// Human-readable coordinates, e.g. `problem.name=zdt1 run.seed=2`.
     pub fn coordinates_string(&self) -> String {
-        coordinates_string(&self.coordinates)
+        let coordinates = self
+            .coordinates
+            .iter()
+            .map(|(field, value)| format!("{field}={value}"));
+        coordinates.collect::<Vec<_>>().join(" ")
     }
 }
 
@@ -111,29 +115,24 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// Parses a sweep document and validates the *entire* grid: every cell
-    /// is built and validated, so a bad combination is reported here, not
-    /// miles into a run.
+    /// Parses a sweep document and validates the *entire* grid, so a bad
+    /// combination is reported here, not miles into a run.
     ///
     /// # Errors
     ///
-    /// [`SpecError::Parse`] with the offending line for malformed axis
-    /// syntax or an axis on no spec key, [`SpecError::Field`] for a cell
-    /// that does not form a valid spec, plus everything the template itself
-    /// can raise.
+    /// [`SpecError::Parse`] at the line of a malformed axis or one on no
+    /// spec key, [`SpecError::Field`] for a cell that is not a valid spec,
+    /// and whatever the template raises.
     pub fn from_text(text: &str) -> Result<Self, SpecError> {
         let document = Document::parse(text, SWEEP_HEADER, Some(SWEEP_SECTION))?;
         let mut axes: Vec<SweepAxis> = Vec::new();
         for entry in document.section(SWEEP_SECTION) {
-            let (line, field) = (entry.line, &entry.key);
+            let (line, field) = (entry.line, entry.key.clone());
             let fail =
                 |problem: &str| Err(SpecError::parse(line, format!("axis '{field}' {problem}")));
-            validate_axis_field(line, field)?;
-            if axes.iter().any(|axis| axis.field == *field) {
-                return Err(SpecError::parse(
-                    line,
-                    format!("duplicate sweep axis '{field}'"),
-                ));
+            validate_axis_field(line, &field)?;
+            if axes.iter().any(|axis| axis.field == field) {
+                return fail("is a duplicate sweep axis");
             }
             let values: Vec<String> = entry
                 .value
@@ -149,16 +148,11 @@ impl SweepSpec {
             {
                 return fail("value contains a control character");
             }
-            axes.push(SweepAxis {
-                field: field.clone(),
-                values,
-            });
+            axes.push(SweepAxis { field, values });
         }
         if axes.is_empty() {
-            return Err(SpecError::parse(
-                1,
-                "a sweep needs a [sweep] section with at least one axis",
-            ));
+            let message = "a sweep needs a [sweep] section with at least one axis";
+            return Err(SpecError::parse(1, message));
         }
         let sweep = SweepSpec {
             template: RunSpec::read(&document)?,
@@ -198,60 +192,54 @@ impl SweepSpec {
         self.axes.iter().map(|axis| axis.values.len()).product()
     }
 
-    /// Expands the full grid in odometer order (last axis fastest). Every
-    /// returned cell carries a validated [`RunSpec`]: the template with the
-    /// cell's axis values applied (the kind first) and validated.
+    /// Expands the full grid in odometer order (last axis fastest).
     ///
     /// # Errors
     ///
     /// [`SpecError::Field`] when the grid exceeds [`MAX_SWEEP_CELLS`] or a
-    /// cell does not form a valid spec (the message names the cell's
-    /// coordinates and the offending field).
+    /// cell is not a valid spec (naming its coordinates and the field).
     pub fn expand(&self) -> Result<Vec<SweepCell>, SpecError> {
         let total = self.cell_count();
         if total > MAX_SWEEP_CELLS {
-            return Err(SpecError::field(
-                "sweep",
-                format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}"),
-            ));
+            let message = format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}");
+            return Err(SpecError::field("sweep", message));
         }
-        let mut cells = Vec::with_capacity(total);
-        for index in 0..total {
-            let mut remainder = index;
-            let mut coordinates = vec![(String::new(), String::new()); self.axes.len()];
-            for (slot, axis) in self.axes.iter().enumerate().rev() {
-                let pick = remainder % axis.values.len();
-                remainder /= axis.values.len();
-                coordinates[slot] = (axis.field.clone(), axis.values[pick].clone());
-            }
-            let assignments: Vec<(&str, &str, &str)> = coordinates
-                .iter()
-                .map(|(field, value)| {
-                    let (section, key) = field.split_once('.').expect("axis fields are validated");
-                    (section, key, value.as_str())
-                })
-                .collect();
-            let spec = self
-                .template
-                .apply(&assignments)
-                .map_err(|(at, message)| SpecError::field(&coordinates[at].0, message))
-                .and_then(|spec| spec.validate().map(|()| spec))
-                .map_err(|err| {
-                    SpecError::field(
-                        format!("sweep cell {index}"),
-                        format!(
-                            "({}) does not form a valid spec: {err}",
-                            coordinates_string(&coordinates)
-                        ),
-                    )
-                })?;
-            cells.push(SweepCell {
-                index,
-                coordinates,
-                spec,
-            });
+        (0..total).map(|index| self.cell(index)).collect()
+    }
+
+    /// Cell `index`: its coordinates in odometer order, and the template
+    /// with their values applied (the kind first) and validated.
+    fn cell(&self, index: usize) -> Result<SweepCell, SpecError> {
+        let mut remainder = index;
+        let mut coordinates = vec![(String::new(), String::new()); self.axes.len()];
+        for (slot, axis) in self.axes.iter().enumerate().rev() {
+            let value = &axis.values[remainder % axis.values.len()];
+            coordinates[slot] = (axis.field.clone(), value.clone());
+            remainder /= axis.values.len();
         }
-        Ok(cells)
+        let mut cell = SweepCell {
+            index,
+            coordinates,
+            spec: RunSpec::default(),
+        };
+        let assignments: Vec<(&str, &str, &str)> = cell
+            .coordinates
+            .iter()
+            .map(|(field, value)| {
+                let (section, key) = field.split_once('.').expect("axis fields are validated");
+                (section, key, value.as_str())
+            })
+            .collect();
+        let spec = self.template.apply(&assignments);
+        let spec = spec.map_err(|(at, err)| SpecError::field(&cell.coordinates[at].0, err));
+        cell.spec = spec
+            .and_then(|spec| spec.validate().map(|()| spec))
+            .map_err(|err| {
+                let coordinates = cell.coordinates_string();
+                let message = format!("({coordinates}) does not form a valid spec: {err}");
+                SpecError::field(format!("sweep cell {index}"), message)
+            })?;
+        Ok(cell)
     }
 }
 
@@ -263,14 +251,6 @@ pub fn is_sweep_text(text: &str) -> bool {
         .map(|line| strip_comment(line).trim())
         .find(|line| !line.is_empty())
         == Some(SWEEP_HEADER)
-}
-
-fn coordinates_string(coordinates: &[(String, String)]) -> String {
-    coordinates
-        .iter()
-        .map(|(field, value)| format!("{field}={value}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 /// Refuses an axis that names no key of the spec's tables, at its line.
