@@ -681,10 +681,14 @@ macro_rules! checks {
 checks! {
     count(n: &usize) *n > 0, "must be at least 1";
     probability(p: &f64) (0.0..=1.0).contains(p), "must be a probability in [0, 1]";
-    auto_probability(p: &Option<f64>) p.is_none_or(|p| (0.0..=1.0).contains(&p)), "must be a probability in [0, 1]";
     positive(x: &f64) x.is_finite() && *x > 0.0, "must be a positive finite number";
     finite(x: &f64) x.is_finite(), "must be finite";
     point(p: &[f64]) !p.is_empty() && p.iter().all(|x| x.is_finite()), "must be a non-empty list of finite numbers";
+}
+
+/// `auto` (`None`) or a probability.
+fn auto(value: &Option<f64>) -> Result<(), &'static str> {
+    value.as_ref().map_or(Ok(()), probability)
 }
 
 fn any<T>(_: &T) -> Result<(), &'static str> {
@@ -742,7 +746,7 @@ macro_rules! nsga2_keys {
             key!("population", count, $($island.)? population),
             key!("crossover_probability", probability, $($island.)? crossover_probability),
             key!("eta_crossover", positive, $($island.)? eta_crossover),
-            key!("mutation_probability", auto_probability, $($island.)? mutation_probability),
+            key!("mutation_probability", auto, $($island.)? mutation_probability),
             key!("eta_mutation", positive, $($island.)? eta_mutation),
             key!("backend", any, $($island.)? backend),
             $($after),*
@@ -757,11 +761,7 @@ static MOEAD: [Key<MoeadSpec>; 6] = [
     key!("neighborhood", count, neighborhood),
     key!("eta_crossover", positive, eta_crossover),
     key!("eta_mutation", positive, eta_mutation),
-    key!(
-        "mutation_probability",
-        auto_probability,
-        mutation_probability
-    ),
+    key!("mutation_probability", auto, mutation_probability),
     key!("backend", any, backend),
 ];
 
