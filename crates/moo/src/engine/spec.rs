@@ -385,22 +385,26 @@ impl RunSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         validate_token("problem.name", &self.problem.name)?;
         for (key, value) in &self.problem.params {
-            let field = format!("problem.{key}");
-            validate_token(&field, key)?;
-            // 'name' would render as a duplicate 'name =' line, and a '#'
-            // would start a comment, so the text would re-parse truncated
-            // (silently changing the spec and its content hash).
-            let message = if key == PROBLEM_NAME {
-                "'name' is reserved for the problem name and cannot be a parameter"
-            } else if value.chars().any(char::is_control)
-                || value.contains('#')
-                || value != value.trim()
+            validate_token(&format!("problem.{key}"), key)?;
+            // 'name' is the problem's own key in the text form; a param by
+            // that name would render as a duplicate 'name =' line that no
+            // parser accepts.
+            if key == PROBLEM_NAME {
+                return Err(SpecError::field(
+                    "problem.name",
+                    "'name' is reserved for the problem name and cannot be a parameter",
+                ));
+            }
+            // '#' starts a comment in the text form, so a value containing
+            // one would re-parse truncated — silently changing the spec and
+            // its content hash.
+            if value.chars().any(|c| c.is_control()) || value.contains('#') || value != value.trim()
             {
-                "parameter values must be single-line, trimmed and free of '#'"
-            } else {
-                continue;
-            };
-            return Err(SpecError::field(field, message));
+                return Err(SpecError::field(
+                    format!("problem.{key}"),
+                    "parameter values must be single-line, trimmed and free of '#'",
+                ));
+            }
         }
         with_kind!(&self.optimizer, |keys, o| check_keys(OPTIMIZER, keys, o))?;
         TABLES
@@ -855,10 +859,14 @@ fn is_token(value: &str) -> bool {
 }
 
 fn validate_token(field: &str, value: &str) -> Result<(), SpecError> {
-    let message = || format!("'{value}' is not a lowercase [a-z0-9_-] token");
-    is_token(value)
-        .then_some(())
-        .ok_or_else(|| SpecError::field(field, message()))
+    if is_token(value) {
+        Ok(())
+    } else {
+        Err(SpecError::field(
+            field,
+            format!("'{value}' is not a lowercase [a-z0-9_-] token"),
+        ))
+    }
 }
 
 fn push_kv(out: &mut String, key: &str, value: &str) {
@@ -888,13 +896,7 @@ impl Document {
         header: &str,
         extra: Option<&'static str>,
     ) -> Result<Self, SpecError> {
-        let lines = text
-            .lines()
-            .map(|raw| strip_comment(raw).trim())
-            .enumerate();
-        let mut lines = lines
-            .filter(|(_, line)| !line.is_empty())
-            .map(|(at, line)| (at + 1, line));
+        let mut lines = significant_lines(text);
         match lines.next() {
             Some((_, line)) if line == header => {}
             Some((at, line)) => {
@@ -949,8 +951,20 @@ impl Document {
     }
 }
 
-pub(crate) fn strip_comment(line: &str) -> &str {
-    line.find('#').map_or(line, |at| &line[..at])
+/// The 1-based number and text of every line that is not blank once its
+/// `#` comment is cut.
+pub(super) fn significant_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let lines = text.lines().map(strip_comment).map(str::trim).enumerate();
+    lines
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(at, line)| (at + 1, line))
+}
+
+fn strip_comment(line: &str) -> &str {
+    match line.find('#') {
+        Some(at) => &line[..at],
+        None => line,
+    }
 }
 
 /// Any of the shipped optimizers behind one concrete type, so spec-driven

@@ -47,7 +47,7 @@
 //! cells, while an *axis* on a key the cell's kind lacks is an error.
 
 use super::spec::{
-    fnv1a64, has_key, section_names, strip_comment, Document, RunSpec, SpecError, SPEC_HEADER,
+    fnv1a64, has_key, section_names, significant_lines, Document, RunSpec, SpecError, SPEC_HEADER,
 };
 
 /// The header line every sweep document starts with.
@@ -166,19 +166,19 @@ impl SweepSpec {
     /// declaration order, then the template's canonical sections.
     /// `from_text(to_text())` reproduces the sweep exactly.
     pub fn to_text(&self) -> String {
-        let axes: String = self
-            .axes
-            .iter()
-            .map(|axis| format!("{} = {}\n", axis.field, axis.values.join(" | ")))
-            .collect();
+        let mut out = String::new();
+        out.push_str(SWEEP_HEADER);
+        out.push_str("\n\n[sweep]\n");
+        for axis in &self.axes {
+            out.push_str(&format!("{} = {}\n", axis.field, axis.values.join(" | ")));
+        }
         let template = self.template.to_text();
-        let sections = template
+        let body = template
             .strip_prefix(SPEC_HEADER)
-            .expect("canonical text starts with its header");
-        format!(
-            "{SWEEP_HEADER}\n\n[sweep]\n{axes}\n{}",
-            sections.trim_start_matches('\n')
-        )
+            .expect("canonical template text starts with the spec header");
+        out.push('\n');
+        out.push_str(body.trim_start_matches('\n'));
+        out
     }
 
     /// FNV-1a hash of the canonical text — the sweep's identity. Ledgers
@@ -201,8 +201,10 @@ impl SweepSpec {
     pub fn expand(&self) -> Result<Vec<SweepCell>, SpecError> {
         let total = self.cell_count();
         if total > MAX_SWEEP_CELLS {
-            let message = format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}");
-            return Err(SpecError::field("sweep", message));
+            return Err(SpecError::field(
+                "sweep",
+                format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}"),
+            ));
         }
         (0..total).map(|index| self.cell(index)).collect()
     }
@@ -247,10 +249,7 @@ impl SweepSpec {
 /// (non-blank, non-comment) line is the sweep header. Used by `inspect`-like
 /// front-ends to route a file to the right codec.
 pub fn is_sweep_text(text: &str) -> bool {
-    text.lines()
-        .map(|line| strip_comment(line).trim())
-        .find(|line| !line.is_empty())
-        == Some(SWEEP_HEADER)
+    significant_lines(text).next().map(|(_, line)| line) == Some(SWEEP_HEADER)
 }
 
 /// Refuses an axis that names no key of the spec's tables, at its line.
