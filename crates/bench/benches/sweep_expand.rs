@@ -1,8 +1,9 @@
 //! Sweep grid expansion cost versus cell count.
 //!
 //! `SweepSpec::from_text` validates the *whole* grid up front (every cell
-//! is substituted, re-parsed and re-validated), so its cost scales with
-//! the product of the axis lengths. This bench pins that cost so the
+//! is the template with its axis values applied through the spec's key
+//! tables, then validated), so its cost scales with the product of the
+//! axis lengths. This bench pins that cost so the
 //! up-front validation stays cheap next to even a single cell's run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

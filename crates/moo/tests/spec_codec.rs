@@ -271,7 +271,7 @@ const HEAD: &str = "pathway-spec v1\n[problem]\nname = zdt1\n[optimizer]\n";
 /// Malformed documents, each with the error variant, line and field it
 /// must raise: an unknown key, a bad value of every value kind, an unknown
 /// kind and topology, and both cross-key rules.
-const MALFORMED: [(&str, Expect); 27] = [
+const MALFORMED: [(&str, Expect); 31] = [
     // An unknown key, section or kind.
     ("kind = nsga2\ntopolgy = ring\n", Expect::Line(6)),
     (
@@ -350,7 +350,24 @@ const MALFORMED: [(&str, Expect); 27] = [
         "kind = nsga2\n[run]\nreference_point = 1, inf\n",
         Expect::Field("run.reference_point"),
     ),
+    // A finite number, and the retention and stagnation counts.
+    (
+        "kind = nsga2\n[stop]\nstagnation_window = 5\nstagnation_epsilon = NaN\n",
+        Expect::Field("stop.stagnation_epsilon"),
+    ),
+    (
+        "kind = nsga2\n[stop]\nstagnation_window = 0\nstagnation_epsilon = 0.1\n",
+        Expect::Field("stop.stagnation_window"),
+    ),
+    (
+        "kind = nsga2\n[run]\ncheckpoint_keep_last = 0\n",
+        Expect::Field("run.checkpoint_keep_last"),
+    ),
     // The cross-key rules point at the key that is set.
+    (
+        "kind = nsga2\n[stop]\nmax_generations = 4\nmax_evaluations = 100\nstagnation_window = 5\n",
+        Expect::Line(9),
+    ),
     (
         "kind = nsga2\n[run]\nseed = 1\ncheckpoint_keep_every = 5\n",
         Expect::Line(8),
