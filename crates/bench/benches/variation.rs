@@ -2,11 +2,13 @@
 //! mutation of both children, as NSGA-II breeds them; and of one
 //! polynomial mutation alone.
 //!
-//! `geobacter/608` is a paper-scale Geobacter pair (608 genes, 60% of them
-//! differing between the parents, the rest equal, as on a converged
-//! front); `leaf/23` is a leaf-redesign pair (23 genes, all differing). Each
-//! sample runs the operators 200 times on one generator and one
-//! [`SbxScratch`], so the per-call cost is the reported time / 200.
+//! `geobacter/608` is a paper-scale Geobacter pair: 608 genes, 73% of them
+//! differing between the parents and the rest equal, the share measured
+//! over the SBX calls of a `geobacter-608` benchmark search (73.4% of
+//! genes differ; 36.7% cross). `leaf/23` is a leaf-redesign pair (23
+//! genes, all differing). Each sample runs the operators 200 times on one
+//! generator and one [`SbxScratch`], so the per-call cost is the reported
+//! time / 200.
 //! `mutation/608` and `mutation/23` time `polynomial_mutation` alone at
 //! `p = 1/n`, 200 calls per sample on a copy of the pair's first parent
 //! mutated in place.
@@ -47,7 +49,7 @@ fn bench_variation(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("variation");
     group.sample_size(sample_size);
-    for (name, n, differing) in [("geobacter", 608usize, 0.6), ("leaf", 23, 1.0)] {
+    for (name, n, differing) in [("geobacter", 608usize, 0.73), ("leaf", 23, 1.0)] {
         let mut setup = StdRng::seed_from_u64(3);
         let (parent_a, parent_b) = parents(n, differing, &mut setup);
         let bounds = vec![(0.0, 1.0); n];

@@ -102,7 +102,7 @@ fn two_island_broadcast_leaf_front_is_bit_identical() {
         &problem,
         config(2, 20, 12, MigrationTopology::Broadcast),
         7,
-        0x87e1_9c6b_6d2e_7bad,
+        0x55ca_e95c_fad7_12f1,
     );
 }
 
@@ -112,7 +112,7 @@ fn three_island_ring_zdt1_front_is_bit_identical() {
         &Zdt1 { variables: 8 },
         config(3, 16, 12, MigrationTopology::Ring),
         11,
-        0x706a_1280_37c1_36bc,
+        0xf51a_4ea6_a8d9_68b7,
     );
 }
 
@@ -124,7 +124,7 @@ fn two_island_geobacter_front_is_bit_identical() {
         &problem,
         config(2, 16, 10, MigrationTopology::Broadcast),
         5,
-        0xa51f_a10a_e2be_0d36,
+        0x906c_e033_6b86_780b,
     );
 }
 
@@ -139,6 +139,6 @@ fn two_island_paper_scale_geobacter_front_is_bit_identical() {
         &problem,
         config(2, 20, 6, MigrationTopology::Broadcast),
         13,
-        0x50b1_0cb2_e385_dd45,
+        0x5412_c6f8_155f_9117,
     );
 }

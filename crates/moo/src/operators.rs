@@ -4,21 +4,17 @@ use rand::Rng;
 
 use crate::{constrained_dominates, Individual};
 
-/// Reusable buffers for [`sbx_crossover`]: the random words it has drawn,
-/// and per crossing gene its index, its spread word and its base (then its
-/// β). They grow to the longest genome crossed and are reused across calls;
-/// `Nsga2` and `Moead` each keep one. They hold no run state: a checkpoint
-/// never carries them, and a fresh scratch gives the same children.
+/// Reusable buffers for [`sbx_crossover`]: per crossing gene its index, and
+/// its spread `u` (then its β). They grow to the longest genome crossed and
+/// are reused across calls; `Nsga2` and `Moead` each keep one. They hold no
+/// run state: a checkpoint never carries them, and a fresh scratch gives the
+/// same children.
 #[derive(Debug, Clone, Default)]
 pub struct SbxScratch {
-    /// The words drawn so far in this call, in stream order.
-    words: Vec<u64>,
     /// Slot `k`: the index of the `k`-th crossing gene.
     genes: Vec<usize>,
-    /// Slot `k`: the spread word of the `k`-th crossing gene.
-    spreads: Vec<u64>,
-    /// Slot `k`: the base of the `k`-th crossing gene, then its β.
-    bases: Vec<f64>,
+    /// Slot `k`: the spread `u` of the `k`-th crossing gene, then its β.
+    betas: Vec<f64>,
 }
 
 impl SbxScratch {
@@ -28,7 +24,8 @@ impl SbxScratch {
     }
 }
 
-/// Simulated binary crossover (SBX) of two parent decision vectors.
+/// Simulated binary crossover (SBX; Deb & Agrawal 1995) of two parent
+/// decision vectors.
 ///
 /// Returns two children; each gene is crossed with probability 0.5 (otherwise
 /// copied), using the distribution index `eta_c` (larger values produce
@@ -36,21 +33,21 @@ impl SbxScratch {
 ///
 /// # Draw contract
 ///
-/// Gene by gene, it reads one word for the coin (the gene crosses when the
-/// word's top bit is set, as `!gen_bool(0.5)`) and, when the gene crosses
-/// and the parents differ by at least 1e-14 (or either is NaN), one word for
-/// the spread `u` (as `gen::<f64>()`). So it reads exactly the words of the
-/// gene-by-gene loop, in the same order, and leaves `rng` in the same state.
+/// Over `n` genes it first draws `⌈n/64⌉` coin words with `next_u64`,
+/// always; bit `j` of word `w` is the coin of gene `64w + j`, and the high
+/// bits of the last word past gene `n − 1` are ignored. Gene `i` crosses
+/// when its coin is set and the parents differ by at least 1e-14 (or either
+/// is NaN). Then it reads one spread word per crossing gene, in gene order,
+/// as `u = next_f64()`. A call reads `⌈n/64⌉` words plus one per crossing
+/// gene.
 ///
-/// It reads them in runs. With `p` words read and genes `i..n` left, the
-/// stream will yield at least `p + (n − i)` words, one coin per remaining
-/// gene, so it draws up to that count with `next_u64` and never past it.
-/// A branch-free walk over the drawn words then finds the crossing genes;
-/// only the last gene's spread word can be missing, and it is drawn only if
-/// that gene crosses. The crossing genes' bases are computed next, then all
-/// their `powf` calls in one loop (they are independent, so they overlap),
-/// then the children are blended and clamped. Every `f64` expression is the
-/// gene-by-gene loop's, so the children are bit for bit the same.
+/// A crossing gene's spread factor is `β = (2u)^(1/(η+1))` for `u ≤ ½` and
+/// `β = (1 / (2(1 − u)))^(1/(η+1))` above, computed as
+/// `exp(±ln(2u or 2(1 − u)) / (η + 1))` by one branch-free `ln`/`exp`
+/// kernel over all crossing genes (fdlibm's `e_log.c` and `e_exp.c`
+/// polynomials), for `eta_c ≥ 0`. It is exact at `u = 0` (β = 0) and
+/// `u = ½` (β = 1), and within 1 ulp of `powf` from η = 0.5 up (the
+/// module's tests pin the bound per η).
 ///
 /// # Panics
 ///
@@ -74,68 +71,35 @@ pub fn sbx_crossover<R: Rng>(
         bounds.len(),
         "one bound per variable is required"
     );
-    let n = parent_a.len();
-    let SbxScratch {
-        words,
-        genes,
-        spreads,
-        bases,
-    } = scratch;
-    words.clear();
-    if genes.len() < n {
-        genes.resize(n, 0);
-        spreads.resize(n, 0);
-    }
+    let SbxScratch { genes, betas } = scratch;
 
-    // Walk: gene `i` reads its coin at `words[p]` and, if it crosses, its
-    // spread at `words[p + 1]`. Slot `k` is written for every gene and kept
-    // only by a crossing one.
-    let (mut i, mut p, mut k) = (0, 0, 0);
-    while i < n {
-        // Genes `i..n` read at least one word each.
-        words.extend((words.len()..p + (n - i)).map(|_| rng.next_u64()));
-        if i + 1 == n {
-            // The last gene's spread word is drawn only if it crosses.
-            let cross = (words[p] >> 63) & differ(parent_a[i], parent_b[i]);
-            if cross == 1 {
-                genes[k] = i;
-                spreads[k] = rng.next_u64();
-                k += 1;
-            }
-            break;
-        }
-        // `words` holds exactly `p + (n − i)` words and each gene walked
-        // reads at least one, so this run stops before the last gene.
-        while p + 1 < words.len() {
-            let cross = (words[p] >> 63) & differ(parent_a[i], parent_b[i]);
-            genes[k] = i;
-            spreads[k] = words[p + 1];
-            k += cross as usize;
-            p += 1 + cross as usize;
-            i += 1;
+    // The crossing genes of each chunk of 64 are its coin word's set bits
+    // among the genes whose parents differ.
+    genes.clear();
+    for (w, (chunk_a, chunk_b)) in parent_a.chunks(64).zip(parent_b.chunks(64)).enumerate() {
+        let coins = rng.next_u64();
+        let mut crossing = chunk_a
+            .iter()
+            .zip(chunk_b)
+            .enumerate()
+            .fold(0, |mask, (j, (&x1, &x2))| mask | differ(x1, x2) << j)
+            & coins;
+        while crossing != 0 {
+            genes.push(64 * w + crossing.trailing_zeros() as usize);
+            crossing &= crossing - 1;
         }
     }
 
-    // `u` as `next_f64` builds it, and the base with both arms evaluated.
-    bases.clear();
-    bases.extend(spreads[..k].iter().map(|&word| {
-        let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let low = 2.0 * u;
-        let high = 1.0 / (2.0 * (1.0 - u));
-        if u <= 0.5 {
-            low
-        } else {
-            high
-        }
-    }));
-    let exponent = 1.0 / (eta_c + 1.0);
-    for base in bases.iter_mut() {
-        *base = base.powf(exponent);
+    let exponent = SpreadExponent::new(eta_c);
+    betas.clear();
+    betas.extend(genes.iter().map(|_| rng.next_f64()));
+    for beta in betas.iter_mut() {
+        *beta = spread_factor(*beta, exponent);
     }
 
     let mut child_a = parent_a.to_vec();
     let mut child_b = parent_b.to_vec();
-    for (&i, &beta) in genes[..k].iter().zip(bases.iter()) {
+    for (&i, &beta) in genes.iter().zip(betas.iter()) {
         let (x1, x2) = (parent_a[i], parent_b[i]);
         let (lower, upper) = bounds[i];
         child_a[i] = (0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)).clamp(lower, upper);
@@ -148,6 +112,116 @@ pub fn sbx_crossover<R: Rng>(
 /// 1e-14, or either is NaN), else 0.
 fn differ(x1: f64, x2: f64) -> u64 {
     u64::from((x1 - x2).abs() < 1e-14) ^ 1
+}
+
+/// SBX's spread exponent `1 / (η + 1)`, and its split into a high part of
+/// 10 significant bits and the rest, so that the high part times
+/// `k · LN2_HI` is exact.
+#[derive(Debug, Clone, Copy)]
+struct SpreadExponent {
+    full: f64,
+    hi: f64,
+    lo: f64,
+}
+
+impl SpreadExponent {
+    fn new(eta_c: f64) -> Self {
+        let full = 1.0 / (eta_c + 1.0);
+        let hi = f64::from_bits(full.to_bits() & !((1 << 43) - 1));
+        SpreadExponent {
+            full,
+            hi,
+            lo: full - hi,
+        }
+    }
+}
+
+/// SBX's spread factor β for the spread `u ∈ [0, 1)`: `e^(x · ln 2u)` for
+/// `u ≤ ½` and `e^(−x · ln 2(1 − u))` above, at `x = 1 / (η + 1)` for
+/// `η ≥ 0`; both bases are exact. The product `±x · ln(base)` is carried to
+/// `exp` as a sum of two terms, so its rounding does not grow with the
+/// magnitude of `ln(base)` (up to 36 for the smallest base, `2⁻⁵²`).
+/// Branch-free, so a loop over many genes overlaps. `u = 0` gives exactly 0
+/// and `u = ½` exactly 1.
+fn spread_factor(u: f64, exponent: SpreadExponent) -> f64 {
+    let low = u <= 0.5;
+    let base = if low { 2.0 * u } else { 2.0 * (1.0 - u) };
+    let sign = if low { 1.0 } else { -1.0 };
+    let (k_ln2, rest) = ln_parts(base);
+    let hi = sign * (exponent.hi * k_ln2);
+    let lo = sign * (exponent.lo * k_ln2 + exponent.full * rest);
+    let beta = exp_sum(hi, lo);
+    if base == 0.0 {
+        0.0
+    } else {
+        beta
+    }
+}
+
+/// `ln 2`, split so that `k · LN2_HI` is exact for `|k| < 2¹¹` (fdlibm).
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+
+/// `ln x` for a positive normal `x` as `(k · LN2_HI, rest)`, the first term
+/// exact: fdlibm's `e_log.c` in the branch-free form of FreeBSD's
+/// `k_log.h`. With `x = 2ᵏ(1 + f)` and `1 + f` in `[√2/2, √2)`, `rest` is
+/// `k · LN2_LO + ln(1 + f)` from a degree-14 polynomial in
+/// `s = f / (2 + f)`, within 1 ulp. Any other input gives finite parts.
+fn ln_parts(x: f64) -> (f64, f64) {
+    const LG: [f64; 7] = [
+        f64::from_bits(0x3fe5_5555_5555_5593),
+        f64::from_bits(0x3fd9_9999_9997_fa04),
+        f64::from_bits(0x3fd2_4924_9422_9359),
+        f64::from_bits(0x3fcc_71c5_1d8e_78af),
+        f64::from_bits(0x3fc7_4664_96cb_03de),
+        f64::from_bits(0x3fc3_9a09_d078_c69f),
+        f64::from_bits(0x3fc2_f112_df3e_5244),
+    ];
+    // Offset the high word so that mantissas from √2/2 carry into the next
+    // binade; the biased exponent is then `k + 1023`, and the mantissa is
+    // moved back to start at √2/2.
+    let bits = x.to_bits().wrapping_add(0x0009_5f62_0000_0000);
+    // `k` as an `f64` through the `2⁵²` bias, exact and branch-free.
+    let k = f64::from_bits(0x4330_0000_0000_0000 | bits >> 52) - (4_503_599_627_370_496.0 + 1023.0);
+    let f = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) + 0x3fe6_a09e_0000_0000) - 1.0;
+    let half_f2 = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let odd = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let even = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    let rest = f - (half_f2 - (s * (half_f2 + (even + odd)) + k * LN2_LO));
+    (k * LN2_HI, rest)
+}
+
+/// `e^(hi + lo)` for `|hi + lo| ≤ 708` and `|lo|` well below 1, fdlibm's
+/// `e_exp.c` without its branches: `hi + lo = k ln 2 + r` with `k` rounded
+/// to nearest and `|r| ≤ ½ ln 2`, a degree-5 rational form in `r`, then
+/// `2ᵏ` from its bits. `hi − k · LN2_HI` is exact where it matters (for
+/// `k ≠ 0`, when `hi` is a 53-bit product as [`spread_factor`] forms it),
+/// so `lo` refines the argument below `hi`'s last bit. Error within 1 ulp.
+fn exp_sum(hi: f64, lo: f64) -> f64 {
+    const INV_LN2: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
+    const P: [f64; 5] = [
+        f64::from_bits(0x3fc5_5555_5555_553e),
+        f64::from_bits(0xbf66_c16c_16be_bd93),
+        f64::from_bits(0x3f11_566a_af25_de2c),
+        f64::from_bits(0xbebb_bd41_c5d2_6bf1),
+        f64::from_bits(0x3e66_3769_72be_a4d0),
+    ];
+    // Adding 1.5 · 2⁵² rounds `x / ln 2` to an integer `k` held in the low
+    // bits of the sum.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    let shifted = (hi + lo) * INV_LN2 + SHIFT;
+    let k = shifted - SHIFT;
+    let r_hi = hi - k * LN2_HI;
+    let r_lo = k * LN2_LO - lo;
+    let r = r_hi - r_lo;
+    let r2 = r * r;
+    let c = r - r2 * (P[0] + r2 * (P[1] + r2 * (P[2] + r2 * (P[3] + r2 * P[4]))));
+    let y = 1.0 - ((r_lo - (r * c) / (2.0 - c)) - r_hi);
+    let scale = shifted.to_bits().wrapping_sub(SHIFT.to_bits()).wrapping_add(1023) << 52;
+    y * f64::from_bits(scale)
 }
 
 /// Polynomial mutation with distribution index `eta_m`; each gene mutates with
@@ -275,7 +349,7 @@ pub fn tournament_select<R: Rng>(population: &[Individual], rng: &mut R) -> usiz
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn bounds(n: usize) -> Vec<(f64, f64)> {
         vec![(0.0, 1.0); n]
@@ -312,6 +386,74 @@ mod tests {
             max_spread = max_spread.max((c1[0] - 0.5).abs());
         }
         assert!(max_spread < 0.3);
+    }
+
+    /// `u` as `next_f64` builds it from `word`.
+    fn unit(word: u64) -> f64 {
+        (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The spread factor as `powf` computed it before the kernel.
+    fn powf_spread_factor(u: f64, eta: f64) -> f64 {
+        let base = if u <= 0.5 {
+            2.0 * u
+        } else {
+            1.0 / (2.0 * (1.0 - u))
+        };
+        base.powf(1.0 / (eta + 1.0))
+    }
+
+    /// The kernel's worst distance from `powf` per η, in ulps. Below
+    /// η = 0.5 it can reach 2 ulps: `powf`'s base `1 / (2(1 − u))` is
+    /// rounded, and at an exponent near 1 that rounding reaches β whole.
+    /// Every committed spec runs at the default η = 15.
+    const SPREAD_ULPS: [(f64, u64); 8] = [
+        (0.01, 2),
+        (0.5, 1),
+        (1.0, 1),
+        (5.0, 1),
+        (15.0, 1),
+        (20.0, 1),
+        (100.0, 1),
+        (1e6, 1),
+    ];
+
+    #[test]
+    fn the_spread_kernel_is_within_its_stated_ulps_of_powf() {
+        let mut rng = StdRng::seed_from_u64(2_032);
+        let mut words: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        // `u` of 0, ½ and either side of it, and the 10,000 smallest and
+        // largest, where `|ln(base)|` is largest.
+        words.extend([0, 1 << 63, (1 << 63) - (1 << 11), (1 << 63) + (1 << 11)]);
+        words.extend((1..10_000u64).flat_map(|k| [k << 11, u64::MAX - ((k - 1) << 11)]));
+        for (eta, ulps) in SPREAD_ULPS {
+            let exponent = SpreadExponent::new(eta);
+            for &word in &words {
+                let u = unit(word);
+                let (beta, expected) = (spread_factor(u, exponent), powf_spread_factor(u, eta));
+                let distance = beta.to_bits().abs_diff(expected.to_bits());
+                assert!(
+                    beta.is_finite() && distance <= ulps,
+                    "η {eta}, u {u}: β {beta:e} is {distance} ulps from {expected:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_spread_kernel_is_exact_at_its_edges() {
+        for eta in [1e-9, 0.5, 1.0, 15.0, 100.0, 1e9] {
+            let exponent = SpreadExponent::new(eta);
+            assert_eq!(spread_factor(0.0, exponent).to_bits(), 0.0f64.to_bits());
+            assert_eq!(spread_factor(0.5, exponent), 1.0);
+            // The largest `u` is 1 − 2⁻⁵³: its base is 2⁵² exactly.
+            let largest = unit(u64::MAX);
+            assert_eq!(1.0 / (2.0 * (1.0 - largest)), 2f64.powi(52));
+            let beta = spread_factor(largest, exponent);
+            assert!(beta.is_finite() && beta >= 1.0, "η {eta}: β {beta}");
+            let expected = 2f64.powf(52.0 * exponent.full);
+            assert!((beta - expected).abs() <= 4.0 * f64::EPSILON * expected);
+        }
     }
 
     #[test]
@@ -417,17 +559,19 @@ mod tests {
 
 #[cfg(test)]
 mod reference {
-    //! Equivalence tests for SBX: the `gen_bool`-based version it replaced,
-    //! kept verbatim as a reference, and random parents that stress every
-    //! case the integer coin and the branch-free walk must get right.
+    //! SBX is pinned by its draw contract: scripted word sources assert the
+    //! children's bits and the words read at the edges of its coin words
+    //! (n = 0, 1, 63, 64, 65 and 608; a chunk with no differing genes; the
+    //! last chunk's high bits; NaN and infinite parents), and a plain
+    //! gene-by-gene reference of the same contract, on the same kernel, must
+    //! match it bit for bit, children and generator state, on random parents
+    //! that mix genes inside their bounds, genes equal in both parents, genes
+    //! within 1e-14 of each other (on both sides of the cut and exactly on
+    //! it), genes outside their bounds and zero-width bounds. A seeded test
+    //! checks the crossing counts against Binomial(d, ½) over `d` differing
+    //! genes and the spread factors against SBX's distribution.
     //!
-    //! A case mixes genes drawn inside their bounds, genes equal in both
-    //! parents, genes within 1e-14 of each other (on both sides of the cut
-    //! and exactly on it), genes outside their bounds and zero-width bounds,
-    //! over a spread of distribution indices. Children are compared bit for
-    //! bit, and the generators must end in the same state.
-    //!
-    //! Polynomial mutation is pinned by its draw contract instead: scripted
+    //! Polynomial mutation is pinned by its draw contract too: scripted
     //! word sources assert the children's bits and the words read at each
     //! edge of the skip sampling (no draw at `p = 0`, no gap at `p = 1`,
     //! gaps of 0, of the genes left and past them, zero-width genes,
@@ -435,21 +579,13 @@ mod reference {
     //! counts against Binomial(n, p) and their positions against uniform.
 
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
-    use super::{polynomial_mutation, sbx_crossover, SbxScratch};
+    use super::{polynomial_mutation, sbx_crossover, spread_factor, SbxScratch, SpreadExponent};
     use proptest::prelude::*;
 
-    /// [`sbx_crossover`] as it was before its integer coin: SBX of two parent
-    /// decision vectors.
-    ///
-    /// Returns two children; each gene is crossed with probability 0.5 (otherwise
-    /// copied), using the distribution index `eta_c` (larger values produce
-    /// children closer to their parents). Children are clamped to `bounds`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parents or bounds have inconsistent lengths.
+    /// [`sbx_crossover`]'s draw contract, gene by gene: all coin words
+    /// first, then a spread word at each crossing gene in turn.
     fn reference_sbx_crossover<R: Rng>(
         parent_a: &[f64],
         parent_b: &[f64],
@@ -457,34 +593,19 @@ mod reference {
         eta_c: f64,
         rng: &mut R,
     ) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(
-            parent_a.len(),
-            parent_b.len(),
-            "parents must have equal length"
-        );
-        assert_eq!(
-            parent_a.len(),
-            bounds.len(),
-            "one bound per variable is required"
-        );
         let n = parent_a.len();
+        let coins: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
         let mut child_a = parent_a.to_vec();
         let mut child_b = parent_b.to_vec();
-
         for i in 0..n {
-            if rng.gen_bool(0.5) {
+            if (coins[i / 64] >> (i % 64)) & 1 == 0 {
                 continue;
             }
             let (x1, x2) = (parent_a[i], parent_b[i]);
             if (x1 - x2).abs() < 1e-14 {
                 continue;
             }
-            let u: f64 = rng.gen();
-            let beta = if u <= 0.5 {
-                (2.0 * u).powf(1.0 / (eta_c + 1.0))
-            } else {
-                (1.0 / (2.0 * (1.0 - u))).powf(1.0 / (eta_c + 1.0))
-            };
+            let beta = spread_factor(rng.next_f64(), SpreadExponent::new(eta_c));
             let c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
             let c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
             let (lower, upper) = bounds[i];
@@ -536,9 +657,13 @@ mod reference {
 
     proptest! {
         #[test]
-        fn prop_operators_match_the_gen_bool_references(seed in 0u64..u64::MAX) {
+        fn prop_sbx_matches_the_gene_by_gene_reference(seed in 0u64..u64::MAX) {
             let mut cases = StdRng::seed_from_u64(seed);
-            let n = if cases.gen_bool(0.1) { 608 } else { cases.gen_range(1..40) };
+            let n = match cases.gen_range(0..10u32) {
+                0 => 608,
+                1 => [63, 64, 65, 128, 129][cases.gen_range(0..5usize)],
+                _ => cases.gen_range(0..200),
+            };
             let (parent_a, parent_b, bounds) = random_case(&mut cases, n);
             let eta = [0.0, 0.5, 1.0, 2.0, 5.0, 15.0, 20.0, 100.0, cases.gen_range(0.0..200.0)]
                 [cases.gen_range(0..9usize)];
@@ -570,7 +695,7 @@ mod reference {
         }
     }
 
-    impl rand::RngCore for Script {
+    impl RngCore for Script {
         fn next_u64(&mut self) -> u64 {
             let word = self.words[self.read];
             self.read += 1;
@@ -578,118 +703,151 @@ mod reference {
         }
     }
 
-    /// Runs [`sbx_crossover`] (on `scratch`) and the reference on the same
-    /// script, and asserts equal children bits and equal words read.
-    fn assert_sbx_matches_on_script(
+    /// Bounds wide enough that no child is clamped.
+    fn wide(n: usize) -> Vec<(f64, f64)> {
+        vec![(-1e300, 1e300); n]
+    }
+
+    /// SBX at η = 15 on a script of `words`: asserts that every word was
+    /// read, and that the children are the parents with each
+    /// `(gene, spread word)` of `crossings` crossed, bit for bit.
+    fn assert_sbx_on_script(
         parent_a: &[f64],
         parent_b: &[f64],
         words: &[u64],
+        crossings: &[(usize, u64)],
         scratch: &mut SbxScratch,
         case: &str,
-    ) -> usize {
-        let bounds = vec![(-1e300, 1e300); parent_a.len()];
-        // Two spare words at the end: a run that reads past its genes reads
-        // them and its count differs.
-        let words = [words, &[u64::MAX, 0]].concat();
-        let mut rng = Script::new(words.clone());
-        let mut reference_rng = Script::new(words);
+    ) {
+        let bounds = wide(parent_a.len());
+        let mut expected_a = parent_a.to_vec();
+        let mut expected_b = parent_b.to_vec();
+        for &(i, word) in crossings {
+            let beta = spread_factor((word >> 11) as f64 / (1u64 << 53) as f64, SpreadExponent::new(15.0));
+            let (x1, x2) = (parent_a[i], parent_b[i]);
+            expected_a[i] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
+            expected_b[i] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
+        }
+        // Reading past the script panics on its index.
+        let mut rng = Script::new(words.to_vec());
         let (a, b) = sbx_crossover(parent_a, parent_b, &bounds, 15.0, &mut rng, scratch);
-        let (ref_a, ref_b) =
-            reference_sbx_crossover(parent_a, parent_b, &bounds, 15.0, &mut reference_rng);
-        assert_eq!(bits(&a), bits(&ref_a), "{case}: first child");
-        assert_eq!(bits(&b), bits(&ref_b), "{case}: second child");
-        assert_eq!(rng.read, reference_rng.read, "{case}: words read");
-        rng.read
+        assert_eq!(bits(&a), bits(&expected_a), "{case}: first child");
+        assert_eq!(bits(&b), bits(&expected_b), "{case}: second child");
+        assert_eq!(rng.read, words.len(), "{case}: words read");
     }
 
-    /// A spread word for gene `i`: both arms of the base, and `u` exactly
-    /// 0.5 (the word `1 << 63`) and just on either side of it.
+    /// A spread word for gene `i`: both arms of the base, `u` of 0, exactly
+    /// ½ (the word `1 << 63`) and just on either side of it, and the
+    /// largest `u`.
     fn spread(i: usize) -> u64 {
-        match i % 5 {
+        match i % 7 {
             0 => 1 << 63,
             1 => (1 << 63) - (1 << 11),
             2 => (1 << 63) + (1 << 11),
             3 => 0x0123_4567_89ab_cdef,
+            4 => 0,
+            5 => u64::MAX,
             _ => 0xfedc_ba98_7654_3210,
         }
     }
 
-    const CROSS: u64 = 1 << 63 | 0x5555;
-    const COPY: u64 = 0x7fff_ffff_ffff_ffff;
+    /// Parents of `n` genes that differ at every gene.
+    fn differing(n: usize) -> (Vec<f64>, Vec<f64>) {
+        (0..n).map(|i| (i as f64 * 0.25, -1.0 - i as f64)).unzip()
+    }
+
+    /// The script and the crossings when the genes of `crossing` cross:
+    /// the coin words, then a spread word per crossing gene.
+    fn script(n: usize, crossing: &[usize]) -> (Vec<u64>, Vec<(usize, u64)>) {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for &i in crossing {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        let crossings: Vec<(usize, u64)> = crossing.iter().map(|&i| (i, spread(i))).collect();
+        words.extend(crossings.iter().map(|&(_, word)| word));
+        (words, crossings)
+    }
 
     #[test]
-    fn the_walk_reads_the_reference_words_at_the_edges_of_its_runs() {
+    fn sbx_reads_one_coin_word_per_64_genes_then_one_spread_per_crossing_gene() {
         // One scratch for every case, longest genome first: what an earlier
         // call left in the buffers must not leak into a later one.
         let mut scratch = SbxScratch::new();
-        for n in [608, 65, 64, 63, 2, 1] {
-            let parent_a: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
-            let parent_b: Vec<f64> = (0..n).map(|i| -1.0 - i as f64).collect();
-
-            let every: Vec<u64> = (0..n).flat_map(|i| [CROSS, spread(i)]).collect();
-            let read = assert_sbx_matches_on_script(
-                &parent_a,
-                &parent_b,
-                &every,
-                &mut scratch,
-                &format!("n {n}, every gene crossing"),
-            );
-            assert_eq!(read, 2 * n);
-
-            let none = vec![COPY; n];
-            let read = assert_sbx_matches_on_script(
-                &parent_a,
-                &parent_b,
-                &none,
-                &mut scratch,
-                &format!("n {n}, no gene crossing"),
-            );
-            assert_eq!(read, n);
-
-            // Every coin set, but the parents are equal: no spread is read.
-            let read = assert_sbx_matches_on_script(
-                &parent_a,
-                &parent_a,
-                &vec![CROSS; n],
-                &mut scratch,
-                &format!("n {n}, equal parents"),
-            );
-            assert_eq!(read, n);
-
-            // Only the last gene crosses: its spread is the one word drawn
-            // outside a run.
-            let mut last: Vec<u64> = vec![COPY; n - 1];
-            last.extend([CROSS, spread(3)]);
-            let read = assert_sbx_matches_on_script(
-                &parent_a,
-                &parent_b,
-                &last,
-                &mut scratch,
-                &format!("n {n}, only the last gene crossing"),
-            );
-            assert_eq!(read, n + 1);
-
-            // Every other gene crosses, starting with the first and with the
-            // second.
-            for phase in 0..2 {
-                let words: Vec<u64> = (0..n)
-                    .flat_map(|i| {
-                        if i % 2 == phase {
-                            vec![CROSS, spread(i)]
-                        } else {
-                            vec![COPY]
-                        }
-                    })
-                    .collect();
-                let read = assert_sbx_matches_on_script(
+        for n in [608, 65, 64, 63, 1, 0] {
+            let (parent_a, parent_b) = differing(n);
+            let all: Vec<usize> = (0..n).collect();
+            for (name, crossing) in [
+                ("every gene", all.clone()),
+                ("no gene", vec![]),
+                ("even genes", all.iter().copied().filter(|i| i % 2 == 0).collect()),
+                ("odd genes", all.iter().copied().filter(|i| i % 2 == 1).collect()),
+                ("the last gene", all.last().copied().into_iter().collect()),
+                ("the first gene", all.first().copied().into_iter().collect()),
+            ] {
+                let (words, crossings) = script(n, &crossing);
+                assert_sbx_on_script(
                     &parent_a,
                     &parent_b,
                     &words,
+                    &crossings,
                     &mut scratch,
-                    &format!("n {n}, alternate genes from {phase}"),
+                    &format!("n {n}, {name} crossing"),
                 );
-                assert_eq!(read, words.len());
             }
+            // Every coin set, but the parents are equal: no spread is read.
+            assert_sbx_on_script(
+                &parent_a,
+                &parent_a,
+                &vec![u64::MAX; n.div_ceil(64)],
+                &[],
+                &mut scratch,
+                &format!("n {n}, equal parents"),
+            );
+        }
+    }
+
+    #[test]
+    fn a_chunk_with_no_differing_genes_still_reads_its_coin_word() {
+        // Genes 64..128 are equal in both parents; the spreads of chunk 2
+        // follow those of chunk 0 with no word between them.
+        let n = 150;
+        let (parent_a, mut parent_b) = differing(n);
+        parent_b[64..128].copy_from_slice(&parent_a[64..128]);
+        let crossing: Vec<usize> = (0..64).chain(128..n).filter(|i| i % 3 != 1).collect();
+        let (mut words, crossings) = script(n, &crossing);
+        words[1] = u64::MAX;
+        let mut scratch = SbxScratch::new();
+        assert_sbx_on_script(
+            &parent_a,
+            &parent_b,
+            &words,
+            &crossings,
+            &mut scratch,
+            "chunk 1 equal",
+        );
+    }
+
+    #[test]
+    fn the_last_chunks_high_bits_are_ignored() {
+        let mut scratch = SbxScratch::new();
+        for n in [1, 63, 65, 100, 608] {
+            let (parent_a, parent_b) = differing(n);
+            let crossing: Vec<usize> = (0..n).filter(|i| i % 5 != 2).collect();
+            let (mut words, crossings) = script(n, &crossing);
+            // Set every bit past gene `n − 1` of the last coin word.
+            let last = n.div_ceil(64) - 1;
+            let used = n - 64 * last;
+            if used < 64 {
+                words[last] |= u64::MAX << used;
+            }
+            assert_sbx_on_script(
+                &parent_a,
+                &parent_b,
+                &words,
+                &crossings,
+                &mut scratch,
+                &format!("n {n}, high bits set"),
+            );
         }
     }
 
@@ -697,6 +855,8 @@ mod reference {
     fn non_finite_parents_cross_as_in_the_reference() {
         let nan = f64::NAN;
         let inf = f64::INFINITY;
+        // A NaN gene crosses, and so does an infinite one (even against an
+        // equal infinity: the difference is NaN); only (0.5, 0.5) is copied.
         let pairs = [
             (nan, 0.5),
             (0.5, nan),
@@ -715,15 +875,24 @@ mod reference {
             let (parent_a, parent_b): (Vec<f64>, Vec<f64>) = (0..pairs.len())
                 .map(|i| pairs[(first + i) % pairs.len()])
                 .unzip();
-            for coins in [CROSS, COPY] {
-                let words: Vec<u64> = (0..pairs.len()).flat_map(|i| [coins, spread(i)]).collect();
-                assert_sbx_matches_on_script(
-                    &parent_a,
-                    &parent_b,
-                    &words,
-                    &mut scratch,
-                    &format!("from ({x1}, {x2}), coins {coins:#x}"),
-                );
+            for coins in [u64::MAX, 0x5555_5555_5555_5555, 0] {
+                let words: Vec<u64> =
+                    [coins].into_iter().chain((0..pairs.len()).map(spread)).collect();
+                let bounds = wide(pairs.len());
+                let mut rng = Script::new(words.clone());
+                let mut reference_rng = Script::new(words);
+                let (a, b) =
+                    sbx_crossover(&parent_a, &parent_b, &bounds, 15.0, &mut rng, &mut scratch);
+                let (ref_a, ref_b) =
+                    reference_sbx_crossover(&parent_a, &parent_b, &bounds, 15.0, &mut reference_rng);
+                let case = format!("from ({x1}, {x2}), coins {coins:#x}");
+                assert_eq!(bits(&a), bits(&ref_a), "{case}: first child");
+                assert_eq!(bits(&b), bits(&ref_b), "{case}: second child");
+                assert_eq!(rng.read, reference_rng.read, "{case}: words read");
+                // Every pair but (0.5, 0.5) crosses when its coin is set.
+                let set = (0..pairs.len()).filter(|&i| (coins >> i) & 1 == 1);
+                let crossing = set.filter(|&i| parent_a[i] != 0.5 || parent_b[i] != 0.5);
+                assert_eq!(rng.read, 1 + crossing.count(), "{case}: crossing genes");
             }
         }
     }
@@ -751,6 +920,85 @@ mod reference {
                 assert_eq!(bits(&child), bits(&reference));
                 assert_eq!(rng.state(), reference_rng.state());
             }
+        }
+    }
+
+    /// A generator that counts the words it yields.
+    struct Counting {
+        rng: StdRng,
+        read: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.read += 1;
+            self.rng.next_u64()
+        }
+    }
+
+    #[test]
+    fn crossing_counts_are_binomial_and_spread_factors_follow_sbx() {
+        // 608 genes, 444 of them (73%) differing, at x1 = 1 and x2 = −1, so
+        // a crossing gene's first child is its β (to rounding).
+        let (n, d, calls) = (608, 444, 4_000);
+        let parent_a = vec![1.0; n];
+        let parent_b: Vec<f64> = (0..n).map(|i| if i < d { -1.0 } else { 1.0 }).collect();
+        let bounds = wide(n);
+        for eta in [2.0, 15.0] {
+            let mut rng = Counting {
+                rng: StdRng::seed_from_u64(2_032),
+                read: 0,
+            };
+            let mut scratch = SbxScratch::new();
+            let mut counts = Vec::with_capacity(calls);
+            let mut betas = Vec::new();
+            for _ in 0..calls {
+                let before = rng.read;
+                let (child, _) =
+                    sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut rng, &mut scratch);
+                counts.push((rng.read - before - n.div_ceil(64)) as f64);
+                betas.extend(child[..d].iter().filter(|&&c| c != 1.0));
+                assert!(child[d..].iter().all(|&c| c == 1.0));
+            }
+            // Mean and variance within four standard errors of
+            // Binomial(d, ½)'s.
+            let c = calls as f64;
+            let mean = counts.iter().sum::<f64>() / c;
+            let variance = counts.iter().map(|k| (k - mean).powi(2)).sum::<f64>() / (c - 1.0);
+            let (expected_mean, expected_variance) = (d as f64 / 2.0, d as f64 / 4.0);
+            let mean_error = 4.0 * (expected_variance / c).sqrt();
+            assert!(
+                (mean - expected_mean).abs() <= mean_error,
+                "η {eta}: mean {mean} against {expected_mean} ± {mean_error}"
+            );
+            let variance_error = 4.0 * expected_variance * (2.0 / c).sqrt();
+            assert!(
+                (variance - expected_variance).abs() <= variance_error,
+                "η {eta}: variance {variance} against {expected_variance} ± {variance_error}"
+            );
+            // Kolmogorov–Smirnov against SBX's CDF, at the 0.1% level.
+            let cdf = |beta: f64| {
+                if beta <= 1.0 {
+                    0.5 * beta.powf(eta + 1.0)
+                } else {
+                    1.0 - 0.5 * beta.powf(-(eta + 1.0))
+                }
+            };
+            betas.sort_by(f64::total_cmp);
+            let m = betas.len() as f64;
+            let distance = betas
+                .iter()
+                .enumerate()
+                .map(|(i, &beta)| {
+                    let f = cdf(beta);
+                    (f - i as f64 / m).max((i + 1) as f64 / m - f)
+                })
+                .fold(0.0, f64::max);
+            let bound = 1.95 / m.sqrt();
+            assert!(
+                distance <= bound,
+                "η {eta}: KS distance {distance} over {m} spreads, bound {bound}"
+            );
         }
     }
 
@@ -1061,3 +1309,5 @@ mod reference {
         }
     }
 }
+
+
