@@ -651,15 +651,15 @@ fn command_sweep(args: &[OsString]) -> Result<(), CliError> {
         dir.set_extension("results");
         dir
     });
-    let executor = options.executor(&sweep.template);
+    let executor = options.executor(sweep.template());
     println!(
         "sweep: {} axes, {} cells (hash {:#018x}, {})",
-        sweep.axes.len(),
-        sweep.cell_count(),
+        sweep.axes().len(),
+        sweep.cells().len(),
         sweep.content_hash(),
         describe_executor(&executor)
     );
-    for axis in &sweep.axes {
+    for axis in sweep.axes() {
         println!("  axis {} = {}", axis.field, axis.values.join(" | "));
     }
     let quiet = options.quiet;
@@ -941,8 +941,8 @@ fn command_inspect(args: &[OsString]) -> Result<(), CliError> {
 fn inspect_sweep(path: &Path, sweep: &SweepSpec) {
     println!("{}: valid pathway sweep", path.display());
     println!("  content hash: {:#018x}", sweep.content_hash());
-    println!("  cells:        {}", sweep.cell_count());
-    for axis in &sweep.axes {
+    println!("  cells:        {}", sweep.cells().len());
+    for axis in sweep.axes() {
         println!(
             "  axis:         {} = {}",
             axis.field,

@@ -1,7 +1,7 @@
 //! Grid sweep execution and the durable results ledger.
 //!
-//! [`run_sweep`] takes a parsed [`SweepSpec`], expands it, and runs every
-//! cell on **one** shared persistent [`Executor`] — the pool is paid for
+//! [`run_sweep`] takes a parsed [`SweepSpec`] and runs every one of its
+//! cells on **one** shared persistent [`Executor`] — the pool is paid for
 //! once per invocation, exactly like the `pathway run`/`resume` path. Each
 //! cell checkpoints through its own [`CheckpointStore`] under
 //! `<out>/cells/cell-NNNN/`, so a killed sweep resumes *only* its
@@ -265,14 +265,14 @@ pub fn run_sweep(
     if let Some(registry) = metrics {
         executor.set_metrics(registry.clone());
     }
-    let cells = sweep.expand()?;
+    let cells = sweep.cells();
     let _lock = lock_out_dir(out_dir)?;
     let fronts_dir = out_dir.join("fronts");
     std::fs::create_dir_all(&fronts_dir).map_err(|err| io_err(&fronts_dir, err))?;
-    let mut ledger = Ledger::open(out_dir, sweep, &cells)?;
+    let mut ledger = Ledger::open(out_dir, sweep, cells)?;
     // Even a sweep interrupted in its first cell leaves a valid JSON
     // ledger behind (all placeholders).
-    ledger.write_json(sweep, &cells, &fronts_dir)?;
+    ledger.write_json(sweep, cells, &fronts_dir)?;
 
     let mut report = SweepReport {
         cells: cells.len(),
@@ -284,7 +284,7 @@ pub fn run_sweep(
         json_path: ledger.json_path.clone(),
     };
     let mut remaining = stop_after;
-    for cell in &cells {
+    for cell in cells {
         if ledger.has(cell.index, cell.spec.content_hash()) {
             report.skipped += 1;
             progress(SweepEvent::CellSkipped { cell });
@@ -353,7 +353,7 @@ pub fn run_sweep(
             unix: now_unix(),
         };
         ledger.append(row)?;
-        ledger.write_json(sweep, &cells, &fronts_dir)?;
+        ledger.write_json(sweep, cells, &fronts_dir)?;
         if let Some(registry) = metrics {
             problem.record_oracle_metrics(registry);
         }
@@ -559,7 +559,7 @@ impl Ledger {
         header.push_str("# pathway sweep ledger\n\n");
         header.push_str(&format!("- sweep-hash: {:#018x}\n", sweep.content_hash()));
         header.push_str(&format!("- cells: {}\n", cells.len()));
-        for axis in &sweep.axes {
+        for axis in sweep.axes() {
             header.push_str(&format!(
                 "- axis: {} = {}\n",
                 axis.field,
@@ -720,7 +720,7 @@ fn bench_json(
     let hex = |hash: u64| JsonValue::String(format!("{hash:#018x}"));
     let axes = JsonValue::Array(
         sweep
-            .axes
+            .axes()
             .iter()
             .map(|axis| {
                 JsonValue::Object(vec![

@@ -98,31 +98,37 @@ impl SweepCell {
     }
 }
 
-/// A parsed sweep: the run template and the axes to expand over it.
+/// A parsed sweep: the run template, the axes to expand over it, and the
+/// validated cells they expand into.
 ///
 /// See the `pathway sweep` section of the repository README for the text
 /// format (or the example at the top of this source file). Like [`RunSpec`], a
 /// sweep has a canonical rendering ([`to_text`](SweepSpec::to_text)), an
 /// exact round-trip, and an FNV-1a [`content_hash`](SweepSpec::content_hash)
 /// over the canonical text that ledgers use to refuse mixing results from
-/// different sweeps.
+/// different sweeps. The grid is expanded once, when the text is parsed,
+/// and a sweep cannot be changed afterwards, so its cells always describe
+/// its template and axes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The base run description every cell starts from.
-    pub template: RunSpec,
+    template: RunSpec,
     /// The axes, in declaration order.
-    pub axes: Vec<SweepAxis>,
+    axes: Vec<SweepAxis>,
+    /// Every cell of the grid, in odometer order (last axis fastest).
+    cells: Vec<SweepCell>,
 }
 
 impl SweepSpec {
-    /// Parses a sweep document and validates the *entire* grid, so a bad
-    /// combination is reported here, not miles into a run.
+    /// Parses a sweep document and expands and validates the *entire*
+    /// grid, so a bad combination is reported here, not miles into a run.
     ///
     /// # Errors
     ///
     /// [`SpecError::Parse`] at the line of a malformed axis or one on no
-    /// spec key, [`SpecError::Field`] for a cell that is not a valid spec,
-    /// and whatever the template raises.
+    /// spec key, [`SpecError::Field`] when the grid exceeds
+    /// [`MAX_SWEEP_CELLS`] or a cell is not a valid spec (naming its
+    /// coordinates and the field), and whatever the template raises.
     pub fn from_text(text: &str) -> Result<Self, SpecError> {
         let document = Document::parse(text, SWEEP_HEADER, Some(SWEEP_SECTION))?;
         let mut axes: Vec<SweepAxis> = Vec::new();
@@ -154,12 +160,29 @@ impl SweepSpec {
             let message = "a sweep needs a [sweep] section with at least one axis";
             return Err(SpecError::parse(1, message));
         }
-        let sweep = SweepSpec {
-            template: RunSpec::read(&document)?,
+        let template = RunSpec::read(&document)?;
+        let cells = expand(&template, &axes)?;
+        Ok(SweepSpec {
+            template,
             axes,
-        };
-        sweep.expand()?; // every cell must form a valid spec
-        Ok(sweep)
+            cells,
+        })
+    }
+
+    /// The base run description every cell starts from.
+    pub fn template(&self) -> &RunSpec {
+        &self.template
+    }
+
+    /// The axes, in declaration order.
+    pub fn axes(&self) -> &[SweepAxis] {
+        &self.axes
+    }
+
+    /// Every cell of the grid, validated, in odometer order (last axis
+    /// fastest).
+    pub fn cells(&self) -> &[SweepCell] {
+        &self.cells
     }
 
     /// The canonical text rendering: sweep header, `[sweep]` axes in
@@ -186,63 +209,61 @@ impl SweepSpec {
     pub fn content_hash(&self) -> u64 {
         fnv1a64(self.to_text().as_bytes())
     }
+}
 
-    /// Number of cells in the grid (product of the axis lengths).
-    pub fn cell_count(&self) -> usize {
-        self.axes.iter().map(|axis| axis.values.len()).product()
+/// Expands the grid of `axes` over `template` in odometer order (last axis
+/// fastest), validating every cell.
+///
+/// # Errors
+///
+/// [`SpecError::Field`] when the grid exceeds [`MAX_SWEEP_CELLS`] or a cell
+/// is not a valid spec (naming its coordinates and the field).
+fn expand(template: &RunSpec, axes: &[SweepAxis]) -> Result<Vec<SweepCell>, SpecError> {
+    let total: usize = axes.iter().map(|axis| axis.values.len()).product();
+    if total > MAX_SWEEP_CELLS {
+        return Err(SpecError::field(
+            "sweep",
+            format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}"),
+        ));
     }
+    (0..total)
+        .map(|index| cell(template, axes, index))
+        .collect()
+}
 
-    /// Expands the full grid in odometer order (last axis fastest).
-    ///
-    /// # Errors
-    ///
-    /// [`SpecError::Field`] when the grid exceeds [`MAX_SWEEP_CELLS`] or a
-    /// cell is not a valid spec (naming its coordinates and the field).
-    pub fn expand(&self) -> Result<Vec<SweepCell>, SpecError> {
-        let total = self.cell_count();
-        if total > MAX_SWEEP_CELLS {
-            return Err(SpecError::field(
-                "sweep",
-                format!("grid has {total} cells; the cap is {MAX_SWEEP_CELLS}"),
-            ));
-        }
-        (0..total).map(|index| self.cell(index)).collect()
+/// Cell `index`: its coordinates in odometer order, and the template with
+/// their values applied (the kind first) and validated.
+fn cell(template: &RunSpec, axes: &[SweepAxis], index: usize) -> Result<SweepCell, SpecError> {
+    let mut remainder = index;
+    let mut coordinates = vec![(String::new(), String::new()); axes.len()];
+    for (slot, axis) in axes.iter().enumerate().rev() {
+        let value = &axis.values[remainder % axis.values.len()];
+        coordinates[slot] = (axis.field.clone(), value.clone());
+        remainder /= axis.values.len();
     }
-
-    /// Cell `index`: its coordinates in odometer order, and the template
-    /// with their values applied (the kind first) and validated.
-    fn cell(&self, index: usize) -> Result<SweepCell, SpecError> {
-        let mut remainder = index;
-        let mut coordinates = vec![(String::new(), String::new()); self.axes.len()];
-        for (slot, axis) in self.axes.iter().enumerate().rev() {
-            let value = &axis.values[remainder % axis.values.len()];
-            coordinates[slot] = (axis.field.clone(), value.clone());
-            remainder /= axis.values.len();
-        }
-        let mut cell = SweepCell {
-            index,
-            coordinates,
-            spec: RunSpec::default(),
-        };
-        let assignments: Vec<(&str, &str, &str)> = cell
-            .coordinates
-            .iter()
-            .map(|(field, value)| {
-                let (section, key) = field.split_once('.').expect("axis fields are validated");
-                (section, key, value.as_str())
-            })
-            .collect();
-        let spec = self.template.apply(&assignments);
-        let spec = spec.map_err(|(at, err)| SpecError::field(&cell.coordinates[at].0, err));
-        cell.spec = spec
-            .and_then(|spec| spec.validate().map(|()| spec))
-            .map_err(|err| {
-                let coordinates = cell.coordinates_string();
-                let message = format!("({coordinates}) does not form a valid spec: {err}");
-                SpecError::field(format!("sweep cell {index}"), message)
-            })?;
-        Ok(cell)
-    }
+    let mut cell = SweepCell {
+        index,
+        coordinates,
+        spec: RunSpec::default(),
+    };
+    let assignments: Vec<(&str, &str, &str)> = cell
+        .coordinates
+        .iter()
+        .map(|(field, value)| {
+            let (section, key) = field.split_once('.').expect("axis fields are validated");
+            (section, key, value.as_str())
+        })
+        .collect();
+    let spec = template.apply(&assignments);
+    let spec = spec.map_err(|(at, err)| SpecError::field(&cell.coordinates[at].0, err));
+    cell.spec = spec
+        .and_then(|spec| spec.validate().map(|()| spec))
+        .map_err(|err| {
+            let coordinates = cell.coordinates_string();
+            let message = format!("({coordinates}) does not form a valid spec: {err}");
+            SpecError::field(format!("sweep cell {index}"), message)
+        })?;
+    Ok(cell)
 }
 
 /// Detects a sweep document without parsing it: the first significant
@@ -304,7 +325,7 @@ max_generations = 6
         assert_eq!(sweep.axes[0].field, "problem.name");
         assert_eq!(sweep.axes[0].values, vec!["schaffer", "zdt1"]);
         assert_eq!(sweep.axes[1].values, vec!["1", "2", "3"]);
-        assert_eq!(sweep.cell_count(), 6);
+        assert_eq!(sweep.cells().len(), 6);
         assert_eq!(sweep.template.problem.name, "schaffer");
         assert_eq!(sweep.template.checkpoint_every, 2);
     }
@@ -312,7 +333,7 @@ max_generations = 6
     #[test]
     fn expansion_is_odometer_ordered_last_axis_fastest() {
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
-        let cells = sweep.expand().unwrap();
+        let cells = sweep.cells();
         assert_eq!(cells.len(), 6);
         let coords: Vec<String> = cells.iter().map(SweepCell::coordinates_string).collect();
         assert_eq!(coords[0], "problem.name=schaffer run.seed=1");
@@ -326,8 +347,8 @@ max_generations = 6
     #[test]
     fn cell_specs_differ_only_in_the_substituted_fields() {
         let sweep = SweepSpec::from_text(SWEEP).unwrap();
-        let cells = sweep.expand().unwrap();
-        for cell in &cells {
+        let cells = sweep.cells();
+        for cell in cells {
             assert_eq!(cell.spec.checkpoint_every, 2);
             assert_eq!(cell.spec.stopping.max_generations, 6);
         }
@@ -354,7 +375,7 @@ max_generations = 6
              [run]\nseed = 7\n\n[stop]\nmax_generations = 4\n",
         )
         .unwrap();
-        let cells = sweep.expand().unwrap();
+        let cells = sweep.cells();
         assert_eq!(cells[0].spec.log_every, Some(1));
         assert_eq!(cells[1].spec.log_every, Some(2));
     }
@@ -449,10 +470,12 @@ max_generations = 6
         let kind = "optimizer.kind = nsga2 | moead";
         let population = "optimizer.population = 10 | 20";
         let cell_specs = |axes: &str| -> std::collections::BTreeSet<String> {
-            let cells = sweep(axes)
-                .and_then(|sweep| sweep.expand())
-                .expect("a valid grid");
-            cells.iter().map(|cell| cell.spec.to_text()).collect()
+            let sweep = sweep(axes).expect("a valid grid");
+            sweep
+                .cells()
+                .iter()
+                .map(|cell| cell.spec.to_text())
+                .collect()
         };
         let specs = cell_specs(&format!("{population}\n{kind}"));
         assert_eq!(specs.len(), 4, "four distinct cells");
@@ -529,7 +552,7 @@ max_generations = 6
                     1,
                 ))
                 .unwrap_or_else(|err| panic!("{from} -> {to}: {err}"));
-                let cells = sweep.expand().expect("every cell validates");
+                let cells = sweep.cells();
                 let shared: Vec<(&str, &str)> = accepted(from)
                     .into_iter()
                     .filter(|pair| accepted(to).contains(pair))
@@ -580,7 +603,7 @@ max_generations = 6
              [run]\nseed = 1\n\n[stop]\nmax_generations = 4\n",
         )
         .unwrap();
-        let cells = sweep.expand().unwrap();
+        let cells = sweep.cells();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].spec.seed, 42);
     }

@@ -220,7 +220,11 @@ fn exp_sum(hi: f64, lo: f64) -> f64 {
     let r2 = r * r;
     let c = r - r2 * (P[0] + r2 * (P[1] + r2 * (P[2] + r2 * (P[3] + r2 * P[4]))));
     let y = 1.0 - ((r_lo - (r * c) / (2.0 - c)) - r_hi);
-    let scale = shifted.to_bits().wrapping_sub(SHIFT.to_bits()).wrapping_add(1023) << 52;
+    let scale = shifted
+        .to_bits()
+        .wrapping_sub(SHIFT.to_bits())
+        .wrapping_add(1023)
+        << 52;
     y * f64::from_bits(scale)
 }
 
@@ -723,7 +727,10 @@ mod reference {
         let mut expected_a = parent_a.to_vec();
         let mut expected_b = parent_b.to_vec();
         for &(i, word) in crossings {
-            let beta = spread_factor((word >> 11) as f64 / (1u64 << 53) as f64, SpreadExponent::new(15.0));
+            let beta = spread_factor(
+                (word >> 11) as f64 / (1u64 << 53) as f64,
+                SpreadExponent::new(15.0),
+            );
             let (x1, x2) = (parent_a[i], parent_b[i]);
             expected_a[i] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
             expected_b[i] = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
@@ -779,8 +786,14 @@ mod reference {
             for (name, crossing) in [
                 ("every gene", all.clone()),
                 ("no gene", vec![]),
-                ("even genes", all.iter().copied().filter(|i| i % 2 == 0).collect()),
-                ("odd genes", all.iter().copied().filter(|i| i % 2 == 1).collect()),
+                (
+                    "even genes",
+                    all.iter().copied().filter(|i| i % 2 == 0).collect(),
+                ),
+                (
+                    "odd genes",
+                    all.iter().copied().filter(|i| i % 2 == 1).collect(),
+                ),
                 ("the last gene", all.last().copied().into_iter().collect()),
                 ("the first gene", all.first().copied().into_iter().collect()),
             ] {
@@ -876,15 +889,22 @@ mod reference {
                 .map(|i| pairs[(first + i) % pairs.len()])
                 .unzip();
             for coins in [u64::MAX, 0x5555_5555_5555_5555, 0] {
-                let words: Vec<u64> =
-                    [coins].into_iter().chain((0..pairs.len()).map(spread)).collect();
+                let words: Vec<u64> = [coins]
+                    .into_iter()
+                    .chain((0..pairs.len()).map(spread))
+                    .collect();
                 let bounds = wide(pairs.len());
                 let mut rng = Script::new(words.clone());
                 let mut reference_rng = Script::new(words);
                 let (a, b) =
                     sbx_crossover(&parent_a, &parent_b, &bounds, 15.0, &mut rng, &mut scratch);
-                let (ref_a, ref_b) =
-                    reference_sbx_crossover(&parent_a, &parent_b, &bounds, 15.0, &mut reference_rng);
+                let (ref_a, ref_b) = reference_sbx_crossover(
+                    &parent_a,
+                    &parent_b,
+                    &bounds,
+                    15.0,
+                    &mut reference_rng,
+                );
                 let case = format!("from ({x1}, {x2}), coins {coins:#x}");
                 assert_eq!(bits(&a), bits(&ref_a), "{case}: first child");
                 assert_eq!(bits(&b), bits(&ref_b), "{case}: second child");
@@ -1309,5 +1329,3 @@ mod reference {
         }
     }
 }
-
-

@@ -334,12 +334,7 @@ impl Scheduler {
     pub fn submit_text(&mut self, text: &str) -> Result<Vec<JobSummary>, String> {
         let specs: Vec<RunSpec> = if pathway_moo::engine::is_sweep_text(text) {
             let sweep = SweepSpec::from_text(text).map_err(|err| err.to_string())?;
-            sweep
-                .expand()
-                .map_err(|err| err.to_string())?
-                .into_iter()
-                .map(|cell| cell.spec)
-                .collect()
+            sweep.cells().iter().map(|cell| cell.spec.clone()).collect()
         } else {
             vec![RunSpec::from_text(text).map_err(|err| err.to_string())?]
         };

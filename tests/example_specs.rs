@@ -36,12 +36,9 @@ fn committed_specs() -> Vec<(String, RunSpec)> {
             Some("sweep") => {
                 sweeps += 1;
                 let text = std::fs::read_to_string(&path).expect("a readable sweep");
-                SweepSpec::from_text(&text)
-                    .and_then(|sweep| sweep.expand())
-                    .unwrap_or_else(|err| panic!("{name}: {err}"))
-                    .into_iter()
-                    .map(|cell| cell.spec)
-                    .collect()
+                let sweep =
+                    SweepSpec::from_text(&text).unwrap_or_else(|err| panic!("{name}: {err}"));
+                sweep.cells().iter().map(|cell| cell.spec.clone()).collect()
             }
             _ => continue,
         };
