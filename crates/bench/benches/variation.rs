@@ -3,12 +3,13 @@
 //! polynomial mutation alone.
 //!
 //! `geobacter/608` is a paper-scale Geobacter pair: 608 genes, 73% of them
-//! differing between the parents and the rest equal, the share measured
-//! over the SBX calls of a `geobacter-608` benchmark search (73.4% of
-//! genes differ; 36.7% cross). `leaf/23` is a leaf-redesign pair (23
-//! genes, all differing). Each sample runs the operators 200 times on one
-//! generator and one [`SbxScratch`], so the per-call cost is the reported
-//! time / 200.
+//! differing between the parents and the rest equal. The share is the one
+//! counted over every SBX call of a `geobacter-608` benchmark run at seed 1
+//! on SBX's previous stream (74%; half of the differing genes cross). It
+//! depends on the search trajectory: 58–74% over seeds 1–2 on either
+//! stream. `leaf/23` is a leaf-redesign pair (23 genes, all differing).
+//! Each sample runs the operators 200 times on one generator and one
+//! [`SbxScratch`], so the per-call cost is the reported time / 200.
 //! `mutation/608` and `mutation/23` time `polynomial_mutation` alone at
 //! `p = 1/n`, 200 calls per sample on a copy of the pair's first parent
 //! mutated in place.
