@@ -63,7 +63,7 @@ use pathway_moo::engine::{
     MetricsRegistry, RunSpec, StoredCheckpoint, SweepSpec,
 };
 use pathway_moo::exec::Executor;
-use pathway_moo::{EvalBackend, Individual};
+use pathway_moo::{EvalBackend, Individual, Optimizer};
 use pathway_serve::{read_endpoint, Client, JobSummary, ServeConfig, Server, WatchEvent};
 
 const USAGE: &str = "\

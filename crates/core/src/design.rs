@@ -245,7 +245,7 @@ impl GeobacterOutcome {
 mod tests {
     use super::*;
     use crate::{spec_driver, AnyProblem};
-    use pathway_moo::engine::RunSpec;
+    use pathway_moo::engine::{Optimizer, RunSpec};
 
     /// A two-island archipelago spec (broadcast migration at probability
     /// 0.5) over `problem`, the given budget and the given backend.

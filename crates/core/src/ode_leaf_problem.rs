@@ -187,9 +187,11 @@ impl MultiObjectiveProblem for OdeLeafRedesignProblem {
         self.evaluate_one(x, Some(&self.counters)).0
     }
 
-    /// Solves the candidate again for its violation: a per-candidate caller
-    /// (MOEA/D's children) pays two solves, a batch caller one. The repeated
-    /// solve is not counted, so the oracle counters count each design once.
+    /// Solves the candidate again for its violation, so a per-candidate
+    /// caller pays two solves where [`evaluate_batch`](Self::evaluate_batch)
+    /// pays one. The optimizers never call it: they score every candidate
+    /// through the executor's batches. The repeated solve is not counted,
+    /// so the oracle counters count each design once.
     fn constraint_violation(&self, x: &[f64]) -> f64 {
         self.evaluate_one(x, None).1
     }

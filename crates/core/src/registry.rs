@@ -397,7 +397,7 @@ pub fn spec_driver<P: MultiObjectiveProblem>(
 mod tests {
     use super::*;
     use pathway_moo::engine::{
-        ArchipelagoSpec, HistoryObserver, Nsga2Spec, OptimizerSpec, StoppingSpec,
+        ArchipelagoSpec, HistoryObserver, Nsga2Spec, Optimizer, OptimizerSpec, StoppingSpec,
     };
     use pathway_moo::{Archipelago, EvalBackend};
 

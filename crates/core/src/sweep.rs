@@ -38,7 +38,7 @@ use pathway_moo::engine::{
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::metrics::{global_coverage, hypervolume, union_front};
-use pathway_moo::Individual;
+use pathway_moo::{Individual, Optimizer};
 
 use crate::jsonlite::JsonValue;
 use crate::registry::{validate_spec_against_problem, AnyProblem};

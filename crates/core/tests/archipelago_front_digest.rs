@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pathway_core::{GeobacterFluxProblem, LeafRedesignProblem};
 use pathway_fba::geobacter::GeobacterModel;
-use pathway_moo::engine::{Driver, StoppingRule};
+use pathway_moo::engine::{Driver, Optimizer, StoppingRule};
 use pathway_moo::exec::Executor;
 use pathway_moo::problems::Zdt1;
 use pathway_moo::{

@@ -160,19 +160,6 @@ impl Archipelago {
         self.executor = Some(executor);
     }
 
-    /// Attaches one telemetry registry to the archipelago and every
-    /// island. Each island records its own `variation` and `selection`
-    /// phases: on the serial executor the islands run one after another,
-    /// so the phases add up to wall time; on a pool, islands that breed on
-    /// different lanes overlap, and the summed phase times can exceed the
-    /// generation's wall-clock. Observational only.
-    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
-        for island in &mut self.islands {
-            island.set_metrics(registry.clone());
-        }
-        self.metrics = Some(registry);
-    }
-
     /// The archipelago's executor, built from the island backend on first
     /// need, as every spec-driven launcher builds it: `threads:<n>` is `n`
     /// lanes for the whole archipelago. Cheap once installed.
@@ -181,77 +168,6 @@ impl Archipelago {
             self.executor
                 .get_or_insert_with(|| Executor::shared(self.spec.island.backend)),
         )
-    }
-
-    /// Cumulative candidate evaluations spent across all islands.
-    pub fn evaluations(&self) -> usize {
-        self.islands.iter().map(Nsga2::evaluations).sum()
-    }
-
-    /// Initializes every island's population if that has not happened yet:
-    /// the islands sample, one batch evaluates every sampled vector, and
-    /// each island installs its share. Idempotent.
-    pub fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        let executor = self.executor();
-        let pending: Vec<&mut Nsga2> = self
-            .islands
-            .iter_mut()
-            .filter(|island| island.population().is_empty())
-            .collect();
-        if !pending.is_empty() {
-            run_islands(&executor, pending, problem, Nsga2::sample, Nsga2::install);
-        }
-    }
-
-    /// Advances every island by one generation, firing the migration event
-    /// lazily at each epoch boundary first: the islands breed, one batch
-    /// evaluates every island's offspring, and each island selects.
-    /// Initializes the islands if needed.
-    pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        self.initialize(problem);
-        if self.generations_done > 0
-            && self
-                .generations_done
-                .is_multiple_of(self.spec.migration_interval)
-        {
-            self.migrate();
-        }
-        let executor = self.executor();
-        let islands = self.islands.iter_mut().collect();
-        run_islands(&executor, islands, problem, Nsga2::breed, Nsga2::select);
-        self.generations_done += 1;
-    }
-
-    /// The merged non-dominated front across all islands' current
-    /// populations, sorted by objectives and deduplicated (broadcast
-    /// migration copies solutions between islands).
-    ///
-    /// Candidates are borrowed from the islands' rank-0 bookkeeping and
-    /// filtered under Deb's feasibility rule: the feasible members that no
-    /// feasible member Pareto-dominates if any member is feasible, else the
-    /// members of least violation. For two finite objectives the Pareto
-    /// filter is one sort and one sweep (`O(k log k)`), otherwise a pairwise
-    /// test. Only the surviving front members are cloned — this runs once
-    /// per generation on observed [`crate::engine::Driver`] runs and must
-    /// not re-sort or copy whole populations.
-    pub fn front(&self) -> Vec<Individual> {
-        let candidates: Vec<&Individual> = self
-            .islands
-            .iter()
-            .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
-            .collect();
-        let mut front: Vec<Individual> = constrained_nondominated(&candidates)
-            .into_iter()
-            .cloned()
-            .collect();
-        // Deduplicate identical objective vectors that may arise from broadcast copies.
-        front.sort_by(|a, b| {
-            a.objectives
-                .partial_cmp(&b.objectives)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        front.dedup_by(|a, b| a.objectives == b.objectives);
-        front
     }
 
     /// Performs one migration event according to the configured topology.
@@ -278,7 +194,7 @@ impl Archipelago {
             .iter()
             .zip(self.archives.iter_mut())
             .map(|(island, archive)| {
-                let current_front = island.nondominated_front();
+                let current_front = island.front();
                 // The archive can stay empty only if it was empty and every
                 // candidate is infeasible; keep a fallback copy for exactly
                 // that case instead of recomputing the front.
@@ -447,13 +363,37 @@ fn run_islands<P: MultiObjectiveProblem>(
     }
 }
 
-impl<P: MultiObjectiveProblem> Optimizer<P> for Archipelago {
-    fn initialize(&mut self, problem: &P) {
-        Archipelago::initialize(self, problem);
+impl Optimizer for Archipelago {
+    /// Every island samples, one batch evaluates every sampled vector, and
+    /// each island installs its share.
+    fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        let executor = self.executor();
+        let pending: Vec<&mut Nsga2> = self
+            .islands
+            .iter_mut()
+            .filter(|island| island.population().is_empty())
+            .collect();
+        if !pending.is_empty() {
+            run_islands(&executor, pending, problem, Nsga2::sample, Nsga2::install);
+        }
     }
 
-    fn step(&mut self, problem: &P) {
-        Archipelago::step(self, problem);
+    /// Fires the migration event lazily at each epoch boundary first; then
+    /// the islands breed, one batch evaluates every island's offspring,
+    /// and each island selects.
+    fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        self.initialize(problem);
+        if self.generations_done > 0
+            && self
+                .generations_done
+                .is_multiple_of(self.spec.migration_interval)
+        {
+            self.migrate();
+        }
+        let executor = self.executor();
+        let islands = self.islands.iter_mut().collect();
+        run_islands(&executor, islands, problem, Nsga2::breed, Nsga2::select);
+        self.generations_done += 1;
     }
 
     fn population(&self) -> Vec<Individual> {
@@ -463,12 +403,41 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Archipelago {
             .collect()
     }
 
+    /// The merged non-dominated front across all islands' current
+    /// populations, sorted by objectives and deduplicated (broadcast
+    /// migration copies solutions between islands).
+    ///
+    /// Candidates are borrowed from the islands' rank-0 bookkeeping and
+    /// filtered under Deb's feasibility rule: the feasible members that no
+    /// feasible member Pareto-dominates if any member is feasible, else the
+    /// members of least violation. For two finite objectives the Pareto
+    /// filter is one sort and one sweep (`O(k log k)`), otherwise a pairwise
+    /// test. Only the surviving front members are cloned — this runs once
+    /// per generation on observed [`crate::engine::Driver`] runs and must
+    /// not re-sort or copy whole populations.
     fn front(&self) -> Vec<Individual> {
-        Archipelago::front(self)
+        let candidates: Vec<&Individual> = self
+            .islands
+            .iter()
+            .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
+            .collect();
+        let mut front: Vec<Individual> = constrained_nondominated(&candidates)
+            .into_iter()
+            .cloned()
+            .collect();
+        // Deduplicate identical objective vectors that may arise from broadcast copies.
+        front.sort_by(|a, b| {
+            a.objectives
+                .partial_cmp(&b.objectives)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        front.dedup_by(|a, b| a.objectives == b.objectives);
+        front
     }
 
+    /// Summed over the islands.
     fn evaluations(&self) -> usize {
-        Archipelago::evaluations(self)
+        self.islands.iter().map(Nsga2::evaluations).sum()
     }
 
     fn state(&self) -> OptimizerState {
@@ -485,8 +454,16 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Archipelago {
         }
     }
 
+    /// One registry for the archipelago and every island. Each island
+    /// records its own `variation` and `selection` phases: on the serial
+    /// executor the islands run one after another, so the phases add up to
+    /// wall time; on a pool, islands that breed on different lanes overlap,
+    /// and the summed phase times can exceed the generation's wall-clock.
     fn set_metrics(&mut self, registry: MetricsRegistry) {
-        Archipelago::set_metrics(self, registry);
+        for island in &mut self.islands {
+            island.set_metrics(registry.clone());
+        }
+        self.metrics = Some(registry);
     }
 }
 

@@ -3,8 +3,8 @@
 //! Two kernels live here. [`fast_nondominated_sort_with`] ranks a whole
 //! population into fronts under constrained domination. [`nondominated_mask`]
 //! marks the non-dominated members of a point set under plain dominance; the
-//! merged fronts of [`Archipelago::front`](crate::Archipelago::front) and
-//! [`Moead::front`](crate::Moead::front), [`nondominated_filter`] and the
+//! merged fronts of the [`Archipelago`](crate::Archipelago) and
+//! [`Moead`](crate::Moead) optimizers, [`nondominated_filter`] and the
 //! [`metrics`](crate::metrics) hypervolume and union front all run on it.
 //!
 //! With two objectives and only finite values, the mask comes from one
@@ -511,6 +511,7 @@ pub(crate) fn constrained_nondominated<'a>(candidates: &[&'a Individual]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
     use crate::problems::{BinhKorn, Schaffer};
 
     fn individual(objectives: Vec<f64>, violation: f64) -> Individual {
@@ -594,12 +595,8 @@ mod tests {
 
     #[test]
     fn every_individual_is_assigned_to_exactly_one_front() {
-        let mut individuals: Vec<Individual> = (0..40)
-            .map(|i| {
-                let x = -5.0 + (i as f64) * 0.25;
-                Individual::from_variables(&Schaffer, vec![x])
-            })
-            .collect();
+        let xs = (0..40).map(|i| vec![-5.0 + (i as f64) * 0.25]).collect();
+        let mut individuals = Executor::serial().evaluate_individuals(&Schaffer, xs);
         let fronts = fast_nondominated_sort(&mut individuals);
         let total: usize = fronts.iter().map(|f| f.len()).sum();
         assert_eq!(total, individuals.len());
@@ -613,12 +610,10 @@ mod tests {
 
     #[test]
     fn first_front_is_mutually_nondominating() {
-        let mut individuals: Vec<Individual> = (0..30)
-            .map(|i| {
-                let x = vec![(i as f64) / 6.0, 3.0 - (i as f64) / 10.0];
-                Individual::from_variables(&BinhKorn, x)
-            })
+        let xs = (0..30)
+            .map(|i| vec![(i as f64) / 6.0, 3.0 - (i as f64) / 10.0])
             .collect();
+        let mut individuals = Executor::serial().evaluate_individuals(&BinhKorn, xs);
         let fronts = fast_nondominated_sort(&mut individuals);
         for &a in &fronts[0] {
             for &b in &fronts[0] {
@@ -631,12 +626,10 @@ mod tests {
 
     #[test]
     fn scratch_crowding_matches_the_allocating_path() {
-        let mut via_scratch: Vec<Individual> = (0..40)
-            .map(|i| {
-                let x = -5.0 + (i % 13) as f64 * 0.7;
-                Individual::from_variables(&Schaffer, vec![x])
-            })
+        let xs = (0..40)
+            .map(|i| vec![-5.0 + (i % 13) as f64 * 0.7])
             .collect();
+        let mut via_scratch = Executor::serial().evaluate_individuals(&Schaffer, xs);
         let mut via_alloc = via_scratch.clone();
 
         let mut scratch = SortScratch::new();

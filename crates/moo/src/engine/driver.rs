@@ -88,7 +88,7 @@ pub struct RunCheckpoint {
 ///     .run();
 /// assert_eq!(unsplit, resumed);
 /// ```
-pub struct Driver<P: MultiObjectiveProblem, O: Optimizer<P>> {
+pub struct Driver<P: MultiObjectiveProblem, O: Optimizer> {
     optimizer: O,
     problem: P,
     observers: Vec<Box<dyn Observer>>,
@@ -101,7 +101,7 @@ pub struct Driver<P: MultiObjectiveProblem, O: Optimizer<P>> {
     metrics: Option<MetricsRegistry>,
 }
 
-impl<P: MultiObjectiveProblem, O: Optimizer<P>> Driver<P, O> {
+impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
     /// Creates a driver for a fresh run.
     ///
     /// The default stopping rule is `MaxGenerations(250)` (matching

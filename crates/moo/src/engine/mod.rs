@@ -8,9 +8,12 @@
 //!   [`initialize`](Optimizer::initialize), [`step`](Optimizer::step),
 //!   [`population`](Optimizer::population), [`front`](Optimizer::front),
 //!   an [`evaluations`](Optimizer::evaluations) odometer, and a
-//!   serializable [`OptimizerState`] snapshot.
-//!   [`Nsga2`](crate::Nsga2), [`Moead`](crate::Moead) and
-//!   [`Archipelago`](crate::Archipelago) all implement it.
+//!   serializable [`OptimizerState`] snapshot. Only `initialize` and `step`
+//!   take the problem, so the trait has no type parameter.
+//!   [`Nsga2`](crate::Nsga2), [`Moead`](crate::Moead),
+//!   [`Archipelago`](crate::Archipelago) and [`AnyOptimizer`] each
+//!   implement it once, and every one of them scores its candidates only
+//!   through [`Executor::evaluate_batch`](crate::exec::Executor::evaluate_batch).
 //! * [`Driver`] — owns the generation loop: it steps an optimizer, notifies
 //!   [`Observer`]s with per-generation [`GenerationReport`]s, stops when a
 //!   [`StoppingRule`] fires, and can [`checkpoint`](Driver::checkpoint) /
@@ -63,8 +66,8 @@ pub use spec::{
 pub use state::{ArchipelagoState, EngineError, MoeadState, Nsga2State, OptimizerState, RngState};
 pub use stopping::{RunStatus, StoppingRule};
 pub use store::{
-    decode_checkpoint, encode_checkpoint, read_checkpoint_file, write_checkpoint_file,
-    CheckpointError, CheckpointRetention, CheckpointStore, StoredCheckpoint,
+    decode_checkpoint, encode_checkpoint, CheckpointError, CheckpointRetention, CheckpointStore,
+    StoredCheckpoint,
 };
 pub use sweep::{is_sweep_text, SweepAxis, SweepCell, SweepSpec, MAX_SWEEP_CELLS, SWEEP_HEADER};
 pub use telemetry::{
@@ -73,7 +76,14 @@ pub use telemetry::{
 
 use crate::{Individual, MultiObjectiveProblem};
 
-/// A resumable, step-driven multi-objective optimizer over problem type `P`.
+/// A resumable, step-driven multi-objective optimizer.
+///
+/// The trait is not tied to a problem type: only
+/// [`initialize`](Optimizer::initialize) and [`step`](Optimizer::step) take
+/// the problem, so one optimizer value can be asked for its front,
+/// odometer or state without naming what it searches. Every
+/// implementation evaluates candidates only through
+/// [`Executor::evaluate_batch`](crate::exec::Executor::evaluate_batch).
 ///
 /// The contract every implementation upholds:
 ///
@@ -90,13 +100,13 @@ use crate::{Individual, MultiObjectiveProblem};
 ///   snapshotted one would have taken. Configuration is *not* part of the
 ///   snapshot — restore into an optimizer built with the same configuration
 ///   and seed family.
-pub trait Optimizer<P: MultiObjectiveProblem> {
+pub trait Optimizer {
     /// Samples and evaluates the initial population if that has not happened
     /// yet. Idempotent.
-    fn initialize(&mut self, problem: &P);
+    fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P);
 
     /// Advances the search by one generation, initializing first if needed.
-    fn step(&mut self, problem: &P);
+    fn step<P: MultiObjectiveProblem>(&mut self, problem: &P);
 
     /// An owned snapshot of the current population (for multi-population
     /// optimizers: all sub-populations concatenated). Empty before

@@ -970,6 +970,11 @@ fn strip_comment(line: &str) -> &str {
 /// Any of the shipped optimizers behind one concrete type, so spec-driven
 /// code (the `pathway` CLI, `pathway-core`'s factories) can hold a
 /// [`crate::engine::Driver`] without being generic over the optimizer kind.
+///
+/// Its [`Optimizer`] impl forwards every method to the wrapped kind. MOEA/D
+/// keeps the trait's no-op [`set_metrics`](Optimizer::set_metrics): it has
+/// no optimizer-level phases, and the executor's and driver's spans cover
+/// its evaluations.
 #[derive(Debug, Clone)]
 pub enum AnyOptimizer {
     /// A single NSGA-II population.
@@ -1002,13 +1007,6 @@ impl AnyOptimizer {
         }
     }
 
-    /// Cumulative candidate evaluations spent so far. Inherent (rather than
-    /// only via [`Optimizer`]) because the trait method needs a problem type
-    /// annotation the caller may not have at hand.
-    pub fn evaluations(&self) -> usize {
-        each_kind!(self, |inner| inner.evaluations())
-    }
-
     /// Installs a (usually shared) evaluation [`Executor`] on the wrapped
     /// optimizer — for the archipelago, the one its islands breed and
     /// evaluate on. Spec-driven launchers (the `pathway` CLI) use this to
@@ -1018,56 +1016,41 @@ impl AnyOptimizer {
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
         each_kind!(self, |inner| inner.set_executor(executor))
     }
-
-    /// Attaches a telemetry registry to the wrapped optimizer — for the
-    /// archipelago, to every island. Observational only, like
-    /// [`set_executor`](AnyOptimizer::set_executor). MOEA/D evaluates its
-    /// children inline per sub-problem rather than in phased batches, so
-    /// it records no optimizer-level phases; executor- and driver-level
-    /// spans still cover it.
-    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
-        match self {
-            AnyOptimizer::Nsga2(inner) => inner.set_metrics(registry),
-            AnyOptimizer::Moead(_) => {}
-            AnyOptimizer::Archipelago(inner) => inner.set_metrics(registry),
-        }
-    }
 }
 
-impl<P: MultiObjectiveProblem> Optimizer<P> for AnyOptimizer {
-    fn initialize(&mut self, problem: &P) {
-        each_kind!(self, |inner| Optimizer::<P>::initialize(
-            inner.as_mut(),
-            problem
-        ))
+impl Optimizer for AnyOptimizer {
+    fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        each_kind!(self, |inner| inner.initialize(problem))
     }
 
-    fn step(&mut self, problem: &P) {
-        each_kind!(self, |inner| Optimizer::<P>::step(inner.as_mut(), problem))
+    fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        each_kind!(self, |inner| inner.step(problem))
     }
 
     fn population(&self) -> Vec<Individual> {
-        each_kind!(self, |inner| Optimizer::<P>::population(inner.as_ref()))
+        // A path call: `inner.population()` would pick the kinds' borrowed
+        // inherent views.
+        each_kind!(self, |inner| Optimizer::population(inner.as_ref()))
     }
 
     fn front(&self) -> Vec<Individual> {
-        each_kind!(self, |inner| Optimizer::<P>::front(inner.as_ref()))
+        each_kind!(self, |inner| inner.front())
     }
 
     fn evaluations(&self) -> usize {
-        each_kind!(self, |inner| Optimizer::<P>::evaluations(inner.as_ref()))
+        each_kind!(self, |inner| inner.evaluations())
     }
 
     fn state(&self) -> OptimizerState {
-        each_kind!(self, |inner| Optimizer::<P>::state(inner.as_ref()))
+        each_kind!(self, |inner| inner.state())
     }
 
     fn restore(&mut self, state: OptimizerState) -> Result<(), EngineError> {
-        each_kind!(self, |inner| Optimizer::<P>::restore(inner.as_mut(), state))
+        each_kind!(self, |inner| inner.restore(state))
     }
 
     fn set_metrics(&mut self, registry: MetricsRegistry) {
-        AnyOptimizer::set_metrics(self, registry);
+        each_kind!(self, |inner| inner.set_metrics(registry))
     }
 }
 
@@ -1345,10 +1328,10 @@ mod tests {
         spec.stopping.max_generations = 3;
         let mut optimizer = spec.build_optimizer();
         assert!(matches!(optimizer, AnyOptimizer::Archipelago(_)));
-        Optimizer::<Schaffer>::initialize(&mut optimizer, &Schaffer);
-        Optimizer::<Schaffer>::step(&mut optimizer, &Schaffer);
-        assert!(Optimizer::<Schaffer>::evaluations(&optimizer) > 0);
-        assert!(!Optimizer::<Schaffer>::front(&optimizer).is_empty());
+        optimizer.initialize(&Schaffer);
+        optimizer.step(&Schaffer);
+        assert!(optimizer.evaluations() > 0);
+        assert!(!optimizer.front().is_empty());
     }
 
     #[test]
@@ -1361,20 +1344,16 @@ mod tests {
             ..sample_spec()
         };
         let mut a = spec.build_optimizer();
-        Optimizer::<Schaffer>::step(&mut a, &Schaffer);
-        let state = Optimizer::<Schaffer>::state(&a);
+        a.step(&Schaffer);
+        let state = a.state();
         let mut b = spec.build_optimizer();
-        Optimizer::<Schaffer>::restore(&mut b, state).expect("same configuration");
-        Optimizer::<Schaffer>::step(&mut a, &Schaffer);
-        Optimizer::<Schaffer>::step(&mut b, &Schaffer);
-        assert_eq!(
-            Optimizer::<Schaffer>::front(&a),
-            Optimizer::<Schaffer>::front(&b)
-        );
+        b.restore(state).expect("same configuration");
+        a.step(&Schaffer);
+        b.step(&Schaffer);
+        assert_eq!(a.front(), b.front());
         // Kind mismatch is rejected.
         let mut moead = OptimizerSpec::Moead(MoeadSpec::default()).build(1);
-        let err = Optimizer::<Schaffer>::restore(&mut moead, Optimizer::<Schaffer>::state(&a))
-            .unwrap_err();
+        let err = moead.restore(a.state()).unwrap_err();
         assert!(matches!(err, EngineError::StateMismatch { .. }));
     }
 }

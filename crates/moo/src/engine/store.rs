@@ -243,7 +243,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<StoredCheckpoint, CheckpointErr
 /// # Errors
 ///
 /// Propagates filesystem failures as [`CheckpointError::Io`].
-pub fn write_checkpoint_file(
+fn write_checkpoint_file(
     path: &Path,
     spec_text: &str,
     checkpoint: &RunCheckpoint,
@@ -284,17 +284,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Reads and verifies a checkpoint file.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] for filesystem failures, otherwise the decode
-/// errors of [`decode_checkpoint`].
-pub fn read_checkpoint_file(path: &Path) -> Result<StoredCheckpoint, CheckpointError> {
-    let bytes = fs::read(path)?;
-    decode_checkpoint(&bytes)
 }
 
 /// Which `gen-<n>.ckpt` files a [`CheckpointStore`] keeps on disk.
@@ -494,9 +483,10 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// See [`read_checkpoint_file`].
+    /// [`CheckpointError::Io`] for filesystem failures, otherwise the decode
+    /// errors of [`decode_checkpoint`].
     pub fn load(path: &Path) -> Result<StoredCheckpoint, CheckpointError> {
-        read_checkpoint_file(path)
+        decode_checkpoint(&fs::read(path)?)
     }
 
     /// Reads a checkpoint file and rejects it unless it was produced by
@@ -505,9 +495,9 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`CheckpointError::SpecMismatch`] on hash divergence, otherwise the
-    /// errors of [`read_checkpoint_file`].
+    /// errors of [`CheckpointStore::load`].
     pub fn load_matching(path: &Path, spec: &RunSpec) -> Result<StoredCheckpoint, CheckpointError> {
-        let stored = read_checkpoint_file(path)?;
+        let stored = Self::load(path)?;
         stored.ensure_matches(spec)?;
         Ok(stored)
     }

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::dominance::{constrained_dominates, dominates, nondominated_filter};
 use crate::metrics::hypervolume;
-use crate::{Individual, Moead, MoeadSpec};
+use crate::{Individual, Moead, MoeadSpec, Optimizer};
 use proptest::prelude::*;
 
 /// The pairwise filter [`nondominated_filter`] replaced.

@@ -1,4 +1,3 @@
-use crate::MultiObjectiveProblem;
 use rand::Rng;
 
 /// A candidate solution: decision variables plus cached evaluation results and
@@ -35,15 +34,10 @@ pub(crate) fn sample_within<R: Rng>(bounds: &[(f64, f64)], rng: &mut R) -> Vec<f
 }
 
 impl Individual {
-    /// Evaluates a decision vector against a problem.
-    pub fn from_variables<P: MultiObjectiveProblem>(problem: &P, variables: Vec<f64>) -> Self {
-        let objectives = problem.evaluate(&variables);
-        let violation = problem.constraint_violation(&variables);
-        Individual::from_evaluated(variables, objectives, violation)
-    }
-
     /// Wraps an already-evaluated candidate (rank and crowding unassigned).
-    /// This is how batch evaluation results re-enter the population.
+    /// This is how batch evaluation results re-enter the population: every
+    /// optimizer scores its candidates through
+    /// [`Executor::evaluate_batch`](crate::exec::Executor::evaluate_batch).
     pub fn from_evaluated(variables: Vec<f64>, objectives: Vec<f64>, violation: f64) -> Self {
         Individual {
             variables,
@@ -145,22 +139,29 @@ impl IntoIterator for Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Executor;
     use crate::problems::{BinhKorn, Schaffer};
+    use crate::MultiObjectiveProblem;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// A uniformly sampled individual, drawn as the optimizers draw their
-    /// initial populations.
+    /// A uniformly sampled individual, drawn and scored as the optimizers
+    /// draw and score their initial populations.
     fn random<P: MultiObjectiveProblem>(problem: &P, rng: &mut StdRng) -> Individual {
-        Individual::from_variables(problem, sample_within(&problem.bounds(), rng))
+        evaluated(problem, sample_within(&problem.bounds(), rng))
+    }
+
+    fn evaluated<P: MultiObjectiveProblem>(problem: &P, x: Vec<f64>) -> Individual {
+        let mut one = Executor::serial().evaluate_individuals(problem, vec![x]);
+        one.pop().expect("one candidate in, one out")
     }
 
     #[test]
-    fn from_variables_caches_objectives_and_violation() {
-        let ind = Individual::from_variables(&Schaffer, vec![1.0]);
+    fn evaluated_individuals_carry_objectives_and_violation() {
+        let ind = evaluated(&Schaffer, vec![1.0]);
         assert_eq!(ind.objectives, vec![1.0, 1.0]);
         assert!(ind.is_feasible());
-        let infeasible = Individual::from_variables(&BinhKorn, vec![0.0, 3.0]);
+        let infeasible = evaluated(&BinhKorn, vec![0.0, 3.0]);
         assert!(!infeasible.is_feasible());
     }
 

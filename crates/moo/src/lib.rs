@@ -7,10 +7,12 @@
 //! * [`MultiObjectiveProblem`] — the problem trait (box-bounded decision
 //!   variables, any number of minimized objectives, optional constraint
 //!   violation).
-//! * [`engine`] — the step-driven engine: the [`Optimizer`] trait all three
-//!   algorithms implement, and the generic [`Driver`] with per-generation
-//!   [`Observer`]s, composable [`StoppingRule`]s and bit-identical
-//!   checkpoint/resume.
+//! * [`engine`] — the step-driven engine: the [`Optimizer`] trait, which
+//!   is not tied to a problem type and which each of the three algorithms
+//!   implements once, scoring every candidate through
+//!   [`exec::Executor::evaluate_batch`]; and the generic [`Driver`] with
+//!   per-generation [`Observer`]s, composable [`StoppingRule`]s and
+//!   bit-identical checkpoint/resume.
 //! * [`Nsga2`] — the Non-dominated Sorting Genetic Algorithm II of Deb et al.,
 //!   the paper's island engine.
 //! * [`Moead`] — MOEA/D with Tchebycheff decomposition (Zhang & Li), the

@@ -27,9 +27,10 @@ pub struct MoeadSpec {
     pub eta_mutation: f64,
     /// Per-gene mutation probability; `None` uses `1/n`.
     pub mutation_probability: Option<f64>,
-    /// Backend used to evaluate the initial population batch. MOEA/D's
-    /// generation loop updates sub-problems path-dependently and therefore
-    /// stays serial, but initialization is embarrassingly parallel.
+    /// Backend that evaluates the initial population batch and each child.
+    /// MOEA/D's generation loop updates sub-problems path-dependently, so
+    /// each child is a one-candidate batch, which runs on the calling
+    /// thread; only initialization spreads across a pool.
     pub backend: EvalBackend,
 }
 
@@ -53,12 +54,13 @@ impl Default for MoeadSpec {
 /// tri-objective problems are supported, which covers everything the paper
 /// evaluates.
 ///
-/// The solver is step-driven: [`Moead::initialize`] builds the weight
-/// vectors, neighbourhoods and initial population, and [`Moead::step`]
-/// advances one generation. It implements
-/// [`Optimizer`](crate::engine::Optimizer), so it is driven, observed,
-/// stopped and checkpointed by a [`crate::engine::Driver`] exactly like
-/// NSGA-II.
+/// The solver is step-driven through [`Optimizer`]:
+/// [`initialize`](Optimizer::initialize) builds the weight vectors,
+/// neighbourhoods and initial population, and [`step`](Optimizer::step)
+/// advances one generation, so it is driven, observed, stopped and
+/// checkpointed by a [`crate::engine::Driver`] exactly like NSGA-II. Every
+/// candidate, the initial population and each child, is scored through
+/// [`Executor::evaluate_batch`], as NSGA-II's are.
 ///
 /// # Example
 ///
@@ -110,10 +112,9 @@ impl Moead {
         }
     }
 
-    /// Installs a (usually shared) evaluation executor for the initial
-    /// population batch, replacing the one this solver would lazily build
-    /// from its configured [`EvalBackend`]. Executors never change results,
-    /// only where batches run.
+    /// Installs a (usually shared) evaluation executor, replacing the one
+    /// this solver would lazily build from its configured [`EvalBackend`].
+    /// Executors never change results, only where batches run.
     pub fn set_executor(&mut self, executor: Arc<Executor>) {
         self.executor = Some(executor);
     }
@@ -152,11 +153,6 @@ impl Moead {
         }
         self.ideal = ideal_point(&population);
         self.population = population;
-    }
-
-    /// Cumulative number of candidate evaluations spent so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
     }
 
     /// Uniformly spread weight vectors for 2 or 3 objectives.
@@ -198,145 +194,9 @@ impl Moead {
             .fold(0.0, f64::max)
     }
 
-    /// Builds the weight vectors, neighbourhoods and initial population if
-    /// that has not happened yet. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has more than three objectives.
-    pub fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        if self.weights.is_empty() {
-            self.weights = self.weight_vectors(problem.num_objectives());
-            let n = self.weights.len();
-            let t = self.spec.neighborhood.min(n);
-            self.neighborhoods = (0..n)
-                .map(|i| {
-                    let mut order: Vec<usize> = (0..n).collect();
-                    order.sort_by(|&a, &b| {
-                        let da: f64 = self.weights[i]
-                            .iter()
-                            .zip(&self.weights[a])
-                            .map(|(x, y)| (x - y) * (x - y))
-                            .sum();
-                        let db: f64 = self.weights[i]
-                            .iter()
-                            .zip(&self.weights[b])
-                            .map(|(x, y)| (x - y) * (x - y))
-                            .sum();
-                        da.partial_cmp(&db).expect("distances are finite")
-                    });
-                    order.into_iter().take(t).collect()
-                })
-                .collect();
-        }
-        if self.population.is_empty() {
-            // One individual per sub-problem: sample every decision vector
-            // first, then evaluate the batch through the executor.
-            let bounds = problem.bounds();
-            let initial_variables: Vec<Vec<f64>> = (0..self.weights.len())
-                .map(|_| sample_within(&bounds, &mut self.rng))
-                .collect();
-            self.evaluations += initial_variables.len();
-            self.population = self
-                .executor()
-                .evaluate_individuals(problem, initial_variables);
-            self.ideal = ideal_point(&self.population);
-        } else {
-            assert_eq!(
-                self.population.len(),
-                self.weights.len(),
-                "MOEA/D needs exactly one incumbent per weight vector"
-            );
-            if self.ideal.is_empty() {
-                self.ideal = ideal_point(&self.population);
-            }
-        }
-    }
-
-    /// Advances the search by one generation: every sub-problem produces one
-    /// child from its neighbourhood and the child competes for the
-    /// neighbouring incumbencies under Tchebycheff aggregation.
-    /// Initializes first if needed.
-    pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        self.initialize(problem);
-        let bounds = problem.bounds();
-        let mutation_probability = self
-            .spec
-            .mutation_probability
-            .unwrap_or(1.0 / problem.num_variables() as f64);
-        let t = self.spec.neighborhood.min(self.weights.len());
-
-        for k in 0..self.neighborhoods.len() {
-            // Pick two parents from the neighbourhood.
-            let pa = self.neighborhoods[k][self.rng.gen_range(0..t)];
-            let pb = self.neighborhoods[k][self.rng.gen_range(0..t)];
-            let (mut child, _) = sbx_crossover(
-                &self.population[pa].variables,
-                &self.population[pb].variables,
-                &bounds,
-                self.spec.eta_crossover,
-                &mut self.rng,
-                &mut self.sbx_scratch,
-            );
-            polynomial_mutation(
-                &mut child,
-                &bounds,
-                mutation_probability,
-                self.spec.eta_mutation,
-                &mut self.rng,
-            );
-            let child = Individual::from_variables(problem, child);
-            self.evaluations += 1;
-
-            // Update the ideal point.
-            for (z, &f) in self.ideal.iter_mut().zip(&child.objectives) {
-                *z = z.min(f);
-            }
-            // Update neighbouring sub-problems. Infeasible children are
-            // only allowed to replace more-violating incumbents.
-            for &j in &self.neighborhoods[k] {
-                let incumbent = &self.population[j];
-                let replace = if child.violation > 0.0 || incumbent.violation > 0.0 {
-                    child.violation < incumbent.violation
-                } else {
-                    Self::tchebycheff(&child.objectives, &self.weights[j], &self.ideal)
-                        <= Self::tchebycheff(&incumbent.objectives, &self.weights[j], &self.ideal)
-                };
-                if replace {
-                    self.population[j] = child.clone();
-                }
-            }
-        }
-    }
-
-    /// The non-dominated, feasible subset of the current population (or of
-    /// the whole population when no member is feasible).
-    ///
-    /// Plain Pareto dominance decides, in population order, with duplicates
-    /// kept. Members with a NaN objective are left out.
-    pub fn front(&self) -> Vec<Individual> {
-        let feasible: Vec<&Individual> = self
-            .population
-            .iter()
-            .filter(|individual| individual.is_feasible())
-            .collect();
-        let pool = if feasible.is_empty() {
-            self.population.iter().collect()
-        } else {
-            feasible
-        };
-        let objectives: Vec<&[f64]> = pool.iter().map(|i| i.objectives.as_slice()).collect();
-        let mask = nondominated_mask(&objectives);
-        pool.into_iter()
-            .zip(mask)
-            .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
-            .map(|(individual, _)| individual.clone())
-            .collect()
-    }
-
     /// Captures the solver's run state as plain data. The weight vectors and
     /// neighbourhoods are derived data and deliberately not captured — they
-    /// are rebuilt on the next [`Moead::initialize`].
+    /// are rebuilt on the next [`initialize`](Optimizer::initialize).
     pub(crate) fn snapshot(&self) -> MoeadState {
         MoeadState {
             rng: RngState::capture(&self.rng),
@@ -352,7 +212,7 @@ impl Moead {
     /// When the solver has not built its weights yet, the count it *would*
     /// build is derived from the configuration and the snapshot's objective
     /// dimension, so a mismatched checkpoint is rejected here instead of
-    /// panicking on the next [`Moead::initialize`].
+    /// panicking on the next [`initialize`](Optimizer::initialize).
     pub(crate) fn restore_snapshot(&mut self, state: MoeadState) -> Result<(), EngineError> {
         let expected = if !self.weights.is_empty() {
             Some(self.weights.len())
@@ -403,21 +263,150 @@ fn ideal_point(population: &[Individual]) -> Vec<f64> {
     ideal
 }
 
-impl<P: MultiObjectiveProblem> Optimizer<P> for Moead {
-    fn initialize(&mut self, problem: &P) {
-        Moead::initialize(self, problem);
+impl Optimizer for Moead {
+    /// Builds the weight vectors and neighbourhoods, then samples one
+    /// individual per sub-problem and evaluates them in one batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the problem has more than three objectives.
+    fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        if self.weights.is_empty() {
+            self.weights = self.weight_vectors(problem.num_objectives());
+            let n = self.weights.len();
+            let t = self.spec.neighborhood.min(n);
+            self.neighborhoods = (0..n)
+                .map(|i| {
+                    let mut order: Vec<usize> = (0..n).collect();
+                    order.sort_by(|&a, &b| {
+                        let da: f64 = self.weights[i]
+                            .iter()
+                            .zip(&self.weights[a])
+                            .map(|(x, y)| (x - y) * (x - y))
+                            .sum();
+                        let db: f64 = self.weights[i]
+                            .iter()
+                            .zip(&self.weights[b])
+                            .map(|(x, y)| (x - y) * (x - y))
+                            .sum();
+                        da.partial_cmp(&db).expect("distances are finite")
+                    });
+                    order.into_iter().take(t).collect()
+                })
+                .collect();
+        }
+        if self.population.is_empty() {
+            // One individual per sub-problem: sample every decision vector
+            // first, then evaluate the batch through the executor.
+            let bounds = problem.bounds();
+            let initial_variables: Vec<Vec<f64>> = (0..self.weights.len())
+                .map(|_| sample_within(&bounds, &mut self.rng))
+                .collect();
+            self.evaluations += initial_variables.len();
+            self.population = self
+                .executor()
+                .evaluate_individuals(problem, initial_variables);
+            self.ideal = ideal_point(&self.population);
+        } else {
+            assert_eq!(
+                self.population.len(),
+                self.weights.len(),
+                "MOEA/D needs exactly one incumbent per weight vector"
+            );
+            if self.ideal.is_empty() {
+                self.ideal = ideal_point(&self.population);
+            }
+        }
     }
 
-    fn step(&mut self, problem: &P) {
-        Moead::step(self, problem);
+    /// Every sub-problem in turn produces one child from its neighbourhood,
+    /// and the child competes for the neighbouring incumbencies under
+    /// Tchebycheff aggregation. Each child is scored as a one-candidate
+    /// batch before the next is bred, because the next sub-problem's
+    /// parents may be the incumbents it just replaced.
+    fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        self.initialize(problem);
+        let executor = self.executor();
+        let bounds = problem.bounds();
+        let mutation_probability = self
+            .spec
+            .mutation_probability
+            .unwrap_or(1.0 / problem.num_variables() as f64);
+        let t = self.spec.neighborhood.min(self.weights.len());
+
+        for k in 0..self.neighborhoods.len() {
+            // Pick two parents from the neighbourhood.
+            let pa = self.neighborhoods[k][self.rng.gen_range(0..t)];
+            let pb = self.neighborhoods[k][self.rng.gen_range(0..t)];
+            let (mut child, _) = sbx_crossover(
+                &self.population[pa].variables,
+                &self.population[pb].variables,
+                &bounds,
+                self.spec.eta_crossover,
+                &mut self.rng,
+                &mut self.sbx_scratch,
+            );
+            polynomial_mutation(
+                &mut child,
+                &bounds,
+                mutation_probability,
+                self.spec.eta_mutation,
+                &mut self.rng,
+            );
+            let child = executor
+                .evaluate_individuals(problem, vec![child])
+                .pop()
+                .expect("one candidate in, one out");
+            self.evaluations += 1;
+
+            // Update the ideal point.
+            for (z, &f) in self.ideal.iter_mut().zip(&child.objectives) {
+                *z = z.min(f);
+            }
+            // Update neighbouring sub-problems. Infeasible children are
+            // only allowed to replace more-violating incumbents.
+            for &j in &self.neighborhoods[k] {
+                let incumbent = &self.population[j];
+                let replace = if child.violation > 0.0 || incumbent.violation > 0.0 {
+                    child.violation < incumbent.violation
+                } else {
+                    Self::tchebycheff(&child.objectives, &self.weights[j], &self.ideal)
+                        <= Self::tchebycheff(&incumbent.objectives, &self.weights[j], &self.ideal)
+                };
+                if replace {
+                    self.population[j] = child.clone();
+                }
+            }
+        }
     }
 
     fn population(&self) -> Vec<Individual> {
         self.population.clone()
     }
 
+    /// The non-dominated, feasible subset of the current population (or of
+    /// the whole population when no member is feasible).
+    ///
+    /// Plain Pareto dominance decides, in population order, with duplicates
+    /// kept. Members with a NaN objective are left out.
     fn front(&self) -> Vec<Individual> {
-        Moead::front(self)
+        let feasible: Vec<&Individual> = self
+            .population
+            .iter()
+            .filter(|individual| individual.is_feasible())
+            .collect();
+        let pool = if feasible.is_empty() {
+            self.population.iter().collect()
+        } else {
+            feasible
+        };
+        let objectives: Vec<&[f64]> = pool.iter().map(|i| i.objectives.as_slice()).collect();
+        let mask = nondominated_mask(&objectives);
+        pool.into_iter()
+            .zip(mask)
+            .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
+            .map(|(individual, _)| individual.clone())
+            .collect()
     }
 
     fn evaluations(&self) -> usize {
@@ -445,6 +434,7 @@ mod tests {
     use crate::dominance::dominates;
     use crate::engine::{Driver, StoppingRule};
     use crate::problems::{Dtlz2, Schaffer, Zdt1};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn small() -> MoeadSpec {
         MoeadSpec {
@@ -550,6 +540,47 @@ mod tests {
         let mut solver = Moead::new(small(), 0);
         solver.initialize(&Schaffer);
         solver.set_population(Vec::new());
+    }
+
+    /// Schaffer answered only through `evaluate_batch`, counting the
+    /// candidates it sees; the per-candidate entry points panic.
+    struct BatchOnly {
+        seen: AtomicUsize,
+    }
+
+    impl MultiObjectiveProblem for BatchOnly {
+        fn num_variables(&self) -> usize {
+            1
+        }
+        fn num_objectives(&self) -> usize {
+            2
+        }
+        fn bounds(&self) -> Vec<(f64, f64)> {
+            Schaffer.bounds()
+        }
+        fn evaluate(&self, _: &[f64]) -> Vec<f64> {
+            panic!("MOEA/D must evaluate through the executor's batches")
+        }
+        fn constraint_violation(&self, _: &[f64]) -> f64 {
+            panic!("MOEA/D must evaluate through the executor's batches")
+        }
+        fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<(Vec<f64>, f64)> {
+            self.seen.fetch_add(xs.len(), Ordering::Relaxed);
+            xs.iter().map(|x| (Schaffer.evaluate(x), 0.0)).collect()
+        }
+    }
+
+    #[test]
+    fn every_candidate_is_scored_through_evaluate_batch() {
+        let problem = BatchOnly {
+            seen: AtomicUsize::new(0),
+        };
+        let mut driver = Driver::new(Moead::new(small(), 6), &problem)
+            .with_stopping(StoppingRule::MaxGenerations(5));
+        assert!(!driver.run().is_empty());
+        let evaluations = driver.optimizer().evaluations();
+        assert_eq!(evaluations, 40 * 6);
+        assert_eq!(problem.seen.load(Ordering::Relaxed), evaluations);
     }
 
     #[test]

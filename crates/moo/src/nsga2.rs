@@ -110,13 +110,6 @@ impl Nsga2 {
         self.executor = Some(executor);
     }
 
-    /// Attaches a telemetry registry; `step` then records the
-    /// `variation` and `selection` phase timings into it. Observational
-    /// only — the search trajectory is identical with or without it.
-    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
-        self.metrics = Some(registry);
-    }
-
     /// The executor evaluating this solver's batches, building it from the
     /// configured backend on first use.
     fn executor(&mut self) -> Arc<Executor> {
@@ -129,11 +122,6 @@ impl Nsga2 {
     /// Current population (empty before the first generation).
     pub fn population(&self) -> &Population {
         &self.population
-    }
-
-    /// Cumulative number of candidate evaluations spent so far.
-    pub fn evaluations(&self) -> usize {
-        self.evaluations
     }
 
     /// Replaces the current population, for tests that install a known
@@ -167,28 +155,6 @@ impl Nsga2 {
         }
         fast_nondominated_sort_with(members, &mut self.scratch);
         self.scratch.assign_crowding(members);
-    }
-
-    /// Initializes the population if needed: samples every decision vector
-    /// first (one RNG stream), then evaluates the whole batch through the
-    /// configured executor.
-    pub fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        if !self.population.is_empty() {
-            return;
-        }
-        let variables = self.sample(problem);
-        let population = self.executor().evaluate_individuals(problem, variables);
-        self.install(population);
-    }
-
-    /// Runs one generation: breed the offspring, evaluate them in one
-    /// batch, then select the survivors. The archipelago runs the same
-    /// three pieces, with one batch for all of its islands.
-    pub fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
-        self.initialize(problem);
-        let children = self.breed(problem);
-        let offspring = self.executor().evaluate_individuals(problem, children);
-        self.select(offspring);
     }
 
     /// Samples the initial population's decision vectors on this solver's
@@ -319,23 +285,6 @@ impl Nsga2 {
             .collect()
     }
 
-    /// Non-dominated members of the current population (rank 0 under
-    /// constrained domination).
-    ///
-    /// This reads the `rank` bookkeeping maintained by `initialize`, `step`
-    /// and `refresh_ranks` instead of cloning and
-    /// re-sorting the whole population, so only the front members themselves
-    /// are cloned. After [`Nsga2::inject_migrants`] the ranks are stale
-    /// until the next [`Nsga2::refresh_ranks`] (the archipelago always
-    /// refreshes after injecting).
-    pub fn nondominated_front(&self) -> Vec<Individual> {
-        self.population
-            .iter()
-            .filter(|member| member.rank == 0)
-            .cloned()
-            .collect()
-    }
-
     /// Captures the solver's run state (RNG stream, population with its
     /// bookkeeping, evaluation odometer) as plain data.
     pub(crate) fn snapshot(&self) -> Nsga2State {
@@ -372,21 +321,44 @@ impl Nsga2 {
     }
 }
 
-impl<P: MultiObjectiveProblem> Optimizer<P> for Nsga2 {
-    fn initialize(&mut self, problem: &P) {
-        Nsga2::initialize(self, problem);
+impl Optimizer for Nsga2 {
+    /// Samples every decision vector first (one RNG stream), then evaluates
+    /// the whole batch through the configured executor.
+    fn initialize<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        if !self.population.is_empty() {
+            return;
+        }
+        let variables = self.sample(problem);
+        let population = self.executor().evaluate_individuals(problem, variables);
+        self.install(population);
     }
 
-    fn step(&mut self, problem: &P) {
-        Nsga2::step(self, problem);
+    /// Breeds the offspring, evaluates them in one batch, then selects the
+    /// survivors. The archipelago runs the same three pieces, with one
+    /// batch for all of its islands.
+    fn step<P: MultiObjectiveProblem>(&mut self, problem: &P) {
+        self.initialize(problem);
+        let children = self.breed(problem);
+        let offspring = self.executor().evaluate_individuals(problem, children);
+        self.select(offspring);
     }
 
     fn population(&self) -> Vec<Individual> {
         self.population.members().to_vec()
     }
 
+    /// Rank-0 members under constrained domination, read from the `rank`
+    /// bookkeeping that `initialize`, `step` and `refresh_ranks` maintain,
+    /// so only the front members themselves are cloned. After
+    /// [`Nsga2::inject_migrants`] the ranks are stale until the next
+    /// [`Nsga2::refresh_ranks`] (the archipelago always refreshes after
+    /// injecting).
     fn front(&self) -> Vec<Individual> {
-        self.nondominated_front()
+        self.population
+            .iter()
+            .filter(|member| member.rank == 0)
+            .cloned()
+            .collect()
     }
 
     fn evaluations(&self) -> usize {
@@ -407,8 +379,9 @@ impl<P: MultiObjectiveProblem> Optimizer<P> for Nsga2 {
         }
     }
 
+    /// `step` then records the `variation` and `selection` phases.
     fn set_metrics(&mut self, registry: MetricsRegistry) {
-        Nsga2::set_metrics(self, registry);
+        self.metrics = Some(registry);
     }
 }
 

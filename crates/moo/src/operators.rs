@@ -36,10 +36,10 @@ impl SbxScratch {
 /// Over `n` genes it first draws `⌈n/64⌉` coin words with `next_u64`,
 /// always; bit `j` of word `w` is the coin of gene `64w + j`, and the high
 /// bits of the last word past gene `n − 1` are ignored. Gene `i` crosses
-/// when its coin is set and the parents differ by at least 1e-14 (or either
-/// is NaN). Then it reads one spread word per crossing gene, in gene order,
-/// as `u = next_f64()`. A call reads `⌈n/64⌉` words plus one per crossing
-/// gene.
+/// when its coin is set and the parents are unequal and differ by at least
+/// 1e-14, or either is NaN; equal infinities are copied. Then it reads one
+/// spread word per crossing gene, in gene order, as `u = next_f64()`. A
+/// call reads `⌈n/64⌉` words plus one per crossing gene.
 ///
 /// A crossing gene's spread factor is `β = (2u)^(1/(η+1))` for `u ≤ ½` and
 /// `β = (1 / (2(1 − u)))^(1/(η+1))` above, computed as
@@ -108,10 +108,11 @@ pub fn sbx_crossover<R: Rng>(
     (child_a, child_b)
 }
 
-/// 1 when two parent genes are to be crossed (they differ by at least
-/// 1e-14, or either is NaN), else 0.
+/// 1 when two parent genes are to be crossed (they are unequal and differ
+/// by at least 1e-14, or either is NaN), else 0. The equality test keeps
+/// equal infinities, whose difference is NaN, from crossing into NaN.
 fn differ(x1: f64, x2: f64) -> u64 {
-    u64::from((x1 - x2).abs() < 1e-14) ^ 1
+    u64::from((x1 == x2) | ((x1 - x2).abs() < 1e-14)) ^ 1
 }
 
 /// SBX's spread exponent `1 / (η + 1)`, and its split into a high part of
@@ -606,7 +607,7 @@ mod reference {
                 continue;
             }
             let (x1, x2) = (parent_a[i], parent_b[i]);
-            if (x1 - x2).abs() < 1e-14 {
+            if x1 == x2 || (x1 - x2).abs() < 1e-14 {
                 continue;
             }
             let beta = spread_factor(rng.next_f64(), SpreadExponent::new(eta_c));
@@ -868,8 +869,9 @@ mod reference {
     fn non_finite_parents_cross_as_in_the_reference() {
         let nan = f64::NAN;
         let inf = f64::INFINITY;
-        // A NaN gene crosses, and so does an infinite one (even against an
-        // equal infinity: the difference is NaN); only (0.5, 0.5) is copied.
+        // A NaN gene crosses, and so does an infinity against a finite
+        // value or the other infinity; equal parents, infinite ones too, are
+        // copied.
         let pairs = [
             (nan, 0.5),
             (0.5, nan),
@@ -909,10 +911,17 @@ mod reference {
                 assert_eq!(bits(&a), bits(&ref_a), "{case}: first child");
                 assert_eq!(bits(&b), bits(&ref_b), "{case}: second child");
                 assert_eq!(rng.read, reference_rng.read, "{case}: words read");
-                // Every pair but (0.5, 0.5) crosses when its coin is set.
+                // Every unequal pair crosses when its coin is set.
                 let set = (0..pairs.len()).filter(|&i| (coins >> i) & 1 == 1);
-                let crossing = set.filter(|&i| parent_a[i] != 0.5 || parent_b[i] != 0.5);
+                let crossing = set.filter(|&i| parent_a[i] != parent_b[i]);
                 assert_eq!(rng.read, 1 + crossing.count(), "{case}: crossing genes");
+                // Equal infinities are copied, never crossed into NaN.
+                for i in 0..pairs.len() {
+                    if parent_a[i].is_infinite() && parent_a[i] == parent_b[i] {
+                        assert_eq!(a[i].to_bits(), parent_a[i].to_bits(), "{case}: gene {i}");
+                        assert_eq!(b[i].to_bits(), parent_b[i].to_bits(), "{case}: gene {i}");
+                    }
+                }
             }
         }
     }

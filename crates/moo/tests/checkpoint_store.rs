@@ -9,11 +9,11 @@
 
 use std::path::{Path, PathBuf};
 
+use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::{
-    decode_checkpoint, encode_checkpoint, read_checkpoint_file, write_checkpoint_file,
-    ArchipelagoSpec, ArchipelagoState, CheckpointError, CheckpointRetention, CheckpointStore,
-    Nsga2Spec, Nsga2State, OptimizerSpec, OptimizerState, ProblemSpec, RngState, RunCheckpoint,
-    RunSpec, StoppingSpec,
+    decode_checkpoint, encode_checkpoint, ArchipelagoSpec, ArchipelagoState, CheckpointError,
+    CheckpointRetention, CheckpointStore, Nsga2Spec, Nsga2State, OptimizerSpec, OptimizerState,
+    ProblemSpec, RngState, RunCheckpoint, RunSpec, StoppingSpec,
 };
 use pathway_moo::{Individual, MigrationTopology};
 
@@ -158,8 +158,9 @@ fn atomic_write_leaves_no_partial_files_behind() {
     let dir = std::env::temp_dir().join(format!("pathway-atomic-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let target = dir.join("gen-3.ckpt");
-    write_checkpoint_file(&target, &fixture_spec().to_text(), &fixture_checkpoint()).unwrap();
-    let stored = read_checkpoint_file(&target).unwrap();
+    let bytes = encode_checkpoint(&fixture_spec().to_text(), &fixture_checkpoint());
+    atomic_write(&target, &bytes).unwrap();
+    let stored = CheckpointStore::load(&target).unwrap();
     assert_checkpoint_eq(&stored.checkpoint, &fixture_checkpoint());
     // The temporary file was renamed away.
     let leftovers: Vec<_> = std::fs::read_dir(&dir)

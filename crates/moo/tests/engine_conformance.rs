@@ -62,7 +62,7 @@ fn archipelago() -> Archipelago {
 /// The shared conformance checks, generic over the optimizer under test.
 fn conformance<O, F>(make: F)
 where
-    O: Optimizer<Schaffer>,
+    O: Optimizer,
     F: Fn() -> O,
 {
     let problem = Schaffer;
@@ -157,10 +157,10 @@ fn restore_rejects_foreign_snapshots() {
     let problem = Zdt1 { variables: 4 };
     let mut donor = nsga2();
     donor.initialize(&problem);
-    let nsga2_state = Optimizer::<Zdt1>::state(&donor);
+    let nsga2_state = donor.state();
 
     let mut wrong = moead();
-    match Optimizer::<Zdt1>::restore(&mut wrong, nsga2_state.clone()) {
+    match wrong.restore(nsga2_state.clone()) {
         Err(EngineError::StateMismatch { expected, found }) => {
             assert_eq!(expected, "Moead");
             assert_eq!(found, "Nsga2");
@@ -169,14 +169,14 @@ fn restore_rejects_foreign_snapshots() {
     }
 
     let mut also_wrong = archipelago();
-    assert!(Optimizer::<Zdt1>::restore(&mut also_wrong, nsga2_state).is_err());
+    assert!(also_wrong.restore(nsga2_state).is_err());
 }
 
 #[test]
 fn restore_rejects_mismatched_island_counts() {
     let mut donor = archipelago();
     donor.initialize(&Schaffer);
-    let state = Optimizer::<Schaffer>::state(&donor);
+    let state = donor.state();
 
     let mut three_islands = Archipelago::new(
         ArchipelagoSpec {
@@ -190,7 +190,7 @@ fn restore_rejects_mismatched_island_counts() {
         },
         7,
     );
-    match Optimizer::<Schaffer>::restore(&mut three_islands, state) {
+    match three_islands.restore(state) {
         Err(EngineError::ConfigMismatch { detail }) => {
             assert!(detail.contains("islands"), "unexpected detail: {detail}")
         }
@@ -204,7 +204,7 @@ fn snapshots_are_plain_data() {
     optimizer.initialize(&Schaffer);
     optimizer.step(&Schaffer);
     // The snapshot is inspectable plain data: islands, archives, counters.
-    match Optimizer::<Schaffer>::state(&optimizer) {
+    match optimizer.state() {
         OptimizerState::Archipelago(state) => {
             assert_eq!(state.islands.len(), 2);
             assert_eq!(state.archives.len(), 2);

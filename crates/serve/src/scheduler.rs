@@ -50,7 +50,7 @@ use pathway_moo::engine::{
     ChannelObserver, CheckpointStore, GenerationReport, MetricsRegistry, Observer, RunCheckpoint,
     RunSpec, SweepSpec,
 };
-use pathway_moo::Executor;
+use pathway_moo::{Executor, Optimizer};
 
 use crate::wire::{JobState, JobSummary};
 

@@ -34,7 +34,7 @@ fn signature(front: &[Individual]) -> Vec<(Vec<f64>, Vec<f64>, f64)> {
 }
 
 /// The final front of `generations` generations of `optimizer`.
-fn front_after<P: MultiObjectiveProblem, O: Optimizer<P>>(
+fn front_after<P: MultiObjectiveProblem, O: Optimizer>(
     optimizer: O,
     problem: P,
     generations: usize,
@@ -474,4 +474,44 @@ fn determinism_checkpoint_moead_standalone() {
             "MOEA/D diverged when split at generation {split_at}"
         );
     }
+}
+
+/// MOEA/D scores every candidate through the executor, the initial batch
+/// and each one-candidate child batch, so a pooled run reproduces the
+/// serial one bit for bit, and the executor sees exactly the candidates
+/// the solver counts.
+#[test]
+fn determinism_moead_threads_match_serial_on_geobacter() {
+    let model = GeobacterModel::builder().reactions(48).seed(5).build();
+    let problem = GeobacterFluxProblem::new(&model).expect("small model is feasible");
+    let run = |backend| {
+        let executor = Executor::shared(backend);
+        let registry = pathway_moo::engine::MetricsRegistry::new();
+        executor.set_metrics(registry.clone());
+        let config = MoeadSpec {
+            population: 20,
+            neighborhood: 6,
+            backend,
+            ..Default::default()
+        };
+        let mut moead = Moead::new(config, 13);
+        moead.set_executor(executor);
+        let mut driver =
+            Driver::new(moead, &problem).with_stopping(StoppingRule::MaxGenerations(10));
+        let front = signature(&driver.run());
+        let candidates = registry.snapshot().counter("exec.candidates");
+        assert_eq!(
+            candidates,
+            Some(driver.optimizer().evaluations() as u64),
+            "{backend:?}: the executor must see every candidate MOEA/D counts"
+        );
+        front
+    };
+    let serial = run(EvalBackend::Serial);
+    assert!(!serial.is_empty());
+    assert_eq!(
+        run(EvalBackend::Threads(2)),
+        serial,
+        "Threads(2) diverged on Geobacter"
+    );
 }
