@@ -2,9 +2,10 @@
 //! the per-generation front extraction of the `leaf-analytic` shape.
 //!
 //! `front_extraction/2x100` evolves a two-island archipelago of 100 leaf
-//! designs (23 genes each) and then times what an observed generation adds:
-//! merging the islands' rank-0 members into one front, and that front's
-//! hypervolume.
+//! designs (23 genes each) and then times what an observed generation adds,
+//! the way `Driver::step` does it: merging the islands' rank-0 members into
+//! one front's objectives (`Optimizer::front_objectives`, borrowed, not
+//! cloned), and that front's hypervolume.
 //!
 //! Set `PATHWAY_BENCH_PROFILE=quick` (CI does) for smaller fronts, a shorter
 //! evolution and fewer samples that still exercise every code path.
@@ -13,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathway_core::LeafRedesignProblem;
 use pathway_moo::engine::{Driver, StoppingRule};
 use pathway_moo::metrics::hypervolume;
-use pathway_moo::{Archipelago, ArchipelagoSpec, Nsga2Spec};
+use pathway_moo::{Archipelago, ArchipelagoSpec, Nsga2Spec, Optimizer};
 use pathway_photosynthesis::Scenario;
 
 /// `(front sizes, generations evolved before timing the front, sample_size)`
@@ -83,11 +84,7 @@ fn bench_front_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("front_extraction");
     group.sample_size(sample_size);
     group.bench_function("2x100", |b| {
-        b.iter(|| {
-            let front = driver.front();
-            let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
-            hypervolume(&objectives, &reference)
-        });
+        b.iter(|| hypervolume(&driver.optimizer().front_objectives(), &reference));
     });
     group.finish();
 }

@@ -4,7 +4,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dominance::constrained_nondominated;
+use crate::dominance::merged_front;
 use crate::engine::telemetry::MetricsRegistry;
 use crate::engine::{ArchipelagoState, EngineError, Optimizer, OptimizerState, RngState};
 use crate::exec::Executor;
@@ -258,6 +258,17 @@ impl Archipelago {
         }
     }
 
+    /// The merged front's members, borrowed from the islands (see
+    /// [`Optimizer::front`]).
+    fn front_members(&self) -> Vec<&Individual> {
+        let candidates: Vec<&Individual> = self
+            .islands
+            .iter()
+            .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
+            .collect();
+        merged_front(&candidates)
+    }
+
     /// Captures the archipelago's run state (every island's snapshot, the
     /// migration archives and RNG, the generation counter) as plain data.
     pub(crate) fn snapshot(&self) -> ArchipelagoState {
@@ -410,29 +421,21 @@ impl Optimizer for Archipelago {
     /// Candidates are borrowed from the islands' rank-0 bookkeeping and
     /// filtered under Deb's feasibility rule: the feasible members that no
     /// feasible member Pareto-dominates if any member is feasible, else the
-    /// members of least violation. For two finite objectives the Pareto
-    /// filter is one sort and one sweep (`O(k log k)`), otherwise a pairwise
-    /// test. Only the surviving front members are cloned — this runs once
-    /// per generation on observed [`crate::engine::Driver`] runs and must
-    /// not re-sort or copy whole populations.
+    /// members of least violation. For two finite objectives the filter and
+    /// the ordering are one sort and one sweep (`O(k log k)`), otherwise a
+    /// pairwise test and a sort. Only the surviving front members are
+    /// cloned.
     fn front(&self) -> Vec<Individual> {
-        let candidates: Vec<&Individual> = self
-            .islands
-            .iter()
-            .flat_map(|island| island.population().iter().filter(|m| m.rank == 0))
-            .collect();
-        let mut front: Vec<Individual> = constrained_nondominated(&candidates)
+        self.front_members().into_iter().cloned().collect()
+    }
+
+    /// The same merge as [`front`](Optimizer::front), cloning nothing: this
+    /// runs once per generation on observed [`crate::engine::Driver`] runs.
+    fn front_objectives(&self) -> Vec<&[f64]> {
+        self.front_members()
             .into_iter()
-            .cloned()
-            .collect();
-        // Deduplicate identical objective vectors that may arise from broadcast copies.
-        front.sort_by(|a, b| {
-            a.objectives
-                .partial_cmp(&b.objectives)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        front.dedup_by(|a, b| a.objectives == b.objectives);
-        front
+            .map(|member| member.objectives.as_slice())
+            .collect()
     }
 
     /// Summed over the islands.

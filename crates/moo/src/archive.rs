@@ -7,6 +7,16 @@ use crate::{assign_crowding_distance, dominates, Individual};
 /// retained front stays well spread. The design workflows use it to accumulate
 /// Pareto-optimal enzyme partitions across PMO2 islands and restarts.
 ///
+/// Members keep their insertion order. With two objectives and no NaN —
+/// every problem the paper optimizes — members are mutually non-dominated
+/// and distinct, so ascending `f1` is strictly descending `f2`, with no
+/// ties. The archive keeps that one order beside the members, updated on
+/// every insert and removal, and a prune reads both objectives' crowding
+/// orders from it in one pass, with no sort and no allocation. Any other
+/// member (three objectives, a NaN) drops the order for good, and prunes
+/// then sort, as [`assign_crowding_distance`] does; both give the same
+/// distances and evict the same member.
+///
 /// # Example
 ///
 /// ```
@@ -29,6 +39,12 @@ use crate::{assign_crowding_distance, dominates, Individual};
 pub struct ParetoArchive {
     capacity: usize,
     members: Vec<Individual>,
+    /// Member positions in ascending `f1`, while every member has two
+    /// objectives and no NaN; `None` once one does not.
+    by_f1: Option<Vec<u32>>,
+    /// Per member: its position after the last insert's evictions, or
+    /// `u32::MAX` if evicted. Reused across inserts.
+    moved_to: Vec<u32>,
 }
 
 impl ParetoArchive {
@@ -42,6 +58,8 @@ impl ParetoArchive {
         ParetoArchive {
             capacity,
             members: Vec::new(),
+            by_f1: Some(Vec::new()),
+            moved_to: Vec::new(),
         }
     }
 
@@ -55,7 +73,7 @@ impl ParetoArchive {
         self.members.is_empty()
     }
 
-    /// Stored solutions (mutually non-dominated).
+    /// Stored solutions (mutually non-dominated), in insertion order.
     pub fn members(&self) -> &[Individual] {
         &self.members
     }
@@ -72,8 +90,17 @@ impl ParetoArchive {
         }) {
             return false;
         }
-        self.members
-            .retain(|m| !dominates(&candidate.objectives, &m.objectives));
+        self.evict_dominated_by(&candidate.objectives);
+        let objectives = &candidate.objectives;
+        if objectives.len() != 2 || objectives.iter().any(|v| v.is_nan()) {
+            self.by_f1 = None;
+        }
+        if let Some(order) = &mut self.by_f1 {
+            let members = &self.members;
+            let slot =
+                order.partition_point(|&p| members[p as usize].objectives[0] < objectives[0]);
+            order.insert(slot, members.len() as u32);
+        }
         self.members.push(candidate);
         if self.members.len() > self.capacity {
             self.prune();
@@ -86,15 +113,53 @@ impl ParetoArchive {
     pub fn extend<I: IntoIterator<Item = Individual>>(&mut self, candidates: I) -> usize {
         candidates
             .into_iter()
-            .filter(|c| self.insert(c.clone()))
+            .map(|candidate| self.insert(candidate))
+            .filter(|&accepted| accepted)
             .count()
     }
 
+    /// Removes the members `objectives` dominates, keeping the others in
+    /// order, and renumbers the kept `f1` order.
+    fn evict_dominated_by(&mut self, objectives: &[f64]) {
+        self.moved_to.clear();
+        let mut kept = 0u32;
+        for member in &self.members {
+            if dominates(objectives, &member.objectives) {
+                self.moved_to.push(u32::MAX);
+            } else {
+                self.moved_to.push(kept);
+                kept += 1;
+            }
+        }
+        if kept as usize == self.members.len() {
+            return;
+        }
+        let moved_to = &self.moved_to;
+        let mut position = 0;
+        self.members.retain(|_| {
+            position += 1;
+            moved_to[position - 1] != u32::MAX
+        });
+        if let Some(order) = &mut self.by_f1 {
+            order.retain_mut(|p| {
+                *p = moved_to[*p as usize];
+                *p != u32::MAX
+            });
+        }
+    }
+
     /// Removes the most crowded member until the archive fits its capacity.
+    /// Every member's `crowding` is refreshed first, and ties go to the
+    /// earliest member.
     fn prune(&mut self) {
         while self.members.len() > self.capacity {
-            let front: Vec<usize> = (0..self.members.len()).collect();
-            assign_crowding_distance(&mut self.members, &front);
+            match &self.by_f1 {
+                Some(order) => crowding_along_f1(&mut self.members, order),
+                None => {
+                    let front: Vec<usize> = (0..self.members.len()).collect();
+                    assign_crowding_distance(&mut self.members, &front);
+                }
+            }
             let worst = self
                 .members
                 .iter()
@@ -107,8 +172,47 @@ impl ParetoArchive {
                 .map(|(i, _)| i)
                 .expect("archive is non-empty while pruning");
             self.members.remove(worst);
+            if let Some(order) = &mut self.by_f1 {
+                let worst = worst as u32;
+                order.retain(|&p| p != worst);
+                for p in order.iter_mut().filter(|p| **p > worst) {
+                    *p -= 1;
+                }
+            }
         }
     }
+}
+
+/// Crowding distances of mutually non-dominated, distinct bi-objective
+/// `members` from `by_f1`, their positions in ascending `f1`: that order
+/// reversed is ascending `f2`, so each interior member's neighbours along
+/// `f2` are its `f1` neighbours swapped. The same arithmetic, in the same
+/// order, as [`assign_crowding_distance`] over every member.
+fn crowding_along_f1(members: &mut [Individual], by_f1: &[u32]) {
+    let n = by_f1.len();
+    if n <= 2 {
+        for member in members.iter_mut() {
+            member.crowding = f64::INFINITY;
+        }
+        return;
+    }
+    let at = |members: &[Individual], w: usize| {
+        let objectives = &members[by_f1[w] as usize].objectives;
+        (objectives[0], objectives[1])
+    };
+    let (first, last) = (at(members, 0), at(members, n - 1));
+    let range_f1 = (last.0 - first.0).max(f64::EPSILON);
+    let range_f2 = (first.1 - last.1).max(f64::EPSILON);
+    for w in 1..n - 1 {
+        let (previous, next) = (at(members, w - 1), at(members, w + 1));
+        let mut crowding = 0.0 + (next.0 - previous.0) / range_f1;
+        if crowding.is_finite() {
+            crowding += (previous.1 - next.1) / range_f2;
+        }
+        members[by_f1[w] as usize].crowding = crowding;
+    }
+    members[by_f1[0] as usize].crowding = f64::INFINITY;
+    members[by_f1[n - 1] as usize].crowding = f64::INFINITY;
 }
 
 #[cfg(test)]

@@ -8,17 +8,17 @@ use crate::Individual;
 /// nearest neighbours along each objective.
 ///
 /// This convenience wrapper allocates a fresh index buffer per call; hot
-/// paths that assign crowding every generation should reuse the buffers
-/// folded into [`crate::SortScratch`] via
-/// [`crate::SortScratch::assign_crowding`].
+/// paths that assign crowding every generation go through
+/// [`crate::SortScratch::assign_crowding`], which reuses its buffers and
+/// reads bi-objective fronts from the sort's own order.
 pub fn assign_crowding_distance(individuals: &mut [Individual], front: &[usize]) {
     let mut order = Vec::new();
-    assign_crowding_with_order(individuals, front, &mut order);
+    assign_crowding_by_sorting(individuals, front, &mut order);
 }
 
-/// Crowding assignment over a reusable index buffer: `order` is cleared,
-/// refilled from `front` and sorted once per objective, so after the first
-/// call at a given front size the assignment performs no allocations.
+/// Crowding assignment over a reusable index buffer: `order` is refilled
+/// from `front` and sorted once per objective, so after the first call at a
+/// given front size the assignment performs no allocations.
 ///
 /// Exact objective ties are broken by front position, which reproduces a
 /// stable sort of the front order while keeping the sort allocation-free
@@ -27,21 +27,12 @@ pub fn assign_crowding_distance(individuals: &mut [Individual], front: &[usize])
 /// # Panics
 ///
 /// Panics if any compared objective value is NaN.
-pub(crate) fn assign_crowding_with_order(
+pub(crate) fn assign_crowding_by_sorting(
     individuals: &mut [Individual],
     front: &[usize],
     order: &mut Vec<u32>,
 ) {
-    if front.is_empty() {
-        return;
-    }
-    for &i in front {
-        individuals[i].crowding = 0.0;
-    }
-    if front.len() <= 2 {
-        for &i in front {
-            individuals[i].crowding = f64::INFINITY;
-        }
+    if reset_front(individuals, front.iter().copied()) {
         return;
     }
     let num_objectives = individuals[front[0]].objectives.len();
@@ -54,21 +45,77 @@ pub(crate) fn assign_crowding_with_order(
                 .expect("objective values must not be NaN")
                 .then_with(|| a.cmp(&b))
         });
-        let first = front[order[0] as usize];
-        let last = front[order[order.len() - 1] as usize];
-        let min = individuals[first].objectives[m];
-        let max = individuals[last].objectives[m];
-        let range = (max - min).max(f64::EPSILON);
+        for slot in order.iter_mut() {
+            *slot = front[*slot as usize] as u32;
+        }
+        accumulate(individuals, order, m);
+    }
+}
 
-        individuals[first].crowding = f64::INFINITY;
-        individuals[last].crowding = f64::INFINITY;
-        for w in 1..order.len() - 1 {
-            let previous = individuals[front[order[w - 1] as usize]].objectives[m];
-            let next = individuals[front[order[w + 1] as usize]].objectives[m];
-            let current = front[order[w] as usize];
-            if individuals[current].crowding.is_finite() {
-                individuals[current].crowding += (next - previous) / range;
-            }
+/// Crowding assignment for one front of two objectives given in ascending
+/// `(f1, f2)` order, each run of `==`-equal points in index order: the
+/// order the bi-objective sweep of
+/// [`crate::fast_nondominated_sort_with`] leaves behind. No sort runs.
+///
+/// Within one front equal `f1` implies equal `f2` (otherwise one point
+/// would dominate the other), so `by_f1` is the `f1` crowding order, and
+/// its runs of equal points taken back to front, each still in index order,
+/// are the `f2` order. `f2_order` is refilled with the latter. The result
+/// is bit-identical to [`assign_crowding_by_sorting`] over the same front.
+pub(crate) fn assign_crowding_from_order(
+    individuals: &mut [Individual],
+    by_f1: &[u32],
+    f2_order: &mut Vec<u32>,
+) {
+    if reset_front(individuals, by_f1.iter().map(|&i| i as usize)) {
+        return;
+    }
+    accumulate(individuals, by_f1, 0);
+    f2_order.clear();
+    let f1 = |w: usize| individuals[by_f1[w] as usize].objectives[0];
+    let mut end = by_f1.len();
+    while end > 0 {
+        let mut start = end - 1;
+        while start > 0 && f1(start - 1) == f1(end - 1) {
+            start -= 1;
+        }
+        f2_order.extend_from_slice(&by_f1[start..end]);
+        end = start;
+    }
+    accumulate(individuals, f2_order, 1);
+}
+
+/// Zeroes the crowding of a front's members; a front of at most two members
+/// is all boundary, so it gets infinite distances and `true` (nothing left
+/// to accumulate).
+fn reset_front(individuals: &mut [Individual], front: impl Iterator<Item = usize> + Clone) -> bool {
+    let boundary_only = front.clone().nth(2).is_none();
+    let distance = if boundary_only { f64::INFINITY } else { 0.0 };
+    for i in front {
+        individuals[i].crowding = distance;
+    }
+    boundary_only
+}
+
+/// Adds objective `m`'s share of the crowding distance along `sorted`, the
+/// front's members in ascending order of that objective: the two ends
+/// become boundary points, every other member with a finite distance so far
+/// gains its neighbours' normalized gap.
+fn accumulate(individuals: &mut [Individual], sorted: &[u32], m: usize) {
+    let first = sorted[0] as usize;
+    let last = sorted[sorted.len() - 1] as usize;
+    let min = individuals[first].objectives[m];
+    let max = individuals[last].objectives[m];
+    let range = (max - min).max(f64::EPSILON);
+
+    individuals[first].crowding = f64::INFINITY;
+    individuals[last].crowding = f64::INFINITY;
+    for w in 1..sorted.len() - 1 {
+        let previous = individuals[sorted[w - 1] as usize].objectives[m];
+        let next = individuals[sorted[w + 1] as usize].objectives[m];
+        let current = sorted[w] as usize;
+        if individuals[current].crowding.is_finite() {
+            individuals[current].crowding += (next - previous) / range;
         }
     }
 }
@@ -158,9 +205,9 @@ mod tests {
 
         let mut via_buffer = points;
         let mut order = Vec::new();
-        assign_crowding_with_order(&mut via_buffer, &front, &mut order);
+        assign_crowding_by_sorting(&mut via_buffer, &front, &mut order);
         // Exercise reuse: a second pass over the warm buffer changes nothing.
-        assign_crowding_with_order(&mut via_buffer, &front, &mut order);
+        assign_crowding_by_sorting(&mut via_buffer, &front, &mut order);
 
         for (a, b) in via_wrapper.iter().zip(&via_buffer) {
             assert_eq!(a.crowding, b.crowding);

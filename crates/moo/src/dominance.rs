@@ -8,11 +8,17 @@
 //! [`metrics`](crate::metrics) hypervolume and union front all run on it.
 //!
 //! With two objectives and only finite values, the mask comes from one
-//! stable lexicographic sort and one sweep (Kung, Luccio & Preparata 1975),
-//! `O(k log k)` for `k` points. Any other input — three or more objectives,
-//! or a NaN or infinite component anywhere — takes the pairwise `O(k²)`
-//! test, which is the definition itself and so gives the same answer on
-//! inputs where the sweep's ordering arguments do not hold.
+//! lexicographic sort (ties by index, so as a stable sort would leave them)
+//! and one sweep (Kung, Luccio & Preparata 1975), `O(k log k)` for `k`
+//! points, and the sweep hands back the front already in that order: a
+//! caller that wants the front sorted, like the archipelago's merged front
+//! or the 2-D hypervolume, sorts nothing more. Any other input — three or
+//! more objectives, or a NaN or infinite component anywhere — takes the
+//! pairwise `O(k²)` test, which is the definition itself and so gives the
+//! same answer on inputs where the sweep's ordering arguments do not hold.
+//!
+//! Both sweeps sort integer keys (`order_key`) read once per point, not
+//! the points themselves.
 
 use crate::Individual;
 
@@ -56,16 +62,21 @@ pub fn constrained_dominates(a: &Individual, b: &Individual) -> bool {
     }
 }
 
-/// Reusable scratch buffers for [`fast_nondominated_sort_with`].
+/// Reusable scratch buffers for NSGA-II's environmental selection:
+/// [`fast_nondominated_sort_with`], [`SortScratch::assign_crowding`] and
+/// [`SortScratch::select_survivors`].
 ///
-/// Every buffer is flat (`Vec<u32>` / `Vec<usize>` / `Vec<f64>`), so after
-/// the first call at a given population size the sort performs **no
+/// Every buffer is flat, so after the first call at a given population size
+/// the sort, the crowding pass and the survivor choice perform **no
 /// allocations at all** — in particular none of the per-call
 /// `Vec<Vec<usize>>` dominated-set allocations of the textbook algorithm.
 /// [`Nsga2`](crate::Nsga2) carries one of these across generations.
 ///
 /// After a sort, the fronts are read back through [`SortScratch::front`] as
-/// index slices into the sorted population, best front first.
+/// index slices into the sorted population, best front first, each in
+/// ascending index order. The bi-objective sweep also keeps every feasible
+/// front in its own `(f1, f2, index)` order, which is what lets
+/// [`SortScratch::assign_crowding`] skip sorting those fronts.
 #[derive(Debug, Clone, Default)]
 pub struct SortScratch {
     /// Per individual: how many others currently dominate it.
@@ -80,8 +91,10 @@ pub struct SortScratch {
     edges: Vec<u32>,
     /// Flat adjacency storage: the indices each individual dominates.
     adjacency: Vec<u32>,
-    /// Index permutation used by the bi-objective sweep.
-    order: Vec<u32>,
+    /// The bi-objective sweep's order: `(f1, f2, index)` keys of the
+    /// feasible members, then `(violation, 0, index)` keys of the
+    /// infeasible ones, each part sorted.
+    keyed: Vec<(u64, u64, u32)>,
     /// Last-inserted `f1` per front (bi-objective staircase).
     last_f1: Vec<f64>,
     /// Last-inserted `f2` per front (bi-objective staircase).
@@ -90,9 +103,19 @@ pub struct SortScratch {
     fronts_flat: Vec<usize>,
     /// Exclusive end offset of each front within `fronts_flat`.
     front_ends: Vec<usize>,
-    /// Reusable index buffer for crowding assignment (one sort per
-    /// objective per front, no per-call allocation).
+    /// The members of the first `sweep_fronts` fronts, laid out like
+    /// `fronts_flat` but each front in the sweep's `(f1, f2, index)` order.
+    by_objectives: Vec<u32>,
+    /// How many leading fronts `by_objectives` covers: the feasible fronts
+    /// after the bi-objective sweep, none after the general sort.
+    sweep_fronts: usize,
+    /// Reusable index buffer for crowding assignment: an objective's order
+    /// over one front, sorted there or read from `by_objectives`.
     crowding_order: Vec<u32>,
+    /// The survivors [`SortScratch::select_survivors`] chose.
+    chosen: Vec<usize>,
+    /// The cut front's `(descending crowding, position)` keys.
+    cut: Vec<(u64, u32)>,
 }
 
 impl SortScratch {
@@ -126,8 +149,13 @@ impl SortScratch {
     }
 
     /// Assigns crowding distances to every front of the last sort, reusing
-    /// this scratch's index buffer so the whole selection pass stays
-    /// allocation-free once the buffers are warm.
+    /// this scratch's buffers so the pass is allocation-free once they are
+    /// warm.
+    ///
+    /// The feasible fronts of a bi-objective sweep take their objective
+    /// orders from the sweep (no sort runs); infeasible fronts and every
+    /// front of the general sort are sorted once per objective. Both give
+    /// the same distances, bit for bit.
     ///
     /// `individuals` must be the same slice (same length and order) the last
     /// [`fast_nondominated_sort_with`] call ranked.
@@ -135,18 +163,74 @@ impl SortScratch {
         let SortScratch {
             fronts_flat,
             front_ends,
+            by_objectives,
+            sweep_fronts,
             crowding_order,
             ..
         } = self;
         let mut start = 0usize;
-        for &end in front_ends.iter() {
-            crate::crowding::assign_crowding_with_order(
-                individuals,
-                &fronts_flat[start..end],
-                crowding_order,
-            );
+        for (rank, &end) in front_ends.iter().enumerate() {
+            if rank < *sweep_fronts {
+                crate::crowding::assign_crowding_from_order(
+                    individuals,
+                    &by_objectives[start..end],
+                    crowding_order,
+                );
+            } else {
+                crate::crowding::assign_crowding_by_sorting(
+                    individuals,
+                    &fronts_flat[start..end],
+                    crowding_order,
+                );
+            }
             start = end;
         }
+    }
+
+    /// The indices of `target` survivors by (rank, crowding), in survivor
+    /// order: whole fronts, best first, while they fit, then the members of
+    /// the front that does not fit in descending crowding, ties in front
+    /// order. Every index is chosen at most once.
+    ///
+    /// `individuals` must be the slice the last
+    /// [`fast_nondominated_sort_with`] and
+    /// [`assign_crowding`](SortScratch::assign_crowding) calls saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a crowding distance in the front that does not fit is NaN.
+    pub fn select_survivors(&mut self, individuals: &[Individual], target: usize) -> &[usize] {
+        let SortScratch {
+            fronts_flat,
+            front_ends,
+            chosen,
+            cut,
+            ..
+        } = self;
+        chosen.clear();
+        let mut start = 0usize;
+        for &end in front_ends.iter() {
+            let front = &fronts_flat[start..end];
+            start = end;
+            if chosen.len() + front.len() <= target {
+                chosen.extend_from_slice(front);
+                if chosen.len() == target {
+                    break;
+                }
+            } else {
+                cut.clear();
+                cut.extend(front.iter().enumerate().map(|(position, &i)| {
+                    let crowding = individuals[i].crowding;
+                    assert!(!crowding.is_nan(), "crowding distances are not NaN");
+                    (!order_key(crowding), position as u32)
+                }));
+                cut.sort_unstable();
+                let missing = target - chosen.len();
+                chosen.extend(cut[..missing].iter().map(|&(_, p)| front[p as usize]));
+                break;
+            }
+        }
+        chosen
     }
 
     fn reset(&mut self, n: usize) {
@@ -157,6 +241,7 @@ impl SortScratch {
         self.edges.clear();
         self.fronts_flat.clear();
         self.front_ends.clear();
+        self.sweep_fronts = 0;
     }
 
     /// Rebuilds `fronts_flat`/`front_ends` from the `rank` fields via a
@@ -224,31 +309,34 @@ pub fn fast_nondominated_sort_with(individuals: &mut [Individual], scratch: &mut
 /// minima, `O(n log n)` instead of `O(n²)` domination checks.
 fn sweep_sort_two_objectives(individuals: &mut [Individual], scratch: &mut SortScratch) {
     let n = individuals.len();
-    scratch.order.clear();
-    scratch.order.extend(0..n as u32);
     // Feasible individuals first, by (f1, f2); infeasible after, by violation.
-    // Index breaks exact ties so the permutation is canonical.
-    scratch.order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        let (ia, ib) = (&individuals[a], &individuals[b]);
-        match (ia.is_feasible(), ib.is_feasible()) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (true, true) => ia.objectives[0]
-                .total_cmp(&ib.objectives[0])
-                .then_with(|| ia.objectives[1].total_cmp(&ib.objectives[1]))
-                .then_with(|| a.cmp(&b)),
-            (false, false) => ia
-                .violation
-                .total_cmp(&ib.violation)
-                .then_with(|| a.cmp(&b)),
-        }
-    });
-    let num_feasible = scratch
-        .order
-        .iter()
-        .take_while(|&&i| individuals[i as usize].is_feasible())
-        .count();
+    // Index breaks exact ties so the permutation is canonical. Objectives
+    // compare as numbers, `-0.0` equal to `0.0` as in `dominates`: a point
+    // must never come after one it dominates, and `(0.0, 1.0)` dominates
+    // `(-0.0, 2.0)`. Equal points then sit together in index order. The
+    // keys are integers read once per member, so the sort compares plain
+    // tuples instead of chasing each member's objectives.
+    scratch.keyed.clear();
+    scratch.keyed.extend(
+        individuals
+            .iter()
+            .enumerate()
+            .filter(|(_, individual)| individual.is_feasible())
+            .map(|(i, individual)| {
+                let f = &individual.objectives;
+                (order_key(f[0]), order_key(f[1]), i as u32)
+            }),
+    );
+    let num_feasible = scratch.keyed.len();
+    scratch.keyed.extend(
+        individuals
+            .iter()
+            .enumerate()
+            .filter(|(_, individual)| !individual.is_feasible())
+            .map(|(i, individual)| (order_key(individual.violation), 0, i as u32)),
+    );
+    scratch.keyed[..num_feasible].sort_unstable();
+    scratch.keyed[num_feasible..].sort_unstable();
 
     // Staircase over the feasible prefix: each front is represented by its
     // last-inserted point, which has the minimal f2 of that front so far.
@@ -257,7 +345,7 @@ fn sweep_sort_two_objectives(individuals: &mut [Individual], scratch: &mut SortS
     // are ordered, so the first non-dominating front is found by bisection.
     scratch.last_f1.clear();
     scratch.last_f2.clear();
-    for &oi in &scratch.order[..num_feasible] {
+    for &(_, _, oi) in &scratch.keyed[..num_feasible] {
         let i = oi as usize;
         let f1 = individuals[i].objectives[0];
         let f2 = individuals[i].objectives[1];
@@ -288,7 +376,7 @@ fn sweep_sort_two_objectives(individuals: &mut [Individual], scratch: &mut SortS
     // fronts.
     let mut rank = feasible_fronts;
     let mut previous_violation = f64::NAN;
-    for (offset, &oi) in scratch.order[num_feasible..].iter().enumerate() {
+    for (offset, &(_, _, oi)) in scratch.keyed[num_feasible..].iter().enumerate() {
         let i = oi as usize;
         let violation = individuals[i].violation;
         if offset > 0 && violation != previous_violation {
@@ -303,6 +391,33 @@ fn sweep_sort_two_objectives(individuals: &mut [Individual], scratch: &mut SortS
         rank + 1
     };
     scratch.fronts_from_ranks(individuals, total_fronts);
+
+    // Keep each feasible front in sweep order for the crowding pass: a
+    // stable scatter by rank, into the offsets `fronts_from_ranks` laid out.
+    scratch.cursor.clear();
+    scratch
+        .cursor
+        .extend_from_slice(&scratch.starts[..feasible_fronts]);
+    scratch.by_objectives.clear();
+    scratch.by_objectives.resize(num_feasible, 0);
+    for &(_, _, oi) in &scratch.keyed[..num_feasible] {
+        let slot = &mut scratch.cursor[individuals[oi as usize].rank];
+        scratch.by_objectives[*slot as usize] = oi;
+        *slot += 1;
+    }
+    scratch.sweep_fronts = feasible_fronts;
+}
+
+/// An integer key that orders numbers as `partial_cmp` does, `-0.0` equal to
+/// `0.0` (adding `0.0` turns `-0.0` into `0.0` and changes nothing else).
+/// NaN has no place in that order; callers keep it out.
+fn order_key(value: f64) -> u64 {
+    let bits = (value + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// General-case sort: textbook domination counting over a flat edge list and
@@ -405,59 +520,73 @@ pub fn fast_nondominated_sort(individuals: &mut [Individual]) -> Vec<Vec<usize>>
 ///
 /// Panics if points of different lengths meet in the pairwise test.
 pub fn nondominated_mask<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
-    let two_finite = points.iter().all(|point| {
-        let point = point.as_ref();
-        point.len() == 2 && point.iter().all(|v| v.is_finite())
-    });
-    if two_finite {
-        sweep_mask_two_objectives(points)
-    } else {
-        points
+    match sorted_front_two_objectives(points) {
+        Some(front) => {
+            let mut mask = vec![false; points.len()];
+            for i in front {
+                mask[i] = true;
+            }
+            mask
+        }
+        None => points
             .iter()
             .map(|candidate| {
                 !points
                     .iter()
                     .any(|other| dominates(other.as_ref(), candidate.as_ref()))
             })
-            .collect()
+            .collect(),
     }
 }
 
-/// Bi-objective mask by one lexicographic sweep. After a stable sort by
-/// `(f1, f2)`, only earlier points can dominate a point `p`: one with a
-/// smaller `f1` dominates it iff its `f2 <= p.f2`, one with the same `f1`
-/// iff its `f2 < p.f2`. So `p` is dominated iff the least `f2` over all
-/// smaller `f1` is `<= p.f2`, or the least `f2` of its own `f1` group is
-/// `< p.f2`. `partial_cmp` and `==` treat `-0.0` and `0.0` as equal, exactly
-/// like [`dominates`].
-fn sweep_mask_two_objectives<P: AsRef<[f64]>>(points: &[P]) -> Vec<bool> {
-    let point = |i: usize| points[i].as_ref();
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    let cmp = |a: f64, b: f64| {
-        a.partial_cmp(&b)
-            .expect("the sweep only sees finite values")
-    };
-    order.sort_by(|&a, &b| {
-        let (a, b) = (point(a), point(b));
-        cmp(a[0], b[0]).then_with(|| cmp(a[1], b[1]))
+/// The non-dominated points of a set of two finite objectives, as indices
+/// in stable `(f1, f2)` order: the order a stable lexicographic sort of the
+/// front itself would give, so callers that want the front sorted need no
+/// second sort. `None` unless every point has two finite objectives.
+///
+/// One sort by `(f1, f2, index)` and one sweep. After the sort, only
+/// earlier points can dominate a point `p`: one with a smaller `f1`
+/// dominates it iff its `f2 <= p.f2`, one with the same `f1` iff its
+/// `f2 < p.f2`. So `p` is dominated iff the least `f2` over all smaller `f1`
+/// is `<= p.f2`, or the least `f2` of its own `f1` group is `< p.f2`. The
+/// sort and the sweep compare the values' `order_key`s, which treat
+/// `-0.0` and `0.0` as equal, exactly like [`dominates`].
+pub(crate) fn sorted_front_two_objectives<P: AsRef<[f64]>>(points: &[P]) -> Option<Vec<usize>> {
+    let two_finite = points.iter().all(|point| {
+        let point = point.as_ref();
+        point.len() == 2 && point.iter().all(|v| v.is_finite())
     });
-    let mut mask = vec![false; points.len()];
-    // Least f2 over every point with a strictly smaller f1.
-    let mut best_f2 = f64::INFINITY;
+    if !two_finite {
+        return None;
+    }
+    let mut keyed: Vec<(u64, u64, usize)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, point)| {
+            let point = point.as_ref();
+            (order_key(point[0]), order_key(point[1]), i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let mut front = Vec::new();
+    // Least f2 over every point with a strictly smaller f1; every finite
+    // value's key is below `u64::MAX`.
+    let mut best_f2 = u64::MAX;
     let mut group_start = 0;
-    while group_start < order.len() {
-        let f1 = point(order[group_start])[0];
-        let group_f2 = point(order[group_start])[1];
+    while group_start < keyed.len() {
+        let (f1, group_f2, _) = keyed[group_start];
         let mut next = group_start;
-        while next < order.len() && point(order[next])[0] == f1 {
-            let f2 = point(order[next])[1];
-            mask[order[next]] = best_f2 > f2 && group_f2 >= f2;
+        while next < keyed.len() && keyed[next].0 == f1 {
+            let (_, f2, i) = keyed[next];
+            if best_f2 > f2 && group_f2 >= f2 {
+                front.push(i);
+            }
             next += 1;
         }
         best_f2 = best_f2.min(group_f2);
         group_start = next;
     }
-    mask
+    Some(front)
 }
 
 /// Extracts the non-dominated subset of a set of objective vectors, in input
@@ -473,39 +602,64 @@ pub fn nondominated_filter<P: AsRef<[f64]> + Clone>(points: &[P]) -> Vec<P> {
         .collect()
 }
 
-/// The members of `candidates` that no other member constrained-dominates
-/// (Deb's rules, as in [`constrained_dominates`]), in input order.
+/// The merged front of `candidates` under constrained domination (Deb's
+/// rules, as in [`constrained_dominates`]), sorted by objectives
+/// (lexicographic `partial_cmp`, stable) with repeated objective vectors
+/// dropped after their first copy.
 ///
 /// A feasible member dominates every infeasible one, and infeasible members
 /// are compared by violation alone. So when any member is feasible this is
 /// the Pareto non-dominated subset of the feasible members; otherwise it is
 /// every member of least violation (a NaN violation never compares less,
 /// so such members are never dominated either).
-pub(crate) fn constrained_nondominated<'a>(candidates: &[&'a Individual]) -> Vec<&'a Individual> {
-    if candidates.iter().any(|c| c.is_feasible()) {
+///
+/// One sort runs: for two finite objectives the sweep's own, otherwise the
+/// sort of the filtered members.
+pub(crate) fn merged_front<'a>(candidates: &[&'a Individual]) -> Vec<&'a Individual> {
+    let mut front: Vec<&Individual> = if candidates.iter().any(|c| c.is_feasible()) {
         let feasible: Vec<&Individual> = candidates
             .iter()
             .copied()
             .filter(|c| c.is_feasible())
             .collect();
         let objectives: Vec<&[f64]> = feasible.iter().map(|c| c.objectives.as_slice()).collect();
-        let mask = nondominated_mask(&objectives);
-        feasible
-            .into_iter()
-            .zip(mask)
-            .filter_map(|(c, keep)| keep.then_some(c))
-            .collect()
+        match sorted_front_two_objectives(&objectives) {
+            Some(order) => order.into_iter().map(|i| feasible[i]).collect(),
+            None => {
+                let mask = nondominated_mask(&objectives);
+                let mut front: Vec<&Individual> = feasible
+                    .into_iter()
+                    .zip(mask)
+                    .filter_map(|(c, keep)| keep.then_some(c))
+                    .collect();
+                sort_by_objectives(&mut front);
+                front
+            }
+        }
     } else {
         let least = candidates
             .iter()
             .map(|c| c.violation)
             .fold(f64::INFINITY, f64::min);
-        candidates
+        let mut front: Vec<&Individual> = candidates
             .iter()
             .copied()
             .filter(|c| c.violation.is_nan() || c.violation <= least)
-            .collect()
-    }
+            .collect();
+        sort_by_objectives(&mut front);
+        front
+    };
+    front.dedup_by(|a, b| a.objectives == b.objectives);
+    front
+}
+
+/// Stable lexicographic sort by objectives; a NaN comparison counts as a tie.
+fn sort_by_objectives(front: &mut [&Individual]) {
+    front.sort_by(|a, b| {
+        a.objectives
+            .partial_cmp(&b.objectives)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
 }
 
 #[cfg(test)]
@@ -580,6 +734,19 @@ mod tests {
         assert_eq!(individuals[1].rank, 1);
         assert_eq!(individuals[2].rank, 2);
         assert_eq!(fronts.len(), 3);
+    }
+
+    #[test]
+    fn the_sweep_compares_signed_zeros_as_equal() {
+        // (0.0, 1.0) dominates (-0.0, 2.0): the sweep must see the second
+        // point first, as it would any other point with the same f1.
+        let mut individuals = vec![
+            individual(vec![-0.0, 2.0], 0.0),
+            individual(vec![0.0, 1.0], 0.0),
+            individual(vec![-0.0, 1.0], 0.0),
+        ];
+        let fronts = fast_nondominated_sort(&mut individuals);
+        assert_eq!(fronts, vec![vec![1, 2], vec![0]]);
     }
 
     #[test]

@@ -251,8 +251,7 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         }
 
         let telemetry_started = Instant::now();
-        let front = self.optimizer.front();
-        let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
+        let objectives = self.optimizer.front_objectives();
         if self.reference_point.is_none() {
             self.reference_point = derive_reference(&objectives);
         }
@@ -270,7 +269,7 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         let report = GenerationReport {
             generation: self.generation,
             evaluations: self.optimizer.evaluations(),
-            front_size: front.len(),
+            front_size: objectives.len(),
             hypervolume,
             wall_clock,
         };

@@ -93,7 +93,9 @@ use crate::{Individual, MultiObjectiveProblem};
 ///   generation (initializing first if needed) and strictly increases
 ///   [`evaluations`](Optimizer::evaluations).
 /// * [`front`](Optimizer::front) returns a mutually non-dominating subset of
-///   the current population under constrained domination.
+///   the current population under constrained domination, and
+///   [`front_objectives`](Optimizer::front_objectives) its objective
+///   vectors, in the same order, borrowed.
 /// * [`state`](Optimizer::state) / [`restore`](Optimizer::restore) round-trip
 ///   every bit of run state (populations, RNG streams, counters): an
 ///   optimizer restored from a snapshot continues the exact trajectory the
@@ -115,6 +117,11 @@ pub trait Optimizer {
 
     /// The current non-dominated front. Empty before initialization.
     fn front(&self) -> Vec<Individual>;
+
+    /// The objective vectors of [`front`](Optimizer::front), in the same
+    /// order, borrowed from the population instead of cloned: what
+    /// per-generation telemetry (front size, hypervolume) reads.
+    fn front_objectives(&self) -> Vec<&[f64]>;
 
     /// Cumulative number of candidate evaluations spent so far.
     fn evaluations(&self) -> usize;

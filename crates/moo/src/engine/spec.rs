@@ -1037,6 +1037,10 @@ impl Optimizer for AnyOptimizer {
         each_kind!(self, |inner| inner.front())
     }
 
+    fn front_objectives(&self) -> Vec<&[f64]> {
+        each_kind!(self, |inner| inner.front_objectives())
+    }
+
     fn evaluations(&self) -> usize {
         each_kind!(self, |inner| inner.evaluations())
     }

@@ -1,6 +1,8 @@
-//! Equivalence tests for the non-dominated mask: the pairwise front filters
-//! and hypervolume it replaced, kept verbatim as references, and random
-//! point clouds that stress every tie the sweep must get right.
+//! Equivalence tests for the front bookkeeping: the pairwise front filters
+//! and hypervolume the non-dominated mask replaced, the sort-based crowding
+//! pass the sweep's order replaced, and the archive whose prunes sorted
+//! every member, all kept verbatim as references; and random point clouds
+//! that stress every tie the fast paths must get right.
 //!
 //! A cloud mixes duplicates, coordinates shared between points, `-0.0` next
 //! to `0.0`, feasible and infeasible members, all-infeasible pools with tied
@@ -8,13 +10,17 @@
 //! objectives. Results are compared bit for bit.
 
 use std::cmp::Ordering;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dominance::{constrained_dominates, dominates, nondominated_filter};
 use crate::metrics::hypervolume;
-use crate::{Individual, Moead, MoeadSpec, Optimizer};
+use crate::{
+    fast_nondominated_sort_with, Individual, Moead, MoeadSpec, Optimizer, ParetoArchive,
+    SortScratch,
+};
 use proptest::prelude::*;
 
 /// The pairwise filter [`nondominated_filter`] replaced.
@@ -125,6 +131,151 @@ fn pairwise_hypervolume_3d(front: &[Vec<f64>], reference: &[f64]) -> f64 {
     volume
 }
 
+/// The sort-based crowding assignment `SortScratch::assign_crowding` ran on
+/// every front before it read bi-objective fronts from the sweep's order.
+fn reference_assign_crowding_distance(individuals: &mut [Individual], front: &[usize]) {
+    let mut order = Vec::new();
+    reference_assign_crowding_with_order(individuals, front, &mut order);
+}
+
+fn reference_assign_crowding_with_order(
+    individuals: &mut [Individual],
+    front: &[usize],
+    order: &mut Vec<u32>,
+) {
+    if front.is_empty() {
+        return;
+    }
+    for &i in front {
+        individuals[i].crowding = 0.0;
+    }
+    if front.len() <= 2 {
+        for &i in front {
+            individuals[i].crowding = f64::INFINITY;
+        }
+        return;
+    }
+    let num_objectives = individuals[front[0]].objectives.len();
+    for m in 0..num_objectives {
+        order.clear();
+        order.extend(0..front.len() as u32);
+        order.sort_unstable_by(|&a, &b| {
+            individuals[front[a as usize]].objectives[m]
+                .partial_cmp(&individuals[front[b as usize]].objectives[m])
+                .expect("objective values must not be NaN")
+                .then_with(|| a.cmp(&b))
+        });
+        let first = front[order[0] as usize];
+        let last = front[order[order.len() - 1] as usize];
+        let min = individuals[first].objectives[m];
+        let max = individuals[last].objectives[m];
+        let range = (max - min).max(f64::EPSILON);
+
+        individuals[first].crowding = f64::INFINITY;
+        individuals[last].crowding = f64::INFINITY;
+        for w in 1..order.len() - 1 {
+            let previous = individuals[front[order[w - 1] as usize]].objectives[m];
+            let next = individuals[front[order[w + 1] as usize]].objectives[m];
+            let current = front[order[w] as usize];
+            if individuals[current].crowding.is_finite() {
+                individuals[current].crowding += (next - previous) / range;
+            }
+        }
+    }
+}
+
+/// The `ParetoArchive` whose every prune sorted all members once per
+/// objective.
+struct ReferenceArchive {
+    capacity: usize,
+    members: Vec<Individual>,
+}
+
+impl ReferenceArchive {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "archive capacity must be positive");
+        ReferenceArchive {
+            capacity,
+            members: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, candidate: Individual) -> bool {
+        if candidate.violation > 0.0 {
+            return false;
+        }
+        if self.members.iter().any(|m| {
+            dominates(&m.objectives, &candidate.objectives) || m.objectives == candidate.objectives
+        }) {
+            return false;
+        }
+        self.members
+            .retain(|m| !dominates(&candidate.objectives, &m.objectives));
+        self.members.push(candidate);
+        if self.members.len() > self.capacity {
+            self.prune();
+        }
+        true
+    }
+
+    fn extend<I: IntoIterator<Item = Individual>>(&mut self, candidates: I) -> usize {
+        candidates
+            .into_iter()
+            .filter(|c| self.insert(c.clone()))
+            .count()
+    }
+
+    fn prune(&mut self) {
+        while self.members.len() > self.capacity {
+            let front: Vec<usize> = (0..self.members.len()).collect();
+            reference_assign_crowding_distance(&mut self.members, &front);
+            let worst = self
+                .members
+                .iter()
+                .enumerate()
+                .min_by(|a, b| {
+                    a.1.crowding
+                        .partial_cmp(&b.1.crowding)
+                        .expect("crowding is not NaN")
+                })
+                .map(|(i, _)| i)
+                .expect("archive is non-empty while pruning");
+            self.members.remove(worst);
+        }
+    }
+}
+
+/// Ranks by the definition: peel off, again and again, the members no
+/// remaining member constrained-dominates.
+fn reference_ranks(individuals: &[Individual]) -> Vec<usize> {
+    let mut ranks = vec![usize::MAX; individuals.len()];
+    let mut rank = 0;
+    while ranks.contains(&usize::MAX) {
+        let peeled: Vec<usize> = (0..individuals.len())
+            .filter(|&i| {
+                ranks[i] == usize::MAX
+                    && !(0..individuals.len()).any(|j| {
+                        ranks[j] == usize::MAX
+                            && constrained_dominates(&individuals[j], &individuals[i])
+                    })
+            })
+            .collect();
+        for i in peeled {
+            ranks[i] = rank;
+        }
+        rank += 1;
+    }
+    ranks
+}
+
+/// `Ok(crowding bits)` of a whole population, or `Err` if the pass panicked
+/// (a NaN objective in a sorted front of three or more).
+fn crowding_bits(pass: impl FnOnce() -> Vec<Individual>) -> Result<Vec<u64>, ()> {
+    catch_unwind(AssertUnwindSafe(pass))
+        .map(|individuals| individuals.iter().map(|i| i.crowding.to_bits()).collect())
+        .map_err(|_| ())
+}
+
 /// One objective value: mostly from a small grid so coordinates are shared,
 /// with signed zeros and, when `exotic`, NaN and infinities.
 fn coordinate(rng: &mut StdRng, exotic: bool) -> f64 {
@@ -228,6 +379,88 @@ proptest! {
                 pairwise_hypervolume(&points, &reference).to_bits(),
                 "cloud {:?}, reference {:?}", points, reference
             );
+        }
+    }
+
+    #[test]
+    fn prop_sweep_ranks_match_the_definition(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = SortScratch::new();
+        for _ in 0..CLOUDS_PER_CASE {
+            let mut cloud = random_cloud(&mut rng);
+            // The clouds the bi-objective sweep ranks. With NaN, domination
+            // can be cyclic and the definition gives no ranks.
+            let swept = cloud.iter().all(|i| {
+                i.objectives.len() == 2
+                    && !i.violation.is_nan()
+                    && i.objectives.iter().all(|v| !v.is_nan())
+            });
+            if !swept {
+                continue;
+            }
+            fast_nondominated_sort_with(&mut cloud, &mut scratch);
+            let ranks: Vec<usize> = cloud.iter().map(|i| i.rank).collect();
+            prop_assert_eq!(ranks, reference_ranks(&cloud), "cloud {:?}", cloud);
+        }
+    }
+
+    #[test]
+    fn prop_crowding_matches_the_sorting_reference(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = SortScratch::new();
+        for _ in 0..CLOUDS_PER_CASE {
+            let mut cloud = random_cloud(&mut rng);
+            fast_nondominated_sort_with(&mut cloud, &mut scratch);
+            let fronts: Vec<Vec<usize>> =
+                (0..scratch.num_fronts()).map(|rank| scratch.front(rank).to_vec()).collect();
+            let expected = crowding_bits(|| {
+                let mut individuals = cloud.clone();
+                for front in &fronts {
+                    reference_assign_crowding_distance(&mut individuals, front);
+                }
+                individuals
+            });
+            let actual = crowding_bits(|| {
+                let mut individuals = cloud.clone();
+                scratch.assign_crowding(&mut individuals);
+                individuals
+            });
+            prop_assert_eq!(actual, expected, "cloud {:?}", cloud);
+        }
+    }
+
+    #[test]
+    fn prop_archive_matches_the_sorting_reference(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..CLOUDS_PER_CASE {
+            let capacity = rng.gen_range(1..9usize);
+            let cloud = random_cloud(&mut rng);
+            // Offer the first half one by one and the rest through `extend`,
+            // recording every outcome and the members after each step.
+            let split = cloud.len() / 2;
+            let actual = catch_unwind(AssertUnwindSafe(|| {
+                let mut archive = ParetoArchive::new(capacity);
+                let mut trace = Vec::new();
+                for member in &cloud[..split] {
+                    let accepted = archive.insert(member.clone());
+                    trace.push((accepted as usize, population_bits(archive.members())));
+                }
+                let accepted = archive.extend(cloud[split..].iter().cloned());
+                trace.push((accepted, population_bits(archive.members())));
+                trace
+            }));
+            let expected = catch_unwind(AssertUnwindSafe(|| {
+                let mut archive = ReferenceArchive::new(capacity);
+                let mut trace = Vec::new();
+                for member in &cloud[..split] {
+                    let accepted = archive.insert(member.clone());
+                    trace.push((accepted as usize, population_bits(&archive.members)));
+                }
+                let accepted = archive.extend(cloud[split..].iter().cloned());
+                trace.push((accepted, population_bits(&archive.members)));
+                trace
+            }));
+            prop_assert_eq!(actual.ok(), expected.ok(), "capacity {}, cloud {:?}", capacity, cloud);
         }
     }
 

@@ -2,7 +2,7 @@ use rand::Rng;
 
 /// A candidate solution: decision variables plus cached evaluation results and
 /// the bookkeeping fields used by NSGA-II.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Individual {
     /// Decision variables.
     pub variables: Vec<f64>,

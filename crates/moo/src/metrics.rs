@@ -8,7 +8,7 @@
 //!
 //! plus the spacing metric used by the benches to quantify front spread.
 
-use crate::dominance::nondominated_filter;
+use crate::dominance::{nondominated_filter, sorted_front_two_objectives};
 
 /// Hypervolume enclosed between a front and a reference point, for 2- or
 /// 3-objective minimization fronts.
@@ -48,20 +48,44 @@ pub fn hypervolume<P: AsRef<[f64]>>(front: &[P], reference: &[f64]) -> f64 {
         );
     }
     let points: Vec<&[f64]> = front.iter().map(AsRef::as_ref).collect();
+    if dim == 2 {
+        return area_2d(&front_below_2d(&points, reference), reference);
+    }
     let mut nondominated = nondominated_filter(&points);
-    nondominated.retain(|p| p.iter().zip(reference).all(|(v, r)| v < r));
+    nondominated.retain(|p| below(p, reference));
     if nondominated.is_empty() {
         return 0.0;
     }
-    match dim {
-        2 => hypervolume_2d(&mut nondominated, reference),
-        _ => hypervolume_3d(&nondominated, reference),
+    hypervolume_3d(&nondominated, reference)
+}
+
+/// `true` if `point` is strictly below `reference` in every objective.
+fn below(point: &[f64], reference: &[f64]) -> bool {
+    point.iter().zip(reference).all(|(v, r)| v < r)
+}
+
+/// The non-dominated points of a 2-D set that lie below `reference`, in
+/// stable ascending `f1` order. For finite points one sort does both the
+/// filter and the ordering; otherwise the pairwise filter runs first and
+/// only the points below the reference (so no NaN) are sorted.
+fn front_below_2d<'a>(points: &[&'a [f64]], reference: &[f64]) -> Vec<&'a [f64]> {
+    match sorted_front_two_objectives(points) {
+        Some(order) => order
+            .into_iter()
+            .map(|i| points[i])
+            .filter(|p| below(p, reference))
+            .collect(),
+        None => {
+            let mut front = nondominated_filter(points);
+            front.retain(|p| below(p, reference));
+            front.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("objectives are not NaN"));
+            front
+        }
     }
 }
 
-/// 2-D hypervolume of a non-dominated front; sorts `front` by `f1`.
-fn hypervolume_2d(front: &mut [&[f64]], reference: &[f64]) -> f64 {
-    front.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("objectives are not NaN"));
+/// 2-D hypervolume of a non-dominated front given in ascending `f1`.
+fn area_2d(front: &[&[f64]], reference: &[f64]) -> f64 {
     let mut volume = 0.0;
     let mut previous_f2 = reference[1];
     for point in front.iter() {
@@ -100,8 +124,7 @@ fn hypervolume_3d(front: &[&[f64]], reference: &[f64]) -> f64 {
         if slab.is_empty() {
             continue;
         }
-        let mut slab_front = nondominated_filter(&slab);
-        volume += hypervolume_2d(&mut slab_front, &reference[..2]) * thickness;
+        volume += area_2d(&front_below_2d(&slab, &reference[..2]), &reference[..2]) * thickness;
     }
     volume
 }

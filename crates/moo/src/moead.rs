@@ -194,6 +194,30 @@ impl Moead {
             .fold(0.0, f64::max)
     }
 
+    /// The front's members: the non-dominated, feasible subset of the
+    /// current population (or of the whole population when no member is
+    /// feasible), in population order, duplicates kept, members with a NaN
+    /// objective left out.
+    fn front_members(&self) -> Vec<&Individual> {
+        let feasible: Vec<&Individual> = self
+            .population
+            .iter()
+            .filter(|individual| individual.is_feasible())
+            .collect();
+        let pool = if feasible.is_empty() {
+            self.population.iter().collect()
+        } else {
+            feasible
+        };
+        let objectives: Vec<&[f64]> = pool.iter().map(|i| i.objectives.as_slice()).collect();
+        let mask = nondominated_mask(&objectives);
+        pool.into_iter()
+            .zip(mask)
+            .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
+            .map(|(individual, _)| individual)
+            .collect()
+    }
+
     /// Captures the solver's run state as plain data. The weight vectors and
     /// neighbourhoods are derived data and deliberately not captured — they
     /// are rebuilt on the next [`initialize`](Optimizer::initialize).
@@ -390,22 +414,13 @@ impl Optimizer for Moead {
     /// Plain Pareto dominance decides, in population order, with duplicates
     /// kept. Members with a NaN objective are left out.
     fn front(&self) -> Vec<Individual> {
-        let feasible: Vec<&Individual> = self
-            .population
-            .iter()
-            .filter(|individual| individual.is_feasible())
-            .collect();
-        let pool = if feasible.is_empty() {
-            self.population.iter().collect()
-        } else {
-            feasible
-        };
-        let objectives: Vec<&[f64]> = pool.iter().map(|i| i.objectives.as_slice()).collect();
-        let mask = nondominated_mask(&objectives);
-        pool.into_iter()
-            .zip(mask)
-            .filter(|(individual, keep)| *keep && !individual.objectives.iter().any(|v| v.is_nan()))
-            .map(|(individual, _)| individual.clone())
+        self.front_members().into_iter().cloned().collect()
+    }
+
+    fn front_objectives(&self) -> Vec<&[f64]> {
+        self.front_members()
+            .into_iter()
+            .map(|individual| individual.objectives.as_slice())
             .collect()
     }
 

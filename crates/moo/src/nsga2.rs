@@ -72,6 +72,9 @@ pub struct Nsga2 {
     scratch: SortScratch,
     /// SBX's reusable buffers; like `scratch`, never checkpointed.
     sbx_scratch: SbxScratch,
+    /// Parents and offspring during environmental selection, empty between
+    /// generations; kept for its allocation, never checkpointed.
+    combined: Vec<Individual>,
     evaluations: usize,
     /// Lazily built from `spec.backend` on first use, or injected via
     /// [`Nsga2::set_executor`]. Archipelago islands never use theirs: the
@@ -94,6 +97,7 @@ impl Nsga2 {
             population: Population::new(),
             scratch: SortScratch::new(),
             sbx_scratch: SbxScratch::new(),
+            combined: Vec::new(),
             evaluations: 0,
             executor: None,
             metrics: None,
@@ -231,58 +235,38 @@ impl Nsga2 {
     }
 
     /// Environmental selection on parents ∪ the evaluated offspring (the
-    /// vectors [`Nsga2::breed`] produced, in order). Records the
-    /// `selection` phase.
+    /// vectors [`Nsga2::breed`] produced, in order): (rank, crowding)
+    /// truncation to the population size. Records the `selection` phase.
+    ///
+    /// Index-based: the parents and the offspring are moved into one reused
+    /// buffer, the sort, the crowding pass and the survivor choice reuse the
+    /// solver's [`SortScratch`], and the survivors are moved, never cloned,
+    /// back into the population's own buffer. Once the buffers are warm the
+    /// only allocation is the offspring batch itself.
     pub(crate) fn select(&mut self, offspring: Vec<Individual>) {
         self.evaluations += offspring.len();
         let selection_started = Instant::now();
-        let mut combined = std::mem::take(&mut self.population).into_members();
+        let mut survivors = std::mem::take(&mut self.population).into_members();
+        let mut combined = std::mem::take(&mut self.combined);
+        combined.append(&mut survivors);
         combined.extend(offspring);
-        self.population = self.environmental_selection(combined, self.spec.population);
+        fast_nondominated_sort_with(&mut combined, &mut self.scratch);
+        self.scratch.assign_crowding(&mut combined);
+        let chosen = self
+            .scratch
+            .select_survivors(&combined, self.spec.population);
+        survivors.extend(chosen.iter().map(|&i| std::mem::take(&mut combined[i])));
+        combined.clear();
+        self.combined = combined;
+        self.population = survivors.into();
         if let Some(metrics) = &self.metrics {
             metrics.record_phase("selection", selection_started.elapsed());
         }
     }
 
-    /// Truncates a combined population to `target` members using
-    /// (rank, crowding) selection. Index-based: survivors are moved, never
-    /// cloned, and the non-dominated sort reuses the solver's scratch.
-    fn environmental_selection(
-        &mut self,
-        mut combined: Vec<Individual>,
-        target: usize,
-    ) -> Population {
-        fast_nondominated_sort_with(&mut combined, &mut self.scratch);
-        self.scratch.assign_crowding(&mut combined);
-        let mut chosen: Vec<usize> = Vec::with_capacity(target);
-        for rank in 0..self.scratch.num_fronts() {
-            let front = self.scratch.front(rank);
-            if chosen.len() + front.len() <= target {
-                chosen.extend_from_slice(front);
-                if chosen.len() == target {
-                    break;
-                }
-            } else {
-                let mut remaining: Vec<usize> = front.to_vec();
-                remaining.sort_by(|&a, &b| {
-                    combined[b]
-                        .crowding
-                        .partial_cmp(&combined[a].crowding)
-                        .expect("crowding distances are not NaN")
-                });
-                chosen.extend(remaining.iter().take(target - chosen.len()));
-                break;
-            }
-        }
-        let mut slots: Vec<Option<Individual>> = combined.into_iter().map(Some).collect();
-        chosen
-            .into_iter()
-            .map(|i| {
-                slots[i]
-                    .take()
-                    .expect("each survivor index is selected once")
-            })
-            .collect()
+    /// The rank-0 members, in population order.
+    fn front_members(&self) -> impl Iterator<Item = &Individual> {
+        self.population.iter().filter(|member| member.rank == 0)
     }
 
     /// Captures the solver's run state (RNG stream, population with its
@@ -354,10 +338,12 @@ impl Optimizer for Nsga2 {
     /// [`Nsga2::refresh_ranks`] (the archipelago always refreshes after
     /// injecting).
     fn front(&self) -> Vec<Individual> {
-        self.population
-            .iter()
-            .filter(|member| member.rank == 0)
-            .cloned()
+        self.front_members().cloned().collect()
+    }
+
+    fn front_objectives(&self) -> Vec<&[f64]> {
+        self.front_members()
+            .map(|member| member.objectives.as_slice())
             .collect()
     }
 

@@ -5,12 +5,17 @@
 //!
 //! * `initialize` is idempotent and populates the population;
 //! * `step` strictly increases the evaluation odometer;
-//! * `front` is a mutually non-dominating subset of the population;
+//! * `front` is a mutually non-dominating subset of the population, and
+//!   `front_objectives` is its objectives, in order, and what a
+//!   `GenerationReport` counts;
 //! * `state`/`restore` round-trip the full run state: a restored optimizer
 //!   continues bit-identically.
 
-use pathway_moo::engine::{EngineError, Optimizer, OptimizerState};
-use pathway_moo::problems::{Schaffer, Zdt1};
+use pathway_moo::engine::{
+    Driver, EngineError, HistoryObserver, Optimizer, OptimizerSpec, OptimizerState,
+};
+use pathway_moo::problems::{BinhKorn, Schaffer, Zdt1};
+use pathway_moo::MultiObjectiveProblem;
 use pathway_moo::{
     dominates, Archipelago, ArchipelagoSpec, Individual, Moead, MoeadSpec, Nsga2, Nsga2Spec,
 };
@@ -135,6 +140,67 @@ where
     }
     assert_eq!(signature(&twin.front()), signature(&optimizer.front()));
     assert_eq!(twin.evaluations(), optimizer.evaluations());
+}
+
+/// Every objective of every member, as bits.
+fn objective_bits<P: AsRef<[f64]>>(points: &[P]) -> Vec<Vec<u64>> {
+    points
+        .iter()
+        .map(|point| point.as_ref().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// Drives `optimizer` on `problem` and checks after every generation that
+/// `front_objectives` is the objectives of `front`, in order, and that the
+/// report counts `front`'s members.
+fn front_objectives_track_the_front<O: Optimizer + 'static>(
+    optimizer: O,
+    problem: impl MultiObjectiveProblem,
+) {
+    let history = HistoryObserver::new();
+    let mut driver = Driver::new(optimizer, problem).with_observer(history.clone());
+    for _ in 0..12 {
+        driver.step();
+        let front = driver.front();
+        let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
+        assert_eq!(
+            objective_bits(&driver.optimizer().front_objectives()),
+            objective_bits(&objectives)
+        );
+        let report = history.reports().pop().expect("one report per step");
+        assert_eq!(report.front_size, front.len());
+    }
+}
+
+#[test]
+fn front_objectives_are_the_front_s_objectives_for_every_kind() {
+    front_objectives_track_the_front(nsga2(), Zdt1 { variables: 6 });
+    front_objectives_track_the_front(moead(), Zdt1 { variables: 6 });
+    front_objectives_track_the_front(archipelago(), Zdt1 { variables: 6 });
+    front_objectives_track_the_front(nsga2(), BinhKorn);
+    front_objectives_track_the_front(moead(), BinhKorn);
+    front_objectives_track_the_front(archipelago(), BinhKorn);
+    for spec in [
+        OptimizerSpec::Nsga2(Nsga2Spec {
+            population: 20,
+            ..Default::default()
+        }),
+        OptimizerSpec::Moead(MoeadSpec {
+            population: 20,
+            neighborhood: 6,
+            ..Default::default()
+        }),
+        OptimizerSpec::Archipelago(ArchipelagoSpec {
+            island: Nsga2Spec {
+                population: 12,
+                ..Default::default()
+            },
+            migration_interval: 2,
+            ..Default::default()
+        }),
+    ] {
+        front_objectives_track_the_front(spec.build(7), Schaffer);
+    }
 }
 
 #[test]
