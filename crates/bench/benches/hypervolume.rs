@@ -2,8 +2,8 @@
 //! the per-generation front extraction of the `leaf-analytic` shape.
 //!
 //! `front_extraction/2x100` evolves a two-island archipelago of 100 leaf
-//! designs (23 genes each) and then times what an observed generation adds,
-//! the way `Driver::step` does it: merging the islands' rank-0 members into
+//! designs (23 genes each) and then times what each generation's report
+//! adds, the way `Driver::step` does it: merging the islands' rank-0 members into
 //! one front's objectives (`Optimizer::front_objectives`, borrowed, not
 //! cloned), and that front's hypervolume.
 //!

@@ -26,9 +26,8 @@
 //! `--data-dir <dir>` (which reads the address the daemon recorded in
 //! `<dir>/endpoint`).
 //!
-//! `run` streams per-generation telemetry through a
-//! [`ChannelObserver`] (the driver steps on a worker thread; this process's
-//! main thread renders progress), writes durable checkpoints every
+//! `run` steps its [`Job`] one generation at a time, prints a progress line
+//! from the report each step returns, writes durable checkpoints every
 //! `checkpoint_every` generations plus one at the end, and `resume`
 //! continues any of them to a final front that is bit-identical to the
 //! uninterrupted run — rejecting, by spec content hash, checkpoints that
@@ -59,8 +58,8 @@ use pathway_core::{validate_spec_against_problem, AnyProblem, Job, PROBLEM_CATAL
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
-    is_sweep_text, ChannelObserver, CheckpointError, CheckpointStore, GenerationReport,
-    MetricsRegistry, RunSpec, StoredCheckpoint, SweepSpec,
+    is_sweep_text, CheckpointStore, GenerationReport, MetricsRegistry, RunSpec, StoredCheckpoint,
+    SweepSpec,
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::{EvalBackend, Individual, Optimizer};
@@ -413,19 +412,8 @@ fn command_resume(args: &[OsString]) -> Result<(), CliError> {
     execute(&options, &spec, &checkpoint_dir, Some(stored))
 }
 
-/// What a finished (or `--stop-after`-interrupted) generation loop leaves
-/// behind. Plain data — the job itself is dropped inside the worker so its
-/// channel observer hangs up and the progress consumer terminates.
-struct RunResult {
-    final_saved: Result<PathBuf, CheckpointError>,
-    front: Vec<Individual>,
-    generation: usize,
-    evaluations: usize,
-    checkpoint_error: Option<CheckpointError>,
-}
-
 /// Runs `spec` as one job — fresh, or continuing `stored` — to completion
-/// (or to `--stop-after`), streaming telemetry and writing periodic + final
+/// (or to `--stop-after`), printing progress and writing periodic + final
 /// checkpoints into `checkpoint_dir`.
 fn execute(
     options: &Options,
@@ -470,41 +458,49 @@ fn execute(
         .log_every
         .unwrap_or(spec.stopping.max_generations / 20)
         .max(1);
-    let result = if options.quiet {
-        drive(job, options.stop_after)
-    } else {
-        // The job steps on a worker thread; the main thread renders the
-        // generation reports streaming out of the channel observer.
-        let (observer, reports) = ChannelObserver::channel();
-        let job = job.with_observer(observer);
-        std::thread::scope(|scope| {
-            let worker = scope.spawn(|| drive(job, options.stop_after));
-            // Ends when the worker finishes: `drive` drops the job (and
-            // with it the observer), which closes the channel.
-            for report in reports {
-                if report.generation == 1 || report.generation.is_multiple_of(progress_every) {
-                    print_progress(&report, spec.stopping.max_generations);
-                }
-            }
-            worker.join().expect("run worker thread must not panic")
-        })
-    };
+    // One generation per step until the stopping rule (or `--stop-after`)
+    // fires. A failed boundary save is warned about and retried at the next
+    // boundary — one disk hiccup must neither kill the run nor disable its
+    // durability; the first error is kept for the exit code.
+    let mut checkpoint_error = None;
+    while !job.is_done()
+        && options
+            .stop_after
+            .is_none_or(|limit| job.generation() < limit)
+    {
+        let (report, saved) = job.step();
+        if !options.quiet
+            && (report.generation == 1 || report.generation.is_multiple_of(progress_every))
+        {
+            print_progress(&report, spec.stopping.max_generations);
+        }
+        if let Err(err) = saved {
+            eprintln!(
+                "warning: checkpoint write failed at generation {}: {err}",
+                report.generation
+            );
+            checkpoint_error.get_or_insert(err);
+        }
+    }
     // The completed run's state lives only in memory now. Attempt every
     // output — final checkpoint AND front file — before reporting any write
     // failure, so one broken destination never discards what the other
     // could still persist.
+    let final_saved = job.save();
+    let driver = job.driver();
+    let front = driver.front();
+    let generation = driver.generation();
+    let evaluations = driver.optimizer().evaluations();
     println!(
-        "done: {} generations, {} evaluations, {} non-dominated solutions",
-        result.generation,
-        result.evaluations,
-        result.front.len()
+        "done: {generation} generations, {evaluations} evaluations, {} non-dominated solutions",
+        front.len()
     );
     let stats = executor.stats();
     print_executor_line(stats.workers, stats.queued_chunks, stats.active_workers);
-    if let Ok(final_path) = &result.final_saved {
+    if let Ok(final_path) = &final_saved {
         println!("checkpoint: {}", final_path.display());
         if let Some(stop_after) = options.stop_after {
-            if result.generation >= stop_after {
+            if generation >= stop_after {
                 println!("stopped early by --stop-after {stop_after}; resume with:");
                 println!("    pathway resume {}", final_path.display());
             }
@@ -512,16 +508,12 @@ fn execute(
     }
     let mut front_error = None;
     if let Some(front_out) = &options.front_out {
-        match write_front_file(front_out, &result.front) {
-            Ok(()) => println!(
-                "front: {} ({} solutions)",
-                front_out.display(),
-                result.front.len()
-            ),
+        match write_front_file(front_out, &front) {
+            Ok(()) => println!("front: {} ({} solutions)", front_out.display(), front.len()),
             Err(err) => front_error = Some(format!("{}: {err}", front_out.display())),
         }
     }
-    print_front_summary(&result.front);
+    print_front_summary(&front);
     let mut profile_error = None;
     if let Some(sink) = &profile {
         // Oracle counters accumulate on the problem; dump them into the
@@ -530,62 +522,23 @@ fn execute(
         if let Err(message) = sink.write(
             "run",
             &options.target.display().to_string(),
-            result.generation as u64,
-            result.evaluations as u64,
+            generation as u64,
+            evaluations as u64,
         ) {
             profile_error = Some(message);
         }
     }
-    result
-        .final_saved
-        .map_err(|err| CliError::failed(format!("final checkpoint write failed: {err}")))?;
+    final_saved.map_err(|err| CliError::failed(format!("final checkpoint write failed: {err}")))?;
     if let Some(message) = front_error.or(profile_error) {
         return Err(CliError::failed(message));
     }
-    if let Some(err) = result.checkpoint_error {
+    if let Some(err) = checkpoint_error {
         return Err(CliError::failed(format!(
             "a periodic checkpoint write failed mid-run (the final checkpoint above was \
              written successfully): {err}"
         )));
     }
     Ok(())
-}
-
-/// The generation loop: advances the job boundary by boundary until the
-/// stopping rule (or `--stop-after`) fires, then writes the final
-/// checkpoint. Unless the channel observer is attached, generations skip
-/// the per-generation telemetry nothing reads. A failed boundary save is
-/// warned about and retried at the next boundary — one disk hiccup must
-/// neither kill the run nor disable its durability; the first error is kept
-/// for the exit code.
-fn drive(mut job: Job<&AnyProblem>, stop_after: Option<usize>) -> RunResult {
-    let mut checkpoint_error = None;
-    loop {
-        let limit = match stop_after {
-            Some(limit) if job.generation() >= limit => break,
-            Some(limit) => limit - job.generation(),
-            None => usize::MAX,
-        };
-        match job.advance(limit) {
-            Ok(0) => break, // the stopping rule has fired
-            Ok(_) => {}
-            Err(err) => {
-                eprintln!(
-                    "warning: checkpoint write failed at generation {}: {err}",
-                    job.generation()
-                );
-                checkpoint_error.get_or_insert(err);
-            }
-        }
-    }
-    let driver = job.driver();
-    RunResult {
-        final_saved: job.save(),
-        front: driver.front(),
-        generation: driver.generation(),
-        evaluations: driver.optimizer().evaluations(),
-        checkpoint_error,
-    }
 }
 
 /// The `executor:` health line that `run`, `resume` and `status` print.

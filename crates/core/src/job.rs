@@ -1,11 +1,12 @@
 //! One durable run: a spec, its checkpoint store and its driver.
 //!
 //! `pathway run`/`resume`, every sweep cell and every daemon job are a
-//! [`Job`]: opened fresh or from a checkpoint, advanced boundary by
-//! boundary with a save at every `checkpoint_every` multiple, and finished
-//! with a final save. Every save outcome goes back to the caller, whose
-//! policy it is — the CLI warns and retries, a sweep stops with the error,
-//! the daemon fails the job. Front files are the caller's business too.
+//! [`Job`]: opened fresh or from a checkpoint, advanced one
+//! [`step`](Job::step) at a time with a save at every `checkpoint_every`
+//! multiple, and finished with a final save. Each step hands back the
+//! generation's report and the outcome of its save, whose policy is the
+//! caller's — the CLI warns and retries, a sweep stops with the error, the
+//! daemon fails the job. Front files are the caller's business too.
 //!
 //! # Example
 //!
@@ -24,7 +25,9 @@
 //! let problem = AnyProblem::from_spec(&spec.problem).unwrap();
 //! let mut job = Job::open(&spec, store, &problem, None, resume_from).unwrap();
 //! while !job.is_done() {
-//!     job.advance(usize::MAX).unwrap(); // saves gen-4 and gen-8
+//!     let (report, saved) = job.step(); // saves gen-4 and gen-8
+//!     saved.unwrap();
+//!     assert!(report.front_size > 0);
 //! }
 //! job.save().unwrap(); // the final gen-10
 //! assert!(!job.driver().front().is_empty());
@@ -36,7 +39,7 @@ use std::sync::Arc;
 
 use pathway_moo::engine::{
     AnyOptimizer, CheckpointError, CheckpointStore, Driver, EngineError, GenerationReport,
-    MetricsRegistry, Observer, RunCheckpoint, RunSpec,
+    MetricsRegistry, RunCheckpoint, RunSpec,
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::MultiObjectiveProblem;
@@ -86,13 +89,6 @@ impl<P: MultiObjectiveProblem> Job<P> {
         self
     }
 
-    /// Attaches an observer to the driver (see [`Driver::with_observer`]).
-    #[must_use]
-    pub fn with_observer<O: Observer + 'static>(mut self, observer: O) -> Self {
-        self.driver = self.driver.with_observer(observer);
-        self
-    }
-
     /// The driver, for the front, the generation and evaluation counts and
     /// the problem.
     pub fn driver(&self) -> &Driver<P, AnyOptimizer> {
@@ -109,38 +105,23 @@ impl<P: MultiObjectiveProblem> Job<P> {
         self.driver.should_stop()
     }
 
-    /// Runs until the next `checkpoint_every` boundary, the stopping rule,
-    /// or `limit` generations, whichever comes first, and returns how many
-    /// generations ran. Saves a checkpoint when it stops on a boundary.
+    /// Runs exactly one generation (see [`Driver::step`]) and returns its
+    /// report, with the outcome of the checkpoint saved when the generation
+    /// ends on a `checkpoint_every` boundary (`Ok` when none was due).
     ///
-    /// # Errors
-    ///
-    /// The boundary save's error. The generations ran regardless
-    /// ([`Job::generation`] says how far) and the job stays usable: the
-    /// next boundary saves again.
-    pub fn advance(&mut self, limit: usize) -> Result<usize, CheckpointError> {
-        let every = self.spec.checkpoint_every;
-        let mut budget = limit;
-        if every > 0 {
-            budget = budget.min(every - self.driver.generation() % every);
-        }
-        let ran = self.driver.run_for(budget);
-        if ran > 0 {
-            self.save_at_boundary()?;
-        }
-        Ok(ran)
-    }
-
-    /// Runs exactly one generation and returns its report, saving a
-    /// checkpoint when it ends on a `checkpoint_every` boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`Job::advance`]: the generation ran, the save failed.
-    pub fn step(&mut self) -> Result<GenerationReport, CheckpointError> {
+    /// A failed save leaves the job usable: the generation ran
+    /// ([`Job::generation`] says how far) and the next boundary saves
+    /// again.
+    #[must_use = "the boundary save may have failed"]
+    pub fn step(&mut self) -> (GenerationReport, Result<(), CheckpointError>) {
         let report = self.driver.step();
-        self.save_at_boundary()?;
-        Ok(report)
+        let every = self.spec.checkpoint_every;
+        let saved = if every > 0 && report.generation.is_multiple_of(every) {
+            self.save().map(drop)
+        } else {
+            Ok(())
+        };
+        (report, saved)
     }
 
     /// Writes a checkpoint of the current state — the final one of a
@@ -152,14 +133,6 @@ impl<P: MultiObjectiveProblem> Job<P> {
     pub fn save(&self) -> Result<PathBuf, CheckpointError> {
         let _span = self.metrics.as_ref().map(|m| m.phase("checkpoint_write"));
         self.store.save(&self.driver.checkpoint())
-    }
-
-    fn save_at_boundary(&self) -> Result<(), CheckpointError> {
-        let every = self.spec.checkpoint_every;
-        if every > 0 && self.driver.generation().is_multiple_of(every) {
-            self.save()?;
-        }
-        Ok(())
     }
 }
 
@@ -189,20 +162,26 @@ mod tests {
         generations
     }
 
+    /// Steps `job` `generations` times, panicking on a failed save.
+    fn step_times(job: &mut Job<&AnyProblem>, generations: usize) {
+        for _ in 0..generations {
+            job.step().1.unwrap();
+        }
+    }
+
     #[test]
     fn boundaries_and_resume_match_an_uninterrupted_run() {
         let spec = RunSpec::from_text(SPEC).unwrap();
         let problem = AnyProblem::from_spec(&spec.problem).unwrap();
-        let unsplit = spec_driver(&spec, &problem, None, None).unwrap().run();
+        let mut unsplit_driver = spec_driver(&spec, &problem, None, None).unwrap();
+        let unsplit = unsplit_driver.run();
 
         let dir = temp_dir("resume");
         let store = CheckpointStore::create(&dir, &spec).unwrap();
         let mut job = Job::open(&spec, store.clone(), &problem, None, None).unwrap();
-        // A limit of 6 crosses the gen-4 boundary: the job stops there, then
-        // runs on to the 6-generation limit.
-        assert_eq!(job.advance(6).unwrap(), 4);
-        assert_eq!(job.advance(2).unwrap(), 2);
+        step_times(&mut job, 6);
         assert_eq!(job.generation(), 6);
+        assert_eq!(stored_generations(&store), vec![4]);
         drop(job);
 
         let stored = store.latest_matching(&spec).unwrap().expect("gen-4 saved");
@@ -216,10 +195,11 @@ mod tests {
         )
         .expect("same spec");
         while !job.is_done() {
-            job.advance(usize::MAX).unwrap();
+            step_times(&mut job, 1);
         }
         job.save().unwrap();
         assert_eq!(job.driver().front(), unsplit);
+        assert_eq!(job.driver().checkpoint(), unsplit_driver.checkpoint());
         assert_eq!(stored_generations(&store), vec![4, 8, 12, 14]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -233,18 +213,19 @@ mod tests {
         let dir = temp_dir("failed-save");
         let store = CheckpointStore::create(&dir, &spec).unwrap();
         let mut job = Job::open(&spec, store, &problem, None, None).unwrap();
-        assert_eq!(job.advance(usize::MAX).unwrap(), 4);
+        step_times(&mut job, 4);
         std::fs::remove_dir_all(&dir).unwrap();
-        assert!(job.advance(usize::MAX).is_err());
+        step_times(&mut job, 3);
+        let (report, saved) = job.step();
+        assert_eq!(report.generation, 8);
+        assert!(saved.is_err());
         assert_eq!(job.generation(), 8);
 
         std::fs::create_dir_all(&dir).unwrap();
-        let report = job.step().unwrap();
-        assert_eq!(report.generation, 9);
-        assert_eq!(job.advance(usize::MAX).unwrap(), 3);
+        step_times(&mut job, 4);
         assert!(dir.join("gen-12.ckpt").exists());
         while !job.is_done() {
-            job.advance(usize::MAX).unwrap();
+            step_times(&mut job, 1);
         }
         job.save().unwrap();
         assert_eq!(job.driver().front(), unsplit);

@@ -11,7 +11,7 @@
 //!    islands with periodic migration), described by a
 //!    [`RunSpec`](pathway_moo::engine::RunSpec) and driven through
 //!    [`spec_driver`] and the step-driven engine of [`pathway_moo::engine`]
-//!    (observers, early stopping, checkpoint/resume);
+//!    (a report per generation, early stopping, checkpoint/resume);
 //! 3. **mine** the front: closest-to-ideal, the extremes of each objective,
 //!    equally spaced representatives;
 //! 4. score the mined candidates with the **robustness yield** Γ under

@@ -16,10 +16,9 @@ pub use crate::{
 pub use pathway_fba::geobacter::GeobacterModel;
 pub use pathway_fba::{FluxBalanceAnalysis, MetabolicModel};
 pub use pathway_moo::engine::{
-    AnyOptimizer, ChannelObserver, CheckpointError, CheckpointRetention, CheckpointStore, Driver,
-    EngineError, GenerationReport, HistoryObserver, LogObserver, Observer, Optimizer,
-    OptimizerSpec, OptimizerState, ProblemSpec, RunCheckpoint, RunSpec, SpecError, StoppingRule,
-    StoppingSpec, StoredCheckpoint,
+    AnyOptimizer, CheckpointError, CheckpointRetention, CheckpointStore, Driver, EngineError,
+    GenerationReport, Optimizer, OptimizerSpec, OptimizerState, ProblemSpec, RunCheckpoint,
+    RunSpec, SpecError, StoppingRule, StoppingSpec, StoredCheckpoint,
 };
 pub use pathway_moo::{
     Archipelago, ArchipelagoSpec, EvalBackend, Executor, Individual, MigrationTopology, Moead,

@@ -354,8 +354,8 @@ pub fn validate_spec_against_problem(
 /// backend, so a launcher can run every driver on **one** worker pool;
 /// executors never change results. `checkpoint`, when given, is continued
 /// bit-identically, and the spec's reference point applies only when the
-/// checkpoint carries none. The spec's stopping rule is attached; observers
-/// (the spec's `log_every` included) are the caller's business.
+/// checkpoint carries none. The spec's stopping rule is attached; progress
+/// output (the spec's `log_every`) is the caller's business.
 ///
 /// Call [`validate_spec_against_problem`] first when the spec comes from
 /// untrusted input — a reference point of the wrong dimension panics once
@@ -396,9 +396,7 @@ pub fn spec_driver<P: MultiObjectiveProblem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathway_moo::engine::{
-        ArchipelagoSpec, HistoryObserver, Nsga2Spec, Optimizer, OptimizerSpec, StoppingSpec,
-    };
+    use pathway_moo::engine::{ArchipelagoSpec, Nsga2Spec, Optimizer, OptimizerSpec, StoppingSpec};
     use pathway_moo::{Archipelago, EvalBackend};
 
     fn schaffer_spec(seed: u64, generations: usize) -> RunSpec {
@@ -559,15 +557,17 @@ mod tests {
     }
 
     #[test]
-    fn driver_exposes_observers_and_checkpoints() {
-        let history = HistoryObserver::new();
-        let mut driver = spec_driver(&schaffer_archipelago(9), Schaffer, None, None)
-            .unwrap()
-            .with_observer(history.clone());
-        driver.step();
+    fn driver_exposes_reports_and_checkpoints() {
+        let mut driver = spec_driver(&schaffer_archipelago(9), Schaffer, None, None).unwrap();
+        let report = driver.step();
         let checkpoint = driver.checkpoint();
+        assert_eq!(report.generation, 1);
         assert_eq!(checkpoint.generation, 1);
-        assert_eq!(history.reports().len(), 1);
+        assert_eq!(
+            checkpoint.hypervolume_history,
+            vec![report.hypervolume],
+            "the checkpoint carries the reported hypervolume"
+        );
     }
 
     #[test]

@@ -322,9 +322,10 @@ pub fn run_sweep(
                 report.rows_total = ledger.rows.len();
                 return Ok(report);
             }
-            let ran = job.advance(remaining.unwrap_or(usize::MAX))?;
+            let (_, saved) = job.step();
+            saved?;
             if let Some(left) = &mut remaining {
-                *left -= ran.min(*left);
+                *left -= 1;
             }
         }
         // One final checkpoint so the finished cell is durable and

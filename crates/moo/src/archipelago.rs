@@ -410,7 +410,7 @@ impl Optimizer for Archipelago {
     fn population(&self) -> Vec<Individual> {
         self.islands
             .iter()
-            .flat_map(|island| island.population().members().iter().cloned())
+            .flat_map(|island| island.population().iter().cloned())
             .collect()
     }
 

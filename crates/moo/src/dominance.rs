@@ -491,6 +491,25 @@ fn general_sort(individuals: &mut [Individual], scratch: &mut SortScratch) {
         begin = end;
         rank += 1;
     }
+
+    // NaN components can make constrained domination cyclic: `(1, NaN, 2)`
+    // dominates `(2, 1, NaN)`, which dominates `(NaN, 2, 1)`, which
+    // dominates the first. Members on or below such a cycle never reach a
+    // count of 0; they form one last front, in ascending index order, so
+    // every member is ranked and selection never loses one.
+    if scratch.fronts_flat.len() < n {
+        if scratch.fronts_flat.is_empty() {
+            scratch.front_ends.clear();
+        }
+        let last = scratch.front_ends.len();
+        for (p, individual) in individuals.iter_mut().enumerate() {
+            if scratch.domination_count[p] > 0 {
+                individual.rank = last;
+                scratch.fronts_flat.push(p);
+            }
+        }
+        scratch.front_ends.push(n);
+    }
 }
 
 /// Fast non-dominated sort (Deb et al. 2002).
@@ -763,14 +782,25 @@ mod tests {
     #[test]
     fn every_individual_is_assigned_to_exactly_one_front() {
         let xs = (0..40).map(|i| vec![-5.0 + (i as f64) * 0.25]).collect();
-        let mut individuals = Executor::serial().evaluate_individuals(&Schaffer, xs);
-        let fronts = fast_nondominated_sort(&mut individuals);
-        let total: usize = fronts.iter().map(|f| f.len()).sum();
-        assert_eq!(total, individuals.len());
-        // Ranks are consistent with the front listing.
-        for (front_rank, front) in fronts.iter().enumerate() {
-            for &i in front {
-                assert_eq!(individuals[i].rank, front_rank);
+        let schaffer = Executor::serial().evaluate_individuals(&Schaffer, xs);
+        // A domination cycle, which NaN components allow: each point
+        // dominates the next, and the last dominates the first.
+        let nan = f64::NAN;
+        let cycle: Vec<Individual> = [[1.0, nan, 2.0], [2.0, 1.0, nan], [nan, 2.0, 1.0]]
+            .iter()
+            .map(|f| Individual::from_evaluated(Vec::new(), f.to_vec(), 0.0))
+            .collect();
+        for mut individuals in [schaffer, cycle] {
+            let fronts = fast_nondominated_sort(&mut individuals);
+            let mut listed: Vec<usize> = fronts.iter().flatten().copied().collect();
+            listed.sort_unstable();
+            assert_eq!(listed, (0..individuals.len()).collect::<Vec<_>>());
+            assert!(fronts.iter().all(|front| !front.is_empty()));
+            // Ranks are consistent with the front listing.
+            for (front_rank, front) in fronts.iter().enumerate() {
+                for &i in front {
+                    assert_eq!(individuals[i].rank, front_rank);
+                }
             }
         }
     }

@@ -1,28 +1,46 @@
 //! The generic generation-loop driver.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::engine::telemetry::MetricsRegistry;
-use crate::engine::{
-    EngineError, GenerationReport, Observer, Optimizer, OptimizerState, RunStatus, StoppingRule,
-};
+use crate::engine::{EngineError, Optimizer, OptimizerState, RunStatus, StoppingRule};
 use crate::{metrics, Individual, MultiObjectiveProblem};
+
+/// What the driver learned from one completed generation: the value
+/// [`Driver::step`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenerationReport {
+    /// 1-based index of the completed generation.
+    pub generation: usize,
+    /// Cumulative candidate evaluations spent so far (across the whole run,
+    /// including initialization).
+    pub evaluations: usize,
+    /// Size of the current non-dominated front.
+    pub front_size: usize,
+    /// Hypervolume of the current front against the driver's reference
+    /// point. NaN when no hypervolume could be computed (empty front or more
+    /// than three objectives).
+    pub hypervolume: f64,
+    /// Wall-clock time this generation's step took. Telemetry only — it
+    /// never influences the search and is not part of any checkpoint.
+    pub wall_clock: Duration,
+}
 
 /// Everything a [`Driver`] needs to continue a run elsewhere.
 ///
 /// All fields are plain data (see [`OptimizerState`]), so a checkpoint
-/// can be serialized with any format. Observers and stopping rules are
-/// configuration, not state, and are re-attached after
-/// [`Driver::resume`]; the hypervolume history they depend on *is* carried
-/// here, so a resumed [`StoppingRule::HypervolumeStagnation`] sees exactly
-/// the window an unsplit run would have seen.
+/// can be serialized with any format. Stopping rules are configuration,
+/// not state, and are re-attached after [`Driver::resume`]; the
+/// hypervolume history they depend on *is* carried here, so a resumed
+/// [`StoppingRule::HypervolumeStagnation`] sees exactly the window an
+/// unsplit run would have seen.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunCheckpoint {
     /// Number of generations completed when the checkpoint was taken.
     pub generation: usize,
     /// The optimizer's snapshot.
     pub optimizer: OptimizerState,
-    /// Hypervolume after each telemetry-tracked generation, oldest first.
+    /// Hypervolume after each generation, oldest first.
     pub hypervolume_history: Vec<f64>,
     /// The driver's (frozen) hypervolume reference point, if one was
     /// configured or derived.
@@ -31,10 +49,13 @@ pub struct RunCheckpoint {
 
 /// Owns the generation loop over any [`Optimizer`].
 ///
-/// The driver steps the optimizer one generation at a time, computes a
-/// [`GenerationReport`] after each step (evaluations, front size,
-/// hypervolume, wall-clock), fans the report out to the attached
-/// [`Observer`]s, and stops when the configured [`StoppingRule`] fires.
+/// The driver steps the optimizer one generation at a time through
+/// [`step`](Driver::step), its only generation path, which returns a
+/// [`GenerationReport`] (evaluations, front size, hypervolume, wall-clock)
+/// and appends the hypervolume to the history every checkpoint carries;
+/// [`run`](Driver::run) and [`run_for`](Driver::run_for) loop it until the
+/// configured [`StoppingRule`] fires. A run therefore leaves the same
+/// checkpoints however it is driven.
 ///
 /// # Problem ownership
 ///
@@ -91,7 +112,6 @@ pub struct RunCheckpoint {
 pub struct Driver<P: MultiObjectiveProblem, O: Optimizer> {
     optimizer: O,
     problem: P,
-    observers: Vec<Box<dyn Observer>>,
     stopping: StoppingRule,
     reference_point: Option<Vec<f64>>,
     generation: usize,
@@ -113,7 +133,6 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         Driver {
             optimizer,
             problem,
-            observers: Vec::new(),
             stopping: StoppingRule::MaxGenerations(250),
             reference_point: None,
             generation: 0,
@@ -126,8 +145,8 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
     ///
     /// `optimizer` must be constructed with the same configuration and seed
     /// as the checkpointed one; its runtime state is overwritten by the
-    /// snapshot. Observers and stopping rules are configuration, not state —
-    /// re-attach them with the builder methods.
+    /// snapshot. Stopping rules are configuration, not state — re-attach
+    /// them with the builder methods.
     ///
     /// # Errors
     ///
@@ -142,21 +161,12 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         Ok(Driver {
             optimizer,
             problem,
-            observers: Vec::new(),
             stopping: StoppingRule::MaxGenerations(250),
             reference_point: checkpoint.reference_point,
             generation: checkpoint.generation,
             hypervolume_history: checkpoint.hypervolume_history,
             metrics: None,
         })
-    }
-
-    /// Attaches an observer; every attached observer receives every
-    /// [`GenerationReport`], in attachment order.
-    #[must_use]
-    pub fn with_observer<Obs: Observer + 'static>(mut self, observer: Obs) -> Self {
-        self.observers.push(Box::new(observer));
-        self
     }
 
     /// Replaces the stopping rule (compose several with
@@ -176,9 +186,9 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
     }
 
     /// Attaches a telemetry registry to the driver *and* the optimizer:
-    /// each generation records a `phase.generation.*` span (plus a
-    /// `phase.telemetry.*` span for front/hypervolume extraction on
-    /// observed steps), and the optimizer records its own phase breakdown
+    /// each generation records a `phase.generation.*` span and a
+    /// `phase.telemetry.*` span for its front and hypervolume, and the
+    /// optimizer records its own phase breakdown
     /// (variation, selection, migration, …). Purely observational — the
     /// determinism suite proves runs are bit-identical with and without a
     /// registry attached.
@@ -238,8 +248,11 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         false
     }
 
-    /// Runs one generation: step the optimizer, record the report, notify
-    /// observers. Initializes the optimizer first when needed.
+    /// Runs one generation and returns its report: step the optimizer,
+    /// then measure its front against the reference point (derived from
+    /// generation 1's front unless one was configured) and append the
+    /// hypervolume to the history. Initializes the optimizer first when
+    /// needed.
     pub fn step(&mut self) -> GenerationReport {
         self.optimizer.initialize(&self.problem);
         let started = Instant::now();
@@ -266,67 +279,34 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
             metrics.record_phase("telemetry", telemetry_started.elapsed());
         }
 
-        let report = GenerationReport {
+        GenerationReport {
             generation: self.generation,
             evaluations: self.optimizer.evaluations(),
             front_size: objectives.len(),
             hypervolume,
             wall_clock,
-        };
-        for observer in &mut self.observers {
-            observer.on_generation(&report);
         }
-        report
     }
 
     /// Runs generations until the stopping rule fires, then returns the
     /// final non-dominated front.
-    ///
-    /// When no observer is attached and no stopping rule reads the
-    /// hypervolume history, the per-generation telemetry (front extraction,
-    /// hypervolume) is skipped entirely — those generations record no
-    /// history entry — so an unobserved `run` costs no more than stepping
-    /// the optimizer directly. The search trajectory is identical either
-    /// way: telemetry is read-only.
     pub fn run(&mut self) -> Vec<Individual> {
         self.run_for(usize::MAX);
         self.optimizer.front()
     }
 
-    /// Advances up to `generations` generations, stopping early if the
-    /// stopping rule fires, and returns how many generations actually ran.
-    ///
-    /// This is the cheap way to drive part of a run before a
-    /// [`checkpoint`](Driver::checkpoint): like [`Driver::run`] it skips
-    /// per-generation telemetry when nothing consumes it, unlike a manual
-    /// loop over [`Driver::step`] which always pays for a full report.
+    /// Advances up to `generations` generations through
+    /// [`step`](Driver::step), stopping early if the stopping rule fires,
+    /// and returns how many generations actually ran. Initializes the
+    /// optimizer even when no generation runs.
     pub fn run_for(&mut self, generations: usize) -> usize {
         self.optimizer.initialize(&self.problem);
-        let wants_telemetry = !self.observers.is_empty() || self.stopping.needs_hypervolume();
         let mut completed = 0;
         while completed < generations && !self.should_stop() {
-            if wants_telemetry {
-                self.step();
-            } else {
-                self.step_untracked();
-            }
+            self.step();
             completed += 1;
         }
         completed
-    }
-
-    /// Advances one generation without computing the front or hypervolume.
-    /// Nothing is appended to the hypervolume history: it holds one entry
-    /// per generation driven *with* telemetry, so a stagnation window never
-    /// spans generations whose hypervolume was simply not computed.
-    fn step_untracked(&mut self) {
-        self.optimizer.initialize(&self.problem);
-        let started = Instant::now();
-        self.optimizer.step(&self.problem);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_phase("generation", started.elapsed());
-        }
-        self.generation += 1;
     }
 
     /// Captures everything needed to continue this run elsewhere.
@@ -372,7 +352,6 @@ fn derive_reference<P: AsRef<[f64]>>(objectives: &[P]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HistoryObserver;
     use crate::problems::{Schaffer, Zdt1};
     use crate::{Nsga2, Nsga2Spec};
 
@@ -388,19 +367,24 @@ mod tests {
 
     #[test]
     fn run_respects_max_generations_and_reports_every_generation() {
-        let history = HistoryObserver::new();
-        let mut driver = Driver::new(small(1), &Schaffer)
-            .with_observer(history.clone())
-            .with_stopping(StoppingRule::MaxGenerations(6));
+        let stop = StoppingRule::MaxGenerations(6);
+        let mut driver = Driver::new(small(1), &Schaffer).with_stopping(stop.clone());
         let front = driver.run();
         assert!(!front.is_empty());
         assert_eq!(driver.generation(), 6);
-        let reports = history.reports();
+        let history = driver.checkpoint().hypervolume_history;
+        assert_eq!(history.len(), 6);
+
+        let mut stepped = Driver::new(small(1), &Schaffer).with_stopping(stop);
+        let mut reports = Vec::new();
+        while !stepped.should_stop() {
+            reports.push(stepped.step());
+        }
         assert_eq!(reports.len(), 6);
         for (i, report) in reports.iter().enumerate() {
             assert_eq!(report.generation, i + 1);
             assert!(report.front_size > 0);
-            assert!(report.hypervolume.is_finite());
+            assert_eq!(report.hypervolume.to_bits(), history[i].to_bits());
         }
         // Evaluations grow monotonically across reports.
         for pair in reports.windows(2) {
@@ -446,24 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_runs_skip_telemetry_but_match_observed_runs() {
+    fn run_and_a_step_loop_leave_the_same_checkpoint() {
         let stop = StoppingRule::MaxGenerations(5);
-        let mut untracked = Driver::new(small(6), &Schaffer).with_stopping(stop.clone());
-        let untracked_front = untracked.run();
-        assert!(untracked.checkpoint().hypervolume_history.is_empty());
-        assert_eq!(untracked.generation(), 5);
-
-        let mut observed = Driver::new(small(6), &Schaffer)
-            .with_observer(HistoryObserver::new())
-            .with_stopping(stop);
-        let observed_front = observed.run();
-        assert!(observed
-            .checkpoint()
-            .hypervolume_history
-            .iter()
-            .all(|h| h.is_finite()));
-        // Telemetry is read-only: the search trajectory is identical.
-        assert_eq!(untracked_front, observed_front);
+        let mut run = Driver::new(small(6), &Schaffer).with_stopping(stop.clone());
+        run.run();
+        let mut stepped = Driver::new(small(6), &Schaffer).with_stopping(stop);
+        for _ in 0..5 {
+            stepped.step();
+        }
+        let checkpoint = run.checkpoint();
+        assert_eq!(checkpoint.hypervolume_history.len(), 5);
+        assert!(checkpoint.hypervolume_history.iter().all(|h| h.is_finite()));
+        assert_eq!(checkpoint, stepped.checkpoint());
     }
 
     #[test]
@@ -529,11 +507,11 @@ mod tests {
     }
 
     #[test]
-    fn run_for_advances_cheaply_and_respects_the_stopping_rule() {
+    fn run_for_respects_the_stopping_rule() {
         let mut driver =
             Driver::new(small(8), &Schaffer).with_stopping(StoppingRule::MaxGenerations(6));
         assert_eq!(driver.run_for(4), 4);
-        assert!(driver.checkpoint().hypervolume_history.is_empty());
+        assert_eq!(driver.checkpoint().hypervolume_history.len(), 4);
         // Only 2 of the requested 5 remain under the budget.
         assert_eq!(driver.run_for(5), 2);
         assert_eq!(driver.generation(), 6);

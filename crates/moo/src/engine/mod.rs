@@ -14,13 +14,14 @@
 //!   [`Archipelago`](crate::Archipelago) and [`AnyOptimizer`] each
 //!   implement it once, and every one of them scores its candidates only
 //!   through [`Executor::evaluate_batch`](crate::exec::Executor::evaluate_batch).
-//! * [`Driver`] — owns the generation loop: it steps an optimizer, notifies
-//!   [`Observer`]s with per-generation [`GenerationReport`]s, stops when a
-//!   [`StoppingRule`] fires, and can [`checkpoint`](Driver::checkpoint) /
-//!   [`resume`](Driver::resume) a run so that a split run is bit-identical
-//!   to an unsplit one.
+//! * [`Driver`] — owns the generation loop: each [`step`](Driver::step)
+//!   advances an optimizer one generation and returns its
+//!   [`GenerationReport`], [`run`](Driver::run) loops `step` until a
+//!   [`StoppingRule`] fires, and [`checkpoint`](Driver::checkpoint) /
+//!   [`resume`](Driver::resume) split a run so that it is bit-identical to
+//!   an unsplit one, hypervolume history included.
 //! * [`RunSpec`] — a declarative, serializable run description (problem,
-//!   optimizer configuration, seed, stopping rules, observer sinks) with a
+//!   optimizer configuration, seed, stopping rules, progress cadence) with a
 //!   canonical text codec ([`RunSpec::to_text`] / [`RunSpec::from_text`])
 //!   and a content hash; [`AnyOptimizer`] lets spec-driven code hold any
 //!   optimizer kind behind one type.
@@ -32,24 +33,26 @@
 //! # Example
 //!
 //! ```
-//! use pathway_moo::engine::{Driver, HistoryObserver, Optimizer, StoppingRule};
+//! use pathway_moo::engine::{Driver, StoppingRule};
 //! use pathway_moo::{Nsga2, Nsga2Spec, problems::Schaffer};
 //!
 //! let spec = Nsga2Spec { population: 24, ..Default::default() };
-//! let history = HistoryObserver::new();
-//! let mut driver = Driver::new(Nsga2::new(spec, 7), &Schaffer)
-//!     .with_observer(history.clone())
-//!     .with_stopping(StoppingRule::any_of([
+//! let mut driver = Driver::new(Nsga2::new(spec, 7), &Schaffer).with_stopping(
+//!     StoppingRule::any_of([
 //!         StoppingRule::MaxGenerations(40),
 //!         StoppingRule::HypervolumeStagnation { window: 10, epsilon: 1e-9 },
-//!     ]));
-//! let front = driver.run();
-//! assert!(!front.is_empty());
-//! assert!(history.reports().len() <= 40);
+//!     ]),
+//! );
+//! let mut reports = Vec::new();
+//! while !driver.should_stop() {
+//!     reports.push(driver.step());
+//! }
+//! assert!(!driver.front().is_empty());
+//! assert!(reports.len() <= 40);
+//! assert_eq!(driver.checkpoint().hypervolume_history.len(), reports.len());
 //! ```
 
 mod driver;
-mod observer;
 mod spec;
 mod state;
 mod stopping;
@@ -58,8 +61,7 @@ mod sweep;
 pub mod telemetry;
 
 pub use crate::{ArchipelagoSpec, MoeadSpec, Nsga2Spec};
-pub use driver::{Driver, RunCheckpoint};
-pub use observer::{ChannelObserver, GenerationReport, HistoryObserver, LogObserver, Observer};
+pub use driver::{Driver, GenerationReport, RunCheckpoint};
 pub use spec::{
     AnyOptimizer, OptimizerSpec, ProblemSpec, RunSpec, SpecError, StoppingSpec, SPEC_HEADER,
 };

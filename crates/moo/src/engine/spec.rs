@@ -2,7 +2,7 @@
 //!
 //! A [`RunSpec`] is a *plain-data* description of everything a run needs —
 //! problem, optimizer (with full configuration), seed, stopping rules,
-//! checkpoint cadence and observer sinks — so a run can be stored in a file,
+//! checkpoint cadence and progress cadence — so a run can be stored in a file,
 //! shipped between processes, hashed, diffed and launched without writing
 //! Rust code. The workspace is vendored-deps-only, so the spec ships its own
 //! small text codec instead of serde: [`RunSpec::to_text`] emits a canonical
@@ -1189,7 +1189,7 @@ mod tests {
         assert!(err.to_string().contains('#'), "{err}");
 
         // log_every = 0 would mean "never" to a modulo check but "every
-        // generation" to LogObserver; reject it instead of guessing.
+        // generation" to a reader; reject it instead of guessing.
         let mut spec = sample_spec();
         spec.log_every = Some(0);
         let err = spec.validate().unwrap_err();

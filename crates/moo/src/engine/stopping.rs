@@ -8,17 +8,16 @@
 
 /// A read-only view of the run that stopping rules decide on.
 ///
-/// `hypervolume_history` holds one entry per generation driven with
-/// telemetry (the driver skips it when nothing consumes it), computed
-/// against the driver's (frozen) reference point; entries are NaN when the
-/// front had more than three objectives or was empty.
+/// `hypervolume_history` holds one entry per generation, computed against
+/// the driver's (frozen) reference point; entries are NaN when the front
+/// had more than three objectives or was empty.
 #[derive(Debug, Clone, Copy)]
 pub struct RunStatus<'a> {
     /// Number of generations completed so far.
     pub generation: usize,
     /// Cumulative candidate evaluations spent so far.
     pub evaluations: usize,
-    /// Hypervolume after each telemetry-tracked generation, oldest first.
+    /// Hypervolume after each generation, oldest first.
     pub hypervolume_history: &'a [f64],
 }
 
@@ -76,18 +75,6 @@ impl StoppingRule {
     /// Composes rules so the run stops when any of them fires.
     pub fn any_of<I: IntoIterator<Item = StoppingRule>>(rules: I) -> Self {
         StoppingRule::AnyOf(rules.into_iter().collect())
-    }
-
-    /// `true` if evaluating this rule reads the hypervolume history (i.e. a
-    /// [`StoppingRule::HypervolumeStagnation`] is reachable). The driver
-    /// uses this to skip per-generation front and hypervolume computation
-    /// when no observer and no rule would consume it.
-    pub fn needs_hypervolume(&self) -> bool {
-        match self {
-            StoppingRule::HypervolumeStagnation { .. } => true,
-            StoppingRule::AnyOf(rules) => rules.iter().any(StoppingRule::needs_hypervolume),
-            StoppingRule::MaxGenerations(_) | StoppingRule::MaxEvaluations(_) => false,
-        }
     }
 
     /// `true` if this rule is guaranteed to fire eventually on any run: a

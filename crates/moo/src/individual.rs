@@ -54,88 +54,6 @@ impl Individual {
     }
 }
 
-/// A population of individuals.
-///
-/// A thin wrapper over `Vec<Individual>` with the collection conveniences the
-/// algorithms need.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Population {
-    members: Vec<Individual>,
-}
-
-impl Population {
-    /// Creates an empty population.
-    pub fn new() -> Self {
-        Population {
-            members: Vec::new(),
-        }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` if the population has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Immutable member access.
-    pub fn members(&self) -> &[Individual] {
-        &self.members
-    }
-
-    /// Mutable member access.
-    pub fn members_mut(&mut self) -> &mut [Individual] {
-        &mut self.members
-    }
-
-    /// Adds an individual.
-    pub fn push(&mut self, individual: Individual) {
-        self.members.push(individual);
-    }
-
-    /// Iterator over the members.
-    pub fn iter(&self) -> std::slice::Iter<'_, Individual> {
-        self.members.iter()
-    }
-
-    /// Consumes the population, returning its members without copying them.
-    pub fn into_members(self) -> Vec<Individual> {
-        self.members
-    }
-}
-
-impl From<Vec<Individual>> for Population {
-    fn from(members: Vec<Individual>) -> Self {
-        Population { members }
-    }
-}
-
-impl FromIterator<Individual> for Population {
-    fn from_iter<T: IntoIterator<Item = Individual>>(iter: T) -> Self {
-        Population {
-            members: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Individual> for Population {
-    fn extend<T: IntoIterator<Item = Individual>>(&mut self, iter: T) {
-        self.members.extend(iter);
-    }
-}
-
-impl IntoIterator for Population {
-    type Item = Individual;
-    type IntoIter = std::vec::IntoIter<Individual>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.members.into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,22 +95,10 @@ mod tests {
     #[test]
     fn random_population_has_requested_size_and_is_varied() {
         let mut rng = StdRng::seed_from_u64(1);
-        let pop: Population = (0..20).map(|_| random(&Schaffer, &mut rng)).collect();
+        let pop: Vec<Individual> = (0..20).map(|_| random(&Schaffer, &mut rng)).collect();
         assert_eq!(pop.len(), 20);
-        let first = &pop.members()[0].variables;
+        let first = &pop[0].variables;
         assert!(pop.iter().any(|m| m.variables != *first));
-    }
-
-    #[test]
-    fn population_collection_traits() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = random(&Schaffer, &mut rng);
-        let b = random(&Schaffer, &mut rng);
-        let mut pop: Population = vec![a].into_iter().collect();
-        pop.extend(vec![b]);
-        assert_eq!(pop.len(), 2);
-        let back: Vec<Individual> = pop.into_iter().collect();
-        assert_eq!(back.len(), 2);
     }
 
     #[test]

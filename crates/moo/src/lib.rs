@@ -10,9 +10,9 @@
 //! * [`engine`] — the step-driven engine: the [`Optimizer`] trait, which
 //!   is not tied to a problem type and which each of the three algorithms
 //!   implements once, scoring every candidate through
-//!   [`exec::Executor::evaluate_batch`]; and the generic [`Driver`] with
-//!   per-generation [`Observer`]s, composable [`StoppingRule`]s and
-//!   bit-identical checkpoint/resume.
+//!   [`exec::Executor::evaluate_batch`]; and the generic [`Driver`], whose
+//!   every step returns a [`GenerationReport`], with composable
+//!   [`StoppingRule`]s and bit-identical checkpoint/resume.
 //! * [`Nsga2`] — the Non-dominated Sorting Genetic Algorithm II of Deb et al.,
 //!   the paper's island engine.
 //! * [`Moead`] — MOEA/D with Tchebycheff decomposition (Zhang & Li), the
@@ -80,12 +80,11 @@ pub use dominance::{
     SortScratch,
 };
 pub use engine::{
-    Driver, EngineError, GenerationReport, HistoryObserver, LogObserver, Observer, Optimizer,
-    OptimizerState, RunCheckpoint, StoppingRule,
+    Driver, EngineError, GenerationReport, Optimizer, OptimizerState, RunCheckpoint, StoppingRule,
 };
 pub use eval::EvalBackend;
 pub use exec::{Executor, ExecutorStats};
-pub use individual::{Individual, Population};
+pub use individual::Individual;
 pub use moead::{Moead, MoeadSpec};
 pub use nsga2::{Nsga2, Nsga2Spec};
 pub use operators::{polynomial_mutation, sbx_crossover, tournament_select, SbxScratch};

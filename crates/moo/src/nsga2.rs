@@ -10,7 +10,7 @@ use crate::exec::Executor;
 use crate::individual::sample_within;
 use crate::{
     fast_nondominated_sort_with, polynomial_mutation, sbx_crossover, tournament_select,
-    EvalBackend, Individual, MultiObjectiveProblem, Population, SbxScratch, SortScratch,
+    EvalBackend, Individual, MultiObjectiveProblem, SbxScratch, SortScratch,
 };
 
 /// NSGA-II settings: what a spec's `[optimizer]` section says for
@@ -68,7 +68,7 @@ impl Default for Nsga2Spec {
 pub struct Nsga2 {
     spec: Nsga2Spec,
     rng: StdRng,
-    population: Population,
+    population: Vec<Individual>,
     scratch: SortScratch,
     /// SBX's reusable buffers; like `scratch`, never checkpointed.
     sbx_scratch: SbxScratch,
@@ -94,7 +94,7 @@ impl Nsga2 {
         Nsga2 {
             spec,
             rng: StdRng::seed_from_u64(seed),
-            population: Population::new(),
+            population: Vec::new(),
             scratch: SortScratch::new(),
             sbx_scratch: SbxScratch::new(),
             combined: Vec::new(),
@@ -124,7 +124,7 @@ impl Nsga2 {
     }
 
     /// Current population (empty before the first generation).
-    pub fn population(&self) -> &Population {
+    pub fn population(&self) -> &[Individual] {
         &self.population
     }
 
@@ -135,7 +135,7 @@ impl Nsga2 {
     /// before any environmental selection runs, so stale or foreign
     /// bookkeeping on the injected individuals must not survive this call.
     #[cfg(test)]
-    pub(crate) fn set_population(&mut self, population: Population) {
+    pub(crate) fn set_population(&mut self, population: Vec<Individual>) {
         self.population = population;
         self.refresh_ranks();
     }
@@ -153,7 +153,7 @@ impl Nsga2 {
     /// without it, tournament selection would read bookkeeping computed on
     /// the migrants' *source* island.
     pub fn refresh_ranks(&mut self) {
-        let members = self.population.members_mut();
+        let members = self.population.as_mut_slice();
         if members.is_empty() {
             return;
         }
@@ -174,7 +174,7 @@ impl Nsga2 {
     /// [`Nsga2::sample`] drew, in order) and ranks it.
     pub(crate) fn install(&mut self, population: Vec<Individual>) {
         self.evaluations += population.len();
-        self.population = population.into();
+        self.population = population;
         self.refresh_ranks();
     }
 
@@ -189,7 +189,7 @@ impl Nsga2 {
             .spec
             .mutation_probability
             .unwrap_or(1.0 / problem.num_variables() as f64);
-        let parents = self.population.members();
+        let parents = &self.population;
         let mut children: Vec<Vec<f64>> = Vec::with_capacity(self.spec.population);
         while children.len() < self.spec.population {
             let a = tournament_select(parents, &mut self.rng);
@@ -246,7 +246,7 @@ impl Nsga2 {
     pub(crate) fn select(&mut self, offspring: Vec<Individual>) {
         self.evaluations += offspring.len();
         let selection_started = Instant::now();
-        let mut survivors = std::mem::take(&mut self.population).into_members();
+        let mut survivors = std::mem::take(&mut self.population);
         let mut combined = std::mem::take(&mut self.combined);
         combined.append(&mut survivors);
         combined.extend(offspring);
@@ -258,7 +258,7 @@ impl Nsga2 {
         survivors.extend(chosen.iter().map(|&i| std::mem::take(&mut combined[i])));
         combined.clear();
         self.combined = combined;
-        self.population = survivors.into();
+        self.population = survivors;
         if let Some(metrics) = &self.metrics {
             metrics.record_phase("selection", selection_started.elapsed());
         }
@@ -274,7 +274,7 @@ impl Nsga2 {
     pub(crate) fn snapshot(&self) -> Nsga2State {
         Nsga2State {
             rng: RngState::capture(&self.rng),
-            population: self.population.members().to_vec(),
+            population: self.population.clone(),
             evaluations: self.evaluations,
         }
     }
@@ -299,7 +299,7 @@ impl Nsga2 {
             });
         }
         self.rng = state.rng.rebuild();
-        self.population = state.population.into();
+        self.population = state.population;
         self.evaluations = state.evaluations;
         Ok(())
     }
@@ -328,7 +328,7 @@ impl Optimizer for Nsga2 {
     }
 
     fn population(&self) -> Vec<Individual> {
-        self.population.members().to_vec()
+        self.population.clone()
     }
 
     /// Rank-0 members under constrained domination, read from the `rank`
@@ -475,9 +475,8 @@ mod tests {
     fn set_population_is_truncated_on_next_step() {
         let mut solver = Nsga2::new(small(), 5);
         solver.initialize(&Schaffer);
-        let mut inflated: Vec<Individual> = solver.population().clone().into_iter().collect();
-        inflated.extend(solver.population().clone());
-        solver.set_population(inflated.into());
+        let inflated = [solver.population(), solver.population()].concat();
+        solver.set_population(inflated);
         solver.step(&Schaffer);
         assert_eq!(solver.population().len(), 40);
     }

@@ -11,9 +11,7 @@
 //! * `state`/`restore` round-trip the full run state: a restored optimizer
 //!   continues bit-identically.
 
-use pathway_moo::engine::{
-    Driver, EngineError, HistoryObserver, Optimizer, OptimizerSpec, OptimizerState,
-};
+use pathway_moo::engine::{Driver, EngineError, Optimizer, OptimizerSpec, OptimizerState};
 use pathway_moo::problems::{BinhKorn, Schaffer, Zdt1};
 use pathway_moo::MultiObjectiveProblem;
 use pathway_moo::{
@@ -157,17 +155,15 @@ fn front_objectives_track_the_front<O: Optimizer + 'static>(
     optimizer: O,
     problem: impl MultiObjectiveProblem,
 ) {
-    let history = HistoryObserver::new();
-    let mut driver = Driver::new(optimizer, problem).with_observer(history.clone());
+    let mut driver = Driver::new(optimizer, problem);
     for _ in 0..12 {
-        driver.step();
+        let report = driver.step();
         let front = driver.front();
         let objectives: Vec<&[f64]> = front.iter().map(|i| i.objectives.as_slice()).collect();
         assert_eq!(
             objective_bits(&driver.optimizer().front_objectives()),
             objective_bits(&objectives)
         );
-        let report = history.reports().pop().expect("one report per step");
         assert_eq!(report.front_size, front.len());
     }
 }

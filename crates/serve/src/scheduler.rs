@@ -47,8 +47,7 @@ use pathway_core::{sweep::render_front, validate_spec_against_problem, AnyProble
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::{
-    ChannelObserver, CheckpointStore, GenerationReport, MetricsRegistry, Observer, RunCheckpoint,
-    RunSpec, SweepSpec,
+    CheckpointStore, GenerationReport, MetricsRegistry, RunCheckpoint, RunSpec, SweepSpec,
 };
 use pathway_moo::{Executor, Optimizer};
 
@@ -82,9 +81,9 @@ struct JobSlot {
     error: Option<String>,
     /// `Some` while running; dropped on completion/cancellation/failure.
     job: Option<Job<AnyProblem>>,
-    /// One telemetry sink per attached `watch` client; disconnected sinks
-    /// are pruned after every step.
-    watchers: Vec<ChannelObserver>,
+    /// One report stream per attached `watch` client; a stream whose
+    /// receiver hung up is pruned at the next report.
+    watchers: Vec<Sender<GenerationReport>>,
     generation: usize,
     evaluations: usize,
     front_size: usize,
@@ -390,12 +389,12 @@ impl Scheduler {
     /// A message when the job does not exist.
     pub fn watch(&mut self, job: &str) -> Result<(JobSummary, Receiver<GenerationReport>), String> {
         let index = self.find(job)?;
-        let (observer, receiver) = ChannelObserver::channel();
+        let (sender, receiver) = std::sync::mpsc::channel();
         let slot = &mut self.jobs[index];
         if slot.state == JobState::Running {
-            slot.watchers.push(observer);
+            slot.watchers.push(sender);
         }
-        // Terminal job: the observer drops here, closing the channel.
+        // Terminal job: the sender drops here, closing the channel.
         Ok((slot.summary(), receiver))
     }
 
@@ -519,8 +518,8 @@ impl Scheduler {
         // driver may be mid-generation when it unwinds, so it is dropped
         // with the job.
         let report = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.step())) {
-            Ok(Ok(report)) => report,
-            Ok(Err(err)) => {
+            Ok((report, Ok(()))) => report,
+            Ok((_, Err(err))) => {
                 // Durability is the contract; a job that cannot persist is
                 // failed loudly rather than silently running volatile.
                 self.fail(index, format!("checkpoint write failed: {err}"));
@@ -536,11 +535,10 @@ impl Scheduler {
         slot.generation = report.generation;
         slot.evaluations = report.evaluations;
         slot.front_size = report.front_size;
-        for watcher in &mut slot.watchers {
-            watcher.on_generation(&report);
-        }
-        // A disconnected watch client must not cost clones forever.
-        slot.watchers.retain(|w| !w.is_disconnected());
+        // A watch client that hung up is dropped here, so it costs no
+        // further clones; the run itself never notices.
+        slot.watchers
+            .retain(|watcher| watcher.send(report.clone()).is_ok());
         if job.is_done() {
             self.complete(index);
         }

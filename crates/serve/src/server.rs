@@ -278,9 +278,9 @@ fn handle_connection(
                         }
                         let mut last_generation = summary.generation;
                         // Stream until the job finishes (scheduler drops
-                        // the observer) or the client hangs up (our write
-                        // fails; the scheduler prunes the dead observer
-                        // after its next step).
+                        // the sender) or the client hangs up (our write
+                        // fails; the scheduler prunes the dead sender at
+                        // its next report).
                         let mut client_alive = true;
                         for report in reports {
                             last_generation = report.generation;

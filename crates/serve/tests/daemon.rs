@@ -113,6 +113,57 @@ fn reopened_scheduler_resumes_and_matches_an_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&pristine);
 }
 
+/// Watch streams are telemetry only: a client that hangs up, before the
+/// run or in the middle of it, is pruned at the next report, the clients
+/// still attached see every generation, and the job completes with the
+/// same front as an unwatched run.
+#[test]
+fn a_watcher_that_hangs_up_is_pruned_and_the_front_is_unchanged() {
+    let watched_dir = temp_dir("watch-drop-a");
+    let unwatched_dir = temp_dir("watch-drop-b");
+    let text = spec(11, 8, 4);
+
+    let mut unwatched =
+        Scheduler::open(&unwatched_dir, Arc::new(Executor::serial())).expect("open");
+    let id = unwatched.submit_text(&text).expect("submit")[0].id.clone();
+    while unwatched.turn() {}
+    let (_, want_front) = unwatched.fetch_front(&id).expect("unwatched front");
+
+    let mut scheduler = Scheduler::open(&watched_dir, Arc::new(Executor::serial())).expect("open");
+    let id = scheduler.submit_text(&text).expect("submit")[0].id.clone();
+    let (_, staying) = scheduler.watch(&id).expect("watch");
+    let (_, early) = scheduler.watch(&id).expect("watch");
+    let (summary, leaving) = scheduler.watch(&id).expect("watch");
+    assert_eq!(summary.watchers, 3);
+    drop(early); // hung up before the first generation
+    assert!(scheduler.turn());
+    assert_eq!(scheduler.status()[0].watchers, 2);
+
+    assert!(scheduler.turn());
+    assert!(scheduler.turn());
+    let seen: Vec<usize> = leaving.try_iter().map(|report| report.generation).collect();
+    assert_eq!(seen, vec![1, 2, 3]);
+    drop(leaving); // hung up mid-run
+    assert!(scheduler.turn());
+    assert_eq!(
+        scheduler.status()[0].watchers,
+        1,
+        "the hung-up watcher is pruned at the next report"
+    );
+
+    while scheduler.turn() {}
+    let (summary, got_front) = scheduler.fetch_front(&id).expect("watched front");
+    assert_eq!(summary.state, JobState::Completed);
+    assert_eq!(summary.generation, 8);
+    assert_eq!(got_front, want_front, "watchers must not change the front");
+    // The stream closes when the job completes.
+    let generations: Vec<usize> = staying.iter().map(|report| report.generation).collect();
+    assert_eq!(generations, (1..=8).collect::<Vec<_>>());
+
+    let _ = std::fs::remove_dir_all(&watched_dir);
+    let _ = std::fs::remove_dir_all(&unwatched_dir);
+}
+
 /// Cancel and error paths at the scheduler level.
 #[test]
 fn cancel_is_terminal_and_unknown_jobs_are_reported() {

@@ -3,7 +3,8 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! The study is `examples/quickstart.spec`, driven through [`spec_driver`]
-//! with a logging observer at the spec's `log_every`.
+//! one `step` at a time; every `log_every`-th generation's report (and
+//! generation 1's) is logged to stderr.
 
 use pathway_core::prelude::*;
 use pathway_core::{render_table, SelectionRow};
@@ -17,12 +18,22 @@ fn main() {
     let AnyProblem::LeafDesign(leaf) = &problem else {
         panic!("quickstart.spec describes a leaf-design run");
     };
-    let mut driver = spec_driver(&spec, &problem, None, None)
-        .expect("a fresh driver")
-        .with_observer(LogObserver::new(
-            spec.log_every.expect("the spec sets log_every"),
-        ));
-    let front = driver.run();
+    let log_every = spec.log_every.expect("the spec sets log_every");
+    let mut driver = spec_driver(&spec, &problem, None, None).expect("a fresh driver");
+    while !driver.should_stop() {
+        let report = driver.step();
+        if report.generation == 1 || report.generation.is_multiple_of(log_every) {
+            eprintln!(
+                "[gen {:>5}] evals {:>8}  front {:>4}  hv {:.6e}  ({:.1?})",
+                report.generation,
+                report.evaluations,
+                report.front_size,
+                report.hypervolume,
+                report.wall_clock
+            );
+        }
+    }
+    let front = driver.front();
     let outcome =
         LeafDesignOutcome::from_front(*leaf.scenario(), front, driver.optimizer().evaluations());
 

@@ -203,6 +203,52 @@ fn determinism_checkpoint_split_at_every_generation() {
     }
 }
 
+/// However a run is driven, it leaves the same checkpoints: `run_for`, as
+/// sweeps and `pathway run --quiet` drive it, and a loop over `step`, as
+/// `pathway serve`, perfbench and a default `pathway run` drive it, agree
+/// at every generation (hypervolume history and reference point included),
+/// both unsplit and split by checkpoint/resume at every generation.
+#[test]
+fn determinism_run_for_and_step_loops_leave_equal_checkpoints() {
+    let total = 8;
+    let stop = StoppingRule::MaxGenerations(total);
+    for backend in [EvalBackend::Serial, EvalBackend::Threads(2)] {
+        // The checkpoint after each generation of a step loop, generation 1
+        // first.
+        let mut stepped = checkpoint_driver(backend, 31, &Schaffer).with_stopping(stop.clone());
+        let mut by_step = Vec::new();
+        while !stepped.should_stop() {
+            stepped.step();
+            by_step.push(stepped.checkpoint());
+        }
+        assert_eq!(by_step.len(), total);
+        for (end, want) in (1..).zip(&by_step) {
+            let mut unsplit = checkpoint_driver(backend, 31, &Schaffer).with_stopping(stop.clone());
+            unsplit.run_for(end);
+            assert_eq!(
+                &unsplit.checkpoint(),
+                want,
+                "{backend:?}: run_for({end}) left a different checkpoint"
+            );
+            for split_at in 0..=end {
+                let mut first =
+                    checkpoint_driver(backend, 31, &Schaffer).with_stopping(stop.clone());
+                first.run_for(split_at);
+                let fresh = Archipelago::new(checkpoint_config(backend), 31);
+                let mut resumed = Driver::resume(fresh, &Schaffer, first.checkpoint())
+                    .expect("checkpoint matches the configuration")
+                    .with_stopping(stop.clone());
+                resumed.run_for(end - split_at);
+                assert_eq!(
+                    &resumed.checkpoint(),
+                    want,
+                    "{backend:?}: split at {split_at}, checkpoint at {end} differs"
+                );
+            }
+        }
+    }
+}
+
 /// A checkpoint taken with one backend must resume bit-identically under
 /// the other: backend choice is not part of the run state.
 #[test]
