@@ -5,13 +5,20 @@
 //! Sherman–Morrison over a static-pivot sparse LU in minimum-fill order,
 //! compiled to straight-line code in `pathway-photosynthesis`)
 //! against the dense forward-difference Jacobian with a partial-pivoting
-//! LU, both for one step and for a whole cold-start solve.
+//! LU, both for one step and for a whole cold-start solve. The
+//! `batch_of_8` group times one executor chunk of eight cold designs, a
+//! skewed mix, through the ODE leaf oracle's lane-batched `evaluate_batch`
+//! (four designs per Newton step on a CPU with AVX2, two otherwise),
+//! through its two-lane instance, and through eight `evaluate` calls.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pathway_core::OdeLeafRedesignProblem;
 use pathway_linalg::{LuDecomposition, Matrix, Vector};
+use pathway_moo::MultiObjectiveProblem;
 use pathway_ode::{Jacobian, OdeSystem, PseudoTransient};
 use pathway_photosynthesis::{
-    CalvinCycleOde, EnzymePartition, OdeUptakeEvaluator, Scenario, UptakeModel, POOL_COUNT,
+    CalvinCycleOde, EnzymeKind, EnzymePartition, OdeUptakeEvaluator, Scenario, UptakeModel,
+    POOL_COUNT,
 };
 
 /// The Calvin-cycle model without its Jacobian hook: the solver falls back
@@ -92,5 +99,54 @@ fn bench_newton_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_uptake_evaluation, bench_newton_step);
+/// Eight cold designs whose solves take from 14 to about 165 steps: one
+/// executor chunk (`CLAIM_BLOCK`) of the leaf search.
+fn skewed_eight() -> Vec<EnzymePartition> {
+    let natural = EnzymePartition::natural();
+    vec![
+        natural.scaled(0.05),
+        natural.scaled(3.5),
+        natural.clone(),
+        natural.scaled(1.3),
+        natural.scaled(0.3),
+        natural.with_scaled(EnzymeKind::Rubisco, 0.1),
+        natural.scaled(2.0),
+        natural.scaled(1.2),
+    ]
+}
+
+fn bench_batch_of_8(c: &mut Criterion) {
+    let scenario = Scenario::present_low_export();
+    let partitions = skewed_eight();
+    let xs: Vec<Vec<f64>> = partitions
+        .iter()
+        .map(|partition| partition.capacities().to_vec())
+        .collect();
+    let problem = OdeLeafRedesignProblem::new(scenario);
+
+    let mut group = c.benchmark_group("batch_of_8");
+    group.sample_size(20);
+    group.bench_function("evaluate_batch", |b| {
+        b.iter(|| problem.evaluate_batch(&xs));
+    });
+    group.bench_function("two_lanes", |b| {
+        let evaluator = OdeUptakeEvaluator::fast();
+        b.iter(|| {
+            evaluator
+                .steady_states_in_lanes(&partitions, &scenario, 2)
+                .expect("every CPU runs two lanes")
+        });
+    });
+    group.bench_function("evaluate_each", |b| {
+        b.iter(|| xs.iter().map(|x| problem.evaluate(x)).collect::<Vec<_>>());
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_uptake_evaluation,
+    bench_newton_step,
+    bench_batch_of_8
+);
 criterion_main!(benches);

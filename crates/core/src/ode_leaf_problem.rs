@@ -15,15 +15,19 @@
 //! compiled from the model's pattern (`pathway-photosynthesis`'s generated
 //! `src/calvin_lu.rs`, bit for bit the interpreter it was emitted from).
 //! The natural leaf takes 67 steps and 68 right-hand-side calls, one trial
-//! per step. `tests/leaf_oracle_digest.rs` pins the objectives,
-//! violations and `ode.*` counters of 300 designs.
+//! per step. A batch is solved several designs per Newton step, one per
+//! SIMD lane ([`OdeUptakeEvaluator::steady_states`]), each lane doing the
+//! scalar solve's operations in their order, so batching changes no bit.
+//! `tests/leaf_oracle_digest.rs` pins the objectives, violations and
+//! `ode.*` counters of 300 designs, and `tests/ode_lane_batch.rs` holds
+//! every batch to per-candidate calls.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pathway_moo::engine::MetricsRegistry;
 use pathway_moo::MultiObjectiveProblem;
 use pathway_photosynthesis::{
-    EnzymePartition, IntegrationStats, OdeError, OdeUptakeEvaluator, Scenario,
+    EnzymePartition, IntegrationStats, OdeError, OdeUptakeEvaluator, Scenario, SteadyState,
 };
 
 /// Constraint violation of a design whose steady-state solve never
@@ -85,7 +89,12 @@ impl Clone for OracleCounters {
 /// therefore the same whoever asks, whenever: serial and pooled
 /// evaluation, per-candidate and batched evaluation, and a run resumed in a
 /// fresh process all agree bit for bit, which is why the spec registry
-/// serves this problem as `leaf-design-ode`. The model is bistable
+/// serves this problem as `leaf-design-ode`.
+/// [`evaluate_batch`](MultiObjectiveProblem::evaluate_batch) solves its
+/// chunk's designs in lockstep, four per Newton step on a CPU with AVX2
+/// and two otherwise, refilling a lane whose design finishes with the
+/// chunk's next one; [`evaluate`](MultiObjectiveProblem::evaluate) solves
+/// one design on the scalar path. The model is bistable
 /// (between 1.2x and 1.3x natural), and the cold start picks the branch
 /// the leaf reaches from its fixed initial state.
 ///
@@ -152,8 +161,19 @@ impl OdeLeafRedesignProblem {
     /// it crowd the low-nitrogen end of the front.
     fn evaluate_one(&self, x: &[f64], counters: Option<&OracleCounters>) -> (Vec<f64>, f64) {
         let partition = EnzymePartition::new(x.to_vec());
+        let solved = self.evaluator.steady_state(&partition, &self.scenario);
+        Self::score(&partition, solved, counters)
+    }
+
+    /// The objectives and violation of one solved design, its work counted
+    /// into `counters`, if given.
+    fn score(
+        partition: &EnzymePartition,
+        solved: Result<(SteadyState, f64), OdeError>,
+        counters: Option<&OracleCounters>,
+    ) -> (Vec<f64>, f64) {
         let nitrogen = partition.total_nitrogen();
-        let (stats, scored) = match self.evaluator.steady_state(&partition, &self.scenario) {
+        let (stats, scored) = match solved {
             Ok((steady, uptake)) => (Some(steady.stats), (vec![-uptake, nitrogen], 0.0)),
             Err(error) => {
                 let stats = match error {
@@ -196,10 +216,18 @@ impl MultiObjectiveProblem for OdeLeafRedesignProblem {
         self.evaluate_one(x, None).1
     }
 
-    /// One solve per candidate, for its objectives and violation together.
+    /// One solve per candidate, for its objectives and violation together,
+    /// several candidates per Newton step
+    /// ([`OdeUptakeEvaluator::steady_states`]): the scores and counters of
+    /// per-candidate [`evaluate`](Self::evaluate) calls, bit for bit.
     fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<(Vec<f64>, f64)> {
-        xs.iter()
-            .map(|x| self.evaluate_one(x, Some(&self.counters)))
+        let partitions: Vec<EnzymePartition> =
+            xs.iter().map(|x| EnzymePartition::new(x.clone())).collect();
+        let solved = self.evaluator.steady_states(&partitions, &self.scenario);
+        partitions
+            .iter()
+            .zip(solved)
+            .map(|(partition, solved)| Self::score(partition, solved, Some(&self.counters)))
             .collect()
     }
 

@@ -84,13 +84,6 @@ pub trait MultiObjectiveProblem: Sync {
     fn name(&self) -> &str {
         "unnamed problem"
     }
-
-    /// Clamps a candidate decision vector into the problem's bounds.
-    fn clamp(&self, x: &mut [f64]) {
-        for (value, (lower, upper)) in x.iter_mut().zip(self.bounds()) {
-            *value = value.clamp(lower, upper);
-        }
-    }
 }
 
 impl<T: MultiObjectiveProblem + ?Sized> MultiObjectiveProblem for &T {
@@ -128,14 +121,6 @@ mod tests {
     #[test]
     fn default_constraint_violation_is_zero() {
         assert_eq!(Schaffer.constraint_violation(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn clamp_respects_bounds() {
-        let mut x = vec![100.0];
-        Schaffer.clamp(&mut x);
-        let (lower, upper) = Schaffer.bounds()[0];
-        assert!(x[0] >= lower && x[0] <= upper);
     }
 
     #[test]

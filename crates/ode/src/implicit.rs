@@ -82,7 +82,6 @@ pub(crate) struct NewtonWorkspace {
     pub(crate) residual: Vector,
     pub(crate) delta: Vector,
     pub(crate) candidate: Vector,
-    pub(crate) f1: Vector,
     /// The LU storage (and, within a step, the pivot order) carried from
     /// solve to solve; `None` until the first factorization.
     lu: Option<LuDecomposition>,
@@ -96,7 +95,6 @@ impl NewtonWorkspace {
             residual: Vector::zeros(dim),
             delta: Vector::zeros(dim),
             candidate: Vector::zeros(dim),
-            f1: Vector::zeros(dim),
             lu: None,
         }
     }

@@ -1,5 +1,6 @@
 use pathway_linalg::{Matrix, Vector};
 
+use crate::lanes::{self, LaneLu};
 use crate::OdeSystem;
 
 /// Relative perturbation of the dense forward difference.
@@ -19,11 +20,6 @@ const MAX_MULTIPLIER: f64 = 100.0;
 /// Smallest pivot magnitude the static-pivot LU accepts: the singularity
 /// tolerance of the dense [`pathway_linalg::LuDecomposition`].
 const MIN_PIVOT: f64 = 1e-13;
-
-/// Smallest Sherman–Morrison denominator `|1 − gᵀz|` accepted, relative to
-/// `max(1, |gᵀz|)`. Below it the rank-one correction cancels most of its
-/// own digits, and the dense fallback is the accurate path.
-const MIN_DENOMINATOR: f64 = 1e-8;
 
 /// The Jacobian of a right-hand side at one state, as a Newton step uses
 /// it: filled by [`OdeSystem::jacobian`] in one of two forms.
@@ -202,11 +198,13 @@ impl Jacobian {
 ///   [`JacobianPattern::interpret_substitute`]): loops over the symbolic
 ///   lists. Every pattern has this form, and it is the reference a compiled
 ///   one is proven against.
-/// * **Compiled** ([`CompiledLu`]): the same operations in the same order,
-///   emitted once as straight-line Rust over fixed-size arrays by
-///   [`JacobianPattern::emit_compiled_lu`], committed beside the model and
-///   attached by [`JacobianPattern::with_compiled_lu`]. A pattern with a
-///   compiled LU always uses it. The Calvin-cycle model's lives in
+/// * **Compiled** ([`LaneLu`]): the same operations in the same order,
+///   emitted once by [`JacobianPattern::emit_compiled_lu`] as straight-line
+///   Rust over fixed-size arrays of `L` lanes (one design per lane), and
+///   committed beside the model. Its `L = 1` instance ([`CompiledLu`]) is
+///   attached by [`JacobianPattern::with_compiled_lu`], and a pattern with
+///   a compiled LU always uses it; [`crate::SparsePlusRankOneLanes`] runs
+///   the wider instances. The Calvin-cycle model's lives in
 ///   `pathway-photosynthesis`'s `src/calvin_lu.rs`.
 ///
 /// # Example
@@ -260,8 +258,8 @@ pub struct JacobianPattern {
 }
 
 /// The numeric static-pivot LU of one [`JacobianPattern`], compiled to
-/// straight-line code: the output of [`JacobianPattern::emit_compiled_lu`],
-/// committed as a source file, attached by
+/// straight-line code: the `L = 1` instance of a [`LaneLu`] emitted by
+/// [`JacobianPattern::emit_compiled_lu`] ([`CompiledLu::of`]), attached by
 /// [`JacobianPattern::with_compiled_lu`]. Its two functions have the
 /// contracts of [`JacobianPattern::interpret_factor`] and
 /// [`JacobianPattern::interpret_substitute`], and return their results bit
@@ -279,13 +277,48 @@ pub struct CompiledLu {
 
 /// `(diagonal, values of S, LU storage, inverse pivots) -> pivots held`:
 /// the signature of [`JacobianPattern::interpret_factor`] without the
-/// pattern.
+/// pattern, over compact LU storage ([`JacobianPattern::lu_positions`]).
 pub type LuFactor = fn(f64, &[f64], &mut [f64], &mut [f64]) -> bool;
 
 /// `(LU storage, inverse pivots, a, b)`, both solved in place: the
 /// signature of [`JacobianPattern::interpret_substitute`] without the
 /// pattern.
 pub type LuSubstitute = fn(&[f64], &[f64], &mut [f64], &mut [f64]);
+
+impl CompiledLu {
+    /// The `L = 1` instance of `K`, over plain slices.
+    pub const fn of<K: LaneLu>() -> CompiledLu {
+        CompiledLu {
+            fingerprint: K::FINGERPRINT,
+            factor: factor_one::<K>,
+            substitute: substitute_one::<K>,
+        }
+    }
+}
+
+fn factor_one<K: LaneLu>(
+    diagonal: f64,
+    values: &[f64],
+    lu: &mut [f64],
+    inverse_pivots: &mut [f64],
+) -> bool {
+    let [held] = K::factor::<1>(
+        [diagonal],
+        values.as_chunks().0,
+        lu.as_chunks_mut().0,
+        inverse_pivots.as_chunks_mut().0,
+    );
+    held
+}
+
+fn substitute_one<K: LaneLu>(lu: &[f64], inverse_pivots: &[f64], a: &mut [f64], b: &mut [f64]) {
+    K::substitute::<1>(
+        lu.as_chunks().0,
+        inverse_pivots.as_chunks().0,
+        a.as_chunks_mut().0,
+        b.as_chunks_mut().0,
+    );
+}
 
 /// One multiplier of the static-pivot elimination.
 #[derive(Debug, Clone, Copy)]
@@ -447,6 +480,20 @@ impl JacobianPattern {
         }
     }
 
+    /// The dimension of the system.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The dense positions (`row · dim + col`, in pivot order) of `L + U`,
+    /// ascending: the compiled LU ([`LaneLu`]) stores entry `k` of its
+    /// compact storage at `positions[k]` of the interpreter's dense one.
+    pub fn lu_positions(&self) -> Vec<usize> {
+        let mut positions: Vec<usize> = self.scatter.iter().chain(&self.fill).copied().collect();
+        positions.sort_unstable();
+        positions
+    }
+
     /// Structural non-zeros of `S`, the diagonal included.
     pub fn nnz(&self) -> usize {
         self.rows.len()
@@ -505,7 +552,7 @@ impl JacobianPattern {
     /// FNV-1a over everything the numeric LU reads of the pattern: the
     /// dimensions, the pivot order, every list of positions, and the
     /// pivot thresholds.
-    fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let pairs = |list: &[(usize, usize)]| list.iter().flat_map(|&(a, b)| [a, b]).collect();
         let lists: [Vec<usize>; 12] = [
             vec![self.dim, self.nnz()],
@@ -548,7 +595,8 @@ impl JacobianPattern {
     /// a multiplier is NaN or above 100.
     ///
     /// Straight-line code emitted by [`JacobianPattern::emit_compiled_lu`]
-    /// runs exactly these operations, in this order.
+    /// runs exactly these arithmetic operations, in this order, on compact
+    /// storage, and makes every check once the elimination is done.
     ///
     /// # Panics
     ///
@@ -627,20 +675,29 @@ impl JacobianPattern {
         }
     }
 
-    /// The source of a Rust module that compiles this pattern's numeric LU:
-    /// a `pub(crate) const COMPILED_LU: CompiledLu` over two private
-    /// functions, [`JacobianPattern::interpret_factor`] and
+    /// The source of a Rust module that compiles this pattern's numeric LU
+    /// for any number of lanes: a `pub struct Kernel` implementing
+    /// [`LaneLu`], [`JacobianPattern::interpret_factor`] and
     /// [`JacobianPattern::interpret_substitute`] unrolled into one statement
-    /// per operation (fill zero, scatter, diagonal shift, pivot check,
-    /// inverse pivot, multiplier and its check, update, substitution term)
-    /// over fixed-size arrays, in the interpreter's order, so every result
-    /// is bit for bit the interpreter's. `regenerate` is the command that
-    /// rewrites the file, quoted in its header. The output is
-    /// `rustfmt`-clean.
+    /// per operation (fill zero, scatter, diagonal shift, inverse pivot,
+    /// multiplier, update, substitution term) over fixed-size arrays of
+    /// `[f64; L]`, in the interpreter's order, so every lane's result is bit
+    /// for bit the interpreter's, and one check per pivot and multiplier
+    /// after the elimination, which no longer stops at the first that
+    /// fails (a refused factorization is unspecified either way); and
+    /// `pub(crate) const COMPILED_LU`, its `L = 1` instance
+    /// ([`CompiledLu::of`]). `regenerate` is the command that rewrites the
+    /// file, quoted in its header. The output is `rustfmt`-clean.
     pub fn emit_compiled_lu(&self, regenerate: &str) -> String {
         use std::fmt::Write;
 
         let (dim, nnz) = (self.dim, self.nnz());
+        let positions = self.lu_positions();
+        let at = |dense: usize| {
+            positions
+                .binary_search(&dense)
+                .expect("every position the LU touches is in L + U")
+        };
         let mut out = String::new();
         macro_rules! emit {
             ($($arg:tt)*) => {
@@ -650,86 +707,124 @@ impl JacobianPattern {
         emit!("// @generated by `pathway_ode::JacobianPattern::emit_compiled_lu`: do not edit.");
         emit!("// Regenerate with `{regenerate}`.");
         emit!();
+        emit!("use pathway_ode::lanes::{{self, LaneLu}};");
         emit!("use pathway_ode::CompiledLu;");
         emit!();
         emit!("/// The static-pivot LU of a {dim}x{dim} pattern with {nnz} non-zeros,");
         emit!(
-            "/// {} in `L + U` and {} updates, in straight-line code.",
+            "/// {} in `L + U` and {} updates, in straight-line code over `L` lanes.",
             self.lu_nnz(),
             self.update_flops()
         );
-        emit!("pub(crate) const COMPILED_LU: CompiledLu = CompiledLu {{");
-        emit!("    fingerprint: {:#018x},", self.fingerprint());
-        emit!("    factor,");
-        emit!("    substitute,");
-        emit!("}};");
+        emit!("#[derive(Debug, Clone, Copy)]");
+        emit!("pub struct Kernel;");
+        emit!();
+        emit!("/// The kernel's `L = 1` instance, for the scalar solve.");
+        emit!("pub(crate) const COMPILED_LU: CompiledLu = CompiledLu::of::<Kernel>();");
         emit!();
         emit!("const MIN_PIVOT: f64 = {MIN_PIVOT:?};");
         emit!("const MAX_MULTIPLIER: f64 = {MAX_MULTIPLIER:?};");
         emit!();
-        emit!("fn factor(diagonal: f64, values: &[f64], lu: &mut [f64], inverse_pivots: &mut [f64]) -> bool {{");
-        emit!("    let values: &[f64; {nnz}] = values.try_into().expect(\"values of S\");");
+        emit!("impl LaneLu for Kernel {{");
+        emit!("    const FINGERPRINT: u64 = {:#018x};", self.fingerprint());
+        emit!();
+        emit!("    #[inline(always)]");
+        emit!("    fn factor<const L: usize>(");
+        emit!("        diagonal: [f64; L],");
+        emit!("        values: &[[f64; L]],");
+        emit!("        lu: &mut [[f64; L]],");
+        emit!("        inverse_pivots: &mut [[f64; L]],");
+        emit!("    ) -> [bool; L] {{");
         emit!(
-            "    let lu: &mut [f64; {}] = lu.try_into().expect(\"LU storage\");",
-            dim * dim
+            "        let values: &[[f64; L]; {nnz}] = values.try_into().expect(\"values of S\");"
         );
-        emit!("    let inverse_pivots: &mut [f64; {dim}] = inverse_pivots.try_into().expect(\"pivots\");");
+        emit!(
+            "        let lu: &mut [[f64; L]; {}] = lu.try_into().expect(\"LU storage\");",
+            positions.len()
+        );
+        emit!("        let inverse_pivots: &mut [[f64; L]; {dim}] = inverse_pivots.try_into().expect(\"pivots\");");
         for &p in &self.fill {
-            emit!("    lu[{p}] = 0.0;");
+            emit!("        lu[{}] = [0.0; L];", at(p));
         }
         for (value, &p) in self.scatter.iter().enumerate() {
-            emit!("    lu[{p}] = -values[{value}];");
+            emit!("        lu[{}] = lanes::neg(values[{value}]);", at(p));
         }
         for k in 0..dim {
-            emit!("    lu[{}] += diagonal;", k * dim + k);
+            let p = k * dim + k;
+            let p = at(p);
+            emit!("        lu[{p}] = lanes::add(lu[{p}], diagonal);");
         }
         for k in 0..dim {
-            emit!("    // Pivot {k}: state {}.", self.order[k]);
-            emit!("    let pivot = lu[{}];", k * dim + k);
-            emit!("    if pivot.is_nan() || pivot.abs() < MIN_PIVOT {{");
-            emit!("        return false;");
-            emit!("    }}");
-            emit!("    let inverse = 1.0 / pivot;");
-            emit!("    inverse_pivots[{k}] = inverse;");
+            emit!("        // Pivot {k}: state {}.", self.order[k]);
+            emit!(
+                "        let inverse = lanes::recip(lu[{}]);",
+                at(k * dim + k)
+            );
+            emit!("        inverse_pivots[{k}] = inverse;");
             let column = self.elimination_start[k]..self.elimination_start[k + 1];
             for e in &self.eliminations[column] {
-                emit!("    let l = lu[{}] * inverse;", e.multiplier);
-                emit!("    if l.is_nan() || l.abs() > MAX_MULTIPLIER {{");
-                emit!("        return false;");
-                emit!("    }}");
-                emit!("    lu[{}] = l;", e.multiplier);
+                let multiplier = at(e.multiplier);
+                emit!("        let l = lanes::mul(lu[{multiplier}], inverse);");
+                emit!("        lu[{multiplier}] = l;");
                 for &(target, source) in &self.updates[e.updates.0..e.updates.1] {
-                    emit!("    lu[{target}] -= l * lu[{source}];");
+                    let (target, source) = (at(target), at(source));
+                    emit!("        lu[{target}] = lanes::sub_mul(lu[{target}], l, lu[{source}]);");
                 }
             }
         }
-        emit!("    true");
-        emit!("}}");
+        emit!("        // The checks, once the elimination is done: no later update");
+        emit!("        // writes a pivot or a multiplier, so each is read as it was used.");
+        emit!("        let mut held = [true; L];");
+        for k in 0..dim {
+            emit!(
+                "        lanes::hold_pivot(&mut held, lu[{}], MIN_PIVOT);",
+                at(k * dim + k)
+            );
+        }
+        for e in &self.eliminations {
+            emit!(
+                "        lanes::hold_multiplier(&mut held, lu[{}], MAX_MULTIPLIER);",
+                at(e.multiplier)
+            );
+        }
+        emit!("        held");
+        emit!("    }}");
         emit!();
-        emit!("fn substitute(lu: &[f64], inverse_pivots: &[f64], a: &mut [f64], b: &mut [f64]) {{");
+        emit!("    #[inline(always)]");
+        emit!("    fn substitute<const L: usize>(");
+        emit!("        lu: &[[f64; L]],");
+        emit!("        inverse_pivots: &[[f64; L]],");
+        emit!("        a: &mut [[f64; L]],");
+        emit!("        b: &mut [[f64; L]],");
+        emit!("    ) {{");
         emit!(
-            "    let lu: &[f64; {}] = lu.try_into().expect(\"LU storage\");",
-            dim * dim
+            "        let lu: &[[f64; L]; {}] = lu.try_into().expect(\"LU storage\");",
+            positions.len()
+        );
+        emit!("        let inverse_pivots: &[[f64; L]; {dim}] = inverse_pivots.try_into().expect(\"pivots\");");
+        emit!(
+            "        let a: &mut [[f64; L]; {dim}] = a.try_into().expect(\"one entry per state\");"
         );
         emit!(
-            "    let inverse_pivots: &[f64; {dim}] = inverse_pivots.try_into().expect(\"pivots\");"
+            "        let b: &mut [[f64; L]; {dim}] = b.try_into().expect(\"one entry per state\");"
         );
-        emit!("    let a: &mut [f64; {dim}] = a.try_into().expect(\"one entry per state\");");
-        emit!("    let b: &mut [f64; {dim}] = b.try_into().expect(\"one entry per state\");");
         for (k, &i) in self.order.iter().enumerate() {
             for &(p, j) in &self.lower[self.lower_start[k]..self.lower_start[k + 1]] {
-                emit!("    a[{i}] -= lu[{p}] * a[{j}];");
-                emit!("    b[{i}] -= lu[{p}] * b[{j}];");
+                let p = at(p);
+                emit!("        a[{i}] = lanes::sub_mul(a[{i}], lu[{p}], a[{j}]);");
+                emit!("        b[{i}] = lanes::sub_mul(b[{i}], lu[{p}], b[{j}]);");
             }
         }
         for (k, &i) in self.order.iter().enumerate().rev() {
             for &(p, j) in &self.upper[self.upper_start[k]..self.upper_start[k + 1]] {
-                emit!("    a[{i}] -= lu[{p}] * a[{j}];");
-                emit!("    b[{i}] -= lu[{p}] * b[{j}];");
+                let p = at(p);
+                emit!("        a[{i}] = lanes::sub_mul(a[{i}], lu[{p}], a[{j}]);");
+                emit!("        b[{i}] = lanes::sub_mul(b[{i}], lu[{p}], b[{j}]);");
             }
-            emit!("    a[{i}] *= inverse_pivots[{k}];");
-            emit!("    b[{i}] *= inverse_pivots[{k}];");
+            emit!("        a[{i}] = lanes::mul(a[{i}], inverse_pivots[{k}]);");
+            emit!("        b[{i}] = lanes::mul(b[{i}], inverse_pivots[{k}]);");
         }
+        emit!("    }}");
         emit!("}}");
         out
     }
@@ -754,8 +849,10 @@ pub struct SparsePlusRankOne {
     values: Vec<f64>,
     u: Vector,
     g: Vector,
-    /// Dense `dim × dim` storage of the static-pivot LU of the permuted
-    /// `M`; only the pattern's `L + U` positions are ever read.
+    /// Storage of the static-pivot LU of the permuted `M`: compact
+    /// ([`JacobianPattern::lu_positions`]) for a compiled LU, dense
+    /// `dim × dim` for the interpreter, which reads only the positions of
+    /// `L + U`.
     lu: Vec<f64>,
     /// `1 / u_kk` of the last factorization.
     inverse_pivots: Vec<f64>,
@@ -771,7 +868,13 @@ impl SparsePlusRankOne {
             values: vec![0.0; pattern.nnz()],
             u: Vector::zeros(dim),
             g: Vector::zeros(dim),
-            lu: vec![0.0; dim * dim],
+            lu: vec![
+                0.0;
+                match pattern.compiled {
+                    Some(_) => pattern.lu_nnz(),
+                    None => dim * dim,
+                }
+            ],
             inverse_pivots: vec![0.0; dim],
             z: Vector::zeros(dim),
         }
@@ -808,20 +911,12 @@ impl SparsePlusRankOne {
             Some(compiled) => (compiled.substitute)(lu, inverse_pivots, z, w),
             None => pattern.interpret_substitute(lu, inverse_pivots, z, w),
         }
-        let gz = self
-            .g
-            .dot(&self.z)
-            .expect("dimensions match by construction");
-        let gw = self.g.dot(delta).expect("dimensions match by construction");
-        let denominator = 1.0 - gz;
-        if !denominator.is_finite() || denominator.abs() < MIN_DENOMINATOR * gz.abs().max(1.0) {
-            return false;
-        }
-        let scale = gw / denominator;
-        for (d, &z) in delta.as_mut_slice().iter_mut().zip(self.z.as_slice()) {
-            *d += scale * z;
-        }
-        true
+        let [held] = lanes::sherman_morrison(
+            self.g.as_slice().as_chunks().0,
+            z.as_chunks().0,
+            w.as_chunks_mut().0,
+        );
+        held
     }
 }
 
@@ -904,18 +999,32 @@ mod tests {
         let count = |needle: &str| source.lines().filter(|l| l.contains(needle)).count();
         let multipliers = pattern.eliminations.len();
         assert!(source.contains("// Regenerate with `regenerate-command`."));
-        assert_eq!(count("] = 0.0;"), pattern.lu_nnz() - pattern.nnz(), "fill");
-        assert_eq!(count("] = -values["), pattern.nnz(), "scatter");
-        assert_eq!(count("] += diagonal;"), 12, "shifts");
-        assert_eq!(count("let pivot = lu["), 12, "pivots");
-        assert_eq!(count("let l = lu["), multipliers, "multipliers");
-        assert_eq!(count("l.abs() > MAX_MULTIPLIER"), multipliers);
-        assert_eq!(count("-= l * lu["), pattern.update_flops(), "updates");
+        assert_eq!(
+            count("] = [0.0; L];"),
+            pattern.lu_nnz() - pattern.nnz(),
+            "fill"
+        );
+        assert_eq!(count("] = lanes::neg(values["), pattern.nnz(), "scatter");
+        assert_eq!(count("], diagonal);"), 12, "shifts");
+        assert_eq!(count("let inverse = lanes::recip(lu["), 12, "pivots");
+        assert_eq!(count("], MIN_PIVOT);"), 12, "pivot checks");
+        assert_eq!(count("let l = lanes::mul(lu["), multipliers, "multipliers");
+        assert_eq!(
+            count("], MAX_MULTIPLIER);"),
+            multipliers,
+            "multiplier checks"
+        );
+        assert_eq!(
+            count("lanes::sub_mul(lu["),
+            pattern.update_flops(),
+            "updates"
+        );
         // One term per off-diagonal entry of `L + U` and right-hand side,
         // one scaling per pivot and right-hand side.
         let terms = 2 * (pattern.lu_nnz() - 12);
-        assert_eq!(count("] -= lu["), terms, "substitution terms");
-        assert_eq!(count("] *= inverse_pivots["), 2 * 12, "scalings");
+        let sides = |op: &str| count(&format!("{op}(a[")) + count(&format!("{op}(b["));
+        assert_eq!(sides("lanes::sub_mul"), terms, "substitution terms");
+        assert_eq!(sides("lanes::mul"), 2 * 12, "scalings");
         assert!(source.contains(&format!("{:#018x}", pattern.fingerprint())));
     }
 

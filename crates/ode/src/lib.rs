@@ -10,7 +10,10 @@
 //!   step grows until they are Newton steps. This is how uptake rates are
 //!   evaluated. A system can supply its Jacobian as a sparse part plus a
 //!   rank-one term ([`OdeSystem::jacobian`], [`SparsePlusRankOne`]), which
-//!   makes each step a sparse solve.
+//!   makes each step a sparse solve. Its step rule lives in
+//!   [`PseudoTransientSolve`], so a caller that steps several solves in
+//!   lockstep, one per lane of `[f64; L]` ([`lanes`]), takes the scalar
+//!   loop's decisions bit for bit.
 //! * [`BackwardEuler`] — a semi-implicit first-order method with a damped
 //!   Newton corrector and finite-difference Jacobian, for stiff transients.
 //!   It is the long reference march that pins [`PseudoTransient`]'s
@@ -45,6 +48,7 @@
 mod error;
 mod implicit;
 mod jacobian;
+pub mod lanes;
 mod stats;
 mod steady_state;
 mod system;
@@ -54,8 +58,9 @@ pub use implicit::BackwardEuler;
 pub use jacobian::{
     CompiledLu, Jacobian, JacobianPattern, LuFactor, LuSubstitute, SparsePlusRankOne,
 };
+pub use lanes::{LaneLu, SparsePlusRankOneLanes};
 pub use stats::IntegrationStats;
-pub use steady_state::{PseudoTransient, SteadyState};
+pub use steady_state::{Advance, PseudoTransient, PseudoTransientSolve, SteadyState};
 pub use system::{IntegrationResult, OdeSystem};
 
 /// Convenience alias for results produced by this crate.

@@ -123,12 +123,33 @@ impl PseudoTransient {
         self.run(system, y0, Some(reference))
     }
 
-    fn run<S: OdeSystem>(
-        &self,
-        system: &S,
-        y0: Vector,
-        reference: Option<&Vector>,
-    ) -> crate::Result<SteadyState> {
+    /// A solve from a state whose right-hand side has max-norm
+    /// `residual_norm`, one right-hand-side call already counted, at the
+    /// initial pseudo-time step. [`PseudoTransientSolve::run`] finishes it
+    /// on the scalar path; a lane-batched caller drives its
+    /// [`PseudoTransientSolve::advance`] and
+    /// [`PseudoTransientSolve::decide`] itself.
+    ///
+    /// # Errors
+    ///
+    /// [`OdeError::InvalidParameter`] if the step or tolerance is not
+    /// strictly positive, or the budget is zero.
+    pub fn begin(&self, residual_norm: f64) -> crate::Result<PseudoTransientSolve> {
+        self.validate()?;
+        Ok(PseudoTransientSolve {
+            dt: self.step,
+            norm: residual_norm,
+            tolerance: self.tolerance,
+            max_steps: self.max_steps,
+            jacobian_current: false,
+            stats: IntegrationStats {
+                rhs_evaluations: 1,
+                ..IntegrationStats::new()
+            },
+        })
+    }
+
+    fn validate(&self) -> crate::Result<()> {
         if !crate::is_strictly_positive(self.step) || !crate::is_strictly_positive(self.tolerance) {
             return Err(OdeError::InvalidParameter(
                 "pseudo-transient step and tolerance must be positive".into(),
@@ -139,50 +160,191 @@ impl PseudoTransient {
                 "pseudo-transient step budget must be positive".into(),
             ));
         }
+        Ok(())
+    }
+
+    fn run<S: OdeSystem>(
+        &self,
+        system: &S,
+        y0: Vector,
+        reference: Option<&Vector>,
+    ) -> crate::Result<SteadyState> {
+        self.validate()?;
         validate_inputs(system, &y0, 0.0, 0.0)?;
 
         let dim = system.dim();
-        let mut stats = IntegrationStats::new();
-        let mut ws = NewtonWorkspace::new(dim);
-        let mut y = y0;
         let mut f = Vector::zeros(dim);
-        system.rhs(0.0, &y, &mut f);
-        stats.rhs_evaluations += 1;
-        let mut norm = f.norm_inf();
-        let mut dt = self.step;
+        system.rhs(0.0, &y0, &mut f);
+        let mut solve = self.begin(f.norm_inf())?;
         if let Some(reference) = reference {
-            system.rhs(0.0, reference, &mut ws.f1);
-            stats.rhs_evaluations += 1;
-            let scaled = self.step * ws.f1.norm_inf() / norm;
+            let mut f_reference = Vector::zeros(dim);
+            system.rhs(0.0, reference, &mut f_reference);
+            solve.stats.rhs_evaluations += 1;
+            let scaled = self.step * f_reference.norm_inf() / solve.norm;
             if scaled.is_finite() && scaled > 0.0 {
-                dt = scaled;
+                solve.dt = scaled;
             }
         }
+        solve.run(system, y0, f)
+    }
+}
+
+/// One pseudo-transient solve in progress: its pseudo-time step, the
+/// max-norm of the residual at its state, its work, and whether it holds
+/// the Jacobian at that state. It carries the whole step rule of
+/// [`PseudoTransient`], in two methods: [`PseudoTransientSolve::advance`]
+/// (the scaled-residual test and the step budget) before a step, and
+/// [`PseudoTransientSolve::decide`] (switched evolution relaxation, or
+/// reject and divide by 4) after it. The scalar loop
+/// ([`PseudoTransientSolve::run`]) and every lane of a lane-batched solve
+/// call them, so a change to the rule is made here once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PseudoTransientSolve {
+    dt: f64,
+    norm: f64,
+    tolerance: f64,
+    max_steps: usize,
+    jacobian_current: bool,
+    stats: IntegrationStats,
+}
+
+/// What [`PseudoTransientSolve::advance`] decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Advance {
+    /// Take a step: solve `(diagonal·I − J) δ = f(y)`, with the Jacobian
+    /// `J` at `y` filled first if `fresh_jacobian` (otherwise the one the
+    /// rejected step used still holds), try `y + δ`, and hand the outcome
+    /// to [`PseudoTransientSolve::decide`].
+    Step {
+        /// `1 / dt`.
+        diagonal: f64,
+        /// Whether the Jacobian must be filled (and was counted).
+        fresh_jacobian: bool,
+    },
+    /// The scaled residual is within the tolerance: `y` is the steady
+    /// state.
+    Settled {
+        /// `‖f(y)‖∞ / (1 + ‖y‖∞)`.
+        residual: f64,
+    },
+    /// The step budget ran out first.
+    Exhausted {
+        /// `‖f(y)‖∞ / (1 + ‖y‖∞)`.
+        residual: f64,
+    },
+}
+
+impl PseudoTransientSolve {
+    /// Decides the next move at a state of max-norm `state_norm`: settled
+    /// when the scaled residual `‖f‖∞ / (1 + ‖y‖∞)` is at most the
+    /// tolerance, exhausted when the budget of attempted steps is spent,
+    /// and otherwise a step, whose Jacobian (when fresh) and Newton
+    /// iteration it counts.
+    #[inline]
+    pub fn advance(&mut self, state_norm: f64) -> Advance {
+        let residual = self.norm / (1.0 + state_norm);
+        if residual <= self.tolerance {
+            return Advance::Settled { residual };
+        }
+        if self.stats.steps_attempted() >= self.max_steps {
+            return Advance::Exhausted { residual };
+        }
+        let fresh_jacobian = !self.jacobian_current;
+        if fresh_jacobian {
+            self.stats.jacobian_evaluations += 1;
+            self.jacobian_current = true;
+        }
+        self.stats.newton_iterations += 1;
+        Advance::Step {
+            diagonal: 1.0 / self.dt,
+            fresh_jacobian,
+        }
+    }
+
+    /// Decides the step [`PseudoTransientSolve::advance`] asked for, given
+    /// the max-norm of the right-hand side at the trial state, or `None`
+    /// when the Newton solve failed or the trial state or its right-hand
+    /// side is not finite. An accepted trial grows the step by switched
+    /// evolution relaxation, `dt ← dt · ‖f_old‖ / ‖f_new‖`, and makes the
+    /// Jacobian stale; a rejected one divides the step by 4. Returns
+    /// whether the trial was accepted: the caller then moves to it.
+    #[inline]
+    pub fn decide(&mut self, trial_norm: Option<f64>) -> bool {
+        match trial_norm {
+            Some(trial_norm) => {
+                self.dt *= self.norm / trial_norm;
+                self.norm = trial_norm;
+                self.jacobian_current = false;
+                self.stats.steps_accepted += 1;
+                true
+            }
+            None => {
+                self.dt /= 4.0;
+                self.stats.steps_rejected += 1;
+                false
+            }
+        }
+    }
+
+    /// The work so far.
+    pub fn stats(&self) -> IntegrationStats {
+        self.stats
+    }
+
+    /// The work so far, for the caller to count the right-hand-side calls
+    /// and dense fallbacks it makes.
+    pub fn stats_mut(&mut self) -> &mut IntegrationStats {
+        &mut self.stats
+    }
+
+    /// Finishes the solve on the scalar path from state `y`, where the
+    /// right-hand side is `f`. A solve that holds its Jacobian as current
+    /// (a lane handed over after a rejected step) fills it again, uncounted:
+    /// it is a function of `y` alone.
+    ///
+    /// # Errors
+    ///
+    /// [`OdeError::SteadyStateNotReached`] if the budget runs out.
+    pub fn run<S: OdeSystem>(
+        mut self,
+        system: &S,
+        mut y: Vector,
+        mut f: Vector,
+    ) -> crate::Result<SteadyState> {
+        let dim = system.dim();
+        let mut ws = NewtonWorkspace::new(dim);
         let mut f_trial = Vector::zeros(dim);
-        // The Jacobian at `y`; a rejected step retries with the same one.
-        let mut jacobian_current = false;
-
+        let mut filled = false;
         loop {
-            let residual = norm / (1.0 + y.norm_inf());
-            if residual <= self.tolerance {
-                return Ok(SteadyState {
-                    state: y,
-                    residual,
-                    stats,
-                });
-            }
-            if stats.steps_attempted() >= self.max_steps {
-                return Err(OdeError::SteadyStateNotReached { residual, stats });
-            }
-
-            if !jacobian_current {
-                stats.rhs_evaluations += system.jacobian(0.0, &y, &f, &mut ws.jacobian);
-                stats.jacobian_evaluations += 1;
-                jacobian_current = true;
+            let (diagonal, fresh_jacobian) = match self.advance(y.norm_inf()) {
+                Advance::Step {
+                    diagonal,
+                    fresh_jacobian,
+                } => (diagonal, fresh_jacobian),
+                Advance::Settled { residual } => {
+                    return Ok(SteadyState {
+                        state: y,
+                        residual,
+                        stats: self.stats,
+                    })
+                }
+                Advance::Exhausted { residual } => {
+                    return Err(OdeError::SteadyStateNotReached {
+                        residual,
+                        stats: self.stats,
+                    })
+                }
+            };
+            if fresh_jacobian || !filled {
+                let calls = system.jacobian(0.0, &y, &f, &mut ws.jacobian);
+                if fresh_jacobian {
+                    self.stats.rhs_evaluations += calls;
+                }
+                filled = true;
             }
             ws.residual.as_mut_slice().copy_from_slice(f.as_slice());
-            stats.newton_iterations += 1;
-            if ws.solve_shifted(1.0 / dt, &mut stats).is_ok() {
+            let mut trial_norm = None;
+            if ws.solve_shifted(diagonal, &mut self.stats).is_ok() {
                 ws.candidate.as_mut_slice().copy_from_slice(y.as_slice());
                 ws.candidate
                     .axpy_mut(1.0, &ws.delta)
@@ -190,21 +352,16 @@ impl PseudoTransient {
                 system.project(0.0, &mut ws.candidate);
                 if ws.candidate.is_finite() {
                     system.rhs(0.0, &ws.candidate, &mut f_trial);
-                    stats.rhs_evaluations += 1;
+                    self.stats.rhs_evaluations += 1;
                     if f_trial.is_finite() {
-                        let trial_norm = f_trial.norm_inf();
-                        dt *= norm / trial_norm;
-                        norm = trial_norm;
-                        std::mem::swap(&mut y, &mut ws.candidate);
-                        std::mem::swap(&mut f, &mut f_trial);
-                        jacobian_current = false;
-                        stats.steps_accepted += 1;
-                        continue;
+                        trial_norm = Some(f_trial.norm_inf());
                     }
                 }
             }
-            dt /= 4.0;
-            stats.steps_rejected += 1;
+            if self.decide(trial_norm) {
+                std::mem::swap(&mut y, &mut ws.candidate);
+                std::mem::swap(&mut f, &mut f_trial);
+            }
         }
     }
 }

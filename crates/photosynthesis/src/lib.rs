@@ -43,6 +43,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+/// Lane-batched steady states: several designs per Newton step.
+mod batch;
 /// The static-pivot LU of [`CalvinCycleOde`]'s Jacobian, compiled to
 /// straight-line code by `JacobianPattern::emit_compiled_lu` and attached to
 /// [`CalvinCycleOde::jacobian_pattern`]. Generated: the test
@@ -58,11 +60,12 @@ pub mod rate_laws;
 mod scenario;
 mod uptake;
 
+pub use calvin_lu::Kernel as CalvinLu;
 pub use enzyme::{Enzyme, KineticConstants};
 pub use enzymes::{enzyme_table, EnzymeKind, ENZYME_COUNT};
 pub use model::{CalvinCycleOde, MetabolitePool, OdeUptakeEvaluator, POOL_COUNT};
 pub use partition::EnzymePartition;
 /// The solver types [`OdeUptakeEvaluator`] returns.
-pub use pathway_ode::{IntegrationStats, OdeError};
+pub use pathway_ode::{IntegrationStats, OdeError, SteadyState};
 pub use scenario::{CarbonDioxideEra, Scenario, TriosePhosphateExport};
 pub use uptake::{LimitingFactor, UptakeModel, UptakeResult};

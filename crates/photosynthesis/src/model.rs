@@ -1,10 +1,12 @@
 use std::sync::OnceLock;
 
 use pathway_linalg::Vector;
+use pathway_ode::lanes::{self, LaneParts};
 use pathway_ode::{
     BackwardEuler, Jacobian, JacobianPattern, OdeError, OdeSystem, PseudoTransient, SteadyState,
 };
 
+use crate::calvin_lu;
 use crate::enzymes::{EnzymeKind, ENZYME_COUNT};
 use crate::partition::EnzymePartition;
 use crate::rate_laws;
@@ -125,6 +127,9 @@ const PHOSPHATE_GROUPS: [f64; POOL_COUNT] = {
 /// The floor under free phosphate (mmol/l).
 const PHOSPHATE_FLOOR: f64 = 1e-3;
 
+/// The range [`OdeSystem::project`] clamps every pool to (mmol/l).
+pub(crate) const STATE_BOUNDS: (f64, f64) = (0.0, 100.0);
+
 /// How a reaction's rate depends on the state, given its rate constant
 /// `k`; every form is linear in `k`.
 #[derive(Clone, Copy)]
@@ -160,49 +165,44 @@ impl Kinetics {
         a.into_iter().chain(b)
     }
 
+    /// The rate at rate constant `k`, reading each pool's concentration
+    /// through `y`.
     #[inline(always)]
-    fn rate(self, k: f64, y: &[f64]) -> f64 {
+    fn rate(self, k: f64, y: impl Fn(MetabolitePool) -> f64) -> f64 {
         use Kinetics as K;
         match self {
             K::Constant => k,
-            K::FirstOrder(s) => k * y[s.index()].max(0.0),
-            K::MichaelisMenten(km, s) => rate_laws::michaelis_menten(k, km, y[s.index()]),
+            K::FirstOrder(s) => k * y(s).max(0.0),
+            K::MichaelisMenten(km, s) => rate_laws::michaelis_menten(k, km, y(s)),
             K::TwoSubstrates(a, b) => rate_laws::michaelis_menten_two_substrates(
                 k,
                 TWO_SUBSTRATE_KM,
-                y[a.index()],
+                y(a),
                 TWO_SUBSTRATE_KM,
-                y[b.index()],
+                y(b),
             ),
-            K::InhibitedByF26bp { km, s, ki } => rate_laws::competitive_inhibition(
-                k,
-                km,
-                y[s.index()],
-                y[MetabolitePool::F26bp.index()],
-                ki,
-            ),
+            K::InhibitedByF26bp { km, s, ki } => {
+                rate_laws::competitive_inhibition(k, km, y(s), y(MetabolitePool::F26bp), ki)
+            }
         }
     }
 
     /// The rate's partial derivatives by its [`Kinetics::substrates`], in
     /// order; entries past the substrate count are 0.
     #[inline(always)]
-    fn gradient(self, k: f64, y: &[f64]) -> [f64; 2] {
+    fn gradient(self, k: f64, y: impl Fn(MetabolitePool) -> f64) -> [f64; 2] {
         use Kinetics as K;
         match self {
             K::Constant => [0.0; 2],
-            K::FirstOrder(s) => [if y[s.index()] < 0.0 { 0.0 } else { k }, 0.0],
-            K::MichaelisMenten(km, s) => [
-                rate_laws::michaelis_menten_derivative(k, km, y[s.index()]),
-                0.0,
-            ],
+            K::FirstOrder(s) => [if y(s) < 0.0 { 0.0 } else { k }, 0.0],
+            K::MichaelisMenten(km, s) => [rate_laws::michaelis_menten_derivative(k, km, y(s)), 0.0],
             K::TwoSubstrates(a, b) => {
                 let (da, db) = rate_laws::michaelis_menten_two_substrates_gradient(
                     k,
                     TWO_SUBSTRATE_KM,
-                    y[a.index()],
+                    y(a),
                     TWO_SUBSTRATE_KM,
-                    y[b.index()],
+                    y(b),
                 );
                 [da, db]
             }
@@ -210,8 +210,8 @@ impl Kinetics {
                 let (ds, di) = rate_laws::competitive_inhibition_gradient(
                     k,
                     km,
-                    y[s.index()],
-                    y[MetabolitePool::F26bp.index()],
+                    y(s),
+                    y(MetabolitePool::F26bp),
                     ki,
                 );
                 [ds, di]
@@ -252,16 +252,19 @@ impl Reaction {
 /// method is inlined at each of the 29 calls, where the reaction is a
 /// constant, so every implementation compiles to straight-line code.
 trait ReactionVisitor {
-    /// Visits one reaction with its rate constant `k`, before any
-    /// phosphate scaling.
-    fn visit(&mut self, k: f64, reaction: Reaction);
+    /// Visits reaction `index` (in visiting order) with its rate constant
+    /// `k`, before any phosphate scaling.
+    fn visit(&mut self, index: usize, k: f64, reaction: Reaction);
 }
+
+/// The number of reactions [`CalvinCycleOde::visit_reactions`] visits.
+const REACTION_COUNT: usize = 29;
 
 /// The structural entries `(i, j)` of the Jacobian's sparse part: each
 /// pool `i` a reaction changes against each pool `j` its rate reads, for
 /// every substrate `j` in order and, within it, in stoichiometry order.
 impl ReactionVisitor for Vec<(usize, usize)> {
-    fn visit(&mut self, _k: f64, reaction: Reaction) {
+    fn visit(&mut self, _index: usize, _k: f64, reaction: Reaction) {
         for j in reaction.kinetics.substrates() {
             self.extend(
                 reaction
@@ -273,58 +276,155 @@ impl ReactionVisitor for Vec<(usize, usize)> {
     }
 }
 
-/// Accumulates every reaction's contribution to the right-hand side.
-struct RateSum<'a> {
-    y: &'a [f64],
-    pi_factor: f64,
-    dydt: &'a mut [f64],
+/// The rate constants of `L` designs, lane `j` holding design `j`'s: every
+/// reaction's `k` before phosphate scaling, in visiting order, and the
+/// dilution and the phosphate total. The lane forms of the right-hand side
+/// and the Jacobian read them here, once per design, in place of a model's
+/// fields.
+#[derive(Debug, Clone)]
+pub(crate) struct RateConstants<const L: usize> {
+    k: [[f64; L]; REACTION_COUNT],
+    dilution: [f64; L],
+    total_phosphate: [f64; L],
 }
 
-impl ReactionVisitor for RateSum<'_> {
+/// Writes every rate constant into one lane of [`RateConstants`].
+struct Collect<'a, const L: usize> {
+    k: &'a mut [[f64; L]; REACTION_COUNT],
+    lane: usize,
+}
+
+impl<const L: usize> ReactionVisitor for Collect<'_, L> {
+    fn visit(&mut self, index: usize, k: f64, _reaction: Reaction) {
+        self.k[index][self.lane] = k;
+    }
+}
+
+impl<const L: usize> RateConstants<L> {
+    /// Every constant zero.
+    pub(crate) fn zeros() -> Self {
+        RateConstants {
+            k: [[0.0; L]; REACTION_COUNT],
+            dilution: [0.0; L],
+            total_phosphate: [0.0; L],
+        }
+    }
+
+    /// Reads `model`'s constants into lane `lane`.
+    pub(crate) fn set(&mut self, lane: usize, model: &CalvinCycleOde) {
+        model.visit_reactions(&mut Collect {
+            k: &mut self.k,
+            lane,
+        });
+        self.dilution[lane] = model.dilution;
+        self.total_phosphate[lane] = model.total_phosphate;
+    }
+}
+
+/// The total phosphate minus the phosphate bound in the tracked pools of
+/// each lane, before the floor [`PHOSPHATE_FLOOR`].
+#[inline(always)]
+fn unfloored_phosphate<const L: usize>(
+    total_phosphate: [f64; L],
+    y: &[[f64; L]; POOL_COUNT],
+) -> [f64; L] {
+    let mut bound = [lanes::sum_identity(); L];
+    for (&groups, y) in PHOSPHATE_GROUPS.iter().zip(y) {
+        for (bound, c) in bound.iter_mut().zip(y) {
+            *bound += groups * c.max(0.0);
+        }
+    }
+    let mut unfloored = total_phosphate;
+    for (unfloored, bound) in unfloored.iter_mut().zip(bound) {
+        *unfloored -= bound;
+    }
+    unfloored
+}
+
+/// Accumulates every reaction's contribution to the right-hand side of
+/// each lane.
+struct RateSum<'a, const L: usize> {
+    k: &'a [[f64; L]; REACTION_COUNT],
+    y: &'a [[f64; L]; POOL_COUNT],
+    pi_factor: [f64; L],
+    dydt: &'a mut [[f64; L]; POOL_COUNT],
+}
+
+impl<const L: usize> ReactionVisitor for RateSum<'_, L> {
     #[inline(always)]
-    fn visit(&mut self, k: f64, reaction: Reaction) {
-        let v = reaction
-            .kinetics
-            .rate(reaction.scaled(k, self.pi_factor), self.y);
+    fn visit(&mut self, index: usize, _k: f64, reaction: Reaction) {
+        let (k, y) = (self.k[index], self.y);
+        let mut v = [0.0; L];
+        for j in 0..L {
+            let k = reaction.scaled(k[j], self.pi_factor[j]);
+            v[j] = reaction.kinetics.rate(k, |pool| y[pool.index()][j]);
+        }
         for &(pool, n) in reaction.stoichiometry {
-            self.dydt[pool.index()] += n * v;
+            for (d, v) in self.dydt[pool.index()].iter_mut().zip(v) {
+                *d += n * v;
+            }
         }
     }
 }
 
 /// Accumulates every reaction's partial derivatives into `S` (at the
-/// slots of [`JacobianSlots::partials`], in visiting order) and `u`.
-struct PartialSum<'a> {
-    y: &'a [f64],
-    pi_factor: f64,
+/// slots of [`calvin_lu::PARTIAL_SLOTS`], in visiting order) and `u`, in
+/// each lane.
+struct PartialSum<'a, const L: usize> {
+    k: &'a [[f64; L]; REACTION_COUNT],
+    y: &'a [[f64; L]; POOL_COUNT],
+    pi_factor: [f64; L],
     /// `d(Pi / (Pi + 1)) / dPi`.
-    pi_factor_slope: f64,
-    slots: std::slice::Iter<'a, usize>,
-    s: &'a mut [f64],
-    u: &'a mut [f64],
+    pi_factor_slope: [f64; L],
+    /// The next of [`calvin_lu::PARTIAL_SLOTS`]: a constant once the
+    /// visits are inlined, so every slot is.
+    next: usize,
+    s: &'a mut [[f64; L]],
+    u: &'a mut [[f64; L]],
 }
 
-impl ReactionVisitor for PartialSum<'_> {
+impl<const L: usize> ReactionVisitor for PartialSum<'_, L> {
     #[inline(always)]
-    fn visit(&mut self, k: f64, reaction: Reaction) {
-        let gradient = reaction
-            .kinetics
-            .gradient(reaction.scaled(k, self.pi_factor), self.y);
+    fn visit(&mut self, index: usize, _k: f64, reaction: Reaction) {
+        let (k, y) = (self.k[index], self.y);
+        let mut gradient = [[0.0; L]; 2];
+        for j in 0..L {
+            let k = reaction.scaled(k[j], self.pi_factor[j]);
+            let [a, b] = reaction.kinetics.gradient(k, |pool| y[pool.index()][j]);
+            (gradient[0][j], gradient[1][j]) = (a, b);
+        }
         for (_, partial) in reaction.kinetics.substrates().zip(gradient) {
-            // The stoichiometry leads the zip, so it takes exactly one slot
-            // per entry.
-            for (&(_, n), &slot) in reaction.stoichiometry.iter().zip(&mut self.slots) {
-                self.s[slot] += n * partial;
+            for &(_, n) in reaction.stoichiometry {
+                let slot = calvin_lu::PARTIAL_SLOTS[self.next];
+                self.next += 1;
+                for (s, partial) in self.s[slot].iter_mut().zip(partial) {
+                    *s += n * partial;
+                }
             }
         }
         if reaction.phosphorylating {
             // The rate is `k · law(y) · Pi / (Pi + 1)`.
-            let dv_dpi = reaction.kinetics.rate(k * self.pi_factor_slope, self.y);
+            let mut dv_dpi = [0.0; L];
+            for j in 0..L {
+                let k = k[j] * self.pi_factor_slope[j];
+                dv_dpi[j] = reaction.kinetics.rate(k, |pool| y[pool.index()][j]);
+            }
             for &(pool, n) in reaction.stoichiometry {
-                self.u[pool.index()] += n * dv_dpi;
+                for (u, dv_dpi) in self.u[pool.index()].iter_mut().zip(dv_dpi) {
+                    *u += n * dv_dpi;
+                }
             }
         }
     }
+}
+
+/// A state vector as one lane.
+fn one_lane(y: &Vector) -> &[[f64; 1]; POOL_COUNT] {
+    y.as_slice()
+        .as_chunks()
+        .0
+        .try_into()
+        .expect("one entry per pool")
 }
 
 /// Dynamic ODE model of the C3 carbon-metabolism pathway.
@@ -366,23 +466,20 @@ pub struct CalvinCycleOde {
     /// First-order dilution applied to every pool (1/s); keeps the system
     /// damped and guarantees a steady state exists.
     dilution: f64,
+    /// The constants above as [`CalvinCycleOde::visit_reactions`] hands
+    /// them out, for the right-hand side and the Jacobian: the `L = 1`
+    /// instance of their lane forms.
+    constants: RateConstants<1>,
 }
 
 /// The command that rewrites `src/calvin_lu.rs` from the reactions.
 const REGENERATE_COMPILED_LU: &str = "cargo run -p pathway-photosynthesis --example emit_calvin_lu";
 
-/// Where the partial derivatives of [`CalvinCycleOde`]'s reactions land
-/// among the values of its Jacobian's sparse part `S`.
-struct JacobianSlots {
-    /// The pattern of `S`.
-    pattern: JacobianPattern,
-    /// The slot of every diagonal entry, in pool order.
-    diagonal: Vec<usize>,
-    /// In the order of [`CalvinCycleOde::visit_reactions`], for each
-    /// reaction's substrates `j` and, within each, the pools `i` of its
-    /// stoichiometry: the slot of `(i, j)`.
-    partials: Vec<usize>,
-}
+/// The pattern of [`CalvinCycleOde`]'s Jacobian's sparse part `S`, and
+/// where the partial derivatives of its reactions land among the values of
+/// `S`: [`calvin_lu::PARTIAL_SLOTS`] and [`calvin_lu::DIAGONAL_SLOTS`],
+/// generated with the compiled LU.
+struct JacobianSlots;
 
 impl JacobianSlots {
     /// The `(i, j)` partial of every reaction, in visiting order.
@@ -395,20 +492,30 @@ impl JacobianSlots {
         entries
     }
 
-    /// The slots, on the pattern with its compiled LU
-    /// ([`crate::calvin_lu`]) attached.
-    fn get() -> &'static JacobianSlots {
-        static SLOTS: OnceLock<JacobianSlots> = OnceLock::new();
-        SLOTS.get_or_init(|| {
+    /// The slot of every diagonal entry in pool order, then of every
+    /// reaction's partials in visiting order (for each substrate `j` and,
+    /// within it, each pool `i` of its stoichiometry, the slot of
+    /// `(i, j)`).
+    fn slots(pattern: &JacobianPattern, entries: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+        let slot = |(i, j): (usize, usize)| pattern.slot(i, j).expect("in the pattern");
+        let diagonal = (0..POOL_COUNT).map(|i| slot((i, i))).collect();
+        (diagonal, entries.iter().copied().map(slot).collect())
+    }
+
+    /// The pattern with its compiled LU ([`crate::calvin_lu`]) attached,
+    /// checked against the generated slots.
+    fn pattern() -> &'static JacobianPattern {
+        static PATTERN: OnceLock<JacobianPattern> = OnceLock::new();
+        PATTERN.get_or_init(|| {
             let entries = Self::entries();
             let pattern = JacobianPattern::new(POOL_COUNT, entries.iter().copied())
-                .with_compiled_lu(crate::calvin_lu::COMPILED_LU);
-            let slot = |(i, j): (usize, usize)| pattern.slot(i, j).expect("in the pattern");
-            JacobianSlots {
-                diagonal: (0..POOL_COUNT).map(|i| slot((i, i))).collect(),
-                partials: entries.into_iter().map(slot).collect(),
-                pattern,
-            }
+                .with_compiled_lu(calvin_lu::COMPILED_LU);
+            let (diagonal, partials) = Self::slots(&pattern, &entries);
+            assert!(
+                diagonal == calvin_lu::DIAGONAL_SLOTS && partials == calvin_lu::PARTIAL_SLOTS,
+                "src/calvin_lu.rs is stale: regenerate it with `{REGENERATE_COMPILED_LU}`"
+            );
+            pattern
         })
     }
 }
@@ -423,7 +530,7 @@ impl CalvinCycleOde {
         }
         let ci = scenario.ci();
         let kc_eff = 160.0 * (1.0 + 210.0 / 250.0);
-        CalvinCycleOde {
+        let mut model = CalvinCycleOde {
             carboxylation: vmax[EnzymeKind::Rubisco.index()] * (ci / (ci + kc_eff)),
             vmax,
             phi: UptakeModel::new().oxygenation_ratio(ci),
@@ -431,7 +538,12 @@ impl CalvinCycleOde {
             volume_factor,
             total_phosphate: 30.0,
             dilution: 0.005,
-        }
+            constants: RateConstants::zeros(),
+        };
+        let mut constants = RateConstants::zeros();
+        constants.set(0, &model);
+        model.constants = constants;
+        model
     }
 
     /// Hands every reaction of the Calvin cycle, photorespiration and
@@ -449,8 +561,10 @@ impl CalvinCycleOde {
         };
         use MetabolitePool as P;
         let vmax = |kind: EnzymeKind| self.vmax[kind.index()];
+        let mut index = 0;
         let mut visit = |k, phosphorylating, kinetics, stoichiometry| {
-            visitor.visit(k, Reaction { kinetics, phosphorylating, stoichiometry });
+            visitor.visit(index, k, Reaction { kinetics, phosphorylating, stoichiometry });
+            index += 1;
         };
 
         // Calvin cycle. RuBP is consumed by carboxylation (2 PGA) and by
@@ -518,31 +632,86 @@ impl CalvinCycleOde {
         // degraded by F26BPase.
         visit(0.01, NO_PI, Constant, &[(P::F26bp, 1.0)]);
         visit(vmax(E::F26Bpase), NO_PI, Mm(0.02, P::F26bp), &[(P::F26bp, -1.0)]);
-    }
-
-    /// The total phosphate minus the phosphate bound in the tracked pools,
-    /// before the floor of [`CalvinCycleOde::free_phosphate`].
-    fn unfloored_phosphate(&self, y: &Vector) -> f64 {
-        let bound: f64 = PHOSPHATE_GROUPS
-            .iter()
-            .zip(y.as_slice())
-            .map(|(&groups, &c)| groups * c.max(0.0))
-            .sum();
-        self.total_phosphate - bound
-    }
-
-    /// Free phosphate remaining after subtracting the phosphate bound in the
-    /// tracked pools, clamped to a small positive floor.
-    fn free_phosphate(&self, y: &Vector) -> f64 {
-        self.unfloored_phosphate(y).max(PHOSPHATE_FLOOR)
+        debug_assert_eq!(index, REACTION_COUNT);
     }
 
     /// The Rubisco carboxylation and oxygenation fluxes (mmol l⁻¹ s⁻¹) at
     /// state `y`.
     fn rubisco_fluxes(&self, y: &Vector) -> (f64, f64) {
-        let pi = self.free_phosphate(y);
-        let carboxylation = RUBISCO.rate(self.carboxylation * (pi / (pi + 1.0)), y.as_slice());
+        let [unfloored] = unfloored_phosphate(self.constants.total_phosphate, one_lane(y));
+        let pi = unfloored.max(PHOSPHATE_FLOOR);
+        let carboxylation = RUBISCO.rate(self.carboxylation * (pi / (pi + 1.0)), |pool| {
+            y[pool.index()]
+        });
         (carboxylation, carboxylation * self.phi)
+    }
+
+    /// The right-hand side of `L` designs at once, one per lane, with this
+    /// model's reactions and each lane's `constants`: lane `j` of `dydt` is
+    /// [`OdeSystem::rhs`] of design `j` at lane `j` of `y`, bit for bit.
+    #[inline(always)]
+    pub(crate) fn rhs_lanes<const L: usize>(
+        &self,
+        constants: &RateConstants<L>,
+        y: &[[f64; L]; POOL_COUNT],
+        dydt: &mut [[f64; L]; POOL_COUNT],
+    ) {
+        let mut pi_factor = unfloored_phosphate(constants.total_phosphate, y);
+        for pi_factor in &mut pi_factor {
+            let pi = pi_factor.max(PHOSPHATE_FLOOR);
+            *pi_factor = pi / (pi + 1.0);
+        }
+        for (d, y) in dydt.iter_mut().zip(y) {
+            for ((d, c), dilution) in d.iter_mut().zip(y).zip(constants.dilution) {
+                *d = -dilution * c;
+            }
+        }
+        self.visit_reactions(&mut RateSum {
+            k: &constants.k,
+            y,
+            pi_factor,
+            dydt,
+        });
+    }
+
+    /// The exact Jacobian `S + u·gᵀ` of `L` designs at once, one per lane,
+    /// with this model's reactions and each lane's `constants`: lane `j` of
+    /// `s`, `u` and `g` is what [`OdeSystem::jacobian`] fills for design `j`
+    /// at lane `j` of `y`, bit for bit.
+    #[inline(always)]
+    pub(crate) fn jacobian_lanes<const L: usize>(
+        &self,
+        constants: &RateConstants<L>,
+        y: &[[f64; L]; POOL_COUNT],
+        (s, u, g): LaneParts<'_, L>,
+    ) {
+        let unfloored = unfloored_phosphate(constants.total_phosphate, y);
+        let (mut pi_factor, mut pi_factor_slope) = ([0.0; L], [0.0; L]);
+        for j in 0..L {
+            let pi = unfloored[j].max(PHOSPHATE_FLOOR);
+            pi_factor[j] = pi / (pi + 1.0);
+            pi_factor_slope[j] = 1.0 / ((pi + 1.0) * (pi + 1.0));
+        }
+        for ((g, &groups), y) in g.iter_mut().zip(&PHOSPHATE_GROUPS).zip(y) {
+            for j in 0..L {
+                let floored = unfloored[j] <= PHOSPHATE_FLOOR;
+                g[j] = if floored | (y[j] < 0.0) { 0.0 } else { -groups };
+            }
+        }
+        s.fill([0.0; L]);
+        for slot in calvin_lu::DIAGONAL_SLOTS {
+            s[slot] = lanes::neg(constants.dilution);
+        }
+        u.fill([0.0; L]);
+        self.visit_reactions(&mut PartialSum {
+            k: &constants.k,
+            y,
+            pi_factor,
+            pi_factor_slope,
+            next: 0,
+            s,
+            u,
+        });
     }
 
     /// Net CO₂ uptake (µmol m⁻² s⁻¹) implied by the fluxes at state `y`:
@@ -570,7 +739,7 @@ impl CalvinCycleOde {
     /// against each pool its rate reads. A design's Jacobian can only lack
     /// an entry here, never add one.
     pub fn jacobian_pattern() -> &'static JacobianPattern {
-        &JacobianSlots::get().pattern
+        JacobianSlots::pattern()
     }
 
     /// The source of `src/calvin_lu.rs`, the static-pivot LU of
@@ -578,8 +747,49 @@ impl CalvinCycleOde {
     /// ([`JacobianPattern::emit_compiled_lu`]), emitted from the reactions
     /// as they are now. The crate's `emit_calvin_lu` example writes it.
     pub fn emit_compiled_lu() -> String {
-        JacobianPattern::new(POOL_COUNT, JacobianSlots::entries())
-            .emit_compiled_lu(REGENERATE_COMPILED_LU)
+        use std::fmt::Write;
+
+        let entries = JacobianSlots::entries();
+        let pattern = JacobianPattern::new(POOL_COUNT, entries.iter().copied());
+        let mut source = pattern.emit_compiled_lu(REGENERATE_COMPILED_LU);
+        let (diagonal, partials) = JacobianSlots::slots(&pattern, &entries);
+        for (doc, name, slots) in [
+            (
+                "every diagonal entry, in pool order",
+                "DIAGONAL_SLOTS",
+                diagonal,
+            ),
+            (
+                "every partial of the reactions, in visiting order",
+                "PARTIAL_SLOTS",
+                partials,
+            ),
+        ] {
+            writeln!(source, "\n/// The slot among the values of `S` of {doc}.")
+                .and_then(|()| {
+                    writeln!(
+                        source,
+                        "pub(crate) const {name}: [usize; {}] = [",
+                        slots.len()
+                    )
+                })
+                .expect("a String takes every write");
+            // The rows `rustfmt` packs them into.
+            let mut row = String::new();
+            for slot in slots {
+                let item = format!("{slot},");
+                if 4 + row.len() + 1 + item.len() > 100 {
+                    writeln!(source, "    {row}").expect("a String takes every write");
+                    row.clear();
+                }
+                if !row.is_empty() {
+                    row.push(' ');
+                }
+                row.push_str(&item);
+            }
+            writeln!(source, "    {row}\n];").expect("a String takes every write");
+        }
+        source
     }
 }
 
@@ -589,13 +799,9 @@ impl OdeSystem for CalvinCycleOde {
     }
 
     fn rhs(&self, _t: f64, y: &Vector, dydt: &mut Vector) {
-        let pi = self.free_phosphate(y);
-        let pi_factor = pi / (pi + 1.0);
-        let (y, dydt) = (y.as_slice(), dydt.as_mut_slice());
-        for (d, &c) in dydt.iter_mut().zip(y) {
-            *d = -self.dilution * c;
-        }
-        self.visit_reactions(&mut RateSum { y, pi_factor, dydt });
+        let dydt = dydt.as_mut_slice().as_chunks_mut().0;
+        let dydt = dydt.try_into().expect("one entry per pool");
+        self.rhs_lanes(&self.constants, one_lane(y), dydt);
     }
 
     /// `J = S + u·gᵀ` exactly, with free phosphate `Pi` as the coupling, in
@@ -607,40 +813,19 @@ impl OdeSystem for CalvinCycleOde {
     /// floor binds. Every derivative of a clamp `max(y_j, 0)` is its right
     /// derivative.
     fn jacobian(&self, _t: f64, y: &Vector, _f: &Vector, jacobian: &mut Jacobian) -> usize {
-        let slots = JacobianSlots::get();
-        let unfloored = self.unfloored_phosphate(y);
-        let pi = unfloored.max(PHOSPHATE_FLOOR);
-        let pi_factor = pi / (pi + 1.0);
-        let pi_factor_slope = 1.0 / ((pi + 1.0) * (pi + 1.0));
-        let (s, u, g) = jacobian.sparse_plus_rank_one(&slots.pattern).parts_mut();
-        let floored = unfloored <= PHOSPHATE_FLOOR;
-        for ((dg, &groups), &c) in g
-            .as_mut_slice()
-            .iter_mut()
-            .zip(&PHOSPHATE_GROUPS)
-            .zip(y.as_slice())
-        {
-            *dg = if floored || c < 0.0 { 0.0 } else { -groups };
-        }
-        s.fill(0.0);
-        for &slot in &slots.diagonal {
-            s[slot] = -self.dilution;
-        }
-        u.as_mut_slice().fill(0.0);
-
-        self.visit_reactions(&mut PartialSum {
-            y: y.as_slice(),
-            pi_factor,
-            pi_factor_slope,
-            slots: slots.partials.iter(),
-            s,
-            u: u.as_mut_slice(),
-        });
+        let pattern = JacobianSlots::pattern();
+        let (s, u, g) = jacobian.sparse_plus_rank_one(pattern).parts_mut();
+        let parts = (
+            s.as_chunks_mut().0,
+            u.as_mut_slice().as_chunks_mut().0,
+            g.as_mut_slice().as_chunks_mut().0,
+        );
+        self.jacobian_lanes(&self.constants, one_lane(y), parts);
         0
     }
 
     fn project(&self, _t: f64, y: &mut Vector) {
-        y.clamp_mut(0.0, 100.0);
+        y.clamp_mut(STATE_BOUNDS.0, STATE_BOUNDS.1);
     }
 }
 
@@ -704,6 +889,54 @@ impl OdeUptakeEvaluator {
         let steady = self.solver.solve(&model, model.initial_state())?;
         let uptake = model.net_uptake(&steady.state);
         Ok((steady, uptake))
+    }
+
+    /// [`OdeUptakeEvaluator::steady_state`] of every partition, in order,
+    /// bit for bit: the same steady state, residual and work counters, or
+    /// the same error. The solves run several designs per Newton step, one
+    /// per SIMD lane (four on a CPU with AVX2, two otherwise), and a lane
+    /// whose design finishes takes the next one; see
+    /// [`OdeUptakeEvaluator::steady_states_in_lanes`].
+    pub fn steady_states(
+        &self,
+        partitions: &[EnzymePartition],
+        scenario: &Scenario,
+    ) -> Vec<Result<(SteadyState, f64), OdeError>> {
+        self.steady_states_in_lanes(partitions, scenario, crate::batch::widest())
+            .expect("the widest width runs on this CPU")
+    }
+
+    /// [`OdeUptakeEvaluator::steady_states`] at exactly `lanes` designs
+    /// per Newton step: 1 (the scalar path, design by design), 2, or 4
+    /// (compiled for AVX2). `None` if this CPU does not run that width.
+    /// [`OdeUptakeEvaluator::steady_states`] takes the widest; this entry
+    /// lets tests and benchmarks pin each instance.
+    pub fn steady_states_in_lanes(
+        &self,
+        partitions: &[EnzymePartition],
+        scenario: &Scenario,
+        lanes: usize,
+    ) -> Option<Vec<Result<(SteadyState, f64), OdeError>>> {
+        if !crate::batch::runs(lanes) {
+            return None;
+        }
+        let models: Vec<CalvinCycleOde> = partitions
+            .iter()
+            .map(|partition| CalvinCycleOde::new(partition, scenario))
+            .collect();
+        let outcomes = crate::batch::steady_states(&self.solver, &models, lanes);
+        Some(
+            models
+                .iter()
+                .zip(outcomes)
+                .map(|(model, outcome)| {
+                    outcome.map(|steady| {
+                        let uptake = model.net_uptake(&steady.state);
+                        (steady, uptake)
+                    })
+                })
+                .collect(),
+        )
     }
 
     /// Like [`OdeUptakeEvaluator::steady_state`], but starts the solve from

@@ -7,6 +7,11 @@
 //! wrong direction. Each derivative is the right derivative of that clamp:
 //! 0 for a negative concentration, the law's own slope from 0 up.
 //!
+//! Every law computes its value first and then selects 0 where a guard
+//! holds, with no early return, so a loop over several designs at once
+//! compiles to vector selects. The value a guard discards is never
+//! returned, so the results are those of testing the guards first.
+//!
 //! # Example
 //!
 //! ```
@@ -30,26 +35,33 @@
 /// assert_eq!(michaelis_menten(10.0, 2.0, 2.0), 5.0); // half-saturation at S = Km
 /// assert_eq!(michaelis_menten(10.0, 2.0, 0.0), 0.0);
 /// ```
+#[inline(always)]
 pub fn michaelis_menten(vmax: f64, km: f64, substrate: f64) -> f64 {
     let s = substrate.max(0.0);
+    let v = vmax * s / (km + s);
     if km + s <= 0.0 {
-        return 0.0;
+        0.0
+    } else {
+        v
     }
-    vmax * s / (km + s)
 }
 
 /// `∂v/∂S` of [`michaelis_menten`]: `Vmax · Km / (Km + S)²` for `S ≥ 0`,
 /// and 0 for `S < 0`.
+#[inline(always)]
 pub fn michaelis_menten_derivative(vmax: f64, km: f64, substrate: f64) -> f64 {
-    if substrate < 0.0 || km + substrate <= 0.0 {
-        return 0.0;
-    }
     let denom = km + substrate;
-    vmax * km / (denom * denom)
+    let slope = vmax * km / (denom * denom);
+    if (substrate < 0.0) | (denom <= 0.0) {
+        0.0
+    } else {
+        slope
+    }
 }
 
 /// Two-substrate (ordered) Michaelis–Menten kinetics:
 /// `v = Vmax · A·B / ((Kma + A)(Kmb + B))`.
+#[inline(always)]
 pub fn michaelis_menten_two_substrates(
     vmax: f64,
     km_a: f64,
@@ -60,15 +72,18 @@ pub fn michaelis_menten_two_substrates(
     let a = substrate_a.max(0.0);
     let b = substrate_b.max(0.0);
     let denom = (km_a + a) * (km_b + b);
+    let v = vmax * a * b / denom;
     if denom <= 0.0 {
-        return 0.0;
+        0.0
+    } else {
+        v
     }
-    vmax * a * b / denom
 }
 
 /// `(∂v/∂A, ∂v/∂B)` of [`michaelis_menten_two_substrates`]: each factor
 /// `X / (Kmx + X)` differentiates as a one-substrate law, the other held;
 /// a negative substrate contributes 0 to both.
+#[inline(always)]
 pub fn michaelis_menten_two_substrates_gradient(
     vmax: f64,
     km_a: f64,
@@ -79,24 +94,26 @@ pub fn michaelis_menten_two_substrates_gradient(
     let a = substrate_a.max(0.0);
     let b = substrate_b.max(0.0);
     let (da, db) = (km_a + a, km_b + b);
-    if da * db <= 0.0 {
-        return (0.0, 0.0);
-    }
-    let d_a = if substrate_a < 0.0 {
-        0.0
-    } else {
-        vmax * km_a * b / (da * da * db)
-    };
-    let d_b = if substrate_b < 0.0 {
-        0.0
-    } else {
-        vmax * a * km_b / (da * db * db)
-    };
-    (d_a, d_b)
+    let degenerate = da * db <= 0.0;
+    let d_a = vmax * km_a * b / (da * da * db);
+    let d_b = vmax * a * km_b / (da * db * db);
+    (
+        if degenerate | (substrate_a < 0.0) {
+            0.0
+        } else {
+            d_a
+        },
+        if degenerate | (substrate_b < 0.0) {
+            0.0
+        } else {
+            d_b
+        },
+    )
 }
 
 /// Michaelis–Menten kinetics with a competitive inhibitor:
 /// `v = Vmax · S / (Km (1 + I/Ki) + S)`.
+#[inline(always)]
 pub fn competitive_inhibition(vmax: f64, km: f64, substrate: f64, inhibitor: f64, ki: f64) -> f64 {
     let s = substrate.max(0.0);
     let i = inhibitor.max(0.0);
@@ -108,6 +125,7 @@ pub fn competitive_inhibition(vmax: f64, km: f64, substrate: f64, inhibitor: f64
 /// `Km' = Km (1 + I/Ki)`, `∂v/∂S = Vmax · Km' / (Km' + S)²` and
 /// `∂v/∂I = −Vmax · S · (Km/Ki) / (Km' + S)²`; a negative concentration
 /// contributes 0.
+#[inline(always)]
 pub fn competitive_inhibition_gradient(
     vmax: f64,
     km: f64,
@@ -119,18 +137,17 @@ pub fn competitive_inhibition_gradient(
     let i = inhibitor.max(0.0);
     let ki = ki.max(f64::MIN_POSITIVE);
     let km_eff = km * (1.0 + i / ki);
-    let d_s = if substrate < 0.0 {
-        0.0
-    } else {
-        michaelis_menten_derivative(vmax, km_eff, s)
-    };
+    let d_s = michaelis_menten_derivative(vmax, km_eff, s);
     let denom = km_eff + s;
-    let d_i = if inhibitor < 0.0 || denom <= 0.0 {
-        0.0
-    } else {
-        -vmax * s * (km / ki) / (denom * denom)
-    };
-    (d_s, d_i)
+    let d_i = -vmax * s * (km / ki) / (denom * denom);
+    (
+        if substrate < 0.0 { 0.0 } else { d_s },
+        if (inhibitor < 0.0) | (denom <= 0.0) {
+            0.0
+        } else {
+            d_i
+        },
+    )
 }
 
 #[cfg(test)]

@@ -4,15 +4,21 @@
 //!
 //! * the committed file is the one the reactions emit now;
 //! * on random `S`, `u`, `g` and right-hand sides, with diagonals from 1e-3
-//!   to 1e3, the compiled factor (every `L + U` position and inverse
-//!   pivot), both triangular solves and the whole Sherman–Morrison step
-//!   equal the interpreter's bit for bit;
+//!   to 1e3, the compiled factor (every `L + U` entry of its compact
+//!   storage and every inverse pivot), both triangular solves and the
+//!   whole Sherman–Morrison step equal the interpreter's bit for bit;
 //! * both refuse the same factorizations: a pivot under `1e-13`, a
-//!   multiplier above 100, a NaN.
+//!   multiplier above 100, a NaN;
+//! * the kernel's 2- and 4-lane instances (the latter compiled for AVX2)
+//!   give every lane the 1-lane instance's and the interpreter's result:
+//!   the same refusal flag, and when the pivots hold, the same bits, with
+//!   other lanes refusing or not.
+
+use std::io::Write;
 
 use pathway_linalg::Vector;
-use pathway_ode::{Jacobian, JacobianPattern};
-use pathway_photosynthesis::{CalvinCycleOde, POOL_COUNT};
+use pathway_ode::{Jacobian, JacobianPattern, LaneLu};
+use pathway_photosynthesis::{CalvinCycleOde, CalvinLu, POOL_COUNT};
 use proptest::prelude::*;
 
 /// The command the drift test names, as the file's header quotes it.
@@ -60,10 +66,12 @@ fn bits(values: &[f64]) -> Vec<u64> {
 fn run(compiled: bool, diagonal: f64, values: &[f64], a: &[f64], b: &[f64]) -> Outcome {
     let pattern = pattern();
     let kernel = pattern.compiled_lu().expect("attached");
+    let positions = pattern.lu_positions();
     let mut lu = vec![0.0; POOL_COUNT * POOL_COUNT];
+    let mut compact = vec![0.0; positions.len()];
     let mut inverse_pivots = vec![0.0; POOL_COUNT];
     let held = if compiled {
-        (kernel.factor)(diagonal, values, &mut lu, &mut inverse_pivots)
+        (kernel.factor)(diagonal, values, &mut compact, &mut inverse_pivots)
     } else {
         pattern.interpret_factor(diagonal, values, &mut lu, &mut inverse_pivots)
     };
@@ -72,12 +80,13 @@ fn run(compiled: bool, diagonal: f64, values: &[f64], a: &[f64], b: &[f64]) -> O
     }
     let (mut a, mut b) = (a.to_vec(), b.to_vec());
     if compiled {
-        (kernel.substitute)(&lu, &inverse_pivots, &mut a, &mut b);
+        (kernel.substitute)(&compact, &inverse_pivots, &mut a, &mut b);
     } else {
         pattern.interpret_substitute(&lu, &inverse_pivots, &mut a, &mut b);
+        compact = positions.iter().map(|&p| lu[p]).collect();
     }
     Outcome::Held {
-        lu: bits(&lu),
+        lu: bits(&compact),
         inverse_pivots: bits(&inverse_pivots),
         a: bits(&a),
         b: bits(&b),
@@ -131,6 +140,82 @@ impl Inputs {
     fn run(&self, compiled: bool, diagonal: f64) -> Outcome {
         run(compiled, diagonal, &self.values, &self.u, &self.rhs)
     }
+
+    /// Makes the factorization at `diagonal` fail a check, by `poison`: 1
+    /// a pivot that starts at exactly zero, 2 an off-diagonal entry large
+    /// enough to make its multiplier, if it is one, exceed 100, 3 a NaN
+    /// anywhere in `S`; 0 leaves the inputs as they are.
+    fn poison(&mut self, poison: usize, at: usize, diagonal: f64) {
+        let pattern = pattern();
+        match poison {
+            1 => {
+                let slot = pattern.slot(at % POOL_COUNT, at % POOL_COUNT).unwrap();
+                self.values[slot] = diagonal;
+            }
+            2 => {
+                let slots = off_diagonal_slots();
+                self.values[slots[at % slots.len()]] *= 1e5;
+            }
+            3 => self.values[at % pattern.nnz()] = f64::NAN,
+            _ => {}
+        }
+    }
+}
+
+/// Factors and solves `L` inputs at once, one per lane, through the
+/// kernel's `L`-lane instance: each lane's outcome.
+#[inline(always)]
+fn run_lanes<const L: usize>(inputs: &[Inputs], diagonals: &[f64]) -> Vec<Outcome> {
+    let lane = |x: &dyn Fn(&Inputs) -> &[f64], n: usize| -> Vec<[f64; L]> {
+        (0..n)
+            .map(|i| std::array::from_fn(|j| x(&inputs[j])[i]))
+            .collect()
+    };
+    let values = lane(&|inputs| &inputs.values, pattern().nnz());
+    let mut a = lane(&|inputs| &inputs.u, POOL_COUNT);
+    let mut b = lane(&|inputs| &inputs.rhs, POOL_COUNT);
+    let mut lu = vec![[0.0; L]; pattern().lu_nnz()];
+    let mut inverse_pivots = vec![[0.0; L]; POOL_COUNT];
+    let diagonal = std::array::from_fn(|j| diagonals[j]);
+    let held = CalvinLu::factor(diagonal, &values, &mut lu, &mut inverse_pivots);
+    CalvinLu::substitute(&lu, &inverse_pivots, &mut a, &mut b);
+    let column = |x: &[[f64; L]], j: usize| bits(&x.iter().map(|x| x[j]).collect::<Vec<_>>());
+    (0..L)
+        .map(|j| match held[j] {
+            false => Outcome::Refused,
+            true => Outcome::Held {
+                lu: column(&lu, j),
+                inverse_pivots: column(&inverse_pivots, j),
+                a: column(&a, j),
+                b: column(&b, j),
+            },
+        })
+        .collect()
+}
+
+/// The 4-lane instance compiled for AVX2, as the lane-batched solve runs it.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_four_lanes_avx2(inputs: &[Inputs], diagonals: &[f64]) -> Vec<Outcome> {
+    run_lanes::<4>(inputs, diagonals)
+}
+
+/// Whether this CPU runs the AVX2 instance; if not, says so on stderr, past
+/// the test harness's capture, so a skipped check does not read as a pass.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return true;
+    }
+    let _ = writeln!(
+        std::io::stderr(),
+        "compiled_lu: SKIPPED the 4-lane AVX2 instance: this CPU has no AVX2"
+    );
+    false
 }
 
 /// The off-diagonal slots of `S`.
@@ -191,26 +276,116 @@ proptest! {
     ) {
         let mut inputs = Inputs::draw(seed);
         let diagonal = 10f64.powf(log_diagonal);
-        let pattern = pattern();
-        match poison {
-            // A pivot that starts at exactly zero.
-            1 => {
-                let slot = pattern.slot(at % POOL_COUNT, at % POOL_COUNT).unwrap();
-                inputs.values[slot] = diagonal;
-            }
-            // An off-diagonal entry large enough to make its multiplier,
-            // if it is one, exceed 100.
-            2 => {
-                let slots = off_diagonal_slots();
-                inputs.values[slots[at % slots.len()]] *= 1e5;
-            }
-            // A NaN anywhere in `S`.
-            3 => inputs.values[at % pattern.nnz()] = f64::NAN,
-            _ => {}
-        }
+        inputs.poison(poison, at, diagonal);
         let compiled = inputs.run(true, diagonal);
         prop_assert_eq!(&compiled, &inputs.run(false, diagonal));
         assert_the_step_is_the_interpreters(&inputs, diagonal);
+    }
+
+    /// Four lanes of independent inputs, each poisoned or not by its own
+    /// two bits of `poisons`, so some lanes fail a check while others hold.
+    #[test]
+    fn every_lane_of_the_lane_kernel_is_the_scalar_one_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        log_diagonal in -3.0f64..3.0,
+        poisons in 0usize..256,
+        at in 0usize..1_000,
+    ) {
+        let diagonals: Vec<f64> =
+            (0..4).map(|j| 10f64.powf(log_diagonal + 0.5 * j as f64 - 0.75)).collect();
+        let inputs: Vec<Inputs> = (0..4)
+            .map(|j| {
+                let mut inputs = Inputs::draw(seed.wrapping_add(j as u64));
+                inputs.poison((poisons >> (2 * j)) & 3, at + 7 * j, diagonals[j]);
+                inputs
+            })
+            .collect();
+        let scalar: Vec<Outcome> = (0..4)
+            .map(|j| {
+                let one = inputs[j].run(true, diagonals[j]);
+                assert_eq!(one, inputs[j].run(false, diagonals[j]), "lane {j}");
+                one
+            })
+            .collect();
+        prop_assert_eq!(&run_lanes::<2>(&inputs, &diagonals), &scalar[..2]);
+        prop_assert_eq!(&run_lanes::<2>(&inputs[2..], &diagonals[2..]), &scalar[2..]);
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: `avx2` found the feature on this CPU.
+            let four = unsafe { run_four_lanes_avx2(&inputs, &diagonals) };
+            prop_assert_eq!(&four, &scalar);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        avx2();
+    }
+}
+
+/// Lanes that refuse and lanes that hold side by side, by construction:
+/// the mixed case the proptest meets only by chance.
+#[test]
+fn a_lane_that_refuses_leaves_the_others_bit_for_bit() {
+    let diagonals = [0.5, 2.0, 30.0, 400.0];
+    let mut inputs: Vec<Inputs> = (0..4).map(|j| Inputs::draw(40 + j)).collect();
+    // Every value small against the diagonal: every pivot and multiplier
+    // holds, until a lane is poisoned.
+    for inputs in &mut inputs {
+        for value in &mut inputs.values {
+            *value *= 1e-4;
+        }
+    }
+    for poison in 1..4 {
+        for refusing in 0..4 {
+            let mut inputs: Vec<Inputs> = inputs
+                .iter()
+                .map(|inputs| Inputs {
+                    values: inputs.values.clone(),
+                    u: inputs.u.clone(),
+                    g: inputs.g.clone(),
+                    rhs: inputs.rhs.clone(),
+                })
+                .collect();
+            // The first position where the poison makes the lane refuse
+            // (a huge off-diagonal entry refuses only as a multiplier, a
+            // zeroed pivot only if no update moves it off zero).
+            let clean = Inputs {
+                values: inputs[refusing].values.clone(),
+                u: inputs[refusing].u.clone(),
+                g: inputs[refusing].g.clone(),
+                rhs: inputs[refusing].rhs.clone(),
+            };
+            (0..1_000)
+                .find(|&at| {
+                    let lane = &mut inputs[refusing];
+                    lane.values.clone_from(&clean.values);
+                    if poison == 2 {
+                        let slots = off_diagonal_slots();
+                        lane.values[slots[at % slots.len()]] = 1e9;
+                    } else {
+                        lane.poison(poison, at, diagonals[refusing]);
+                    }
+                    inputs[refusing].run(false, diagonals[refusing]) == Outcome::Refused
+                })
+                .expect("some position refuses");
+            let scalar: Vec<Outcome> = (0..4).map(|j| inputs[j].run(true, diagonals[j])).collect();
+            let refused: Vec<bool> = scalar.iter().map(|o| *o == Outcome::Refused).collect();
+            assert_eq!(
+                refused.iter().filter(|&&r| r).count(),
+                1,
+                "{poison} {refused:?}"
+            );
+            assert!(refused[refusing]);
+            for (j, outcome) in scalar.iter().enumerate() {
+                assert_eq!(outcome, &inputs[j].run(false, diagonals[j]));
+            }
+            assert_eq!(run_lanes::<2>(&inputs, &diagonals), scalar[..2]);
+            assert_eq!(run_lanes::<2>(&inputs[2..], &diagonals[2..]), scalar[2..]);
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                // SAFETY: `avx2` found the feature on this CPU.
+                let four = unsafe { run_four_lanes_avx2(&inputs, &diagonals) };
+                assert_eq!(four, scalar, "poison {poison} in lane {refusing}");
+            }
+        }
     }
 }
 
