@@ -14,7 +14,8 @@
 //! * a lane whose solve settles or exhausts its budget takes the batch's
 //!   next design at once;
 //! * once no design is waiting, and at most half the lanes are live, the
-//!   live ones move to half the width (4 → 2 → the scalar path);
+//!   live ones finish on the scalar path (one lane), where a step costs
+//!   less than a round of mostly idle lanes;
 //! * a lane whose structured solve fails (a static pivot, a multiplier or
 //!   the Sherman–Morrison denominator) leaves, and its solve finishes on
 //!   the scalar path, dense fallback included, from the state it had
@@ -68,13 +69,13 @@ pub(crate) fn steady_states(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runs` accepted 4 lanes only on a CPU with AVX2.
         4 => unsafe { batch.run_avx2() },
-        2 => batch.run::<2>(Vec::new()),
+        2 => batch.run::<2>(),
         _ => Vec::new(),
     };
     for flight in carried {
         batch.finish_scalar(flight);
     }
-    while let Some(flight) = batch.take(&mut Vec::new()) {
+    while let Some(flight) = batch.take() {
         batch.finish_scalar(flight);
     }
     batch
@@ -84,8 +85,8 @@ pub(crate) fn steady_states(
         .collect()
 }
 
-/// A solve under way, between widths: the state, its right-hand side and
-/// the step rule's state before its next decision.
+/// A solve under way, leaving the lanes for the scalar path: the state,
+/// its right-hand side and the step rule's state before its next decision.
 struct InFlight {
     design: usize,
     y: [f64; POOL_COUNT],
@@ -122,13 +123,9 @@ fn column<const L: usize>(x: &[[f64; L]; POOL_COUNT], j: usize) -> [f64; POOL_CO
 }
 
 impl Batch<'_> {
-    /// The next solve to place in a lane: one carried from a wider width,
-    /// or else the next design, begun from its cold start with one
-    /// right-hand-side call. `None` once neither is left.
-    fn take(&mut self, carried: &mut Vec<InFlight>) -> Option<InFlight> {
-        if let Some(flight) = carried.pop() {
-            return Some(flight);
-        }
+    /// The next design, begun from its cold start with one right-hand-side
+    /// call. `None` once every design is taken.
+    fn take(&mut self) -> Option<InFlight> {
         while self.next < self.models.len() {
             let design = self.next;
             self.next += 1;
@@ -163,8 +160,8 @@ impl Batch<'_> {
         self.outcomes[flight.design] = Some(outcome);
     }
 
-    /// Four lanes, then two, in code compiled for AVX2; returns what is
-    /// left for the scalar path.
+    /// Four lanes, in code compiled for AVX2; returns what is left for the
+    /// scalar path.
     ///
     /// # Safety
     ///
@@ -172,16 +169,14 @@ impl Batch<'_> {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn run_avx2(&mut self) -> Vec<InFlight> {
-        let carried = self.run::<4>(Vec::new());
-        self.run::<2>(carried)
+        self.run::<4>()
     }
 
-    /// Steps `L` solves in lockstep, refilling each lane from `carried`
-    /// and then from the designs not yet begun, until none is left and at
-    /// most half the lanes are live. Returns the live solves, for a
-    /// narrower width to finish.
+    /// Steps `L` solves in lockstep, refilling each lane with the next
+    /// design, until none is left and at most half the lanes are live.
+    /// Returns the live solves, for the scalar path to finish.
     #[inline(always)]
-    fn run<const L: usize>(&mut self, mut carried: Vec<InFlight>) -> Vec<InFlight> {
+    fn run<const L: usize>(&mut self) -> Vec<InFlight> {
         let Some(template) = self.models.first() else {
             return Vec::new();
         };
@@ -201,7 +196,7 @@ impl Batch<'_> {
             for j in 0..L {
                 loop {
                     if lanes[j].is_none() {
-                        let Some(flight) = self.take(&mut carried) else {
+                        let Some(flight) = self.take() else {
                             break;
                         };
                         constants.set(j, &self.models[flight.design]);
@@ -239,7 +234,7 @@ impl Batch<'_> {
                 }
             }
             let live = lanes.iter().flatten().count();
-            let waiting = !carried.is_empty() || self.next < self.models.len();
+            let waiting = self.next < self.models.len();
             if live == 0 || (L > 1 && !waiting && live <= L / 2) {
                 return (0..L)
                     .filter_map(|j| {

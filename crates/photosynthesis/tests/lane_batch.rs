@@ -4,9 +4,10 @@
 //! AVX2, skipped with a line on stderr on a CPU without it).
 //!
 //! Batches of 1 to 9 designs mix fast, slow and bistable designs with one
-//! that never settles, placed at every position, so lanes refill, narrow
-//! and carry solves between widths. Every state, residual, uptake and work
-//! counter must keep its bits, and so must every unsettled design's error.
+//! that never settles, placed at every position, so lanes refill and hand
+//! their last solves to the scalar path. Every state, residual, uptake and
+//! work counter must keep its bits, and so must every unsettled design's
+//! error.
 
 use std::io::Write;
 
