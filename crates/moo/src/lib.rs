@@ -87,5 +87,7 @@ pub use exec::{Executor, ExecutorStats};
 pub use individual::Individual;
 pub use moead::{Moead, MoeadSpec};
 pub use nsga2::{Nsga2, Nsga2Spec};
-pub use operators::{polynomial_mutation, sbx_crossover, tournament_select, SbxScratch};
+pub use operators::{
+    polynomial_mutation, sbx_crossover, tournament_select, SbxKernels, SbxScratch,
+};
 pub use problem::MultiObjectiveProblem;

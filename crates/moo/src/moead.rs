@@ -94,6 +94,9 @@ pub struct Moead {
     executor: Option<Arc<Executor>>,
     /// SBX's reusable buffers; not run state, never checkpointed.
     sbx_scratch: SbxScratch,
+    /// SBX's second child, which MOEA/D computes and drops; reused across
+    /// children. Like `sbx_scratch`, not run state.
+    dropped_child: Vec<f64>,
 }
 
 impl Moead {
@@ -109,6 +112,7 @@ impl Moead {
             evaluations: 0,
             executor: None,
             sbx_scratch: SbxScratch::new(),
+            dropped_child: Vec::new(),
         }
     }
 
@@ -362,13 +366,16 @@ impl Optimizer for Moead {
             // Pick two parents from the neighbourhood.
             let pa = self.neighborhoods[k][self.rng.gen_range(0..t)];
             let pb = self.neighborhoods[k][self.rng.gen_range(0..t)];
-            let (mut child, _) = sbx_crossover(
+            let mut child = vec![0.0; bounds.len()];
+            self.dropped_child.resize(bounds.len(), 0.0);
+            sbx_crossover(
                 &self.population[pa].variables,
                 &self.population[pb].variables,
                 &bounds,
                 self.spec.eta_crossover,
                 &mut self.rng,
                 &mut self.sbx_scratch,
+                (&mut child, &mut self.dropped_child),
             );
             polynomial_mutation(
                 &mut child,

@@ -72,6 +72,12 @@ pub struct Nsga2 {
     scratch: SortScratch,
     /// SBX's reusable buffers; like `scratch`, never checkpointed.
     sbx_scratch: SbxScratch,
+    /// The genomes (`variables` buffers) of the individuals that selection
+    /// dropped, at most `spec.population` of them, for `breed` to write its
+    /// children into. Like `sbx_scratch`, not run state: a child overwrites
+    /// every gene of its genome, so checkpoints never carry the pool and a
+    /// fresh one breeds the same children.
+    genomes: Vec<Vec<f64>>,
     /// Parents and offspring during environmental selection, empty between
     /// generations; kept for its allocation, never checkpointed.
     combined: Vec<Individual>,
@@ -97,6 +103,7 @@ impl Nsga2 {
             population: Vec::new(),
             scratch: SortScratch::new(),
             sbx_scratch: SbxScratch::new(),
+            genomes: Vec::new(),
             combined: Vec::new(),
             evaluations: 0,
             executor: None,
@@ -182,6 +189,13 @@ impl Nsga2 {
     /// polynomial mutation on this solver's own RNG stream produce the full
     /// offspring batch, to be evaluated and then handed to
     /// [`Nsga2::select`]. Records the `variation` phase.
+    ///
+    /// Each child is written into a genome from the solver's pool, the
+    /// `variables` buffers that [`Nsga2::select`] kept from the individuals
+    /// it dropped, and only an empty pool allocates one. So once a
+    /// generation has run, breeding allocates no genome: the children of
+    /// one generation are the dropped genomes of the last. A pair's second
+    /// child past the population size goes back to the pool.
     pub(crate) fn breed<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Vec<f64>> {
         let variation_started = Instant::now();
         let bounds = problem.bounds();
@@ -194,7 +208,9 @@ impl Nsga2 {
         while children.len() < self.spec.population {
             let a = tournament_select(parents, &mut self.rng);
             let b = tournament_select(parents, &mut self.rng);
-            let (mut child_a, mut child_b) = if rand::Rng::gen_bool(
+            let mut child_a = recycled_genome(&mut self.genomes, bounds.len());
+            let mut child_b = recycled_genome(&mut self.genomes, bounds.len());
+            if rand::Rng::gen_bool(
                 &mut self.rng,
                 self.spec.crossover_probability.clamp(0.0, 1.0),
             ) {
@@ -205,10 +221,12 @@ impl Nsga2 {
                     self.spec.eta_crossover,
                     &mut self.rng,
                     &mut self.sbx_scratch,
-                )
+                    (&mut child_a, &mut child_b),
+                );
             } else {
-                (parents[a].variables.clone(), parents[b].variables.clone())
-            };
+                child_a.copy_from_slice(&parents[a].variables);
+                child_b.copy_from_slice(&parents[b].variables);
+            }
             polynomial_mutation(
                 &mut child_a,
                 &bounds,
@@ -226,6 +244,8 @@ impl Nsga2 {
             children.push(child_a);
             if children.len() < self.spec.population {
                 children.push(child_b);
+            } else {
+                self.genomes.push(child_b);
             }
         }
         if let Some(metrics) = &self.metrics {
@@ -241,8 +261,11 @@ impl Nsga2 {
     /// Index-based: the parents and the offspring are moved into one reused
     /// buffer, the sort, the crowding pass and the survivor choice reuse the
     /// solver's [`SortScratch`], and the survivors are moved, never cloned,
-    /// back into the population's own buffer. Once the buffers are warm the
-    /// only allocation is the offspring batch itself.
+    /// back into the population's own buffer. The dropped individuals'
+    /// genomes go to the solver's genome pool (up to the population size),
+    /// for the next [`Nsga2::breed`] to write its children into. Once the
+    /// buffers are warm the only allocations are the offspring batch's
+    /// containers and objectives, never a genome.
     pub(crate) fn select(&mut self, offspring: Vec<Individual>) {
         self.evaluations += offspring.len();
         let selection_started = Instant::now();
@@ -256,7 +279,14 @@ impl Nsga2 {
             .scratch
             .select_survivors(&combined, self.spec.population);
         survivors.extend(chosen.iter().map(|&i| std::mem::take(&mut combined[i])));
-        combined.clear();
+        // A survivor's slot holds an empty genome now; every other slot's
+        // genome is free.
+        let free = combined
+            .drain(..)
+            .map(|dropped| dropped.variables)
+            .filter(|genome| genome.capacity() > 0);
+        let room = self.spec.population.saturating_sub(self.genomes.len());
+        self.genomes.extend(free.take(room));
         self.combined = combined;
         self.population = survivors;
         if let Some(metrics) = &self.metrics {
@@ -303,6 +333,14 @@ impl Nsga2 {
         self.evaluations = state.evaluations;
         Ok(())
     }
+}
+
+/// A genome of `genes` genes for a child to be written into: the pool's
+/// last, or a new one when the pool is empty. Its contents are stale.
+fn recycled_genome(pool: &mut Vec<Vec<f64>>, genes: usize) -> Vec<f64> {
+    let mut genome = pool.pop().unwrap_or_default();
+    genome.resize(genes, 0.0);
+    genome
 }
 
 impl Optimizer for Nsga2 {

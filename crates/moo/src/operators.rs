@@ -4,15 +4,15 @@ use rand::Rng;
 
 use crate::{constrained_dominates, Individual};
 
-/// Reusable buffers for [`sbx_crossover`]: per crossing gene its index, and
-/// its spread `u` (then its β). They grow to the longest genome crossed and
-/// are reused across calls; `Nsga2` and `Moead` each keep one. They hold no
-/// run state: a checkpoint never carries them, and a fresh scratch gives the
-/// same children.
+/// Reusable buffers for [`sbx_crossover`]: the crossing genes of each chunk
+/// of 64, and per crossing gene its spread `u` (then its β). They grow to
+/// the longest genome crossed and are reused across calls; `Nsga2` and
+/// `Moead` each keep one. They hold no run state: a checkpoint never
+/// carries them, and a fresh scratch gives the same children.
 #[derive(Debug, Clone, Default)]
 pub struct SbxScratch {
-    /// Slot `k`: the index of the `k`-th crossing gene.
-    genes: Vec<usize>,
+    /// Slot `w`: bit `j` is set when gene `64w + j` crosses.
+    crossing: Vec<u64>,
     /// Slot `k`: the spread `u` of the `k`-th crossing gene, then its β.
     betas: Vec<f64>,
 }
@@ -25,11 +25,14 @@ impl SbxScratch {
 }
 
 /// Simulated binary crossover (SBX; Deb & Agrawal 1995) of two parent
-/// decision vectors.
+/// decision vectors, written into two caller-owned children.
 ///
-/// Returns two children; each gene is crossed with probability 0.5 (otherwise
-/// copied), using the distribution index `eta_c` (larger values produce
-/// children closer to their parents). Children are clamped to `bounds`.
+/// Overwrites every gene of `children`: each gene is crossed with
+/// probability 0.5 (otherwise copied from its parent), using the
+/// distribution index `eta_c` (larger values produce children closer to
+/// their parents). Crossed genes are clamped to `bounds`. The children's
+/// previous contents are never read, so a recycled genome breeds the same
+/// child as a fresh one.
 ///
 /// # Draw contract
 ///
@@ -49,10 +52,20 @@ impl SbxScratch {
 /// `u = ½` (β = 1), and within 1 ulp of `powf` from η = 0.5 up (the
 /// module's tests pin the bound per η).
 ///
+/// # Vector kernels
+///
+/// The differing genes are found 8 at a time, and the kernel runs 4 spreads
+/// at a time with a scalar tail, in an instance compiled for AVX2 on a CPU
+/// that has it (picked at run time; [`SbxKernels`]). Every lane runs the
+/// scalar kernel's `+ − × ÷` and bit operations in their order, and no
+/// instance enables FMA, so no product is fused into a sum: each β is the
+/// scalar kernel's, bit for bit, on every CPU.
+///
 /// # Panics
 ///
-/// Panics if the parents or bounds have inconsistent lengths, or if a
-/// crossing gene's bounds have `lower > upper` or a NaN end.
+/// Panics if the parents, the children or the bounds have inconsistent
+/// lengths, or if a crossing gene's bounds have `lower > upper` or a NaN
+/// end.
 pub fn sbx_crossover<R: Rng>(
     parent_a: &[f64],
     parent_b: &[f64],
@@ -60,7 +73,8 @@ pub fn sbx_crossover<R: Rng>(
     eta_c: f64,
     rng: &mut R,
     scratch: &mut SbxScratch,
-) -> (Vec<f64>, Vec<f64>) {
+    (child_a, child_b): (&mut [f64], &mut [f64]),
+) {
     assert_eq!(
         parent_a.len(),
         parent_b.len(),
@@ -71,46 +85,178 @@ pub fn sbx_crossover<R: Rng>(
         bounds.len(),
         "one bound per variable is required"
     );
-    let SbxScratch { genes, betas } = scratch;
+    assert!(
+        child_a.len() == parent_a.len() && child_b.len() == parent_a.len(),
+        "each child must have one gene per parent gene"
+    );
+    let kernels = SbxKernels::widest();
+    let SbxScratch { crossing, betas } = scratch;
 
     // The crossing genes of each chunk of 64 are its coin word's set bits
     // among the genes whose parents differ.
-    genes.clear();
-    for (w, (chunk_a, chunk_b)) in parent_a.chunks(64).zip(parent_b.chunks(64)).enumerate() {
-        let coins = rng.next_u64();
-        let mut crossing = chunk_a
-            .iter()
-            .zip(chunk_b)
-            .enumerate()
-            .fold(0, |mask, (j, (&x1, &x2))| mask | differ(x1, x2) << j)
-            & coins;
-        while crossing != 0 {
-            genes.push(64 * w + crossing.trailing_zeros() as usize);
-            crossing &= crossing - 1;
+    crossing.clear();
+    crossing.extend(
+        parent_a
+            .chunks(64)
+            .zip(parent_b.chunks(64))
+            .map(|(chunk_a, chunk_b)| kernels.differ_mask(chunk_a, chunk_b) & rng.next_u64()),
+    );
+    let crossings = crossing.iter().map(|mask| mask.count_ones() as usize).sum();
+
+    betas.clear();
+    betas.extend((0..crossings).map(|_| rng.next_f64()));
+    kernels.spread_factors(betas, eta_c);
+
+    child_a.copy_from_slice(parent_a);
+    child_b.copy_from_slice(parent_b);
+    let mut betas = betas.iter();
+    for (w, &mask) in crossing.iter().enumerate() {
+        let mut mask = mask;
+        while mask != 0 {
+            let i = 64 * w + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let beta = betas.next().expect("one spread per crossing gene");
+            let (x1, x2) = (parent_a[i], parent_b[i]);
+            let (lower, upper) = bounds[i];
+            child_a[i] = (0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)).clamp(lower, upper);
+            child_b[i] = (0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)).clamp(lower, upper);
+        }
+    }
+}
+
+/// A compiled instance of SBX's vector kernels: the packed differ mask and
+/// the spread kernel. [`sbx_crossover`] runs the widest one this CPU has;
+/// every instance gives the same bits, and naming one lets tests and
+/// benchmarks pin it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SbxKernels {
+    /// Compiled for the baseline target: groups of 8 and chunks of 4 at
+    /// whatever width the target's vectors have.
+    Portable,
+    /// The same code compiled for AVX2 (4 `f64` lanes), without FMA.
+    Avx2,
+}
+
+impl SbxKernels {
+    /// The widest instance this CPU runs.
+    fn widest() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return SbxKernels::Avx2;
+        }
+        SbxKernels::Portable
+    }
+
+    /// Whether this CPU runs this instance.
+    pub fn runs(self) -> bool {
+        self == SbxKernels::Portable || SbxKernels::widest() == SbxKernels::Avx2
+    }
+
+    /// The differ mask of up to 64 gene pairs: bit `j` is set when the
+    /// parents' genes `j` are to be crossed (they are unequal and differ by
+    /// at least 1e-14, or either is NaN).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chunks have unequal lengths or more than 64 genes, or
+    /// if this CPU does not run this instance.
+    pub fn differ_mask(self, chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
+        assert!(
+            chunk_a.len() == chunk_b.len() && chunk_a.len() <= 64,
+            "a chunk is at most 64 gene pairs"
+        );
+        assert!(self.runs(), "this CPU does not run the {self:?} instance");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
+            SbxKernels::Avx2 => unsafe { differ_mask_avx2(chunk_a, chunk_b) },
+            _ => differ_mask_packed(chunk_a, chunk_b),
         }
     }
 
-    let exponent = SpreadExponent::new(eta_c);
-    betas.clear();
-    betas.extend(genes.iter().map(|_| rng.next_f64()));
-    for beta in betas.iter_mut() {
-        *beta = spread_factor(*beta, exponent);
+    /// Replaces each spread `u ∈ [0, 1)` of `spreads` with its spread
+    /// factor β at the distribution index `eta_c ≥ 0`, as
+    /// [`sbx_crossover`] computes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU does not run this instance.
+    pub fn spread_factors(self, spreads: &mut [f64], eta_c: f64) {
+        let exponent = SpreadExponent::new(eta_c);
+        assert!(self.runs(), "this CPU does not run the {self:?} instance");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
+            SbxKernels::Avx2 => unsafe { spread_factors_avx2(spreads, exponent) },
+            _ => spread_factors_chunks(spreads, exponent),
+        }
     }
+}
 
-    let mut child_a = parent_a.to_vec();
-    let mut child_b = parent_b.to_vec();
-    for (&i, &beta) in genes.iter().zip(betas.iter()) {
-        let (x1, x2) = (parent_a[i], parent_b[i]);
-        let (lower, upper) = bounds[i];
-        child_a[i] = (0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2)).clamp(lower, upper);
-        child_b[i] = (0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2)).clamp(lower, upper);
+/// [`differ_mask_packed`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn differ_mask_avx2(chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
+    differ_mask_packed(chunk_a, chunk_b)
+}
+
+/// [`spread_factors_chunks`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn spread_factors_avx2(spreads: &mut [f64], exponent: SpreadExponent) {
+    spread_factors_chunks(spreads, exponent)
+}
+
+/// The differ mask of up to 64 gene pairs: every pair's [`differ`] flag
+/// as one byte, then each group of 8 flags packed into 8 bits with one
+/// multiply (flag `j` of a group lands on bit `56 + j` of the product, and
+/// no lower partial product carries into that byte). The flags past the
+/// chunk's last gene stay 0, so a partial group packs as a full one.
+#[inline(always)]
+fn differ_mask_packed(chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
+    let mut flags = [0u8; 64];
+    for ((flag, &x1), &x2) in flags.iter_mut().zip(chunk_a).zip(chunk_b) {
+        *flag = differ(x1, x2) as u8;
     }
-    (child_a, child_b)
+    let mut mask = 0;
+    for (g, group) in flags.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(group.try_into().expect("a group is 8 flags"));
+        mask |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    mask
+}
+
+/// The spread factor of every spread, in fixed chunks of 4 lanes, then the
+/// last 1–3 one by one.
+#[inline(always)]
+fn spread_factors_chunks(spreads: &mut [f64], exponent: SpreadExponent) {
+    let mut chunks = spreads.chunks_exact_mut(4);
+    for chunk in &mut chunks {
+        let lanes: &mut [f64; 4] = chunk.try_into().expect("a chunk is 4 spreads");
+        *lanes = [
+            spread_factor(lanes[0], exponent),
+            spread_factor(lanes[1], exponent),
+            spread_factor(lanes[2], exponent),
+            spread_factor(lanes[3], exponent),
+        ];
+    }
+    for u in chunks.into_remainder() {
+        *u = spread_factor(*u, exponent);
+    }
 }
 
 /// 1 when two parent genes are to be crossed (they are unequal and differ
 /// by at least 1e-14, or either is NaN), else 0. The equality test keeps
 /// equal infinities, whose difference is NaN, from crossing into NaN.
+#[inline(always)]
 fn differ(x1: f64, x2: f64) -> u64 {
     u64::from((x1 == x2) | ((x1 - x2).abs() < 1e-14)) ^ 1
 }
@@ -144,6 +290,7 @@ impl SpreadExponent {
 /// magnitude of `ln(base)` (up to 36 for the smallest base, `2⁻⁵²`).
 /// Branch-free, so a loop over many genes overlaps. `u = 0` gives exactly 0
 /// and `u = ½` exactly 1.
+#[inline(always)]
 fn spread_factor(u: f64, exponent: SpreadExponent) -> f64 {
     let low = u <= 0.5;
     let base = if low { 2.0 * u } else { 2.0 * (1.0 - u) };
@@ -168,6 +315,7 @@ const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
 /// `k_log.h`. With `x = 2ᵏ(1 + f)` and `1 + f` in `[√2/2, √2)`, `rest` is
 /// `k · LN2_LO + ln(1 + f)` from a degree-14 polynomial in
 /// `s = f / (2 + f)`, within 1 ulp. Any other input gives finite parts.
+#[inline(always)]
 fn ln_parts(x: f64) -> (f64, f64) {
     const LG: [f64; 7] = [
         f64::from_bits(0x3fe5_5555_5555_5593),
@@ -201,6 +349,7 @@ fn ln_parts(x: f64) -> (f64, f64) {
 /// `2ᵏ` from its bits. `hi − k · LN2_HI` is exact where it matters (for
 /// `k ≠ 0`, when `hi` is a 53-bit product as [`spread_factor`] forms it),
 /// so `lo` refines the argument below `hi`'s last bit. Error within 1 ulp.
+#[inline(always)]
 fn exp_sum(hi: f64, lo: f64) -> f64 {
     const INV_LN2: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
     const P: [f64; 5] = [
@@ -352,6 +501,7 @@ pub fn tournament_select<R: Rng>(population: &[Individual], rng: &mut R) -> usiz
 
 #[cfg(test)]
 mod tests {
+    use super::reference::crossover;
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -367,7 +517,7 @@ mod tests {
         let a = vec![0.2, 0.8, 0.5];
         let b = vec![0.3, 0.1, 0.5];
         for _ in 0..200 {
-            let (c1, c2) = sbx_crossover(&a, &b, &bounds(3), 15.0, &mut rng, &mut scratch);
+            let (c1, c2) = crossover(&a, &b, &bounds(3), 15.0, &mut rng, &mut scratch);
             for child in [&c1, &c2] {
                 for &value in child {
                     assert!((0.0..=1.0).contains(&value));
@@ -387,19 +537,19 @@ mod tests {
         let b = vec![0.6];
         let mut max_spread: f64 = 0.0;
         for _ in 0..500 {
-            let (c1, _) = sbx_crossover(&a, &b, &bounds(1), 100.0, &mut rng, &mut scratch);
+            let (c1, _) = crossover(&a, &b, &bounds(1), 100.0, &mut rng, &mut scratch);
             max_spread = max_spread.max((c1[0] - 0.5).abs());
         }
         assert!(max_spread < 0.3);
     }
 
     /// `u` as `next_f64` builds it from `word`.
-    fn unit(word: u64) -> f64 {
+    pub(super) fn unit(word: u64) -> f64 {
         (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// The spread factor as `powf` computed it before the kernel.
-    fn powf_spread_factor(u: f64, eta: f64) -> f64 {
+    pub(super) fn powf_spread_factor(u: f64, eta: f64) -> f64 {
         let base = if u <= 0.5 {
             2.0 * u
         } else {
@@ -412,7 +562,7 @@ mod tests {
     /// η = 0.5 it can reach 2 ulps: `powf`'s base `1 / (2(1 − u))` is
     /// rounded, and at an exponent near 1 that rounding reaches β whole.
     /// Every committed spec runs at the default η = 15.
-    const SPREAD_ULPS: [(f64, u64); 8] = [
+    pub(super) const SPREAD_ULPS: [(f64, u64); 8] = [
         (0.01, 2),
         (0.5, 1),
         (1.0, 1),
@@ -620,6 +770,30 @@ mod reference {
         (child_a, child_b)
     }
 
+    /// [`sbx_crossover`] into children that held stale values (NaN), which
+    /// it returns.
+    pub(super) fn crossover<R: Rng>(
+        parent_a: &[f64],
+        parent_b: &[f64],
+        bounds: &[(f64, f64)],
+        eta_c: f64,
+        rng: &mut R,
+        scratch: &mut SbxScratch,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = parent_a.len();
+        let (mut child_a, mut child_b) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        sbx_crossover(
+            parent_a,
+            parent_b,
+            bounds,
+            eta_c,
+            rng,
+            scratch,
+            (&mut child_a, &mut child_b),
+        );
+        (child_a, child_b)
+    }
+
     /// Random parents and bounds of `n` genes that hit every branch of SBX.
     fn random_case(rng: &mut StdRng, n: usize) -> (Vec<f64>, Vec<f64>, Vec<(f64, f64)>) {
         let mut parent_a = Vec::with_capacity(n);
@@ -675,9 +849,18 @@ mod reference {
             let mut rng = StdRng::seed_from_u64(cases.gen());
             let mut reference_rng = rng.clone();
             let mut scratch = SbxScratch::new();
+            // The children are written in place over the last call's.
+            let (mut a, mut b) = (vec![f64::NAN; n], vec![f64::NAN; n]);
             for _ in 0..4 {
-                let (a, b) =
-                    sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut rng, &mut scratch);
+                sbx_crossover(
+                    &parent_a,
+                    &parent_b,
+                    &bounds,
+                    eta,
+                    &mut rng,
+                    &mut scratch,
+                    (&mut a, &mut b),
+                );
                 let (ref_a, ref_b) =
                     reference_sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut reference_rng);
                 prop_assert_eq!(bits(&a), bits(&ref_a));
@@ -738,7 +921,7 @@ mod reference {
         }
         // Reading past the script panics on its index.
         let mut rng = Script::new(words.to_vec());
-        let (a, b) = sbx_crossover(parent_a, parent_b, &bounds, 15.0, &mut rng, scratch);
+        let (a, b) = crossover(parent_a, parent_b, &bounds, 15.0, &mut rng, scratch);
         assert_eq!(bits(&a), bits(&expected_a), "{case}: first child");
         assert_eq!(bits(&b), bits(&expected_b), "{case}: second child");
         assert_eq!(rng.read, words.len(), "{case}: words read");
@@ -898,8 +1081,7 @@ mod reference {
                 let bounds = wide(pairs.len());
                 let mut rng = Script::new(words.clone());
                 let mut reference_rng = Script::new(words);
-                let (a, b) =
-                    sbx_crossover(&parent_a, &parent_b, &bounds, 15.0, &mut rng, &mut scratch);
+                let (a, b) = crossover(&parent_a, &parent_b, &bounds, 15.0, &mut rng, &mut scratch);
                 let (ref_a, ref_b) = reference_sbx_crossover(
                     &parent_a,
                     &parent_b,
@@ -938,7 +1120,7 @@ mod reference {
             let mut reference_rng = rng.clone();
             for _ in 0..20 {
                 let (child, _) =
-                    sbx_crossover(&parent_a, &parent_b, &bounds, 20.0, &mut rng, &mut scratch);
+                    crossover(&parent_a, &parent_b, &bounds, 20.0, &mut rng, &mut scratch);
                 let (reference, _) = reference_sbx_crossover(
                     &parent_a,
                     &parent_b,
@@ -984,7 +1166,7 @@ mod reference {
             for _ in 0..calls {
                 let before = rng.read;
                 let (child, _) =
-                    sbx_crossover(&parent_a, &parent_b, &bounds, eta, &mut rng, &mut scratch);
+                    crossover(&parent_a, &parent_b, &bounds, eta, &mut rng, &mut scratch);
                 counts.push((rng.read - before - n.div_ceil(64)) as f64);
                 betas.extend(child[..d].iter().filter(|&&c| c != 1.0));
                 assert!(child[d..].iter().all(|&c| c == 1.0));
@@ -1334,6 +1516,161 @@ mod reference {
                     (chi_squared - df).abs() <= spread,
                     "n {n}, p {p}: χ² {chi_squared} over {n} positions"
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod kernels {
+    //! Every compiled instance of SBX's vector kernels gives the scalar
+    //! kernel's bits: the spread kernel (4 lanes, then a scalar tail of 1–3)
+    //! against [`spread_factor`] gene by gene, and the packed differ mask
+    //! (groups of 8) against the per-gene [`differ`] fold. Without AVX2 the
+    //! AVX2 instance is skipped, with a SKIPPED line on stderr.
+
+    use std::io::Write;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    use super::tests::{powf_spread_factor, unit, SPREAD_ULPS};
+    use super::{differ, spread_factor, SbxKernels, SpreadExponent};
+
+    /// The instances this CPU runs.
+    fn instances() -> Vec<SbxKernels> {
+        assert!(
+            SbxKernels::Portable.runs(),
+            "every CPU runs the portable instance"
+        );
+        if !SbxKernels::Avx2.runs() {
+            let _ = writeln!(
+                std::io::stderr(),
+                "operators: SKIPPED the 4-lane AVX2 kernel instance: this CPU has no AVX2"
+            );
+            return vec![SbxKernels::Portable];
+        }
+        vec![SbxKernels::Portable, SbxKernels::Avx2]
+    }
+
+    /// The widest `powf` distance the module's table states at `eta`: its
+    /// row at the largest η not above `eta`, or its first row below it.
+    fn powf_ulps(eta: f64) -> u64 {
+        SPREAD_ULPS
+            .iter()
+            .rev()
+            .find(|&&(at, _)| at <= eta)
+            .unwrap_or(&SPREAD_ULPS[0])
+            .1
+    }
+
+    #[test]
+    fn every_spread_kernel_instance_gives_the_scalar_kernels_bits() {
+        let mut rng = StdRng::seed_from_u64(2_037);
+        let mut spreads: Vec<f64> = (0..1_000_000).map(|_| unit(rng.next_u64())).collect();
+        // `u` of 0, 2⁻⁵³, ½, the next `f64` above ½, and 1 − 2⁻⁵³, each
+        // at every lane of a chunk and of a tail.
+        let edges = [
+            0.0,
+            f64::EPSILON / 2.0,
+            0.5,
+            0.5f64.next_up(),
+            1.0 - f64::EPSILON / 2.0,
+        ];
+        for k in 0..9 {
+            spreads.extend(edges.iter().cycle().skip(k).take(edges.len()));
+        }
+        let instances = instances();
+        for eta in [0.0, 0.5, 15.0, 20.0, 100.0] {
+            let exponent = SpreadExponent::new(eta);
+            let ulps = powf_ulps(eta);
+            let expected: Vec<f64> = spreads
+                .iter()
+                .map(|&u| spread_factor(u, exponent))
+                .collect();
+            for (&u, &beta) in spreads.iter().zip(&expected) {
+                let reference = powf_spread_factor(u, eta);
+                let distance = beta.to_bits().abs_diff(reference.to_bits());
+                assert!(
+                    beta.is_finite() && distance <= ulps,
+                    "η {eta}, u {u}: β {beta:e} is {distance} ulps from powf's {reference:e}"
+                );
+            }
+            for &kernels in &instances {
+                // Calls of 1 to 9 spreads in turn, so every tail of 1–3
+                // lanes and every lane of a chunk sees every kind of `u`.
+                let mut betas = spreads.clone();
+                let mut start = 0;
+                for length in (1..=9).cycle() {
+                    let end = (start + length).min(betas.len());
+                    kernels.spread_factors(&mut betas[start..end], eta);
+                    start = end;
+                    if start == betas.len() {
+                        break;
+                    }
+                }
+                for ((&u, &beta), &scalar) in spreads.iter().zip(&betas).zip(&expected) {
+                    assert_eq!(
+                        beta.to_bits(),
+                        scalar.to_bits(),
+                        "{kernels:?}, η {eta}, u {u}: β {beta:e} against the scalar {scalar:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Gene pairs at every edge of the differ predicate.
+    fn edge_pair(rng: &mut StdRng) -> (f64, f64) {
+        let (inf, nan, cut) = (f64::INFINITY, f64::NAN, 1e-14);
+        let x: f64 = rng.gen_range(-1.0..1.0);
+        let pair = match rng.gen_range(0..16u32) {
+            0 => (nan, x),
+            1 => (x, nan),
+            2 => (nan, nan),
+            3 => (inf, inf),
+            4 => (-inf, -inf),
+            5 => (inf, -inf),
+            6 => (inf, x),
+            7 => (-0.0, 0.0),
+            8 => (0.0, -0.0),
+            // Exactly 1e-14 apart (crosses), and its neighbours.
+            9 => (0.0, cut),
+            10 => (0.0, cut.next_down()),
+            11 => (cut.next_up(), 0.0),
+            12 => (x, x),
+            13 => (x, x + rng.gen_range(-2e-14..2e-14)),
+            _ => (x, rng.gen_range(-1.0..1.0)),
+        };
+        if rng.gen_bool(0.5) {
+            pair
+        } else {
+            (pair.1, pair.0)
+        }
+    }
+
+    #[test]
+    fn every_packed_differ_mask_instance_gives_the_per_gene_fold() {
+        let mut rng = StdRng::seed_from_u64(2_038);
+        let instances = instances();
+        for n in 1..=130 {
+            for _ in 0..40 {
+                let (parent_a, parent_b): (Vec<f64>, Vec<f64>) =
+                    (0..n).map(|_| edge_pair(&mut rng)).unzip();
+                for (chunk_a, chunk_b) in parent_a.chunks(64).zip(parent_b.chunks(64)) {
+                    let fold = chunk_a
+                        .iter()
+                        .zip(chunk_b)
+                        .enumerate()
+                        .fold(0, |mask, (j, (&x1, &x2))| mask | differ(x1, x2) << j);
+                    for &kernels in &instances {
+                        let mask = kernels.differ_mask(chunk_a, chunk_b);
+                        assert_eq!(
+                            mask, fold,
+                            "{kernels:?}, n {n}: {mask:#x} against the fold's {fold:#x}"
+                        );
+                    }
+                }
             }
         }
     }
