@@ -47,13 +47,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use pathway_core::jsonlite::JsonValue;
 use pathway_core::obs::{
-    check_phase_balance, check_profile_regression, diff_profiles, validate_profile_json,
-    write_profile_file, ProfileCheck, ProfileData,
+    check_phase_balance, check_profile_regression, diff_profiles, write_profile_file, Profile,
 };
-use pathway_core::sweep::{
-    run_sweep, validate_bench_json, write_front_file, SweepEvent, SweepReport,
-};
+use pathway_core::sweep::{run_sweep, write_front_file, LedgerDocument, SweepEvent, SweepReport};
 use pathway_core::{validate_spec_against_problem, AnyProblem, Job, PROBLEM_CATALOG};
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
@@ -270,16 +268,15 @@ impl ProfileSink {
         generations: u64,
         evaluations: u64,
     ) -> Result<(), String> {
-        let snapshot = self.registry.snapshot();
-        let data = ProfileData {
-            source,
-            label,
+        let profile = Profile {
+            source: source.to_string(),
+            label: label.to_string(),
             generations,
             evaluations,
             wall_ms: duration_us(self.started.elapsed()) / 1000,
-            snapshot: &snapshot,
+            ..Profile::from_snapshot(&self.registry.snapshot())
         };
-        write_profile_file(&self.path, &data)
+        write_profile_file(&self.path, &profile)
             .map_err(|err| format!("profile write failed: {}: {err}", self.path.display()))?;
         println!("profile: {}", self.path.display());
         Ok(())
@@ -702,29 +699,40 @@ fn command_ledger_check(args: &[OsString]) -> Result<(), CliError> {
         ));
     };
     let path = Path::new(path);
+    let ledger = read_document(path, LedgerDocument::from_json, |problems| {
+        format!("{problems} ledger schema violation(s)")
+    })?;
+    println!(
+        "{}: valid sweep ledger (sweep {:#018x}, {}/{} cells complete)",
+        path.display(),
+        ledger.sweep_hash,
+        ledger.cells_complete(),
+        ledger.cells.len()
+    );
+    Ok(())
+}
+
+/// Reads the JSON document at `path` through its typed reader `from_json`.
+/// Every problem goes to stderr as `<path>: <problem>`, and the error
+/// message counts them (`violations`).
+fn read_document<T>(
+    path: &Path,
+    from_json: fn(&JsonValue) -> Result<T, Vec<String>>,
+    violations: impl Fn(usize) -> String,
+) -> Result<T, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|err| CliError::failed(format!("cannot read {}: {err}", path.display())))?;
-    match validate_bench_json(&text) {
-        Ok(check) => {
-            println!(
-                "{}: valid sweep ledger (sweep {}, {}/{} cells complete)",
-                path.display(),
-                check.sweep_hash,
-                check.cells_complete,
-                check.cells_total
-            );
-            Ok(())
-        }
-        Err(problems) => {
-            for problem in &problems {
-                eprintln!("{}: {problem}", path.display());
-            }
-            Err(CliError::failed(format!(
-                "{} ledger schema violation(s)",
-                problems.len()
-            )))
-        }
+    let problems = match JsonValue::parse(&text) {
+        Ok(document) => match from_json(&document) {
+            Ok(value) => return Ok(value),
+            Err(problems) => problems,
+        },
+        Err(err) => vec![format!("not valid JSON: {err}")],
+    };
+    for problem in &problems {
+        eprintln!("{}: {problem}", path.display());
     }
+    Err(CliError::failed(violations(problems.len())))
 }
 
 /// Validates a telemetry profile (`--profile-out` output, a committed
@@ -739,20 +747,9 @@ fn command_profile_check(args: &[OsString]) -> Result<(), CliError> {
         ));
     };
     let path = Path::new(path);
-    let text = std::fs::read_to_string(path)
-        .map_err(|err| CliError::failed(format!("cannot read {}: {err}", path.display())))?;
-    let check = match validate_profile_json(&text) {
-        Ok(check) => check,
-        Err(problems) => {
-            for problem in &problems {
-                eprintln!("{}: {problem}", path.display());
-            }
-            return Err(CliError::failed(format!(
-                "{} profile schema violation(s)",
-                problems.len()
-            )));
-        }
-    };
+    let check = read_document(path, Profile::from_json, |problems| {
+        format!("{problems} profile schema violation(s)")
+    })?;
     check_phase_balance(&check)
         .map_err(|err| CliError::failed(format!("{}: {err}", path.display())))?;
     println!(
@@ -810,19 +807,10 @@ fn command_profile_diff(args: &[OsString]) -> Result<(), CliError> {
                 .to_string(),
         ));
     };
-    let load = |path: &OsString| -> Result<ProfileCheck, CliError> {
+    let load = |path: &OsString| {
         let path = Path::new(path);
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| CliError::failed(format!("cannot read {}: {err}", path.display())))?;
-        validate_profile_json(&text).map_err(|problems| {
-            for problem in &problems {
-                eprintln!("{}: {problem}", path.display());
-            }
-            CliError::failed(format!(
-                "{}: {} profile schema violation(s)",
-                path.display(),
-                problems.len()
-            ))
+        read_document(path, Profile::from_json, |problems| {
+            format!("{}: {problems} profile schema violation(s)", path.display())
         })
     };
     let old = load(old_path)?;

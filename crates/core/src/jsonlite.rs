@@ -509,6 +509,325 @@ fn write_string(out: &mut String, text: &str) {
     out.push('"');
 }
 
+/// Saturating integer → JSON integer: a value above `i64::MAX` renders as
+/// `i64::MAX`.
+pub fn int(value: impl TryInto<i64>) -> JsonValue {
+    JsonValue::Int(value.try_into().unwrap_or(i64::MAX))
+}
+
+/// What one JSON value must be: how it renders, how it reads back, and what
+/// a problem says was expected when it does not.
+pub struct Kind<T> {
+    /// The expected value, as a problem names it (`a non-negative integer`).
+    pub expected: &'static str,
+    /// Renders a value.
+    pub write: fn(&T) -> JsonValue,
+    /// Reads a value back; `None` when the JSON is not of this kind.
+    pub read: fn(&JsonValue) -> Option<T>,
+}
+
+/// A string.
+pub const TEXT: Kind<String> = Kind {
+    expected: "a string",
+    write: |text| JsonValue::String(text.clone()),
+    read: |value| value.as_str().map(str::to_string),
+};
+
+/// A non-empty string.
+pub const NAME: Kind<String> = Kind {
+    expected: "a non-empty string",
+    write: TEXT.write,
+    read: |value| {
+        value
+            .as_str()
+            .filter(|text| !text.is_empty())
+            .map(str::to_string)
+    },
+};
+
+/// A non-negative integer.
+pub const COUNT: Kind<u64> = Kind {
+    expected: "a non-negative integer",
+    write: |count| int(*count),
+    read: |value| value.as_i64().and_then(|count| u64::try_from(count).ok()),
+};
+
+/// A positive integer.
+pub const POSITIVE: Kind<u64> = Kind {
+    expected: "a positive integer",
+    write: COUNT.write,
+    read: |value| (COUNT.read)(value).filter(|count| *count > 0),
+};
+
+/// A non-negative integer that indexes or sizes something in memory.
+pub const SIZE: Kind<usize> = Kind {
+    expected: "a non-negative integer",
+    write: |size| int(*size),
+    read: |value| value.as_i64().and_then(|size| usize::try_from(size).ok()),
+};
+
+/// A finite number (an integer included).
+pub const FINITE: Kind<f64> = Kind {
+    expected: "a finite number",
+    write: |number| JsonValue::Number(*number),
+    read: |value| value.as_f64().filter(|number| number.is_finite()),
+};
+
+/// A finite number, or `null` for none.
+pub const FINITE_OR_NULL: Kind<Option<f64>> = Kind {
+    expected: "a finite number or null",
+    write: |number| number.map_or(JsonValue::Null, JsonValue::Number),
+    read: |value| match value {
+        JsonValue::Null => Some(None),
+        value => (FINITE.read)(value).map(Some),
+    },
+};
+
+/// `null`.
+pub const NULL: Kind<()> = Kind {
+    expected: "null",
+    write: |()| JsonValue::Null,
+    read: |value| value.is_null().then_some(()),
+};
+
+/// A 64-bit hash as an `0x`-prefixed 16-digit hex string.
+pub const HASH: Kind<u64> = Kind {
+    expected: "an 0x-prefixed 16-digit hex string",
+    write: |hash| JsonValue::String(format!("{hash:#018x}")),
+    read: |value| {
+        let digits = value.as_str()?.strip_prefix("0x")?;
+        let hex = digits.len() == 16 && digits.bytes().all(|byte| byte.is_ascii_hexdigit());
+        hex.then(|| u64::from_str_radix(digits, 16).ok())?
+    },
+};
+
+/// One field of a record type `R`: its key, how it renders from a record
+/// (`None`: the key is absent), and how it reads back into one.
+pub struct Field<R> {
+    /// The field's JSON key.
+    pub key: &'static str,
+    /// Renders the field of `record`; `None` leaves the key out.
+    pub write: fn(&R) -> Option<JsonValue>,
+    /// Reads the field at `key` into a record. `None` for a field derived
+    /// from the others (a format tag, a count): a document must hold
+    /// exactly what `write` renders from the fields read before it.
+    pub read: Option<fn(&mut R, &mut Fields<'_>, &'static str)>,
+}
+
+impl<R> AsRef<Field<R>> for Field<R> {
+    fn as_ref(&self) -> &Field<R> {
+        self
+    }
+}
+
+/// A [`Field`] row of a record's table:
+///
+/// - `field!("key": KIND => path)`: a value read and written as `KIND`;
+/// - `field!("key": [TABLE] => path)`: an array of records of `TABLE`;
+/// - `field!("key": [TABLE]+ => path)`: the same, and at least one;
+/// - `field!("key" = |record| value)`: a field derived from the others.
+#[macro_export]
+macro_rules! field {
+    ($key:literal: [$table:expr]+ => $($path:ident).+) => {
+        $crate::jsonlite::Field {
+            key: $key,
+            write: |record| Some($crate::jsonlite::write_records(&record.$($path).+, &$table)),
+            read: Some(|record, fields, key| {
+                record.$($path).+ = fields.records(key, &$table);
+                if record.$($path).+.is_empty() {
+                    fields.problem(key, "expected at least one entry");
+                }
+            }),
+        }
+    };
+    ($key:literal: [$table:expr] => $($path:ident).+) => {
+        $crate::jsonlite::Field {
+            key: $key,
+            write: |record| Some($crate::jsonlite::write_records(&record.$($path).+, &$table)),
+            read: Some(|record, fields, key| record.$($path).+ = fields.records(key, &$table)),
+        }
+    };
+    ($key:literal: $kind:expr => $($path:ident).+) => {
+        $crate::jsonlite::Field {
+            key: $key,
+            write: |record| Some(($kind.write)(&record.$($path).+)),
+            read: Some(|record, fields, key| record.$($path).+ = fields.get(key, $kind)),
+        }
+    };
+    ($key:literal = $derive:expr) => {
+        $crate::jsonlite::Field {
+            key: $key,
+            write: |record| Some(($derive)(record)),
+            read: None,
+        }
+    };
+}
+
+/// Renders `record` as an object through its field table.
+pub fn write_record<R, F: AsRef<Field<R>>>(record: &R, table: &[F]) -> JsonValue {
+    let fields = table.iter().map(AsRef::as_ref);
+    let written = fields.filter_map(|field| Some((field.key.to_string(), (field.write)(record)?)));
+    JsonValue::Object(written.collect())
+}
+
+/// Renders `records` as an array of objects through their field table.
+pub fn write_records<R, F: AsRef<Field<R>>>(records: &[R], table: &[F]) -> JsonValue {
+    JsonValue::Array(
+        records
+            .iter()
+            .map(|record| write_record(record, table))
+            .collect(),
+    )
+}
+
+/// Renders `items` as an array of values of one kind.
+pub fn write_list<T>(items: &[T], kind: Kind<T>) -> JsonValue {
+    JsonValue::Array(items.iter().map(kind.write).collect())
+}
+
+/// Reads a whole document through its record table: every field, then the
+/// derived ones.
+///
+/// # Errors
+///
+/// Every problem found, each naming the path of its field.
+pub fn read_record<R: Default, F: AsRef<Field<R>>>(
+    document: &JsonValue,
+    table: &[F],
+) -> Result<R, Vec<String>> {
+    let mut fields = Fields::new(document);
+    let record = fields.record(table);
+    fields.finish(record)
+}
+
+/// Reads typed fields out of one object of a parsed document and collects
+/// every problem with the path of its field, such as
+/// `'phases[3].calls': expected a positive integer`. A field that fails to
+/// read takes its type's default, so reading goes on to the end.
+pub struct Fields<'a> {
+    value: &'a JsonValue,
+    path: String,
+    problems: Vec<String>,
+}
+
+impl<'a> Fields<'a> {
+    /// A reader of the top-level object `value`.
+    pub fn new(value: &'a JsonValue) -> Self {
+        Fields {
+            value,
+            path: String::new(),
+            problems: Vec::new(),
+        }
+    }
+
+    fn path_of(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    /// Records a problem with the field at `key`.
+    pub fn problem(&mut self, key: &str, message: impl fmt::Display) {
+        let path = self.path_of(key);
+        self.problems.push(format!("'{path}': {message}"));
+    }
+
+    /// The value at `key` read as `kind`, or the default (and a problem).
+    pub fn get<T: Default>(&mut self, key: &str, kind: Kind<T>) -> T {
+        let value = self.value.get(key).and_then(kind.read);
+        if value.is_none() {
+            self.problem(key, format_args!("expected {}", kind.expected));
+        }
+        value.unwrap_or_default()
+    }
+
+    /// The value at `key` read as `kind`, or `None` when the key is absent.
+    pub fn optional<T: Default>(&mut self, key: &str, kind: Kind<T>) -> Option<T> {
+        self.value.get(key).map(|_| self.get(key, kind))
+    }
+
+    /// The items of the array at `key`, each read as `kind`. An item that
+    /// fails to read is left out (and a problem).
+    pub fn list<T>(&mut self, key: &str, kind: Kind<T>) -> Vec<T> {
+        let items = self.array(key);
+        let mut values = Vec::with_capacity(items.len());
+        for (at, item) in items.iter().enumerate() {
+            match (kind.read)(item) {
+                Some(value) => values.push(value),
+                None => self.problem(
+                    &format!("{key}[{at}]"),
+                    format_args!("expected {}", kind.expected),
+                ),
+            }
+        }
+        values
+    }
+
+    /// The objects of the array at `key`, each read through `table`.
+    pub fn records<R: Default, F: AsRef<Field<R>>>(&mut self, key: &str, table: &[F]) -> Vec<R> {
+        let path = self.path_of(key);
+        let items = self.array(key);
+        let mut records = Vec::with_capacity(items.len());
+        for (at, item) in items.iter().enumerate() {
+            let mut entry = Fields {
+                value: item,
+                path: format!("{path}[{at}]"),
+                problems: Vec::new(),
+            };
+            records.push(entry.record(table));
+            self.problems.append(&mut entry.problems);
+        }
+        records
+    }
+
+    /// This object read through `table`: every field in table order, then
+    /// each derived field checked against what it renders.
+    pub fn record<R: Default, F: AsRef<Field<R>>>(&mut self, table: &[F]) -> R {
+        let mut record = R::default();
+        let fields = table.iter().map(AsRef::as_ref);
+        for field in fields.clone() {
+            if let Some(read) = field.read {
+                read(&mut record, self, field.key);
+            }
+        }
+        for field in fields.filter(|field| field.read.is_none()) {
+            let expected = (field.write)(&record);
+            if self.value.get(field.key) != expected.as_ref() {
+                let expected =
+                    expected.map_or_else(|| "absent".to_string(), |value| value.to_compact());
+                self.problem(field.key, format_args!("must be {expected}"));
+            }
+        }
+        record
+    }
+
+    /// `value` when no problem was found, else every problem.
+    ///
+    /// # Errors
+    ///
+    /// Every problem found, in reading order.
+    pub fn finish<T>(self, value: T) -> Result<T, Vec<String>> {
+        if self.problems.is_empty() {
+            Ok(value)
+        } else {
+            Err(self.problems)
+        }
+    }
+
+    fn array(&mut self, key: &str) -> &'a [JsonValue] {
+        let value: &'a JsonValue = self.value;
+        match value.get(key).and_then(JsonValue::as_array) {
+            Some(items) => items,
+            None => {
+                self.problem(key, "expected an array");
+                &[]
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

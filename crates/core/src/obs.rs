@@ -1,13 +1,14 @@
-//! Profile artifacts: the JSON projection of a telemetry
-//! [`MetricsSnapshot`] plus its schema validator.
+//! Profile artifacts: the `pathway-profile` document a telemetry
+//! [`MetricsSnapshot`] folds into.
 //!
 //! The split mirrors the sweep ledger: plain-data metrics live upstream in
-//! `pathway_moo::engine::telemetry`, while this module owns the
-//! `profile.json` rendering (via [`crate::jsonlite`]), the atomic writer
-//! behind `pathway run/sweep --profile-out`, and
-//! [`validate_profile_json`] — the checker CI runs against freshly
+//! `pathway_moo::engine::telemetry`, while this module owns [`Profile`], the
+//! one typed description of the document. Its field tables render it
+//! ([`Profile::to_json`]) and read it back ([`Profile::from_json`]), so each
+//! key is spelled once. Reading is the check CI runs against freshly
 //! emitted profiles, live `pathway metrics` snapshots, and the committed
-//! `BENCH_profile.json` alike.
+//! `BENCH_profile.json` alike; [`write_profile_file`] is the atomic writer
+//! behind `pathway run/sweep --profile-out`.
 //!
 //! # Schema (format `pathway-profile`, version 1)
 //!
@@ -30,9 +31,11 @@
 //!
 //! `phases` folds the `phase.<name>.us` / `phase.<name>.calls` counter
 //! pairs the span timers record; the remaining counters stay in
-//! `counters`. All four arrays are sorted by name. Phase totals are CPU
-//! time: on a pooled executor the archipelago's islands breed on separate
-//! lanes at once, so sub-phase totals can legitimately exceed the
+//! `counters`. All four arrays are sorted by name. A histogram's bounds are
+//! finite and strictly ascending, it has one bucket more than bounds (the
+//! overflow), and its `count` is the sum of its buckets. Phase totals are
+//! CPU time: on a pooled executor the archipelago's islands breed on
+//! separate lanes at once, so sub-phase totals can legitimately exceed the
 //! `generation` phase's wall-clock total — [`check_phase_balance`]
 //! therefore applies a deliberately generous tolerance instead of
 //! expecting an exact partition.
@@ -43,7 +46,11 @@ use std::path::Path;
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::{Metric, MetricsSnapshot};
 
-use crate::jsonlite::JsonValue;
+use crate::field;
+use crate::jsonlite::{
+    int, read_record, write_list, write_record, Field, JsonValue, Kind, COUNT, FINITE, NAME,
+    POSITIVE, TEXT,
+};
 
 /// `format` tag of every profile document.
 pub const PROFILE_FORMAT: &str = "pathway-profile";
@@ -54,117 +61,33 @@ pub const PROFILE_VERSION: i64 = 1;
 /// The `source` values a valid profile may carry.
 pub const PROFILE_SOURCES: [&str; 3] = ["run", "sweep", "serve"];
 
-/// Everything a profile document records besides the metrics themselves.
-#[derive(Debug, Clone)]
-pub struct ProfileData<'a> {
+/// A `pathway-profile` document: the invocation it describes and the
+/// telemetry it recorded.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Profile {
     /// Which surface produced the profile: `run`, `sweep` or `serve`.
-    pub source: &'a str,
+    pub source: String,
     /// Human-readable origin (spec path, sweep out-dir, daemon name).
-    pub label: &'a str,
+    pub label: String,
     /// Generations this invocation completed (for `serve`: across jobs).
     pub generations: u64,
     /// Candidate evaluations this invocation spent.
     pub evaluations: u64,
     /// Wall-clock of the invocation (for `serve`: daemon uptime).
     pub wall_ms: u64,
-    /// The merged telemetry snapshot.
-    pub snapshot: &'a MetricsSnapshot,
+    /// The folded phase table, sorted by name.
+    pub phases: Vec<Phase>,
+    /// Counters other than phase timers, sorted by name.
+    pub counters: Vec<Named<u64>>,
+    /// Finite gauges, sorted by name.
+    pub gauges: Vec<Named<f64>>,
+    /// Histograms, sorted by name.
+    pub histograms: Vec<Histogram>,
 }
 
-/// Saturating `u64` → JSON integer.
-fn int(value: u64) -> JsonValue {
-    JsonValue::Int(i64::try_from(value).unwrap_or(i64::MAX))
-}
-
-/// Renders a profile document. Deterministic: arrays are sorted by name
-/// and every field is derived from the inputs alone.
-pub fn profile_json(data: &ProfileData) -> JsonValue {
-    // Fold the phase.<name>.us / phase.<name>.calls counter pairs.
-    let mut phases: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
-    for (name, metric) in &data.snapshot.metrics {
-        match metric {
-            Metric::Counter(value) => {
-                let phase_part = name
-                    .strip_prefix("phase.")
-                    .and_then(|rest| rest.rsplit_once('.'));
-                match phase_part {
-                    Some((phase, "us")) => phases.entry(phase.to_string()).or_default().1 = *value,
-                    Some((phase, "calls")) => {
-                        phases.entry(phase.to_string()).or_default().0 = *value;
-                    }
-                    _ => counters.push(JsonValue::object([
-                        ("name", JsonValue::string(name.clone())),
-                        ("value", int(*value)),
-                    ])),
-                }
-            }
-            Metric::Gauge(value) if value.is_finite() => gauges.push(JsonValue::object([
-                ("name", JsonValue::string(name.clone())),
-                ("value", JsonValue::Number(*value)),
-            ])),
-            Metric::Gauge(_) => {}
-            Metric::Histogram(histogram) => histograms.push(JsonValue::object([
-                ("name", JsonValue::string(name.clone())),
-                (
-                    "bounds",
-                    JsonValue::Array(
-                        histogram
-                            .bounds
-                            .iter()
-                            .map(|b| JsonValue::Number(*b))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "counts",
-                    JsonValue::Array(histogram.counts.iter().map(|c| int(*c)).collect()),
-                ),
-                ("count", int(histogram.count)),
-                ("sum", JsonValue::Number(histogram.sum())),
-            ])),
-        }
-    }
-    let phases = phases
-        .into_iter()
-        .map(|(name, (calls, total_us))| {
-            JsonValue::object([
-                ("name", JsonValue::string(name)),
-                ("calls", int(calls)),
-                ("total_us", int(total_us)),
-            ])
-        })
-        .collect();
-    JsonValue::object([
-        ("format", JsonValue::string(PROFILE_FORMAT)),
-        ("version", JsonValue::Int(PROFILE_VERSION)),
-        ("source", JsonValue::string(data.source)),
-        ("label", JsonValue::string(data.label)),
-        ("generations", int(data.generations)),
-        ("evaluations", int(data.evaluations)),
-        ("wall_ms", int(data.wall_ms)),
-        ("phases", JsonValue::Array(phases)),
-        ("counters", JsonValue::Array(counters)),
-        ("gauges", JsonValue::Array(gauges)),
-        ("histograms", JsonValue::Array(histograms)),
-    ])
-}
-
-/// Writes a profile, pretty-printed with a trailing newline, atomically
-/// ([`atomic_write`]) — a crash never leaves a truncated profile behind.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_profile_file(path: &Path, data: &ProfileData) -> std::io::Result<()> {
-    atomic_write(path, profile_json(data).to_pretty().as_bytes())
-}
-
-/// One folded phase of a validated profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseEntry {
+/// One folded phase of a profile.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Phase {
     /// Phase name (`generation`, `eval`, `variation`, …).
     pub name: String,
     /// How many spans were recorded.
@@ -173,198 +96,182 @@ pub struct PhaseEntry {
     pub total_us: u64,
 }
 
-/// What [`validate_profile_json`] found in a healthy profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileCheck {
-    /// The profile's `source` tag.
-    pub source: String,
-    /// The profile's `label`.
-    pub label: String,
-    /// Generations recorded.
-    pub generations: u64,
-    /// Evaluations recorded.
-    pub evaluations: u64,
-    /// Wall-clock milliseconds recorded.
-    pub wall_ms: u64,
-    /// The folded phase table, in document order.
-    pub phases: Vec<PhaseEntry>,
+/// One named value of a profile: a counter (`u64`) or a finite gauge
+/// (`f64`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Named<T> {
+    /// The metric's name.
+    pub name: String,
+    /// Its value.
+    pub value: T,
 }
 
-/// Validates a `profile.json` document against the schema: format and
-/// version tags, a known `source`, non-negative totals, well-formed phase
-/// entries, and internally consistent histograms (ascending finite
-/// bounds, `counts` one longer than `bounds`, bucket counts summing to
-/// `count`). Purely structural — use [`check_phase_balance`] on the
-/// result for the timing-consistency check.
+/// One histogram of a profile; its `count` is the sum of `counts`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Histogram {
+    /// Histogram name.
+    pub name: String,
+    /// Finite, strictly ascending upper bucket bounds.
+    pub bounds: Vec<f64>,
+    /// Per-bucket counts, one more than `bounds` (the overflow bucket).
+    pub counts: Vec<u64>,
+    /// Sum of the finite observed values.
+    pub sum: f64,
+}
+
+/// A profile's `source`.
+const SOURCE: Kind<String> = Kind {
+    expected: "one of \"run\", \"sweep\" or \"serve\"",
+    write: TEXT.write,
+    read: |value| {
+        let source = value
+            .as_str()
+            .filter(|source| PROFILE_SOURCES.contains(source));
+        source.map(str::to_string)
+    },
+};
+
+/// A histogram's bucket bounds.
+const BOUNDS: Kind<Vec<f64>> = Kind {
+    expected: "an array of finite, strictly ascending numbers",
+    write: |bounds| write_list(bounds, FINITE),
+    read: |value| {
+        let bounds: Vec<f64> = value
+            .as_array()?
+            .iter()
+            .map(FINITE.read)
+            .collect::<Option<_>>()?;
+        bounds
+            .windows(2)
+            .all(|pair| pair[0] < pair[1])
+            .then_some(bounds)
+    },
+};
+
+static PROFILE: [Field<Profile>; 11] = [
+    field!("format" = |_| JsonValue::string(PROFILE_FORMAT)),
+    field!("version" = |_| JsonValue::Int(PROFILE_VERSION)),
+    field!("source": SOURCE => source),
+    field!("label": TEXT => label),
+    field!("generations": COUNT => generations),
+    field!("evaluations": COUNT => evaluations),
+    field!("wall_ms": COUNT => wall_ms),
+    field!("phases": [PHASE] => phases),
+    field!("counters": [COUNTER] => counters),
+    field!("gauges": [GAUGE] => gauges),
+    field!("histograms": [HISTOGRAM] => histograms),
+];
+
+static PHASE: [Field<Phase>; 3] = [
+    field!("name": NAME => name),
+    field!("calls": POSITIVE => calls),
+    field!("total_us": COUNT => total_us),
+];
+
+static COUNTER: [Field<Named<u64>>; 2] = [
+    field!("name": NAME => name),
+    field!("value": COUNT => value),
+];
+
+static GAUGE: [Field<Named<f64>>; 2] = [
+    field!("name": NAME => name),
+    field!("value": FINITE => value),
+];
+
+static HISTOGRAM: [Field<Histogram>; 5] = [
+    field!("name": NAME => name),
+    field!("bounds": BOUNDS => bounds),
+    Field {
+        key: "counts",
+        write: |histogram| Some(write_list(&histogram.counts, COUNT)),
+        read: Some(|histogram, fields, key| {
+            histogram.counts = fields.list(key, COUNT);
+            let buckets = histogram.bounds.len() + 1;
+            if histogram.counts.len() != buckets {
+                fields.problem(
+                    key,
+                    format_args!("expected {buckets} buckets, one per bound and the overflow"),
+                );
+            }
+        }),
+    },
+    field!("count" = |histogram: &Histogram| int(histogram.counts.iter().sum::<u64>())),
+    field!("sum": FINITE => sum),
+];
+
+impl Profile {
+    /// The metrics of `snapshot`, folded into a profile whose header
+    /// (source, label and totals) is left for the caller to fill.
+    /// Deterministic: arrays are sorted by name.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Profile {
+        let mut profile = Profile::default();
+        // Fold the phase.<name>.us / phase.<name>.calls counter pairs.
+        let mut phases: BTreeMap<&str, Phase> = BTreeMap::new();
+        for (name, metric) in &snapshot.metrics {
+            match metric {
+                Metric::Counter(value) => {
+                    let phase_part = name
+                        .strip_prefix("phase.")
+                        .and_then(|rest| rest.rsplit_once('.'));
+                    match phase_part {
+                        Some((phase, "us")) => phases.entry(phase).or_default().total_us = *value,
+                        Some((phase, "calls")) => phases.entry(phase).or_default().calls = *value,
+                        _ => profile.counters.push(Named {
+                            name: name.clone(),
+                            value: *value,
+                        }),
+                    }
+                }
+                Metric::Gauge(value) if value.is_finite() => profile.gauges.push(Named {
+                    name: name.clone(),
+                    value: *value,
+                }),
+                Metric::Gauge(_) => {}
+                Metric::Histogram(histogram) => profile.histograms.push(Histogram {
+                    name: name.clone(),
+                    bounds: histogram.bounds.clone(),
+                    counts: histogram.counts.clone(),
+                    sum: histogram.sum(),
+                }),
+            }
+        }
+        profile.phases = phases
+            .into_iter()
+            .map(|(name, phase)| Phase {
+                name: name.to_string(),
+                ..phase
+            })
+            .collect();
+        profile
+    }
+
+    /// Renders the profile document.
+    pub fn to_json(&self) -> JsonValue {
+        write_record(self, &PROFILE)
+    }
+
+    /// Reads a profile document back: the format and version tags, a
+    /// known `source`, non-negative totals, well-formed phase, counter and
+    /// gauge entries, and internally consistent histograms. Purely
+    /// structural — use [`check_phase_balance`] on the result for the
+    /// timing-consistency check.
+    ///
+    /// # Errors
+    ///
+    /// Every problem found, each naming the path of its field.
+    pub fn from_json(document: &JsonValue) -> Result<Profile, Vec<String>> {
+        read_record(document, &PROFILE)
+    }
+}
+
+/// Writes a profile, pretty-printed with a trailing newline, atomically
+/// ([`atomic_write`]) — a crash never leaves a truncated profile behind.
 ///
 /// # Errors
 ///
-/// Every problem found, as one human-readable string each.
-pub fn validate_profile_json(text: &str) -> Result<ProfileCheck, Vec<String>> {
-    let mut problems = Vec::new();
-    let document = match JsonValue::parse(text) {
-        Ok(document) => document,
-        Err(err) => return Err(vec![format!("not valid JSON: {err}")]),
-    };
-    if document.get("format").and_then(JsonValue::as_str) != Some(PROFILE_FORMAT) {
-        problems.push(format!("'format' must be \"{PROFILE_FORMAT}\""));
-    }
-    if document.get("version").and_then(JsonValue::as_i64) != Some(PROFILE_VERSION) {
-        problems.push(format!("'version' must be {PROFILE_VERSION}"));
-    }
-    let source = document
-        .get("source")
-        .and_then(JsonValue::as_str)
-        .unwrap_or_default()
-        .to_string();
-    if !PROFILE_SOURCES.contains(&source.as_str()) {
-        problems.push(format!("'source' must be one of {PROFILE_SOURCES:?}"));
-    }
-    let label = match document.get("label").and_then(JsonValue::as_str) {
-        Some(label) => label.to_string(),
-        None => {
-            problems.push("'label' must be a string".to_string());
-            String::new()
-        }
-    };
-    let mut non_negative = |key: &str| match document.get(key).and_then(JsonValue::as_i64) {
-        Some(value) if value >= 0 => value as u64,
-        _ => {
-            problems.push(format!("'{key}' must be a non-negative integer"));
-            0
-        }
-    };
-    let generations = non_negative("generations");
-    let evaluations = non_negative("evaluations");
-    let wall_ms = non_negative("wall_ms");
-
-    let mut phases = Vec::new();
-    match document.get("phases").and_then(JsonValue::as_array) {
-        Some(entries) => {
-            for (at, entry) in entries.iter().enumerate() {
-                let name = entry.get("name").and_then(JsonValue::as_str);
-                let calls = entry.get("calls").and_then(JsonValue::as_i64);
-                let total_us = entry.get("total_us").and_then(JsonValue::as_i64);
-                match (name, calls, total_us) {
-                    (Some(name), Some(calls), Some(total_us))
-                        if !name.is_empty() && calls > 0 && total_us >= 0 =>
-                    {
-                        phases.push(PhaseEntry {
-                            name: name.to_string(),
-                            calls: calls as u64,
-                            total_us: total_us as u64,
-                        });
-                    }
-                    _ => problems.push(format!(
-                        "phase {at}: needs a non-empty 'name', positive 'calls' and \
-                         non-negative 'total_us'"
-                    )),
-                }
-            }
-        }
-        None => problems.push("'phases' must be an array".to_string()),
-    }
-
-    let named_value =
-        |section: &str, problems: &mut Vec<String>, check: &dyn Fn(&JsonValue) -> bool| {
-            match document.get(section).and_then(JsonValue::as_array) {
-                Some(entries) => {
-                    for (at, entry) in entries.iter().enumerate() {
-                        if entry
-                            .get("name")
-                            .and_then(JsonValue::as_str)
-                            .is_none_or(str::is_empty)
-                        {
-                            problems.push(format!("{section} {at}: needs a non-empty 'name'"));
-                        }
-                        match entry.get("value") {
-                            Some(value) if check(value) => {}
-                            _ => problems.push(format!("{section} {at}: bad 'value'")),
-                        }
-                    }
-                }
-                None => problems.push(format!("'{section}' must be an array")),
-            }
-        };
-    named_value("counters", &mut problems, &|value| {
-        value.as_i64().is_some_and(|v| v >= 0)
-    });
-    named_value("gauges", &mut problems, &|value| {
-        value.as_f64().is_some_and(f64::is_finite)
-    });
-
-    match document.get("histograms").and_then(JsonValue::as_array) {
-        Some(entries) => {
-            for (at, entry) in entries.iter().enumerate() {
-                if entry
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .is_none_or(str::is_empty)
-                {
-                    problems.push(format!("histogram {at}: needs a non-empty 'name'"));
-                }
-                let bounds: Option<Vec<f64>> = entry
-                    .get("bounds")
-                    .and_then(JsonValue::as_array)
-                    .map(|values| values.iter().filter_map(JsonValue::as_f64).collect());
-                let counts: Option<Vec<i64>> = entry
-                    .get("counts")
-                    .and_then(JsonValue::as_array)
-                    .map(|values| values.iter().filter_map(JsonValue::as_i64).collect());
-                let (Some(bounds), Some(counts)) = (bounds, counts) else {
-                    problems.push(format!(
-                        "histogram {at}: needs numeric 'bounds' and 'counts' arrays"
-                    ));
-                    continue;
-                };
-                if bounds.iter().any(|b| !b.is_finite())
-                    || bounds.windows(2).any(|pair| pair[0] >= pair[1])
-                {
-                    problems.push(format!(
-                        "histogram {at}: 'bounds' must be finite and strictly ascending"
-                    ));
-                }
-                if counts.len() != bounds.len() + 1 {
-                    problems.push(format!(
-                        "histogram {at}: 'counts' must hold bounds+1 buckets \
-                         (got {} for {} bounds)",
-                        counts.len(),
-                        bounds.len()
-                    ));
-                }
-                if counts.iter().any(|c| *c < 0) {
-                    problems.push(format!("histogram {at}: negative bucket count"));
-                }
-                let total: i64 = counts.iter().sum();
-                if entry.get("count").and_then(JsonValue::as_i64) != Some(total) {
-                    problems.push(format!(
-                        "histogram {at}: 'count' must equal the sum of 'counts'"
-                    ));
-                }
-                if !entry
-                    .get("sum")
-                    .and_then(JsonValue::as_f64)
-                    .is_some_and(f64::is_finite)
-                {
-                    problems.push(format!("histogram {at}: 'sum' must be a finite number"));
-                }
-            }
-        }
-        None => problems.push("'histograms' must be an array".to_string()),
-    }
-
-    if problems.is_empty() {
-        Ok(ProfileCheck {
-            source,
-            label,
-            generations,
-            evaluations,
-            wall_ms,
-            phases,
-        })
-    } else {
-        Err(problems)
-    }
+/// Propagates the underlying I/O error.
+pub fn write_profile_file(path: &Path, profile: &Profile) -> std::io::Result<()> {
+    atomic_write(path, profile.to_json().to_pretty().as_bytes())
 }
 
 /// Checks that the sub-phase timings are plausible against the
@@ -382,7 +289,7 @@ pub fn validate_profile_json(text: &str) -> Result<ProfileCheck, Vec<String>> {
 /// # Errors
 ///
 /// A human-readable message naming the totals that disagree.
-pub fn check_phase_balance(check: &ProfileCheck) -> Result<(), String> {
+pub fn check_phase_balance(check: &Profile) -> Result<(), String> {
     let generation_us = check
         .phases
         .iter()
@@ -456,8 +363,8 @@ pub struct ProfileDiff {
 /// like for like; with a missing count the raw totals are compared
 /// directly. Deterministic: output order is the sorted union of phase
 /// names.
-pub fn diff_profiles(old: &ProfileCheck, new: &ProfileCheck) -> ProfileDiff {
-    let fold = |check: &ProfileCheck| -> BTreeMap<String, u64> {
+pub fn diff_profiles(old: &Profile, new: &Profile) -> ProfileDiff {
+    let fold = |check: &Profile| -> BTreeMap<String, u64> {
         check
             .phases
             .iter()
@@ -564,21 +471,28 @@ mod tests {
         registry.observe("exec.chunk_us", &[10.0, 100.0], 5.0);
         registry.observe("exec.chunk_us", &[10.0, 100.0], 50.0);
         let snapshot = registry.snapshot();
-        profile_json(&ProfileData {
-            source: "run",
-            label: "examples/quickstart.spec",
+        Profile {
+            source: "run".to_string(),
+            label: "examples/quickstart.spec".to_string(),
             generations: 4,
             evaluations: 240,
             wall_ms: 12,
-            snapshot: &snapshot,
-        })
+            ..Profile::from_snapshot(&snapshot)
+        }
+        .to_json()
         .to_pretty()
+    }
+
+    /// The profile `text` holds, or every problem with it.
+    fn parse(text: &str) -> Result<Profile, Vec<String>> {
+        let document = JsonValue::parse(text).map_err(|err| vec![err.to_string()])?;
+        Profile::from_json(&document)
     }
 
     #[test]
     fn round_trip_through_the_validator() {
         let text = sample_profile_text();
-        let check = validate_profile_json(&text).expect("valid profile");
+        let check = parse(&text).expect("valid profile");
         assert_eq!(check.source, "run");
         assert_eq!(check.label, "examples/quickstart.spec");
         assert_eq!(check.generations, 4);
@@ -594,45 +508,112 @@ mod tests {
         assert_eq!(generation.total_us, 1000);
         check_phase_balance(&check).expect("balanced phases");
 
-        // The rendering is stable: re-rendering the same snapshot is
-        // byte-identical.
+        // The rendering is stable: re-rendering the same snapshot, or the
+        // profile read back, is byte-identical.
         assert_eq!(text, sample_profile_text());
+        assert_eq!(check.to_json().to_pretty(), text);
+    }
+
+    /// The profile `sample_profile_text` renders, pinned byte for byte.
+    const SAMPLE_PROFILE: &str = r#"{
+  "format": "pathway-profile",
+  "version": 1,
+  "source": "run",
+  "label": "examples/quickstart.spec",
+  "generations": 4,
+  "evaluations": 240,
+  "wall_ms": 12,
+  "phases": [
+    {
+      "name": "eval",
+      "calls": 4,
+      "total_us": 700
+    },
+    {
+      "name": "generation",
+      "calls": 4,
+      "total_us": 1000
+    },
+    {
+      "name": "variation",
+      "calls": 4,
+      "total_us": 200
+    }
+  ],
+  "counters": [
+    {
+      "name": "exec.batches",
+      "value": 4
+    },
+    {
+      "name": "exec.candidates",
+      "value": 240
+    }
+  ],
+  "gauges": [
+    {
+      "name": "exec.lanes",
+      "value": 2.0
+    }
+  ],
+  "histograms": [
+    {
+      "name": "exec.chunk_us",
+      "bounds": [
+        10.0,
+        100.0
+      ],
+      "counts": [
+        1,
+        1,
+        0
+      ],
+      "count": 2,
+      "sum": 55.0
+    }
+  ]
+}
+"#;
+
+    #[test]
+    fn a_snapshot_renders_the_pinned_profile() {
+        assert_eq!(sample_profile_text(), SAMPLE_PROFILE);
     }
 
     #[test]
     fn corrupted_profiles_are_rejected() {
         let text = sample_profile_text();
-        assert!(validate_profile_json("{not json").is_err());
+        assert!(parse("{not json").is_err());
         let wrong_format = text.replace("pathway-profile", "pathway-ledger");
-        assert!(validate_profile_json(&wrong_format).is_err());
+        assert!(parse(&wrong_format).is_err());
         let wrong_version = text.replace("\"version\": 1", "\"version\": 99");
-        assert!(validate_profile_json(&wrong_version).is_err());
+        assert!(parse(&wrong_version).is_err());
         let bad_source = text.replace("\"run\"", "\"walk\"");
-        assert!(validate_profile_json(&bad_source).is_err());
+        assert!(parse(&bad_source).is_err());
         let negative = text.replace("\"generations\": 4", "\"generations\": -4");
-        assert!(validate_profile_json(&negative).is_err());
+        assert!(parse(&negative).is_err());
         // Histogram bucket counts must sum to 'count'.
         let miscounted = text.replace("\"count\": 2", "\"count\": 7");
-        assert!(validate_profile_json(&miscounted).is_err());
+        assert!(parse(&miscounted).is_err());
         // Dropping a section entirely is caught too.
         let no_phases = text.replace("\"phases\"", "\"not_phases\"");
-        assert!(validate_profile_json(&no_phases).is_err());
+        assert!(parse(&no_phases).is_err());
     }
 
     #[test]
     fn phase_balance_flags_missing_and_implausible_timings() {
-        let phase = |name: &str, total_us: u64| PhaseEntry {
+        let phase = |name: &str, total_us: u64| Phase {
             name: name.to_string(),
             calls: 1,
             total_us,
         };
-        let check = |phases: Vec<PhaseEntry>| ProfileCheck {
+        let check = |phases: Vec<Phase>| Profile {
             source: "run".to_string(),
-            label: String::new(),
             generations: 1,
             evaluations: 1,
             wall_ms: 1,
             phases,
+            ..Profile::default()
         };
         // No generation phase at all: trivially balanced (idle daemon).
         check_phase_balance(&check(vec![phase("eval", 100)])).expect("no baseline");
@@ -663,8 +644,8 @@ mod tests {
         .expect("checkpoint writes are excluded from the balance");
     }
 
-    fn check_with(evaluations: u64, phases: &[(&str, u64)]) -> ProfileCheck {
-        ProfileCheck {
+    fn check_with(evaluations: u64, phases: &[(&str, u64)]) -> Profile {
+        Profile {
             source: "run".to_string(),
             label: "test".to_string(),
             generations: 1,
@@ -672,12 +653,13 @@ mod tests {
             wall_ms: 1,
             phases: phases
                 .iter()
-                .map(|&(name, total_us)| PhaseEntry {
+                .map(|&(name, total_us)| Phase {
                     name: name.to_string(),
                     calls: 1,
                     total_us,
                 })
                 .collect(),
+            ..Profile::default()
         }
     }
 
@@ -751,18 +733,18 @@ mod tests {
         let snapshot = registry.snapshot();
         write_profile_file(
             &path,
-            &ProfileData {
-                source: "run",
-                label: "test",
+            &Profile {
+                source: "run".to_string(),
+                label: "test".to_string(),
                 generations: 1,
                 evaluations: 10,
                 wall_ms: 1,
-                snapshot: &snapshot,
+                ..Profile::from_snapshot(&snapshot)
             },
         )
         .expect("profile written");
         let text = std::fs::read_to_string(&path).expect("profile readable");
-        validate_profile_json(&text).expect("written profile validates");
+        parse(&text).expect("written profile validates");
         assert!(!path.with_extension("json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,6 +22,12 @@
 //!   per-scenario summary of merged-front hypervolume and coverage per
 //!   method.
 //!
+//! Both forms are spelled once. Each ledger column is one row of a table
+//! that names its `ledger.md` header and rule, its JSON key, and how the
+//! value shows in each; [`LedgerDocument`] renders `BENCH_sweep.json` and
+//! reads it back ([`LedgerDocument::from_json`], what `pathway
+//! ledger-check` runs) through the same tables.
+//!
 //! Final fronts are persisted bit-exactly (IEEE-754 bits in hex) under
 //! `<out>/fronts/`, which is both what the kill/resume test diffs and what
 //! the summary merges.
@@ -34,13 +40,17 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::{
     CheckpointError, CheckpointStore, EngineError, MetricsRegistry, SpecError, StoredCheckpoint,
-    SweepCell, SweepSpec,
+    SweepAxis, SweepCell, SweepSpec,
 };
 use pathway_moo::exec::Executor;
 use pathway_moo::metrics::{global_coverage, hypervolume, union_front};
 use pathway_moo::{Individual, Optimizer};
 
-use crate::jsonlite::JsonValue;
+use crate::field;
+use crate::jsonlite::{
+    int, read_record, write_list, write_record, write_records, Field, Fields, JsonValue, Kind,
+    COUNT, FINITE, FINITE_OR_NULL, HASH, NULL, SIZE, TEXT,
+};
 use crate::registry::{validate_spec_against_problem, AnyProblem};
 use crate::Job;
 
@@ -148,8 +158,9 @@ fn lock_out_dir(out_dir: &Path) -> Result<std::fs::File, SweepError> {
     }
 }
 
-/// One completed cell as recorded in the ledger.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed cell as recorded in the ledger. Its columns, in
+/// `ledger.md` and in `BENCH_sweep.json` alike, are the rows of one table.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LedgerRow {
     /// Cell index in expansion order.
     pub cell: usize,
@@ -340,18 +351,13 @@ pub fn run_sweep(
             .map(|individual| individual.objectives.clone())
             .collect();
         let row = LedgerRow {
-            cell: cell.index,
-            spec_hash: cell.spec.content_hash(),
-            coordinates: cell.coordinates_string(),
-            problem: scenario_of(cell),
-            method: method_of(cell),
-            seed: cell.spec.seed,
             generations: driver.generation(),
             evaluations: driver.optimizer().evaluations(),
             front_size: front.len(),
             hypervolume: cell_hypervolume(&cell.spec.reference_point, &objectives),
             wall_ms: u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX),
             unix: now_unix(),
+            ..identity_row(cell)
         };
         ledger.append(row)?;
         ledger.write_json(sweep, cells, &fronts_dir)?;
@@ -366,6 +372,19 @@ pub fn run_sweep(
     }
     report.rows_total = ledger.rows.len();
     Ok(report)
+}
+
+/// A cell's identity columns; the outcome columns are left at zero.
+fn identity_row(cell: &SweepCell) -> LedgerRow {
+    LedgerRow {
+        cell: cell.index,
+        spec_hash: cell.spec.content_hash(),
+        coordinates: cell.coordinates_string(),
+        problem: scenario_of(cell),
+        method: method_of(cell),
+        seed: cell.spec.seed,
+        ..LedgerRow::default()
+    }
 }
 
 /// The scenario a cell belongs to: problem name plus its parameters
@@ -518,9 +537,6 @@ struct Ledger {
     rows: Vec<LedgerRow>,
 }
 
-const LEDGER_COLUMNS: &str =
-    "| cell | spec-hash | coordinates | problem | method | seed | gens | evals | front | hypervolume | wall-ms | unix |";
-
 impl Ledger {
     /// Opens (or creates) the ledger under `out_dir`, refusing one written
     /// by a different sweep.
@@ -568,11 +584,7 @@ impl Ledger {
             ));
         }
         header.push('\n');
-        header.push_str(LEDGER_COLUMNS);
-        header.push('\n');
-        header.push_str(
-            "|-----:|-----------|-------------|---------|--------|-----:|-----:|------:|------:|------------:|--------:|-----:|\n",
-        );
+        header.push_str(&markdown_header());
         atomic_write(&text_path, header.as_bytes()).map_err(|err| io_err(&text_path, err))?;
         Ok(Ledger {
             text_path,
@@ -609,29 +621,240 @@ impl Ledger {
         cells: &[SweepCell],
         fronts_dir: &Path,
     ) -> Result<(), SweepError> {
-        let document = bench_json(sweep, cells, &self.rows, fronts_dir);
-        atomic_write(&self.json_path, document.to_pretty().as_bytes())
+        let document = ledger_document(sweep, cells, &self.rows, fronts_dir);
+        atomic_write(&self.json_path, document.to_json().to_pretty().as_bytes())
             .map_err(|err| io_err(&self.json_path, err))
     }
 }
 
+/// A column value's `ledger.md` text: how it shows in a row, and how it
+/// parses back.
+struct Text<T> {
+    show: fn(&T) -> String,
+    parse: fn(&str) -> Option<T>,
+}
+
+/// A cell index, zero-padded to four digits.
+const INDEX: Text<usize> = Text {
+    show: |cell| format!("{cell:04}"),
+    parse: |text| text.parse().ok(),
+};
+
+/// A hash, as `0x` and 16 hex digits.
+const HEX: Text<u64> = Text {
+    show: |hash| format!("{hash:#018x}"),
+    parse: |text| u64::from_str_radix(text.strip_prefix("0x")?, 16).ok(),
+};
+
+/// Free text.
+const WORDS: Text<String> = Text {
+    show: String::clone,
+    parse: |text| Some(text.to_string()),
+};
+
+/// An unsigned integer.
+const U64: Text<u64> = Text {
+    show: u64::to_string,
+    parse: |text| text.parse().ok(),
+};
+
+/// A count.
+const USIZE: Text<usize> = Text {
+    show: usize::to_string,
+    parse: |text| text.parse().ok(),
+};
+
+/// A hypervolume, `-` for none.
+const HV: Text<Option<f64>> = Text {
+    show: |hv| hv.map_or_else(|| "-".to_string(), |hv| format!("{hv:?}")),
+    parse: |text| match text {
+        "-" => Some(None),
+        number => number.parse().ok().map(Some),
+    },
+};
+
+/// A cell's `(field, value)` coordinates, as an object of strings.
+const COORDINATES: Kind<Vec<(String, String)>> = Kind {
+    expected: "an object of strings",
+    write: |pairs| {
+        let pairs = pairs
+            .iter()
+            .map(|(field, value)| (field.clone(), JsonValue::string(value.clone())));
+        JsonValue::object(pairs)
+    },
+    read: |value| match value {
+        JsonValue::Object(pairs) => pairs
+            .iter()
+            .map(|(field, value)| Some((field.clone(), value.as_str()?.to_string())))
+            .collect(),
+        _ => None,
+    },
+};
+
+/// A cell's status: `complete` (`true`) or `never` (run).
+const STATUS: Kind<bool> = Kind {
+    expected: "\"complete\" or \"never\"",
+    write: |complete| JsonValue::string(if *complete { "complete" } else { "never" }),
+    read: |value| match value.as_str()? {
+        "complete" => Some(true),
+        "never" => Some(false),
+        _ => None,
+    },
+};
+
+/// A reference point, or `null` where there is none.
+const POINT: Kind<Option<Vec<f64>>> = Kind {
+    expected: "null or an array of finite numbers",
+    write: |point| {
+        point
+            .as_ref()
+            .map_or(JsonValue::Null, |point| write_list(point, FINITE))
+    },
+    read: |value| {
+        if value.is_null() {
+            return Some(None);
+        }
+        let point = value.as_array()?.iter().map(FINITE.read);
+        point.collect::<Option<_>>().map(Some)
+    },
+};
+
+/// A fraction.
+const UNIT: Kind<f64> = Kind {
+    expected: "a number within [0, 1]",
+    write: FINITE.write,
+    read: |value| {
+        value
+            .as_f64()
+            .filter(|fraction| (0.0..=1.0).contains(fraction))
+    },
+};
+
+/// How a column's JSON field shows in a cell that never ran.
+#[derive(Clone, Copy)]
+enum Never {
+    /// As in a complete cell: the cell's identity.
+    Shown,
+    /// As `null`: an outcome the cell does not have yet.
+    Null,
+    /// Not at all.
+    Absent,
+}
+
+/// One ledger column: its `ledger.md` header, rule and text (`None`: the
+/// column is JSON only), and the field of a `BENCH_sweep.json` cell.
+struct Column {
+    markdown: Option<Markdown>,
+    field: Field<LedgerCell>,
+}
+
+/// A column's part of `ledger.md`.
+struct Markdown {
+    header: &'static str,
+    rule: &'static str,
+    show: fn(&LedgerRow) -> String,
+    parse: fn(&mut LedgerRow, &str) -> Option<()>,
+}
+
+impl AsRef<Field<LedgerCell>> for Column {
+    fn as_ref(&self) -> &Field<LedgerCell> {
+        &self.field
+    }
+}
+
+/// A [`Column`] of the row field `$field`: `ledger.md` shows it as `$text`,
+/// the JSON cell as `$kind` under `$key`, and a cell that never ran as
+/// `Never::$never` says.
+macro_rules! column {
+    ($header:literal $rule:literal $text:ident, $key:literal: $kind:ident => $field:ident, $never:ident) => {
+        Column {
+            markdown: Some(Markdown {
+                header: $header,
+                rule: $rule,
+                show: |row| ($text.show)(&row.$field),
+                parse: |row, text| {
+                    row.$field = ($text.parse)(text)?;
+                    Some(())
+                },
+            }),
+            field: Field {
+                key: $key,
+                write: |cell| match (cell.complete, Never::$never) {
+                    (false, Never::Null) => Some(JsonValue::Null),
+                    (false, Never::Absent) => None,
+                    _ => Some(($kind.write)(&cell.row.$field)),
+                },
+                read: Some(|cell, fields, key| match (cell.complete, Never::$never) {
+                    (false, Never::Null) => fields.get(key, NULL),
+                    (false, Never::Absent) => {}
+                    _ => cell.row.$field = fields.get(key, $kind),
+                }),
+            },
+        }
+    };
+}
+
+/// The ledger's columns, in `ledger.md`'s and the JSON cells' order. The
+/// status is read before the outcome columns, which depend on it.
+static COLUMNS: [Column; 13] = [
+    column!("cell" "-----:" INDEX, "cell": SIZE => cell, Shown),
+    column!("spec-hash" "-----------" HEX, "spec_hash": HASH => spec_hash, Shown),
+    Column {
+        markdown: Some(Markdown {
+            header: "coordinates",
+            rule: "-------------",
+            show: |row| row.coordinates.clone(),
+            parse: |row, text| {
+                row.coordinates = text.to_string();
+                Some(())
+            },
+        }),
+        // The JSON cell keeps the coordinates as an object.
+        field: Field {
+            key: "coordinates",
+            write: |cell| Some((COORDINATES.write)(&cell.coordinates)),
+            read: Some(|cell, fields, key| {
+                cell.coordinates = fields.get(key, COORDINATES);
+                let pairs = cell
+                    .coordinates
+                    .iter()
+                    .map(|(field, value)| format!("{field}={value}"));
+                cell.row.coordinates = pairs.collect::<Vec<_>>().join(" ");
+            }),
+        },
+    },
+    column!("problem" "---------" WORDS, "problem": TEXT => problem, Shown),
+    column!("method" "--------" WORDS, "method": TEXT => method, Shown),
+    column!("seed" "-----:" U64, "seed": COUNT => seed, Shown),
+    Column {
+        markdown: None,
+        field: field!("status": STATUS => complete),
+    },
+    column!("gens" "-----:" USIZE, "generations": SIZE => generations, Null),
+    column!("evals" "------:" USIZE, "evaluations": SIZE => evaluations, Null),
+    column!("front" "------:" USIZE, "front_size": SIZE => front_size, Null),
+    column!("hypervolume" "------------:" HV, "hypervolume": FINITE_OR_NULL => hypervolume, Null),
+    column!("wall-ms" "--------:" U64, "wall_ms": COUNT => wall_ms, Absent),
+    column!("unix" "-----:" U64, "unix": COUNT => unix, Absent),
+];
+
+/// The columns `ledger.md` shows.
+fn markdown_columns() -> impl Iterator<Item = &'static Markdown> {
+    COLUMNS.iter().filter_map(|column| column.markdown.as_ref())
+}
+
+/// `ledger.md`'s column header and rule lines.
+fn markdown_header() -> String {
+    let headers: Vec<&str> = markdown_columns().map(|column| column.header).collect();
+    let rules: Vec<&str> = markdown_columns().map(|column| column.rule).collect();
+    format!("| {} |\n|{}|\n", headers.join(" | "), rules.join("|"))
+}
+
 fn render_row(row: &LedgerRow) -> String {
-    format!(
-        "| {:04} | {:#018x} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-        row.cell,
-        row.spec_hash,
-        row.coordinates,
-        row.problem,
-        row.method,
-        row.seed,
-        row.generations,
-        row.evaluations,
-        row.front_size,
-        row.hypervolume
-            .map_or_else(|| "-".to_string(), |hv| format!("{hv:?}")),
-        row.wall_ms,
-        row.unix
-    )
+    let texts: Vec<String> = markdown_columns()
+        .map(|column| (column.show)(row))
+        .collect();
+    format!("| {} |\n", texts.join(" | "))
 }
 
 /// Parses a `ledger.md` back into its sweep hash and rows. Tolerates the
@@ -642,179 +865,224 @@ fn parse_ledger(text: &str) -> Result<(u64, Vec<LedgerRow>), String> {
     let mut rows = Vec::new();
     for line in text.lines() {
         if let Some(rest) = line.strip_prefix("- sweep-hash: ") {
-            let digits = rest
-                .trim()
-                .strip_prefix("0x")
-                .ok_or_else(|| format!("bad sweep-hash line '{line}'"))?;
-            sweep_hash = Some(
-                u64::from_str_radix(digits, 16)
-                    .map_err(|_| format!("bad sweep-hash line '{line}'"))?,
-            );
+            let hash =
+                (HEX.parse)(rest.trim()).ok_or_else(|| format!("bad sweep-hash line '{line}'"))?;
+            sweep_hash = Some(hash);
             continue;
         }
         if !line.starts_with('|') {
             continue;
         }
-        let columns: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+        let texts: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
         // Data rows lead with a numeric cell index; the column-name and
         // separator rows do not.
-        let Ok(cell) = columns[0].parse::<usize>() else {
+        let Ok(cell) = texts[0].parse::<usize>() else {
             continue;
         };
-        if columns.len() != 12 {
+        let columns: Vec<&Markdown> = markdown_columns().collect();
+        if texts.len() != columns.len() {
             return Err(format!(
-                "row for cell {cell} has {} columns, expected 12",
+                "row for cell {cell} has {} columns, expected {}",
+                texts.len(),
                 columns.len()
             ));
         }
-        let hex = columns[1]
-            .strip_prefix("0x")
-            .ok_or_else(|| format!("row for cell {cell}: bad spec hash '{}'", columns[1]))?;
-        let spec_hash = u64::from_str_radix(hex, 16)
-            .map_err(|_| format!("row for cell {cell}: bad spec hash '{}'", columns[1]))?;
-        let parse_u64 = |at: usize, what: &str| {
-            columns[at]
-                .parse::<u64>()
-                .map_err(|_| format!("row for cell {cell}: bad {what} '{}'", columns[at]))
-        };
-        let parse_usize = |at: usize, what: &str| {
-            columns[at]
-                .parse::<usize>()
-                .map_err(|_| format!("row for cell {cell}: bad {what} '{}'", columns[at]))
-        };
-        let hypervolume = match columns[9] {
-            "-" => None,
-            number => Some(
-                number
-                    .parse::<f64>()
-                    .map_err(|_| format!("row for cell {cell}: bad hypervolume '{number}'"))?,
-            ),
-        };
-        rows.push(LedgerRow {
-            cell,
-            spec_hash,
-            coordinates: columns[2].to_string(),
-            problem: columns[3].to_string(),
-            method: columns[4].to_string(),
-            seed: parse_u64(5, "seed")?,
-            generations: parse_usize(6, "gens")?,
-            evaluations: parse_usize(7, "evals")?,
-            front_size: parse_usize(8, "front")?,
-            hypervolume,
-            wall_ms: parse_u64(10, "wall-ms")?,
-            unix: parse_u64(11, "unix")?,
-        });
+        let mut row = LedgerRow::default();
+        for (text, column) in texts.iter().zip(columns) {
+            (column.parse)(&mut row, text)
+                .ok_or_else(|| format!("row for cell {cell}: bad {} '{text}'", column.header))?;
+        }
+        rows.push(row);
     }
     let sweep_hash = sweep_hash.ok_or_else(|| "missing 'sweep-hash:' line".to_string())?;
     Ok((sweep_hash, rows))
 }
 
-/// Builds the `BENCH_sweep.json` document: header, every cell (completed
-/// rows verbatim, `"never"` placeholders otherwise), and the per-scenario
-/// merged-front summary.
-fn bench_json(
+/// A `BENCH_sweep.json` document: the sweep's axes, every cell (complete,
+/// or an explicit `never` placeholder), and the per-scenario summary. Its
+/// field tables render it ([`LedgerDocument::to_json`]) and read it back
+/// ([`LedgerDocument::from_json`]), so each key is spelled once.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LedgerDocument {
+    /// The sweep's content hash.
+    pub sweep_hash: u64,
+    /// The grid's axes, in declaration order.
+    pub axes: Vec<SweepAxis>,
+    /// Every cell of the grid, in expansion order.
+    pub cells: Vec<LedgerCell>,
+    /// Per scenario, the methods' merged fronts.
+    pub summary: Vec<ScenarioSummary>,
+}
+
+/// One cell of a ledger: its coordinates and its row.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LedgerCell {
+    /// `(field, value)` per axis.
+    pub coordinates: Vec<(String, String)>,
+    /// The cell's row. A cell that never ran has only its identity
+    /// columns (cell to seed) set.
+    pub row: LedgerRow,
+    /// Whether the cell ran to completion.
+    pub complete: bool,
+}
+
+/// The summary of one scenario: every completed cell's front merged into
+/// a global front, and each method's share of it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScenarioSummary {
+    /// Problem name plus its parameters.
+    pub scenario: String,
+    /// Size of the merged global front.
+    pub global_front_size: usize,
+    /// The reference point derived from the global front; `None` outside
+    /// 2–3 objectives.
+    pub reference_point: Option<Vec<f64>>,
+    /// One entry per method, sorted by name.
+    pub methods: Vec<MethodSummary>,
+}
+
+/// One method's merged front within a scenario.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MethodSummary {
+    /// The method (optimizer kind plus swept settings).
+    pub method: String,
+    /// Completed cells merged.
+    pub cells: usize,
+    /// Size of the merged front.
+    pub front_size: usize,
+    /// Its hypervolume against the scenario's reference point.
+    pub hypervolume: Option<f64>,
+    /// The fraction of the global front it contributes.
+    pub coverage: f64,
+}
+
+static LEDGER: [Field<LedgerDocument>; 8] = [
+    field!("format" = |_| JsonValue::string(BENCH_FORMAT)),
+    field!("version" = |_| JsonValue::Int(BENCH_VERSION)),
+    field!("sweep_hash": HASH => sweep_hash),
+    field!("cells_total" = |ledger: &LedgerDocument| int(ledger.cells.len())),
+    field!("cells_complete" = |ledger: &LedgerDocument| int(ledger.cells_complete())),
+    field!("axes": [AXIS]+ => axes),
+    Field {
+        key: "cells",
+        write: |ledger| Some(write_records(&ledger.cells, &COLUMNS)),
+        read: Some(read_cells),
+    },
+    field!("summary": [SCENARIO] => summary),
+];
+
+static AXIS: [Field<SweepAxis>; 2] = [
+    field!("field": TEXT => field),
+    Field {
+        key: "values",
+        write: |axis| Some(write_list(&axis.values, TEXT)),
+        read: Some(|axis, fields, key| {
+            axis.values = fields.list(key, TEXT);
+            if axis.values.is_empty() {
+                fields.problem(key, "expected at least one value");
+            }
+        }),
+    },
+];
+
+static SCENARIO: [Field<ScenarioSummary>; 4] = [
+    field!("scenario": TEXT => scenario),
+    field!("global_front_size": SIZE => global_front_size),
+    field!("reference_point": POINT => reference_point),
+    field!("methods": [METHOD]+ => methods),
+];
+
+static METHOD: [Field<MethodSummary>; 5] = [
+    field!("method": TEXT => method),
+    field!("cells": SIZE => cells),
+    field!("front_size": SIZE => front_size),
+    field!("hypervolume": FINITE_OR_NULL => hypervolume),
+    field!("coverage": UNIT => coverage),
+];
+
+/// Reads the cells through the columns, then checks them against the
+/// grid: cell `i` at position `i`, as many cells as the axes multiply to,
+/// and one coordinate per axis.
+fn read_cells(ledger: &mut LedgerDocument, fields: &mut Fields<'_>, key: &'static str) {
+    ledger.cells = fields.records(key, &COLUMNS);
+    let axes = ledger.axes.len();
+    let product = ledger.axes.iter().fold(1usize, |product, axis| {
+        product.saturating_mul(axis.values.len())
+    });
+    if axes > 0 && ledger.cells.len() != product {
+        let held = ledger.cells.len();
+        fields.problem(
+            key,
+            format_args!("holds {held} entries but the axes multiply to {product}"),
+        );
+    }
+    for (at, cell) in ledger.cells.iter().enumerate() {
+        let entry = format!("{key}[{at}]");
+        if cell.row.cell != at {
+            fields.problem(
+                &entry,
+                format_args!("is out of order: it holds cell {}", cell.row.cell),
+            );
+        }
+        if axes > 0 && cell.coordinates.len() != axes {
+            let named = cell.coordinates.len();
+            fields.problem(
+                &entry,
+                format_args!("has {named} coordinates, the sweep has {axes} axes"),
+            );
+        }
+    }
+}
+
+impl LedgerDocument {
+    /// Cells that ran to completion.
+    pub fn cells_complete(&self) -> usize {
+        self.cells.iter().filter(|cell| cell.complete).count()
+    }
+
+    /// Renders the `BENCH_sweep.json` document.
+    pub fn to_json(&self) -> JsonValue {
+        write_record(self, &LEDGER)
+    }
+
+    /// Reads a `BENCH_sweep.json` document back: the format/version tags,
+    /// the hash shape, every cell's fields (an outcome for a complete
+    /// cell, `null`s for one that never ran), the cell count against the
+    /// axes' product, and the summary's metric ranges. This is what CI
+    /// runs against both freshly emitted and committed ledgers to catch
+    /// format drift.
+    ///
+    /// # Errors
+    ///
+    /// Every problem found, each naming the path of its field.
+    pub fn from_json(document: &JsonValue) -> Result<LedgerDocument, Vec<String>> {
+        read_record(document, &LEDGER)
+    }
+}
+
+/// The ledger document of `sweep` with `rows` complete: every cell
+/// (completed rows verbatim, `never` placeholders otherwise) and the
+/// per-scenario merged-front summary.
+fn ledger_document(
     sweep: &SweepSpec,
     cells: &[SweepCell],
     rows: &[LedgerRow],
     fronts_dir: &Path,
-) -> JsonValue {
-    let hex = |hash: u64| JsonValue::String(format!("{hash:#018x}"));
-    let axes = JsonValue::Array(
-        sweep
-            .axes()
-            .iter()
-            .map(|axis| {
-                JsonValue::Object(vec![
-                    ("field".to_string(), JsonValue::String(axis.field.clone())),
-                    (
-                        "values".to_string(),
-                        JsonValue::Array(
-                            axis.values
-                                .iter()
-                                .map(|value| JsonValue::String(value.clone()))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let row_of = |cell: &SweepCell| rows.iter().find(|row| row.cell == cell.index);
-    let cell_entries = JsonValue::Array(
-        cells
-            .iter()
-            .map(|cell| {
-                let coordinates = JsonValue::Object(
-                    cell.coordinates
-                        .iter()
-                        .map(|(field, value)| (field.clone(), JsonValue::String(value.clone())))
-                        .collect(),
-                );
-                let mut fields = vec![
-                    ("cell".to_string(), JsonValue::Int(cell.index as i64)),
-                    ("spec_hash".to_string(), hex(cell.spec.content_hash())),
-                    ("coordinates".to_string(), coordinates),
-                    ("problem".to_string(), JsonValue::String(scenario_of(cell))),
-                    ("method".to_string(), JsonValue::String(method_of(cell))),
-                    ("seed".to_string(), JsonValue::Int(cell.spec.seed as i64)),
-                ];
-                match row_of(cell) {
-                    Some(row) => {
-                        fields.push((
-                            "status".to_string(),
-                            JsonValue::String("complete".to_string()),
-                        ));
-                        fields.push((
-                            "generations".to_string(),
-                            JsonValue::Int(row.generations as i64),
-                        ));
-                        fields.push((
-                            "evaluations".to_string(),
-                            JsonValue::Int(row.evaluations as i64),
-                        ));
-                        fields.push((
-                            "front_size".to_string(),
-                            JsonValue::Int(row.front_size as i64),
-                        ));
-                        fields.push((
-                            "hypervolume".to_string(),
-                            row.hypervolume.map_or(JsonValue::Null, JsonValue::Number),
-                        ));
-                        fields.push(("wall_ms".to_string(), JsonValue::Int(row.wall_ms as i64)));
-                        fields.push(("unix".to_string(), JsonValue::Int(row.unix as i64)));
-                    }
-                    None => {
-                        // The committed-table idiom: work not yet done is
-                        // an explicit placeholder, not a missing row.
-                        fields.push(("status".to_string(), JsonValue::String("never".to_string())));
-                        for metric in ["generations", "evaluations", "front_size", "hypervolume"] {
-                            fields.push((metric.to_string(), JsonValue::Null));
-                        }
-                    }
-                }
-                JsonValue::Object(fields)
-            })
-            .collect(),
-    );
-    JsonValue::Object(vec![
-        (
-            "format".to_string(),
-            JsonValue::String(BENCH_FORMAT.to_string()),
-        ),
-        ("version".to_string(), JsonValue::Int(BENCH_VERSION)),
-        ("sweep_hash".to_string(), hex(sweep.content_hash())),
-        (
-            "cells_total".to_string(),
-            JsonValue::Int(cells.len() as i64),
-        ),
-        (
-            "cells_complete".to_string(),
-            JsonValue::Int(rows.len() as i64),
-        ),
-        ("axes".to_string(), axes),
-        ("cells".to_string(), cell_entries),
-        ("summary".to_string(), summary_json(cells, rows, fronts_dir)),
-    ])
+) -> LedgerDocument {
+    let ledger_cell = |cell: &SweepCell| {
+        let row = rows.iter().find(|row| row.cell == cell.index);
+        LedgerCell {
+            coordinates: cell.coordinates.clone(),
+            row: row.cloned().unwrap_or_else(|| identity_row(cell)),
+            complete: row.is_some(),
+        }
+    };
+    LedgerDocument {
+        sweep_hash: sweep.content_hash(),
+        axes: sweep.axes().to_vec(),
+        cells: cells.iter().map(ledger_cell).collect(),
+        summary: summarize(cells, rows, fronts_dir),
+    }
 }
 
 /// The method × scenario summary: per scenario, merge every completed
@@ -822,7 +1090,7 @@ fn bench_json(
 /// own merged front by hypervolume (against a reference derived from the
 /// global front) and by the fraction of the global front it contributes
 /// ([`global_coverage`]).
-fn summary_json(cells: &[SweepCell], rows: &[LedgerRow], fronts_dir: &Path) -> JsonValue {
+fn summarize(cells: &[SweepCell], rows: &[LedgerRow], fronts_dir: &Path) -> Vec<ScenarioSummary> {
     use std::collections::BTreeMap;
     /// The objective vectors of one cell's persisted front.
     type Front = Vec<Vec<f64>>;
@@ -843,261 +1111,36 @@ fn summary_json(cells: &[SweepCell], rows: &[LedgerRow], fronts_dir: &Path) -> J
             .or_default()
             .push(objectives);
     }
-    JsonValue::Array(
-        scenarios
-            .into_iter()
-            .map(|(scenario, methods)| {
-                let all: Vec<Vec<Vec<f64>>> = methods.values().flatten().cloned().collect();
-                let global = union_front(&all);
-                let dim = global.first().map_or(0, Vec::len);
-                let reference = if (2..=3).contains(&dim) {
-                    Some(derived_reference(&global))
-                } else {
-                    None
-                };
-                let method_entries = JsonValue::Array(
-                    methods
-                        .into_iter()
-                        .map(|(method, fronts)| {
-                            let merged = union_front(&fronts);
-                            let merged_hv = reference
-                                .as_ref()
-                                .map(|reference| hypervolume(&merged, reference));
-                            JsonValue::Object(vec![
-                                ("method".to_string(), JsonValue::String(method)),
-                                ("cells".to_string(), JsonValue::Int(fronts.len() as i64)),
-                                (
-                                    "front_size".to_string(),
-                                    JsonValue::Int(merged.len() as i64),
-                                ),
-                                (
-                                    "hypervolume".to_string(),
-                                    merged_hv.map_or(JsonValue::Null, JsonValue::Number),
-                                ),
-                                (
-                                    "coverage".to_string(),
-                                    JsonValue::Number(global_coverage(&merged, &global)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                );
-                JsonValue::Object(vec![
-                    ("scenario".to_string(), JsonValue::String(scenario)),
-                    (
-                        "global_front_size".to_string(),
-                        JsonValue::Int(global.len() as i64),
-                    ),
-                    (
-                        "reference_point".to_string(),
-                        reference.map_or(JsonValue::Null, |reference| {
-                            JsonValue::Array(reference.into_iter().map(JsonValue::Number).collect())
-                        }),
-                    ),
-                    ("methods".to_string(), method_entries),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// What [`validate_bench_json`] found in a healthy ledger.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LedgerCheck {
-    /// The ledger's sweep hash, as printed.
-    pub sweep_hash: String,
-    /// Total cells in the grid.
-    pub cells_total: usize,
-    /// Cells with completed rows.
-    pub cells_complete: usize,
-}
-
-/// Validates a `BENCH_sweep.json` document against the ledger schema: the
-/// format/version tags, the hash shape, cell count vs. the axes' product,
-/// per-cell field presence and ranges, and the summary's metric ranges.
-/// This is what CI runs against both freshly emitted and committed ledgers
-/// to catch format drift.
-///
-/// # Errors
-///
-/// Every problem found, as one human-readable string each.
-pub fn validate_bench_json(text: &str) -> Result<LedgerCheck, Vec<String>> {
-    let mut problems = Vec::new();
-    let document = match JsonValue::parse(text) {
-        Ok(document) => document,
-        Err(err) => return Err(vec![format!("not valid JSON: {err}")]),
-    };
-    let is_hash = |value: Option<&JsonValue>| {
-        value.and_then(JsonValue::as_str).is_some_and(|hash| {
-            hash.len() == 18
-                && hash.starts_with("0x")
-                && hash[2..].chars().all(|c| c.is_ascii_hexdigit())
+    scenarios
+        .into_iter()
+        .map(|(scenario, methods)| {
+            let all: Vec<Vec<Vec<f64>>> = methods.values().flatten().cloned().collect();
+            let global = union_front(&all);
+            let dim = global.first().map_or(0, Vec::len);
+            let reference_point = (2..=3).contains(&dim).then(|| derived_reference(&global));
+            let methods = methods
+                .into_iter()
+                .map(|(method, fronts)| {
+                    let merged = union_front(&fronts);
+                    MethodSummary {
+                        method,
+                        cells: fronts.len(),
+                        front_size: merged.len(),
+                        hypervolume: reference_point
+                            .as_ref()
+                            .map(|reference| hypervolume(&merged, reference)),
+                        coverage: global_coverage(&merged, &global),
+                    }
+                })
+                .collect();
+            ScenarioSummary {
+                scenario,
+                global_front_size: global.len(),
+                reference_point,
+                methods,
+            }
         })
-    };
-    if document.get("format").and_then(JsonValue::as_str) != Some(BENCH_FORMAT) {
-        problems.push(format!("'format' must be \"{BENCH_FORMAT}\""));
-    }
-    if document.get("version").and_then(JsonValue::as_i64) != Some(BENCH_VERSION) {
-        problems.push(format!("'version' must be {BENCH_VERSION}"));
-    }
-    if !is_hash(document.get("sweep_hash")) {
-        problems.push("'sweep_hash' must be an 0x-prefixed 16-digit hex string".to_string());
-    }
-    let mut expected_cells = 1usize;
-    let mut axis_fields = Vec::new();
-    match document.get("axes").and_then(JsonValue::as_array) {
-        Some(axes) if !axes.is_empty() => {
-            for (at, axis) in axes.iter().enumerate() {
-                match axis.get("field").and_then(JsonValue::as_str) {
-                    Some(field) => axis_fields.push(field.to_string()),
-                    None => problems.push(format!("axis {at} is missing 'field'")),
-                }
-                match axis.get("values").and_then(JsonValue::as_array) {
-                    Some(values) if !values.is_empty() => {
-                        expected_cells = expected_cells.saturating_mul(values.len());
-                        if values.iter().any(|value| value.as_str().is_none()) {
-                            problems.push(format!("axis {at} has a non-string value"));
-                        }
-                    }
-                    _ => problems.push(format!("axis {at} needs a non-empty 'values' array")),
-                }
-            }
-        }
-        _ => problems.push("'axes' must be a non-empty array".to_string()),
-    }
-    let cells_total = document
-        .get("cells_total")
-        .and_then(JsonValue::as_i64)
-        .unwrap_or(-1);
-    let cells = document
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&[]);
-    if cells_total != cells.len() as i64 {
-        problems.push(format!(
-            "'cells_total' is {cells_total} but 'cells' holds {} entries",
-            cells.len()
-        ));
-    }
-    if !axis_fields.is_empty() && cells.len() != expected_cells {
-        problems.push(format!(
-            "'cells' holds {} entries but the axes multiply to {expected_cells}",
-            cells.len()
-        ));
-    }
-    let mut complete = 0usize;
-    for (at, cell) in cells.iter().enumerate() {
-        if cell.get("cell").and_then(JsonValue::as_i64) != Some(at as i64) {
-            problems.push(format!("cell {at}: 'cell' index out of order"));
-        }
-        if !is_hash(cell.get("spec_hash")) {
-            problems.push(format!("cell {at}: bad 'spec_hash'"));
-        }
-        match cell.get("coordinates") {
-            Some(JsonValue::Object(fields)) => {
-                let names: Vec<&String> = fields.iter().map(|(name, _)| name).collect();
-                if !axis_fields.is_empty() && names.len() != axis_fields.len() {
-                    problems.push(format!(
-                        "cell {at}: coordinates name {} fields, the sweep has {} axes",
-                        names.len(),
-                        axis_fields.len()
-                    ));
-                }
-            }
-            _ => problems.push(format!("cell {at}: 'coordinates' must be an object")),
-        }
-        let finite_or_null = |key: &str| match cell.get(key) {
-            Some(JsonValue::Null) => true,
-            Some(value) => value.as_f64().is_some_and(f64::is_finite),
-            None => false,
-        };
-        match cell.get("status").and_then(JsonValue::as_str) {
-            Some("complete") => {
-                complete += 1;
-                for key in [
-                    "generations",
-                    "evaluations",
-                    "front_size",
-                    "wall_ms",
-                    "unix",
-                ] {
-                    if cell
-                        .get(key)
-                        .and_then(JsonValue::as_i64)
-                        .is_none_or(|value| value < 0)
-                    {
-                        problems.push(format!(
-                            "cell {at}: complete but '{key}' is not a non-negative integer"
-                        ));
-                    }
-                }
-                if !finite_or_null("hypervolume") {
-                    problems.push(format!(
-                        "cell {at}: 'hypervolume' must be a finite number or null"
-                    ));
-                }
-            }
-            Some("never") => {
-                for key in ["generations", "evaluations", "front_size", "hypervolume"] {
-                    if !cell.get(key).is_some_and(JsonValue::is_null) {
-                        problems.push(format!("cell {at}: never ran but '{key}' is not null"));
-                    }
-                }
-            }
-            other => problems.push(format!(
-                "cell {at}: 'status' must be \"complete\" or \"never\", got {other:?}"
-            )),
-        }
-    }
-    if document.get("cells_complete").and_then(JsonValue::as_i64) != Some(complete as i64) {
-        problems.push(format!(
-            "'cells_complete' disagrees with the {complete} complete cells"
-        ));
-    }
-    match document.get("summary").and_then(JsonValue::as_array) {
-        Some(summary) => {
-            for scenario in summary {
-                let name = scenario
-                    .get("scenario")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?");
-                let methods = scenario
-                    .get("methods")
-                    .and_then(JsonValue::as_array)
-                    .unwrap_or(&[]);
-                if methods.is_empty() {
-                    problems.push(format!("summary '{name}': no methods"));
-                }
-                for method in methods {
-                    let coverage = method.get("coverage").and_then(JsonValue::as_f64);
-                    if !coverage.is_some_and(|value| (0.0..=1.0).contains(&value)) {
-                        problems.push(format!("summary '{name}': coverage must be within [0, 1]"));
-                    }
-                    match method.get("hypervolume") {
-                        Some(JsonValue::Null) => {}
-                        Some(value) if value.as_f64().is_some_and(f64::is_finite) => {}
-                        _ => problems.push(format!(
-                            "summary '{name}': hypervolume must be finite or null"
-                        )),
-                    }
-                }
-            }
-        }
-        None => problems.push("'summary' must be an array".to_string()),
-    }
-    if problems.is_empty() {
-        Ok(LedgerCheck {
-            sweep_hash: document
-                .get("sweep_hash")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            cells_total: cells.len(),
-            cells_complete: complete,
-        })
-    } else {
-        Err(problems)
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -1127,6 +1170,12 @@ reference_point = 25, 25
 max_generations = 4
 ";
 
+    /// The ledger document `text` holds, or every problem with it.
+    fn parse(text: &str) -> Result<LedgerDocument, Vec<String>> {
+        let document = JsonValue::parse(text).map_err(|err| vec![err.to_string()])?;
+        LedgerDocument::from_json(&document)
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pathway-sweep-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1151,7 +1200,8 @@ max_generations = 4
             unix: 1_754_600_000,
         };
         let text = format!(
-            "- sweep-hash: 0xdeadbeefdeadbeef\n{LEDGER_COLUMNS}\n|---|\n{}{}",
+            "- sweep-hash: 0xdeadbeefdeadbeef\n{}{}{}",
+            markdown_header(),
             render_row(&row),
             render_row(&LedgerRow {
                 hypervolume: None,
@@ -1182,9 +1232,14 @@ max_generations = 4
 
         // Every artifact is on disk.
         let json_text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        let check = validate_bench_json(&json_text).unwrap();
-        assert_eq!(check.cells_total, 2);
-        assert_eq!(check.cells_complete, 2);
+        let ledger = parse(&json_text).unwrap();
+        assert_eq!(ledger.cells.len(), 2);
+        assert_eq!(ledger.cells_complete(), 2);
+        assert_eq!(
+            ledger.to_json().to_pretty(),
+            json_text,
+            "read back byte for byte"
+        );
         for cell in 0..2 {
             assert!(dir.join(format!("fronts/cell-000{cell}.front")).exists());
         }
@@ -1300,10 +1355,10 @@ max_generations = 4
         let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
 
         let broken = text.replace("\"pathway-bench-sweep\"", "\"something-else\"");
-        assert!(validate_bench_json(&broken).is_err());
+        assert!(parse(&broken).is_err());
         let broken = text.replace("\"status\": \"complete\"", "\"status\": \"done\"");
-        assert!(validate_bench_json(&broken).is_err());
-        assert!(validate_bench_json("{not json").is_err());
+        assert!(parse(&broken).is_err());
+        assert!(parse("{not json").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

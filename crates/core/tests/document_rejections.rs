@@ -6,19 +6,21 @@
 //! rejections.
 
 use pathway_core::jsonlite::JsonValue;
-use pathway_core::obs::validate_profile_json;
-use pathway_core::sweep::validate_bench_json;
+use pathway_core::obs::Profile;
+use pathway_core::sweep::LedgerDocument;
 
 /// Every problem the profile reader finds in `text`, or none.
 fn profile_problems(text: &str) -> Vec<String> {
-    assert!(JsonValue::parse(text).is_ok(), "not JSON: {text}");
-    validate_profile_json(text).err().unwrap_or_default()
+    let document = JsonValue::parse(text).unwrap_or_else(|err| panic!("not JSON: {err}: {text}"));
+    Profile::from_json(&document).err().unwrap_or_default()
 }
 
 /// Every problem the ledger reader finds in `text`, or none.
 fn ledger_problems(text: &str) -> Vec<String> {
-    assert!(JsonValue::parse(text).is_ok(), "not JSON: {text}");
-    validate_bench_json(text).err().unwrap_or_default()
+    let document = JsonValue::parse(text).unwrap_or_else(|err| panic!("not JSON: {err}: {text}"));
+    LedgerDocument::from_json(&document)
+        .err()
+        .unwrap_or_default()
 }
 
 /// A valid profile: two phases, a counter, a gauge and a histogram.
@@ -84,13 +86,25 @@ const MALFORMED_PROFILES: [Broken; 30] = [
     broken(r#""version": 1"#, r#""version": 2"#, "version"),
     broken(r#""version": 1"#, r#""version": "1""#, "version"),
     broken(r#""source": "run""#, r#""source": "walk""#, "source"),
-    broken(r#""label": "examples/quickstart.spec""#, r#""label": 7"#, "label"),
+    broken(
+        r#""label": "examples/quickstart.spec""#,
+        r#""label": 7"#,
+        "label",
+    ),
     broken(r#""generations": 4"#, r#""generations": -4"#, "generations"),
-    broken(r#""evaluations": 240"#, r#""evaluations": 2.5"#, "evaluations"),
+    broken(
+        r#""evaluations": 240"#,
+        r#""evaluations": 2.5"#,
+        "evaluations",
+    ),
     broken(r#""wall_ms": 12"#, r#""wall_ms": -1"#, "wall_ms"),
     // Phase entries.
     broken(r#"{"name": "eval""#, r#"{"name": """#, "name"),
-    broken(r#""calls": 4, "total_us": 700"#, r#""calls": 0, "total_us": 700"#, "calls"),
+    broken(
+        r#""calls": 4, "total_us": 700"#,
+        r#""calls": 0, "total_us": 700"#,
+        "calls",
+    ),
     broken(r#""total_us": 700"#, r#""total_us": -700"#, "total_us"),
     broken(r#", "total_us": 1000"#, "", "total_us"),
     // Counter and gauge entries.
@@ -101,8 +115,16 @@ const MALFORMED_PROFILES: [Broken; 30] = [
     broken(r#"{"name": "exec.lanes", "#, "{", "name"),
     // Histogram entries.
     broken(r#""name": "exec.chunk_us""#, r#""name": """#, "name"),
-    broken(r#""bounds": [10.0, 100.0]"#, r#""bounds": [100.0, 10.0]"#, "bounds"),
-    broken(r#""bounds": [10.0, 100.0]"#, r#""bounds": [10.0, 10.0]"#, "bounds"),
+    broken(
+        r#""bounds": [10.0, 100.0]"#,
+        r#""bounds": [100.0, 10.0]"#,
+        "bounds",
+    ),
+    broken(
+        r#""bounds": [10.0, 100.0]"#,
+        r#""bounds": [10.0, 10.0]"#,
+        "bounds",
+    ),
     broken(r#""bounds": [10.0, 100.0]"#, r#""bounds": 10.0"#, "bounds"),
     broken(r#""counts": [1, 1, 0]"#, r#""counts": [1, 1]"#, "counts"),
     broken(r#""counts": [1, 1, 0]"#, r#""counts": [-1, 3, 0]"#, "count"),
@@ -122,16 +144,32 @@ const MALFORMED_LEDGERS: [Broken; 32] = [
     broken(r#""pathway-bench-sweep""#, r#""pathway-profile""#, "format"),
     broken(r#""version": 1"#, r#""version": 0"#, "version"),
     broken(r#""0x00000000deadbeef""#, r#""0xdeadbeef""#, "sweep_hash"),
-    broken(r#""0x00000000deadbeef""#, r#""0000000000deadbeef""#, "sweep_hash"),
-    broken(r#""0x00000000deadbeef""#, r#""0x00000000deadbeeg""#, "sweep_hash"),
+    broken(
+        r#""0x00000000deadbeef""#,
+        r#""0000000000deadbeef""#,
+        "sweep_hash",
+    ),
+    broken(
+        r#""0x00000000deadbeef""#,
+        r#""0x00000000deadbeeg""#,
+        "sweep_hash",
+    ),
     // The axes.
-    broken(r#"[{"field": "run.seed", "values": ["1", "2"]}]"#, "[]", "axes"),
+    broken(
+        r#"[{"field": "run.seed", "values": ["1", "2"]}]"#,
+        "[]",
+        "axes",
+    ),
     broken(r#"{"field": "run.seed", "#, "{", "field"),
     broken(r#""values": ["1", "2"]"#, r#""values": []"#, "values"),
     broken(r#""values": ["1", "2"]"#, r#""values": ["1", 2]"#, "value"),
     // The cell count against the cells and the axes.
     broken(r#""cells_total": 2"#, r#""cells_total": 3"#, "cells_total"),
-    broken(r#""values": ["1", "2"]"#, r#""values": ["1", "2", "3"]"#, "axes"),
+    broken(
+        r#""values": ["1", "2"]"#,
+        r#""values": ["1", "2", "3"]"#,
+        "axes",
+    ),
     broken(r#""cells": ["#, r#""cell_list": ["#, "cells"),
     // Each cell's identity.
     broken(r#""cell": 1,"#, r#""cell": 0,"#, "cell"),
@@ -148,8 +186,16 @@ const MALFORMED_LEDGERS: [Broken; 32] = [
     ),
     broken(r#""status": "complete""#, r#""status": "done""#, "status"),
     // A complete cell's fields.
-    broken(r#""generations": 4"#, r#""generations": 4.5"#, "generations"),
-    broken(r#""evaluations": 48"#, r#""evaluations": null"#, "evaluations"),
+    broken(
+        r#""generations": 4"#,
+        r#""generations": 4.5"#,
+        "generations",
+    ),
+    broken(
+        r#""evaluations": 48"#,
+        r#""evaluations": null"#,
+        "evaluations",
+    ),
     broken(
         r#""front_size": 9, "hypervolume": 612.5"#,
         r#""front_size": -9, "hypervolume": 612.5"#,
@@ -157,11 +203,27 @@ const MALFORMED_LEDGERS: [Broken; 32] = [
     ),
     broken(r#""wall_ms": 3, "#, "", "wall_ms"),
     broken(r#""unix": 1754600000"#, r#""unix": "now""#, "unix"),
-    broken(r#""hypervolume": 612.5"#, r#""hypervolume": "big""#, "hypervolume"),
+    broken(
+        r#""hypervolume": 612.5"#,
+        r#""hypervolume": "big""#,
+        "hypervolume",
+    ),
     // A cell that never ran.
-    broken(r#""generations": null"#, r#""generations": 4"#, "generations"),
-    broken(r#""hypervolume": null"#, r#""hypervolume": 1.0"#, "hypervolume"),
-    broken(r#""cells_complete": 1"#, r#""cells_complete": 2"#, "cells_complete"),
+    broken(
+        r#""generations": null"#,
+        r#""generations": 4"#,
+        "generations",
+    ),
+    broken(
+        r#""hypervolume": null"#,
+        r#""hypervolume": 1.0"#,
+        "hypervolume",
+    ),
+    broken(
+        r#""cells_complete": 1"#,
+        r#""cells_complete": 2"#,
+        "cells_complete",
+    ),
     // The summary.
     broken(
         r#""methods": [{"method": "nsga2", "cells": 1, "front_size": 9, "hypervolume": 12.5, "coverage": 1.0}]"#,
@@ -171,7 +233,11 @@ const MALFORMED_LEDGERS: [Broken; 32] = [
     broken(r#""coverage": 1.0"#, r#""coverage": 1.5"#, "coverage"),
     broken(r#""coverage": 1.0"#, r#""coverage": -0.5"#, "coverage"),
     broken(r#""coverage": 1.0"#, r#""coverage": null"#, "coverage"),
-    broken(r#""hypervolume": 12.5"#, r#""hypervolume": "x""#, "hypervolume"),
+    broken(
+        r#""hypervolume": 12.5"#,
+        r#""hypervolume": "x""#,
+        "hypervolume",
+    ),
     broken(r#""summary""#, r#""scenarios""#, "summary"),
 ];
 
@@ -180,7 +246,12 @@ const MALFORMED_LEDGERS: [Broken; 32] = [
 fn assert_rejections(valid: &str, rows: &[Broken], problems: fn(&str) -> Vec<String>) {
     assert_eq!(problems(valid), Vec::<String>::new(), "the valid document");
     for row in rows {
-        assert_eq!(valid.matches(row.from).count(), 1, "{:?} is ambiguous", row.from);
+        assert_eq!(
+            valid.matches(row.from).count(),
+            1,
+            "{:?} is ambiguous",
+            row.from
+        );
         let text = valid.replacen(row.from, row.to, 1);
         let found = problems(&text);
         assert!(

@@ -673,7 +673,7 @@ impl Text for Vec<f64> {
 
 /// The checks of the value kinds: a predicate on the field, and the message
 /// for a value that fails it. A kind with no check (a count that may be 0,
-/// a seed, a backend, a topology) uses [`any`].
+/// a backend, a topology) uses [`any`].
 macro_rules! checks {
     ($($check:ident($value:ident: &$field:ty) $valid:expr, $message:literal;)+) => {$(
         fn $check($value: &$field) -> Result<(), &'static str> {
@@ -688,6 +688,7 @@ checks! {
     positive(x: &f64) x.is_finite() && *x > 0.0, "must be a positive finite number";
     finite(x: &f64) x.is_finite(), "must be finite";
     point(p: &[f64]) !p.is_empty() && p.iter().all(|x| x.is_finite()), "must be a non-empty list of finite numbers";
+    seed(s: &u64) i64::try_from(*s).is_ok(), "must be at most 9223372036854775807";
 }
 
 /// `auto` (`None`) or a probability.
@@ -782,7 +783,7 @@ static ARCHIPELAGO: [Key<ArchipelagoSpec>; 10] = nsga2_keys!(
 /// A retention or stagnation key alone opens its group with a placeholder,
 /// which the cross-key rules in [`RunSpec::apply`] see completed.
 static RUN: [Key<RunSpec>; 5] = [
-    key!("seed", any, seed),
+    key!("seed", seed, seed),
     key!("checkpoint_every", any, checkpoint_every),
     key!("checkpoint_keep_last", count, keep_last of retention or NO_RETENTION),
     Key {

@@ -62,7 +62,7 @@ const SWEEP_SECTION: &str = "sweep";
 pub const MAX_SWEEP_CELLS: usize = 4096;
 
 /// One sweep axis: a dotted spec field and the values it ranges over.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepAxis {
     /// Dotted spec field, e.g. `run.seed` or `optimizer.population`.
     pub field: String,

@@ -271,7 +271,7 @@ const HEAD: &str = "pathway-spec v1\n[problem]\nname = zdt1\n[optimizer]\n";
 /// Malformed documents, each with the error variant, line and field it
 /// must raise: an unknown key, a bad value of every value kind, an unknown
 /// kind and topology, and both cross-key rules.
-const MALFORMED: [(&str, Expect); 31] = [
+const MALFORMED: [(&str, Expect); 32] = [
     // An unknown key, section or kind.
     ("kind = nsga2\ntopolgy = ring\n", Expect::Line(6)),
     (
@@ -304,6 +304,10 @@ const MALFORMED: [(&str, Expect); 31] = [
         Expect::Line(7),
     ),
     ("kind = nsga2\n[run]\nseed = 1.5\n", Expect::Line(7)),
+    (
+        "kind = nsga2\n[run]\nseed = 18446744073709551615\n",
+        Expect::Field("run.seed"),
+    ),
     // A probability.
     ("kind = nsga2\ncrossover_probability = x\n", Expect::Line(6)),
     (

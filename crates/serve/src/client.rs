@@ -171,8 +171,8 @@ impl Client {
     /// Fetches the daemon's live telemetry snapshot as a
     /// `pathway-profile` JSON document (the object itself, not a rendered
     /// string) — the same schema `pathway run --profile-out` writes, with
-    /// `source` `"serve"`. Validate it with
-    /// [`pathway_core::obs::validate_profile_json`].
+    /// `source` `"serve"`. Read and check it with
+    /// [`pathway_core::obs::Profile::from_json`].
     ///
     /// # Errors
     ///

@@ -27,7 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use pathway_core::jsonlite::JsonValue;
-use pathway_core::obs::{profile_json, ProfileData};
+use pathway_core::obs::Profile;
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
 use pathway_moo::engine::MetricsRegistry;
@@ -244,16 +244,15 @@ fn handle_connection(
                     Some(jobs) => {
                         let generations: u64 = jobs.iter().map(|job| job.generation as u64).sum();
                         let evaluations: u64 = jobs.iter().map(|job| job.evaluations as u64).sum();
-                        let snapshot = telemetry.metrics.snapshot();
-                        let profile = profile_json(&ProfileData {
-                            source: "serve",
-                            label: &telemetry.label,
+                        let profile = Profile {
+                            source: "serve".to_string(),
+                            label: telemetry.label.clone(),
                             generations,
                             evaluations,
                             wall_ms: duration_us(telemetry.started.elapsed()) / 1000,
-                            snapshot: &snapshot,
-                        });
-                        ok_response([("profile".to_string(), profile)])
+                            ..Profile::from_snapshot(&telemetry.metrics.snapshot())
+                        };
+                        ok_response([("profile".to_string(), profile.to_json())])
                     }
                     None => error_response("daemon is shutting down"),
                 };

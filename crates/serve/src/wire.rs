@@ -29,7 +29,10 @@
 //! `{"event":"generation",…}` lines and exactly one `{"event":"end",…}`
 //! line, after which the connection is ready for the next request.
 
-use pathway_core::jsonlite::JsonValue;
+use pathway_core::field;
+use pathway_core::jsonlite::{
+    int, read_record, write_record, Field, Fields, JsonValue, Kind, SIZE, TEXT,
+};
 
 /// Wire protocol version, reported by `ping`.
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -140,9 +143,10 @@ impl Request {
 }
 
 /// Lifecycle state of a scheduled job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Scheduled; advances one generation per scheduling turn.
+    #[default]
     Running,
     /// Finished; its final front is durable under the data dir.
     Completed,
@@ -175,9 +179,21 @@ impl JobState {
     }
 }
 
+/// A job state, in its wire spelling.
+const JOB_STATE: Kind<JobState> = Kind {
+    expected: "a job state (running, completed, cancelled or failed)",
+    write: |state| JsonValue::string(state.as_str()),
+    read: |value| value.as_str().and_then(JobState::parse),
+};
+
+/// Every problem of a reply, joined into one message.
+fn joined(problems: Vec<String>) -> String {
+    problems.join("; ")
+}
+
 /// One job's row in a `status` reply (and the job-shaped part of `submit`,
 /// `cancel`, and `fetch-front` replies).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobSummary {
     /// Job id, e.g. `job-0001`.
     pub id: String,
@@ -203,69 +219,43 @@ pub struct JobSummary {
     pub watchers: usize,
 }
 
+static JOB_SUMMARY: [Field<JobSummary>; 11] = [
+    field!("job": TEXT => id),
+    field!("state": JOB_STATE => state),
+    Field {
+        key: "error",
+        write: |summary| summary.error.as_ref().map(TEXT.write),
+        read: Some(|summary, fields, key| summary.error = fields.optional(key, TEXT)),
+    },
+    field!("problem": TEXT => problem),
+    field!("optimizer": TEXT => optimizer),
+    field!("spec_hash": TEXT => spec_hash),
+    field!("generation": SIZE => generation),
+    field!("max_generations": SIZE => max_generations),
+    field!("evaluations": SIZE => evaluations),
+    field!("front_size": SIZE => front_size),
+    field!("watchers": SIZE => watchers),
+];
+
 impl JobSummary {
     /// The JSON object shape shared by every job-carrying reply.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("job".to_string(), JsonValue::string(self.id.clone())),
-            ("state".to_string(), JsonValue::string(self.state.as_str())),
-        ];
-        if let Some(error) = &self.error {
-            fields.push(("error".to_string(), JsonValue::string(error.clone())));
-        }
-        fields.extend([
-            (
-                "problem".to_string(),
-                JsonValue::string(self.problem.clone()),
-            ),
-            (
-                "optimizer".to_string(),
-                JsonValue::string(self.optimizer.clone()),
-            ),
-            (
-                "spec_hash".to_string(),
-                JsonValue::string(self.spec_hash.clone()),
-            ),
-            ("generation".to_string(), int(self.generation)),
-            ("max_generations".to_string(), int(self.max_generations)),
-            ("evaluations".to_string(), int(self.evaluations)),
-            ("front_size".to_string(), int(self.front_size)),
-            ("watchers".to_string(), int(self.watchers)),
-        ]);
-        JsonValue::Object(fields)
+        write_record(self, &JOB_SUMMARY)
     }
 
     /// Parses the object shape [`JobSummary::to_json`] produces.
     ///
     /// # Errors
     ///
-    /// A message naming the missing or mistyped field.
+    /// A message naming every missing or mistyped field.
     pub fn from_json(value: &JsonValue) -> Result<JobSummary, String> {
-        let state_text = required_str(value, "state")?;
-        let state = JobState::parse(&state_text)
-            .ok_or_else(|| format!("unknown job state '{state_text}'"))?;
-        Ok(JobSummary {
-            id: required_str(value, "job")?,
-            state,
-            error: value
-                .get("error")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            problem: required_str(value, "problem")?,
-            optimizer: required_str(value, "optimizer")?,
-            spec_hash: required_str(value, "spec_hash")?,
-            generation: required_usize(value, "generation")?,
-            max_generations: required_usize(value, "max_generations")?,
-            evaluations: required_usize(value, "evaluations")?,
-            front_size: required_usize(value, "front_size")?,
-            watchers: required_usize(value, "watchers")?,
-        })
+        read_record(value, &JOB_SUMMARY).map_err(joined)
     }
 }
 
 /// Executor health in a `status` reply — the live
 /// [`pathway_moo::ExecutorStats`] snapshot taken when the reply is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorHealth {
     /// Configured parallelism (caller lane included).
     pub workers: usize,
@@ -275,27 +265,25 @@ pub struct ExecutorHealth {
     pub active_workers: usize,
 }
 
+static EXECUTOR_HEALTH: [Field<ExecutorHealth>; 3] = [
+    field!("workers": SIZE => workers),
+    field!("queued_chunks": SIZE => queued_chunks),
+    field!("active_workers": SIZE => active_workers),
+];
+
 impl ExecutorHealth {
     /// The `executor` object of a `status` reply.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("workers", int(self.workers)),
-            ("queued_chunks", int(self.queued_chunks)),
-            ("active_workers", int(self.active_workers)),
-        ])
+        write_record(self, &EXECUTOR_HEALTH)
     }
 
     /// Parses the object [`ExecutorHealth::to_json`] produces.
     ///
     /// # Errors
     ///
-    /// A message naming the missing or mistyped field.
+    /// A message naming every missing or mistyped field.
     pub fn from_json(value: &JsonValue) -> Result<ExecutorHealth, String> {
-        Ok(ExecutorHealth {
-            workers: required_usize(value, "workers")?,
-            queued_chunks: required_usize(value, "queued_chunks")?,
-            active_workers: required_usize(value, "active_workers")?,
-        })
+        read_record(value, &EXECUTOR_HEALTH).map_err(joined)
     }
 }
 
@@ -390,10 +378,7 @@ impl WatchEvent {
                     ("generation".to_string(), int(*generation)),
                     ("evaluations".to_string(), int(*evaluations)),
                     ("front_size".to_string(), int(*front_size)),
-                    (
-                        "duration_us".to_string(),
-                        JsonValue::Int(i64::try_from(*duration_us).unwrap_or(i64::MAX)),
-                    ),
+                    ("duration_us".to_string(), int(*duration_us)),
                 ];
                 // JSON has no NaN literal; an unmeasurable hypervolume is
                 // simply absent.
@@ -427,12 +412,13 @@ impl WatchEvent {
             .get("event")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "stream line has no string 'event' field".to_string())?;
-        match event {
-            "generation" => Ok(WatchEvent::Generation {
-                job: required_str(&value, "job")?,
-                generation: required_usize(&value, "generation")?,
-                evaluations: required_usize(&value, "evaluations")?,
-                front_size: required_usize(&value, "front_size")?,
+        let mut fields = Fields::new(&value);
+        let event = match event {
+            "generation" => WatchEvent::Generation {
+                job: fields.get("job", TEXT),
+                generation: fields.get("generation", SIZE),
+                evaluations: fields.get("evaluations", SIZE),
+                front_size: fields.get("front_size", SIZE),
                 hypervolume: value
                     .get("hypervolume")
                     .and_then(JsonValue::as_f64)
@@ -443,18 +429,15 @@ impl WatchEvent {
                     .and_then(JsonValue::as_i64)
                     .and_then(|v| u64::try_from(v).ok())
                     .unwrap_or(0),
-            }),
-            "end" => {
-                let state_text = required_str(&value, "state")?;
-                Ok(WatchEvent::End {
-                    job: required_str(&value, "job")?,
-                    state: JobState::parse(&state_text)
-                        .ok_or_else(|| format!("unknown job state '{state_text}'"))?,
-                    generation: required_usize(&value, "generation")?,
-                })
-            }
-            other => Err(format!("unknown event '{other}'")),
-        }
+            },
+            "end" => WatchEvent::End {
+                job: fields.get("job", TEXT),
+                state: fields.get("state", JOB_STATE),
+                generation: fields.get("generation", SIZE),
+            },
+            other => return Err(format!("unknown event '{other}'")),
+        };
+        fields.finish(event).map_err(joined)
     }
 }
 
@@ -471,26 +454,6 @@ pub fn error_response(message: impl Into<String>) -> JsonValue {
         ("ok", JsonValue::Bool(false)),
         ("error", JsonValue::string(message.into())),
     ])
-}
-
-fn int(value: usize) -> JsonValue {
-    JsonValue::Int(value as i64)
-}
-
-fn required_str(value: &JsonValue, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn required_usize(value: &JsonValue, key: &str) -> Result<usize, String> {
-    value
-        .get(key)
-        .and_then(JsonValue::as_i64)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| format!("missing integer field '{key}'"))
 }
 
 #[cfg(test)]

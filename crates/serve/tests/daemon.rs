@@ -256,8 +256,7 @@ fn tcp_round_trip_submits_watches_and_fetches() {
     // The live telemetry snapshot is a schema-valid pathway-profile
     // document with the daemon's job totals.
     let profile = client.metrics().expect("metrics");
-    let check = pathway_core::obs::validate_profile_json(&profile.to_pretty())
-        .expect("daemon profile validates");
+    let check = pathway_core::obs::Profile::from_json(&profile).expect("daemon profile validates");
     assert_eq!(check.source, "serve");
     assert_eq!(check.generations, 6);
     assert!(
