@@ -17,7 +17,7 @@
 //! of the pair's first parent mutated in place.
 //!
 //! The kernel stages, 200 calls per sample, each pinned to one
-//! [`SbxKernels`] instance (`portable`, and `avx2` on a CPU that has it):
+//! [`KernelInstance`] instance (`portable`, and `avx2` on a CPU that has it):
 //! `differ_mask/<instance>/608` packs the geobacter pair's differ mask,
 //! 64 genes per call as SBX does; `spread_kernel/<instance>/228` turns 228
 //! spreads (a geobacter pair's crossing genes) into spread factors.
@@ -29,7 +29,10 @@
 //! Set `PATHWAY_BENCH_PROFILE=quick` for fewer samples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pathway_moo::{polynomial_mutation, sbx_crossover, SbxKernels, SbxScratch};
+use pathway_linalg::elementary::KernelInstance;
+use pathway_moo::{
+    polynomial_mutation, sbx_crossover, sbx_differ_mask, sbx_spread_factors, SbxScratch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,10 +55,10 @@ fn parents(n: usize, differing: f64, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// The instances this CPU runs, by name; says on stderr which it skips.
-fn instances() -> Vec<(&'static str, SbxKernels)> {
-    let mut instances = vec![("portable", SbxKernels::Portable)];
-    if SbxKernels::Avx2.runs() {
-        instances.push(("avx2", SbxKernels::Avx2));
+fn instances() -> Vec<(&'static str, KernelInstance)> {
+    let mut instances = vec![("portable", KernelInstance::Portable)];
+    if KernelInstance::Avx2.runs() {
+        instances.push(("avx2", KernelInstance::Avx2));
     } else {
         eprintln!("variation: SKIPPED the AVX2 kernel instance: this CPU has no AVX2");
     }
@@ -132,7 +135,7 @@ fn bench_variation(c: &mut Criterion) {
                     let mut checksum = 0u64;
                     for _ in 0..ROUNDS {
                         for (chunk_a, chunk_b) in parent_a.chunks(64).zip(parent_b.chunks(64)) {
-                            checksum ^= kernels.differ_mask(chunk_a, chunk_b);
+                            checksum ^= sbx_differ_mask(kernels, chunk_a, chunk_b);
                         }
                     }
                     checksum
@@ -147,7 +150,7 @@ fn bench_variation(c: &mut Criterion) {
                     let mut checksum = 0.0;
                     for _ in 0..ROUNDS {
                         betas.copy_from_slice(&spreads);
-                        kernels.spread_factors(&mut betas, 15.0);
+                        sbx_spread_factors(kernels, &mut betas, 15.0);
                         checksum += betas[betas.len() - 1];
                     }
                     checksum

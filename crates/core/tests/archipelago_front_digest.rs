@@ -102,7 +102,7 @@ fn two_island_broadcast_leaf_front_is_bit_identical() {
         &problem,
         config(2, 20, 12, MigrationTopology::Broadcast),
         7,
-        0x55ca_e95c_fad7_12f1,
+        0x2611_db5e_cf22_08d9,
     );
 }
 
@@ -112,7 +112,7 @@ fn three_island_ring_zdt1_front_is_bit_identical() {
         &Zdt1 { variables: 8 },
         config(3, 16, 12, MigrationTopology::Ring),
         11,
-        0xf51a_4ea6_a8d9_68b7,
+        0x0f07_5a41_47b9_cbe0,
     );
 }
 

@@ -61,7 +61,7 @@ fn leaf_oracle_objectives_are_bit_identical() {
         }
     }
     assert_eq!(words.len(), 6 * DESIGNS * 2);
-    assert_eq!(fnv1a64(words), 0x2bea_c87f_f70e_0e41);
+    assert_eq!(fnv1a64(words), 0x463b_69c1_21ad_72c2);
 }
 
 /// Designs drawn for the ODE oracle.

@@ -15,6 +15,10 @@
 //!   solver used by flux balance analysis, on a dense tableau of the
 //!   non-basic columns (finite upper bounds become explicit `≤` rows);
 //!   [`simplex::solve_many`] shares one phase 1 among several objectives.
+//! * [`elementary`] — `ln`, `ln(1 + x)` and `xʸ` without libm, branch-free,
+//!   with the run-time choice of a vector kernel's AVX2 or portable
+//!   instance: the search's every transcendental, so its bits do not depend
+//!   on the C library.
 //!
 //! # Example
 //!
@@ -40,6 +44,7 @@ mod matrix;
 mod sparse;
 mod vector;
 
+pub mod elementary;
 pub mod simplex;
 
 pub use error::LinalgError;

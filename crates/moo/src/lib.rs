@@ -88,6 +88,7 @@ pub use individual::Individual;
 pub use moead::{Moead, MoeadSpec};
 pub use nsga2::{Nsga2, Nsga2Spec};
 pub use operators::{
-    polynomial_mutation, sbx_crossover, tournament_select, SbxKernels, SbxScratch,
+    polynomial_mutation, sbx_crossover, sbx_differ_mask, sbx_spread_factors, tournament_select,
+    PolynomialMutation, SbxScratch,
 };
 pub use problem::MultiObjectiveProblem;

@@ -8,7 +8,7 @@ use crate::engine::{EngineError, MoeadState, Optimizer, OptimizerState, RngState
 use crate::exec::Executor;
 use crate::individual::sample_within;
 use crate::{
-    polynomial_mutation, sbx_crossover, EvalBackend, Individual, MultiObjectiveProblem, SbxScratch,
+    sbx_crossover, EvalBackend, Individual, MultiObjectiveProblem, PolynomialMutation, SbxScratch,
 };
 
 /// MOEA/D settings: what a spec's `[optimizer]` section says for
@@ -356,10 +356,12 @@ impl Optimizer for Moead {
         self.initialize(problem);
         let executor = self.executor();
         let bounds = problem.bounds();
-        let mutation_probability = self
-            .spec
-            .mutation_probability
-            .unwrap_or(1.0 / problem.num_variables() as f64);
+        let mutation = PolynomialMutation::new(
+            self.spec
+                .mutation_probability
+                .unwrap_or(1.0 / problem.num_variables() as f64),
+            self.spec.eta_mutation,
+        );
         let t = self.spec.neighborhood.min(self.weights.len());
 
         for k in 0..self.neighborhoods.len() {
@@ -377,13 +379,7 @@ impl Optimizer for Moead {
                 &mut self.sbx_scratch,
                 (&mut child, &mut self.dropped_child),
             );
-            polynomial_mutation(
-                &mut child,
-                &bounds,
-                mutation_probability,
-                self.spec.eta_mutation,
-                &mut self.rng,
-            );
+            mutation.mutate(&mut child, &bounds, &mut self.rng);
             let child = executor
                 .evaluate_individuals(problem, vec![child])
                 .pop()

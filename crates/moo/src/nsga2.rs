@@ -9,8 +9,8 @@ use crate::engine::{EngineError, Nsga2State, Optimizer, OptimizerState, RngState
 use crate::exec::Executor;
 use crate::individual::sample_within;
 use crate::{
-    fast_nondominated_sort_with, polynomial_mutation, sbx_crossover, tournament_select,
-    EvalBackend, Individual, MultiObjectiveProblem, SbxScratch, SortScratch,
+    fast_nondominated_sort_with, sbx_crossover, tournament_select, EvalBackend, Individual,
+    MultiObjectiveProblem, PolynomialMutation, SbxScratch, SortScratch,
 };
 
 /// NSGA-II settings: what a spec's `[optimizer]` section says for
@@ -199,10 +199,12 @@ impl Nsga2 {
     pub(crate) fn breed<P: MultiObjectiveProblem>(&mut self, problem: &P) -> Vec<Vec<f64>> {
         let variation_started = Instant::now();
         let bounds = problem.bounds();
-        let mutation_probability = self
-            .spec
-            .mutation_probability
-            .unwrap_or(1.0 / problem.num_variables() as f64);
+        let mutation = PolynomialMutation::new(
+            self.spec
+                .mutation_probability
+                .unwrap_or(1.0 / problem.num_variables() as f64),
+            self.spec.eta_mutation,
+        );
         let parents = &self.population;
         let mut children: Vec<Vec<f64>> = Vec::with_capacity(self.spec.population);
         while children.len() < self.spec.population {
@@ -227,20 +229,8 @@ impl Nsga2 {
                 child_a.copy_from_slice(&parents[a].variables);
                 child_b.copy_from_slice(&parents[b].variables);
             }
-            polynomial_mutation(
-                &mut child_a,
-                &bounds,
-                mutation_probability,
-                self.spec.eta_mutation,
-                &mut self.rng,
-            );
-            polynomial_mutation(
-                &mut child_b,
-                &bounds,
-                mutation_probability,
-                self.spec.eta_mutation,
-                &mut self.rng,
-            );
+            mutation.mutate(&mut child_a, &bounds, &mut self.rng);
+            mutation.mutate(&mut child_b, &bounds, &mut self.rng);
             children.push(child_a);
             if children.len() < self.spec.population {
                 children.push(child_b);

@@ -1,5 +1,6 @@
 //! Variation and selection operators used by NSGA-II, MOEA/D and PMO2.
 
+use pathway_linalg::elementary::{ln_1p, ln_parts, pow, KernelInstance, SplitExponent};
 use rand::Rng;
 
 use crate::{constrained_dominates, Individual};
@@ -47,8 +48,8 @@ impl SbxScratch {
 /// A crossing gene's spread factor is `β = (2u)^(1/(η+1))` for `u ≤ ½` and
 /// `β = (1 / (2(1 − u)))^(1/(η+1))` above, computed as
 /// `exp(±ln(2u or 2(1 − u)) / (η + 1))` by one branch-free `ln`/`exp`
-/// kernel over all crossing genes (fdlibm's `e_log.c` and `e_exp.c`
-/// polynomials), for `eta_c ≥ 0`. It is exact at `u = 0` (β = 0) and
+/// kernel over all crossing genes ([`pathway_linalg::elementary`]'s `pow`,
+/// from fdlibm's `e_log.c` and `e_exp.c` polynomials), for `eta_c ≥ 0`. It is exact at `u = 0` (β = 0) and
 /// `u = ½` (β = 1), and within 1 ulp of `powf` from η = 0.5 up (the
 /// module's tests pin the bound per η).
 ///
@@ -56,7 +57,8 @@ impl SbxScratch {
 ///
 /// The differing genes are found 8 at a time, and the kernel runs 4 spreads
 /// at a time with a scalar tail, in an instance compiled for AVX2 on a CPU
-/// that has it (picked at run time; [`SbxKernels`]). Every lane runs the
+/// that has it (picked at run time; [`KernelInstance`], and
+/// [`sbx_differ_mask`] and [`sbx_spread_factors`] run one by name). Every lane runs the
 /// scalar kernel's `+ − × ÷` and bit operations in their order, and no
 /// instance enables FMA, so no product is fused into a sum: each β is the
 /// scalar kernel's, bit for bit, on every CPU.
@@ -89,7 +91,7 @@ pub fn sbx_crossover<R: Rng>(
         child_a.len() == parent_a.len() && child_b.len() == parent_a.len(),
         "each child must have one gene per parent gene"
     );
-    let kernels = SbxKernels::widest();
+    let kernels = KernelInstance::widest();
     let SbxScratch { crossing, betas } = scratch;
 
     // The crossing genes of each chunk of 64 are its coin word's set bits
@@ -99,13 +101,13 @@ pub fn sbx_crossover<R: Rng>(
         parent_a
             .chunks(64)
             .zip(parent_b.chunks(64))
-            .map(|(chunk_a, chunk_b)| kernels.differ_mask(chunk_a, chunk_b) & rng.next_u64()),
+            .map(|(chunk_a, chunk_b)| sbx_differ_mask(kernels, chunk_a, chunk_b) & rng.next_u64()),
     );
     let crossings = crossing.iter().map(|mask| mask.count_ones() as usize).sum();
 
     betas.clear();
     betas.extend((0..crossings).map(|_| rng.next_f64()));
-    kernels.spread_factors(betas, eta_c);
+    sbx_spread_factors(kernels, betas, eta_c);
 
     child_a.copy_from_slice(parent_a);
     child_b.copy_from_slice(parent_b);
@@ -124,72 +126,50 @@ pub fn sbx_crossover<R: Rng>(
     }
 }
 
-/// A compiled instance of SBX's vector kernels: the packed differ mask and
-/// the spread kernel. [`sbx_crossover`] runs the widest one this CPU has;
-/// every instance gives the same bits, and naming one lets tests and
-/// benchmarks pin it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SbxKernels {
-    /// Compiled for the baseline target: groups of 8 and chunks of 4 at
-    /// whatever width the target's vectors have.
-    Portable,
-    /// The same code compiled for AVX2 (4 `f64` lanes), without FMA.
-    Avx2,
+/// The differ mask of up to 64 gene pairs, in the instance `kernels`: bit
+/// `j` is set when the parents' genes `j` are to be crossed (they are
+/// unequal and differ by at least 1e-14, or either is NaN). Every instance
+/// gives the same mask.
+///
+/// # Panics
+///
+/// Panics if the chunks have unequal lengths or more than 64 genes, or if
+/// this CPU does not run the instance.
+pub fn sbx_differ_mask(kernels: KernelInstance, chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
+    assert!(
+        chunk_a.len() == chunk_b.len() && chunk_a.len() <= 64,
+        "a chunk is at most 64 gene pairs"
+    );
+    assert!(
+        kernels.runs(),
+        "this CPU does not run the {kernels:?} instance"
+    );
+    match kernels {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
+        KernelInstance::Avx2 => unsafe { differ_mask_avx2(chunk_a, chunk_b) },
+        _ => differ_mask_packed(chunk_a, chunk_b),
+    }
 }
 
-impl SbxKernels {
-    /// The widest instance this CPU runs.
-    fn widest() -> Self {
+/// Replaces each spread `u ∈ [0, 1)` of `spreads` with its spread factor β
+/// at the distribution index `eta_c ≥ 0`, as [`sbx_crossover`] computes it,
+/// in the instance `kernels`. Every instance gives the same bits.
+///
+/// # Panics
+///
+/// Panics if this CPU does not run the instance.
+pub fn sbx_spread_factors(kernels: KernelInstance, spreads: &mut [f64], eta_c: f64) {
+    let exponent = spread_exponent(eta_c);
+    assert!(
+        kernels.runs(),
+        "this CPU does not run the {kernels:?} instance"
+    );
+    match kernels {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return SbxKernels::Avx2;
-        }
-        SbxKernels::Portable
-    }
-
-    /// Whether this CPU runs this instance.
-    pub fn runs(self) -> bool {
-        self == SbxKernels::Portable || SbxKernels::widest() == SbxKernels::Avx2
-    }
-
-    /// The differ mask of up to 64 gene pairs: bit `j` is set when the
-    /// parents' genes `j` are to be crossed (they are unequal and differ by
-    /// at least 1e-14, or either is NaN).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunks have unequal lengths or more than 64 genes, or
-    /// if this CPU does not run this instance.
-    pub fn differ_mask(self, chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
-        assert!(
-            chunk_a.len() == chunk_b.len() && chunk_a.len() <= 64,
-            "a chunk is at most 64 gene pairs"
-        );
-        assert!(self.runs(), "this CPU does not run the {self:?} instance");
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
-            SbxKernels::Avx2 => unsafe { differ_mask_avx2(chunk_a, chunk_b) },
-            _ => differ_mask_packed(chunk_a, chunk_b),
-        }
-    }
-
-    /// Replaces each spread `u ∈ [0, 1)` of `spreads` with its spread
-    /// factor β at the distribution index `eta_c ≥ 0`, as
-    /// [`sbx_crossover`] computes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this CPU does not run this instance.
-    pub fn spread_factors(self, spreads: &mut [f64], eta_c: f64) {
-        let exponent = SpreadExponent::new(eta_c);
-        assert!(self.runs(), "this CPU does not run the {self:?} instance");
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
-            SbxKernels::Avx2 => unsafe { spread_factors_avx2(spreads, exponent) },
-            _ => spread_factors_chunks(spreads, exponent),
-        }
+        // SAFETY: `runs` accepted AVX2 only on a CPU that has it.
+        KernelInstance::Avx2 => unsafe { spread_factors_avx2(spreads, exponent) },
+        _ => spread_factors_chunks(spreads, exponent),
     }
 }
 
@@ -211,7 +191,7 @@ unsafe fn differ_mask_avx2(chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn spread_factors_avx2(spreads: &mut [f64], exponent: SpreadExponent) {
+unsafe fn spread_factors_avx2(spreads: &mut [f64], exponent: SplitExponent) {
     spread_factors_chunks(spreads, exponent)
 }
 
@@ -237,7 +217,7 @@ fn differ_mask_packed(chunk_a: &[f64], chunk_b: &[f64]) -> u64 {
 /// The spread factor of every spread, in fixed chunks of 4 lanes, then the
 /// last 1–3 one by one.
 #[inline(always)]
-fn spread_factors_chunks(spreads: &mut [f64], exponent: SpreadExponent) {
+fn spread_factors_chunks(spreads: &mut [f64], exponent: SplitExponent) {
     let mut chunks = spreads.chunks_exact_mut(4);
     for chunk in &mut chunks {
         let lanes: &mut [f64; 4] = chunk.try_into().expect("a chunk is 4 spreads");
@@ -261,121 +241,29 @@ fn differ(x1: f64, x2: f64) -> u64 {
     u64::from((x1 == x2) | ((x1 - x2).abs() < 1e-14)) ^ 1
 }
 
-/// SBX's spread exponent `1 / (η + 1)`, and its split into a high part of
-/// 10 significant bits and the rest, so that the high part times
-/// `k · LN2_HI` is exact.
-#[derive(Debug, Clone, Copy)]
-struct SpreadExponent {
-    full: f64,
-    hi: f64,
-    lo: f64,
+/// The spread exponent `1 / (η + 1)` of SBX's and polynomial mutation's
+/// perturbations at the distribution index `eta`.
+fn spread_exponent(eta: f64) -> SplitExponent {
+    SplitExponent::new(1.0 / (eta + 1.0))
 }
 
-impl SpreadExponent {
-    fn new(eta_c: f64) -> Self {
-        let full = 1.0 / (eta_c + 1.0);
-        let hi = f64::from_bits(full.to_bits() & !((1 << 43) - 1));
-        SpreadExponent {
-            full,
-            hi,
-            lo: full - hi,
-        }
-    }
-}
-
-/// SBX's spread factor β for the spread `u ∈ [0, 1)`: `e^(x · ln 2u)` for
-/// `u ≤ ½` and `e^(−x · ln 2(1 − u))` above, at `x = 1 / (η + 1)` for
-/// `η ≥ 0`; both bases are exact. The product `±x · ln(base)` is carried to
-/// `exp` as a sum of two terms, so its rounding does not grow with the
-/// magnitude of `ln(base)` (up to 36 for the smallest base, `2⁻⁵²`).
+/// SBX's spread factor β for the spread `u ∈ [0, 1)`: `(2u)^x` for
+/// `u ≤ ½` and `(2(1 − u))^(−x)` above, at `x = 1 / (η + 1)` for `η ≥ 0`,
+/// through the `ln`/`exp` kernel's [`pow`]; both bases are exact, and
+/// `|x · ln(base)|` is at most 36 (the smallest base is `2⁻⁵²`).
 /// Branch-free, so a loop over many genes overlaps. `u = 0` gives exactly 0
 /// and `u = ½` exactly 1.
 #[inline(always)]
-fn spread_factor(u: f64, exponent: SpreadExponent) -> f64 {
+fn spread_factor(u: f64, exponent: SplitExponent) -> f64 {
     let low = u <= 0.5;
     let base = if low { 2.0 * u } else { 2.0 * (1.0 - u) };
     let sign = if low { 1.0 } else { -1.0 };
-    let (k_ln2, rest) = ln_parts(base);
-    let hi = sign * (exponent.hi * k_ln2);
-    let lo = sign * (exponent.lo * k_ln2 + exponent.full * rest);
-    let beta = exp_sum(hi, lo);
+    let beta = pow(base, exponent.times_sign(sign));
     if base == 0.0 {
         0.0
     } else {
         beta
     }
-}
-
-/// `ln 2`, split so that `k · LN2_HI` is exact for `|k| < 2¹¹` (fdlibm).
-const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
-const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
-
-/// `ln x` for a positive normal `x` as `(k · LN2_HI, rest)`, the first term
-/// exact: fdlibm's `e_log.c` in the branch-free form of FreeBSD's
-/// `k_log.h`. With `x = 2ᵏ(1 + f)` and `1 + f` in `[√2/2, √2)`, `rest` is
-/// `k · LN2_LO + ln(1 + f)` from a degree-14 polynomial in
-/// `s = f / (2 + f)`, within 1 ulp. Any other input gives finite parts.
-#[inline(always)]
-fn ln_parts(x: f64) -> (f64, f64) {
-    const LG: [f64; 7] = [
-        f64::from_bits(0x3fe5_5555_5555_5593),
-        f64::from_bits(0x3fd9_9999_9997_fa04),
-        f64::from_bits(0x3fd2_4924_9422_9359),
-        f64::from_bits(0x3fcc_71c5_1d8e_78af),
-        f64::from_bits(0x3fc7_4664_96cb_03de),
-        f64::from_bits(0x3fc3_9a09_d078_c69f),
-        f64::from_bits(0x3fc2_f112_df3e_5244),
-    ];
-    // Offset the high word so that mantissas from √2/2 carry into the next
-    // binade; the biased exponent is then `k + 1023`, and the mantissa is
-    // moved back to start at √2/2.
-    let bits = x.to_bits().wrapping_add(0x0009_5f62_0000_0000);
-    // `k` as an `f64` through the `2⁵²` bias, exact and branch-free.
-    let k = f64::from_bits(0x4330_0000_0000_0000 | bits >> 52) - (4_503_599_627_370_496.0 + 1023.0);
-    let f = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) + 0x3fe6_a09e_0000_0000) - 1.0;
-    let half_f2 = 0.5 * f * f;
-    let s = f / (2.0 + f);
-    let z = s * s;
-    let w = z * z;
-    let odd = w * (LG[1] + w * (LG[3] + w * LG[5]));
-    let even = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
-    let rest = f - (half_f2 - (s * (half_f2 + (even + odd)) + k * LN2_LO));
-    (k * LN2_HI, rest)
-}
-
-/// `e^(hi + lo)` for `|hi + lo| ≤ 708` and `|lo|` well below 1, fdlibm's
-/// `e_exp.c` without its branches: `hi + lo = k ln 2 + r` with `k` rounded
-/// to nearest and `|r| ≤ ½ ln 2`, a degree-5 rational form in `r`, then
-/// `2ᵏ` from its bits. `hi − k · LN2_HI` is exact where it matters (for
-/// `k ≠ 0`, when `hi` is a 53-bit product as [`spread_factor`] forms it),
-/// so `lo` refines the argument below `hi`'s last bit. Error within 1 ulp.
-#[inline(always)]
-fn exp_sum(hi: f64, lo: f64) -> f64 {
-    const INV_LN2: f64 = f64::from_bits(0x3ff7_1547_652b_82fe);
-    const P: [f64; 5] = [
-        f64::from_bits(0x3fc5_5555_5555_553e),
-        f64::from_bits(0xbf66_c16c_16be_bd93),
-        f64::from_bits(0x3f11_566a_af25_de2c),
-        f64::from_bits(0xbebb_bd41_c5d2_6bf1),
-        f64::from_bits(0x3e66_3769_72be_a4d0),
-    ];
-    // Adding 1.5 · 2⁵² rounds `x / ln 2` to an integer `k` held in the low
-    // bits of the sum.
-    const SHIFT: f64 = 6_755_399_441_055_744.0;
-    let shifted = (hi + lo) * INV_LN2 + SHIFT;
-    let k = shifted - SHIFT;
-    let r_hi = hi - k * LN2_HI;
-    let r_lo = k * LN2_LO - lo;
-    let r = r_hi - r_lo;
-    let r2 = r * r;
-    let c = r - r2 * (P[0] + r2 * (P[1] + r2 * (P[2] + r2 * (P[3] + r2 * P[4]))));
-    let y = 1.0 - ((r_lo - (r * c) / (2.0 - c)) - r_hi);
-    let scale = shifted
-        .to_bits()
-        .wrapping_sub(SHIFT.to_bits())
-        .wrapping_add(1023)
-        << 52;
-    y * f64::from_bits(scale)
 }
 
 /// Polynomial mutation with distribution index `eta_m`; each gene mutates with
@@ -390,19 +278,34 @@ fn exp_sum(hi: f64, lo: f64) -> f64 {
 ///
 /// - `p = 0` draws nothing.
 /// - `p = 1` draws no gaps: every gene is selected.
-/// - `0 < p < 1`: `ln(1 − p)` is computed once per call as
-///   `(-p).ln_1p()`, and each gap is `G = ⌊ln(1 − next_f64()) / ln(1 − p)⌋`
-///   (the argument lies in `(0, 1]`, so `G ≥ 0` is geometric:
-///   `P(G ≥ k) = (1 − p)^k`). From gene `i`, the next selected gene is
-///   `i + G`. A gap that reaches past the last gene ends the call, and that
-///   gap draw is the call's last; after the last gene is selected no further
-///   gap is drawn. The gap is compared as an `f64` with the genes left
-///   before it is converted, so a huge or infinite gap cannot overflow.
+/// - `0 < p < 1`: with `ln(1 − p)` computed once, each gap is
+///   `G = ⌊ln(1 − next_f64()) / ln(1 − p)⌋` (the argument lies in `(0, 1]`,
+///   so `G ≥ 0` is geometric: `P(G ≥ k) = (1 − p)^k`). From gene `i`, the
+///   next selected gene is `i + G`. A gap that reaches past the last gene
+///   ends the call, and that gap draw is the call's last; after the last
+///   gene is selected no further gap is drawn. The gap is compared as an
+///   `f64` with the genes left before it is converted, so a huge or
+///   infinite gap cannot overflow.
 ///
 /// A selected gene whose bounds have positive width draws one perturbation
 /// word `u` (as `next_f64()`) and moves by `delta · (upper − lower)`, then is
 /// clamped; a zero-width gene draws no perturbation word. A call over `n`
 /// genes reads about `2np + 1` words.
+///
+/// # Kernel
+///
+/// Every transcendental goes through the `ln`/`exp` kernel of
+/// [`pathway_linalg::elementary`], not libm: `ln(1 − p)` is its `ln_1p`, a
+/// gap's logarithm the sum of its `ln_parts`, and `delta` is
+/// `(2u)^(1/(η+1)) − 1` below `u = ½` and `1 − (2(1 − u))^(1/(η+1))` from
+/// it, through its `pow` as SBX's spread factor is (0 at `u = 0`). The
+/// module's tests pin each piece within its stated ulps of `ln_1p`, `ln`
+/// and `powf`.
+///
+/// A breed that mutates many children at one probability and index builds
+/// one [`PolynomialMutation`] and calls [`PolynomialMutation::mutate`] per
+/// child, so `ln(1 − p)` and `1 / (η + 1)` are computed once per breed;
+/// the children and the words read are this function's.
 ///
 /// # Panics
 ///
@@ -416,46 +319,99 @@ pub fn polynomial_mutation<R: Rng>(
     eta_m: f64,
     rng: &mut R,
 ) {
-    assert_eq!(x.len(), bounds.len(), "one bound per variable is required");
-    let p = mutation_probability.clamp(0.0, 1.0);
-    assert!(
-        !p.is_nan(),
-        "gen_bool probability {p} is outside [0.0, 1.0]"
-    );
-    let exponent = 1.0 / (eta_m + 1.0);
-    if p == 1.0 {
-        for (xi, &bound) in x.iter_mut().zip(bounds) {
-            perturb(xi, bound, exponent, rng);
+    PolynomialMutation::new(mutation_probability, eta_m).mutate(x, bounds, rng);
+}
+
+/// [`polynomial_mutation`] at one probability and distribution index, with
+/// what a call derives from them computed once: the clamped probability,
+/// `ln(1 − p)` and the spread exponent `1 / (η + 1)`.
+#[derive(Debug, Clone, Copy)]
+pub struct PolynomialMutation {
+    p: f64,
+    log_q: f64,
+    exponent: SplitExponent,
+}
+
+impl PolynomialMutation {
+    /// Polynomial mutation with probability `mutation_probability` per gene
+    /// (clamped to `[0, 1]`) and distribution index `eta_m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mutation_probability` is NaN.
+    pub fn new(mutation_probability: f64, eta_m: f64) -> Self {
+        let p = mutation_probability.clamp(0.0, 1.0);
+        assert!(
+            !p.is_nan(),
+            "gen_bool probability {p} is outside [0.0, 1.0]"
+        );
+        PolynomialMutation {
+            p,
+            log_q: ln_1p(-p),
+            exponent: spread_exponent(eta_m),
         }
-    } else if p > 0.0 {
-        let log_q = (-p).ln_1p();
-        let mut i = 0;
-        while i < x.len() {
-            let gap = (1.0 - rng.next_f64()).ln() / log_q;
-            if gap >= (x.len() - i) as f64 {
-                break;
+    }
+
+    /// Mutates `x` within `bounds`, as [`polynomial_mutation`] does, bit for
+    /// bit and word for word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `bounds` have different lengths, or if a selected
+    /// gene's bounds have a NaN end.
+    pub fn mutate<R: Rng>(&self, x: &mut [f64], bounds: &[(f64, f64)], rng: &mut R) {
+        assert_eq!(x.len(), bounds.len(), "one bound per variable is required");
+        let PolynomialMutation { p, log_q, exponent } = *self;
+        if p == 1.0 {
+            for (xi, &bound) in x.iter_mut().zip(bounds) {
+                perturb(xi, bound, exponent, rng);
             }
-            i += gap as usize;
-            perturb(&mut x[i], bounds[i], exponent, rng);
-            i += 1;
+        } else if p > 0.0 {
+            let mut i = 0;
+            while i < x.len() {
+                let gap = ln_of_unit_complement(rng.next_f64()) / log_q;
+                if gap >= (x.len() - i) as f64 {
+                    break;
+                }
+                i += gap as usize;
+                perturb(&mut x[i], bounds[i], exponent, rng);
+                i += 1;
+            }
         }
+    }
+}
+
+/// `ln(1 − u)` for `u ∈ [0, 1)`, the sum of the kernel's `ln_parts` (exact
+/// at `u = 0`).
+#[inline(always)]
+fn ln_of_unit_complement(u: f64) -> f64 {
+    let (k_ln2, rest) = ln_parts(1.0 - u);
+    k_ln2 + rest
+}
+
+/// Polynomial mutation's move for the perturbation word `u ∈ [0, 1)` at the
+/// spread `exponent` (`1 / (eta_m + 1)`): `(2u)^x − 1` below ½ (−1 at
+/// `u = 0`) and `1 − (2(1 − u))^x` from it (0 at `u = ½`).
+#[inline(always)]
+fn perturbation(u: f64, exponent: SplitExponent) -> f64 {
+    if u < 0.5 {
+        let base = 2.0 * u;
+        let power = pow(base, exponent);
+        (if base == 0.0 { 0.0 } else { power }) - 1.0
+    } else {
+        1.0 - pow(2.0 * (1.0 - u), exponent)
     }
 }
 
 /// Moves one selected gene by a polynomial perturbation of spread `exponent`
 /// (`1 / (eta_m + 1)`) within `(lower, upper)`; a gene whose bounds have no
 /// positive width stays and draws nothing.
-fn perturb<R: Rng>(xi: &mut f64, (lower, upper): (f64, f64), exponent: f64, rng: &mut R) {
+fn perturb<R: Rng>(xi: &mut f64, (lower, upper): (f64, f64), exponent: SplitExponent, rng: &mut R) {
     let range = upper - lower;
     if range <= 0.0 {
         return;
     }
-    let u = rng.next_f64();
-    let delta = if u < 0.5 {
-        (2.0 * u).powf(exponent) - 1.0
-    } else {
-        1.0 - (2.0 * (1.0 - u)).powf(exponent)
-    };
+    let delta = perturbation(rng.next_f64(), exponent);
     *xi = (*xi + delta * range).clamp(lower, upper);
 }
 
@@ -582,7 +538,7 @@ mod tests {
         words.extend([0, 1 << 63, (1 << 63) - (1 << 11), (1 << 63) + (1 << 11)]);
         words.extend((1..10_000u64).flat_map(|k| [k << 11, u64::MAX - ((k - 1) << 11)]));
         for (eta, ulps) in SPREAD_ULPS {
-            let exponent = SpreadExponent::new(eta);
+            let exponent = spread_exponent(eta);
             for &word in &words {
                 let u = unit(word);
                 let (beta, expected) = (spread_factor(u, exponent), powf_spread_factor(u, eta));
@@ -595,10 +551,58 @@ mod tests {
         }
     }
 
+    /// Polynomial mutation's kernel pieces, each against the libm call it
+    /// replaced: its power `(2u)^(1/(η+1))` or `(2(1 − u))^(1/(η+1))`
+    /// against `powf` within 1 ulp at every η (both bases are exact, so
+    /// unlike SBX's `powf` reference no rounded reciprocal widens the
+    /// bound), a gap's `ln(1 − u)` against `ln` within 1 ulp, and
+    /// `ln(1 − p)` against `ln_1p` within 2 ulps.
+    #[test]
+    fn the_mutation_kernels_are_within_their_stated_ulps_of_libm() {
+        let mut rng = StdRng::seed_from_u64(2_039);
+        let mut words: Vec<u64> = (0..100_000).map(|_| rng.next_u64()).collect();
+        words.extend([0, 1 << 63, (1 << 63) - (1 << 11), (1 << 63) + (1 << 11)]);
+        words.extend((1..10_000u64).flat_map(|k| [k << 11, u64::MAX - ((k - 1) << 11)]));
+        let ulps = |a: f64, b: f64| a.to_bits().abs_diff(b.to_bits());
+        for (eta, _) in SPREAD_ULPS {
+            let exponent = spread_exponent(eta);
+            for &word in &words {
+                let u = unit(word);
+                let base = if u < 0.5 { 2.0 * u } else { 2.0 * (1.0 - u) };
+                if base == 0.0 {
+                    assert_eq!(perturbation(u, exponent), -1.0);
+                    continue;
+                }
+                let (power, expected) = (pow(base, exponent), base.powf(1.0 / (eta + 1.0)));
+                assert!(
+                    ulps(power, expected) <= 1,
+                    "η {eta}, u {u}: power {power:e} against powf's {expected:e}"
+                );
+            }
+        }
+        for &word in &words {
+            let u = unit(word);
+            let (ln, expected) = (ln_of_unit_complement(u), (1.0 - u).ln());
+            assert!(
+                ulps(ln, expected) <= 1,
+                "u {u}: ln(1 − u) {ln:e} against {expected:e}"
+            );
+        }
+        let mut probabilities: Vec<f64> = words.iter().map(|&word| unit(word)).collect();
+        probabilities.extend([1.0 / 608.0, 1.0 / 23.0, f64::from_bits(1), 1e-300, 1e-17]);
+        for p in probabilities.into_iter().filter(|&p| p > 0.0) {
+            let (ln, expected) = (ln_1p(-p), (-p).ln_1p());
+            assert!(
+                ulps(ln, expected) <= 2,
+                "p {p:e}: ln(1 − p) {ln:e} against {expected:e}"
+            );
+        }
+    }
+
     #[test]
     fn the_spread_kernel_is_exact_at_its_edges() {
         for eta in [1e-9, 0.5, 1.0, 15.0, 100.0, 1e9] {
-            let exponent = SpreadExponent::new(eta);
+            let exponent = spread_exponent(eta);
             assert_eq!(spread_factor(0.0, exponent).to_bits(), 0.0f64.to_bits());
             assert_eq!(spread_factor(0.5, exponent), 1.0);
             // The largest `u` is 1 − 2⁻⁵³: its base is 2⁵² exactly.
@@ -606,7 +610,7 @@ mod tests {
             assert_eq!(1.0 / (2.0 * (1.0 - largest)), 2f64.powi(52));
             let beta = spread_factor(largest, exponent);
             assert!(beta.is_finite() && beta >= 1.0, "η {eta}: β {beta}");
-            let expected = 2f64.powf(52.0 * exponent.full);
+            let expected = 2f64.powf(52.0 / (eta + 1.0));
             assert!((beta - expected).abs() <= 4.0 * f64::EPSILON * expected);
         }
     }
@@ -736,7 +740,8 @@ mod reference {
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
-    use super::{polynomial_mutation, sbx_crossover, spread_factor, SbxScratch, SpreadExponent};
+    use super::{polynomial_mutation, sbx_crossover, spread_exponent, spread_factor, SbxScratch};
+    use pathway_linalg::elementary::{ln_1p, ln_parts, pow, SplitExponent};
     use proptest::prelude::*;
 
     /// [`sbx_crossover`]'s draw contract, gene by gene: all coin words
@@ -760,7 +765,7 @@ mod reference {
             if x1 == x2 || (x1 - x2).abs() < 1e-14 {
                 continue;
             }
-            let beta = spread_factor(rng.next_f64(), SpreadExponent::new(eta_c));
+            let beta = spread_factor(rng.next_f64(), spread_exponent(eta_c));
             let c1 = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
             let c2 = 0.5 * ((1.0 - beta) * x1 + (1.0 + beta) * x2);
             let (lower, upper) = bounds[i];
@@ -913,7 +918,7 @@ mod reference {
         for &(i, word) in crossings {
             let beta = spread_factor(
                 (word >> 11) as f64 / (1u64 << 53) as f64,
-                SpreadExponent::new(15.0),
+                spread_exponent(15.0),
             );
             let (x1, x2) = (parent_a[i], parent_b[i]);
             expected_a[i] = 0.5 * ((1.0 + beta) * x1 + (1.0 - beta) * x2);
@@ -1214,13 +1219,17 @@ mod reference {
     }
 
     /// [`polynomial_mutation`]'s move of one selected gene of positive width
-    /// on the perturbation word `word`, as the gene-by-gene loop wrote it.
+    /// on the perturbation word `word`, as the gene-by-gene loop wrote it,
+    /// with the kernel's `pow` in place of `powf`.
     fn moved(x: f64, (lower, upper): (f64, f64), eta_m: f64, word: u64) -> f64 {
         let u = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let delta = if u < 0.5 {
-            (2.0 * u).powf(1.0 / (eta_m + 1.0)) - 1.0
+        let exponent = SplitExponent::new(1.0 / (eta_m + 1.0));
+        let delta = if u == 0.0 {
+            -1.0
+        } else if u < 0.5 {
+            pow(2.0 * u, exponent) - 1.0
         } else {
-            1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta_m + 1.0))
+            1.0 - pow(2.0 * (1.0 - u), exponent)
         };
         (x + delta * (upper - lower)).clamp(lower, upper)
     }
@@ -1372,7 +1381,8 @@ mod reference {
         let exact = |k: u32| {
             let word = ((1u64 << 53) - (1 << (53 - k))) << 11;
             let u = (word >> 11) as f64 / (1u64 << 53) as f64;
-            assert_eq!((1.0 - u).ln() / (-0.5f64).ln_1p(), f64::from(k));
+            let (k_ln2, rest) = ln_parts(1.0 - u);
+            assert_eq!((k_ln2 + rest) / ln_1p(-0.5), f64::from(k));
             word
         };
         assert_mutation_on_script(
@@ -1433,7 +1443,7 @@ mod reference {
         // `u = 0` gives an infinite gap, which ends the call and is never
         // converted.
         let tiny = f64::from_bits(1);
-        assert_eq!((-tiny).ln_1p(), -tiny);
+        assert_eq!(ln_1p(-tiny), -tiny);
         for word in [1 << 11, PERTURB[1], PERTURB[2], u64::MAX] {
             assert_mutation_on_script(&x, &bounds, tiny, &[word], &[], &format!("{word:#x}"));
         }
@@ -1535,22 +1545,24 @@ mod kernels {
     use rand::{Rng, RngCore, SeedableRng};
 
     use super::tests::{powf_spread_factor, unit, SPREAD_ULPS};
-    use super::{differ, spread_factor, SbxKernels, SpreadExponent};
+    use super::{
+        differ, sbx_differ_mask, sbx_spread_factors, spread_exponent, spread_factor, KernelInstance,
+    };
 
     /// The instances this CPU runs.
-    fn instances() -> Vec<SbxKernels> {
+    fn instances() -> Vec<KernelInstance> {
         assert!(
-            SbxKernels::Portable.runs(),
+            KernelInstance::Portable.runs(),
             "every CPU runs the portable instance"
         );
-        if !SbxKernels::Avx2.runs() {
+        if !KernelInstance::Avx2.runs() {
             let _ = writeln!(
                 std::io::stderr(),
                 "operators: SKIPPED the 4-lane AVX2 kernel instance: this CPU has no AVX2"
             );
-            return vec![SbxKernels::Portable];
+            return vec![KernelInstance::Portable];
         }
-        vec![SbxKernels::Portable, SbxKernels::Avx2]
+        vec![KernelInstance::Portable, KernelInstance::Avx2]
     }
 
     /// The widest `powf` distance the module's table states at `eta`: its
@@ -1582,7 +1594,7 @@ mod kernels {
         }
         let instances = instances();
         for eta in [0.0, 0.5, 15.0, 20.0, 100.0] {
-            let exponent = SpreadExponent::new(eta);
+            let exponent = spread_exponent(eta);
             let ulps = powf_ulps(eta);
             let expected: Vec<f64> = spreads
                 .iter()
@@ -1603,7 +1615,7 @@ mod kernels {
                 let mut start = 0;
                 for length in (1..=9).cycle() {
                     let end = (start + length).min(betas.len());
-                    kernels.spread_factors(&mut betas[start..end], eta);
+                    sbx_spread_factors(kernels, &mut betas[start..end], eta);
                     start = end;
                     if start == betas.len() {
                         break;
@@ -1664,7 +1676,7 @@ mod kernels {
                         .enumerate()
                         .fold(0, |mask, (j, (&x1, &x2))| mask | differ(x1, x2) << j);
                     for &kernels in &instances {
-                        let mask = kernels.differ_mask(chunk_a, chunk_b);
+                        let mask = sbx_differ_mask(kernels, chunk_a, chunk_b);
                         assert_eq!(
                             mask, fold,
                             "{kernels:?}, n {n}: {mask:#x} against the fold's {fold:#x}"

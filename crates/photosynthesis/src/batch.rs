@@ -24,6 +24,7 @@
 //! Four lanes run in an instance compiled for AVX2, chosen at run time on
 //! a CPU that has it; two lanes are the baseline.
 
+use pathway_linalg::elementary::KernelInstance;
 use pathway_linalg::Vector;
 use pathway_ode::{
     lanes, Advance, OdeError, PseudoTransient, PseudoTransientSolve, SparsePlusRankOneLanes,
@@ -37,13 +38,12 @@ use crate::POOL_COUNT;
 /// One design's solve: its steady state, or why it has none.
 pub(crate) type Outcome = Result<SteadyState, OdeError>;
 
-/// The widest lane count this CPU runs.
+/// The widest lane count this CPU runs: 4 in the AVX2 instance, else 2.
 pub(crate) fn widest() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return 4;
+    match KernelInstance::widest() {
+        KernelInstance::Avx2 => 4,
+        KernelInstance::Portable => 2,
     }
-    2
 }
 
 /// Whether this CPU runs `lanes` designs per step.

@@ -60,15 +60,7 @@ impl EnzymePartition {
     /// Panics if `capacities.len() != ENZYME_COUNT` or any value is negative
     /// or non-finite.
     pub fn new(capacities: Vec<f64>) -> Self {
-        assert_eq!(
-            capacities.len(),
-            ENZYME_COUNT,
-            "an enzyme partition has exactly {ENZYME_COUNT} entries"
-        );
-        assert!(
-            capacities.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "capacities must be finite and non-negative"
-        );
+        checked(&capacities);
         EnzymePartition { capacities }
     }
 
@@ -124,7 +116,18 @@ impl EnzymePartition {
     /// `Σ xᵢ·MWᵢ/k_catᵢ` accounting calibrated so that the natural leaf sums
     /// to [`EnzymePartition::NATURAL_NITROGEN`].
     pub fn total_nitrogen(&self) -> f64 {
-        nitrogen::total_from_costs(&NITROGEN.costs, &self.capacities) * NITROGEN.scale
+        Self::total_nitrogen_of(&self.capacities)
+    }
+
+    /// [`EnzymePartition::total_nitrogen`] of the partition these
+    /// capacities would make, without building it: an oracle scoring a
+    /// batch reads each candidate in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacities.len() != ENZYME_COUNT`.
+    pub fn total_nitrogen_of(capacities: &[f64]) -> f64 {
+        nitrogen::total_from_costs(&NITROGEN.costs, capacities) * NITROGEN.scale
     }
 
     /// Per-enzyme nitrogen breakdown in mg/l (same calibration as
@@ -163,6 +166,29 @@ impl EnzymePartition {
             })
             .collect()
     }
+}
+
+/// `capacities` as one partition's array, after [`EnzymePartition::new`]'s
+/// checks, with its panics.
+///
+/// # Panics
+///
+/// Panics if `capacities.len() != ENZYME_COUNT` or any value is negative or
+/// non-finite.
+pub(crate) fn checked(capacities: &[f64]) -> &[f64; ENZYME_COUNT] {
+    assert_eq!(
+        capacities.len(),
+        ENZYME_COUNT,
+        "an enzyme partition has exactly {ENZYME_COUNT} entries"
+    );
+    // One pass without early exit, so a batch's checks vectorize.
+    assert!(
+        capacities
+            .iter()
+            .fold(true, |ok, c| ok & c.is_finite() & (*c >= 0.0)),
+        "capacities must be finite and non-negative"
+    );
+    capacities.try_into().expect("the length was checked")
 }
 
 impl Index<EnzymeKind> for EnzymePartition {
