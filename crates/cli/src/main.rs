@@ -60,8 +60,8 @@ use pathway_moo::engine::{
     SweepSpec,
 };
 use pathway_moo::exec::Executor;
-use pathway_moo::{EvalBackend, Individual, Optimizer};
-use pathway_serve::{read_endpoint, Client, JobSummary, ServeConfig, Server, WatchEvent};
+use pathway_moo::{EvalBackend, ExecutorStats, Individual, Optimizer};
+use pathway_serve::{read_endpoint, Client, GenerationEvent, JobSummary, ServeConfig, Server};
 
 const USAGE: &str = "\
 pathway — declarative driver for robust-pathway-design runs
@@ -492,8 +492,7 @@ fn execute(
         "done: {generation} generations, {evaluations} evaluations, {} non-dominated solutions",
         front.len()
     );
-    let stats = executor.stats();
-    print_executor_line(stats.workers, stats.queued_chunks, stats.active_workers);
+    print_executor_line(&executor.stats());
     if let Ok(final_path) = &final_saved {
         println!("checkpoint: {}", final_path.display());
         if let Some(stop_after) = options.stop_after {
@@ -539,8 +538,13 @@ fn execute(
 }
 
 /// The `executor:` health line that `run`, `resume` and `status` print.
-fn print_executor_line(workers: usize, queued_chunks: usize, active_workers: usize) {
+fn print_executor_line(stats: &ExecutorStats) {
     let plural = |count: usize| if count == 1 { "" } else { "s" };
+    let ExecutorStats {
+        workers,
+        queued_chunks,
+        active_workers,
+    } = *stats;
     println!(
         "executor: {workers} worker lane{}, {queued_chunks} queued chunk{}, {active_workers} active",
         plural(workers),
@@ -1133,8 +1137,7 @@ fn command_status(args: &[OsString]) -> Result<(), CliError> {
     let target = parse_client_target(args, None)?;
     let mut client = target.connect()?;
     let status = client.status().map_err(CliError::failed)?;
-    let health = &status.executor;
-    print_executor_line(health.workers, health.queued_chunks, health.active_workers);
+    print_executor_line(&status.executor);
     if status.jobs.is_empty() {
         println!("no jobs");
         return Ok(());
@@ -1153,14 +1156,13 @@ fn command_metrics(args: &[OsString]) -> Result<(), CliError> {
     let target = parse_client_target(args, None)?;
     let mut client = target.connect()?;
     let profile = client.metrics().map_err(CliError::failed)?;
-    let text = profile.to_pretty();
     match &target.out {
         Some(path) => {
-            atomic_write(path, text.as_bytes())
+            write_profile_file(path, &profile)
                 .map_err(|err| CliError::failed(format!("{}: {err}", path.display())))?;
             println!("profile: {}", path.display());
         }
-        None => print!("{text}"),
+        None => print!("{}", profile.to_json().to_pretty()),
     }
     Ok(())
 }
@@ -1171,33 +1173,30 @@ fn command_watch(args: &[OsString]) -> Result<(), CliError> {
     let mut client = target.connect()?;
     let end = client
         .watch(&job, |event| {
-            if let WatchEvent::Generation {
+            let GenerationEvent {
                 generation,
                 evaluations,
                 front_size,
                 hypervolume,
                 duration_us,
                 ..
-            } = event
-            {
-                println!(
-                    "[{job} gen {generation:>6}] evals {evaluations:>9}  front {front_size:>4}  hv {:<13}  ({:.1?})",
-                    if hypervolume.is_nan() {
-                        "-".to_string()
-                    } else {
-                        format!("{hypervolume:.6e}")
-                    },
-                    Duration::from_micros(*duration_us)
-                );
-            }
+            } = event;
+            println!(
+                "[{job} gen {generation:>6}] evals {evaluations:>9}  front {front_size:>4}  hv {:<13}  ({:.1?})",
+                if hypervolume.is_nan() {
+                    "-".to_string()
+                } else {
+                    format!("{hypervolume:.6e}")
+                },
+                Duration::from_micros(*duration_us)
+            );
         })
         .map_err(CliError::failed)?;
-    if let WatchEvent::End {
-        state, generation, ..
-    } = end
-    {
-        println!("{job}: {} at generation {generation}", state.as_str());
-    }
+    println!(
+        "{job}: {} at generation {}",
+        end.state.as_str(),
+        end.generation
+    );
     Ok(())
 }
 

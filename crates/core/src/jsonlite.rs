@@ -75,7 +75,7 @@ impl JsonValue {
     }
 
     /// The integer payload, if this is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
+    fn as_i64(&self) -> Option<i64> {
         match self {
             JsonValue::Int(value) => Some(*value),
             _ => None,
@@ -769,17 +769,39 @@ impl<'a> Fields<'a> {
     pub fn records<R: Default, F: AsRef<Field<R>>>(&mut self, key: &str, table: &[F]) -> Vec<R> {
         let path = self.path_of(key);
         let items = self.array(key);
-        let mut records = Vec::with_capacity(items.len());
-        for (at, item) in items.iter().enumerate() {
-            let mut entry = Fields {
-                value: item,
-                path: format!("{path}[{at}]"),
-                problems: Vec::new(),
-            };
-            records.push(entry.record(table));
-            self.problems.append(&mut entry.problems);
+        let entries = items.iter().enumerate();
+        entries
+            .map(|(at, item)| self.part(item, format!("{path}[{at}]"), table))
+            .collect()
+    }
+
+    /// The object at `key`, read through `table`.
+    pub fn nested<R: Default, F: AsRef<Field<R>>>(&mut self, key: &str, table: &[F]) -> R {
+        let value: &'a JsonValue = self.value;
+        match value.get(key) {
+            Some(object @ JsonValue::Object(_)) => self.part(object, self.path_of(key), table),
+            _ => {
+                self.problem(key, "expected an object");
+                R::default()
+            }
         }
-        records
+    }
+
+    /// `value`, the part of the document at `path`, read through `table`.
+    fn part<R: Default, F: AsRef<Field<R>>>(
+        &mut self,
+        value: &JsonValue,
+        path: String,
+        table: &[F],
+    ) -> R {
+        let mut part = Fields {
+            value,
+            path,
+            problems: Vec::new(),
+        };
+        let record = part.record(table);
+        self.problems.append(&mut part.problems);
+        record
     }
 
     /// This object read through `table`: every field in table order, then

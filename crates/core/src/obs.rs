@@ -148,7 +148,8 @@ const BOUNDS: Kind<Vec<f64>> = Kind {
     },
 };
 
-static PROFILE: [Field<Profile>; 11] = [
+/// The `pathway-profile` document's fields, in document order.
+pub static PROFILE: [Field<Profile>; 11] = [
     field!("format" = |_| JsonValue::string(PROFILE_FORMAT)),
     field!("version" = |_| JsonValue::Int(PROFILE_VERSION)),
     field!("source": SOURCE => source),

@@ -209,6 +209,11 @@ impl<P: MultiObjectiveProblem, O: Optimizer> Driver<P, O> {
         &self.optimizer
     }
 
+    /// The problem being optimized.
+    pub fn problem(&self) -> &P {
+        &self.problem
+    }
+
     /// The current non-dominated front.
     pub fn front(&self) -> Vec<Individual> {
         self.optimizer.front()

@@ -107,7 +107,7 @@ const CLAIM_BLOCK: usize = 8;
 /// The gauges are updated with relaxed atomics on the submit/execute path,
 /// so a snapshot is advisory — a health signal for dashboards and the
 /// `pathway serve` `status` command, not a synchronization primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Configured degree of parallelism (the caller lane included); matches
     /// [`Executor::workers`].

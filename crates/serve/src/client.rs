@@ -9,10 +9,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 
-use pathway_core::jsonlite::JsonValue;
+use pathway_core::obs::Profile;
 
 use crate::server::ENDPOINT_FILE;
-use crate::wire::{JobSummary, Request, StatusSnapshot, WatchEvent};
+use crate::wire::{
+    parse_reply, EndEvent, Front, GenerationEvent, JobSummary, Metrics, Pong, Reply, Request,
+    StatusSnapshot, Submitted, WatchEvent, Watching,
+};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -94,48 +97,27 @@ impl Client {
         Ok(line.trim_end().to_string())
     }
 
-    /// Reads one reply line and enforces the `ok` contract.
-    fn read_reply(&mut self) -> Result<JsonValue, ClientError> {
+    /// Reads one reply line: its body, or the server's error.
+    fn read_reply<T: Reply>(&mut self) -> Result<T, ClientError> {
         let line = self.read_line()?;
-        let value = JsonValue::parse(&line)
-            .map_err(|err| ClientError::Protocol(format!("unparseable reply: {err}")))?;
-        match value.get("ok").and_then(JsonValue::as_bool) {
-            Some(true) => Ok(value),
-            Some(false) => Err(ClientError::Server(
-                value
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unspecified server error")
-                    .to_string(),
-            )),
-            None => Err(ClientError::Protocol(format!(
-                "reply has no 'ok' field: {line}"
-            ))),
-        }
+        parse_reply(&line)
+            .map_err(ClientError::Protocol)?
+            .map_err(ClientError::Server)
     }
 
-    fn roundtrip(&mut self, request: &Request) -> Result<JsonValue, ClientError> {
+    /// Sends one request and reads its reply's body.
+    fn call<T: Reply>(&mut self, request: &Request) -> Result<T, ClientError> {
         self.send(request)?;
         self.read_reply()
     }
 
-    /// Probes the daemon; returns `(server name, protocol version)`.
+    /// Probes the daemon for its name and protocol version.
     ///
     /// # Errors
     ///
     /// Any [`ClientError`] variant.
-    pub fn ping(&mut self) -> Result<(String, i64), ClientError> {
-        let reply = self.roundtrip(&Request::Ping)?;
-        let server = reply
-            .get("server")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ClientError::Protocol("ping reply has no 'server'".to_string()))?
-            .to_string();
-        let version = reply
-            .get("version")
-            .and_then(JsonValue::as_i64)
-            .ok_or_else(|| ClientError::Protocol("ping reply has no 'version'".to_string()))?;
-        Ok((server, version))
+    pub fn ping(&mut self) -> Result<Pong, ClientError> {
+        self.call(&Request::Ping)
     }
 
     /// Submits a run- or sweep-spec document; returns one summary per
@@ -146,16 +128,11 @@ impl Client {
     /// [`ClientError::Server`] when the document is rejected; `Io` /
     /// `Protocol` on transport problems.
     pub fn submit(&mut self, spec_text: &str) -> Result<Vec<JobSummary>, ClientError> {
-        let reply = self.roundtrip(&Request::Submit {
+        let request = Request::Submit {
             spec_text: spec_text.to_string(),
-        })?;
-        reply
-            .get("jobs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ClientError::Protocol("submit reply has no 'jobs'".to_string()))?
-            .iter()
-            .map(|job| JobSummary::from_json(job).map_err(ClientError::Protocol))
-            .collect()
+        };
+        self.call(&request)
+            .map(|submitted: Submitted| submitted.jobs)
     }
 
     /// Fetches executor health plus every job.
@@ -164,25 +141,20 @@ impl Client {
     ///
     /// Any [`ClientError`] variant.
     pub fn status(&mut self) -> Result<StatusSnapshot, ClientError> {
-        let reply = self.roundtrip(&Request::Status)?;
-        StatusSnapshot::from_json(&reply).map_err(ClientError::Protocol)
+        self.call(&Request::Status)
     }
 
-    /// Fetches the daemon's live telemetry snapshot as a
-    /// `pathway-profile` JSON document (the object itself, not a rendered
-    /// string) — the same schema `pathway run --profile-out` writes, with
-    /// `source` `"serve"`. Read and check it with
-    /// [`pathway_core::obs::Profile::from_json`].
+    /// Fetches the daemon's live telemetry snapshot, a `pathway-profile`
+    /// document with `source` `"serve"` — the same schema
+    /// `pathway run --profile-out` writes — read and checked on receipt.
     ///
     /// # Errors
     ///
-    /// Any [`ClientError`] variant.
-    pub fn metrics(&mut self) -> Result<JsonValue, ClientError> {
-        let reply = self.roundtrip(&Request::Metrics)?;
-        reply
-            .get("profile")
-            .cloned()
-            .ok_or_else(|| ClientError::Protocol("metrics reply has no 'profile'".to_string()))
+    /// Any [`ClientError`] variant; `Protocol` names every field of the
+    /// profile that does not check.
+    pub fn metrics(&mut self) -> Result<Profile, ClientError> {
+        self.call(&Request::Metrics)
+            .map(|metrics: Metrics| metrics.profile)
     }
 
     /// Cancels a job; returns its post-cancellation summary.
@@ -191,10 +163,9 @@ impl Client {
     ///
     /// [`ClientError::Server`] when the job does not exist.
     pub fn cancel(&mut self, job: &str) -> Result<JobSummary, ClientError> {
-        let reply = self.roundtrip(&Request::Cancel {
+        self.call(&Request::Cancel {
             job: job.to_string(),
-        })?;
-        JobSummary::from_json(&reply).map_err(ClientError::Protocol)
+        })
     }
 
     /// Fetches a job's front in the `pathway-front v1` rendering —
@@ -206,22 +177,16 @@ impl Client {
     /// [`ClientError::Server`] when the job does not exist or is
     /// cancelled/failed.
     pub fn fetch_front(&mut self, job: &str) -> Result<(JobSummary, String), ClientError> {
-        let reply = self.roundtrip(&Request::FetchFront {
+        let request = Request::FetchFront {
             job: job.to_string(),
-        })?;
-        let summary = JobSummary::from_json(&reply).map_err(ClientError::Protocol)?;
-        let front = reply
-            .get("front")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ClientError::Protocol("fetch-front reply has no 'front'".to_string()))?
-            .to_string();
-        Ok((summary, front))
+        };
+        let (summary, front): (JobSummary, Front) = self.call(&request)?;
+        Ok((summary, front.text))
     }
 
-    /// Streams a job's telemetry: `on_event` sees every
-    /// [`WatchEvent::Generation`] in order; the returned event is the
-    /// stream's final [`WatchEvent::End`]. For an already-terminal job the
-    /// stream ends immediately.
+    /// Streams a job's telemetry: `on_event` sees every generation in
+    /// order, and the stream's end is returned. For an already-terminal
+    /// job the stream ends immediately.
     ///
     /// # Errors
     ///
@@ -230,20 +195,19 @@ impl Client {
     pub fn watch(
         &mut self,
         job: &str,
-        mut on_event: impl FnMut(&WatchEvent),
-    ) -> Result<WatchEvent, ClientError> {
+        mut on_event: impl FnMut(&GenerationEvent),
+    ) -> Result<EndEvent, ClientError> {
         self.send(&Request::Watch {
             job: job.to_string(),
         })?;
         // The ack is an ordinary ok/error reply; the stream follows it.
-        self.read_reply()?;
+        self.read_reply::<Watching>()?;
         loop {
             let line = self.read_line()?;
-            let event = WatchEvent::parse(&line).map_err(ClientError::Protocol)?;
-            if matches!(event, WatchEvent::End { .. }) {
-                return Ok(event);
+            match WatchEvent::parse(&line).map_err(ClientError::Protocol)? {
+                WatchEvent::Generation(event) => on_event(&event),
+                WatchEvent::End(end) => return Ok(end),
             }
-            on_event(&event);
         }
     }
 
@@ -253,7 +217,6 @@ impl Client {
     ///
     /// Any [`ClientError`] variant.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.roundtrip(&Request::Shutdown)?;
-        Ok(())
+        self.call(&Request::Shutdown)
     }
 }

@@ -37,6 +37,6 @@ pub use client::{read_endpoint, Client, ClientError};
 pub use scheduler::{Command, Scheduler, STEP_SLEEP_ENV};
 pub use server::{ServeConfig, Server, ENDPOINT_FILE};
 pub use wire::{
-    ExecutorHealth, JobState, JobSummary, Request, StatusSnapshot, WatchEvent, PROTOCOL_VERSION,
-    SERVER_NAME,
+    EndEvent, GenerationEvent, JobState, JobSummary, Pong, Request, StatusSnapshot, WatchEvent,
+    PROTOCOL_VERSION, SERVER_NAME,
 };

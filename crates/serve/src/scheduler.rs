@@ -399,8 +399,9 @@ impl Scheduler {
     }
 
     /// Cancels a running job: checkpoints its current state (for
-    /// forensics), marks it terminal on disk, and drops its driver and
-    /// watchers. Cancelling a terminal job is a harmless no-op.
+    /// forensics), records its oracle counters, marks it terminal on disk,
+    /// and drops its driver and watchers. Cancelling a terminal job is a
+    /// harmless no-op.
     ///
     /// # Errors
     ///
@@ -411,6 +412,7 @@ impl Scheduler {
         if slot.state == JobState::Running {
             if let Some(job) = &slot.job {
                 let _ = job.save();
+                job.driver().problem().record_oracle_metrics(&self.metrics);
             }
             let _ = atomic_write(&slot.dir.join("cancelled"), b"");
             slot.state = JobState::Cancelled;
@@ -544,14 +546,17 @@ impl Scheduler {
         }
     }
 
-    /// Finishes a job: final checkpoint, durable front file, terminal
-    /// state. Watchers drop here, which ends their streams.
+    /// Finishes a job: oracle counters, final checkpoint, durable front
+    /// file, terminal state. Watchers drop here, which ends their streams.
     fn complete(&mut self, index: usize) {
         let slot = &mut self.jobs[index];
         let Some(job) = slot.job.take() else {
             return;
         };
         let driver = job.driver();
+        // Oracle counters accumulate on the problem; dump them into the
+        // registry once, now that the job's evaluation is over.
+        driver.problem().record_oracle_metrics(&self.metrics);
         let front = driver.front();
         slot.generation = driver.generation();
         slot.evaluations = driver.optimizer().evaluations();

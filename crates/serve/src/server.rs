@@ -15,8 +15,8 @@
 //!   services between generation steps.
 //!
 //! `status` replies are assembled on the connection thread so the
-//! [`ExecutorHealth`] gauges are read *live* — the scheduler thread only
-//! observes the pool between turns, when it is always idle.
+//! [`pathway_moo::ExecutorStats`] gauges are read *live* — the scheduler
+//! thread only observes the pool between turns, when it is always idle.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -26,7 +26,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use pathway_core::jsonlite::JsonValue;
 use pathway_core::obs::Profile;
 use pathway_moo::engine::store::atomic_write;
 use pathway_moo::engine::telemetry::duration_us;
@@ -35,8 +34,8 @@ use pathway_moo::Executor;
 
 use crate::scheduler::{Command, Scheduler};
 use crate::wire::{
-    error_response, ok_response, ExecutorHealth, JobState, Request, StatusSnapshot, WatchEvent,
-    PROTOCOL_VERSION, SERVER_NAME,
+    encode_reply, EndEvent, Front, GenerationEvent, JobState, JobSummary, Metrics, Pong, Reply,
+    Request, StatusSnapshot, Submitted, WatchEvent, Watching, PROTOCOL_VERSION, SERVER_NAME,
 };
 
 /// Name of the file under the data dir holding the daemon's live
@@ -155,6 +154,21 @@ struct ConnectionTelemetry {
     started: Instant,
 }
 
+impl ConnectionTelemetry {
+    /// The live profile, with the totals of `jobs`.
+    fn metrics(&self, jobs: &[JobSummary]) -> Metrics {
+        let profile = Profile {
+            source: "serve".to_string(),
+            label: self.label.clone(),
+            generations: jobs.iter().map(|job| job.generation as u64).sum(),
+            evaluations: jobs.iter().map(|job| job.evaluations as u64).sum(),
+            wall_ms: duration_us(self.started.elapsed()) / 1000,
+            ..Profile::from_snapshot(&self.metrics.snapshot())
+        };
+        Metrics { profile }
+    }
+}
+
 /// Writes one reply line; `false` when the client hung up.
 fn write_line(stream: &mut TcpStream, line: &str) -> bool {
     use std::io::Write;
@@ -163,6 +177,11 @@ fn write_line(stream: &mut TcpStream, line: &str) -> bool {
         .and_then(|()| stream.write_all(b"\n"))
         .and_then(|()| stream.flush())
         .is_ok()
+}
+
+/// Writes one reply; `false` when the client hung up.
+fn answer<T: Reply>(stream: &mut TcpStream, reply: Result<T, String>) -> bool {
+    write_line(stream, &encode_reply(&reply))
 }
 
 /// One client connection: a sequence of request lines, each answered (or,
@@ -187,163 +206,54 @@ fn handle_connection(
         let request = match Request::parse(&line) {
             Ok(request) => request,
             Err(message) => {
-                if !write_line(&mut writer, &error_response(message).to_compact()) {
+                if !answer::<()>(&mut writer, Err(message)) {
                     return;
                 }
                 continue;
             }
         };
         let served = match request {
-            Request::Ping => write_line(
-                &mut writer,
-                &ok_response([
-                    ("server".to_string(), JsonValue::string(SERVER_NAME)),
-                    ("version".to_string(), JsonValue::Int(PROTOCOL_VERSION)),
-                ])
-                .to_compact(),
-            ),
+            Request::Ping => {
+                let pong = Pong {
+                    server: SERVER_NAME.to_string(),
+                    version: PROTOCOL_VERSION,
+                };
+                answer(&mut writer, Ok(pong))
+            }
             Request::Submit { spec_text } => {
-                let reply = ask(&commands, |reply| Command::Submit {
+                let jobs = ask(&commands, |reply| Command::Submit {
                     text: spec_text,
                     reply,
                 });
-                let body = match reply {
-                    Some(Ok(jobs)) => ok_response([(
-                        "jobs".to_string(),
-                        JsonValue::Array(jobs.iter().map(|job| job.to_json()).collect()),
-                    )]),
-                    Some(Err(message)) => error_response(message),
-                    None => error_response("daemon is shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact())
+                answer(&mut writer, jobs.flatten().map(|jobs| Submitted { jobs }))
             }
             Request::Status => {
-                let body = match ask(&commands, |reply| Command::Status { reply }) {
-                    Some(jobs) => {
-                        // Gauges are sampled here, on the connection
-                        // thread, while jobs are actually being stepped.
-                        let stats = executor.stats();
-                        StatusSnapshot {
-                            executor: ExecutorHealth {
-                                workers: stats.workers,
-                                queued_chunks: stats.queued_chunks,
-                                active_workers: stats.active_workers,
-                            },
-                            jobs,
-                        }
-                        .to_json()
-                    }
-                    None => error_response("daemon is shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact())
+                let jobs = ask(&commands, |reply| Command::Status { reply });
+                // Gauges are sampled here, on the connection thread, while
+                // jobs are actually being stepped.
+                let executor = executor.stats();
+                answer(
+                    &mut writer,
+                    jobs.map(|jobs| StatusSnapshot { executor, jobs }),
+                )
             }
             Request::Metrics => {
                 // Job totals come from the scheduler; the metric shards
                 // themselves are snapshotted right here, live.
-                let body = match ask(&commands, |reply| Command::Status { reply }) {
-                    Some(jobs) => {
-                        let generations: u64 = jobs.iter().map(|job| job.generation as u64).sum();
-                        let evaluations: u64 = jobs.iter().map(|job| job.evaluations as u64).sum();
-                        let profile = Profile {
-                            source: "serve".to_string(),
-                            label: telemetry.label.clone(),
-                            generations,
-                            evaluations,
-                            wall_ms: duration_us(telemetry.started.elapsed()) / 1000,
-                            ..Profile::from_snapshot(&telemetry.metrics.snapshot())
-                        };
-                        ok_response([("profile".to_string(), profile.to_json())])
-                    }
-                    None => error_response("daemon is shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact())
+                let jobs = ask(&commands, |reply| Command::Status { reply });
+                answer(&mut writer, jobs.map(|jobs| telemetry.metrics(&jobs)))
             }
-            Request::Watch { job } => {
-                let reply = ask(&commands, |reply| Command::Watch {
-                    job: job.clone(),
-                    reply,
-                });
-                match reply {
-                    Some(Ok((summary, reports))) => {
-                        let ack = ok_response([
-                            ("job".to_string(), JsonValue::string(summary.id.clone())),
-                            (
-                                "state".to_string(),
-                                JsonValue::string(summary.state.as_str()),
-                            ),
-                        ]);
-                        if !write_line(&mut writer, &ack.to_compact()) {
-                            return;
-                        }
-                        let mut last_generation = summary.generation;
-                        // Stream until the job finishes (scheduler drops
-                        // the sender) or the client hangs up (our write
-                        // fails; the scheduler prunes the dead sender at
-                        // its next report).
-                        let mut client_alive = true;
-                        for report in reports {
-                            last_generation = report.generation;
-                            let event = WatchEvent::Generation {
-                                job: summary.id.clone(),
-                                generation: report.generation,
-                                evaluations: report.evaluations,
-                                front_size: report.front_size,
-                                hypervolume: report.hypervolume,
-                                duration_us: duration_us(report.wall_clock),
-                            };
-                            if !write_line(&mut writer, &event.encode()) {
-                                client_alive = false;
-                                break;
-                            }
-                        }
-                        if !client_alive {
-                            return;
-                        }
-                        let state = final_state(&commands, &summary.id).unwrap_or(summary.state);
-                        let end = WatchEvent::End {
-                            job: summary.id,
-                            state,
-                            generation: last_generation,
-                        };
-                        write_line(&mut writer, &end.encode())
-                    }
-                    Some(Err(message)) => {
-                        write_line(&mut writer, &error_response(message).to_compact())
-                    }
-                    None => write_line(
-                        &mut writer,
-                        &error_response("daemon is shutting down").to_compact(),
-                    ),
-                }
-            }
+            Request::Watch { job } => stream_watch(&mut writer, &commands, job),
             Request::Cancel { job } => {
-                let reply = ask(&commands, |reply| Command::Cancel { job, reply });
-                let body = match reply {
-                    Some(Ok(summary)) => {
-                        let JsonValue::Object(fields) = summary.to_json() else {
-                            unreachable!("job summaries are objects")
-                        };
-                        ok_response(fields)
-                    }
-                    Some(Err(message)) => error_response(message),
-                    None => error_response("daemon is shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact())
+                let summary = ask(&commands, |reply| Command::Cancel { job, reply });
+                answer(&mut writer, summary.flatten())
             }
             Request::FetchFront { job } => {
-                let reply = ask(&commands, |reply| Command::FetchFront { job, reply });
-                let body = match reply {
-                    Some(Ok((summary, front))) => {
-                        let JsonValue::Object(mut fields) = summary.to_json() else {
-                            unreachable!("job summaries are objects")
-                        };
-                        fields.push(("front".to_string(), JsonValue::string(front)));
-                        ok_response(fields)
-                    }
-                    Some(Err(message)) => error_response(message),
-                    None => error_response("daemon is shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact())
+                let fetched = ask(&commands, |reply| Command::FetchFront { job, reply }).flatten();
+                answer(
+                    &mut writer,
+                    fetched.map(|(summary, text)| (summary, Front { text })),
+                )
             }
             Request::Shutdown => {
                 let (written_tx, written_rx) = channel();
@@ -351,11 +261,9 @@ fn handle_connection(
                     reply,
                     written: written_rx,
                 });
-                let body = match acknowledged {
-                    Some(()) => ok_response([]),
-                    None => error_response("daemon is already shutting down"),
-                };
-                write_line(&mut writer, &body.to_compact());
+                let acknowledged =
+                    acknowledged.map_err(|_| "daemon is already shutting down".to_string());
+                answer(&mut writer, acknowledged);
                 // The scheduler holds the daemon open until this signal:
                 // only now that the reply is on the wire may the process
                 // exit. Without the handshake a loaded host could tear the
@@ -372,17 +280,66 @@ fn handle_connection(
     }
 }
 
-/// Ships one command and waits for its reply. `None` when the scheduler is
-/// gone (daemon shutting down).
-fn ask<R>(commands: &Sender<Command>, build: impl FnOnce(Sender<R>) -> Command) -> Option<R> {
+/// Answers a `watch`: the acknowledgement, one event per generation until
+/// the job finishes, then the end event. `false` when the client hung up.
+fn stream_watch(writer: &mut TcpStream, commands: &Sender<Command>, job: String) -> bool {
+    let watch = ask(commands, |reply| Command::Watch { job, reply });
+    let (summary, reports) = match watch.flatten() {
+        Ok(watch) => watch,
+        Err(message) => return answer::<()>(writer, Err(message)),
+    };
+    let ack = Watching {
+        job: summary.id.clone(),
+        state: summary.state,
+    };
+    if !answer(writer, Ok(ack)) {
+        return false;
+    }
+    let mut generation = summary.generation;
+    // Stream until the job finishes (scheduler drops the sender) or the
+    // client hangs up (our write fails; the scheduler prunes the dead
+    // sender at its next report).
+    for report in reports {
+        generation = report.generation;
+        let event = WatchEvent::Generation(GenerationEvent {
+            job: summary.id.clone(),
+            generation,
+            evaluations: report.evaluations,
+            front_size: report.front_size,
+            duration_us: duration_us(report.wall_clock),
+            hypervolume: report.hypervolume,
+        });
+        if !write_line(writer, &event.encode()) {
+            return false;
+        }
+    }
+    let state = final_state(commands, &summary.id).unwrap_or(summary.state);
+    let end = WatchEvent::End(EndEvent {
+        job: summary.id,
+        state,
+        generation,
+    });
+    write_line(writer, &end.encode())
+}
+
+/// Ships one command and waits for its reply; `Err` when the scheduler is
+/// gone (the daemon is shutting down).
+fn ask<R>(
+    commands: &Sender<Command>,
+    build: impl FnOnce(Sender<R>) -> Command,
+) -> Result<R, String> {
     let (reply_tx, reply_rx) = channel();
-    commands.send(build(reply_tx)).ok()?;
-    reply_rx.recv().ok()
+    // A failed send drops the command and its reply sender, so the
+    // receive below fails at once.
+    let _ = commands.send(build(reply_tx));
+    reply_rx
+        .recv()
+        .map_err(|_| "daemon is shutting down".to_string())
 }
 
 /// The job's state after its watch stream closed, via a status query.
 fn final_state(commands: &Sender<Command>, job: &str) -> Option<JobState> {
-    let jobs = ask(commands, |reply| Command::Status { reply })?;
+    let jobs = ask(commands, |reply| Command::Status { reply }).ok()?;
     jobs.into_iter()
         .find(|summary| summary.id == job)
         .map(|summary| summary.state)

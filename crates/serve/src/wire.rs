@@ -1,5 +1,5 @@
-//! The `pathway serve` wire protocol: typed requests, responses, and
-//! telemetry events over line-delimited JSON.
+//! The `pathway serve` wire protocol: typed requests, replies, and
+//! telemetry events over line-delimited JSON, each described once.
 //!
 //! # Framing
 //!
@@ -7,22 +7,28 @@
 //! ([`JsonValue::to_compact`]) followed by `\n`. Compact rendering escapes
 //! every control character, so a message never contains a literal newline
 //! — the frame boundary is unambiguous. Requests carry a `cmd` field;
-//! responses carry `ok` (`true`/`false`, with `error` holding the message
-//! on failure); streamed telemetry lines carry `event` instead of `ok`.
+//! replies lead with `ok` (`true`/`false`, with `error` holding the
+//! message on failure); streamed telemetry lines carry `event` instead.
 //!
-//! # Commands
+//! # Messages
 //!
-//! | `cmd`         | fields        | reply                                         |
-//! |---------------|---------------|-----------------------------------------------|
-//! | `ping`        | —             | `{ok, server, version}`                       |
-//! | `submit`      | `spec`        | `{ok, jobs: [job summary…]}`                  |
-//! | `status`      | —             | `{ok, executor: {…}, jobs: [job summary…]}`   |
-//! | `metrics`     | —             | `{ok, profile: {…}}` (a `pathway-profile` doc)|
-//! | `watch`       | `job`         | `{ok, job, state}` then `event` lines         |
-//! | `cancel`      | `job`         | `{ok, job summary}`                           |
-//! | `fetch-front` | `job`         | `{ok, job summary, front}`                    |
-//! | `shutdown`    | —             | `{ok}`                                        |
+//! Each message has one description here: a row of the request table, or
+//! a `jsonlite` field table. The daemon renders a reply and the client
+//! reads it back through the same table (`encode_reply`, `parse_reply`),
+//! so neither spells a key of its own.
 //!
+//! | `cmd`         | fields | reply body, after `"ok":true`                  | type |
+//! |---------------|--------|------------------------------------------------|------|
+//! | `ping`        | —      | `server, version`                              | [`Pong`] |
+//! | `submit`      | `spec` | `jobs: [job summary…]`                         | `Submitted` |
+//! | `status`      | —      | `executor: {workers, queued_chunks, active_workers}, jobs` | [`StatusSnapshot`] |
+//! | `metrics`     | —      | `profile` (a `pathway-profile` document)       | `Metrics` |
+//! | `watch`       | `job`  | `job, state`, then `event` lines               | `Watching`, [`WatchEvent`] |
+//! | `cancel`      | `job`  | the job summary's fields                       | [`JobSummary`] |
+//! | `fetch-front` | `job`  | the job summary's fields, `front`              | `(JobSummary, Front)` |
+//! | `shutdown`    | —      | nothing                                        | `()` |
+//!
+//! A failed request is answered `{"ok":false,"error":…}`.
 //! `submit`'s `spec` is the canonical run-spec text (`pathway-spec v1`) or
 //! sweep text (`pathway-sweep v1`); a sweep expands into one job per cell.
 //! A `watch` reply is followed by zero or more
@@ -31,11 +37,13 @@
 
 use pathway_core::field;
 use pathway_core::jsonlite::{
-    int, read_record, write_record, Field, Fields, JsonValue, Kind, SIZE, TEXT,
+    int, read_record, write_record, Field, Fields, JsonValue, Kind, COUNT, FINITE, SIZE, TEXT,
 };
+use pathway_core::obs::{Profile, PROFILE};
+use pathway_moo::ExecutorStats;
 
 /// Wire protocol version, reported by `ping`.
-pub const PROTOCOL_VERSION: i64 = 1;
+pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Server identifier, reported by `ping`.
 pub const SERVER_NAME: &str = "pathway-serve";
@@ -73,32 +81,51 @@ pub enum Request {
     Shutdown,
 }
 
+/// A request's `cmd`, the key of the string field it carries, and how it
+/// is built from that field.
+type RequestRow = (&'static str, Option<&'static str>, fn(String) -> Request);
+
+/// Every request.
+static REQUESTS: [RequestRow; 8] = [
+    ("ping", None, |_| Request::Ping),
+    ("submit", Some("spec"), |spec_text| Request::Submit {
+        spec_text,
+    }),
+    ("status", None, |_| Request::Status),
+    ("metrics", None, |_| Request::Metrics),
+    ("watch", Some("job"), |job| Request::Watch { job }),
+    ("cancel", Some("job"), |job| Request::Cancel { job }),
+    ("fetch-front", Some("job"), |job| Request::FetchFront {
+        job,
+    }),
+    ("shutdown", None, |_| Request::Shutdown),
+];
+
 impl Request {
+    /// The string field the request carries, if any.
+    fn argument(&self) -> Option<&str> {
+        match self {
+            Request::Submit { spec_text } => Some(spec_text),
+            Request::Watch { job } | Request::Cancel { job } | Request::FetchFront { job } => {
+                Some(job)
+            }
+            Request::Ping | Request::Status | Request::Metrics | Request::Shutdown => None,
+        }
+    }
+
     /// Renders the request as one compact JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        let value = match self {
-            Request::Ping => JsonValue::object([("cmd", JsonValue::string("ping"))]),
-            Request::Submit { spec_text } => JsonValue::object([
-                ("cmd", JsonValue::string("submit")),
-                ("spec", JsonValue::string(spec_text.clone())),
-            ]),
-            Request::Status => JsonValue::object([("cmd", JsonValue::string("status"))]),
-            Request::Metrics => JsonValue::object([("cmd", JsonValue::string("metrics"))]),
-            Request::Watch { job } => JsonValue::object([
-                ("cmd", JsonValue::string("watch")),
-                ("job", JsonValue::string(job.clone())),
-            ]),
-            Request::Cancel { job } => JsonValue::object([
-                ("cmd", JsonValue::string("cancel")),
-                ("job", JsonValue::string(job.clone())),
-            ]),
-            Request::FetchFront { job } => JsonValue::object([
-                ("cmd", JsonValue::string("fetch-front")),
-                ("job", JsonValue::string(job.clone())),
-            ]),
-            Request::Shutdown => JsonValue::object([("cmd", JsonValue::string("shutdown"))]),
-        };
-        value.to_compact()
+        // A request's row is the one whose builder makes the same variant.
+        let variant = std::mem::discriminant(self);
+        let (cmd, key, _) = REQUESTS
+            .iter()
+            .find(|(_, _, build)| std::mem::discriminant(&build(String::new())) == variant)
+            .expect("every request has a row");
+        let mut object = vec![("cmd".to_string(), JsonValue::string(*cmd))];
+        if let (Some(key), Some(argument)) = (key, self.argument()) {
+            object.push((key.to_string(), JsonValue::string(argument)));
+        }
+        JsonValue::Object(object).to_compact()
     }
 
     /// Parses one request line.
@@ -114,31 +141,18 @@ impl Request {
             .get("cmd")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "request has no string 'cmd' field".to_string())?;
-        let job = |value: &JsonValue| -> Result<String, String> {
-            value
-                .get("job")
+        let (_, key, build) = REQUESTS
+            .iter()
+            .find(|(name, ..)| *name == cmd)
+            .ok_or_else(|| format!("unknown command '{cmd}'"))?;
+        let argument = match key {
+            Some(key) => value
+                .get(key)
                 .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{cmd}' needs a string 'job' field"))
+                .ok_or_else(|| format!("'{cmd}' needs a string '{key}' field"))?,
+            None => "",
         };
-        match cmd {
-            "ping" => Ok(Request::Ping),
-            "submit" => {
-                let spec_text = value
-                    .get("spec")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| "'submit' needs a string 'spec' field".to_string())?
-                    .to_string();
-                Ok(Request::Submit { spec_text })
-            }
-            "status" => Ok(Request::Status),
-            "metrics" => Ok(Request::Metrics),
-            "watch" => Ok(Request::Watch { job: job(&value)? }),
-            "cancel" => Ok(Request::Cancel { job: job(&value)? }),
-            "fetch-front" => Ok(Request::FetchFront { job: job(&value)? }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown command '{other}'")),
-        }
+        Ok(build(argument.to_string()))
     }
 }
 
@@ -166,33 +180,28 @@ impl JobState {
             JobState::Failed => "failed",
         }
     }
-
-    /// Parses the wire spelling (inverse of [`JobState::as_str`]).
-    pub fn parse(text: &str) -> Option<JobState> {
-        match text {
-            "running" => Some(JobState::Running),
-            "completed" => Some(JobState::Completed),
-            "cancelled" => Some(JobState::Cancelled),
-            "failed" => Some(JobState::Failed),
-            _ => None,
-        }
-    }
 }
 
 /// A job state, in its wire spelling.
 const JOB_STATE: Kind<JobState> = Kind {
     expected: "a job state (running, completed, cancelled or failed)",
     write: |state| JsonValue::string(state.as_str()),
-    read: |value| value.as_str().and_then(JobState::parse),
+    read: |value| {
+        use JobState::*;
+        let name = value.as_str()?;
+        [Running, Completed, Cancelled, Failed]
+            .into_iter()
+            .find(|state| state.as_str() == name)
+    },
 };
 
-/// Every problem of a reply, joined into one message.
+/// Every problem of a message, joined into one line.
 fn joined(problems: Vec<String>) -> String {
     problems.join("; ")
 }
 
-/// One job's row in a `status` reply (and the job-shaped part of `submit`,
-/// `cancel`, and `fetch-front` replies).
+/// One job's row in a `status` or `submit` reply, and the body of a
+/// `cancel` reply and of the first part of a `fetch-front` one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobSummary {
     /// Job id, e.g. `job-0001`.
@@ -237,223 +246,267 @@ static JOB_SUMMARY: [Field<JobSummary>; 11] = [
     field!("watchers": SIZE => watchers),
 ];
 
-impl JobSummary {
-    /// The JSON object shape shared by every job-carrying reply.
-    pub fn to_json(&self) -> JsonValue {
-        write_record(self, &JOB_SUMMARY)
-    }
-
-    /// Parses the object shape [`JobSummary::to_json`] produces.
-    ///
-    /// # Errors
-    ///
-    /// A message naming every missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<JobSummary, String> {
-        read_record(value, &JOB_SUMMARY).map_err(joined)
-    }
+/// A `ping` reply.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Pong {
+    /// The daemon's name, [`SERVER_NAME`].
+    pub server: String,
+    /// Its protocol version, [`PROTOCOL_VERSION`].
+    pub version: u64,
 }
 
-/// Executor health in a `status` reply — the live
-/// [`pathway_moo::ExecutorStats`] snapshot taken when the reply is built.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecutorHealth {
-    /// Configured parallelism (caller lane included).
-    pub workers: usize,
-    /// Chunks waiting in the pool queue at snapshot time.
-    pub queued_chunks: usize,
-    /// Lanes executing a chunk at snapshot time.
-    pub active_workers: usize,
+static PONG: [Field<Pong>; 2] = [
+    field!("server": TEXT => server),
+    field!("version": COUNT => version),
+];
+
+/// A `submit` reply: one summary per registered job.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Submitted {
+    /// The jobs, one per sweep cell (one for a run spec).
+    pub jobs: Vec<JobSummary>,
 }
 
-static EXECUTOR_HEALTH: [Field<ExecutorHealth>; 3] = [
+static SUBMITTED: [Field<Submitted>; 1] = [field!("jobs": [JOB_SUMMARY] => jobs)];
+
+/// A `status` reply: the executor's live gauges plus every job.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct StatusSnapshot {
+    /// The shared executor's load, sampled when the reply was built.
+    pub executor: ExecutorStats,
+    /// Every job the daemon knows about, in submission order.
+    pub jobs: Vec<JobSummary>,
+}
+
+static STATUS: [Field<StatusSnapshot>; 2] = [
+    Field {
+        key: "executor",
+        write: |status| Some(write_record(&status.executor, &EXECUTOR)),
+        read: Some(|status, fields, key| status.executor = fields.nested(key, &EXECUTOR)),
+    },
+    field!("jobs": [JOB_SUMMARY] => jobs),
+];
+
+static EXECUTOR: [Field<ExecutorStats>; 3] = [
     field!("workers": SIZE => workers),
     field!("queued_chunks": SIZE => queued_chunks),
     field!("active_workers": SIZE => active_workers),
 ];
 
-impl ExecutorHealth {
-    /// The `executor` object of a `status` reply.
-    pub fn to_json(&self) -> JsonValue {
-        write_record(self, &EXECUTOR_HEALTH)
+/// A `metrics` reply: the daemon's live telemetry, with `source` `"serve"`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Metrics {
+    /// The `pathway-profile` document, checked on reading.
+    pub profile: Profile,
+}
+
+static METRICS: [Field<Metrics>; 1] = [Field {
+    key: "profile",
+    write: |metrics| Some(metrics.profile.to_json()),
+    read: Some(|metrics, fields, key| metrics.profile = fields.nested(key, &PROFILE)),
+}];
+
+/// A `watch` acknowledgement: the job and its state when the stream opened.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Watching {
+    /// Watched job id.
+    pub job: String,
+    /// Its state at attach time.
+    pub state: JobState,
+}
+
+static WATCHING: [Field<Watching>; 2] = [
+    field!("job": TEXT => job),
+    field!("state": JOB_STATE => state),
+];
+
+/// The second part of a `fetch-front` reply.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Front {
+    /// The front in `pathway-front v1` rendering.
+    pub text: String,
+}
+
+static FRONT: [Field<Front>; 1] = [field!("front": TEXT => text)];
+
+static NOTHING: [Field<()>; 0] = [];
+
+/// The body of a successful reply: the fields after `"ok":true`, written
+/// and read through the body's field tables.
+pub(crate) trait Reply: Sized {
+    /// Appends the body's fields to a reply object.
+    fn write(&self, object: &mut Vec<(String, JsonValue)>);
+    /// Reads the body out of a reply object.
+    fn read(fields: &mut Fields<'_>) -> Self;
+}
+
+macro_rules! replies {
+    ($($body:ty: $table:ident),* $(,)?) => {$(
+        impl Reply for $body {
+            fn write(&self, object: &mut Vec<(String, JsonValue)>) {
+                if let JsonValue::Object(fields) = write_record(self, &$table) {
+                    object.extend(fields);
+                }
+            }
+
+            fn read(fields: &mut Fields<'_>) -> Self {
+                fields.record(&$table)
+            }
+        }
+    )*};
+}
+
+replies!(
+    Pong: PONG,
+    Submitted: SUBMITTED,
+    StatusSnapshot: STATUS,
+    Metrics: METRICS,
+    Watching: WATCHING,
+    JobSummary: JOB_SUMMARY,
+    Front: FRONT,
+    (): NOTHING,
+);
+
+/// Two bodies side by side, such as `fetch-front`'s summary and front.
+impl<A: Reply, B: Reply> Reply for (A, B) {
+    fn write(&self, object: &mut Vec<(String, JsonValue)>) {
+        self.0.write(object);
+        self.1.write(object);
     }
 
-    /// Parses the object [`ExecutorHealth::to_json`] produces.
-    ///
-    /// # Errors
-    ///
-    /// A message naming every missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<ExecutorHealth, String> {
-        read_record(value, &EXECUTOR_HEALTH).map_err(joined)
+    fn read(fields: &mut Fields<'_>) -> Self {
+        (A::read(fields), B::read(fields))
     }
 }
 
-/// A full `status` reply: executor health plus every job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatusSnapshot {
-    /// Live executor load.
-    pub executor: ExecutorHealth,
-    /// Every job the daemon knows about, in submission order.
-    pub jobs: Vec<JobSummary>,
+/// Renders one reply line (no trailing newline): `{"ok":true,…}` with the
+/// body's fields, or `{"ok":false,"error":…}`.
+pub(crate) fn encode_reply<T: Reply>(reply: &Result<T, String>) -> String {
+    let mut object = vec![("ok".to_string(), JsonValue::Bool(reply.is_ok()))];
+    match reply {
+        Ok(body) => body.write(&mut object),
+        Err(message) => object.push(("error".to_string(), JsonValue::string(message.as_str()))),
+    }
+    JsonValue::Object(object).to_compact()
 }
 
-impl StatusSnapshot {
-    /// The reply body (an `ok` response with `executor` and `jobs`).
-    pub fn to_json(&self) -> JsonValue {
-        ok_response([
-            ("executor".to_string(), self.executor.to_json()),
-            (
-                "jobs".to_string(),
-                JsonValue::Array(self.jobs.iter().map(JobSummary::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parses the reply [`StatusSnapshot::to_json`] produces.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the missing or mistyped field.
-    pub fn from_json(value: &JsonValue) -> Result<StatusSnapshot, String> {
-        let executor = ExecutorHealth::from_json(
-            value
-                .get("executor")
-                .ok_or_else(|| "status reply has no 'executor'".to_string())?,
-        )?;
-        let jobs = value
-            .get("jobs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "status reply has no 'jobs' array".to_string())?
-            .iter()
-            .map(JobSummary::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StatusSnapshot { executor, jobs })
-    }
+/// Reads one reply line: `Ok` with the body of an `ok` reply, `Err` with
+/// the `error` of a failed one.
+///
+/// # Errors
+///
+/// Why the line is no reply of this shape, naming every missing or
+/// mistyped field.
+pub(crate) fn parse_reply<T: Reply>(line: &str) -> Result<Result<T, String>, String> {
+    let value = JsonValue::parse(line).map_err(|err| format!("unparseable reply: {err}"))?;
+    let mut fields = Fields::new(&value);
+    let reply = match value.get("ok").and_then(JsonValue::as_bool) {
+        Some(true) => Ok(T::read(&mut fields)),
+        Some(false) => Err(fields.get("error", TEXT)),
+        None => return Err(format!("reply has no 'ok' field: {line}")),
+    };
+    fields.finish(reply).map_err(joined)
 }
+
+/// A completed generation of a watched job.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GenerationEvent {
+    /// Watched job id.
+    pub job: String,
+    /// 1-based generation index.
+    pub generation: usize,
+    /// Cumulative evaluations.
+    pub evaluations: usize,
+    /// Current front size.
+    pub front_size: usize,
+    /// Wall-clock of this generation, microseconds (0 when the server
+    /// predates the field).
+    pub duration_us: u64,
+    /// Current hypervolume (absent on the wire when NaN).
+    pub hypervolume: f64,
+}
+
+static GENERATION_EVENT: [Field<GenerationEvent>; 7] = [
+    field!("event" = |_| JsonValue::string("generation")),
+    field!("job": TEXT => job),
+    field!("generation": SIZE => generation),
+    field!("evaluations": SIZE => evaluations),
+    field!("front_size": SIZE => front_size),
+    Field {
+        key: "duration_us",
+        write: |event| Some(int(event.duration_us)),
+        // Absent from pre-telemetry servers; 0 means "unreported".
+        read: Some(|event, fields, key| {
+            event.duration_us = fields.optional(key, COUNT).unwrap_or_default();
+        }),
+    },
+    Field {
+        key: "hypervolume",
+        // JSON has no NaN literal; an unmeasurable hypervolume is absent.
+        write: |event| {
+            (!event.hypervolume.is_nan()).then_some(JsonValue::Number(event.hypervolume))
+        },
+        read: Some(|event, fields, key| {
+            event.hypervolume = fields.optional(key, FINITE).unwrap_or(f64::NAN);
+        }),
+    },
+];
+
+/// The end of a watch stream.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EndEvent {
+    /// Watched job id.
+    pub job: String,
+    /// The job's state when the stream closed.
+    pub state: JobState,
+    /// Generations completed when the stream closed.
+    pub generation: usize,
+}
+
+static END_EVENT: [Field<EndEvent>; 4] = [
+    field!("event" = |_| JsonValue::string("end")),
+    field!("job": TEXT => job),
+    field!("state": JOB_STATE => state),
+    field!("generation": SIZE => generation),
+];
 
 /// One line of a `watch` stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WatchEvent {
     /// A completed generation of the watched job.
-    Generation {
-        /// Watched job id.
-        job: String,
-        /// 1-based generation index.
-        generation: usize,
-        /// Cumulative evaluations.
-        evaluations: usize,
-        /// Current front size.
-        front_size: usize,
-        /// Current hypervolume (absent on the wire when NaN).
-        hypervolume: f64,
-        /// Wall-clock of this generation, microseconds (0 when the
-        /// server predates the field).
-        duration_us: u64,
-    },
-    /// The stream is over; the job reached `state` at `generation`.
-    End {
-        /// Watched job id.
-        job: String,
-        /// The job's state when the stream closed.
-        state: JobState,
-        /// Generations completed when the stream closed.
-        generation: usize,
-    },
+    Generation(GenerationEvent),
+    /// The stream is over.
+    End(EndEvent),
 }
 
 impl WatchEvent {
     /// Renders the event as one compact JSON line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
-            WatchEvent::Generation {
-                job,
-                generation,
-                evaluations,
-                front_size,
-                hypervolume,
-                duration_us,
-            } => {
-                let mut fields = vec![
-                    ("event".to_string(), JsonValue::string("generation")),
-                    ("job".to_string(), JsonValue::string(job.clone())),
-                    ("generation".to_string(), int(*generation)),
-                    ("evaluations".to_string(), int(*evaluations)),
-                    ("front_size".to_string(), int(*front_size)),
-                    ("duration_us".to_string(), int(*duration_us)),
-                ];
-                // JSON has no NaN literal; an unmeasurable hypervolume is
-                // simply absent.
-                if !hypervolume.is_nan() {
-                    fields.push(("hypervolume".to_string(), JsonValue::Number(*hypervolume)));
-                }
-                JsonValue::Object(fields).to_compact()
-            }
-            WatchEvent::End {
-                job,
-                state,
-                generation,
-            } => JsonValue::object([
-                ("event", JsonValue::string("end")),
-                ("job", JsonValue::string(job.clone())),
-                ("state", JsonValue::string(state.as_str())),
-                ("generation", int(*generation)),
-            ])
-            .to_compact(),
-        }
+        let value = match self {
+            WatchEvent::Generation(event) => write_record(event, &GENERATION_EVENT),
+            WatchEvent::End(event) => write_record(event, &END_EVENT),
+        };
+        value.to_compact()
     }
 
     /// Parses one stream line.
     ///
     /// # Errors
     ///
-    /// A message naming the malformed part.
+    /// A message naming the malformed part, every mistyped field by its
+    /// path.
     pub fn parse(line: &str) -> Result<WatchEvent, String> {
         let value = JsonValue::parse(line).map_err(|err| format!("malformed event: {err}"))?;
-        let event = value
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "stream line has no string 'event' field".to_string())?;
-        let mut fields = Fields::new(&value);
-        let event = match event {
-            "generation" => WatchEvent::Generation {
-                job: fields.get("job", TEXT),
-                generation: fields.get("generation", SIZE),
-                evaluations: fields.get("evaluations", SIZE),
-                front_size: fields.get("front_size", SIZE),
-                hypervolume: value
-                    .get("hypervolume")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(f64::NAN),
-                // Absent from pre-telemetry servers; 0 means "unreported".
-                duration_us: value
-                    .get("duration_us")
-                    .and_then(JsonValue::as_i64)
-                    .and_then(|v| u64::try_from(v).ok())
-                    .unwrap_or(0),
-            },
-            "end" => WatchEvent::End {
-                job: fields.get("job", TEXT),
-                state: fields.get("state", JOB_STATE),
-                generation: fields.get("generation", SIZE),
-            },
-            other => return Err(format!("unknown event '{other}'")),
+        let event = match value.get("event").and_then(JsonValue::as_str) {
+            Some("generation") => {
+                read_record(&value, &GENERATION_EVENT).map(WatchEvent::Generation)
+            }
+            Some("end") => read_record(&value, &END_EVENT).map(WatchEvent::End),
+            Some(other) => return Err(format!("unknown event '{other}'")),
+            None => return Err("stream line has no string 'event' field".to_string()),
         };
-        fields.finish(event).map_err(joined)
+        event.map_err(joined)
     }
-}
-
-/// Builds a success reply: `{"ok":true, …fields}`.
-pub fn ok_response(fields: impl IntoIterator<Item = (String, JsonValue)>) -> JsonValue {
-    let mut all = vec![("ok".to_string(), JsonValue::Bool(true))];
-    all.extend(fields);
-    JsonValue::Object(all)
-}
-
-/// Builds a failure reply: `{"ok":false,"error":message}`.
-pub fn error_response(message: impl Into<String>) -> JsonValue {
-    JsonValue::object([
-        ("ok", JsonValue::Bool(false)),
-        ("error", JsonValue::string(message.into())),
-    ])
 }
 
 #[cfg(test)]
@@ -521,6 +574,11 @@ mod tests {
         }
     }
 
+    /// `body` rendered as an `ok` reply line and read back.
+    fn round_trip<T: Reply>(body: T) -> T {
+        parse_reply(&encode_reply(&Ok(body))).unwrap().unwrap()
+    }
+
     #[test]
     fn job_summaries_and_status_snapshots_round_trip() {
         for state in [
@@ -529,58 +587,66 @@ mod tests {
             JobState::Cancelled,
             JobState::Failed,
         ] {
-            let original = summary(state);
-            let reparsed = JobSummary::from_json(&original.to_json()).unwrap();
-            assert_eq!(original, reparsed);
+            assert_eq!(round_trip(summary(state)), summary(state));
         }
 
         let snapshot = StatusSnapshot {
-            executor: ExecutorHealth {
+            executor: ExecutorStats {
                 workers: 4,
                 queued_chunks: 3,
                 active_workers: 2,
             },
             jobs: vec![summary(JobState::Running), summary(JobState::Completed)],
         };
-        let json = snapshot.to_json();
-        assert_eq!(json.get("ok").and_then(JsonValue::as_bool), Some(true));
-        let reparsed = StatusSnapshot::from_json(&json).unwrap();
-        assert_eq!(snapshot, reparsed);
+        assert_eq!(round_trip(snapshot.clone()), snapshot);
+
+        let front = Front {
+            text: "pathway-front v1\n1 2\n".to_string(),
+        };
+        let fetched = (summary(JobState::Completed), front);
+        assert_eq!(round_trip(fetched.clone()), fetched);
+
+        // A mistyped field of a reply is named by its path.
+        let line = r#"{"ok":true,"executor":{"workers":-1,"queued_chunks":0,"active_workers":0},"jobs":[]}"#;
+        assert_eq!(
+            parse_reply::<StatusSnapshot>(line).unwrap_err(),
+            "'executor.workers': expected a non-negative integer"
+        );
     }
 
     #[test]
     fn watch_events_round_trip_including_nan_hypervolume() {
-        let generation = WatchEvent::Generation {
+        let generation = WatchEvent::Generation(GenerationEvent {
             job: "job-0001".to_string(),
             generation: 3,
             evaluations: 300,
             front_size: 12,
-            hypervolume: 1.25,
             duration_us: 1500,
-        };
+            hypervolume: 1.25,
+        });
         assert_eq!(WatchEvent::parse(&generation.encode()).unwrap(), generation);
 
         // NaN is absent on the wire and comes back as NaN.
-        let nan = WatchEvent::Generation {
+        let nan = WatchEvent::Generation(GenerationEvent {
             job: "job-0001".to_string(),
             generation: 4,
             evaluations: 400,
             front_size: 12,
-            hypervolume: f64::NAN,
             duration_us: 0,
-        };
+            hypervolume: f64::NAN,
+        });
         let line = nan.encode();
         assert!(!line.contains("hypervolume"));
         match WatchEvent::parse(&line).unwrap() {
-            WatchEvent::Generation { hypervolume, .. } => assert!(hypervolume.is_nan()),
+            WatchEvent::Generation(event) => assert!(event.hypervolume.is_nan()),
             other => panic!("unexpected event {other:?}"),
         }
 
-        let end = WatchEvent::End {
+        let end = WatchEvent::End(EndEvent {
             job: "job-0001".to_string(),
             state: JobState::Completed,
             generation: 40,
-        };
+        });
         assert_eq!(WatchEvent::parse(&end.encode()).unwrap(), end);
     }
 
@@ -589,20 +655,49 @@ mod tests {
         // A line from a pre-telemetry server carries no duration_us.
         let legacy = r#"{"event":"generation","job":"job-0001","generation":3,"evaluations":300,"front_size":12}"#;
         match WatchEvent::parse(legacy).unwrap() {
-            WatchEvent::Generation { duration_us, .. } => assert_eq!(duration_us, 0),
+            WatchEvent::Generation(event) => assert_eq!(event.duration_us, 0),
             other => panic!("unexpected event {other:?}"),
         }
     }
 
     #[test]
+    fn mistyped_event_fields_are_named() {
+        let head = r#"{"event":"generation","job":"job-0001","generation":3,"evaluations":300,"front_size":12"#;
+        for (tail, problem) in [
+            (
+                r#","duration_us":-5}"#,
+                "'duration_us': expected a non-negative integer",
+            ),
+            (
+                r#","duration_us":0,"hypervolume":"1.25"}"#,
+                "'hypervolume': expected a finite number",
+            ),
+        ] {
+            assert_eq!(
+                WatchEvent::parse(&format!("{head}{tail}")).unwrap_err(),
+                problem
+            );
+        }
+    }
+
+    #[test]
     fn responses_carry_the_ok_flag() {
-        let ok = ok_response([("server".to_string(), JsonValue::string(SERVER_NAME))]);
+        let pong = Pong {
+            server: SERVER_NAME.to_string(),
+            version: PROTOCOL_VERSION,
+        };
+        let ok = JsonValue::parse(&encode_reply(&Ok(pong))).unwrap();
         assert_eq!(ok.get("ok").and_then(JsonValue::as_bool), Some(true));
-        let err = error_response("no such job");
+        let line = encode_reply::<()>(&Err("no such job".to_string()));
+        let err = JsonValue::parse(&line).unwrap();
         assert_eq!(err.get("ok").and_then(JsonValue::as_bool), Some(false));
         assert_eq!(
             err.get("error").and_then(JsonValue::as_str),
             Some("no such job")
+        );
+        assert_eq!(
+            parse_reply::<Pong>(&line).unwrap(),
+            Err("no such job".into())
         );
     }
 }

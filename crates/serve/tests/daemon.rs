@@ -5,7 +5,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pathway_moo::{EvalBackend, Executor};
-use pathway_serve::wire::WatchEvent;
 use pathway_serve::{Client, JobState, Scheduler, ServeConfig, Server};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -210,9 +209,9 @@ fn tcp_round_trip_submits_watches_and_fetches() {
     );
 
     let mut client = Client::connect(&addr).expect("connect");
-    let (name, version) = client.ping().expect("ping");
-    assert_eq!(name, "pathway-serve");
-    assert_eq!(version, 1);
+    let pong = client.ping().expect("ping");
+    assert_eq!(pong.server, "pathway-serve");
+    assert_eq!(pong.version, 1);
 
     let jobs = client.submit(&spec(11, 6, 2)).expect("submit");
     assert_eq!(jobs.len(), 1);
@@ -226,15 +225,8 @@ fn tcp_round_trip_submits_watches_and_fetches() {
     let mut evaluation_counts = Vec::new();
     let end = watcher
         .watch(&id, |event| {
-            if let WatchEvent::Generation {
-                generation,
-                evaluations,
-                ..
-            } = event
-            {
-                seen.push(*generation);
-                evaluation_counts.push(*evaluations);
-            }
+            seen.push(event.generation);
+            evaluation_counts.push(event.evaluations);
         })
         .expect("watch");
     assert!(seen.windows(2).all(|w| w[0] < w[1]), "ordered: {seen:?}");
@@ -242,10 +234,7 @@ fn tcp_round_trip_submits_watches_and_fetches() {
         evaluation_counts.windows(2).all(|w| w[0] < w[1]),
         "evaluations are cumulative: {evaluation_counts:?}"
     );
-    match end {
-        WatchEvent::End { state, .. } => assert_eq!(state, JobState::Completed),
-        other => panic!("expected end event, got {other:?}"),
-    }
+    assert_eq!(end.state, JobState::Completed);
 
     let status = client.status().expect("status");
     assert!(status.executor.workers >= 2);
@@ -254,9 +243,9 @@ fn tcp_round_trip_submits_watches_and_fetches() {
     assert_eq!(status.jobs[0].generation, 6);
 
     // The live telemetry snapshot is a schema-valid pathway-profile
-    // document with the daemon's job totals.
-    let profile = client.metrics().expect("metrics");
-    let check = pathway_core::obs::Profile::from_json(&profile).expect("daemon profile validates");
+    // document (the client checks it on receipt) with the daemon's job
+    // totals.
+    let check = client.metrics().expect("metrics");
     assert_eq!(check.source, "serve");
     assert_eq!(check.generations, 6);
     assert!(
@@ -306,6 +295,30 @@ fn sweep_submission_registers_one_job_per_cell() {
         .status()
         .iter()
         .all(|job| job.state == JobState::Completed));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The oracle's counters reach the daemon's registry: a finished
+/// `leaf-design-ode` job records its `ode.*` work once, as `pathway run
+/// --profile-out` and sweeps do.
+#[test]
+fn a_finished_job_records_its_oracle_counters() {
+    let dir = temp_dir("oracle-counters");
+    let mut scheduler = Scheduler::open(&dir, Arc::new(Executor::serial())).expect("open");
+    let spec = "pathway-spec v1\n\n\
+                [problem]\nname = leaf-design-ode\nera = present\nexport = low\n\n\
+                [optimizer]\nkind = nsga2\npopulation = 8\n\n\
+                [run]\nseed = 3\ncheckpoint_every = 0\n\n\
+                [stop]\nmax_generations = 2\n";
+    scheduler.submit_text(spec).expect("submit");
+    while scheduler.turn() {}
+    assert_eq!(scheduler.status()[0].state, JobState::Completed);
+    let steps = scheduler.metrics().snapshot().counter("ode.steps");
+    assert!(
+        steps.is_some_and(|steps| steps > 0),
+        "ode.steps = {steps:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
